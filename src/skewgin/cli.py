@@ -315,6 +315,8 @@ def cmd_weyl(args) -> int:
             raise ValidationError([("/field", f"expected Q or a prime, got {args.field!r}")])
     if args.n < 1:
         raise ValidationError([("/n", "the number of variables must be positive")])
+    if args.filtration < 0:
+        raise ValidationError([("/filtration", "the filtration bound must be non-negative")])
     report = _base_report("weyl")
     report["n"] = args.n
     report["filtration"] = args.filtration

@@ -109,3 +109,10 @@ class ValidationError(SkewginError):
     def __init__(self, issues):
         self.issues = list(issues)
         super().__init__("; ".join(f"{ptr}: {msg}" for ptr, msg in self.issues))
+
+
+class InvalidAction(ValidationError):
+    """A parsed action that is not a group action; one issue per problem."""
+
+    def __init__(self, problems):
+        super().__init__([("/action", problem) for problem in problems])

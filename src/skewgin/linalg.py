@@ -1,13 +1,22 @@
 """Exact incremental Gaussian elimination on sparse vectors.
 
 Vectors are dicts mapping basis indices (any sortable keys) to nonzero
-scalars of a fixed :class:`~skewgin.fields.Field`.  The solver keeps an
-echelon basis and, for each stored row, the combination of input labels
-that produced it, so membership tests double as certificate extraction.
+scalars of a fixed :class:`~skewgin.fields.Field`.  The solver keeps plain
+echelon rows, each under its pivot (its least key), plus the labelled
+inputs that enlarged the span; rank-only use keeps no inputs.  Over GF(p)
+rows are residues with pivot 1.  Over Q elimination is fraction-free (cf.
+Bareiss 1968): vectors are cleared to integers, rows are cross-multiplied
+rather than divided, and each stored row has its content divided out and
+a positive pivot, so no Fraction is built until a residual is returned.
+``express`` first tests membership against the rows and only then solves
+for the unique combination of the labelled inputs, which are independent.
 Insertion order is part of the contract: pivots are deterministic.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
 
 
 class LinSolver:
@@ -15,94 +24,123 @@ class LinSolver:
 
     def __init__(self, field):
         self.field = field
-        # pivot key -> (normalised row dict, combo dict label -> scalar)
-        self.rows = {}
+        self.rows = {}     # pivot key -> echelon row in kernel scalars
+        self.inputs = []   # (label, vector) of each labelled input that enlarged the span
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, vec, combo, sign):
-        """Eliminate vec against stored rows; mutates and returns (vec, combo).
+    def _scaled(self, vec):
+        """(kernel scalars, scale) with vec = kernel / scale, zeros dropped.
 
-        Stored rows satisfy row = sum(row_combo[l] * original_l).  With
-        sign=-1 the invariant vec = sum(combo * originals) is maintained
-        (insertion); with sign=+1 it is residual = target - sum(combo *
-        originals) (expression).
+        Over Q the kernel vector is integral, cleared by the least common
+        denominator; over GF(p) it is vec itself and the scale is 1.
         """
-        f = self.field
+        p = self.field.p
+        if p is not None:
+            return {k: r for k, v in vec.items() if (r := v % p)}, 1
+        den = lcm(*(v.denominator for v in vec.values()))
+        return {k: v.numerator * (den // v.denominator)
+                for k, v in vec.items() if v}, den
+
+    def _eliminate(self, vec, scale=1, out=None):
+        """Reduce vec (kernel scalars) against the rows, least key first.
+
+        Works in place.  Returns the first key that has no row, or None
+        once vec is empty.  With out given, such keys move into out as field
+        scalars (vec / scale) and the reduction runs to the end.
+        """
+        rows, p = self.rows, self.field.p
         while vec:
-            pivot = min(vec)
-            hit = self.rows.get(pivot)
-            if hit is None:
-                return vec, combo, pivot
-            row, row_combo = hit
-            factor = vec[pivot]
-            signed = factor if sign > 0 else f.neg(factor)
-            for k, v in row.items():
-                nv = f.sub(vec.get(k, f.zero()), f.mul(factor, v))
-                if nv == f.zero():
-                    vec.pop(k, None)
+            k = min(vec)
+            row = rows.get(k)
+            if row is None:
+                if out is None:
+                    return k
+                v = vec.pop(k)
+                out[k] = v if p is not None else Fraction(v, scale)
+                continue
+            if p is not None:
+                c = vec[k]
+                for kk, v in row.items():
+                    nv = (vec.get(kk, 0) - c * v) % p
+                    if nv:
+                        vec[kk] = nv
+                    else:
+                        del vec[kk]
+                continue
+            # vec <- a * vec - c * row, with a * vec[k] = c * row[k]
+            r = row[k]
+            g = gcd(r, vec[k])
+            c = vec[k] // g
+            if g != r:
+                a = r // g
+                scale *= a
+                for kk in vec:
+                    vec[kk] *= a
+            for kk, v in row.items():
+                nv = vec.get(kk, 0) - c * v
+                if nv:
+                    vec[kk] = nv
                 else:
-                    vec[k] = nv
-            for k, v in row_combo.items():
-                nv = f.add(combo.get(k, f.zero()), f.mul(signed, v))
-                if nv == f.zero():
-                    combo.pop(k, None)
-                else:
-                    combo[k] = nv
-        return vec, combo, None
+                    del vec[kk]
+        return None
 
     def add(self, vec: dict, label=None) -> bool:
         """Insert a vector; returns True if it enlarged the span."""
-        f = self.field
-        vec = {k: v for k, v in vec.items() if v != f.zero()}
-        combo = {} if label is None else {label: f.one()}
-        vec, combo, pivot = self._reduce(vec, combo, sign=-1)
+        work, _ = self._scaled(vec)
+        pivot = self._eliminate(work)
         if pivot is None:
             return False
-        scale = f.inv(vec[pivot])
-        vec = {k: f.mul(scale, v) for k, v in vec.items()}
-        combo = {k: f.mul(scale, v) for k, v in combo.items()}
-        self.rows[pivot] = (vec, combo)
+        p = self.field.p
+        if p is not None:
+            inv = self.field.inv(work[pivot])
+            work = {k: v * inv % p for k, v in work.items()}
+        else:
+            g = gcd(*work.values())
+            g = -g if work[pivot] < 0 else g
+            work = {k: v // g for k, v in work.items()}
+        self.rows[pivot] = work
+        if label is not None:
+            self.inputs.append((label, dict(vec)))
         return True
 
     def contains(self, vec: dict) -> bool:
-        residual, _, pivot = self._reduce(dict(vec), {}, sign=1)
-        return pivot is None
+        return self._eliminate(self._scaled(vec)[0]) is None
 
     def residual(self, vec: dict) -> dict:
         """The fully reduced form of vec; empty iff vec lies in the span."""
         out = {}
-        work = dict(vec)
-        f = self.field
-        while work:
-            pivot = min(work)
-            hit = self.rows.get(pivot)
-            if hit is None:
-                out[pivot] = work.pop(pivot)
-                continue
-            row, _ = hit
-            factor = work[pivot]
-            for k, v in row.items():
-                nv = f.sub(work.get(k, f.zero()), f.mul(factor, v))
-                if nv == f.zero():
-                    work.pop(k, None)
-                else:
-                    work[k] = nv
+        self._eliminate(*self._scaled(vec), out=out)
         return out
 
     def express(self, vec: dict):
         """Write vec as a combination of previously added labelled vectors.
 
         Returns a dict label -> coefficient, or None if vec is outside the
-        span.  Only reliable when every vector that enlarged the span
-        carried a label.
+        span of the labelled vectors.
+
+        The labelled inputs are independent, so the combination is unique.
+        It is solved in a fresh solver over those inputs, each extended by a
+        marker column keyed (1, i) after every original key (0, k): reducing
+        vec there leaves minus the coefficients on the markers.
         """
-        residual, combo, pivot = self._reduce(dict(vec), {}, sign=1)
-        if pivot is not None:
+        if not self.contains(vec):
             return None
-        return combo
+        f = self.field
+        solver = LinSolver(f)
+        for i, (_, v) in enumerate(self.inputs):
+            marked = {(0, k): c for k, c in v.items()}
+            marked[(1, i)] = f.one()
+            solver.add(marked)
+        combo = {}
+        for (part, i), c in solver.residual({(0, k): c for k, c in vec.items()}).items():
+            if part == 0:  # vec needs an unlabelled input
+                return None
+            label = self.inputs[i][0]
+            combo[label] = f.sub(combo.get(label, f.zero()), c)
+        return {label: c for label, c in combo.items() if c != f.zero()}
 
 
 def span_rank(field, vectors) -> int:
@@ -134,20 +172,17 @@ def express_incremental(solver, labelled_vectors, target, check_every=24):
 
 
 def invert_matrix(field, mat):
-    """Inverse of a square matrix given as a list of rows; None if singular."""
-    n = len(mat)
-    f = field
-    aug = [list(row) + [f.one() if i == j else f.zero() for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col] != f.zero()), None)
-        if pivot_row is None:
+    """Inverse of a square matrix given as a list of rows; None if singular.
+
+    Row j of the inverse is the combination of the rows of mat that gives
+    the j-th unit vector.
+    """
+    solver = LinSolver(field)
+    for i, row in enumerate(mat):
+        if not solver.add(dict(enumerate(row)), label=i):
             return None
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        scale = f.inv(aug[col][col])
-        aug[col] = [f.mul(scale, v) for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != f.zero():
-                factor = aug[r][col]
-                aug[r] = [f.sub(v, f.mul(factor, w)) for v, w in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    inverse = []
+    for j in range(len(mat)):
+        combo = solver.express({j: field.one()})
+        inverse.append([combo.get(i, field.zero()) for i in range(len(mat))])
+    return inverse

@@ -29,7 +29,7 @@ from .crossed import (CrossedElement, basis_index, commutator_basis,
                       crossed_basis, expand_certificate, merge_certificate,
                       vectorize)
 from .errors import (BasisExpressFailure, DegreeMismatch, IncompleteIdempotents,
-                     NoSolution, NotInvariantPotential)
+                     InvalidAction, NoSolution, NotInvariantPotential)
 from .ginzburg import jacobian_truncation
 from .groups import GroupAlgebra, IdempotentSet, abelian_idempotents, validate_idempotent_set
 from .linalg import LinSolver, express_incremental
@@ -188,7 +188,7 @@ def build_morita(action: QuiverAction, idempotents_spec=None, reverse=False) -> 
     """
     problems = validate_action(action)
     if problems:
-        raise ValueError("invalid action: " + "; ".join(problems))
+        raise InvalidAction(problems)
     field = action.field
     group = action.group
     reps, kappa, stabilizers = orbit_data(action)
@@ -308,10 +308,13 @@ def check_embedding(md: MoritaData, bound: int):
                 f"length {ell}: embedded rank {solver.rank} < {len(layer)} paths; "
                 "the reduced path algebra does not inject")
     pair_bound = min(bound, 2)
-    for p, ep in embedded.items():
-        for q, eq in embedded.items():
+    short = [p for ell in range(pair_bound + 1) for p in by_len.get(ell, [])]
+    for p in short:
+        ep = embedded[p]
+        for q in short:
             if len(p.arrows) + len(q.arrows) > pair_bound:
                 continue
+            eq = embedded[q]
             pq = qprime.compose(p, q)
             if pq is None:
                 rhs = CrossedElement.zero(md.action)

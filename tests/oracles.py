@@ -2,7 +2,8 @@
 
 Everything here is written from scratch on purpose: its own path
 enumeration, its own dense row reduction, its own cyclic derivative for the
-ungraded case.  Nothing imports skewgin's linear algebra.
+ungraded case, and the labelled sparse solver that ``skewgin.linalg``
+replaced.  Nothing imports skewgin's linear algebra.
 """
 
 from fractions import Fraction
@@ -124,3 +125,95 @@ def brute_jacobian_dims(vertices, arrows, potential_terms, bound, p=None):
                             rows.append(row)
         dims.append(len(layer) - dense_rank(rows, p))
     return dims
+
+
+class LabelledLinSolver:
+    """Reference sparse solver: every echelon row carries its label combination.
+
+    Rows are normalised to pivot 1 with ``Field`` arithmetic throughout, so
+    membership tests double as certificate extraction.  Same interface and
+    pivots as ``skewgin.linalg.LinSolver``, kept to cross-check it.
+    """
+
+    def __init__(self, field):
+        self.field = field
+        # pivot key -> (normalised row dict, combo dict label -> scalar)
+        self.rows = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def _reduce(self, vec, combo, sign):
+        """Eliminate vec against stored rows; mutates and returns (vec, combo).
+
+        Stored rows satisfy row = sum(row_combo[l] * original_l).  With
+        sign=-1 the invariant vec = sum(combo * originals) is maintained
+        (insertion); with sign=+1 it is residual = target - sum(combo *
+        originals) (expression).
+        """
+        f = self.field
+        while vec:
+            pivot = min(vec)
+            hit = self.rows.get(pivot)
+            if hit is None:
+                return vec, combo, pivot
+            row, row_combo = hit
+            factor = vec[pivot]
+            signed = factor if sign > 0 else f.neg(factor)
+            for k, v in row.items():
+                nv = f.sub(vec.get(k, f.zero()), f.mul(factor, v))
+                if nv == f.zero():
+                    vec.pop(k, None)
+                else:
+                    vec[k] = nv
+            for k, v in row_combo.items():
+                nv = f.add(combo.get(k, f.zero()), f.mul(signed, v))
+                if nv == f.zero():
+                    combo.pop(k, None)
+                else:
+                    combo[k] = nv
+        return vec, combo, None
+
+    def add(self, vec, label=None):
+        f = self.field
+        vec = {k: v for k, v in vec.items() if v != f.zero()}
+        combo = {} if label is None else {label: f.one()}
+        vec, combo, pivot = self._reduce(vec, combo, sign=-1)
+        if pivot is None:
+            return False
+        scale = f.inv(vec[pivot])
+        vec = {k: f.mul(scale, v) for k, v in vec.items()}
+        combo = {k: f.mul(scale, v) for k, v in combo.items()}
+        self.rows[pivot] = (vec, combo)
+        return True
+
+    def contains(self, vec):
+        _, _, pivot = self._reduce(dict(vec), {}, sign=1)
+        return pivot is None
+
+    def residual(self, vec):
+        out = {}
+        work = dict(vec)
+        f = self.field
+        while work:
+            pivot = min(work)
+            hit = self.rows.get(pivot)
+            if hit is None:
+                out[pivot] = work.pop(pivot)
+                continue
+            row, _ = hit
+            factor = work[pivot]
+            for k, v in row.items():
+                nv = f.sub(work.get(k, f.zero()), f.mul(factor, v))
+                if nv == f.zero():
+                    work.pop(k, None)
+                else:
+                    work[k] = nv
+        return out
+
+    def express(self, vec):
+        _, combo, pivot = self._reduce(dict(vec), {}, sign=1)
+        if pivot is not None:
+            return None
+        return combo

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from skewgin.cli import main
 
 from docs import (MCKAY, MINIMAL, NEGATION_NONINVARIANT,
@@ -188,6 +190,26 @@ def test_weyl_input_errors_exit_2(capsys, tmp_path):
     shape.write_text(json.dumps({"matrices": [[["1", "0"]]]}), encoding="utf-8")
     assert main(["weyl", "--n", "1", "--matrices", str(shape)]) == 2
     capsys.readouterr()
+
+
+def test_weyl_negative_filtration_exit_2(capsys):
+    code = main(["weyl", "--n", "1", "--filtration", "-1"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report["ok"] is False
+    assert [e["location"] for e in report["errors"]] == ["/filtration"]
+
+
+@pytest.mark.parametrize("command", ["reduce", "verify"])
+def test_action_not_a_homomorphism_exit_2(capsys, tmp_path, command):
+    # g acts by 3I over GF(7), but g has order 3 and 3^3 = 6 != 1
+    triple = [["3", "0", "0"], ["0", "3", "0"], ["0", "0", "3"]]
+    bad = doc(MCKAY, action={"g": {"arrow_matrices": {"(v,v)": triple}}})
+    code, report = run_cli(capsys, tmp_path, bad, command)
+    assert code == 2
+    assert report["ok"] is False
+    assert report["errors"]
+    assert all(e["location"] == "/action" for e in report["errors"])
 
 
 def test_missing_file_exit_2(capsys):

@@ -1,7 +1,11 @@
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from skewgin.fields import make_field
 from skewgin.linalg import LinSolver, invert_matrix, span_rank
+
+from oracles import LabelledLinSolver, dense_rank
 
 
 def test_rank_counts_independent_rows():
@@ -79,3 +83,72 @@ def test_invert_matrix_singular():
     assert invert_matrix(f, [[1, 2], [0, 1]]) is not None
     # det = 1 - 4 = -3 = 0 mod 3
     assert invert_matrix(f, [[1, 2], [2, 1]]) is None
+
+
+FIELDS = [make_field("Q"), make_field(2), make_field(7)]
+
+
+def scalars(field):
+    if field.is_rationals:
+        return st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(bool)
+    return st.integers(min_value=1, max_value=field.p - 1)
+
+
+def sparse_vectors(field):
+    return st.dictionaries(st.integers(min_value=0, max_value=7), scalars(field), max_size=5)
+
+
+def combine(field, pairs):
+    acc = {}
+    for coeff, vec in pairs:
+        for k, v in vec.items():
+            acc[k] = field.add(acc.get(k, field.zero()), field.mul(coeff, v))
+    return {k: v for k, v in acc.items() if v != field.zero()}
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_solver_agrees_with_labelled_oracle(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    vecs = data.draw(st.lists(sparse_vectors(field), max_size=10))
+    solver, oracle = LinSolver(field), LabelledLinSolver(field)
+    unlabelled_growth = False
+    for vec in vecs:
+        # a small label pool exercises unlabelled inputs and repeated labels
+        label = data.draw(st.sampled_from([None, "a", "b", 0, 1, 2, 3, 4, 5]))
+        grew = solver.add(dict(vec), label)
+        assert grew == oracle.add(dict(vec), label)
+        unlabelled_growth |= grew and label is None
+        assert solver.rank == oracle.rank
+        assert set(solver.rows) == set(oracle.rows)
+    queries = data.draw(st.lists(sparse_vectors(field), max_size=3))
+    coeffs = data.draw(st.lists(scalars(field), min_size=len(vecs), max_size=len(vecs)))
+    queries.append(combine(field, zip(coeffs, vecs)))
+    for query in queries:
+        assert solver.contains(dict(query)) == oracle.contains(dict(query))
+        assert solver.residual(dict(query)) == oracle.residual(dict(query))
+        combo, expected = solver.express(dict(query)), oracle.express(dict(query))
+        if unlabelled_growth:
+            # the oracle then drops the unlabelled part of the combination;
+            # the solver answers None unless the labelled inputs suffice
+            assert combo is None or combo == expected
+        else:
+            assert combo == expected
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_invert_matrix_against_dense_rank(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    entries = st.one_of(st.just(field.zero()), scalars(field))
+    mat = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    inv = invert_matrix(field, mat)
+    assert (inv is not None) == (dense_rank(mat, field.p) == n)
+    if inv is not None:
+        for i in range(n):
+            for j in range(n):
+                entry = field.zero()
+                for k in range(n):
+                    entry = field.add(entry, field.mul(inv[i][k], mat[k][j]))
+                assert entry == (field.one() if i == j else field.zero())
