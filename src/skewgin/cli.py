@@ -20,7 +20,6 @@ from .potential import Potential, canonicalize
 from .quiver import AlgElement
 from .weyl import bounded_exactness, check_sp_equivariance, dual_top_concentration
 
-INPUT_ERRORS = (ParseError, ValidationError)
 CHECK_ERRORS = (NotSymplectic, NotInvariantPotential, NoSolution, BasisExpressFailure)
 
 
@@ -40,6 +39,11 @@ def _crossed_json(md, el):
         out.append({"coeff": field.format(coeff), "source": path.source,
                     "arrows": list(path.arrows), "g": names[g]})
     return out
+
+
+def _potential_json(field, potential):
+    return [{"coeff": field.format(c), "cycle": list(p.arrows)}
+            for p, c in potential.sorted_terms()]
 
 
 def _read_document(args):
@@ -111,6 +115,8 @@ def _apply_differential_override(doc, presentation):
 def cmd_ginzburg(args) -> int:
     doc = _read_document(args)
     d = args.d if args.d is not None else doc.d
+    if d < 3:
+        raise ValidationError([("/d", "expected an integer >= 3")])
     potential = doc.potential
     if potential is None:
         potential = Potential(doc.quiver, doc.field)
@@ -200,9 +206,7 @@ def cmd_reduce(args) -> int:
     report["bimodule_dimension"] = len(md.bimodule)
     if doc.potential is not None and not doc.potential.is_zero():
         reduced, _ = transport_potential(doc.potential, md)
-        report["reduced_potential"] = [
-            {"coeff": md.field.format(c), "cycle": list(p.arrows)}
-            for p, c in reduced.sorted_terms()]
+        report["reduced_potential"] = _potential_json(md.field, reduced)
     return _finish(report)
 
 
@@ -228,9 +232,7 @@ def cmd_transport(args) -> int:
     report = _base_report("transport")
     report["choices"] = md.choices()
     reduced, certificate = transport_potential(doc.potential, md)
-    report["reduced_potential"] = [
-        {"coeff": md.field.format(c), "cycle": list(p.arrows)}
-        for p, c in reduced.sorted_terms()]
+    report["reduced_potential"] = _potential_json(md.field, reduced)
     report["checks"].append({
         "check": "certificate re-expands to the class difference",
         "ok": True,
@@ -247,7 +249,7 @@ def cmd_verify(args) -> int:
     report = _base_report("verify")
     report["choices"] = md.choices()
 
-    pres = ginzburg(doc.quiver, doc.potential, 3)
+    pres = ginzburg(doc.quiver, doc.potential, doc.d)
     _, equivariance = extend_to_ginzburg(doc.action, pres)
     report["checks"].append({
         "check": "extended action commutes with the differential",
@@ -275,8 +277,7 @@ def cmd_verify(args) -> int:
         source = "transport"
     report["reduced_potential"] = {
         "source": source,
-        "terms": [{"coeff": md.field.format(c), "cycle": list(p.arrows)}
-                  for p, c in reduced.sorted_terms()],
+        "terms": _potential_json(md.field, reduced),
     }
     try:
         if certificate is None:
@@ -414,23 +415,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except INPUT_ERRORS as exc:
-        issues = getattr(exc, "issues", None) or [("/", str(exc))]
-        _emit({"version": __version__, "command": args.command, "ok": False,
-               "errors": [{"location": ptr, "message": msg} for ptr, msg in issues]})
-        return 2
     except CHECK_ERRORS as exc:
         _emit({"version": __version__, "command": args.command, "ok": False,
                "failure": str(exc),
                "matrix_index": getattr(exc, "matrix_index", None)})
         return 1
-    except SkewginError as exc:
+    except (SkewginError, OSError) as exc:
+        issues = getattr(exc, "issues", None) or [("/", str(exc))]
         _emit({"version": __version__, "command": args.command, "ok": False,
-               "errors": [{"location": "/", "message": str(exc)}]})
-        return 2
-    except OSError as exc:
-        _emit({"version": __version__, "command": args.command, "ok": False,
-               "errors": [{"location": "/", "message": str(exc)}]})
+               "errors": [{"location": ptr, "message": msg} for ptr, msg in issues]})
         return 2
 
 

@@ -11,8 +11,8 @@ commutators and length-zero idempotents preserve.
 from __future__ import annotations
 
 from .errors import FieldMismatch, NoSolution, NotLengthHomogeneous, QuiverMismatch
-from .linalg import LinSolver, express_incremental
-from .quiver import AlgElement, basis_up_to, path_sort_key
+from .linalg import LinSolver
+from .quiver import AlgElement, path_sort_key, paths_by_length
 
 
 class CrossedElement:
@@ -24,16 +24,8 @@ class CrossedElement:
         self.action = action
         self.terms = {}
         if terms:
-            f = action.field
-            z = f.zero()
-            for key, c in (terms.items() if isinstance(terms, dict) else terms):
-                if c == z:
-                    continue
-                acc = f.add(self.terms.get(key, z), c)
-                if acc == z:
-                    self.terms.pop(key, None)
-                else:
-                    self.terms[key] = acc
+            action.field.accumulate(
+                self.terms, terms.items() if isinstance(terms, dict) else terms)
 
     # -- constructors --
 
@@ -87,17 +79,8 @@ class CrossedElement:
 
     def __add__(self, other):
         self._check(other)
-        f = self.action.field
-        out = dict(self.terms)
-        z = f.zero()
-        for key, c in other.terms.items():
-            acc = f.add(out.get(key, z), c)
-            if acc == z:
-                out.pop(key, None)
-            else:
-                out[key] = acc
         res = CrossedElement(self.action)
-        res.terms = out
+        res.terms = self.action.field.accumulate(dict(self.terms), other.terms.items())
         return res
 
     def __neg__(self):
@@ -121,26 +104,14 @@ class CrossedElement:
             return NotImplemented
         self._check(other)
         action = self.action
-        f, G, quiver = action.field, action.group, action.quiver
-        z = f.zero()
-        acc = {}
-        for (p, g), cp in self.terms.items():
-            for (q, h), cq in other.terms.items():
-                moved = action.act_path(g, q)
-                gh = G.mul(g, h)
-                c0 = f.mul(cp, cq)
-                for r, cr in moved.terms.items():
-                    pr = quiver.compose(p, r)
-                    if pr is None:
-                        continue
-                    key = (pr, gh)
-                    acc2 = f.add(acc.get(key, z), f.mul(c0, cr))
-                    if acc2 == z:
-                        acc.pop(key, None)
-                    else:
-                        acc[key] = acc2
+        gmul, compose = action.group.mul, action.quiver.compose
         res = CrossedElement(action)
-        res.terms = acc
+        res.terms = action.field.accumulate({}, (
+            ((pr, gmul(g, h)), cp * cq * cr)
+            for (p, g), cp in self.terms.items()
+            for (q, h), cq in other.terms.items()
+            for r, cr in action.act_path(g, q).terms.items()
+            if (pr := compose(p, r)) is not None))
         return res
 
     def lengths(self):
@@ -168,13 +139,9 @@ class CrossedElement:
         return " + ".join(bits)
 
 
-def crossed_multiply(x: CrossedElement, y: CrossedElement) -> CrossedElement:
-    return x * y
-
-
 def crossed_basis(action, length: int):
     """Ordered (path, group element) pairs of one length component."""
-    paths = [p for p in basis_up_to(action.quiver, length) if len(p.arrows) == length]
+    paths = paths_by_length(action.quiver, length).get(length, [])
     return [(p, g) for p in paths for g in action.group.elements()]
 
 
@@ -232,15 +199,46 @@ def expand_certificate(action, certificate) -> CrossedElement:
 
 def merge_certificate(field, entries):
     """Accumulate coefficients on repeated pairs and drop zeros."""
-    acc = {}
-    z = field.zero()
-    for pair, coeff in entries:
-        cur = field.add(acc.get(pair, z), coeff)
-        if cur == z:
-            acc.pop(pair, None)
+    return list(field.accumulate({}, entries).items())
+
+
+def express_modulo_commutators(solver, target, action, length: int, index: dict):
+    """Write target as the solver's labelled vectors plus commutators.
+
+    The solver's own labelled vectors are tried first.  Only then is the
+    commutator span of the length component built; commutators touching
+    the residual's support are fed first, in basis order, and the target
+    is retried after every 24 insertions that enlarge the span, so the
+    (deterministic) expression usually stops long before the whole
+    spanning set is in.  Returns (combination of the caller's labels,
+    certificate entries ((u, v), coeff)), or None.
+    """
+    combo = solver.express(target)
+    if combo is None:
+        support = set(solver.residual(target))
+        terms = commutator_basis(action, length)
+        vectors = [vectorize(term.element, index) for term in terms]
+        order = sorted(range(len(terms)), key=lambda k: support.isdisjoint(vectors[k]))
+        since_check = 0
+        for k in order:
+            if solver.add(vectors[k], label=terms[k]):
+                since_check += 1
+                if since_check == 24:
+                    since_check = 0
+                    combo = solver.express(target)
+                    if combo is not None:
+                        break
         else:
-            acc[pair] = cur
-    return list(acc.items())
+            combo = solver.express(target)
+        if combo is None:
+            return None
+    own, certificate = {}, []
+    for label, coeff in combo.items():
+        if isinstance(label, CommutatorTerm):
+            certificate.append(((label.u, label.v), coeff))
+        else:
+            own[label] = coeff
+    return own, certificate
 
 
 class CyclicClass:
@@ -266,10 +264,6 @@ class CyclicClass:
         return self._solver.contains(vectorize(diff, self._index))
 
 
-def idempotent_corner(e: CrossedElement, x: CrossedElement) -> CrossedElement:
-    return e * x * e
-
-
 def hc0_reduce(x: CrossedElement, e: CrossedElement):
     """Rewrite x as a corner element plus an exact combination of commutators.
 
@@ -286,33 +280,19 @@ def hc0_reduce(x: CrossedElement, e: CrossedElement):
     index = basis_index(action, length)
     solver = LinSolver(action.field)
     # corner span first so representatives prefer pure corner solutions
+    corners = {}
     for key in crossed_basis(action, length):
-        b = CrossedElement.from_pair(action, *key)
-        cornered = idempotent_corner(e, b)
+        cornered = e * CrossedElement.from_pair(action, *key) * e
         if not cornered.is_zero():
-            solver.add(vectorize(cornered, index), label=("corner", key))
-    commutators = commutator_basis(action, length)
-    target = vectorize(x, index)
-    combo = solver.express(target)
-    if combo is None:
-        combo = express_incremental(
-            solver,
-            ((vectorize(term.element, index), ("comm", k))
-             for k, term in enumerate(commutators)),
-            target)
-    if combo is None:
+            corners[key] = cornered
+            solver.add(vectorize(cornered, index), label=key)
+    found = express_modulo_commutators(solver, vectorize(x, index), action, length, index)
+    if found is None:
         raise NoSolution("no corner representative modulo commutators at this length")
-    f = action.field
+    combo, certificate = found
     w = CrossedElement.zero(action)
-    certificate = []
-    for label, coeff in combo.items():
-        kind, payload = label
-        if kind == "corner":
-            b = CrossedElement.from_pair(action, *payload)
-            w = w + idempotent_corner(e, b).scale(coeff)
-        else:
-            term = commutators[payload]
-            certificate.append(((term.u, term.v), coeff))
+    for key, coeff in combo.items():
+        w = w + corners[key].scale(coeff)
     # self-verify: the certificate must re-expand exactly to x - w
     if expand_certificate(action, certificate) != x - w:
         raise NoSolution("certificate failed re-expansion")

@@ -20,7 +20,7 @@ from .potential import canonicalize
 from .quiver import AlgElement, GradedQuiver
 
 
-DEFAULT_OPTIONS = {"max_len": 4, "filtration": 2, "cap": 200000}
+DEFAULT_OPTIONS = {"max_len": 4}
 
 
 class ProblemDocument:

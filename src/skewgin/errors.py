@@ -45,6 +45,10 @@ class NotLengthHomogeneous(SkewginError):
     pass
 
 
+class DimensionTooSmall(SkewginError):
+    pass
+
+
 # ---- groups ----
 
 class NotLatinSquare(SkewginError):

@@ -72,7 +72,7 @@ class Field:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         if self.p is None:
-            return 1 / a
+            return Fraction(1) / a  # exact for an int a too
         return pow(a, self.p - 2, self.p)
 
     def div(self, a, b):
@@ -84,6 +84,37 @@ class Field:
         if self.p is not None:
             return pow(a, n, self.p)
         return a ** n
+
+    def accumulate(self, acc: dict, terms) -> dict:
+        """Add (key, scalar) pairs into the sparse dict acc, in place.
+
+        A key whose sum cancels is removed, so acc never holds a zero.
+        This is the one accumulate loop of the library: plain + over Q (a
+        new key takes the scalar as given) and one % p over GF(p), with no
+        Field call per entry.  Over GF(p) the scalars may be unreduced ints,
+        so callers can pass plain products.  Returns acc.
+        """
+        get, pop, p = acc.get, acc.pop, self.p
+        if p is None:
+            for key, c in terms:
+                s = get(key)
+                if s is None:
+                    if c:
+                        acc[key] = c
+                    continue
+                s += c
+                if s:
+                    acc[key] = s
+                else:
+                    del acc[key]
+        else:
+            for key, c in terms:
+                s = (get(key, 0) + c) % p
+                if s:
+                    acc[key] = s
+                else:
+                    pop(key, None)
+        return acc
 
     # -- conversions --
 

@@ -13,10 +13,10 @@ arrow degrees 0 they reduce to plain +1.
 
 from __future__ import annotations
 
-from .errors import DegreeMismatch, NotLengthHomogeneous, QuiverMismatch
+from .errors import DegreeMismatch, DimensionTooSmall, NotLengthHomogeneous, QuiverMismatch
 from .linalg import LinSolver
 from .potential import Potential, cyclic_derivative, cycle_length_of, degree_of
-from .quiver import AlgElement, Arrow, GradedQuiver, Path, basis_up_to
+from .quiver import AlgElement, Arrow, GradedQuiver, Path, paths_by_length
 
 
 def star_name(arrow_name: str) -> str:
@@ -30,7 +30,7 @@ def loop_name(vertex: str) -> str:
 def double_quiver(quiver: GradedQuiver, d: int):
     """The doubled quiver with dual arrows and vertex loops."""
     if d < 3:
-        raise ValueError("CY dimension must be >= 3")
+        raise DimensionTooSmall("CY dimension must be >= 3")
     arrows = list(quiver.arrows)
     for a in quiver.arrows:
         arrows.append(Arrow(star_name(a.name), a.tgt, a.src, 2 - d - a.deg))
@@ -145,6 +145,34 @@ def degree_report(presentation: GinzburgPresentation):
     return bad
 
 
+def derivative_relations(w: Potential):
+    """The nonzero cyclic derivatives of w, one per arrow in quiver order."""
+    relations = [cyclic_derivative(w, a.name) for a in w.quiver.arrows]
+    return [r for r in relations if not r.is_zero()]
+
+
+def relation_ideal_span(relations, by_len, ell: int, rel_len: int):
+    """The nonzero products p.r.q of length ell spanning the relation ideal.
+
+    relations are elements of one length rel_len; by_len groups the paths
+    by length, and p and q run over the groups whose lengths add up to
+    ell - rel_len, in basis order.
+    """
+    quiver, field = relations[0].quiver, relations[0].field
+    free = ell - rel_len
+    for s in range(free + 1):
+        for p in by_len.get(s, []):
+            left = AlgElement.from_path(quiver, field, p)
+            for rel in relations:
+                lr = left * rel
+                if lr.is_zero():
+                    continue
+                for q in by_len.get(free - s, []):
+                    vec = lr * AlgElement.from_path(quiver, field, q)
+                    if not vec.is_zero():
+                        yield vec
+
+
 def jacobian_truncation(quiver: GradedQuiver, potential: Potential, bound: int):
     """Dimensions of the length components of kQ modulo the derivative ideal.
 
@@ -152,40 +180,24 @@ def jacobian_truncation(quiver: GradedQuiver, potential: Potential, bound: int):
     cycles of one length so the ideal is length-homogeneous and the
     truncation is exact.
     """
+    if potential.quiver != quiver:
+        raise QuiverMismatch("potential lives on a different quiver")
     if any(a.deg != 0 for a in quiver.arrows):
         raise DegreeMismatch("Jacobian truncation requires all arrow degrees 0")
     cyc_len = cycle_length_of(potential)
     if cyc_len is None:
         raise NotLengthHomogeneous("potential mixes cycle lengths")
-    field = potential.field
-    relations = []
-    for a in quiver.arrows:
-        rel = cyclic_derivative(potential, a.name)
-        if not rel.is_zero():
-            relations.append(rel)
+    relations = derivative_relations(potential)
     rel_len = cyc_len - 1
-    paths = basis_up_to(quiver, bound)
-    by_len = {}
-    for p in paths:
-        by_len.setdefault(len(p.arrows), []).append(p)
+    by_len = paths_by_length(quiver, bound)
     dims = []
     for ell in range(bound + 1):
         layer = by_len.get(ell, [])
         if not relations or ell < rel_len:
             dims.append(len(layer))
             continue
-        solver = LinSolver(field)
-        free = ell - rel_len
-        for s in range(free + 1):
-            for p in by_len.get(s, []):
-                left = AlgElement.from_path(quiver, field, p)
-                for rel in relations:
-                    lr = left * rel
-                    if lr.is_zero():
-                        continue
-                    for q in by_len.get(free - s, []):
-                        vec = lr * AlgElement.from_path(quiver, field, q)
-                        if not vec.is_zero():
-                            solver.add(vec.terms)
+        solver = LinSolver(potential.field)
+        for vec in relation_ideal_span(relations, by_len, ell, rel_len):
+            solver.add(vec.terms)
         dims.append(len(layer) - solver.rank)
     return dims

@@ -157,15 +157,7 @@ class GroupAlgebra:
         return {g: self.field.one() if coeff is None else coeff}
 
     def add(self, x: dict, y: dict) -> dict:
-        f = self.field
-        out = dict(x)
-        for g, c in y.items():
-            acc = f.add(out.get(g, f.zero()), c)
-            if acc == f.zero():
-                out.pop(g, None)
-            else:
-                out[g] = acc
-        return out
+        return self.field.accumulate(dict(x), y.items())
 
     def scale(self, coeff, x: dict) -> dict:
         f = self.field
@@ -177,18 +169,9 @@ class GroupAlgebra:
         return self.add(x, self.scale(self.field.neg(self.field.one()), y))
 
     def mul(self, x: dict, y: dict) -> dict:
-        f, G = self.field, self.group
-        out = {}
-        z = f.zero()
-        for g, cg in x.items():
-            for h, ch in y.items():
-                k = G.mul(g, h)
-                acc = f.add(out.get(k, z), f.mul(cg, ch))
-                if acc == z:
-                    out.pop(k, None)
-                else:
-                    out[k] = acc
-        return out
+        gmul = self.group.mul
+        return self.field.accumulate({}, (
+            (gmul(g, h), cg * ch) for g, cg in x.items() for h, ch in y.items()))
 
     def conjugate(self, h: int, x: dict) -> dict:
         """h x h^-1 term by term."""

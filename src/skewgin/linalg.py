@@ -134,13 +134,11 @@ class LinSolver:
             marked = {(0, k): c for k, c in v.items()}
             marked[(1, i)] = f.one()
             solver.add(marked)
-        combo = {}
-        for (part, i), c in solver.residual({(0, k): c for k, c in vec.items()}).items():
-            if part == 0:  # vec needs an unlabelled input
-                return None
-            label = self.inputs[i][0]
-            combo[label] = f.sub(combo.get(label, f.zero()), c)
-        return {label: c for label, c in combo.items() if c != f.zero()}
+        residual = solver.residual({(0, k): c for k, c in vec.items()})
+        if any(part == 0 for part, _ in residual):  # vec needs an unlabelled input
+            return None
+        return f.accumulate({}, ((self.inputs[i][0], f.neg(c))
+                                 for (_, i), c in residual.items()))
 
 
 def span_rank(field, vectors) -> int:
@@ -148,27 +146,6 @@ def span_rank(field, vectors) -> int:
     for v in vectors:
         solver.add(v)
     return solver.rank
-
-
-def express_incremental(solver, labelled_vectors, target, check_every=24):
-    """Feed labelled vectors into the solver until the target is expressible.
-
-    Tries the target periodically so large generating sets stop early; the
-    stopping rule is deterministic.  Returns the combination or None.
-    """
-    combo = solver.express(target)
-    if combo is not None:
-        return combo
-    since_check = 0
-    for vec, label in labelled_vectors:
-        if solver.add(vec, label):
-            since_check += 1
-            if since_check >= check_every:
-                since_check = 0
-                combo = solver.express(target)
-                if combo is not None:
-                    return combo
-    return solver.express(target)
 
 
 def invert_matrix(field, mat):

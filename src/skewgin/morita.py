@@ -25,16 +25,16 @@ identity.
 from __future__ import annotations
 
 from .action import QuiverAction, is_potential_invariant, validate_action
-from .crossed import (CrossedElement, basis_index, commutator_basis,
-                      crossed_basis, expand_certificate, merge_certificate,
-                      vectorize)
+from .crossed import (CrossedElement, basis_index, crossed_basis, expand_certificate,
+                      express_modulo_commutators, merge_certificate, vectorize)
 from .errors import (BasisExpressFailure, DegreeMismatch, IncompleteIdempotents,
                      InvalidAction, NoSolution, NotInvariantPotential)
-from .ginzburg import jacobian_truncation
+from .ginzburg import derivative_relations, jacobian_truncation, relation_ideal_span
 from .groups import GroupAlgebra, IdempotentSet, abelian_idempotents, validate_idempotent_set
-from .linalg import LinSolver, express_incremental
-from .potential import Potential, canonicalize, cyclic_derivative, cycle_length_of
-from .quiver import AlgElement, Arrow, GradedQuiver, Path, basis_up_to, path_sort_key
+from .linalg import LinSolver
+from .potential import Potential, canonicalize, cycle_length_of
+from .quiver import (AlgElement, Arrow, GradedQuiver, Path, path_sort_key,
+                     paths_by_length)
 
 
 def orbit_data(action: QuiverAction):
@@ -288,10 +288,7 @@ def check_embedding(md: MoritaData, bound: int):
     """
     report = []
     qprime, field = md.qprime, md.field
-    paths = basis_up_to(qprime, bound)
-    by_len = {}
-    for p in paths:
-        by_len.setdefault(len(p.arrows), []).append(p)
+    by_len = paths_by_length(qprime, bound)
     embedded = {}
     for ell in range(bound + 1):
         layer = by_len.get(ell, [])
@@ -386,43 +383,26 @@ def transport_potential(w: Potential, md: MoritaData):
     x = CrossedElement.from_alg(action, w.as_element())
     index = basis_index(md.action, ell)
     qprime = md.qprime
-    cycles = [p for p in basis_up_to(qprime, ell)
-              if len(p.arrows) == ell and qprime.is_cycle(p)]
     solver = LinSolver(field)
-    embedded_cycles = {}
-    for p in cycles:
-        el = embed(md, AlgElement.from_path(qprime, field, p))
-        embedded_cycles[p] = el
-        if not el.is_zero():
-            solver.add(vectorize(el, index), label=("cycle", p))
-    target = vectorize(x, index)
-    combo = solver.express(target)
-    commutators = None
-    if combo is None:
-        commutators = commutator_basis(action, ell)
-        # feed commutators touching the unreduced part of the target first
-        support = set(solver.residual(target))
-        vectors = [vectorize(term.element, index) for term in commutators]
-        order = sorted(range(len(commutators)),
-                       key=lambda k: 0 if support & set(vectors[k]) else 1)
-        combo = express_incremental(
-            solver, ((vectors[k], ("comm", k)) for k in order), target)
-    if combo is None:
+    for p in paths_by_length(qprime, ell).get(ell, []):
+        if qprime.is_cycle(p):
+            el = embed(md, AlgElement.from_path(qprime, field, p))
+            if not el.is_zero():
+                solver.add(vectorize(el, index), label=p)
+    found = express_modulo_commutators(solver, vectorize(x, index), action, ell, index)
+    if found is None:
         raise NoSolution(
             "the potential class has no representative in the reduced cycle span")
+    combo, solved = found
 
-    # assemble the certificate for embed(reduced) - x directly: the solved
-    # commutator part enters negated, and every canonical rotation u.v -> v.u
-    # of a solved cycle contributes the commutator [embed(v), embed(u)],
-    # expanded bilinearly over basis pairs (degrees are all zero, no signs)
+    # assemble the certificate for embed(reduced) - x directly: every
+    # canonical rotation u.v -> v.u of a solved cycle contributes the
+    # commutator [embed(v), embed(u)], expanded bilinearly over basis pairs
+    # (degrees are all zero, no signs), and the solved commutator part
+    # enters negated
     entries = []
     raw_terms = []
-    for (kind, payload), coeff in combo.items():
-        if kind == "comm":
-            term = commutators[payload]
-            entries.append(((term.u, term.v), field.neg(coeff)))
-            continue
-        cycle = payload
+    for cycle, coeff in combo.items():
         raw_terms.append((coeff, cycle))
         rotations = [Path(qprime.arrow(cycle.arrows[j]).src,
                           cycle.arrows[j:] + cycle.arrows[:j])
@@ -436,6 +416,7 @@ def transport_potential(w: Potential, md: MoritaData):
             for u_key, a in e_tail.terms.items():
                 for v_key, b in e_head.terms.items():
                     entries.append(((u_key, v_key), field.mul(coeff, field.mul(a, b))))
+    entries.extend((pair, field.neg(coeff)) for pair, coeff in solved)
     reduced = canonicalize(qprime, field, raw_terms)
     certificate = merge_certificate(field, entries)
     # the certificate is never trusted: re-expand and compare exactly
@@ -445,8 +426,7 @@ def transport_potential(w: Potential, md: MoritaData):
     return reduced, certificate
 
 
-def certify_reduction(md: MoritaData, w: Potential, reduced: Potential,
-                      commutators=None):
+def certify_reduction(md: MoritaData, w: Potential, reduced: Potential):
     """Certify that a reduced potential represents the original class.
 
     Solves embed(reduced) - (original tensor identity) as an exact
@@ -461,24 +441,13 @@ def certify_reduction(md: MoritaData, w: Potential, reduced: Potential,
         return []
     ell = difference.pure_length()
     index = basis_index(action, ell)
-    if commutators is None:
-        commutators = commutator_basis(action, ell)
-    comm_solver = LinSolver(field)
-    target = vectorize(difference, index)
-    # feed commutators that touch the difference's support first: the
-    # expression usually stops long before the full spanning set is in
-    support = set(target)
-    vectors = [vectorize(term.element, index) for term in commutators]
-    order = sorted(range(len(commutators)),
-                   key=lambda k: 0 if support & set(vectors[k]) else 1)
-    expressed = express_incremental(
-        comm_solver, ((vectors[k], k) for k in order), target)
-    if expressed is None:
+    found = express_modulo_commutators(
+        LinSolver(field), vectorize(difference, index), action, ell, index)
+    if found is None:
         raise BasisExpressFailure(
             "embedded reduced potential differs from the original by more "
             "than commutators")
-    certificate = [((commutators[k].u, commutators[k].v), coeff)
-                   for k, coeff in expressed.items()]
+    certificate = found[1]
     if expand_certificate(action, certificate) != difference:
         raise BasisExpressFailure("certificate failed re-expansion")
     return certificate
@@ -486,12 +455,10 @@ def certify_reduction(md: MoritaData, w: Potential, reduced: Potential,
 
 def _relation_span_stable(w: Potential, action: QuiverAction) -> bool:
     """The derivative relations must be permuted (as a span) by the action."""
-    quiver, field = action.quiver, action.field
-    relations = [cyclic_derivative(w, a.name) for a in quiver.arrows]
-    relations = [r for r in relations if not r.is_zero()]
+    relations = derivative_relations(w)
     if not relations:
         return True
-    solver = LinSolver(field)
+    solver = LinSolver(action.field)
     for r in relations:
         solver.add(dict(r.terms))
     for g in action.group.elements():
@@ -511,20 +478,14 @@ def morita_dimension_check(md: MoritaData, w: Potential, reduced_w: Potential, b
     permutes the relation span; that fact is asserted at runtime.
     """
     action, field = md.action, md.field
-    quiver = action.quiver
     if not _relation_span_stable(w, action):
         raise NotInvariantPotential("derivative relations are not stable under the action")
     cyc_len = cycle_length_of(w)
     if cyc_len is None:
         raise DegreeMismatch("dimension check requires one cycle length")
-    relations = [cyclic_derivative(w, a.name) for a in quiver.arrows]
-    relations = [r for r in relations if not r.is_zero()]
+    relations = derivative_relations(w)
     rel_len = cyc_len - 1
-
-    paths = basis_up_to(quiver, bound)
-    by_len = {}
-    for p in paths:
-        by_len.setdefault(len(p.arrows), []).append(p)
+    by_len = paths_by_length(action.quiver, bound)
 
     e = md.total_idempotent()
     rows = []
@@ -533,21 +494,9 @@ def morita_dimension_check(md: MoritaData, w: Potential, reduced_w: Potential, b
         index = basis_index(action, ell)
         solver = LinSolver(field)
         if relations and ell >= rel_len:
-            free = ell - rel_len
-            for s in range(free + 1):
-                for p in by_len.get(s, []):
-                    left_el = AlgElement.from_path(quiver, field, p)
-                    for rel in relations:
-                        lr = left_el * rel
-                        if lr.is_zero():
-                            continue
-                        for q in by_len.get(free - s, []):
-                            vec = lr * AlgElement.from_path(quiver, field, q)
-                            if vec.is_zero():
-                                continue
-                            for g in action.group.elements():
-                                solver.add({index[(path, g)]: c
-                                            for path, c in vec.terms.items()})
+            for vec in relation_ideal_span(relations, by_len, ell, rel_len):
+                for g in action.group.elements():
+                    solver.add({index[(path, g)]: c for path, c in vec.terms.items()})
         rank_relations = solver.rank
         for key in crossed_basis(action, ell):
             b = CrossedElement.from_pair(action, *key)

@@ -86,7 +86,7 @@ def canonicalize(quiver, field, raw_terms) -> Potential:
 
     raw_terms iterates pairs (scalar, Path); every path must be a cycle.
     """
-    acc = {}
+    pairs = []
     z = field.zero()
     for coeff, cycle in raw_terms:
         if not quiver.is_composable(cycle):
@@ -109,12 +109,8 @@ def canonicalize(quiver, field, raw_terms) -> Potential:
             continue
         best, best_exp = min(rots, key=lambda we: path_sort_key(we[0]))
         signed = coeff if best_exp == 0 else field.neg(coeff)
-        cur = field.add(acc.get(best, z), signed)
-        if cur == z:
-            acc.pop(best, None)
-        else:
-            acc[best] = cur
-    return Potential(quiver, field, acc)
+        pairs.append((best, signed))
+    return Potential(quiver, field, field.accumulate({}, pairs))
 
 
 def rotations_of(quiver, cycle: Path):

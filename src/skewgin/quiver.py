@@ -135,6 +135,14 @@ def basis_up_to(quiver: GradedQuiver, bound: int):
     return out
 
 
+def paths_by_length(quiver: GradedQuiver, bound: int):
+    """Paths of length <= bound grouped by length, each group in basis order."""
+    by_len = {}
+    for p in basis_up_to(quiver, bound):
+        by_len.setdefault(len(p.arrows), []).append(p)
+    return by_len
+
+
 class AlgElement:
     """Finite scalar combination of paths of one quiver over one field."""
 
@@ -145,15 +153,7 @@ class AlgElement:
         self.field = field
         self.terms = {}
         if terms:
-            z = field.zero()
-            for p, c in (terms.items() if isinstance(terms, dict) else terms):
-                if c == z:
-                    continue
-                acc = field.add(self.terms.get(p, z), c)
-                if acc == z:
-                    self.terms.pop(p, None)
-                else:
-                    self.terms[p] = acc
+            field.accumulate(self.terms, terms.items() if isinstance(terms, dict) else terms)
 
     # -- constructors --
 
@@ -194,16 +194,8 @@ class AlgElement:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        f = self.field
-        for p, c in other.terms.items():
-            acc = f.add(out.get(p, f.zero()), c)
-            if acc == f.zero():
-                out.pop(p, None)
-            else:
-                out[p] = acc
         res = AlgElement(self.quiver, self.field)
-        res.terms = out
+        res.terms = self.field.accumulate(dict(self.terms), other.terms.items())
         return res
 
     def __neg__(self):
@@ -226,21 +218,13 @@ class AlgElement:
         if not isinstance(other, AlgElement):
             return NotImplemented
         self._check(other)
-        f, q = self.field, self.quiver
-        acc = {}
-        z = f.zero()
-        for p, cp in self.terms.items():
-            for r, cr in other.terms.items():
-                pq = q.compose(p, r)
-                if pq is None:
-                    continue
-                c = f.add(acc.get(pq, z), f.mul(cp, cr))
-                if c == z:
-                    acc.pop(pq, None)
-                else:
-                    acc[pq] = c
-        res = AlgElement(q, f)
-        res.terms = acc
+        compose = self.quiver.compose
+        res = AlgElement(self.quiver, self.field)
+        res.terms = self.field.accumulate({}, (
+            (pq, cp * cr)
+            for p, cp in self.terms.items()
+            for r, cr in other.terms.items()
+            if (pq := compose(p, r)) is not None))
         return res
 
     def degree(self):

@@ -63,16 +63,7 @@ class WeylAlgebra:
         return self.x(k) if k < self.n else self.d(k - self.n)
 
     def add(self, u: dict, v: dict) -> dict:
-        f = self.field
-        out = dict(u)
-        z = f.zero()
-        for m, c in v.items():
-            acc = f.add(out.get(m, z), c)
-            if acc == z:
-                out.pop(m, None)
-            else:
-                out[m] = acc
-        return out
+        return self.field.accumulate(dict(u), v.items())
 
     def scale(self, coeff, u: dict) -> dict:
         f = self.field
@@ -91,7 +82,7 @@ class WeylAlgebra:
         """
         (a1, b1), (a2, b2) = m1, m2
         f = self.field
-        out = {}
+        terms = []
         ranges = [range(min(b1[i], a2[i]) + 1) for i in range(self.n)]
         for k in iproduct(*ranges):
             coeff = 1
@@ -99,27 +90,16 @@ class WeylAlgebra:
                 coeff *= comb(b1[i], k[i]) * comb(a2[i], k[i]) * factorial(k[i])
             alpha = tuple(a1[i] + a2[i] - k[i] for i in range(self.n))
             beta = tuple(b1[i] + b2[i] - k[i] for i in range(self.n))
-            key = (alpha, beta)
-            c = f.add(out.get(key, f.zero()), f.from_int(coeff))
-            if c == f.zero():
-                out.pop(key, None)
-            else:
-                out[key] = c
-        return out
+            terms.append(((alpha, beta), f.from_int(coeff)))
+        return f.accumulate({}, terms)
 
     def mul(self, u: dict, v: dict) -> dict:
-        f = self.field
-        out = {}
-        z = f.zero()
-        for m1, c1 in u.items():
-            for m2, c2 in v.items():
-                for m, c in self._mul_monomials(m1, m2).items():
-                    acc = f.add(out.get(m, z), f.mul(f.mul(c1, c2), c))
-                    if acc == z:
-                        out.pop(m, None)
-                    else:
-                        out[m] = acc
-        return out
+        monomial_product = self._mul_monomials
+        return self.field.accumulate({}, (
+            (m, c1 * c2 * c)
+            for m1, c1 in u.items()
+            for m2, c2 in v.items()
+            for m, c in monomial_product(m1, m2).items()))
 
     def commutator(self, u: dict, v: dict) -> dict:
         return self.sub(self.mul(u, v), self.mul(v, u))
@@ -139,10 +119,6 @@ class WeylAlgebra:
         return sum(alpha) + sum(beta)
 
 
-def weyl_multiply(algebra: WeylAlgebra, u: dict, v: dict) -> dict:
-    return algebra.mul(u, v)
-
-
 class WeylEnvelope:
     """The enveloping algebra A (x) A^op: pairs multiply as
     (s (x) t)(s' (x) t') = s s' (x) t' t."""
@@ -156,85 +132,42 @@ class WeylEnvelope:
         return {(m, m): self.field.one()}
 
     def from_pair(self, s: dict, t: dict) -> dict:
-        f = self.field
-        out = {}
-        z = f.zero()
-        for m1, c1 in s.items():
-            for m2, c2 in t.items():
-                acc = f.add(out.get((m1, m2), z), f.mul(c1, c2))
-                if acc == z:
-                    out.pop((m1, m2), None)
-                else:
-                    out[(m1, m2)] = acc
-        return out
-
-    def add(self, u: dict, v: dict) -> dict:
-        f = self.field
-        out = dict(u)
-        z = f.zero()
-        for k, c in v.items():
-            acc = f.add(out.get(k, z), c)
-            if acc == z:
-                out.pop(k, None)
-            else:
-                out[k] = acc
-        return out
-
-    def scale(self, coeff, u: dict) -> dict:
-        f = self.field
-        if coeff == f.zero():
-            return {}
-        return {k: f.mul(coeff, c) for k, c in u.items()}
+        return self.field.accumulate({}, (
+            ((m1, m2), c1 * c2) for m1, c1 in s.items() for m2, c2 in t.items()))
 
     def left_difference(self, k: int, u: dict) -> dict:
         """(v (x) 1 - 1 (x) v).u for the k-th V basis vector v."""
-        A, f = self.algebra, self.field
-        v = A.basis_vector(k)
+        [v] = self.algebra.basis_vector(k)
+        monomial_product = self.algebra._mul_monomials
         out = {}
-        z = f.zero()
         for (s, t), c in u.items():
-            for m, cm in A._mul_monomials(next(iter(v)), s).items():
-                acc = f.add(out.get((m, t), z), f.mul(c, cm))
-                if acc == z:
-                    out.pop((m, t), None)
-                else:
-                    out[(m, t)] = acc
-            for m, cm in A._mul_monomials(t, next(iter(v))).items():
-                acc = f.sub(out.get((s, m), z), f.mul(c, cm))
-                if acc == z:
-                    out.pop((s, m), None)
-                else:
-                    out[(s, m)] = acc
+            self.field.accumulate(out, (((m, t), c * cm)
+                                        for m, cm in monomial_product(v, s).items()))
+            self.field.accumulate(out, (((s, m), -c * cm)
+                                        for m, cm in monomial_product(t, v).items()))
         return out
 
     def right_difference(self, k: int, u: dict) -> dict:
         """u.(v (x) 1 - 1 (x) v) for the k-th V basis vector v."""
-        A, f = self.algebra, self.field
-        v = A.basis_vector(k)
+        [v] = self.algebra.basis_vector(k)
+        monomial_product = self.algebra._mul_monomials
         out = {}
-        z = f.zero()
         for (s, t), c in u.items():
-            for m, cm in A._mul_monomials(s, next(iter(v))).items():
-                acc = f.add(out.get((m, t), z), f.mul(c, cm))
-                if acc == z:
-                    out.pop((m, t), None)
-                else:
-                    out[(m, t)] = acc
-            for m, cm in A._mul_monomials(next(iter(v)), t).items():
-                acc = f.sub(out.get((s, m), z), f.mul(c, cm))
-                if acc == z:
-                    out.pop((s, m), None)
-                else:
-                    out[(s, m)] = acc
+            self.field.accumulate(out, (((m, t), c * cm)
+                                        for m, cm in monomial_product(s, v).items()))
+            self.field.accumulate(out, (((s, m), -c * cm)
+                                        for m, cm in monomial_product(v, t).items()))
         return out
 
     def act_diagonal(self, images, u: dict) -> dict:
         """Apply an algebra automorphism factorwise: s (x) t -> g(s) (x) g(t)."""
+        A, one = self.algebra, self.field.one()
         out = {}
         for (s, t), c in u.items():
-            gs = apply_linear_automorphism(self.algebra, images, {s: self.field.one()})
-            gt = apply_linear_automorphism(self.algebra, images, {t: self.field.one()})
-            out = self.add(out, self.scale(c, self.from_pair(gs, gt)))
+            gs = apply_linear_automorphism(A, images, {s: one})
+            gt = apply_linear_automorphism(A, images, {t: one})
+            self.field.accumulate(out, ((key, c * cp)
+                                        for key, cp in self.from_pair(gs, gt).items()))
         return out
 
     @staticmethod
@@ -244,19 +177,17 @@ class WeylEnvelope:
 
     def resolution_augmentation(self, u: dict) -> dict:
         """The map closing the resolution: s (x) t -> t s."""
-        A = self.algebra
-        out = A.zero()
-        for (s, t), c in u.items():
-            out = A.add(out, A.scale(c, A._mul_monomials(t, s)))
-        return out
+        monomial_product = self.algebra._mul_monomials
+        return self.field.accumulate({}, (
+            (m, c * cm) for (s, t), c in u.items()
+            for m, cm in monomial_product(t, s).items()))
 
     def top_multiplication(self, u: dict) -> dict:
         """The map off the top of the dual complex: s (x) t -> s t."""
-        A = self.algebra
-        out = A.zero()
-        for (s, t), c in u.items():
-            out = A.add(out, A.scale(c, A._mul_monomials(s, t)))
-        return out
+        monomial_product = self.algebra._mul_monomials
+        return self.field.accumulate({}, (
+            (m, c * cm) for (s, t), c in u.items()
+            for m, cm in monomial_product(s, t).items()))
 
 
 def apply_linear_automorphism(algebra: WeylAlgebra, images, u: dict) -> dict:
@@ -340,7 +271,6 @@ def koszul_differential(envelope: WeylEnvelope, element: dict) -> dict:
     (v_1 ^ ... ^ v_m) (x) u goes to the alternating sum over i of
     (v_1 ^ ... v_i-hat ... ^ v_m) (x) (v_i (x) 1 - 1 (x) v_i) . u.
     """
-    f = envelope.field
     out = {}
     for (wedge, pair), coeff in element.items():
         u = {pair: coeff}
@@ -348,20 +278,14 @@ def koszul_differential(envelope: WeylEnvelope, element: dict) -> dict:
             moved = envelope.left_difference(k, u)
             sign = _remove_sign(wedge, pos)
             rest = wedge[:pos] + wedge[pos + 1:]
-            for key, c in moved.items():
-                c = c if sign > 0 else f.neg(c)
-                acc = f.add(out.get((rest, key), f.zero()), c)
-                if acc == f.zero():
-                    out.pop((rest, key), None)
-                else:
-                    out[(rest, key)] = acc
+            envelope.field.accumulate(out, (((rest, key), sign * c)
+                                            for key, c in moved.items()))
     return out
 
 
 def dual_differential(envelope: WeylEnvelope, element: dict) -> dict:
     """One step of the dual complex: u (x) w goes to the sum over j of
     u . (e_j (x) 1 - 1 (x) e_j) (x) (w ^ e_j*), with the sort sign."""
-    f = envelope.field
     n2 = 2 * envelope.algebra.n
     out = {}
     for (wedge, pair), coeff in element.items():
@@ -373,22 +297,17 @@ def dual_differential(envelope: WeylEnvelope, element: dict) -> dict:
             greater = sum(1 for w in wedge if w > j)
             sign = 1 if greater % 2 == 0 else -1
             new_wedge = tuple(sorted(wedge + (j,)))
-            for key, c in moved.items():
-                c = c if sign > 0 else f.neg(c)
-                acc = f.add(out.get((new_wedge, key), f.zero()), c)
-                if acc == f.zero():
-                    out.pop((new_wedge, key), None)
-                else:
-                    out[(new_wedge, key)] = acc
+            envelope.field.accumulate(out, (((new_wedge, key), sign * c)
+                                            for key, c in moved.items()))
     return out
 
 
 def wedge_action(algebra: WeylAlgebra, matrix, wedge):
     """Exterior power of the matrix on one wedge basis element."""
     f = algebra.field
-    out = {(): f.one()} if not wedge else {}
     if not wedge:
-        return out
+        return {(): f.one()}
+    terms = []
     choices = []
     for k in wedge:
         col = [(i, matrix[i][k]) for i in range(2 * algebra.n)
@@ -409,31 +328,19 @@ def wedge_action(algebra: WeylAlgebra, matrix, wedge):
                 if perm[a] > perm[b]:
                     perm[a], perm[b] = perm[b], perm[a]
                     sign = -sign
-        key = tuple(perm)
-        c = coeff if sign > 0 else f.neg(coeff)
-        acc = f.add(out.get(key, f.zero()), c)
-        if acc == f.zero():
-            out.pop(key, None)
-        else:
-            out[key] = acc
-    return out
+        terms.append((tuple(perm), sign * coeff))
+    return f.accumulate({}, terms)
 
 
 def chain_action(envelope: WeylEnvelope, matrix, element: dict) -> dict:
     """Diagonal action on wedge (x) enveloping-algebra elements."""
-    f = envelope.field
     images = matrix_images(envelope.algebra, matrix)
     out = {}
     for (wedge, pair), coeff in element.items():
         moved_env = envelope.act_diagonal(images, {pair: coeff})
         for new_wedge, wc in wedge_action(envelope.algebra, matrix, wedge).items():
-            for key, c in moved_env.items():
-                total = f.mul(wc, c)
-                acc = f.add(out.get((new_wedge, key), f.zero()), total)
-                if acc == f.zero():
-                    out.pop((new_wedge, key), None)
-                else:
-                    out[(new_wedge, key)] = acc
+            envelope.field.accumulate(out, (((new_wedge, key), wc * c)
+                                            for key, c in moved_env.items()))
     return out
 
 

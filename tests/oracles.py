@@ -2,11 +2,25 @@
 
 Everything here is written from scratch on purpose: its own path
 enumeration, its own dense row reduction, its own cyclic derivative for the
-ungraded case, and the labelled sparse solver that ``skewgin.linalg``
+ungraded case, the labelled sparse solver that ``skewgin.linalg``
+replaced, and the per-entry accumulate loop that ``Field.accumulate``
 replaced.  Nothing imports skewgin's linear algebra.
 """
 
 from fractions import Fraction
+
+
+def naive_accumulate(field, acc, terms):
+    """Add (key, scalar) pairs into acc one ``Field.add`` at a time, dropping
+    keys whose sum is zero; the loop ``Field.accumulate`` replaced."""
+    z = field.zero()
+    for key, c in terms:
+        s = field.add(acc.get(key, z), c)
+        if s == z:
+            acc.pop(key, None)
+        else:
+            acc[key] = s
+    return acc
 
 
 def dense_rank(rows, p=None):

@@ -177,6 +177,23 @@ def test_ginzburg_degree_mismatch_exit_2(capsys, tmp_path):
     assert report["ok"] is False
 
 
+def test_ginzburg_d_below_3_exit_2(capsys, tmp_path):
+    code, report = run_cli(capsys, tmp_path, doc(MINIMAL), "ginzburg", "--d", "2")
+    assert code == 2
+    assert report["ok"] is False
+    assert report["errors"] == [{"location": "/d", "message": "expected an integer >= 3"}]
+
+
+@pytest.mark.parametrize("command", ["ginzburg", "verify"])
+def test_document_d_is_honoured(capsys, tmp_path, command):
+    # the McKay potential has degree 0, which only fits d = 3
+    code, report = run_cli(capsys, tmp_path, doc(MCKAY, d=4), command)
+    assert code == 2
+    assert report["ok"] is False
+    assert report["errors"] == [{"location": "/",
+                                 "message": "potential degree 0 != 3 - d = -1"}]
+
+
 def test_weyl_input_errors_exit_2(capsys, tmp_path):
     assert main(["weyl", "--n", "1", "--field", "banana"]) == 2
     capsys.readouterr()

@@ -2,7 +2,9 @@ import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
+from oracles import naive_accumulate
 from skewgin.errors import NonPrimeModulus, NoRootOfUnity
 from skewgin.fields import make_field, primitive_root_of_unity
 
@@ -45,6 +47,12 @@ def test_field_axioms_random_samples(spec):
             assert f.mul(a, f.inv(a)) == f.one()
 
 
+def test_rational_inverse_of_an_int_is_exact():
+    # accumulate keeps an int scalar over Q as given, so inv must not divide to a float
+    inverse = make_field("Q").inv(2)
+    assert isinstance(inverse, Fraction) and inverse == Fraction(1, 2)
+
+
 def test_gf_canonical_residues():
     f = make_field(5)
     for a in range(5):
@@ -80,3 +88,38 @@ def test_primitive_root_order_is_exact():
 def test_no_root_when_order_does_not_divide():
     with pytest.raises(NoRootOfUnity):
         primitive_root_of_unity(make_field(7), 5)
+
+
+ACCUMULATE_FIELDS = [make_field("Q"), make_field(2), make_field(7)]
+
+
+def any_scalars(field):
+    """Scalars with zeros; over GF(p) also unreduced and negative ints."""
+    if field.is_rationals:
+        return st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    return st.integers(min_value=-2 * field.p, max_value=2 * field.p)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_accumulate_agrees_with_naive_loop(data):
+    field = data.draw(st.sampled_from(ACCUMULATE_FIELDS))
+    keys = st.integers(min_value=0, max_value=4)
+    start = data.draw(st.dictionaries(keys, any_scalars(field), max_size=4))
+    if not field.is_rationals:
+        start = {k: c % field.p for k, c in start.items()}
+    start = {k: c for k, c in start.items() if c}
+    terms = data.draw(st.lists(st.tuples(keys, any_scalars(field)), max_size=12))
+    # exact cancellations: cancel some drawn terms and some starting entries
+    cancel = data.draw(st.lists(st.sampled_from(terms), max_size=4)) if terms else []
+    cancel += data.draw(st.lists(st.sampled_from(sorted(start.items())), max_size=2)) if start else []
+    terms += [(k, field.neg(c)) for k, c in cancel]
+    terms = data.draw(st.permutations(terms))
+
+    acc = dict(start)
+    got = field.accumulate(acc, iter(terms))
+    expected = naive_accumulate(field, dict(start), terms)
+    assert got is acc
+    assert got == expected
+    assert list(got) == list(expected)  # same keys, absent keys and order
+    assert all(got.values())

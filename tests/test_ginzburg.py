@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from skewgin.errors import DegreeMismatch, NotLengthHomogeneous
+from skewgin.errors import (DegreeMismatch, DimensionTooSmall, NotLengthHomogeneous,
+                            QuiverMismatch)
 from skewgin.fields import make_field
 from skewgin.ginzburg import (check_d_squared, degree_report, double_quiver,
                               ginzburg, jacobian_truncation)
@@ -28,6 +29,12 @@ def test_double_quiver_degrees_d3():
     dq = double_quiver(q, 3)
     degs = {a.name: a.deg for a in dq.arrows}
     assert degs == {"x": 0, "x*": -1, "c_1": -2}
+
+
+def test_double_quiver_rejects_d_below_3():
+    q = GradedQuiver(["1"], [("x", "1", "1", 0)])
+    with pytest.raises(DimensionTooSmall):
+        double_quiver(q, 2)
 
 
 def test_double_quiver_two_vertices():
@@ -146,6 +153,12 @@ def test_jacobian_rejects_mixed_lengths():
     w = canonicalize(q, Q, [(Q.one(), q.path(["x", "x"])), (Q.one(), q.path(["x", "y", "z"]))])
     with pytest.raises(NotLengthHomogeneous):
         jacobian_truncation(q, w, 2)
+
+
+def test_jacobian_rejects_potential_on_another_quiver():
+    one_loop = GradedQuiver(["1"], [("x", "1", "1", 0)])
+    with pytest.raises(QuiverMismatch):
+        jacobian_truncation(one_loop, commutator_potential(three_loops()), 3)
 
 
 JACOBIAN_CASES = [
