@@ -10,8 +10,9 @@ import sys
 from . import __version__
 from .action import extend_to_ginzburg, validate_action
 from .document import parse
-from .errors import (BasisExpressFailure, NoSolution, NotInvariantPotential,
-                     NotSymplectic, ParseError, SkewginError, ValidationError)
+from .errors import (BasisExpressFailure, NonPrimeModulus, NoSolution,
+                     NotInvariantPotential, NotSymplectic, ParseError, SkewginError,
+                     ValidationError)
 from .fields import make_field
 from .ginzburg import check_d_squared, degree_report, ginzburg
 from .morita import (build_morita, certify_reduction, check_embedding,
@@ -306,18 +307,40 @@ def cmd_verify(args) -> int:
     return _finish(report)
 
 
+def _read_matrices(path, n, field):
+    """The matrices of a --matrices file: {"matrices": [...]} or a bare list
+    of 2n x 2n matrices of scalar strings."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            raw = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"matrix file is not valid JSON: {exc}")
+    mats = raw.get("matrices") if isinstance(raw, dict) else raw
+    if not isinstance(mats, list):
+        raise ValidationError([("/matrices", 'expected a list of matrices, bare or '
+                                             'under the key "matrices"')])
+    try:
+        matrices = [[[field.parse(v) for v in row] for row in mat] for mat in mats]
+    except Exception:
+        raise ValidationError([("/matrices", "expected square matrices of scalar strings")])
+    if any(len(mat) != 2 * n or any(len(row) != 2 * n for row in mat) for mat in matrices):
+        raise ValidationError([("/matrices", f"matrices must be {2*n}x{2*n}")])
+    return matrices
+
+
 def cmd_weyl(args) -> int:
     if args.field == "Q":
         field = make_field("Q")
     else:
         try:
             field = make_field(int(args.field))
-        except ValueError:
+        except (ValueError, NonPrimeModulus):
             raise ValidationError([("/field", f"expected Q or a prime, got {args.field!r}")])
     if args.n < 1:
         raise ValidationError([("/n", "the number of variables must be positive")])
     if args.filtration < 0:
         raise ValidationError([("/filtration", "the filtration bound must be non-negative")])
+    matrices = _read_matrices(args.matrices, args.n, field) if args.matrices else None
     report = _base_report("weyl")
     report["n"] = args.n
     report["filtration"] = args.filtration
@@ -339,20 +362,7 @@ def cmd_weyl(args) -> int:
         "ok": (all(v == 0 for k, v in dual["homology"].items() if k != 2 * args.n)
                and dual["top_homology"] == dual["expected_top"]),
     })
-    if args.matrices:
-        with open(args.matrices, "r", encoding="utf-8") as handle:
-            try:
-                raw = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"matrix file is not valid JSON: {exc}")
-        mats = raw["matrices"] if isinstance(raw, dict) else raw
-        try:
-            matrices = [[[field.parse(v) for v in row] for row in mat] for mat in mats]
-        except Exception:
-            raise ValidationError([("/matrices", "expected square matrices of scalar strings")])
-        if any(len(mat) != 2 * args.n or any(len(row) != 2 * args.n for row in mat)
-               for mat in matrices):
-            raise ValidationError([("/matrices", f"matrices must be {2*args.n}x{2*args.n}")])
+    if matrices is not None:
         failures = check_sp_equivariance(args.n, matrices, field,
                                          filt_bound=min(args.filtration, 2))
         report["checks"].append({

@@ -11,6 +11,7 @@ it, so each filtration piece is a finite complex with exact ranks.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product as iproduct
 from math import comb, factorial
 
@@ -131,10 +132,6 @@ class WeylEnvelope:
         [(m, _)] = self.algebra.one().items()
         return {(m, m): self.field.one()}
 
-    def from_pair(self, s: dict, t: dict) -> dict:
-        return self.field.accumulate({}, (
-            ((m1, m2), c1 * c2) for m1, c1 in s.items() for m2, c2 in t.items()))
-
     def left_difference(self, k: int, u: dict) -> dict:
         """(v (x) 1 - 1 (x) v).u for the k-th V basis vector v."""
         [v] = self.algebra.basis_vector(k)
@@ -157,17 +154,6 @@ class WeylEnvelope:
                                         for m, cm in monomial_product(s, v).items()))
             self.field.accumulate(out, (((s, m), -c * cm)
                                         for m, cm in monomial_product(v, t).items()))
-        return out
-
-    def act_diagonal(self, images, u: dict) -> dict:
-        """Apply an algebra automorphism factorwise: s (x) t -> g(s) (x) g(t)."""
-        A, one = self.algebra, self.field.one()
-        out = {}
-        for (s, t), c in u.items():
-            gs = apply_linear_automorphism(A, images, {s: one})
-            gt = apply_linear_automorphism(A, images, {t: one})
-            self.field.accumulate(out, ((key, c * cp)
-                                        for key, cp in self.from_pair(gs, gt).items()))
         return out
 
     @staticmethod
@@ -193,7 +179,6 @@ class WeylEnvelope:
 def apply_linear_automorphism(algebra: WeylAlgebra, images, u: dict) -> dict:
     """Extend a linear substitution on V multiplicatively to normal-ordered
     elements.  images[k] is the element replacing the k-th V basis vector."""
-    f = algebra.field
     out = algebra.zero()
     for (alpha, beta), c in u.items():
         acc = algebra.one()
@@ -332,16 +317,30 @@ def wedge_action(algebra: WeylAlgebra, matrix, wedge):
     return f.accumulate({}, terms)
 
 
-def chain_action(envelope: WeylEnvelope, matrix, element: dict) -> dict:
-    """Diagonal action on wedge (x) enveloping-algebra elements."""
-    images = matrix_images(envelope.algebra, matrix)
-    out = {}
-    for (wedge, pair), coeff in element.items():
-        moved_env = envelope.act_diagonal(images, {pair: coeff})
-        for new_wedge, wc in wedge_action(envelope.algebra, matrix, wedge).items():
-            envelope.field.accumulate(out, (((new_wedge, key), wc * c)
-                                            for key, c in moved_env.items()))
-    return out
+def chain_action(algebra: WeylAlgebra, matrix):
+    """The diagonal action of the matrix on wedge (x) enveloping-algebra
+    elements, as a function of the element.
+
+    g . (w (x) s (x) t) = g(w) (x) g(s) (x) g(t), the product of three sparse
+    images.  Each wedge and each monomial is mapped once, the first time the
+    returned function meets it, and its image is reused after that.
+    """
+    one, accumulate = algebra.field.one(), algebra.field.accumulate
+    images = matrix_images(algebra, matrix)
+    monomial = cache(lambda m: apply_linear_automorphism(algebra, images, {m: one}))
+    wedge = cache(lambda w: wedge_action(algebra, matrix, w))
+
+    def act(element: dict) -> dict:
+        out = {}
+        for (w, (s, t)), c in element.items():
+            gs, gt = monomial(s), monomial(t)
+            accumulate(out, (((gw, (ms, mt)), c * cw * cs * ct)
+                             for gw, cw in wedge(w).items()
+                             for ms, cs in gs.items()
+                             for mt, ct in gt.items()))
+        return out
+
+    return act
 
 
 def _wedges(n2: int, size: int):
@@ -364,6 +363,8 @@ def check_sp_equivariance(n: int, matrices, field: Field, filt_bound: int = 2):
     Raises NotSymplectic naming the first failing matrix; otherwise checks
     d(g . elem) = g . d(elem) over every chain basis element with
     enveloping filtration at most filt_bound and returns the failure list.
+    Both sides are extended linearly from images computed once per basis
+    key: per matrix for the action, per matrix and position for d.
     """
     algebra = WeylAlgebra(n, field)
     envelope = WeylEnvelope(algebra)
@@ -371,17 +372,22 @@ def check_sp_equivariance(n: int, matrices, field: Field, filt_bound: int = 2):
         if not is_symplectic(algebra, matrix):
             raise NotSymplectic(
                 f"matrix {idx} does not preserve the commutator pairing", matrix_index=idx)
+    one, accumulate = field.one(), field.accumulate
     report = []
     for idx, matrix in enumerate(matrices):
+        act = chain_action(algebra, matrix)
         for d in range(1, 2 * n + 1):
-            for w, pair in _position_basis(algebra, d, filt_bound):
-                elem = {(w, pair): field.one()}
-                lhs = koszul_differential(envelope, chain_action(envelope, matrix, elem))
-                rhs = chain_action(envelope, matrix, koszul_differential(envelope, elem))
+            differential = cache(lambda key: koszul_differential(envelope, {key: one}))
+            for key in _position_basis(algebra, d, filt_bound):
+                lhs = accumulate({}, ((image_key, c * ci)
+                                      for moved, c in act({key: one}).items()
+                                      for image_key, ci in differential(moved).items()))
+                rhs = act(differential(key))
                 if lhs != rhs:
+                    w, pair = key
                     report.append(
                         f"matrix {idx}: differential not equivariant at position {d} "
-                        f"on wedge {w}")
+                        f"on wedge {w} and pair {pair}")
     return report
 
 

@@ -3,11 +3,16 @@
 Everything here is written from scratch on purpose: its own path
 enumeration, its own dense row reduction, its own cyclic derivative for the
 ungraded case, the labelled sparse solver that ``skewgin.linalg``
-replaced, and the per-entry accumulate loop that ``Field.accumulate``
-replaced.  Nothing imports skewgin's linear algebra.
+replaced, the per-entry accumulate loop that ``Field.accumulate``
+replaced, and the symplectic equivariance check that maps every monomial,
+wedge and differential afresh on each use, which the cached
+``skewgin.weyl.check_sp_equivariance`` replaced.  Nothing imports
+skewgin's linear algebra.
 """
 
 from fractions import Fraction
+
+from skewgin import weyl
 
 
 def naive_accumulate(field, acc, terms):
@@ -231,3 +236,47 @@ class LabelledLinSolver:
         if pivot is not None:
             return None
         return combo
+
+
+def naive_chain_action(envelope, matrix, element):
+    """Diagonal action on wedge (x) enveloping-algebra elements, rebuilding
+    the matrix images and mapping every wedge and monomial on each call."""
+    algebra, field = envelope.algebra, envelope.field
+    one = field.one()
+    images = weyl.matrix_images(algebra, matrix)
+    out = {}
+    for (wedge, (s, t)), coeff in element.items():
+        gs = weyl.apply_linear_automorphism(algebra, images, {s: one})
+        gt = weyl.apply_linear_automorphism(algebra, images, {t: one})
+        moved_env = field.accumulate({}, (
+            ((m1, m2), coeff * c1 * c2) for m1, c1 in gs.items() for m2, c2 in gt.items()))
+        for new_wedge, wc in weyl.wedge_action(algebra, matrix, wedge).items():
+            field.accumulate(out, (((new_wedge, key), wc * c)
+                                   for key, c in moved_env.items()))
+    return out
+
+
+def naive_sp_equivariance(n, matrices, field, filt_bound=2):
+    """``check_sp_equivariance`` with nothing cached: both sides of
+    d(g . elem) = g . d(elem) are computed from scratch for every chain
+    basis element, in the same order and with the same failure text."""
+    algebra = weyl.WeylAlgebra(n, field)
+    envelope = weyl.WeylEnvelope(algebra)
+    for idx, matrix in enumerate(matrices):
+        if not weyl.is_symplectic(algebra, matrix):
+            raise weyl.NotSymplectic(
+                f"matrix {idx} does not preserve the commutator pairing", matrix_index=idx)
+    report = []
+    for idx, matrix in enumerate(matrices):
+        for d in range(1, 2 * n + 1):
+            for w, pair in weyl._position_basis(algebra, d, filt_bound):
+                elem = {(w, pair): field.one()}
+                lhs = weyl.koszul_differential(
+                    envelope, naive_chain_action(envelope, matrix, elem))
+                rhs = naive_chain_action(
+                    envelope, matrix, weyl.koszul_differential(envelope, elem))
+                if lhs != rhs:
+                    report.append(
+                        f"matrix {idx}: differential not equivariant at position {d} "
+                        f"on wedge {w} and pair {pair}")
+    return report

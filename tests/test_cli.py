@@ -197,6 +197,10 @@ def test_document_d_is_honoured(capsys, tmp_path, command):
 def test_weyl_input_errors_exit_2(capsys, tmp_path):
     assert main(["weyl", "--n", "1", "--field", "banana"]) == 2
     capsys.readouterr()
+    assert main(["weyl", "--n", "1", "--field", "4"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["errors"] == [{"location": "/field",
+                                 "message": "expected Q or a prime, got '4'"}]
     assert main(["weyl", "--n", "0"]) == 2
     capsys.readouterr()
     bad = tmp_path / "bad.json"
@@ -207,6 +211,32 @@ def test_weyl_input_errors_exit_2(capsys, tmp_path):
     shape.write_text(json.dumps({"matrices": [[["1", "0"]]]}), encoding="utf-8")
     assert main(["weyl", "--n", "1", "--matrices", str(shape)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("content", [{"foo": 1}, {"matrices": 5}, "I"])
+def test_weyl_malformed_matrix_file_exit_2_before_rank_work(capsys, tmp_path,
+                                                            monkeypatch, content):
+    def no_rank_work(*args, **kwargs):
+        raise AssertionError("the matrix file is read before any rank work")
+
+    monkeypatch.setattr("skewgin.cli.bounded_exactness", no_rank_work)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content), encoding="utf-8")
+    code = main(["weyl", "--n", "1", "--matrices", str(bad)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert [e["location"] for e in report["errors"]] == ["/matrices"]
+
+
+def test_weyl_bare_matrix_list(capsys, tmp_path):
+    squeeze = [["2", "0"], ["0", "1/2"]]
+    reports = []
+    for name, content in (("bare.json", [squeeze]), ("keyed.json", {"matrices": [squeeze]})):
+        path = tmp_path / name
+        path.write_text(json.dumps(content), encoding="utf-8")
+        assert main(["weyl", "--n", "1", "--filtration", "1", "--matrices", str(path)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
 
 
 def test_weyl_negative_filtration_exit_2(capsys):

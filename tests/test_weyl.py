@@ -3,7 +3,10 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import naive_sp_equivariance
+from skewgin import weyl
 from skewgin.errors import NotSymplectic, SizeGuard
 from skewgin.fields import make_field
 from skewgin.weyl import (WeylAlgebra, WeylEnvelope, bounded_exactness,
@@ -188,3 +191,60 @@ def test_equivariance_off_diagonal_symplectic():
     A = WeylAlgebra(1, Q)
     assert is_symplectic(A, rot)
     assert check_sp_equivariance(1, [rot], Q, filt_bound=2) == []
+
+
+def transvection_product(field, n, factors):
+    """Product of transvections x -> x + c * form(e_k, x) * e_k, one per
+    (k, c) factor, each of which preserves the standard symplectic form."""
+    m = 2 * n
+    form = [[0] * m for _ in range(m)]
+    for i in range(n):
+        form[i][n + i], form[n + i][i] = 1, -1
+    mat = [[int(i == j) for j in range(m)] for i in range(m)]
+    for k, c in factors:
+        step = [[int(i == j) + (c * form[k][j] if i == k else 0) for j in range(m)]
+                for i in range(m)]
+        mat = [[sum(step[i][l] * mat[l][j] for l in range(m)) for j in range(m)]
+               for i in range(m)]
+    return [[field.from_int(v) for v in row] for row in mat]
+
+
+def factors(n, max_size):
+    return st.lists(st.tuples(st.integers(0, 2 * n - 1), st.sampled_from([-2, -1, 1, 2])),
+                    min_size=1, max_size=max_size)
+
+
+@pytest.mark.parametrize("spec", ["Q", 7])
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_cached_equivariance_matches_oracle_n1(spec, data):
+    field = make_field(spec)
+    matrices = [transvection_product(field, 1, data.draw(factors(1, 3)))
+                for _ in range(data.draw(st.integers(1, 2)))]
+    filt_bound = data.draw(st.integers(0, 2))
+    assert (check_sp_equivariance(1, matrices, field, filt_bound)
+            == naive_sp_equivariance(1, matrices, field, filt_bound))
+
+
+@pytest.mark.parametrize("spec", ["Q", 7])
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_cached_equivariance_matches_oracle_n2(spec, data):
+    # two factors keep at most 6 nonzero entries, as in the benchmark
+    # matrices; the uncached oracle costs about a second per matrix there
+    field = make_field(spec)
+    matrices = [transvection_product(field, 2, data.draw(factors(2, 2)))]
+    filt_bound = data.draw(st.integers(0, 2))
+    assert (check_sp_equivariance(2, matrices, field, filt_bound)
+            == naive_sp_equivariance(2, matrices, field, filt_bound))
+
+
+def test_broken_sign_fails_alike_in_cached_and_oracle(monkeypatch):
+    monkeypatch.setattr(weyl, "_remove_sign", lambda wedge, position: 1)
+    rot = [[fr(0), fr(-1)], [fr(1), fr(0)]]
+    squeeze = [[fr(2), fr(0)], [fr(0), fr(1, 2)]]
+    cached = check_sp_equivariance(1, [rot, squeeze], Q)
+    assert cached == naive_sp_equivariance(1, [rot, squeeze], Q)
+    assert len(cached) == 15
+    # every failure names its own chain basis element
+    assert len(set(cached)) == len(cached)
