@@ -310,7 +310,11 @@ def cmd_verify(args) -> int:
 def _read_matrices(path, n, field):
     """The matrices of a --matrices file: {"matrices": [...]} or a bare list
     of 2n x 2n matrices of scalar strings."""
-    with open(path, "r", encoding="utf-8") as handle:
+    try:
+        handle = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError([("/matrices", f"cannot read the matrix file: {exc}")]) from exc
+    with handle:
         try:
             raw = json.load(handle)
         except json.JSONDecodeError as exc:

@@ -10,6 +10,8 @@ commutators and length-zero idempotents preserve.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .errors import FieldMismatch, NoSolution, NotLengthHomogeneous, QuiverMismatch
 from .linalg import LinSolver
 from .quiver import AlgElement, path_sort_key, paths_by_length
@@ -100,18 +102,39 @@ class CrossedElement:
         return res
 
     def __mul__(self, other):
+        """(p.g)(q.h) = sum of c * p.r.gh over the terms c * r of g acting on q.
+
+        Runs on the field's scaled integers (see ``skewgin.fields``): both
+        operands, and the image of each distinct (g, q) brought to one
+        common denominator, are cleared once, the triple loop adds plain
+        int products, and the sums are unscaled once per key.
+        """
         if not isinstance(other, CrossedElement):
             return NotImplemented
         self._check(other)
         action = self.action
-        gmul, compose = action.group.mul, action.quiver.compose
+        field = action.field
+        gmul, compose, act_path = action.group.mul, action.quiver.compose, action.act_path
+        den_left, left = field.scaled(self.terms.items())
+        den_right, right = field.scaled(other.terms.items())
+        cleared = {(g, q): field.scaled(act_path(g, q).terms.items())
+                   for g in {g for (_, g), _ in left} for (q, _), _ in right}
+        den_image = lcm(*{den for den, _ in cleared.values()})
+        images = {gq: ints if den == den_image else
+                  [(r, c * (den_image // den)) for r, c in ints]
+                  for gq, (den, ints) in cleared.items()}
+        acc = {}
+        get = acc.get
+        for (p, g), cp in left:
+            for (q, h), cq in right:
+                gh, c = gmul(g, h), cp * cq
+                for r, cr in images[g, q]:
+                    pr = compose(p, r)
+                    if pr is not None:
+                        key = (pr, gh)
+                        acc[key] = get(key, 0) + c * cr
         res = CrossedElement(action)
-        res.terms = action.field.accumulate({}, (
-            ((pr, gmul(g, h)), cp * cq * cr)
-            for (p, g), cp in self.terms.items()
-            for (q, h), cq in other.terms.items()
-            for r, cr in action.act_path(g, q).terms.items()
-            if (pr := compose(p, r)) is not None))
+        res.terms = field.unscale(acc, den_left * den_right * den_image)
         return res
 
     def lengths(self):

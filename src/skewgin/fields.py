@@ -4,11 +4,18 @@ Scalars are plain Python values: ``fractions.Fraction`` for the rationals
 and canonical residues ``int`` in ``[0, p)`` for GF(p).  A ``Field`` object
 supplies the arithmetic, so equality of scalars is bit-exact comparison of
 canonical forms.  Everything here is immutable and pure.
+
+Hot loops run on plain ints instead (the scaled-integer convention):
+``Field.scaled`` writes scalars as integers over one common denominator
+(the least common denominator over Q, 1 over GF(p)), the loop adds and
+multiplies those integers with no reduction, and ``Field.unscale`` turns
+the integer sums back into canonical scalars, one per key.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import NonPrimeModulus, NoRootOfUnity
 
@@ -115,6 +122,29 @@ class Field:
                 else:
                     pop(key, None)
         return acc
+
+    def scaled(self, items):
+        """(den, [(key, int)]) with each nonzero scalar of the (key, scalar)
+        pairs items equal to its int / den, in the order given.  items is
+        iterated twice over Q, so pass a view or a list, not a generator.
+
+        Over Q den is the least common denominator of the scalars; over
+        GF(p) den is 1 and the ints are the residues.
+        """
+        p = self.p
+        if p is not None:
+            return 1, [(k, r) for k, c in items if (r := c % p)]
+        den = lcm(*{c.denominator for _, c in items})
+        return den, [(k, c.numerator * (den // c.denominator)) for k, c in items if c]
+
+    def unscale(self, acc: dict, den: int) -> dict:
+        """The sparse dict {key: s / den} of an int accumulator acc, zero sums
+        dropped: one Fraction per key over Q, one % p per key over GF(p),
+        where den is 1."""
+        p = self.p
+        if p is not None:
+            return {k: r for k, s in acc.items() if (r := s % p)}
+        return {k: Fraction(s, den) for k, s in acc.items() if s}
 
     # -- conversions --
 

@@ -16,7 +16,7 @@ Insertion order is part of the contract: pivots are deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 
 class LinSolver:
@@ -37,12 +37,8 @@ class LinSolver:
         Over Q the kernel vector is integral, cleared by the least common
         denominator; over GF(p) it is vec itself and the scale is 1.
         """
-        p = self.field.p
-        if p is not None:
-            return {k: r for k, v in vec.items() if (r := v % p)}, 1
-        den = lcm(*(v.denominator for v in vec.values()))
-        return {k: v.numerator * (den // v.denominator)
-                for k, v in vec.items() if v}, den
+        den, items = self.field.scaled(vec.items())
+        return dict(items), den
 
     def _eliminate(self, vec, scale=1, out=None):
         """Reduce vec (kernel scalars) against the rows, least key first.

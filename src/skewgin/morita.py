@@ -24,6 +24,8 @@ identity.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .action import QuiverAction, is_potential_invariant, validate_action
 from .crossed import (CrossedElement, basis_index, crossed_basis, expand_certificate,
                       express_modulo_commutators, merge_certificate, vectorize)
@@ -269,14 +271,30 @@ def build_morita(action: QuiverAction, idempotents_spec=None, reverse=False) -> 
                       bimodule, qprime, vertex_info, vertex_idems, arrow_embed)
 
 
+def embed_paths(md: MoritaData, paths) -> dict:
+    """Embeddings of the given reduced paths and of all their prefixes.
+
+    Paths are taken in length order, and each is the embedding of its
+    longest proper prefix times one arrow embedding, starting from the
+    source vertex idempotent: the left fold e_src * a1 * ... * ak, with
+    every shared prefix multiplied once.  Returns {path: CrossedElement}.
+    """
+    todo = {Path(p.source, p.arrows[:k]) for p in paths for k in range(len(p.arrows) + 1)}
+    out = {}
+    for p in sorted(todo, key=path_sort_key):
+        if p.arrows:
+            out[p] = out[Path(p.source, p.arrows[:-1])] * md.arrow_embed[p.arrows[-1]]
+        else:
+            out[p] = md.vertex_idems[p.source]
+    return out
+
+
 def embed(md: MoritaData, x: AlgElement) -> CrossedElement:
     """Multiplicative embedding of a reduced path-algebra element."""
+    embedded = embed_paths(md, x.terms)
     out = CrossedElement.zero(md.action)
     for path, coeff in x.terms.items():
-        acc = md.vertex_idems[path.source]
-        for name in path.arrows:
-            acc = acc * md.arrow_embed[name]
-        out = out + acc.scale(coeff)
+        out = out + embedded[path].scale(coeff)
     return out
 
 
@@ -289,7 +307,7 @@ def check_embedding(md: MoritaData, bound: int):
     report = []
     qprime, field = md.qprime, md.field
     by_len = paths_by_length(qprime, bound)
-    embedded = {}
+    embedded = embed_paths(md, [p for layer in by_len.values() for p in layer])
     for ell in range(bound + 1):
         layer = by_len.get(ell, [])
         if not layer:
@@ -297,29 +315,23 @@ def check_embedding(md: MoritaData, bound: int):
         index = basis_index(md.action, ell)
         solver = LinSolver(field)
         for p in layer:
-            el = embed(md, AlgElement.from_path(qprime, field, p))
-            embedded[p] = el
-            solver.add(vectorize(el, index))
+            solver.add(vectorize(embedded[p], index))
         if solver.rank != len(layer):
             report.append(
                 f"length {ell}: embedded rank {solver.rank} < {len(layer)} paths; "
                 "the reduced path algebra does not inject")
+    # ep * eq multiplies in q's source idempotent and the stored fold of pq
+    # does not, so comparing the two is not a tautology
     pair_bound = min(bound, 2)
     short = [p for ell in range(pair_bound + 1) for p in by_len.get(ell, [])]
+    zero = CrossedElement.zero(md.action)
     for p in short:
         ep = embedded[p]
         for q in short:
             if len(p.arrows) + len(q.arrows) > pair_bound:
                 continue
-            eq = embedded[q]
             pq = qprime.compose(p, q)
-            if pq is None:
-                rhs = CrossedElement.zero(md.action)
-            elif pq in embedded:
-                rhs = embedded[pq]
-            else:
-                rhs = embed(md, AlgElement.from_path(qprime, field, pq))
-            if ep * eq != rhs:
+            if ep * embedded[q] != (zero if pq is None else embedded[pq]):
                 report.append(f"embedding is not multiplicative on {p} * {q}")
     return report
 
@@ -384,11 +396,13 @@ def transport_potential(w: Potential, md: MoritaData):
     index = basis_index(md.action, ell)
     qprime = md.qprime
     solver = LinSolver(field)
-    for p in paths_by_length(qprime, ell).get(ell, []):
-        if qprime.is_cycle(p):
-            el = embed(md, AlgElement.from_path(qprime, field, p))
-            if not el.is_zero():
-                solver.add(vectorize(el, index), label=p)
+    cycles = [p for p in paths_by_length(qprime, ell).get(ell, []) if qprime.is_cycle(p)]
+    embedded = embed_paths(md, cycles)
+    for p in cycles:
+        el = embedded[p]
+        if not el.is_zero():
+            solver.add(vectorize(el, index), label=p)
+    del embedded  # not held through the commutator solve
     found = express_modulo_commutators(solver, vectorize(x, index), action, ell, index)
     if found is None:
         raise NoSolution(
@@ -400,8 +414,8 @@ def transport_potential(w: Potential, md: MoritaData):
     # commutator [embed(v), embed(u)], expanded bilinearly over basis pairs
     # (degrees are all zero, no signs), and the solved commutator part
     # enters negated
-    entries = []
     raw_terms = []
+    splits = []
     for cycle, coeff in combo.items():
         raw_terms.append((coeff, cycle))
         rotations = [Path(qprime.arrow(cycle.arrows[j]).src,
@@ -411,14 +425,18 @@ def transport_potential(w: Potential, md: MoritaData):
         if best != 0:
             head = Path(cycle.source, cycle.arrows[:best])
             tail = rotations[best]._replace(arrows=cycle.arrows[best:])
-            e_tail = embed(md, AlgElement.from_path(qprime, field, tail))
-            e_head = embed(md, AlgElement.from_path(qprime, field, head))
-            for u_key, a in e_tail.terms.items():
-                for v_key, b in e_head.terms.items():
-                    entries.append(((u_key, v_key), field.mul(coeff, field.mul(a, b))))
-    entries.extend((pair, field.neg(coeff)) for pair, coeff in solved)
+            splits.append((coeff, head, tail))
+    embedded = embed_paths(md, [p for _, head, tail in splits for p in (head, tail)])
+    # plain products: accumulate reduces them over GF(p); the entries are
+    # merged as they are made, never held as one list
+    certificate = merge_certificate(field, chain(
+        (((u_key, v_key), coeff * a * b)
+         for coeff, head, tail in splits
+         for u_key, a in embedded[tail].terms.items()
+         for v_key, b in embedded[head].terms.items()),
+        ((pair, field.neg(coeff)) for pair, coeff in solved)))
+    del embedded
     reduced = canonicalize(qprime, field, raw_terms)
-    certificate = merge_certificate(field, entries)
     # the certificate is never trusted: re-expand and compare exactly
     difference = embed(md, reduced.as_element()) - x
     if expand_certificate(action, certificate) != difference:

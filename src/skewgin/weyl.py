@@ -156,11 +156,6 @@ class WeylEnvelope:
                                         for m, cm in monomial_product(v, t).items()))
         return out
 
-    @staticmethod
-    def filtration(key) -> int:
-        (s, t) = key
-        return WeylAlgebra.monomial_filtration(s) + WeylAlgebra.monomial_filtration(t)
-
     def resolution_augmentation(self, u: dict) -> dict:
         """The map closing the resolution: s (x) t -> t s."""
         monomial_product = self.algebra._mul_monomials

@@ -4,15 +4,18 @@ Everything here is written from scratch on purpose: its own path
 enumeration, its own dense row reduction, its own cyclic derivative for the
 ungraded case, the labelled sparse solver that ``skewgin.linalg``
 replaced, the per-entry accumulate loop that ``Field.accumulate``
-replaced, and the symplectic equivariance check that maps every monomial,
+replaced, the symplectic equivariance check that maps every monomial,
 wedge and differential afresh on each use, which the cached
-``skewgin.weyl.check_sp_equivariance`` replaced.  Nothing imports
-skewgin's linear algebra.
+``skewgin.weyl.check_sp_equivariance`` replaced, the crossed product on
+field scalars that the scaled-integer kernel of ``CrossedElement.__mul__``
+replaced, and the per-path left fold that ``skewgin.morita.embed_paths``
+replaced.  Nothing imports skewgin's linear algebra.
 """
 
 from fractions import Fraction
 
 from skewgin import weyl
+from skewgin.crossed import CrossedElement
 
 
 def naive_accumulate(field, acc, terms):
@@ -280,3 +283,27 @@ def naive_sp_equivariance(n, matrices, field, filt_bound=2):
                         f"matrix {idx}: differential not equivariant at position {d} "
                         f"on wedge {w} and pair {pair}")
     return report
+
+
+def naive_crossed_mul(x, y):
+    """x * y one field scalar product per term: (p.g)(q.h) summed over the
+    terms c * r of g acting on q as c_p * c_q * c * p.r.gh."""
+    action = x.action
+    gmul, compose = action.group.mul, action.quiver.compose
+    res = CrossedElement(action)
+    res.terms = action.field.accumulate({}, (
+        ((pr, gmul(g, h)), cp * cq * cr)
+        for (p, g), cp in x.terms.items()
+        for (q, h), cq in y.terms.items()
+        for r, cr in action.act_path(g, q).terms.items()
+        if (pr := compose(p, r)) is not None))
+    return res
+
+
+def naive_embed_path(md, path):
+    """The embedding of one reduced path as its own left fold
+    e_src * a1 * ... * ak, sharing no prefix with any other path."""
+    acc = md.vertex_idems[path.source]
+    for name in path.arrows:
+        acc = naive_crossed_mul(acc, md.arrow_embed[name])
+    return acc

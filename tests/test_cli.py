@@ -228,6 +228,14 @@ def test_weyl_malformed_matrix_file_exit_2_before_rank_work(capsys, tmp_path,
     assert [e["location"] for e in report["errors"]] == ["/matrices"]
 
 
+@pytest.mark.parametrize("name", ["missing.json", "."])
+def test_weyl_unreadable_matrix_file_exit_2_at_matrices(capsys, tmp_path, name):
+    code = main(["weyl", "--n", "1", "--matrices", str(tmp_path / name)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert [e["location"] for e in report["errors"]] == ["/matrices"]
+
+
 def test_weyl_bare_matrix_list(capsys, tmp_path):
     squeeze = [["2", "0"], ["0", "1/2"]]
     reports = []

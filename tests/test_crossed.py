@@ -1,14 +1,21 @@
 import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewgin.crossed import (CrossedElement, CyclicClass, commutator_basis,
                              hc0_reduce)
 from skewgin.fields import make_field
 from skewgin.groups import cyclic_group
-from skewgin.action import QuiverAction
+from skewgin.action import QuiverAction, validate_action
 from skewgin.quiver import AlgElement, GradedQuiver, basis_up_to
+
+from oracles import naive_crossed_mul
 
 Q = make_field("Q")
 F7 = make_field(7)
+F2 = make_field(2)
 
 
 def negation_action():
@@ -224,3 +231,85 @@ def test_hc0_reduce_certificate_on_scaling_setup():
     # reduce against a single character idempotent times nothing: e = 1 works
     w, cert = hc0_reduce(w_el, CrossedElement.one(action))
     assert (w - w_el).is_zero() or cert  # either already corner or certified
+
+
+# ---------- the scaled-integer product against the field-scalar oracle ----------
+
+def reflection_action_q():
+    """Z/2 on two loops by [[3/5, 4/5], [4/5, -3/5]]: the image of a path of
+    length k has denominator 5^k, so one product mixes denominators."""
+    q = GradedQuiver(["1"], [("x", "1", "1", 0), ("y", "1", "1", 0)])
+    c, s = Q.parse("3/5"), Q.parse("4/5")
+    images = [
+        {"x": AlgElement.from_arrow(q, Q, "x"), "y": AlgElement.from_arrow(q, Q, "y")},
+        {"x": AlgElement(q, Q, {q.path(["x"]): c, q.path(["y"]): s}),
+         "y": AlgElement(q, Q, {q.path(["x"]): s, q.path(["y"]): -c})},
+    ]
+    return QuiverAction(cyclic_group(2), q, Q, [{"1": "1"}] * 2, images)
+
+
+def shear_action_gf2():
+    """Z/2 over GF(2) on a two-vertex quiver: a -> a + b on the two arrows
+    1 -> 2, the arrow 2 -> 1 fixed; paths that do not compose occur."""
+    q = GradedQuiver(["1", "2"], [("a", "1", "2", 0), ("b", "1", "2", 0), ("c", "2", "1", 0)])
+    arrows = {n: AlgElement.from_arrow(q, F2, n) for n in ("a", "b", "c")}
+    images = [dict(arrows), {"a": arrows["a"] + arrows["b"], "b": arrows["b"], "c": arrows["c"]}]
+    return QuiverAction(cyclic_group(2), q, F2, [{"1": "1", "2": "2"}] * 2, images)
+
+
+KERNEL_ACTIONS = {"Q": reflection_action_q, "GF(2)": shear_action_gf2,
+                  "GF(7)": scaling_action_gf7}
+
+
+def assert_matches_oracle(x, y):
+    got, want = (x * y).terms, naive_crossed_mul(x, y).terms
+    assert got == want
+    field = x.action.field
+    for c in got.values():
+        if field.is_rationals:
+            assert type(c) is Fraction
+        else:
+            assert type(c) is int and 0 < c < field.p
+
+
+def crossed_elements(action):
+    """Sparse elements over a small support, so that terms collide: paths of
+    length 0 to 2 mixed, coefficients of both signs."""
+    keys = [(p, g) for p in basis_up_to(action.quiver, 2) for g in action.group.elements()]
+    if action.field.is_rationals:
+        scalars = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 5]))
+    else:
+        scalars = st.integers(1, action.field.p - 1)
+    return st.lists(st.tuples(st.sampled_from(keys), scalars), max_size=6).map(
+        lambda terms: CrossedElement(action, terms))
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_ACTIONS))
+def test_kernel_actions_are_group_actions(name):
+    assert validate_action(KERNEL_ACTIONS[name]()) == []
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_ACTIONS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_product_matches_field_scalar_oracle(name, data):
+    action = KERNEL_ACTIONS[name]()
+    elements = crossed_elements(action)
+    x, y = data.draw(elements), data.draw(elements)
+    assert_matches_oracle(x, y)
+    assert_matches_oracle(x + y, x - y)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_ACTIONS))
+def test_product_cancellation_matches_oracle(name):
+    # (e + g)(e - g) = e - g^2, which is zero for an involution: every term
+    # of the product cancels
+    action = KERNEL_ACTIONS[name]()
+    q = action.quiver
+    g = action.group.elements()[-1]
+    for v in q.vertices:
+        unit = CrossedElement.from_pair(action, q.trivial_path(v), 0)
+        twist = CrossedElement.from_pair(action, q.trivial_path(v), g)
+        assert_matches_oracle(unit + twist, unit - twist)
+        if action.group.size == 2:
+            assert ((unit + twist) * (unit - twist)).is_zero()

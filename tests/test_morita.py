@@ -2,14 +2,18 @@ import pytest
 
 from skewgin.action import QuiverAction
 from skewgin.crossed import CrossedElement
+from skewgin.document import parse
 from skewgin.errors import IncompleteIdempotents
 from skewgin.fields import make_field
 from skewgin.groups import cyclic_group
 from skewgin.morita import (build_morita, check_embedding, check_fullness,
-                            embed, morita_dimension_check, orbit_data,
+                            embed, embed_paths, morita_dimension_check, orbit_data,
                             transport_potential)
 from skewgin.potential import Potential, canonicalize
-from skewgin.quiver import AlgElement, GradedQuiver
+from skewgin.quiver import AlgElement, GradedQuiver, paths_by_length
+
+from docs import MCKAY, SIGNED_S3, doc
+from oracles import naive_embed_path
 
 Q = make_field("Q")
 F7 = make_field(7)
@@ -434,3 +438,45 @@ def test_mckay_dropped_term_breaks_dimensions(mckay):
     rows, ok = morita_dimension_check(md, w, bad, 4)
     assert not ok
     assert any(l != r for _, l, r in rows)
+
+
+# ---------- embedding each reduced path once ----------
+
+def reduction_of(document):
+    parsed = parse(doc(document))
+    spec = None if parsed.idempotents is None else {"v": parsed.idempotents}
+    return build_morita(parsed.action, spec)
+
+
+@pytest.mark.parametrize("document", [MCKAY, SIGNED_S3], ids=["mckay", "signed_s3"])
+def test_embed_paths_matches_per_path_fold(document):
+    md = reduction_of(document)
+    by_len = paths_by_length(md.qprime, 3)
+    longest = by_len[3]
+    embedded = embed_paths(md, longest)
+    # every prefix is covered, and nothing else
+    assert set(embedded) == {p for layer in by_len.values() for p in layer}
+    for p, el in embedded.items():
+        assert el == naive_embed_path(md, p)
+    assert embed_paths(md, []) == {}
+
+
+def test_check_embedding_catches_an_uncornered_arrow():
+    # an arrow embedding left outside its corner is no longer multiplicative:
+    # the pair check multiplies in the target idempotent, the stored fold
+    # does not.  (Over McKay's one-dimensional idempotents the source
+    # idempotent alone corners an arrow, so there the swap goes unseen.)
+    md = reduction_of(SIGNED_S3)
+    assert check_embedding(md, 2) == []
+    name = md.qprime.arrows[0].name
+    src, tgt = md.qprime.arrow(name).src, md.qprime.arrow(name).tgt
+    e_src, e_tgt = md.vertex_idems[src], md.vertex_idems[tgt]
+    entry = next(entry.element for entry in md.bimodule
+                 if e_src * entry.element * e_tgt == md.arrow_embed[name])
+    assert entry != md.arrow_embed[name]
+    md.arrow_embed[name] = entry
+    # the composable pair (arrow, target vertex) must fail too: it compares
+    # the product with the stored embedding of the arrow, so it guards the
+    # check against comparing a product with itself
+    arrow_path, target = md.qprime.path([name]), md.qprime.trivial_path(tgt)
+    assert f"embedding is not multiplicative on {arrow_path} * {target}" in check_embedding(md, 2)
