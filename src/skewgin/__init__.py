@@ -14,7 +14,7 @@ from .groups import (FiniteGroup, GroupAlgebra, IdempotentSet,
                      validate_idempotent_set)
 from .action import (QuiverAction, extend_to_ginzburg, is_potential_invariant,
                      validate_action)
-from .crossed import CrossedElement, CyclicClass, commutator_basis, hc0_reduce
+from .crossed import CrossedElement, commutator_basis
 from .morita import (MoritaData, build_morita, certify_reduction,
                      check_embedding, check_fullness, embed,
                      morita_dimension_check, orbit_data, transport_potential)
@@ -31,7 +31,7 @@ __all__ = [
     "FiniteGroup", "GroupAlgebra", "IdempotentSet", "abelian_idempotents",
     "cyclic_group", "make_group", "validate_idempotent_set",
     "QuiverAction", "extend_to_ginzburg", "is_potential_invariant", "validate_action",
-    "CrossedElement", "CyclicClass", "commutator_basis", "hc0_reduce",
+    "CrossedElement", "commutator_basis",
     "MoritaData", "build_morita", "certify_reduction", "check_embedding",
     "check_fullness", "embed", "morita_dimension_check", "orbit_data",
     "transport_potential",

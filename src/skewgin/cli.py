@@ -11,17 +11,23 @@ from . import __version__
 from .action import extend_to_ginzburg, validate_action
 from .document import parse
 from .errors import (BasisExpressFailure, NonPrimeModulus, NoSolution,
-                     NotInvariantPotential, NotSymplectic, ParseError, SkewginError,
-                     ValidationError)
+                     NotInvariantPotential, NotSymplectic, ParseError, SizeGuard,
+                     SkewginError, ValidationError)
 from .fields import make_field
 from .ginzburg import check_d_squared, degree_report, ginzburg
 from .morita import (build_morita, certify_reduction, check_embedding,
                      check_fullness, morita_dimension_check, transport_potential)
 from .potential import Potential, canonicalize
-from .quiver import AlgElement
+from .quiver import AlgElement, count_paths_up_to
 from .weyl import bounded_exactness, check_sp_equivariance, dual_top_concentration
 
 CHECK_ERRORS = (NotSymplectic, NotInvariantPotential, NoSolution, BasisExpressFailure)
+
+# verify refuses a length bound whose crossed basis, the (path, group
+# element) pairs of length <= bound, has more keys than this.  Signed S3
+# (tests/docs.py) at length 5 has 2,184 keys and at length 6 has 6,558,
+# where it ran out of 1.5 GB; McKay Z/3 at length 6 has 3,279.
+MAX_CROSSED_KEYS = 6_000
 
 
 def _element_json(field, el):
@@ -242,11 +248,28 @@ def cmd_transport(args) -> int:
     return _finish(report)
 
 
+def _verify_bound(args, doc):
+    """The length bound of verify, checked before any product is formed."""
+    if args.max_len is not None:
+        bound, where = args.max_len, "/max_len"
+    else:
+        bound, where = doc.options["max_len"], "/options/max_len"
+    if bound < 0:
+        raise ValidationError([(where, "expected a nonnegative integer")])
+    paths = count_paths_up_to(doc.quiver, bound, MAX_CROSSED_KEYS // doc.group.size)
+    keys = paths * doc.group.size
+    if keys > MAX_CROSSED_KEYS:
+        raise SizeGuard(f"length bound {bound} gives more than {MAX_CROSSED_KEYS} "
+                        "(path, group element) pairs", location=where)
+    return bound
+
+
 def cmd_verify(args) -> int:
     doc = _read_document(args)
     _need(doc, "potential", "potential")
+    _need(doc, "group action", "action")
+    bound = _verify_bound(args, doc)
     md = _build_reduction(doc)
-    bound = args.max_len if args.max_len is not None else doc.options["max_len"]
     report = _base_report("verify")
     report["choices"] = md.choices()
 

@@ -1,5 +1,5 @@
 """The skew group algebra of a path algebra: arithmetic, length components,
-commutator subspaces, and corner-representative solving.
+commutator subspaces, and expression modulo commutators with certificates.
 
 Elements are supported on (path, group element) pairs; the product rule is
 (p.g)(q.h) = p.(g acting on q).(gh), so group elements slide right while
@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .errors import FieldMismatch, NoSolution, NotLengthHomogeneous, QuiverMismatch
-from .linalg import LinSolver
+from .errors import FieldMismatch, NotLengthHomogeneous, QuiverMismatch
 from .quiver import AlgElement, path_sort_key, paths_by_length
 
 
@@ -107,7 +106,9 @@ class CrossedElement:
         Runs on the field's scaled integers (see ``skewgin.fields``): both
         operands, and the image of each distinct (g, q) brought to one
         common denominator, are cleared once, the triple loop adds plain
-        int products, and the sums are unscaled once per key.
+        int products, and the sums are unscaled once per key.  When one
+        operand has at most one term there are few products, and they go
+        straight into one ``Field.accumulate`` as field scalars.
         """
         if not isinstance(other, CrossedElement):
             return NotImplemented
@@ -115,6 +116,15 @@ class CrossedElement:
         action = self.action
         field = action.field
         gmul, compose, act_path = action.group.mul, action.quiver.compose, action.act_path
+        if len(self.terms) <= 1 or len(other.terms) <= 1:
+            res = CrossedElement(action)
+            res.terms = field.accumulate({}, (
+                ((pr, gmul(g, h)), cp * cq * cr)
+                for (p, g), cp in self.terms.items()
+                for (q, h), cq in other.terms.items()
+                for r, cr in act_path(g, q).terms.items()
+                if (pr := compose(p, r)) is not None))
+            return res
         den_left, left = field.scaled(self.terms.items())
         den_right, right = field.scaled(other.terms.items())
         cleared = {(g, q): field.scaled(act_path(g, q).terms.items())
@@ -262,61 +272,3 @@ def express_modulo_commutators(solver, target, action, length: int, index: dict)
         else:
             own[label] = coeff
     return own, certificate
-
-
-class CyclicClass:
-    """A length component element up to commutators, with exact equality."""
-
-    def __init__(self, representative: CrossedElement):
-        self.representative = representative
-        self.length = representative.pure_length() if not representative.is_zero() else 0
-        self.action = representative.action
-        self._solver = LinSolver(self.action.field)
-        self._index = basis_index(self.action, self.length)
-        for term in commutator_basis(self.action, self.length):
-            self._solver.add(vectorize(term.element, self._index))
-
-    def __eq__(self, other):
-        if not isinstance(other, CyclicClass):
-            return NotImplemented
-        diff = self.representative - other.representative
-        if diff.is_zero():
-            return True
-        if diff.pure_length() != self.length:
-            return False
-        return self._solver.contains(vectorize(diff, self._index))
-
-
-def hc0_reduce(x: CrossedElement, e: CrossedElement):
-    """Rewrite x as a corner element plus an exact combination of commutators.
-
-    Returns (w, certificate) with w in e.L.e, x - w = sum of coeff * [u, v]
-    over the certificate entries ((u, v), coeff), re-verified by expansion.
-    Raises NoSolution when the class has no corner representative.
-    """
-    action = x.action
-    if (e * e) != e:
-        raise ValueError("corner element is not idempotent")
-    if x.is_zero():
-        return CrossedElement.zero(action), []
-    length = x.pure_length()
-    index = basis_index(action, length)
-    solver = LinSolver(action.field)
-    # corner span first so representatives prefer pure corner solutions
-    corners = {}
-    for key in crossed_basis(action, length):
-        cornered = e * CrossedElement.from_pair(action, *key) * e
-        if not cornered.is_zero():
-            corners[key] = cornered
-            solver.add(vectorize(cornered, index), label=key)
-    found = express_modulo_commutators(solver, vectorize(x, index), action, length, index)
-    if found is None:
-        raise NoSolution("no corner representative modulo commutators at this length")
-    combo, certificate = found
-    w = CrossedElement.zero(action)
-    for key, coeff in combo.items():
-        w = w + corners[key].scale(coeff)
-    # self-verify: the certificate must re-expand exactly to x - w
-    if expand_certificate(action, certificate) != x - w:
-        raise NoSolution("certificate failed re-expansion")
-    return w, certificate

@@ -98,7 +98,11 @@ class NotSymplectic(SkewginError):
 
 
 class SizeGuard(SkewginError):
-    pass
+    """A computation over a fixed size cap; location is the input at fault."""
+
+    def __init__(self, message, location="/"):
+        super().__init__(message)
+        self.issues = [(location, message)]
 
 
 # ---- input documents ----

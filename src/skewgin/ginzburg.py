@@ -13,6 +13,8 @@ arrow degrees 0 they reduce to plain +1.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .errors import DegreeMismatch, DimensionTooSmall, NotLengthHomogeneous, QuiverMismatch
 from .linalg import LinSolver
 from .potential import Potential, cyclic_derivative, cycle_length_of, degree_of
@@ -151,26 +153,51 @@ def derivative_relations(w: Potential):
     return [r for r in relations if not r.is_zero()]
 
 
-def relation_ideal_span(relations, by_len, ell: int, rel_len: int):
-    """The nonzero products p.r.q of length ell spanning the relation ideal.
+def relation_ideal(relations, by_len, bound: int, rel_len: int):
+    """Rank solvers spanning the relation ideal I, one per length 0..bound.
 
-    relations are elements of one length rel_len; by_len groups the paths
-    by length, and p and q run over the groups whose lengths add up to
-    ell - rel_len, in basis order.
+    relations are nonzero elements of one length rel_len, and by_len groups
+    the paths by length in basis order (``paths_by_length``).  The solver of
+    length ell is keyed by position in by_len[ell].  It spans
+
+        I_ell = A_1 . I_(ell-1) + A_0 . R . A_(ell-rel_len),
+
+    since p.r.q with |p| >= 1 is an arrow times an element of I_(ell-1).
+    Each length takes e_v.r.q for every vertex v and path q of length
+    ell - rel_len, and then the vectors that enlarged the previous length,
+    each prefixed by every arrow into its source.  Both only relabel
+    paths, so no product is formed and no scalar is touched.  (This order
+    eliminated about twice as fast as the reverse one on the McKay
+    documents at length 7.)
     """
     quiver, field = relations[0].quiver, relations[0].field
-    free = ell - rel_len
-    for s in range(free + 1):
-        for p in by_len.get(s, []):
-            left = AlgElement.from_path(quiver, field, p)
-            for rel in relations:
-                lr = left * rel
-                if lr.is_zero():
-                    continue
-                for q in by_len.get(free - s, []):
-                    vec = lr * AlgElement.from_path(quiver, field, q)
-                    if not vec.is_zero():
-                        yield vec
+    pieces = {}  # (i, v, w) -> the part e_v.r.e_w of relation i
+    for i, rel in enumerate(relations):
+        for p, c in rel.terms.items():
+            pieces.setdefault((i, p.source, quiver.path_target(p)), {})[p] = c
+    grown = []  # (source vertex, vector) that enlarged the previous length
+    layer = []
+    for ell in range(bound + 1):
+        previous, layer = layer, by_len.get(ell, [])
+        solver = LinSolver(field)
+        if ell >= rel_len:
+            position = {p: i for i, p in enumerate(layer)}
+            shift = {a.name: {i: position[Path(a.src, (a.name,) + p.arrows)]
+                              for i, p in enumerate(previous) if p.source == a.tgt}
+                     for a in quiver.arrows}
+            starting = {}
+            for q in by_len.get(ell - rel_len, []):
+                starting.setdefault(q.source, []).append(q.arrows)
+            vectors = chain(
+                ((v, {position[Path(v, p.arrows + q)]: c for p, c in piece.items()})
+                 for (_, v, w), piece in pieces.items() for q in starting.get(w, [])),
+                ((a.src, {shift[a.name][i]: c for i, c in vec.items()})
+                 for v, vec in grown for a in quiver.arrows_to[v]))
+            grown = []
+            for v, vec in vectors:
+                if solver.add(vec):
+                    grown.append((v, vec))
+        yield solver
 
 
 def jacobian_truncation(quiver: GradedQuiver, potential: Potential, bound: int):
@@ -188,16 +215,9 @@ def jacobian_truncation(quiver: GradedQuiver, potential: Potential, bound: int):
     if cyc_len is None:
         raise NotLengthHomogeneous("potential mixes cycle lengths")
     relations = derivative_relations(potential)
-    rel_len = cyc_len - 1
     by_len = paths_by_length(quiver, bound)
-    dims = []
-    for ell in range(bound + 1):
-        layer = by_len.get(ell, [])
-        if not relations or ell < rel_len:
-            dims.append(len(layer))
-            continue
-        solver = LinSolver(potential.field)
-        for vec in relation_ideal_span(relations, by_len, ell, rel_len):
-            solver.add(vec.terms)
-        dims.append(len(layer) - solver.rank)
-    return dims
+    sizes = [len(by_len.get(ell, [])) for ell in range(bound + 1)]
+    if not relations:
+        return sizes
+    return [size - ideal.rank for size, ideal in
+            zip(sizes, relation_ideal(relations, by_len, bound, cyc_len - 1))]

@@ -137,13 +137,6 @@ class LinSolver:
                                  for (_, i), c in residual.items()))
 
 
-def span_rank(field, vectors) -> int:
-    solver = LinSolver(field)
-    for v in vectors:
-        solver.add(v)
-    return solver.rank
-
-
 def invert_matrix(field, mat):
     """Inverse of a square matrix given as a list of rows; None if singular.
 

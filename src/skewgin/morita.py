@@ -31,7 +31,7 @@ from .crossed import (CrossedElement, basis_index, crossed_basis, expand_certifi
                       express_modulo_commutators, merge_certificate, vectorize)
 from .errors import (BasisExpressFailure, DegreeMismatch, IncompleteIdempotents,
                      InvalidAction, NoSolution, NotInvariantPotential)
-from .ginzburg import derivative_relations, jacobian_truncation, relation_ideal_span
+from .ginzburg import derivative_relations, jacobian_truncation, relation_ideal
 from .groups import GroupAlgebra, IdempotentSet, abelian_idempotents, validate_idempotent_set
 from .linalg import LinSolver
 from .potential import Potential, canonicalize, cycle_length_of
@@ -336,40 +336,46 @@ def check_embedding(md: MoritaData, bound: int):
     return report
 
 
+def _fullness_gap(md: MoritaData, e: CrossedElement, ell: int):
+    """The report line for length ell when the span of the products u.e.v
+    of that length misses part of the component, else None."""
+    action = md.action
+    index = basis_index(action, ell)
+    dim = len(index)
+    if dim == 0:
+        return None
+    solver = LinSolver(md.field)
+    for s in range(ell + 1):
+        for u in crossed_basis(action, s):
+            eu = CrossedElement.from_pair(action, *u) * e
+            if eu.is_zero():
+                continue
+            for v in crossed_basis(action, ell - s):
+                w = eu * CrossedElement.from_pair(action, *v)
+                if not w.is_zero():
+                    solver.add(vectorize(w, index))
+                    if solver.rank == dim:
+                        return None
+    return (f"length {ell}: idempotent span has rank {solver.rank} < {dim}; "
+            "the corner misses part of the algebra")
+
+
 def check_fullness(md: MoritaData, bound: int):
     """Span test: the two-sided span of the total idempotent must exhaust
-    every length component up to the bound."""
-    report = []
-    action, field = md.action, md.field
+    every length component up to the bound.
+
+    Lengths add and e has length 0, so when the length-0 products u.e.v
+    span the whole length-0 component the ideal contains 1, and every
+    length passes.  The longer lengths are checked only when length 0
+    fails, and then each failing length is reported.
+    """
+    if bound < 0:
+        return []
     e = md.total_idempotent()
-    for ell in range(bound + 1):
-        index = basis_index(action, ell)
-        dim = len(index)
-        if dim == 0:
-            continue
-        solver = LinSolver(field)
-        done = False
-        for s in range(ell + 1):
-            for u in crossed_basis(action, s):
-                eu = CrossedElement.from_pair(action, *u) * e
-                if eu.is_zero():
-                    continue
-                for v in crossed_basis(action, ell - s):
-                    w = eu * CrossedElement.from_pair(action, *v)
-                    if not w.is_zero():
-                        solver.add(vectorize(w, index))
-                        if solver.rank == dim:
-                            done = True
-                            break
-                if done:
-                    break
-            if done:
-                break
-        if solver.rank != dim:
-            report.append(
-                f"length {ell}: idempotent span has rank {solver.rank} < {dim}; "
-                "the corner misses part of the algebra")
-    return report
+    if _fullness_gap(md, e, 0) is None:
+        return []
+    gaps = (_fullness_gap(md, e, ell) for ell in range(bound + 1))
+    return [gap for gap in gaps if gap is not None]
 
 
 def transport_potential(w: Potential, md: MoritaData):
@@ -502,19 +508,22 @@ def morita_dimension_check(md: MoritaData, w: Potential, reduced_w: Potential, b
     if cyc_len is None:
         raise DegreeMismatch("dimension check requires one cycle length")
     relations = derivative_relations(w)
-    rel_len = cyc_len - 1
     by_len = paths_by_length(action.quiver, bound)
-
+    ideals = (relation_ideal(relations, by_len, bound, cyc_len - 1) if relations
+              else (LinSolver(field) for _ in range(bound + 1)))
+    n = action.group.size
     e = md.total_idempotent()
     rows = []
     right = jacobian_truncation(md.qprime, reduced_w, bound)
-    for ell in range(bound + 1):
+    for ell, ideal in zip(range(bound + 1), ideals):
+        # crossed_basis lists the group elements of each path together, so
+        # (path i, g) has index i * n + g and I#G is one copy of the echelon
+        # rows of I per g, on disjoint keys with the pivots kept
         index = basis_index(action, ell)
         solver = LinSolver(field)
-        if relations and ell >= rel_len:
-            for vec in relation_ideal_span(relations, by_len, ell, rel_len):
-                for g in action.group.elements():
-                    solver.add({index[(path, g)]: c for path, c in vec.terms.items()})
+        for g in action.group.elements():
+            solver.rows.update((k * n + g, {kk * n + g: c for kk, c in row.items()})
+                               for k, row in ideal.rows.items())
         rank_relations = solver.rank
         for key in crossed_basis(action, ell):
             b = CrossedElement.from_pair(action, *key)

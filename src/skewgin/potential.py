@@ -8,7 +8,7 @@ itself with opposite signs is 2-torsion and canonicalises to zero.
 
 from __future__ import annotations
 
-from .errors import NotACycle, UnknownArrow
+from .errors import NotACycle
 from .quiver import AlgElement, Path, path_sort_key
 
 
@@ -113,12 +113,6 @@ def canonicalize(quiver, field, raw_terms) -> Potential:
     return Potential(quiver, field, field.accumulate({}, pairs))
 
 
-def rotations_of(quiver, cycle: Path):
-    """Public view of the signed rotation orbit (word, sign exponent)."""
-    rots, _ = _rotations(quiver, cycle)
-    return rots
-
-
 def cyclic_derivative(potential: Potential, arrow_name: str) -> AlgElement:
     """Derivative with respect to one arrow.
 
@@ -139,16 +133,6 @@ def cyclic_derivative(potential: Potential, arrow_name: str) -> AlgElement:
             lead = quiver.arrow(arrow_name)
             tail = Path(lead.tgt, rest) if rest else quiver.trivial_path(lead.tgt)
             out = out + AlgElement.from_path(quiver, field, tail, c)
-    return out
-
-
-def cyclic_derivative_along(potential: Potential, direction: AlgElement) -> AlgElement:
-    """Linear extension of the derivative to a combination of arrows."""
-    out = AlgElement.zero(potential.quiver, potential.field)
-    for p, c in direction.terms.items():
-        if len(p.arrows) != 1:
-            raise UnknownArrow("derivative direction must be an arrow combination")
-        out = out + cyclic_derivative(potential, p.arrows[0]).scale(c)
     return out
 
 

@@ -8,14 +8,14 @@ length components, so every enumeration takes an explicit length bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import FieldMismatch, QuiverMismatch, UnknownArrow
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
+    """A named arrow src -> tgt of degree deg."""
+
     name: str
     src: str
     tgt: str
@@ -133,6 +133,27 @@ def basis_up_to(quiver: GradedQuiver, bound: int):
         out.extend(layer)
     out.sort(key=path_sort_key)
     return out
+
+
+def count_paths_up_to(quiver: GradedQuiver, bound: int, cap: int) -> int:
+    """The number of paths of length <= bound, without listing them.
+
+    Multiplies the all-ones vector by the adjacency matrix once per length,
+    so ends[w] counts the paths of the current length that end at w.
+    Stops when no path is left, or as soon as the total passes cap; the
+    result is then only known to exceed cap.
+    """
+    ends = dict.fromkeys(quiver.vertices, 1)
+    total = len(ends)
+    for _ in range(bound):
+        if total > cap or not any(ends.values()):
+            break
+        step = dict.fromkeys(quiver.vertices, 0)
+        for a in quiver.arrows:
+            step[a.tgt] += ends[a.src]
+        ends = step
+        total += sum(ends.values())
+    return total
 
 
 def paths_by_length(quiver: GradedQuiver, bound: int):

@@ -8,14 +8,25 @@ replaced, the symplectic equivariance check that maps every monomial,
 wedge and differential afresh on each use, which the cached
 ``skewgin.weyl.check_sp_equivariance`` replaced, the crossed product on
 field scalars that the scaled-integer kernel of ``CrossedElement.__mul__``
-replaced, and the per-path left fold that ``skewgin.morita.embed_paths``
-replaced.  Nothing imports skewgin's linear algebra.
+replaced, the per-path left fold that ``skewgin.morita.embed_paths``
+replaced, and the span of every product p.r.q that the recurrence of
+``skewgin.ginzburg.relation_ideal`` replaced.
+
+The last section holds helpers that no command uses, kept for the tests:
+``span_rank``, ``rotations_of``, ``cyclic_derivative_along``,
+``CyclicClass`` and ``hc0_reduce``.  They, unlike the oracles above, run on
+skewgin's ``LinSolver``.
 """
 
 from fractions import Fraction
 
 from skewgin import weyl
-from skewgin.crossed import CrossedElement
+from skewgin.crossed import (CrossedElement, basis_index, commutator_basis, crossed_basis,
+                             expand_certificate, express_modulo_commutators, vectorize)
+from skewgin.errors import NoSolution, UnknownArrow
+from skewgin.linalg import LinSolver
+from skewgin.potential import Potential, _rotations, cyclic_derivative
+from skewgin.quiver import AlgElement, Path
 
 
 def naive_accumulate(field, acc, terms):
@@ -307,3 +318,108 @@ def naive_embed_path(md, path):
     for name in path.arrows:
         acc = naive_crossed_mul(acc, md.arrow_embed[name])
     return acc
+
+
+def relation_ideal_span(relations, by_len, ell: int, rel_len: int):
+    """The nonzero products p.r.q of length ell spanning the relation ideal.
+
+    relations are elements of one length rel_len; by_len groups the paths
+    by length, and p and q run over the groups whose lengths add up to
+    ell - rel_len, in basis order.
+    """
+    quiver, field = relations[0].quiver, relations[0].field
+    free = ell - rel_len
+    for s in range(free + 1):
+        for p in by_len.get(s, []):
+            left = AlgElement.from_path(quiver, field, p)
+            for rel in relations:
+                lr = left * rel
+                if lr.is_zero():
+                    continue
+                for q in by_len.get(free - s, []):
+                    vec = lr * AlgElement.from_path(quiver, field, q)
+                    if not vec.is_zero():
+                        yield vec
+
+
+# ---------- helpers no command uses ----------
+
+def span_rank(field, vectors) -> int:
+    solver = LinSolver(field)
+    for v in vectors:
+        solver.add(v)
+    return solver.rank
+
+
+def rotations_of(quiver, cycle: Path):
+    """The signed rotation orbit of a cycle: (word, sign exponent) pairs."""
+    rots, _ = _rotations(quiver, cycle)
+    return rots
+
+
+def cyclic_derivative_along(potential: Potential, direction: AlgElement) -> AlgElement:
+    """Linear extension of the derivative to a combination of arrows."""
+    out = AlgElement.zero(potential.quiver, potential.field)
+    for p, c in direction.terms.items():
+        if len(p.arrows) != 1:
+            raise UnknownArrow("derivative direction must be an arrow combination")
+        out = out + cyclic_derivative(potential, p.arrows[0]).scale(c)
+    return out
+
+
+class CyclicClass:
+    """A length component element up to commutators, with exact equality."""
+
+    def __init__(self, representative: CrossedElement):
+        self.representative = representative
+        self.length = representative.pure_length() if not representative.is_zero() else 0
+        self.action = representative.action
+        self._solver = LinSolver(self.action.field)
+        self._index = basis_index(self.action, self.length)
+        for term in commutator_basis(self.action, self.length):
+            self._solver.add(vectorize(term.element, self._index))
+
+    def __eq__(self, other):
+        if not isinstance(other, CyclicClass):
+            return NotImplemented
+        diff = self.representative - other.representative
+        if diff.is_zero():
+            return True
+        if diff.pure_length() != self.length:
+            return False
+        return self._solver.contains(vectorize(diff, self._index))
+
+
+def hc0_reduce(x: CrossedElement, e: CrossedElement):
+    """Rewrite x as a corner element plus an exact combination of commutators.
+
+    Returns (w, certificate) with w in e.L.e, x - w = sum of coeff * [u, v]
+    over the certificate entries ((u, v), coeff), re-verified by expansion.
+    Raises NoSolution when the class has no corner representative.
+    """
+    action = x.action
+    if (e * e) != e:
+        raise ValueError("corner element is not idempotent")
+    if x.is_zero():
+        return CrossedElement.zero(action), []
+    length = x.pure_length()
+    index = basis_index(action, length)
+    solver = LinSolver(action.field)
+    # corner span first so representatives prefer pure corner solutions
+    corners = {}
+    for key in crossed_basis(action, length):
+        cornered = e * CrossedElement.from_pair(action, *key) * e
+        if not cornered.is_zero():
+            corners[key] = cornered
+            solver.add(vectorize(cornered, index), label=key)
+    found = express_modulo_commutators(solver, vectorize(x, index), action, length, index)
+    if found is None:
+        raise NoSolution("no corner representative modulo commutators at this length")
+    combo, certificate = found
+    w = CrossedElement.zero(action)
+    for key, coeff in combo.items():
+        w = w + corners[key].scale(coeff)
+    # self-verify: the certificate must re-expand exactly to x - w
+    if expand_certificate(action, certificate) != x - w:
+        raise NoSolution("certificate failed re-expansion")
+    return w, certificate

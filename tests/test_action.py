@@ -149,7 +149,7 @@ def test_potential_not_invariant_under_negation():
 def test_derivative_transport_identity():
     # g(dW/da) equals the derivative along the contragredient image of a,
     # for invariant W; on permutation actions that image is just g(a)
-    from skewgin.potential import cyclic_derivative_along
+    from oracles import cyclic_derivative_along
     for action, field in ((loop_permutation_action(Q), Q),
                           (loop_scaling_action(F7, 2), F7)):
         w = commutator_potential(action.quiver, field)
@@ -162,7 +162,7 @@ def test_derivative_transport_identity():
 
 def test_derivative_transport_plain_form_on_permutations():
     # for permutation actions the naive form g(dW/da) = dW/d(ga) holds as is
-    from skewgin.potential import cyclic_derivative_along
+    from oracles import cyclic_derivative_along
     action = loop_permutation_action(Q)
     w = commutator_potential(action.quiver, Q)
     for g in action.group.elements():

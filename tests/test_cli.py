@@ -272,3 +272,24 @@ def test_missing_file_exit_2(capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 2
     assert report["ok"] is False
+
+
+@pytest.mark.parametrize("max_len", ["-1", "1000000000"])
+def test_verify_bad_max_len_exit_2_before_any_product(capsys, tmp_path, monkeypatch, max_len):
+    def no_products(*args, **kwargs):
+        raise AssertionError("the length bound is checked before the reduction")
+
+    monkeypatch.setattr("skewgin.cli.build_morita", no_products)
+    code, report = run_cli(capsys, tmp_path, doc(MCKAY), "verify", "--max-len", max_len)
+    assert code == 2
+    assert report["ok"] is False
+    assert [e["location"] for e in report["errors"]] == ["/max_len"]
+
+
+def test_verify_size_guard_on_document_max_len(capsys, tmp_path):
+    # three loops and three group elements: 3 * (3^9 - 1) / 2 = 29,523 keys
+    # up to length 8, over the cap
+    code, report = run_cli(capsys, tmp_path, doc(MCKAY, options={"max_len": 8}), "verify")
+    assert code == 2
+    assert [e["location"] for e in report["errors"]] == ["/options/max_len"]
+    assert "more than 6000" in report["errors"][0]["message"]

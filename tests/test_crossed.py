@@ -4,14 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewgin.crossed import (CrossedElement, CyclicClass, commutator_basis,
-                             hc0_reduce)
+from skewgin.crossed import CrossedElement, commutator_basis
 from skewgin.fields import make_field
 from skewgin.groups import cyclic_group
 from skewgin.action import QuiverAction, validate_action
 from skewgin.quiver import AlgElement, GradedQuiver, basis_up_to
 
-from oracles import naive_crossed_mul
+from oracles import CyclicClass, hc0_reduce, naive_crossed_mul
 
 Q = make_field("Q")
 F7 = make_field(7)
@@ -272,15 +271,18 @@ def assert_matches_oracle(x, y):
             assert type(c) is int and 0 < c < field.p
 
 
-def crossed_elements(action):
+def scalars(field):
+    if field.is_rationals:
+        return st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 5]))
+    return st.integers(1, field.p - 1)
+
+
+def crossed_elements(action, max_len=2, min_size=0, max_size=6):
     """Sparse elements over a small support, so that terms collide: paths of
-    length 0 to 2 mixed, coefficients of both signs."""
-    keys = [(p, g) for p in basis_up_to(action.quiver, 2) for g in action.group.elements()]
-    if action.field.is_rationals:
-        scalars = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 5]))
-    else:
-        scalars = st.integers(1, action.field.p - 1)
-    return st.lists(st.tuples(st.sampled_from(keys), scalars), max_size=6).map(
+    length 0 to max_len mixed, coefficients of both signs."""
+    keys = [(p, g) for p in basis_up_to(action.quiver, max_len) for g in action.group.elements()]
+    return st.lists(st.tuples(st.sampled_from(keys), scalars(action.field)),
+                    min_size=min_size, max_size=max_size).map(
         lambda terms: CrossedElement(action, terms))
 
 
@@ -298,6 +300,24 @@ def test_product_matches_field_scalar_oracle(name, data):
     x, y = data.draw(elements), data.draw(elements)
     assert_matches_oracle(x, y)
     assert_matches_oracle(x + y, x - y)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_ACTIONS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_single_term_and_length_zero_products_match_oracle(name, data):
+    # one single-term operand takes the direct product path; a length-0
+    # operand (a group-algebra element at the vertices, as the idempotents
+    # are) has several terms and stays on the kernel
+    action = KERNEL_ACTIONS[name]()
+    general = data.draw(crossed_elements(action))
+    single = data.draw(crossed_elements(action, max_size=1))
+    length_zero = data.draw(crossed_elements(action, max_len=0, min_size=1, max_size=4))
+    for special in (single, length_zero):
+        assert_matches_oracle(special, general)
+        assert_matches_oracle(general, special)
+    assert_matches_oracle(single, length_zero)
+    assert_matches_oracle(length_zero, single)
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_ACTIONS))

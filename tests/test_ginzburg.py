@@ -1,18 +1,20 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from skewgin.errors import (DegreeMismatch, DimensionTooSmall, NotLengthHomogeneous,
                             QuiverMismatch)
 from skewgin.fields import make_field
 from skewgin.ginzburg import (check_d_squared, degree_report, double_quiver,
-                              ginzburg, jacobian_truncation)
+                              ginzburg, jacobian_truncation, relation_ideal)
 from skewgin.potential import canonicalize
-from skewgin.quiver import AlgElement, GradedQuiver
+from skewgin.quiver import AlgElement, GradedQuiver, paths_by_length
 
-from oracles import brute_jacobian_dims
+from oracles import brute_jacobian_dims, relation_ideal_span, span_rank
 
 Q = make_field("Q")
+F7 = make_field(7)
 
 
 def three_loops():
@@ -228,3 +230,44 @@ def test_d_squared_zero_random_quivers():
         pres = ginzburg(q, w, 3)
         assert check_d_squared(pres) == []
         assert degree_report(pres) == []
+
+
+@st.composite
+def relation_systems(draw):
+    """Random length-homogeneous relations on a quiver with 2 or 3 vertices.
+
+    A relation mixes paths with different end points, so the vertex
+    idempotents around it cut it into several pieces.
+    """
+    field = draw(st.sampled_from([Q, F7]))
+    vertices = [str(i) for i in range(draw(st.integers(2, 3)))]
+    ends = draw(st.lists(st.tuples(st.sampled_from(vertices), st.sampled_from(vertices)),
+                         min_size=2, max_size=5))
+    quiver = GradedQuiver(vertices, [(f"a{i}", s, t, 0) for i, (s, t) in enumerate(ends)])
+    rel_len = draw(st.integers(0, 2))
+    bound = draw(st.integers(rel_len, 4))
+    by_len = paths_by_length(quiver, bound)
+    layer = by_len.get(rel_len, [])
+    assume(layer)
+    relations = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = draw(st.lists(st.tuples(st.sampled_from(layer), st.integers(-3, 3)),
+                              min_size=1, max_size=4))
+        rel = AlgElement(quiver, field, [(p, field.from_int(c)) for p, c in terms])
+        if not rel.is_zero():
+            relations.append(rel)
+    assume(relations)
+    return relations, by_len, bound, rel_len
+
+
+@given(system=relation_systems())
+@settings(max_examples=80, deadline=None)
+def test_relation_ideal_matches_every_product_span(system):
+    relations, by_len, bound, rel_len = system
+    field = relations[0].field
+    ideals = list(relation_ideal(relations, by_len, bound, rel_len))
+    assert len(ideals) == bound + 1
+    for ell, ideal in enumerate(ideals):
+        want = 0 if ell < rel_len else span_rank(
+            field, (vec.terms for vec in relation_ideal_span(relations, by_len, ell, rel_len)))
+        assert ideal.rank == want, ell

@@ -3,9 +3,9 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from skewgin.fields import make_field
-from skewgin.linalg import LinSolver, invert_matrix, span_rank
+from skewgin.linalg import LinSolver, invert_matrix
 
-from oracles import LabelledLinSolver, dense_rank
+from oracles import LabelledLinSolver, dense_rank, span_rank
 
 
 def test_rank_counts_independent_rows():

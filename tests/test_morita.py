@@ -408,7 +408,7 @@ def test_mckay_dimensions_invariant_under_basis_reordering(mckay):
 
 
 def test_hc0_reduce_into_mckay_corner(mckay):
-    from skewgin.crossed import hc0_reduce
+    from oracles import hc0_reduce
     action, md = mckay
     w = mckay_potential(action)
     x = CrossedElement.from_alg(action, w.as_element())
@@ -480,3 +480,21 @@ def test_check_embedding_catches_an_uncornered_arrow():
     # check against comparing a product with itself
     arrow_path, target = md.qprime.path([name]), md.qprime.trivial_path(tgt)
     assert f"embedding is not multiplicative on {arrow_path} * {target}" in check_embedding(md, 2)
+
+
+@pytest.mark.parametrize("dropped, failing", [(0, [0]), (2, [0, 1, 2, 3])])
+def test_check_fullness_reports_every_failing_length(dropped, failing):
+    # on signed S3, dropping a one-dimensional vertex idempotent leaves a
+    # corner that misses only a length-0 element; dropping the
+    # two-dimensional one misses part of every length component, and each
+    # failing length must be reported, not only length 0
+    action, idem_spec = signed_permutation_s3()
+    md = build_morita(action, idem_spec)
+    assert check_fullness(md, 3) == []
+    vertex = md.qprime.vertices[dropped]
+    assert md.idem_sets["v"].dims[md.vertex_info[vertex][1]] == (2 if dropped == 2 else 1)
+    md.vertex_idems[vertex] = CrossedElement.zero(action)
+    report = check_fullness(md, 3)
+    assert [int(line.split(":")[0].split()[1]) for line in report] == failing
+    assert report[0] == ("length 0: idempotent span has rank {} < 6; the corner misses "
+                         "part of the algebra".format(5 if dropped == 0 else 2))

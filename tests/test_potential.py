@@ -4,9 +4,10 @@ import pytest
 
 from skewgin.errors import NotACycle
 from skewgin.fields import make_field
-from skewgin.potential import (canonicalize, cyclic_derivative, cycle_length_of,
-                               degree_of, rotations_of)
+from skewgin.potential import canonicalize, cyclic_derivative, cycle_length_of, degree_of
 from skewgin.quiver import AlgElement, GradedQuiver
+
+from oracles import rotations_of
 
 Q = make_field("Q")
 

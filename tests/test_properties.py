@@ -5,8 +5,10 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from skewgin.fields import make_field
-from skewgin.potential import canonicalize, rotations_of
+from skewgin.potential import canonicalize
 from skewgin.quiver import AlgElement, GradedQuiver, Path
+
+from oracles import rotations_of
 
 Q = make_field("Q")
 F5 = make_field(5)

@@ -4,7 +4,7 @@ import pytest
 
 from skewgin.errors import QuiverMismatch
 from skewgin.fields import make_field
-from skewgin.quiver import AlgElement, GradedQuiver, basis_up_to
+from skewgin.quiver import AlgElement, GradedQuiver, basis_up_to, count_paths_up_to
 
 Q = make_field("Q")
 
@@ -128,3 +128,17 @@ def test_multiply_associative_random():
     for _ in range(60):
         a, b, c = rand_el(), rand_el(), rand_el()
         assert (a * b) * c == a * (b * c)
+
+
+def test_count_paths_matches_enumeration_and_stops_early():
+    quivers = [two_loop_quiver(),
+               GradedQuiver(["1", "2"], [("a", "1", "2", 0), ("b", "2", "1", 0),
+                                         ("c", "2", "2", 0)]),
+               GradedQuiver(["1", "2", "3"], [("a", "1", "2", 0), ("b", "2", "3", 0)])]
+    for q in quivers:
+        for bound in range(5):
+            assert count_paths_up_to(q, bound, cap=10**6) == len(basis_up_to(q, bound))
+    # an acyclic quiver runs out of paths, a cyclic one passes the cap: both
+    # return at once for a huge bound
+    assert count_paths_up_to(quivers[2], 10**9, cap=10**6) == 6
+    assert 100 < count_paths_up_to(quivers[0], 10**9, cap=100) <= 2 * 100 + 1
