@@ -183,14 +183,7 @@ def cmd_invariance(args) -> int:
 
 def _build_reduction(doc):
     _need(doc, "group action", "action")
-    spec = None
-    if doc.idempotents is not None:
-        # the supplied set applies wherever a stabilizer is the whole group
-        from .morita import orbit_data
-        reps, _, stabilizers = orbit_data(doc.action)
-        spec = {rep: doc.idempotents for rep in reps
-                if len(stabilizers[rep]) == doc.group.size}
-    return build_morita(doc.action, spec)
+    return build_morita(doc.action, doc.idempotents)
 
 
 def _reduced_quiver_json(md):

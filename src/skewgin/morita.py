@@ -34,7 +34,7 @@ from .errors import (BasisExpressFailure, DegreeMismatch, IncompleteIdempotents,
 from .ginzburg import derivative_relations, jacobian_truncation, relation_ideal
 from .groups import GroupAlgebra, IdempotentSet, abelian_idempotents, validate_idempotent_set
 from .linalg import LinSolver
-from .potential import Potential, canonicalize, cycle_length_of
+from .potential import Potential, _rotations, canonicalize, cycle_length_of
 from .quiver import (AlgElement, Arrow, GradedQuiver, Path, path_sort_key,
                      paths_by_length)
 
@@ -93,14 +93,12 @@ class BimoduleEntry:
         self.element = element
 
 
-def build_bimodule(action: QuiverAction, reps, kappa, stabilizers, reverse=False):
+def build_bimodule(action: QuiverAction, reps, kappa, stabilizers):
     """Deterministic basis of the arrow bimodule inside the crossed product.
 
     Entries carry the representative pair and the common arrow degree of
     their terms; within each (pair, degree) slot the basis is the first
-    linearly independent subset of the generating products.  With reverse
-    the candidate products are scanned backwards, which changes the chosen
-    basis but never the spanned subspace.
+    linearly independent subset of the generating products.
     """
     G, quiver, field = action.group, action.quiver, action.field
     orbit_rep = {v: min(action.act_vertex(g, v) for g in G.elements())
@@ -129,10 +127,7 @@ def build_bimodule(action: QuiverAction, reps, kappa, stabilizers, reverse=False
                                 slot_candidates.setdefault(deg, []).append(z)
             for deg in sorted(slot_candidates):
                 solver = LinSolver(field)
-                picks = slot_candidates[deg]
-                if reverse:
-                    picks = list(reversed(picks))
-                for z in picks:
+                for z in slot_candidates[deg]:
                     if solver.add(vectorize(z, index1)):
                         entries.append(BimoduleEntry(i, j, deg, z))
     return entries
@@ -141,14 +136,13 @@ def build_bimodule(action: QuiverAction, reps, kappa, stabilizers, reverse=False
 class MoritaData:
     """Everything the reduction produces, ready for embedding and transport."""
 
-    def __init__(self, action, reps, kappa, stabilizers, stab_groups, idem_sets,
+    def __init__(self, action, reps, kappa, stabilizers, idem_sets,
                  bimodule, qprime, vertex_info, vertex_idems, arrow_embed):
         self.action = action
         self.field = action.field
         self.reps = reps
         self.kappa = kappa
         self.stabilizers = stabilizers
-        self.stab_groups = stab_groups      # rep -> (FiniteGroup, ambient indices)
         self.idem_sets = idem_sets          # rep -> IdempotentSet over the subgroup
         self.bimodule = bimodule
         self.qprime = qprime
@@ -178,15 +172,13 @@ def _lift_idempotent(action, subgroup_ambient, coeffs: dict, rep: str) -> Crosse
     return CrossedElement.from_group_algebra(action, rep, lifted)
 
 
-def build_morita(action: QuiverAction, idempotents_spec=None, reverse=False) -> MoritaData:
+def build_morita(action: QuiverAction, idempotents=None) -> MoritaData:
     """Run the reduction pipeline up to the reduced quiver and embedding.
 
-    idempotents_spec optionally maps an orbit representative to a pair
-    (vectors, dims): scalar coefficient rows over that stabilizer's
-    elements (in ambient order) with declared irreducible dimensions.
-    Stabilizers without a supplied set must be abelian.  reverse flips the
-    deterministic basis scan; presentations change, dimension data must
-    not.
+    idempotents optionally is a pair (vectors, dims): scalar coefficient
+    rows over the group's elements with declared irreducible dimensions,
+    used at every orbit representative whose stabilizer is the whole
+    group.  Every other stabilizer must be abelian.
     """
     problems = validate_action(action)
     if problems:
@@ -195,14 +187,15 @@ def build_morita(action: QuiverAction, idempotents_spec=None, reverse=False) -> 
     group = action.group
     reps, kappa, stabilizers = orbit_data(action)
 
-    stab_groups = {}
+    # reduced quiver vertices: one per (representative, idempotent)
     idem_sets = {}
+    vertex_info = {}
+    vertex_idems = {}
+    vertex_names = []
     for rep in reps:
         sub, ambient = group.subgroup(stabilizers[rep])
-        stab_groups[rep] = (sub, ambient)
-        supplied = (idempotents_spec or {}).get(rep)
-        if supplied is not None:
-            vectors, dims = supplied
+        if idempotents is not None and sub.size == group.size:
+            vectors, dims = idempotents
             algebra = GroupAlgebra(sub, field)
             elements = []
             for vec in vectors:
@@ -223,22 +216,15 @@ def build_morita(action: QuiverAction, idempotents_spec=None, reverse=False) -> 
             raise IncompleteIdempotents(
                 f"idempotent set for {rep} failed validation: " + "; ".join(failures))
         idem_sets[rep] = idem_set
-
-    bimodule = build_bimodule(action, reps, kappa, stabilizers, reverse=reverse)
-
-    # reduced quiver: one vertex per (representative, idempotent); arrows are
-    # a deterministic basis of each corner slot of the bimodule
-    vertex_info = {}
-    vertex_idems = {}
-    vertex_names = []
-    for rep in reps:
-        _, ambient = stab_groups[rep]
-        for j, coeffs in enumerate(idem_sets[rep].elements):
+        for j, coeffs in enumerate(idem_set.elements):
             name = f"{rep}:{j}"
             vertex_names.append(name)
             vertex_info[name] = (rep, j)
             vertex_idems[name] = _lift_idempotent(action, ambient, coeffs, rep)
 
+    # reduced quiver arrows: a deterministic basis of each corner slot of
+    # the bimodule
+    bimodule = build_bimodule(action, reps, kappa, stabilizers)
     index1 = basis_index(action, 1)
     arrows = []
     arrow_embed = {}
@@ -255,8 +241,6 @@ def build_morita(action: QuiverAction, idempotents_spec=None, reverse=False) -> 
                 solver = LinSolver(field)
                 slot = [entry for entry in bimodule
                         if (entry.src_rep, entry.tgt_rep, entry.degree) == (rep1, rep2, deg)]
-                if reverse:
-                    slot = list(reversed(slot))
                 for entry in slot:
                     cornered = e1 * entry.element * e2
                     if cornered.is_zero():
@@ -267,7 +251,7 @@ def build_morita(action: QuiverAction, idempotents_spec=None, reverse=False) -> 
                         arrows.append(Arrow(name, v1, v2, deg))
                         arrow_embed[name] = cornered
     qprime = GradedQuiver(vertex_names, arrows)
-    return MoritaData(action, reps, kappa, stabilizers, stab_groups, idem_sets,
+    return MoritaData(action, reps, kappa, stabilizers, idem_sets,
                       bimodule, qprime, vertex_info, vertex_idems, arrow_embed)
 
 
@@ -424,13 +408,11 @@ def transport_potential(w: Potential, md: MoritaData):
     splits = []
     for cycle, coeff in combo.items():
         raw_terms.append((coeff, cycle))
-        rotations = [Path(qprime.arrow(cycle.arrows[j]).src,
-                          cycle.arrows[j:] + cycle.arrows[:j])
-                     for j in range(len(cycle.arrows))]
-        best = min(range(len(rotations)), key=lambda j: path_sort_key(rotations[j]))
+        rotations, _ = _rotations(qprime, cycle)
+        best = min(range(len(rotations)), key=lambda j: path_sort_key(rotations[j][0]))
         if best != 0:
             head = Path(cycle.source, cycle.arrows[:best])
-            tail = rotations[best]._replace(arrows=cycle.arrows[best:])
+            tail = rotations[best][0]._replace(arrows=cycle.arrows[best:])
             splits.append((coeff, head, tail))
     embedded = embed_paths(md, [p for _, head, tail in splits for p in (head, tail)])
     # plain products: accumulate reduces them over GF(p); the entries are

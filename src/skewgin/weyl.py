@@ -12,7 +12,7 @@ it, so each filtration piece is a finite complex with exact ranks.
 from __future__ import annotations
 
 from functools import cache
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 from math import comb, factorial
 
 from .errors import NotSymplectic, SizeGuard
@@ -155,20 +155,6 @@ class WeylEnvelope:
             self.field.accumulate(out, (((s, m), -c * cm)
                                         for m, cm in monomial_product(v, t).items()))
         return out
-
-    def resolution_augmentation(self, u: dict) -> dict:
-        """The map closing the resolution: s (x) t -> t s."""
-        monomial_product = self.algebra._mul_monomials
-        return self.field.accumulate({}, (
-            (m, c * cm) for (s, t), c in u.items()
-            for m, cm in monomial_product(t, s).items()))
-
-    def top_multiplication(self, u: dict) -> dict:
-        """The map off the top of the dual complex: s (x) t -> s t."""
-        monomial_product = self.algebra._mul_monomials
-        return self.field.accumulate({}, (
-            (m, c * cm) for (s, t), c in u.items()
-            for m, cm in monomial_product(s, t).items()))
 
 
 def apply_linear_automorphism(algebra: WeylAlgebra, images, u: dict) -> dict:
@@ -339,7 +325,6 @@ def chain_action(algebra: WeylAlgebra, matrix):
 
 
 def _wedges(n2: int, size: int):
-    from itertools import combinations
     return [tuple(c) for c in combinations(range(n2), size)]
 
 
@@ -386,16 +371,42 @@ def check_sp_equivariance(n: int, matrices, field: Field, filt_bound: int = 2):
     return report
 
 
-def _rank_of_map(field, basis, mapper, target_index):
-    solver = LinSolver(field)
-    for b in basis:
-        image = mapper(b)
-        vec = {}
-        for key, c in image.items():
-            vec[target_index[key]] = c
-        if vec:
-            solver.add(vec)
-    return solver.rank
+def _guarded_envelope(n: int, field: Field) -> WeylEnvelope:
+    if n > 2:
+        raise SizeGuard("resolution checks are guarded to n <= 2")
+    return WeylEnvelope(WeylAlgebra(n, field))
+
+
+def _homology(field: Field, positions, differential, closing, cap: int):
+    """Ranks and homology of a bounded complex, counted from its closing end.
+
+    positions[i] is the basis at distance i from the closing end, and the
+    differential maps position i into position i - 1.  closing(s, t) maps
+    the monomial pair s (x) t off position 0 into the algebra; on the first
+    200 images of position 1 it must vanish.  Returns (ranks, homology):
+    ranks[i] is the rank of the map out of position i (0 at i = 0), and
+    homology[0] is the cokernel of the map into position 0.
+    """
+    total = sum(len(b) for b in positions)
+    if total > cap:
+        raise SizeGuard(f"truncated complex has dimension {total} > cap {cap}")
+    one, accumulate = field.one(), field.accumulate
+    ranks = [0] * (len(positions) + 1)
+    for i in range(1, len(positions)):
+        target = {key: k for k, key in enumerate(positions[i - 1])}
+        solver = LinSolver(field)
+        for k, key in enumerate(positions[i]):
+            image = differential({key: one})
+            if i == 1 and k < 200 and accumulate({}, (
+                    (m, c * cm) for (_, (s, t)), c in image.items()
+                    for m, cm in closing(s, t).items())):
+                raise AssertionError("the closing map does not annihilate the image")
+            vec = {target[key]: c for key, c in image.items()}
+            if vec:
+                solver.add(vec)
+        ranks[i] = solver.rank
+    homology = [len(b) - ranks[i] - ranks[i + 1] for i, b in enumerate(positions)]
+    return ranks[:-1], homology
 
 
 def bounded_exactness(n: int, filt: int, field: Field, cap: int = 200000):
@@ -404,92 +415,39 @@ def bounded_exactness(n: int, filt: int, field: Field, cap: int = 200000):
     Position d keeps enveloping filtration at most filt - d, which the
     differential respects.  Expected: zero homology at every positive
     position and an augmentation cokernel matching the dimension of the
-    filtered Weyl algebra, which is also reported.
+    filtered Weyl algebra, which is also reported.  The augmentation
+    s (x) t -> t s closes the complex at position 0.
     """
-    if n > 2:
-        raise SizeGuard("resolution checks are guarded to n <= 2")
-    algebra = WeylAlgebra(n, field)
-    envelope = WeylEnvelope(algebra)
-    positions = []
-    for d in range(2 * n + 1):
-        positions.append(_position_basis(algebra, d, filt - d))
-    total = sum(len(b) for b in positions)
-    if total > cap:
-        raise SizeGuard(f"truncated complex has dimension {total} > cap {cap}")
-    indexes = [{key: i for i, key in enumerate(basis)} for basis in positions]
-    ranks = [0] * (2 * n + 2)  # ranks[d] = rank of the map out of position d
-    for d in range(1, 2 * n + 1):
-        if not positions[d]:
-            continue
-        ranks[d] = _rank_of_map(
-            field, ({(w, p): field.one()} for (w, p) in positions[d]),
-            lambda e: koszul_differential(envelope, e),
-            indexes[d - 1])
-    homology = {}
-    for d in range(1, 2 * n + 1):
-        homology[d] = len(positions[d]) - ranks[d] - ranks[d + 1]
-    cokernel = len(positions[0]) - ranks[1]
-    # sanity: the augmentation kills the image of the first differential
-    for (w, p) in positions[1][: min(len(positions[1]), 200)]:
-        image = koszul_differential(envelope, {(w, p): field.one()})
-        collapsed = algebra.zero()
-        for key, c in image.items():
-            collapsed = algebra.add(collapsed,
-                                    envelope.resolution_augmentation({key[1]: c}))
-        if collapsed:
-            raise AssertionError("augmentation does not annihilate the differential image")
-    expected_cokernel = comb(filt + 2 * n, 2 * n)
+    envelope = _guarded_envelope(n, field)
+    product = envelope.algebra._mul_monomials
+    positions = [_position_basis(envelope.algebra, d, filt - d) for d in range(2 * n + 1)]
+    ranks, homology = _homology(field, positions, lambda e: koszul_differential(envelope, e),
+                                lambda s, t: product(t, s), cap)
     return {
         "dimensions": [len(b) for b in positions],
-        "ranks": ranks[1:2 * n + 1],
-        "homology": homology,
-        "augmentation_cokernel": cokernel,
-        "expected_cokernel": expected_cokernel,
+        "ranks": ranks[1:],
+        "homology": {d: homology[d] for d in range(1, 2 * n + 1)},
+        "augmentation_cokernel": homology[0],
+        "expected_cokernel": comb(filt + 2 * n, 2 * n),
     }
 
 
 def dual_top_concentration(n: int, filt: int, field: Field, cap: int = 200000):
     """Homology of the filtered dual complex: expected concentrated at the
-    top position, where the multiplication map induces the comparison."""
-    if n > 2:
-        raise SizeGuard("resolution checks are guarded to n <= 2")
-    algebra = WeylAlgebra(n, field)
-    envelope = WeylEnvelope(algebra)
+    top position, where the multiplication map induces the comparison.
+
+    Dual position d keeps enveloping filtration at most filt - (2n - d), so
+    listed from the top down it has the resolution's layout, and the dual
+    differential, which raises d, lowers the distance from the top.
+    """
+    envelope = _guarded_envelope(n, field)
     top = 2 * n
-    positions = []
-    for d in range(top + 1):
-        positions.append(_position_basis(algebra, d, filt - (top - d)))
-    total = sum(len(b) for b in positions)
-    if total > cap:
-        raise SizeGuard(f"truncated dual complex has dimension {total} > cap {cap}")
-    indexes = [{key: i for i, key in enumerate(basis)} for basis in positions]
-    ranks = [0] * (top + 1)  # ranks[d] = rank of the map from position d to d+1
-    for d in range(top):
-        if not positions[d]:
-            continue
-        ranks[d] = _rank_of_map(
-            field, ({(w, p): field.one()} for (w, p) in positions[d]),
-            lambda e: dual_differential(envelope, e),
-            indexes[d + 1])
-    homology = {}
-    for d in range(top + 1):
-        incoming = ranks[d - 1] if d > 0 else 0
-        outgoing = ranks[d] if d < top else 0
-        homology[d] = len(positions[d]) - incoming - outgoing
-    # multiplication off the top must kill the incoming image
-    if top >= 1:
-        for (w, p) in positions[top - 1][: min(len(positions[top - 1]), 200)]:
-            image = dual_differential(envelope, {(w, p): field.one()})
-            collapsed = algebra.zero()
-            for key, c in image.items():
-                collapsed = algebra.add(collapsed,
-                                        envelope.top_multiplication({key[1]: c}))
-            if collapsed:
-                raise AssertionError("top multiplication does not annihilate the image")
-    expected_top = comb(filt + 2 * n, 2 * n)
+    from_top = [_position_basis(envelope.algebra, top - i, filt - i) for i in range(top + 1)]
+    _, homology = _homology(field, from_top, lambda e: dual_differential(envelope, e),
+                            envelope.algebra._mul_monomials, cap)
     return {
-        "dimensions": [len(b) for b in positions],
-        "homology": homology,
-        "top_homology": homology[top],
-        "expected_top": expected_top,
+        "dimensions": [len(b) for b in reversed(from_top)],
+        "homology": {d: homology[top - d] for d in range(top + 1)},
+        "top_homology": homology[0],
+        "expected_top": comb(filt + 2 * n, 2 * n),
     }

@@ -188,14 +188,13 @@ def test_bimodule_entries_live_in_their_slots():
 
 def test_supplied_idempotents_failing_validation_rejected():
     from fractions import Fraction
-    action, idem_spec = signed_permutation_s3()
-    vectors, _ = idem_spec["v"]
+    action, (vectors, _) = signed_permutation_s3()
     with pytest.raises(IncompleteIdempotents):
         # wrong declared dimensions: sum of squares misses the group order
-        build_morita(action, {"v": (vectors, [1, 1, 1])})
+        build_morita(action, (vectors, [1, 1, 1]))
     with pytest.raises(IncompleteIdempotents):
         # wrong vector length
-        build_morita(action, {"v": ([vectors[0][:3]] + vectors[1:], [1, 1, 2])})
+        build_morita(action, ([vectors[0][:3]] + vectors[1:], [1, 1, 2]))
 
 
 def test_vertex_idempotents_square():
@@ -288,7 +287,7 @@ def signed_permutation_s3():
     e_std = alg.mul(z_std, f_s)
     vectors = [[el.get(i, Fraction(0)) for i in group.elements()]
                for el in (e_triv, e_sgn, e_std)]
-    return action, {"v": (vectors, [1, 1, 2])}
+    return action, (vectors, [1, 1, 2])
 
 
 def test_signed_s3_pipeline():
@@ -395,16 +394,28 @@ def test_mckay_perturbed_coefficient_fails_certification(mckay):
 
 
 def test_mckay_dimensions_invariant_under_basis_reordering(mckay):
-    action, _ = mckay
+    # another basis of each arrow slot presents the same corner: the
+    # transported potential changes, the dimension table must not.  Each
+    # arrow m goes to 2m + (the next arrow of its slot), an invertible
+    # change of determinant 9 = 2 over GF(7) on the three arrows of a slot.
+    action, md = mckay
     w = mckay_potential(action)
-    tables = []
-    for reverse in (False, True):
-        md = build_morita(action, reverse=reverse)
-        reduced, _ = transport_potential(w, md)
-        rows, ok = morita_dimension_check(md, w, reduced, 3)
-        assert ok
-        tables.append(rows)
-    assert tables[0] == tables[1]
+    reduced, _ = transport_potential(w, md)
+    rows, ok = morita_dimension_check(md, w, reduced, 3)
+    assert ok
+    changed = build_morita(action)
+    slots = {}
+    for a in changed.qprime.arrows:
+        slots.setdefault((a.src, a.tgt), []).append(a.name)
+    for names in slots.values():
+        assert len(names) == 3
+        for name, following in zip(names, names[1:] + names[:1]):
+            changed.arrow_embed[name] = (md.arrow_embed[name].scale(F7.from_int(2))
+                                         + md.arrow_embed[following])
+    assert check_embedding(changed, 2) == []
+    changed_reduced, _ = transport_potential(w, changed)
+    assert changed_reduced.terms != reduced.terms
+    assert morita_dimension_check(changed, w, changed_reduced, 3) == (rows, True)
 
 
 def test_hc0_reduce_into_mckay_corner(mckay):
@@ -444,8 +455,7 @@ def test_mckay_dropped_term_breaks_dimensions(mckay):
 
 def reduction_of(document):
     parsed = parse(doc(document))
-    spec = None if parsed.idempotents is None else {"v": parsed.idempotents}
-    return build_morita(parsed.action, spec)
+    return build_morita(parsed.action, parsed.idempotents)
 
 
 @pytest.mark.parametrize("document", [MCKAY, SIGNED_S3], ids=["mckay", "signed_s3"])

@@ -16,16 +16,29 @@ def test_every_submodule_is_a_module_attribute():
         assert getattr(skewgin, name) is module, name
 
 
+def fresh_interpreter(code):
+    """Stdout of the code run in a new interpreter that finds skewgin in src/."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # start-up cost is paid by every command: importing the CLI must not pull
     # in dataclasses or inspect beyond what a bare interpreter loads
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
     probe = ("import sys\n{}\n"
              "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    assert (fresh_interpreter(probe.format("import skewgin.cli"))
+            == fresh_interpreter(probe.format("pass")))
 
-    def loaded(statement):
-        return subprocess.run([sys.executable, "-c", probe.format(statement)], env=env,
-                              capture_output=True, text=True, check=True).stdout
 
-    assert loaded("import skewgin.cli") == loaded("pass")
+def test_cli_import_loads_every_submodule():
+    # perfbench/tracer.py patches only modules that are already loaded and
+    # records a hook into any other module as missing, so a submodule that
+    # the CLI imported lazily would go untraced
+    names = sorted(info.name for info in pkgutil.iter_modules(skewgin.__path__))
+    probe = ("import sys\nimport skewgin.cli\n"
+             "print(*sorted(m[len('skewgin.'):] for m in sys.modules "
+             "if m.startswith('skewgin.')))")
+    assert fresh_interpreter(probe).split() == names

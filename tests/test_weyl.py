@@ -9,8 +9,8 @@ from oracles import naive_sp_equivariance
 from skewgin import weyl
 from skewgin.errors import NotSymplectic, SizeGuard
 from skewgin.fields import make_field
-from skewgin.weyl import (WeylAlgebra, WeylEnvelope, bounded_exactness,
-                          check_sp_equivariance, dual_differential,
+from skewgin.weyl import (WeylAlgebra, WeylEnvelope, _homology, _position_basis,
+                          bounded_exactness, check_sp_equivariance, dual_differential,
                           dual_top_concentration, is_symplectic,
                           koszul_differential)
 
@@ -87,7 +87,6 @@ def test_koszul_d_squared_zero_exhaustive():
         A = WeylAlgebra(n, Q)
         env = WeylEnvelope(A)
         mons = A.monomials_up_to(filt)
-        from skewgin.weyl import _position_basis
         for d in range(2, 2 * n + 1):
             for w, pair in _position_basis(A, d, filt):
                 elem = {(w, pair): fr(1)}
@@ -96,7 +95,6 @@ def test_koszul_d_squared_zero_exhaustive():
 
 
 def test_dual_d_squared_zero_exhaustive():
-    from skewgin.weyl import _position_basis
     for n, filt in ((1, 2), (2, 1)):
         A = WeylAlgebra(n, Q)
         env = WeylEnvelope(A)
@@ -150,6 +148,48 @@ def test_dual_concentrated_at_top_n2():
             assert h == report["expected_top"] == 5
         else:
             assert h == 0
+
+
+def test_dual_concentrated_at_top_gf7():
+    report = dual_top_concentration(1, 2, make_field(7))
+    assert report["homology"] == {0: 0, 1: 0, 2: 6}
+    assert report["top_homology"] == report["expected_top"] == 6
+
+
+def test_dual_size_guard():
+    with pytest.raises(SizeGuard):
+        dual_top_concentration(2, 1, Q, cap=10)
+    with pytest.raises(SizeGuard):
+        dual_top_concentration(3, 0, Q)
+
+
+def test_dual_dimensions_mirror_the_resolution():
+    # dual position d has the wedges of length d and filtration filt - (2n - d),
+    # the resolution's position 2n - d those of length 2n - d and the same
+    # filtration; C(2n, d) = C(2n, 2n - d) makes the sizes agree
+    for n, filt in ((1, 0), (1, 3), (2, 0), (2, 2), (2, 3)):
+        resolution = bounded_exactness(n, filt, Q)["dimensions"]
+        assert dual_top_concentration(n, filt, Q)["dimensions"] == resolution[::-1]
+
+
+def test_homology_checks_the_closing_map():
+    # the augmentation s (x) t -> t s kills the image of the first
+    # differential of the resolution; the dual's closing map s (x) t -> s t
+    # does not, and the shared routine must say so
+    A = WeylAlgebra(1, Q)
+    env = WeylEnvelope(A)
+    positions = [_position_basis(A, d, 2 - d) for d in range(3)]
+
+    def differential(e):
+        return koszul_differential(env, e)
+
+    def augmentation(s, t):
+        return A._mul_monomials(t, s)
+
+    _, homology = _homology(Q, positions, differential, augmentation, 10 ** 6)
+    assert homology == [6, 0, 0]
+    with pytest.raises(AssertionError):
+        _homology(Q, positions, differential, A._mul_monomials, 10 ** 6)
 
 
 def test_symplectic_membership():
