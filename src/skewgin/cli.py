@@ -325,7 +325,8 @@ def cmd_verify(args) -> int:
 
 def _read_matrices(path, n, field):
     """The matrices of a --matrices file: {"matrices": [...]} or a bare list
-    of 2n x 2n matrices of scalar strings."""
+    of 2n x 2n matrices of scalar strings.  A matrix of the wrong shape is
+    named as /matrices/k and a bad entry as /matrices/k/i/j."""
     try:
         handle = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -339,12 +340,27 @@ def _read_matrices(path, n, field):
     if not isinstance(mats, list):
         raise ValidationError([("/matrices", 'expected a list of matrices, bare or '
                                              'under the key "matrices"')])
-    try:
-        matrices = [[[field.parse(v) for v in row] for row in mat] for mat in mats]
-    except Exception:
-        raise ValidationError([("/matrices", "expected square matrices of scalar strings")])
-    if any(len(mat) != 2 * n or any(len(row) != 2 * n for row in mat) for mat in matrices):
-        raise ValidationError([("/matrices", f"matrices must be {2*n}x{2*n}")])
+    size, issues = 2 * n, []
+
+    def scalar(where, text):
+        if not isinstance(text, str):
+            issues.append((where, "expected a scalar string"))
+            return None
+        try:
+            return field.parse(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            issues.append((where, f"{text!r} is not a scalar of {field!r} ({exc})"))
+
+    matrices = []
+    for k, mat in enumerate(mats):
+        if not (isinstance(mat, list) and len(mat) == size
+                and all(isinstance(row, list) and len(row) == size for row in mat)):
+            issues.append((f"/matrices/{k}", f"matrices must be {size}x{size}"))
+            continue
+        matrices.append([[scalar(f"/matrices/{k}/{i}/{j}", v) for j, v in enumerate(row)]
+                         for i, row in enumerate(mat)])
+    if issues:
+        raise ValidationError(issues)
     return matrices
 
 

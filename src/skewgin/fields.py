@@ -9,7 +9,10 @@ Hot loops run on plain ints instead (the scaled-integer convention):
 ``Field.scaled`` writes scalars as integers over one common denominator
 (the least common denominator over Q, 1 over GF(p)), the loop adds and
 multiplies those integers with no reduction, and ``Field.unscale`` turns
-the integer sums back into canonical scalars, one per key.
+the integer sums back into canonical scalars, one per key.  The crossed
+product, ``LinSolver`` and the Weyl checks of ``weyl.py`` follow this
+convention; the Weyl resolution has integer coefficients to begin with, so
+only its symplectic matrices need clearing.
 """
 
 from __future__ import annotations

@@ -7,6 +7,12 @@ elements of the algebra, of its enveloping algebra, and of the resolution
 terms are sparse dicts over monomial keys.  The total-degree (Bernstein)
 filtration bounds every computation: the chain differential does not raise
 it, so each filtration piece is a finite complex with exact ranks.
+
+The checks run on plain ints (the scaled-integer convention of
+``fields.py``): monomial products are unreduced ints, the resolution and
+its dual have integer coefficients, and each symplectic matrix is cleared
+by its common denominator once.  ``Field.accumulate`` reduces every sum
+over GF(p).
 """
 
 from __future__ import annotations
@@ -41,6 +47,9 @@ class WeylAlgebra:
     def __init__(self, n: int, field: Field):
         self.n = n
         self.field = field
+        self._products = {}  # (m1, m2) -> normal-ordered product, int coefficients
+        units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        self._basis = [(u, (0,) * n) for u in units] + [((0,) * n, u) for u in units]
 
     # -- elements --
 
@@ -51,17 +60,18 @@ class WeylAlgebra:
         zero_idx = (0,) * self.n
         return {(zero_idx, zero_idx): self.field.one()}
 
-    def x(self, i: int):
-        alpha = tuple(1 if j == i else 0 for j in range(self.n))
-        return {(alpha, (0,) * self.n): self.field.one()}
-
-    def d(self, i: int):
-        beta = tuple(1 if j == i else 0 for j in range(self.n))
-        return {((0,) * self.n, beta): self.field.one()}
+    def basis_monomial(self, k: int):
+        """The monomial of the k-th V basis vector: x_1..x_n then d_1..d_n."""
+        return self._basis[k]
 
     def basis_vector(self, k: int):
-        """V basis: x_1..x_n then d_1..d_n."""
-        return self.x(k) if k < self.n else self.d(k - self.n)
+        return {self.basis_monomial(k): self.field.one()}
+
+    def x(self, i: int):
+        return self.basis_vector(i)
+
+    def d(self, i: int):
+        return self.basis_vector(self.n + i)
 
     def add(self, u: dict, v: dict) -> dict:
         return self.field.accumulate(dict(u), v.items())
@@ -76,23 +86,27 @@ class WeylAlgebra:
         return self.add(u, self.scale(self.field.neg(self.field.one()), v))
 
     def _mul_monomials(self, m1, m2):
-        """Normal-ordered product of two monomials.
+        """Normal-ordered product of two monomials, with plain int
+        coefficients that callers reduce through ``Field.accumulate``.
 
         Per variable, d^b x^c = sum_k C(b,k) C(c,k) k! x^(c-k) d^(b-k); the
         variables commute with each other, so the coefficient is a product.
+        Each pair is multiplied once per algebra; the returned dict is shared.
         """
-        (a1, b1), (a2, b2) = m1, m2
-        f = self.field
-        terms = []
-        ranges = [range(min(b1[i], a2[i]) + 1) for i in range(self.n)]
-        for k in iproduct(*ranges):
-            coeff = 1
-            for i in range(self.n):
-                coeff *= comb(b1[i], k[i]) * comb(a2[i], k[i]) * factorial(k[i])
-            alpha = tuple(a1[i] + a2[i] - k[i] for i in range(self.n))
-            beta = tuple(b1[i] + b2[i] - k[i] for i in range(self.n))
-            terms.append(((alpha, beta), f.from_int(coeff)))
-        return f.accumulate({}, terms)
+        product = self._products.get((m1, m2))
+        if product is None:
+            (a1, b1), (a2, b2) = m1, m2
+            n = self.n
+            product = {}
+            for k in iproduct(*(range(min(b1[i], a2[i]) + 1) for i in range(n))):
+                coeff = 1
+                for i in range(n):
+                    coeff *= comb(b1[i], k[i]) * comb(a2[i], k[i]) * factorial(k[i])
+                alpha = tuple(a1[i] + a2[i] - k[i] for i in range(n))
+                beta = tuple(b1[i] + b2[i] - k[i] for i in range(n))
+                product[alpha, beta] = coeff
+            self._products[m1, m2] = product
+        return product
 
     def mul(self, u: dict, v: dict) -> dict:
         monomial_product = self._mul_monomials
@@ -134,7 +148,7 @@ class WeylEnvelope:
 
     def left_difference(self, k: int, u: dict) -> dict:
         """(v (x) 1 - 1 (x) v).u for the k-th V basis vector v."""
-        [v] = self.algebra.basis_vector(k)
+        v = self.algebra.basis_monomial(k)
         monomial_product = self.algebra._mul_monomials
         out = {}
         for (s, t), c in u.items():
@@ -146,7 +160,7 @@ class WeylEnvelope:
 
     def right_difference(self, k: int, u: dict) -> dict:
         """u.(v (x) 1 - 1 (x) v) for the k-th V basis vector v."""
-        [v] = self.algebra.basis_vector(k)
+        v = self.algebra.basis_monomial(k)
         monomial_product = self.algebra._mul_monomials
         out = {}
         for (s, t), c in u.items():
@@ -159,32 +173,25 @@ class WeylEnvelope:
 
 def apply_linear_automorphism(algebra: WeylAlgebra, images, u: dict) -> dict:
     """Extend a linear substitution on V multiplicatively to normal-ordered
-    elements.  images[k] is the element replacing the k-th V basis vector."""
-    out = algebra.zero()
+    elements.  images[k] is the element replacing the k-th V basis vector;
+    coefficients are multiplied as given, field scalars or ints."""
+    zero_mon = ((0,) * algebra.n, (0,) * algebra.n)
+    out = {}
     for (alpha, beta), c in u.items():
-        acc = algebra.one()
-        for i in range(algebra.n):
-            for _ in range(alpha[i]):
-                acc = algebra.mul(acc, images[i])
-        for i in range(algebra.n):
-            for _ in range(beta[i]):
-                acc = algebra.mul(acc, images[algebra.n + i])
-        out = algebra.add(out, algebra.scale(c, acc))
+        acc = {zero_mon: c}
+        for k, power in enumerate(alpha + beta):
+            for _ in range(power):
+                acc = algebra.mul(acc, images[k])
+        algebra.field.accumulate(out, acc.items())
     return out
 
 
 def matrix_images(algebra: WeylAlgebra, matrix):
-    """Column k of the matrix gives the image of the k-th V basis vector."""
-    f = algebra.field
-    images = []
-    for k in range(2 * algebra.n):
-        el = algebra.zero()
-        for i in range(2 * algebra.n):
-            c = matrix[i][k]
-            if c != f.zero():
-                el = algebra.add(el, algebra.scale(c, algebra.basis_vector(i)))
-        images.append(el)
-    return images
+    """Column k of the matrix gives the image of the k-th V basis vector,
+    with the entries as given."""
+    size = 2 * algebra.n
+    return [{algebra.basis_monomial(i): matrix[i][k] for i in range(size) if matrix[i][k]}
+            for k in range(size)]
 
 
 def symplectic_form_matrix(algebra: WeylAlgebra):
@@ -269,47 +276,42 @@ def dual_differential(envelope: WeylEnvelope, element: dict) -> dict:
 
 
 def wedge_action(algebra: WeylAlgebra, matrix, wedge):
-    """Exterior power of the matrix on one wedge basis element."""
-    f = algebra.field
-    if not wedge:
-        return {(): f.one()}
+    """Exterior power of the matrix on one wedge basis element, with the
+    entries multiplied as given, field scalars or ints."""
+    size = 2 * algebra.n
+    columns = [[(i, matrix[i][k]) for i in range(size) if matrix[i][k]] for k in wedge]
     terms = []
-    choices = []
-    for k in wedge:
-        col = [(i, matrix[i][k]) for i in range(2 * algebra.n)
-               if matrix[i][k] != f.zero()]
-        choices.append(col)
-    for combo in iproduct(*choices):
+    for combo in iproduct(*columns):
         idxs = [i for i, _ in combo]
         if len(set(idxs)) != len(idxs):
             continue
-        coeff = f.one()
+        coeff = -1 if sum(a > b for a, b in combinations(idxs, 2)) % 2 else 1
         for _, c in combo:
-            coeff = f.mul(coeff, c)
-        # sort with sign
-        perm = list(idxs)
-        sign = 1
-        for a in range(len(perm)):
-            for b in range(a + 1, len(perm)):
-                if perm[a] > perm[b]:
-                    perm[a], perm[b] = perm[b], perm[a]
-                    sign = -sign
-        terms.append((tuple(perm), sign * coeff))
-    return f.accumulate({}, terms)
+            coeff *= c
+        terms.append((tuple(sorted(idxs)), coeff))
+    return algebra.field.accumulate({}, terms)
 
 
 def chain_action(algebra: WeylAlgebra, matrix):
     """The diagonal action of the matrix on wedge (x) enveloping-algebra
-    elements, as a function of the element.
+    elements, on ints: returns (den, act).
 
-    g . (w (x) s (x) t) = g(w) (x) g(s) (x) g(t), the product of three sparse
-    images.  Each wedge and each monomial is mapped once, the first time the
-    returned function meets it, and its image is reused after that.
+    The matrix is cleared once by ``Field.scaled`` to an int matrix over its
+    common denominator den (1 over GF(p)).  act extends
+    g . (w (x) s (x) t) = g(w) (x) g(s) (x) g(t) linearly through the images
+    under the cleared matrix, so a key of weight |w| + |s| + |t| goes to
+    den ** weight times its image under g.  Each wedge and each monomial is
+    mapped once, the first time act meets it, and its image is reused.
     """
-    one, accumulate = algebra.field.one(), algebra.field.accumulate
-    images = matrix_images(algebra, matrix)
-    monomial = cache(lambda m: apply_linear_automorphism(algebra, images, {m: one}))
-    wedge = cache(lambda w: wedge_action(algebra, matrix, w))
+    size, accumulate = 2 * algebra.n, algebra.field.accumulate
+    den, entries = algebra.field.scaled([((i, k), matrix[i][k])
+                                         for i in range(size) for k in range(size)])
+    cleared = [[0] * size for _ in range(size)]
+    for (i, k), v in entries:
+        cleared[i][k] = v
+    images = matrix_images(algebra, cleared)
+    monomial = cache(lambda m: apply_linear_automorphism(algebra, images, {m: 1}))
+    wedge = cache(lambda w: wedge_action(algebra, cleared, w))
 
     def act(element: dict) -> dict:
         out = {}
@@ -321,7 +323,7 @@ def chain_action(algebra: WeylAlgebra, matrix):
                              for mt, ct in gt.items()))
         return out
 
-    return act
+    return den, act
 
 
 def _wedges(n2: int, size: int):
@@ -331,10 +333,18 @@ def _wedges(n2: int, size: int):
 def _position_basis(algebra: WeylAlgebra, d: int, env_filt: int):
     if env_filt < 0:
         return []
-    mons = algebra.monomials_up_to(env_filt)
-    pairs = [(s, t) for s in mons for t in mons
-             if WeylAlgebra.monomial_filtration(s) + WeylAlgebra.monomial_filtration(t) <= env_filt]
-    return [(w, p) for w in _wedges(2 * algebra.n, d) for p in pairs]
+    # monomials_up_to lists by filtration, so the partners t of s with
+    # |s| + |t| <= env_filt are the first C(env_filt - |s| + 2n, 2n)
+    mons, n2 = algebra.monomials_up_to(env_filt), 2 * algebra.n
+    pairs = [(s, t) for s in mons
+             for t in mons[:comb(env_filt - WeylAlgebra.monomial_filtration(s) + n2, n2)]]
+    return [(w, p) for w in _wedges(n2, d) for p in pairs]
+
+
+def _weight(key) -> int:
+    """|w| + |s| + |t| of a chain basis key (w, (s, t))."""
+    w, ((a1, b1), (a2, b2)) = key
+    return len(w) + sum(a1) + sum(b1) + sum(a2) + sum(b2)
 
 
 def check_sp_equivariance(n: int, matrices, field: Field, filt_bound: int = 2):
@@ -345,6 +355,11 @@ def check_sp_equivariance(n: int, matrices, field: Field, filt_bound: int = 2):
     enveloping filtration at most filt_bound and returns the failure list.
     Both sides are extended linearly from images computed once per basis
     key: per matrix for the action, per matrix and position for d.
+
+    Everything runs on ints.  For a basis key of weight W, act sends it to
+    den ** W times g(key), so the left side is den ** W times d(g . key).
+    The differential never raises weight, so the right side is scaled alike
+    by giving each term k of d(key) the factor den ** (W - weight(k)).
     """
     algebra = WeylAlgebra(n, field)
     envelope = WeylEnvelope(algebra)
@@ -352,17 +367,19 @@ def check_sp_equivariance(n: int, matrices, field: Field, filt_bound: int = 2):
         if not is_symplectic(algebra, matrix):
             raise NotSymplectic(
                 f"matrix {idx} does not preserve the commutator pairing", matrix_index=idx)
-    one, accumulate = field.one(), field.accumulate
+    accumulate = field.accumulate
     report = []
     for idx, matrix in enumerate(matrices):
-        act = chain_action(algebra, matrix)
+        den, act = chain_action(algebra, matrix)
         for d in range(1, 2 * n + 1):
-            differential = cache(lambda key: koszul_differential(envelope, {key: one}))
+            differential = cache(lambda key: koszul_differential(envelope, {key: 1}))
             for key in _position_basis(algebra, d, filt_bound):
+                weight = _weight(key)
                 lhs = accumulate({}, ((image_key, c * ci)
-                                      for moved, c in act({key: one}).items()
+                                      for moved, c in act({key: 1}).items()
                                       for image_key, ci in differential(moved).items()))
-                rhs = act(differential(key))
+                rhs = act({k: c * den ** (weight - _weight(k))
+                           for k, c in differential(key).items()})
                 if lhs != rhs:
                     w, pair = key
                     report.append(
@@ -371,13 +388,24 @@ def check_sp_equivariance(n: int, matrices, field: Field, filt_bound: int = 2):
     return report
 
 
-def _guarded_envelope(n: int, field: Field) -> WeylEnvelope:
+def _guarded_envelope(n: int, filt: int, field: Field, cap: int) -> WeylEnvelope:
+    """The enveloping algebra for the filtration-filt piece of the resolution
+    or its dual, once n <= 2 and the piece's size is within the cap.
+
+    The size is counted before any basis is built: position d of the
+    resolution has C(2n, d) wedges times the C(filt - d + 4n, 4n) monomial
+    pairs of filtration at most filt - d, and the dual has the same sizes.
+    """
     if n > 2:
         raise SizeGuard("resolution checks are guarded to n <= 2")
+    total = sum(comb(2 * n, d) * comb(filt - d + 4 * n, 4 * n)
+                for d in range(min(filt, 2 * n) + 1))
+    if total > cap:
+        raise SizeGuard(f"truncated complex has dimension {total} > cap {cap}")
     return WeylEnvelope(WeylAlgebra(n, field))
 
 
-def _homology(field: Field, positions, differential, closing, cap: int):
+def _homology(field: Field, positions, differential, closing):
     """Ranks and homology of a bounded complex, counted from its closing end.
 
     positions[i] is the basis at distance i from the closing end, and the
@@ -385,18 +413,16 @@ def _homology(field: Field, positions, differential, closing, cap: int):
     the monomial pair s (x) t off position 0 into the algebra; on the first
     200 images of position 1 it must vanish.  Returns (ranks, homology):
     ranks[i] is the rank of the map out of position i (0 at i = 0), and
-    homology[0] is the cokernel of the map into position 0.
+    homology[0] is the cokernel of the map into position 0.  Each basis key
+    goes in with coefficient 1, so every image is an int vector.
     """
-    total = sum(len(b) for b in positions)
-    if total > cap:
-        raise SizeGuard(f"truncated complex has dimension {total} > cap {cap}")
-    one, accumulate = field.one(), field.accumulate
+    accumulate = field.accumulate
     ranks = [0] * (len(positions) + 1)
     for i in range(1, len(positions)):
         target = {key: k for k, key in enumerate(positions[i - 1])}
         solver = LinSolver(field)
         for k, key in enumerate(positions[i]):
-            image = differential({key: one})
+            image = differential({key: 1})
             if i == 1 and k < 200 and accumulate({}, (
                     (m, c * cm) for (_, (s, t)), c in image.items()
                     for m, cm in closing(s, t).items())):
@@ -418,11 +444,11 @@ def bounded_exactness(n: int, filt: int, field: Field, cap: int = 200000):
     filtered Weyl algebra, which is also reported.  The augmentation
     s (x) t -> t s closes the complex at position 0.
     """
-    envelope = _guarded_envelope(n, field)
+    envelope = _guarded_envelope(n, filt, field, cap)
     product = envelope.algebra._mul_monomials
     positions = [_position_basis(envelope.algebra, d, filt - d) for d in range(2 * n + 1)]
     ranks, homology = _homology(field, positions, lambda e: koszul_differential(envelope, e),
-                                lambda s, t: product(t, s), cap)
+                                lambda s, t: product(t, s))
     return {
         "dimensions": [len(b) for b in positions],
         "ranks": ranks[1:],
@@ -440,11 +466,11 @@ def dual_top_concentration(n: int, filt: int, field: Field, cap: int = 200000):
     listed from the top down it has the resolution's layout, and the dual
     differential, which raises d, lowers the distance from the top.
     """
-    envelope = _guarded_envelope(n, field)
+    envelope = _guarded_envelope(n, filt, field, cap)
     top = 2 * n
     from_top = [_position_basis(envelope.algebra, top - i, filt - i) for i in range(top + 1)]
     _, homology = _homology(field, from_top, lambda e: dual_differential(envelope, e),
-                            envelope.algebra._mul_monomials, cap)
+                            envelope.algebra._mul_monomials)
     return {
         "dimensions": [len(b) for b in reversed(from_top)],
         "homology": {d: homology[top - d] for d in range(top + 1)},

@@ -4,13 +4,14 @@ Everything here is written from scratch on purpose: its own path
 enumeration, its own dense row reduction, its own cyclic derivative for the
 ungraded case, the labelled sparse solver that ``skewgin.linalg``
 replaced, the per-entry accumulate loop that ``Field.accumulate``
-replaced, the symplectic equivariance check that maps every monomial,
-wedge and differential afresh on each use, which the cached
-``skewgin.weyl.check_sp_equivariance`` replaced, the crossed product on
-field scalars that the scaled-integer kernel of ``CrossedElement.__mul__``
-replaced, the per-path left fold that ``skewgin.morita.embed_paths``
-replaced, and the span of every product p.r.q that the recurrence of
-``skewgin.ginzburg.relation_ideal`` replaced.
+replaced, the symplectic equivariance check on field scalars that maps
+every monomial, wedge and differential afresh on each use, with its own
+monomial product, differential, chain action and symplectic test, which
+the cached int kernels of ``skewgin.weyl.check_sp_equivariance`` replaced,
+the crossed product on field scalars that the scaled-integer kernel of
+``CrossedElement.__mul__`` replaced, the per-path left fold that
+``skewgin.morita.embed_paths`` replaced, and the span of every product
+p.r.q that the recurrence of ``skewgin.ginzburg.relation_ideal`` replaced.
 
 The last section holds helpers that no command uses, kept for the tests:
 ``span_rank``, ``rotations_of``, ``cyclic_derivative_along``,
@@ -19,11 +20,13 @@ skewgin's ``LinSolver``.
 """
 
 from fractions import Fraction
+from itertools import combinations, product
+from math import comb, factorial
 
 from skewgin import weyl
 from skewgin.crossed import (CrossedElement, basis_index, commutator_basis, crossed_basis,
                              expand_certificate, express_modulo_commutators, vectorize)
-from skewgin.errors import NoSolution, UnknownArrow
+from skewgin.errors import NoSolution, NotSymplectic, UnknownArrow
 from skewgin.linalg import LinSolver
 from skewgin.potential import Potential, _rotations, cyclic_derivative
 from skewgin.quiver import AlgElement, Path
@@ -252,43 +255,139 @@ class LabelledLinSolver:
         return combo
 
 
-def naive_chain_action(envelope, matrix, element):
-    """Diagonal action on wedge (x) enveloping-algebra elements, rebuilding
-    the matrix images and mapping every wedge and monomial on each call."""
-    algebra, field = envelope.algebra, envelope.field
-    one = field.one()
-    images = weyl.matrix_images(algebra, matrix)
+def naive_mul_monomials(field, m1, m2):
+    """Normal-ordered product of two monomials on field scalars, computed
+    afresh on each call; the product that ``WeylAlgebra._mul_monomials``
+    memoizes on plain ints."""
+    (a1, b1), (a2, b2) = m1, m2
+    n = len(a1)
+    terms = []
+    for k in product(*(range(min(b1[i], a2[i]) + 1) for i in range(n))):
+        coeff = 1
+        for i in range(n):
+            coeff *= comb(b1[i], k[i]) * comb(a2[i], k[i]) * factorial(k[i])
+        alpha = tuple(a1[i] + a2[i] - k[i] for i in range(n))
+        beta = tuple(b1[i] + b2[i] - k[i] for i in range(n))
+        terms.append(((alpha, beta), field.from_int(coeff)))
+    return field.accumulate({}, terms)
+
+
+def naive_weyl_mul(field, u, v):
+    return field.accumulate({}, (
+        (m, field.mul(field.mul(c1, c2), c))
+        for m1, c1 in u.items() for m2, c2 in v.items()
+        for m, c in naive_mul_monomials(field, m1, m2).items()))
+
+
+def _basis_monomial(n, k):
+    unit = tuple(int(j == k % n) for j in range(n))
+    return (unit, (0,) * n) if k < n else ((0,) * n, unit)
+
+
+def naive_koszul_differential(field, n, element):
+    """The resolution differential on field scalars:
+    (v_1 ^ ... ^ v_m) (x) s (x) t goes to the sum over i of
+    +-(... v_i-hat ...) (x) (v_i s (x) t - s (x) t v_i).  The sign is
+    ``weyl._remove_sign``, looked up on each call, so a broken sign breaks
+    the oracle and the library alike."""
     out = {}
     for (wedge, (s, t)), coeff in element.items():
-        gs = weyl.apply_linear_automorphism(algebra, images, {s: one})
-        gt = weyl.apply_linear_automorphism(algebra, images, {t: one})
-        moved_env = field.accumulate({}, (
-            ((m1, m2), coeff * c1 * c2) for m1, c1 in gs.items() for m2, c2 in gt.items()))
-        for new_wedge, wc in weyl.wedge_action(algebra, matrix, wedge).items():
-            field.accumulate(out, (((new_wedge, key), wc * c)
-                                   for key, c in moved_env.items()))
+        for pos, k in enumerate(wedge):
+            v = _basis_monomial(n, k)
+            sign = field.from_int(weyl._remove_sign(wedge, pos))
+            rest = wedge[:pos] + wedge[pos + 1:]
+            c = field.mul(sign, coeff)
+            field.accumulate(out, (((rest, (m, t)), field.mul(c, cm))
+                                   for m, cm in naive_mul_monomials(field, v, s).items()))
+            field.accumulate(out, (((rest, (s, m)), field.neg(field.mul(c, cm)))
+                                   for m, cm in naive_mul_monomials(field, t, v).items()))
     return out
 
 
+def naive_monomial_image(field, n, images, monomial):
+    """g(monomial): the product, in order, of the images of its variables."""
+    alpha, beta = monomial
+    acc = {((0,) * n, (0,) * n): field.one()}
+    for k, power in enumerate(alpha + beta):
+        for _ in range(power):
+            acc = naive_weyl_mul(field, acc, images[k])
+    return acc
+
+
+def naive_wedge_image(field, matrix, wedge):
+    """The exterior power of the matrix on one wedge basis element."""
+    columns = [[i for i in range(len(matrix)) if matrix[i][k] != field.zero()] for k in wedge]
+    terms = []
+    for idxs in product(*columns):
+        if len(set(idxs)) != len(idxs):
+            continue
+        coeff = field.one()
+        for i, k in zip(idxs, wedge):
+            coeff = field.mul(coeff, matrix[i][k])
+        if sum(a > b for a, b in combinations(idxs, 2)) % 2:
+            coeff = field.neg(coeff)
+        terms.append((tuple(sorted(idxs)), coeff))
+    return field.accumulate({}, terms)
+
+
+def naive_chain_action(field, n, matrix, element):
+    """Diagonal action on wedge (x) enveloping-algebra elements on field
+    scalars, rebuilding the matrix images and mapping every wedge and
+    monomial afresh on each call.  Column k of the matrix is the image of
+    the k-th V basis vector."""
+    images = [{_basis_monomial(n, i): matrix[i][k] for i in range(2 * n)
+               if matrix[i][k] != field.zero()} for k in range(2 * n)]
+    out = {}
+    for (wedge, (s, t)), coeff in element.items():
+        gs = naive_monomial_image(field, n, images, s)
+        gt = naive_monomial_image(field, n, images, t)
+        for new_wedge, wc in naive_wedge_image(field, matrix, wedge).items():
+            field.accumulate(out, (
+                ((new_wedge, (m1, m2)), field.mul(field.mul(coeff, wc), field.mul(c1, c2)))
+                for m1, c1 in gs.items() for m2, c2 in gt.items()))
+    return out
+
+
+def naive_is_symplectic(field, n, matrix):
+    """M^T J M = J for the commutator pairing J of V: [x_i, d_i] = -1."""
+    size = 2 * n
+    form = [[field.zero()] * size for _ in range(size)]
+    for i in range(n):
+        form[i][n + i], form[n + i][i] = field.from_int(-1), field.one()
+    for i in range(size):
+        for j in range(size):
+            entry = field.zero()
+            for a in range(size):
+                for b in range(size):
+                    entry = field.add(entry, field.mul(field.mul(matrix[a][i], form[a][b]),
+                                                       matrix[b][j]))
+            if entry != form[i][j]:
+                return False
+    return True
+
+
 def naive_sp_equivariance(n, matrices, field, filt_bound=2):
-    """``check_sp_equivariance`` with nothing cached: both sides of
-    d(g . elem) = g . d(elem) are computed from scratch for every chain
-    basis element, in the same order and with the same failure text."""
-    algebra = weyl.WeylAlgebra(n, field)
-    envelope = weyl.WeylEnvelope(algebra)
+    """``check_sp_equivariance`` on field scalars with nothing cached: both
+    sides of d(g . elem) = g . d(elem) are computed from scratch for every
+    chain basis element, in the same order and with the same failure text.
+    Only the monomial list and the differential's sign come from
+    ``skewgin.weyl``."""
     for idx, matrix in enumerate(matrices):
-        if not weyl.is_symplectic(algebra, matrix):
-            raise weyl.NotSymplectic(
+        if not naive_is_symplectic(field, n, matrix):
+            raise NotSymplectic(
                 f"matrix {idx} does not preserve the commutator pairing", matrix_index=idx)
+    mons = weyl.WeylAlgebra(n, field).monomials_up_to(filt_bound)
+    pairs = [(s, t) for s in mons for t in mons
+             if sum(s[0]) + sum(s[1]) + sum(t[0]) + sum(t[1]) <= filt_bound]
     report = []
     for idx, matrix in enumerate(matrices):
         for d in range(1, 2 * n + 1):
-            for w, pair in weyl._position_basis(algebra, d, filt_bound):
+            for w, pair in product(combinations(range(2 * n), d), pairs):
                 elem = {(w, pair): field.one()}
-                lhs = weyl.koszul_differential(
-                    envelope, naive_chain_action(envelope, matrix, elem))
+                lhs = naive_koszul_differential(
+                    field, n, naive_chain_action(field, n, matrix, elem))
                 rhs = naive_chain_action(
-                    envelope, matrix, weyl.koszul_differential(envelope, elem))
+                    field, n, matrix, naive_koszul_differential(field, n, elem))
                 if lhs != rhs:
                     report.append(
                         f"matrix {idx}: differential not equivariant at position {d} "

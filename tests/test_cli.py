@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewgin.cli import main
 
@@ -247,6 +252,51 @@ def test_weyl_bare_matrix_list(capsys, tmp_path):
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("field, entry, reason", [
+    ("7", "1/7", "'1/7' is not a scalar of GF(7) (inverse of zero)"),
+    ("Q", "1/0", "'1/0' is not a scalar of Q"),
+    ("Q", "one", "'one' is not a scalar of Q"),
+    ("Q", 1, "expected a scalar string"),
+    ("Q", ["1"], "expected a scalar string"),
+])
+def test_weyl_bad_matrix_entry_named_by_location(capsys, tmp_path, field, entry, reason):
+    path = tmp_path / "mats.json"
+    good = [["1", "0"], ["0", "1"]]
+    path.write_text(json.dumps([good, [["1", "0"], ["0", entry]]]), encoding="utf-8")
+    code = main(["weyl", "--n", "1", "--field", field, "--matrices", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    [error] = report["errors"]
+    assert error["location"] == "/matrices/1/1/1"
+    assert error["message"].startswith(reason)
+
+
+def test_weyl_matrix_of_wrong_shape_named_by_index(capsys, tmp_path):
+    path = tmp_path / "mats.json"
+    path.write_text(json.dumps({"matrices": [[["1", "0"], ["0", "1"]], [["1", "0"]], "I"]}),
+                    encoding="utf-8")
+    code = main(["weyl", "--n", "1", "--matrices", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report["errors"] == [
+        {"location": "/matrices/1", "message": "matrices must be 2x2"},
+        {"location": "/matrices/2", "message": "matrices must be 2x2"}]
+
+
+def test_weyl_size_guard_before_any_basis(capsys, monkeypatch):
+    # the filtration-20 piece has 26,423,826 basis elements; the closed-form
+    # count refuses it without building one of them
+    def no_basis(*args, **kwargs):
+        raise AssertionError("the cap is checked before any basis is built")
+
+    monkeypatch.setattr("skewgin.weyl._position_basis", no_basis)
+    code = main(["weyl", "--n", "2", "--filtration", "20"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report["errors"] == [{"location": "/", "message":
+                                 "truncated complex has dimension 26423826 > cap 200000"}]
+
+
 def test_weyl_negative_filtration_exit_2(capsys):
     code = main(["weyl", "--n", "1", "--filtration", "-1"])
     report = json.loads(capsys.readouterr().out)
@@ -293,3 +343,53 @@ def test_verify_size_guard_on_document_max_len(capsys, tmp_path):
     assert code == 2
     assert [e["location"] for e in report["errors"]] == ["/options/max_len"]
     assert "more than 6000" in report["errors"][0]["message"]
+
+
+SCALARS = ["0", "1", "-1", "2", "1/2"]
+ENTRIES = st.one_of(st.sampled_from(SCALARS + ["1/0", "1/7", "x", ""]), st.integers(-3, 3),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.lists(st.sampled_from(["0", "1"]), max_size=2))
+
+
+def matrix_files(size):
+    """Lists of matrices, some square of scalar strings and some of any
+    shape and entries, bare or under the key "matrices"."""
+    square = st.lists(st.lists(st.sampled_from(SCALARS), min_size=size, max_size=size),
+                      min_size=size, max_size=size)
+    ragged = st.lists(st.lists(ENTRIES, max_size=5), max_size=5)
+    mats = st.lists(square | ragged, max_size=3)
+    return mats | st.builds(lambda m: {"matrices": m}, mats)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_weyl_fuzz_exit_codes_json_and_determinism(data):
+    # every input ends in one JSON report with exit code 0, 1 or 2, and a
+    # rerun prints the same bytes; half the draws of n and the filtration
+    # come from the small ranges whose complexes fit the cap
+    n = data.draw(st.integers(1, 2) | st.integers(-1, 3), label="n")
+    filtration = data.draw(st.integers(0, 3) | st.integers(-1, 25), label="filtration")
+    field = data.draw(st.sampled_from(["Q", "7"]) | st.sampled_from(["0", "1", "4", "x"]),
+                      label="field")
+    cap = data.draw(st.integers(0, 100), label="cap")
+    argv = ["weyl", "--n", str(n), "--filtration", str(filtration), "--field", field,
+            "--cap", str(cap)]
+    matrices = data.draw(st.none() | matrix_files(max(2 * n, 0)), label="matrices")
+    with tempfile.TemporaryDirectory() as tmp:
+        if matrices is not None:
+            path = os.path.join(tmp, "mats.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(matrices, handle)
+            argv += ["--matrices", path]
+        runs = []
+        for _ in range(2):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+            runs.append((code, out.getvalue()))
+    assert runs[0] == runs[1]
+    code, text = runs[0]
+    assert code in (0, 1, 2)
+    assert "Traceback" not in text
+    report = json.loads(text)
+    assert report["ok"] is (code == 0)

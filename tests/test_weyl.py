@@ -3,15 +3,15 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from oracles import naive_sp_equivariance
+from oracles import naive_mul_monomials, naive_sp_equivariance
 from skewgin import weyl
 from skewgin.errors import NotSymplectic, SizeGuard
 from skewgin.fields import make_field
-from skewgin.weyl import (WeylAlgebra, WeylEnvelope, _homology, _position_basis,
-                          bounded_exactness, check_sp_equivariance, dual_differential,
-                          dual_top_concentration, is_symplectic,
+from skewgin.weyl import (WeylAlgebra, WeylEnvelope, _guarded_envelope, _homology,
+                          _position_basis, bounded_exactness, check_sp_equivariance,
+                          dual_differential, dual_top_concentration, is_symplectic,
                           koszul_differential)
 
 Q = make_field("Q")
@@ -156,6 +156,18 @@ def test_dual_concentrated_at_top_gf7():
     assert report["top_homology"] == report["expected_top"] == 6
 
 
+def test_size_guard_counts_the_bases_in_closed_form():
+    # the guard's count, taken before any basis is built, is the number of
+    # basis elements the resolution then enumerates
+    for n in (1, 2):
+        A = WeylAlgebra(n, Q)
+        for filt in range(5):
+            total = sum(len(_position_basis(A, d, filt - d)) for d in range(2 * n + 1))
+            _guarded_envelope(n, filt, Q, cap=total)
+            with pytest.raises(SizeGuard, match=f"dimension {total} > cap {total - 1}"):
+                _guarded_envelope(n, filt, Q, cap=total - 1)
+
+
 def test_dual_size_guard():
     with pytest.raises(SizeGuard):
         dual_top_concentration(2, 1, Q, cap=10)
@@ -186,10 +198,10 @@ def test_homology_checks_the_closing_map():
     def augmentation(s, t):
         return A._mul_monomials(t, s)
 
-    _, homology = _homology(Q, positions, differential, augmentation, 10 ** 6)
+    _, homology = _homology(Q, positions, differential, augmentation)
     assert homology == [6, 0, 0]
     with pytest.raises(AssertionError):
-        _homology(Q, positions, differential, A._mul_monomials, 10 ** 6)
+        _homology(Q, positions, differential, A._mul_monomials)
 
 
 def test_symplectic_membership():
@@ -235,23 +247,33 @@ def test_equivariance_off_diagonal_symplectic():
 
 def transvection_product(field, n, factors):
     """Product of transvections x -> x + c * form(e_k, x) * e_k, one per
-    (k, c) factor, each of which preserves the standard symplectic form."""
+    (k, c) factor with c an int or a Fraction, each of which preserves the
+    standard symplectic form."""
     m = 2 * n
     form = [[0] * m for _ in range(m)]
     for i in range(n):
         form[i][n + i], form[n + i][i] = 1, -1
-    mat = [[int(i == j) for j in range(m)] for i in range(m)]
+    mat = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
     for k, c in factors:
         step = [[int(i == j) + (c * form[k][j] if i == k else 0) for j in range(m)]
                 for i in range(m)]
         mat = [[sum(step[i][l] * mat[l][j] for l in range(m)) for j in range(m)]
                for i in range(m)]
-    return [[field.from_int(v) for v in row] for row in mat]
+    return [[field.div(field.from_int(v.numerator), field.from_int(v.denominator))
+             for v in row] for row in mat]
 
 
-def factors(n, max_size):
-    return st.lists(st.tuples(st.integers(0, 2 * n - 1), st.sampled_from([-2, -1, 1, 2])),
+def factors(n, max_size, coefficients=(-2, -1, 1, 2)):
+    return st.lists(st.tuples(st.integers(0, 2 * n - 1), st.sampled_from(coefficients)),
                     min_size=1, max_size=max_size)
+
+
+# transvection coefficients whose products need a common denominator > 1
+FRACTIONAL = (fr(-1, 2), fr(1, 2), fr(-2, 3), fr(2, 3), -1, 1, -2, 2)
+
+
+def has_denominator(matrix):
+    return any(v.denominator > 1 for row in matrix for v in row)
 
 
 @pytest.mark.parametrize("spec", ["Q", 7])
@@ -277,6 +299,49 @@ def test_cached_equivariance_matches_oracle_n2(spec, data):
     filt_bound = data.draw(st.integers(0, 2))
     assert (check_sp_equivariance(2, matrices, field, filt_bound)
             == naive_sp_equivariance(2, matrices, field, filt_bound))
+
+
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_cached_equivariance_matches_oracle_with_denominators_n1(data):
+    matrices = [transvection_product(Q, 1, data.draw(factors(1, 3, FRACTIONAL)))
+                for _ in range(data.draw(st.integers(1, 2)))]
+    assume(any(has_denominator(mat) for mat in matrices))
+    filt_bound = data.draw(st.integers(0, 2))
+    assert (check_sp_equivariance(1, matrices, Q, filt_bound)
+            == naive_sp_equivariance(1, matrices, Q, filt_bound))
+
+
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_cached_equivariance_matches_oracle_with_denominators_n2(data):
+    matrices = [transvection_product(Q, 2, data.draw(factors(2, 2, FRACTIONAL)))]
+    assume(has_denominator(matrices[0]))
+    filt_bound = data.draw(st.integers(1, 2))
+    assert (check_sp_equivariance(2, matrices, Q, filt_bound)
+            == naive_sp_equivariance(2, matrices, Q, filt_bound))
+
+
+@pytest.mark.parametrize("spec", ["Q", 7])
+@pytest.mark.parametrize("n", [1, 2])
+def test_monomial_products_match_oracle(n, spec):
+    # every ordered pair of monomials up to filtration 3, compared after
+    # reduction: the library's products are unreduced ints
+    field = make_field(spec)
+    A = WeylAlgebra(n, field)
+    mons = A.monomials_up_to(3)
+    for m1 in mons:
+        for m2 in mons:
+            product = field.accumulate({}, A._mul_monomials(m1, m2).items())
+            assert product == naive_mul_monomials(field, m1, m2), (m1, m2)
+
+
+def test_monomial_products_are_memoized_per_algebra():
+    A, B = WeylAlgebra(1, Q), WeylAlgebra(1, Q)
+    d, x = ((0,), (1,)), ((1,), (0,))
+    assert A._mul_monomials(d, x) is A._mul_monomials(d, x)
+    assert A._mul_monomials(d, x) == B._mul_monomials(d, x) == {((1,), (1,)): 1, ((0,), (0,)): 1}
+    assert A._mul_monomials(d, x) is not B._mul_monomials(d, x)
 
 
 def test_broken_sign_fails_alike_in_cached_and_oracle(monkeypatch):
