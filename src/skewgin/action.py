@@ -43,14 +43,29 @@ class QuiverAction:
         return self.vertex_perms[g][vertex]
 
     def act_path(self, g: int, path: Path) -> AlgElement:
-        cached = self._path_cache.get((g, path))
+        """The left fold e_{g(source)} * g(a1) * ... * g(ak), cached.
+
+        A new image is the cached image of its longest cached proper
+        prefix times one arrow image per remaining arrow, and every prefix
+        it passes is cached too, so each (g, prefix) is folded once.
+        """
+        cache = self._path_cache
+        cached = cache.get((g, path))
         if cached is not None:
             return cached
-        out = AlgElement.from_path(self.quiver, self.field,
-                                   self.quiver.trivial_path(self.act_vertex(g, path.source)))
-        for name in path.arrows:
-            out = out * self.arrow_images[g][name]
-        self._path_cache[(g, path)] = out
+        source, arrows = path.source, path.arrows
+        done = len(arrows) - 1
+        while done >= 0 and (out := cache.get((g, Path(source, arrows[:done])))) is None:
+            done -= 1
+        if done < 0:
+            done = 0
+            out = AlgElement.from_path(self.quiver, self.field,
+                                       self.quiver.trivial_path(self.act_vertex(g, source)))
+            cache[(g, Path(source, ()))] = out
+        images = self.arrow_images[g]
+        for k in range(done, len(arrows)):
+            out = out * images[arrows[k]]
+            cache[(g, Path(source, arrows[:k + 1]))] = out
         return out
 
     def act(self, g: int, x: AlgElement) -> AlgElement:

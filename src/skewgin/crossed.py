@@ -6,6 +6,10 @@ Elements are supported on (path, group element) pairs; the product rule is
 twisting what they pass.  A term's length is the length of its path part.
 All class computations happen inside a single length component, which
 commutators and length-zero idempotents preserve.
+
+A product of two multi-term elements is regrouped by the paths q of its
+right operand, so each (g, q) image is cleared once and each p.r built once
+(see ``CrossedElement.__mul__``).
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 from math import lcm
 
 from .errors import FieldMismatch, NotLengthHomogeneous, QuiverMismatch
-from .quiver import AlgElement, path_sort_key, paths_by_length
+from .quiver import AlgElement, Path, path_sort_key, paths_by_length
 
 
 class CrossedElement:
@@ -103,20 +107,28 @@ class CrossedElement:
     def __mul__(self, other):
         """(p.g)(q.h) = sum of c * p.r.gh over the terms c * r of g acting on q.
 
-        Runs on the field's scaled integers (see ``skewgin.fields``): both
-        operands, and the image of each distinct (g, q) brought to one
-        common denominator, are cleared once, the triple loop adds plain
-        int products, and the sums are unscaled once per key.  When one
-        operand has at most one term there are few products, and they go
-        straight into one ``Field.accumulate`` as field scalars.
+        When one operand has at most one term there are few products, and
+        they go straight into one ``Field.accumulate`` as field scalars.
+        Otherwise the product runs on the field's scaled integers (see
+        ``skewgin.fields``), regrouped by path:
+
+        - both operands are cleared once, and the right one is grouped by
+          its path q into the (h, c) pairs that share it;
+        - the image of each distinct (g, q) is cleared once, brought to one
+          common denominator, and keyed by the source vertex of its paths,
+          so whether p composes with the image is one dict lookup on the
+          target of p per (p, g, q), exact for any action, validated or not;
+        - each path p.r is built once and serves every h of its q, and the
+          plain int products are unscaled once per key at the end.
         """
         if not isinstance(other, CrossedElement):
             return NotImplemented
         self._check(other)
         action = self.action
-        field = action.field
-        gmul, compose, act_path = action.group.mul, action.quiver.compose, action.act_path
+        field, quiver = action.field, action.quiver
+        gmul, act_path = action.group.mul, action.act_path
         if len(self.terms) <= 1 or len(other.terms) <= 1:
+            compose = quiver.compose
             res = CrossedElement(action)
             res.terms = field.accumulate({}, (
                 ((pr, gmul(g, h)), cp * cq * cr)
@@ -127,22 +139,36 @@ class CrossedElement:
             return res
         den_left, left = field.scaled(self.terms.items())
         den_right, right = field.scaled(other.terms.items())
+        by_path = {}
+        for (q, h), cq in right:
+            by_path.setdefault(q, []).append((h, cq))
         cleared = {(g, q): field.scaled(act_path(g, q).terms.items())
-                   for g in {g for (_, g), _ in left} for (q, _), _ in right}
+                   for g in {g for (_, g), _ in left} for q in by_path}
         den_image = lcm(*{den for den, _ in cleared.values()})
-        images = {gq: ints if den == den_image else
-                  [(r, c * (den_image // den)) for r, c in ints]
-                  for gq, (den, ints) in cleared.items()}
+        # per g, one (image of q by source vertex, [(gh, c_q)]) per path q
+        kernel = {}
+        for (g, q), (den, ints) in cleared.items():
+            scale = den_image // den
+            by_source = {}
+            for r, cr in ints:
+                by_source.setdefault(r.source, []).append((r, cr * scale))
+            kernel.setdefault(g, []).append(
+                (by_source, [(gmul(g, h), cq) for h, cq in by_path[q]]))
+        target = quiver.path_target
         acc = {}
         get = acc.get
         for (p, g), cp in left:
-            for (q, h), cq in right:
-                gh, c = gmul(g, h), cp * cq
-                for r, cr in images[g, q]:
-                    pr = compose(p, r)
-                    if pr is not None:
+            end, head = target(p), p.arrows
+            for by_source, twists in kernel[g]:
+                composable = by_source.get(end)
+                if composable is None:
+                    continue
+                for r, cr in composable:
+                    pr = Path(p.source, head + r.arrows) if head else r
+                    c = cp * cr
+                    for gh, cq in twists:
                         key = (pr, gh)
-                        acc[key] = get(key, 0) + c * cr
+                        acc[key] = get(key, 0) + c * cq
         res = CrossedElement(action)
         res.terms = field.unscale(acc, den_left * den_right * den_image)
         return res
@@ -205,6 +231,7 @@ def commutator_basis(action, length: int):
     zero commutators.
     """
     out = []
+    accumulate = action.field.accumulate
     for s in range(length // 2 + 1):
         t = length - s
         left = crossed_basis(action, s)
@@ -214,19 +241,25 @@ def commutator_basis(action, length: int):
             for v in right[start:]:
                 eu = CrossedElement.from_pair(action, *u)
                 ev = CrossedElement.from_pair(action, *v)
-                elem = eu * ev - ev * eu
+                elem = eu * ev
+                accumulate(elem.terms, ((k, -c) for k, c in (ev * eu).terms.items()))
                 if not elem.is_zero():
                     out.append(CommutatorTerm(u, v, elem))
     return out
 
 
 def expand_certificate(action, certificate) -> CrossedElement:
-    """Re-expand a list of ((u, v), coeff) commutator entries exactly."""
-    total = CrossedElement.zero(action)
+    """Re-expand a list of ((u, v), coeff) commutator entries exactly.
+
+    Every coeff * uv and -coeff * vu goes straight into one accumulator.
+    """
+    total = CrossedElement(action)
+    acc, accumulate = total.terms, action.field.accumulate
     for (u, v), coeff in certificate:
         eu = CrossedElement.from_pair(action, *u)
         ev = CrossedElement.from_pair(action, *v)
-        total = total + (eu * ev - ev * eu).scale(coeff)
+        accumulate(acc, ((k, coeff * c) for k, c in (eu * ev).terms.items()))
+        accumulate(acc, ((k, -coeff * c) for k, c in (ev * eu).terms.items()))
     return total
 
 

@@ -15,6 +15,7 @@ from .action import QuiverAction
 from .errors import (NonPrimeModulus, NotACycle, ParseError, SkewginError,
                      ValidationError)
 from .fields import make_field
+from .ginzburg import loop_name, star_name
 from .groups import make_group
 from .potential import canonicalize
 from .quiver import AlgElement, GradedQuiver
@@ -110,6 +111,15 @@ def parse(text: str) -> ProblemDocument:
                     ok = False
                 if ok:
                     arrows.append((name, src, tgt, deg))
+        if ok:
+            # the doubled quiver adds a dual per arrow and a loop per vertex
+            generated = {star_name(name): f"the dual of arrow {name!r}" for name in names}
+            generated.update((loop_name(v), f"the loop at vertex {v!r}") for v in vertices)
+            for i, (name, *_) in enumerate(arrows):
+                if name in generated:
+                    issues.append((f"/quiver/arrows/{i}/name",
+                                   f"{name!r} is {generated[name]} in the doubled quiver"))
+                    ok = False
         if ok:
             quiver = GradedQuiver(vertices, arrows)
     if quiver is None:
@@ -212,7 +222,7 @@ def _parse_potential(praw, where, quiver, field, issues):
             continue
         bad = False
         for j, name in enumerate(cycle):
-            if name not in quiver.arrow_by_name:
+            if not isinstance(name, str) or name not in quiver.arrow_by_name:
                 issues.append((f"{here}/cycle/{j}", f"unknown arrow {name!r}"))
                 bad = True
         if bad:

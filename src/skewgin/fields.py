@@ -17,10 +17,13 @@ only its symplectic matrices need clearing.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 
 from .errors import NonPrimeModulus, NoRootOfUnity
+
+_SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def _is_prime(n: int) -> bool:
@@ -152,14 +155,22 @@ class Field:
     # -- conversions --
 
     def parse(self, text: str):
-        """Parse "n" or "n/m" into a canonical scalar."""
-        text = text.strip()
+        """Parse "n" or "n/m" into a canonical scalar.
+
+        n is an optionally signed decimal integer and m an unsigned one;
+        surrounding white space is ignored.  Anything else (exponents,
+        decimal points, underscores) raises ValueError, and m = 0 (or
+        m = 0 mod p) raises ZeroDivisionError.
+        """
+        match = _SCALAR.fullmatch(text.strip())
+        if match is None:
+            raise ValueError("expected n or n/m")
+        num, den = match.groups()
         if self.p is None:
-            return Fraction(text)
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return self.div(int(num) % self.p, int(den) % self.p)
-        return int(text) % self.p
+            return Fraction(int(num), 1 if den is None else int(den))
+        if den is None:
+            return int(num) % self.p
+        return self.div(int(num) % self.p, int(den) % self.p)
 
     def format(self, a) -> str:
         return str(a)

@@ -91,7 +91,8 @@ class FiniteGroup:
 def make_group(names, table) -> FiniteGroup:
     """Validate a multiplication table and wrap it up."""
     n = len(names)
-    if len(table) != n or any(len(row) != n for row in table):
+    if (not isinstance(table, list) or len(table) != n
+            or any(not isinstance(row, list) or len(row) != n for row in table)):
         raise NotLatinSquare(f"table must be {n}x{n}")
     for row in table:
         for v in row:

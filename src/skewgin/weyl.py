@@ -48,6 +48,7 @@ class WeylAlgebra:
         self.n = n
         self.field = field
         self._products = {}  # (m1, m2) -> normal-ordered product, int coefficients
+        self._form = None    # symplectic_form_matrix, built on first use
         units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
         self._basis = [(u, (0,) * n) for u in units] + [((0,) * n, u) for u in units]
 
@@ -195,7 +196,12 @@ def matrix_images(algebra: WeylAlgebra, matrix):
 
 
 def symplectic_form_matrix(algebra: WeylAlgebra):
-    """Pairing of V basis vectors by their scalar commutators."""
+    """Pairing of V basis vectors by their scalar commutators.
+
+    Built once per algebra and kept on it; callers must not modify it.
+    """
+    if algebra._form is not None:
+        return algebra._form
     m = 2 * algebra.n
     f = algebra.field
     zero_mon = ((0,) * algebra.n, (0,) * algebra.n)
@@ -204,6 +210,7 @@ def symplectic_form_matrix(algebra: WeylAlgebra):
         for j in range(m):
             comm = algebra.commutator(algebra.basis_vector(i), algebra.basis_vector(j))
             form[i][j] = comm.get(zero_mon, f.zero())
+    algebra._form = form
     return form
 
 

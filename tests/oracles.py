@@ -9,7 +9,9 @@ every monomial, wedge and differential afresh on each use, with its own
 monomial product, differential, chain action and symplectic test, which
 the cached int kernels of ``skewgin.weyl.check_sp_equivariance`` replaced,
 the crossed product on field scalars that the scaled-integer kernel of
-``CrossedElement.__mul__`` replaced, the per-path left fold that
+``CrossedElement.__mul__`` replaced, the entry-by-entry certificate
+re-expansion that ``skewgin.crossed.expand_certificate`` replaced, the
+per-path left folds that ``QuiverAction.act_path`` and
 ``skewgin.morita.embed_paths`` replaced, and the span of every product
 p.r.q that the recurrence of ``skewgin.ginzburg.relation_ideal`` replaced.
 
@@ -408,6 +410,28 @@ def naive_crossed_mul(x, y):
         for r, cr in action.act_path(g, q).terms.items()
         if (pr := compose(p, r)) is not None))
     return res
+
+
+def naive_act_path(action, g, path):
+    """g acting on a path as its own left fold e_{g(source)} * g(a1) * ...
+    * g(ak), sharing no prefix with any other path."""
+    q, field = action.quiver, action.field
+    out = AlgElement.from_path(q, field, q.trivial_path(action.act_vertex(g, path.source)))
+    for name in path.arrows:
+        out = out * action.arrow_images[g][name]
+    return out
+
+
+def naive_expand_certificate(action, certificate):
+    """Re-expand ((u, v), coeff) commutator entries one element sum at a
+    time: total + coeff * (uv - vu), each through scale, negation and
+    subtraction."""
+    total = CrossedElement.zero(action)
+    for (u, v), coeff in certificate:
+        eu = CrossedElement.from_pair(action, *u)
+        ev = CrossedElement.from_pair(action, *v)
+        total = total + (eu * ev - ev * eu).scale(coeff)
+    return total
 
 
 def naive_embed_path(md, path):

@@ -7,7 +7,9 @@ from skewgin.fields import make_field
 from skewgin.ginzburg import ginzburg
 from skewgin.groups import cyclic_group
 from skewgin.potential import canonicalize, cyclic_derivative
-from skewgin.quiver import AlgElement, GradedQuiver
+from skewgin.quiver import AlgElement, GradedQuiver, basis_up_to
+
+from oracles import naive_act_path
 
 Q = make_field("Q")
 F7 = make_field(7)
@@ -119,6 +121,40 @@ def test_act_multiplicative_random_pairs():
                 x = AlgElement.from_path(q, Q, p)
                 y = AlgElement.from_path(q, Q, r)
                 assert action.act(g, x * y) == action.act(g, x) * action.act(g, y)
+
+
+def broken_action():
+    """Not an action: the identity doubles a, and g sends the arrow 1 -> 2
+    to the arrow 1 -> 3 while fixing every vertex."""
+    q = GradedQuiver(["1", "2", "3"], [("a", "1", "2", 0), ("b", "1", "3", 0),
+                                       ("c", "2", "1", 0), ("d", "3", "1", 0)])
+    arrows = {n: AlgElement.from_arrow(q, Q, n) for n in "abcd"}
+    images = [dict(arrows, a=arrows["a"].scale(Q.from_int(2))),
+              dict(arrows, a=arrows["b"], b=arrows["a"])]
+    return QuiverAction(cyclic_group(2), q, Q, [{v: v for v in q.vertices}] * 2, images)
+
+
+@pytest.mark.parametrize("make", [lambda: loop_scaling_action(F7, 2),
+                                  lambda: swap_action(Q), broken_action],
+                         ids=["scaling", "swap", "broken"])
+@pytest.mark.parametrize("longest_first", [False, True])
+def test_act_path_matches_fresh_fold(make, longest_first, monkeypatch):
+    # a new image is a cached prefix times arrow images; it must equal the
+    # fold from the trivial path, for actions that are not actions too, and
+    # each (g, path) of positive length costs exactly one product
+    action = make()
+    paths = basis_up_to(action.quiver, 3)
+    if longest_first:
+        paths.reverse()
+    products = []
+    mul = AlgElement.__mul__
+    monkeypatch.setattr(AlgElement, "__mul__", lambda x, y: products.append(1) or mul(x, y))
+    got = {(g, p): action.act_path(g, p) for g in action.group.elements() for p in paths}
+    assert len(products) == sum(1 for p in paths if p.arrows) * action.group.size
+    monkeypatch.undo()
+    for (g, p), image in got.items():
+        assert image == naive_act_path(action, g, p)
+        assert action.act_path(g, p) is image
 
 
 def test_potential_invariance_scaling():

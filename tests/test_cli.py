@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import os
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from skewgin.cli import main
 
-from docs import (MCKAY, MINIMAL, NEGATION_NONINVARIANT,
+from docs import (MCKAY, MINIMAL, NEGATION_NONINVARIANT, SIGNED_S3,
                   THREE_LOOPS_COMMUTATOR, TRIVIAL_GROUP_PIPELINE, doc)
 
 
@@ -41,6 +42,35 @@ def test_validate_unknown_arrow_exit_2(capsys, tmp_path):
     code, report = run_cli(capsys, tmp_path, bad, "validate")
     assert code == 2
     assert any(e["location"] == "/potential/0/cycle/0" for e in report["errors"])
+
+
+@pytest.mark.parametrize("command", ["validate", "ginzburg"])
+def test_arrow_names_of_the_doubled_quiver_exit_2(capsys, tmp_path, command):
+    # "y*" and "c_v" are the names doubling gives the dual of y and the
+    # loop at v; an arrow already called so would be a duplicate there
+    arrows = copy.deepcopy(MCKAY["quiver"]["arrows"])
+    arrows[0]["name"], arrows[2]["name"] = "c_v", "y*"
+    potential = [{"coeff": "1", "cycle": ["c_v", "y", "y*"]}]
+    bad = doc(MCKAY, quiver={"vertices": ["v"], "arrows": arrows}, potential=potential)
+    code, report = run_cli(capsys, tmp_path, bad, command)
+    assert code == 2
+    assert report["errors"] == [
+        {"location": "/quiver/arrows/0/name",
+         "message": "'c_v' is the loop at vertex 'v' in the doubled quiver"},
+        {"location": "/quiver/arrows/2/name",
+         "message": "'y*' is the dual of arrow 'y' in the doubled quiver"}]
+
+
+@pytest.mark.parametrize("changes, location", [
+    ({"potential": [{"coeff": "1", "cycle": [["x"], "y", "z"]}]}, "/potential/0/cycle/0"),
+    ({"group": {"elements": ["e", "g", "g2"], "table": None}}, "/group/table"),
+    ({"group": {"elements": ["e", "g", "g2"], "table": [[0, 1, 2], 5, [2, 0, 1]]}},
+     "/group/table"),
+], ids=["cycle-entry", "table", "table-row"])
+def test_document_values_of_the_wrong_type_exit_2(capsys, tmp_path, changes, location):
+    code, report = run_cli(capsys, tmp_path, doc(MCKAY, **changes), "validate")
+    assert code == 2
+    assert location in [e["location"] for e in report["errors"]]
 
 
 def test_ginzburg_check_passes(capsys, tmp_path):
@@ -136,7 +166,6 @@ def test_verify_noninvariant_exit_1(capsys, tmp_path):
 
 
 def test_verify_signed_s3_with_supplied_idempotents(capsys, tmp_path):
-    from docs import SIGNED_S3
     code, report = run_cli(capsys, tmp_path, doc(SIGNED_S3), "verify", "--max-len", "3")
     assert code == 0
     rq_code, rq_report = run_cli(capsys, tmp_path, doc(SIGNED_S3), "reduce",
@@ -256,6 +285,10 @@ def test_weyl_bare_matrix_list(capsys, tmp_path):
     ("7", "1/7", "'1/7' is not a scalar of GF(7) (inverse of zero)"),
     ("Q", "1/0", "'1/0' is not a scalar of Q"),
     ("Q", "one", "'one' is not a scalar of Q"),
+    ("Q", "1e5", "'1e5' is not a scalar of Q (expected n or n/m)"),
+    ("Q", "1e-100000", "'1e-100000' is not a scalar of Q (expected n or n/m)"),
+    ("Q", "0.5", "'0.5' is not a scalar of Q (expected n or n/m)"),
+    ("7", "1e5", "'1e5' is not a scalar of GF(7) (expected n or n/m)"),
     ("Q", 1, "expected a scalar string"),
     ("Q", ["1"], "expected a scalar string"),
 ])
@@ -269,6 +302,32 @@ def test_weyl_bad_matrix_entry_named_by_location(capsys, tmp_path, field, entry,
     [error] = report["errors"]
     assert error["location"] == "/matrices/1/1/1"
     assert error["message"].startswith(reason)
+
+
+def test_weyl_signed_fraction_entries(capsys, tmp_path):
+    path = tmp_path / "mats.json"
+    path.write_text(json.dumps([[["-3/4", "0"], ["0", "-4/3"]]]), encoding="utf-8")
+    code = main(["weyl", "--n", "1", "--filtration", "1", "--matrices", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["checks"][-1]["ok"] is True
+
+
+@pytest.mark.parametrize("text", ["1e5", "1e-100000", "0.5"])
+@pytest.mark.parametrize("base, change, location", [
+    (THREE_LOOPS_COMMUTATOR, lambda d, t: d["potential"][1].update(coeff=t),
+     "/potential/1/coeff"),
+    (MCKAY, lambda d, t: d["action"]["g"]["arrow_matrices"]["(v,v)"][0].__setitem__(0, t),
+     "/action/g/arrow_matrices/(v,v)"),
+    (SIGNED_S3, lambda d, t: d["group"]["idempotents"]["vectors"][2].__setitem__(1, t),
+     "/group/idempotents/vectors/2"),
+], ids=["potential", "action", "idempotents"])
+def test_document_scalar_outside_grammar_exit_2(capsys, tmp_path, text, base, change, location):
+    document = copy.deepcopy(base)
+    change(document, text)
+    code, report = run_cli(capsys, tmp_path, json.dumps(document), "validate")
+    assert code == 2
+    assert [e["location"] for e in report["errors"]] == [location]
 
 
 def test_weyl_matrix_of_wrong_shape_named_by_index(capsys, tmp_path):
@@ -361,6 +420,22 @@ def matrix_files(size):
     return mats | st.builds(lambda m: {"matrices": m}, mats)
 
 
+def assert_one_report_twice(argv):
+    """Run the CLI on argv twice: both runs print the same bytes, namely one
+    JSON report whose ok matches an exit code of 0, 1 or 2."""
+    runs = []
+    for _ in range(2):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        runs.append((code, out.getvalue()))
+    assert runs[0] == runs[1], argv
+    code, text = runs[0]
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in text
+    assert json.loads(text)["ok"] is (code == 0), argv
+
+
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_weyl_fuzz_exit_codes_json_and_determinism(data):
@@ -381,15 +456,94 @@ def test_weyl_fuzz_exit_codes_json_and_determinism(data):
             with open(path, "w", encoding="utf-8") as handle:
                 json.dump(matrices, handle)
             argv += ["--matrices", path]
-        runs = []
-        for _ in range(2):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = main(argv)
-            runs.append((code, out.getvalue()))
-    assert runs[0] == runs[1]
-    code, text = runs[0]
-    assert code in (0, 1, 2)
-    assert "Traceback" not in text
-    report = json.loads(text)
-    assert report["ok"] is (code == 0)
+        assert_one_report_twice(argv)
+
+
+DOC_SCALARS = st.sampled_from(["0", "1", "-1", "2", "3", "4", "1/2", "-3/4", "1/0", "1/7",
+                               "1e5", "0.5", "x", ""]) | st.integers(-2, 9) | st.none()
+ARROW_NAMES = st.sampled_from(["x", "y", "z", "w", "x*", "c_v", "", "v"])
+TABLE_ENTRIES = st.integers(-1, 3) | st.sampled_from(["0", None])
+
+
+@st.composite
+def mckay_documents(draw):
+    """The McKay document with a few scalars, group-table entries and arrow
+    names replaced, and a length bound of at most 2."""
+    document = copy.deepcopy(MCKAY)
+    matrix = document["action"]["g"]["arrow_matrices"]["(v,v)"]
+    places = ([(term, "coeff") for term in document["potential"]]
+              + [(row, j) for row in matrix for j in range(3)])
+    for k in draw(st.lists(st.integers(0, len(places) - 1), max_size=3, unique=True)):
+        holder, key = places[k]
+        holder[key] = draw(DOC_SCALARS)
+    table = document["group"]["table"]
+    for i, j in draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=2)):
+        table[i][j] = draw(TABLE_ENTRIES)
+    arrows = document["quiver"]["arrows"]
+    for k in draw(st.lists(st.integers(0, 2), max_size=2, unique=True)):
+        old, new = arrows[k]["name"], draw(ARROW_NAMES)
+        arrows[k]["name"] = new
+        if draw(st.booleans()):  # rename in the potential too, or leave it dangling
+            for term in document["potential"]:
+                term["cycle"] = [new if name == old else name for name in term["cycle"]]
+    document["options"] = {"max_len": draw(st.integers(0, 2))}
+    return document
+
+
+def assert_document_commands_report(document):
+    # every document ends, under every document command, in one JSON report
+    # with exit code 0, 1 or 2, and a rerun prints the same bytes
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+        for argv in (["validate", path], ["invariance", path], ["ginzburg", path, "--check"],
+                     ["reduce", path], ["verify", path]):
+            assert_one_report_twice(argv)
+
+
+@given(document=mckay_documents())
+@settings(max_examples=40, deadline=None)
+def test_document_commands_fuzz_exit_codes_json_and_determinism(document):
+    assert_document_commands_report(document)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2)
+    | st.sampled_from(["", "1", "1/2", "v", "x", "e", "(v,v)"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["name", "src", "tgt", "coeff", "cycle", "p", "(v,v)", "arrow_matrices",
+                         "vectors", "dims"]), inner, max_size=3),
+    max_leaves=6)
+
+
+def json_places(node):
+    """(container, key) of every value inside a JSON tree, outermost first."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    out = []
+    for key, value in items:
+        out.append((node, key))
+        out.extend(json_places(value))
+    return out
+
+
+@st.composite
+def restructured_documents(draw):
+    """A shipped document with a length bound of at most 2, then one to three
+    of its values deleted or replaced by small JSON values of any type."""
+    document = copy.deepcopy(draw(st.sampled_from([MCKAY, SIGNED_S3, TRIVIAL_GROUP_PIPELINE])))
+    document["options"] = {"max_len": draw(st.integers(0, 2))}
+    for _ in range(draw(st.integers(1, 3))):
+        holder, key = draw(st.sampled_from(json_places(document)))
+        if isinstance(holder, dict) and draw(st.booleans()):
+            del holder[key]
+        else:
+            holder[key] = draw(JSON_VALUES)
+    return document
+
+
+@given(document=restructured_documents())
+@settings(max_examples=40, deadline=None)
+def test_document_structure_fuzz_exit_codes_json_and_determinism(document):
+    assert_document_commands_report(document)

@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewgin.crossed import CrossedElement, commutator_basis
+from skewgin.crossed import CrossedElement, commutator_basis, expand_certificate
 from skewgin.fields import make_field
 from skewgin.groups import cyclic_group
 from skewgin.action import QuiverAction, validate_action
 from skewgin.quiver import AlgElement, GradedQuiver, basis_up_to
 
-from oracles import CyclicClass, hc0_reduce, naive_crossed_mul
+from oracles import CyclicClass, hc0_reduce, naive_crossed_mul, naive_expand_certificate
 
 Q = make_field("Q")
 F7 = make_field(7)
@@ -256,8 +256,30 @@ def shear_action_gf2():
     return QuiverAction(cyclic_group(2), q, F2, [{"1": "1", "2": "2"}] * 2, images)
 
 
-KERNEL_ACTIONS = {"Q": reflection_action_q, "GF(2)": shear_action_gf2,
-                  "GF(7)": scaling_action_gf7}
+def swap_action_q():
+    """Z/2 over Q swapping the two vertices of a quiver with two arrows each
+    way and a loop at each vertex, with scalars of denominators 2 and 3: g
+    moves the source of every path, so a product meets images that start at
+    the other vertex and p.r that does not compose."""
+    q = GradedQuiver(["1", "2"], [("a", "1", "2", 0), ("b", "1", "2", 0),
+                                  ("c", "2", "1", 0), ("d", "2", "1", 0),
+                                  ("x", "1", "1", 0), ("y", "2", "2", 0)])
+
+    def el(**coeffs):
+        return AlgElement(q, Q, {q.path([n]): Q.parse(c) for n, c in coeffs.items()})
+
+    # the (1,2) block [[1/2, 1/3], [0, 1]] and the (2,1) block its inverse,
+    # so g^2 fixes every arrow
+    images = [{n: el(**{n: "1"}) for n in "abcdxy"},
+              {"a": el(c="1/2"), "b": el(c="1/3", d="1"),
+               "c": el(a="2"), "d": el(a="-2/3", b="1"),
+               "x": el(y="3/2"), "y": el(x="2/3")}]
+    return QuiverAction(cyclic_group(2), q, Q, [{"1": "1", "2": "2"}, {"1": "2", "2": "1"}],
+                        images)
+
+
+KERNEL_ACTIONS = {"Q": reflection_action_q, "Q-swap": swap_action_q,
+                  "GF(2)": shear_action_gf2, "GF(7)": scaling_action_gf7}
 
 
 def assert_matches_oracle(x, y):
@@ -322,8 +344,9 @@ def test_single_term_and_length_zero_products_match_oracle(name, data):
 
 @pytest.mark.parametrize("name", sorted(KERNEL_ACTIONS))
 def test_product_cancellation_matches_oracle(name):
-    # (e + g)(e - g) = e - g^2, which is zero for an involution: every term
-    # of the product cancels
+    # (e + g)(e - g) = e - g^2 when g fixes the vertex, which is zero for an
+    # involution: every term of the product cancels (when g moves the
+    # vertex, g.e_v = e_gv.g and the product is e - g)
     action = KERNEL_ACTIONS[name]()
     q = action.quiver
     g = action.group.elements()[-1]
@@ -331,5 +354,36 @@ def test_product_cancellation_matches_oracle(name):
         unit = CrossedElement.from_pair(action, q.trivial_path(v), 0)
         twist = CrossedElement.from_pair(action, q.trivial_path(v), g)
         assert_matches_oracle(unit + twist, unit - twist)
-        if action.group.size == 2:
+        if action.group.size == 2 and action.act_vertex(g, v) == v:
             assert ((unit + twist) * (unit - twist)).is_zero()
+        elif action.group.size == 2:
+            assert (unit + twist) * (unit - twist) == unit - twist
+
+
+def test_swap_action_moves_every_source():
+    action = swap_action_q()
+    g = action.group.elements()[-1]
+    for p in basis_up_to(action.quiver, 2):
+        image = action.act_path(g, p)
+        assert {r.source for r in image.terms} == {action.act_vertex(g, p.source)}
+
+
+@pytest.mark.parametrize("name", ["Q", "Q-swap", "GF(7)"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_expand_certificate_matches_entrywise_oracle(name, data):
+    # random certificates, with repeated pairs and zero coefficients over Q,
+    # re-expand to the sum the old entry-by-entry loop builds
+    action = KERNEL_ACTIONS[name]()
+    keys = [(p, g) for p in basis_up_to(action.quiver, 2) for g in action.group.elements()]
+    field = action.field
+    coeffs = scalars(field) if field.is_rationals else st.integers(0, 3 * field.p)
+    pairs = st.tuples(st.sampled_from(keys), st.sampled_from(keys))
+    certificate = data.draw(st.lists(st.tuples(pairs, coeffs), max_size=8))
+    got = expand_certificate(action, certificate)
+    assert got.terms == naive_expand_certificate(action, certificate).terms
+    for c in got.terms.values():
+        if field.is_rationals:
+            assert type(c) is Fraction
+        else:
+            assert type(c) is int and 0 < c < field.p

@@ -22,6 +22,23 @@ def test_make_field_prime():
     assert f.parse("1/2") == 4  # 2 * 4 = 8 = 1 mod 7
 
 
+@pytest.mark.parametrize("text", ["1e5", "1e-100000", "0.5", "1_0", "3/-4", "+-1", "1/", ""])
+@pytest.mark.parametrize("spec", ["Q", 7])
+def test_parse_accepts_only_n_and_n_over_m(spec, text):
+    with pytest.raises(ValueError, match="expected n or n/m"):
+        make_field(spec).parse(text)
+
+
+def test_parse_signed_fractions():
+    assert make_field("Q").parse(" -3/4 ") == Fraction(-3, 4)
+    assert make_field("Q").parse("+6/4") == Fraction(3, 2)
+    assert make_field(7).parse("-3/4") == 1  # 4 * 1 = 4 = -3 mod 7
+    with pytest.raises(ZeroDivisionError):
+        make_field("Q").parse("1/0")
+    with pytest.raises(ZeroDivisionError):
+        make_field(7).parse("2/14")
+
+
 def test_make_field_rejects_composite():
     with pytest.raises(NonPrimeModulus):
         make_field(6)

@@ -12,7 +12,7 @@ from skewgin.fields import make_field
 from skewgin.weyl import (WeylAlgebra, WeylEnvelope, _guarded_envelope, _homology,
                           _position_basis, bounded_exactness, check_sp_equivariance,
                           dual_differential, dual_top_concentration, is_symplectic,
-                          koszul_differential)
+                          koszul_differential, symplectic_form_matrix)
 
 Q = make_field("Q")
 
@@ -212,6 +212,25 @@ def test_symplectic_membership():
     assert is_symplectic(A, minus_id)
     assert is_symplectic(A, squeeze)
     assert not is_symplectic(A, bad)
+
+
+def test_symplectic_form_built_once_per_algebra(monkeypatch):
+    A = WeylAlgebra(2, Q)
+    rot = [[fr(int(j == (i + 2) % 4) * (1 if i < 2 else -1)) for j in range(4)]
+           for i in range(4)]
+    assert is_symplectic(A, rot)
+    form = symplectic_form_matrix(A)
+    calls = []
+    commutator = A.commutator
+    monkeypatch.setattr(A, "commutator", lambda u, v: calls.append(1) or commutator(u, v))
+    assert is_symplectic(A, rot)
+    # only the 16 image pairs, not the 16 basis pairs of the form again
+    assert len(calls) == 16
+    assert symplectic_form_matrix(A) is form
+    # [x_i, d_i] = -1 = -[d_i, x_i]; every other pair commutes
+    assert form == [[fr(int(i == j + 2) - int(j == i + 2)) for j in range(4)]
+                    for i in range(4)]
+    assert symplectic_form_matrix(WeylAlgebra(2, Q)) == form
 
 
 def test_equivariance_minus_identity_and_squeeze():
