@@ -285,12 +285,12 @@ def test_weyl_bare_matrix_list(capsys, tmp_path):
     ("7", "1/7", "'1/7' is not a scalar of GF(7) (inverse of zero)"),
     ("Q", "1/0", "'1/0' is not a scalar of Q"),
     ("Q", "one", "'one' is not a scalar of Q"),
+    ("Q", 1, "expected a scalar string"),
+    ("Q", ["1"], "expected a scalar string"),
     ("Q", "1e5", "'1e5' is not a scalar of Q (expected n or n/m)"),
     ("Q", "1e-100000", "'1e-100000' is not a scalar of Q (expected n or n/m)"),
     ("Q", "0.5", "'0.5' is not a scalar of Q (expected n or n/m)"),
     ("7", "1e5", "'1e5' is not a scalar of GF(7) (expected n or n/m)"),
-    ("Q", 1, "expected a scalar string"),
-    ("Q", ["1"], "expected a scalar string"),
 ])
 def test_weyl_bad_matrix_entry_named_by_location(capsys, tmp_path, field, entry, reason):
     path = tmp_path / "mats.json"
