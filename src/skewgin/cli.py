@@ -203,7 +203,7 @@ def cmd_reduce(args) -> int:
     report = _base_report("reduce")
     report["choices"] = md.choices()
     report["reduced_quiver"] = _reduced_quiver_json(md)
-    report["bimodule_dimension"] = len(md.bimodule)
+    report["bimodule_dimension"] = sum(map(len, md.bimodule.values()))
     if doc.potential is not None and not doc.potential.is_zero():
         reduced, _ = transport_potential(doc.potential, md)
         report["reduced_potential"] = _potential_json(md.field, reduced)

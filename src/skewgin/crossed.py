@@ -60,12 +60,6 @@ class CrossedElement:
         return cls(action, {(action.quiver.trivial_path(v), ident): one
                             for v in action.quiver.vertices})
 
-    @classmethod
-    def from_group_algebra(cls, action, vertex: str, coeffs: dict):
-        """Group-algebra element sitting at one vertex: sum c_g (e_vertex, g)."""
-        path = action.quiver.trivial_path(vertex)
-        return cls(action, {(path, g): c for g, c in coeffs.items()})
-
     # -- structure --
 
     def is_zero(self) -> bool:
@@ -173,11 +167,8 @@ class CrossedElement:
         res.terms = field.unscale(acc, den_left * den_right * den_image)
         return res
 
-    def lengths(self):
-        return {len(p.arrows) for (p, _) in self.terms}
-
     def pure_length(self):
-        ls = self.lengths()
+        ls = {len(p.arrows) for (p, _) in self.terms}
         if len(ls) != 1:
             raise NotLengthHomogeneous(f"element mixes path lengths {sorted(ls)}")
         return ls.pop()
@@ -263,20 +254,15 @@ def expand_certificate(action, certificate) -> CrossedElement:
     return total
 
 
-def merge_certificate(field, entries):
-    """Accumulate coefficients on repeated pairs and drop zeros."""
-    return list(field.accumulate({}, entries).items())
-
-
 def express_modulo_commutators(solver, target, action, length: int, index: dict):
     """Write target as the solver's labelled vectors plus commutators.
 
     The solver's own labelled vectors are tried first.  Only then is the
-    commutator span of the length component built; commutators touching
-    the residual's support are fed first, in basis order, and the target
-    is retried after every 24 insertions that enlarge the span, so the
-    (deterministic) expression usually stops long before the whole
-    spanning set is in.  Returns (combination of the caller's labels,
+    commutator span of the length component built and fed in, the
+    commutators touching the residual's support first, in basis order, and
+    the target is expressed once more.  The labelled inputs are
+    independent, so the combination is unique and does not depend on how
+    much of the span is in.  Returns (combination of the caller's labels,
     certificate entries ((u, v), coeff)), or None.
     """
     combo = solver.express(target)
@@ -285,17 +271,9 @@ def express_modulo_commutators(solver, target, action, length: int, index: dict)
         terms = commutator_basis(action, length)
         vectors = [vectorize(term.element, index) for term in terms]
         order = sorted(range(len(terms)), key=lambda k: support.isdisjoint(vectors[k]))
-        since_check = 0
         for k in order:
-            if solver.add(vectors[k], label=terms[k]):
-                since_check += 1
-                if since_check == 24:
-                    since_check = 0
-                    combo = solver.express(target)
-                    if combo is not None:
-                        break
-        else:
-            combo = solver.express(target)
+            solver.add(vectors[k], label=terms[k])
+        combo = solver.express(target)
         if combo is None:
             return None
     own, certificate = {}, []

@@ -39,9 +39,19 @@ class ProblemDocument:
         self.reduced_potential = reduced_potential          # raw or None
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: true and false are bools, not integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_str_list(value, pointer, issues):
+    """A nonempty list of distinct strings: vertex or group element names."""
     if not isinstance(value, list) or not value or not all(isinstance(v, str) for v in value):
         issues.append((pointer, "expected a nonempty list of strings"))
+        return False
+    duplicates = sorted({v for v in value if value.count(v) > 1})
+    if duplicates:
+        issues.append((pointer, f"duplicate names {duplicates}"))
         return False
     return True
 
@@ -106,7 +116,7 @@ def parse(text: str) -> ProblemDocument:
                 if tgt not in vertices:
                     issues.append((where + "/tgt", f"unknown vertex {tgt!r}"))
                     ok = False
-                if not isinstance(deg, int):
+                if not _is_int(deg):
                     issues.append((where + "/deg", "expected an integer"))
                     ok = False
                 if ok:
@@ -173,7 +183,7 @@ def parse(text: str) -> ProblemDocument:
     else:
         for key in DEFAULT_OPTIONS:
             if key in oraw:
-                if not isinstance(oraw[key], int) or oraw[key] < 0:
+                if not _is_int(oraw[key]) or oraw[key] < 0:
                     issues.append((f"/options/{key}", "expected a nonnegative integer"))
                 else:
                     options[key] = oraw[key]
@@ -258,7 +268,7 @@ def _parse_idempotents(iraw, where, group, field, issues):
         issues.append((where + "/vectors", "expected a nonempty list of rows"))
         return None
     if not isinstance(dims, list) or len(dims) != len(vectors_raw) \
-            or not all(isinstance(v, int) and v >= 1 for v in dims):
+            or not all(_is_int(v) and v >= 1 for v in dims):
         issues.append((where + "/dims", "expected one positive integer per vector"))
         return None
     vectors = []

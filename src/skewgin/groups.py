@@ -96,7 +96,7 @@ def make_group(names, table) -> FiniteGroup:
         raise NotLatinSquare(f"table must be {n}x{n}")
     for row in table:
         for v in row:
-            if not isinstance(v, int) or not 0 <= v < n:
+            if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:
                 raise NotLatinSquare(f"table entry {v!r} out of range")
     for i, row in enumerate(table):
         if len(set(row)) != n:
@@ -201,66 +201,40 @@ def characters(group: FiniteGroup, field: Field):
     """All homomorphisms G -> k^x for an abelian group, as value tuples.
 
     Requires a primitive root of unity of order exp(G); raises NoRootOfUnity
-    otherwise.  Characters are returned sorted by their value tuples.
+    otherwise.  The characters are extended one coset at a time: with H the
+    elements reached so far, g the least element outside H and m least with
+    g^m in H, each character chi of H extends to H<g> once for every
+    exp(G)-th root of unity z with z^m = chi(g^m), by chi(h g^k) = chi(h) z^k.
+    That gives m extensions of each, so |G| characters in the end.
+    Characters are returned sorted by their value tuples.
     """
     if not group.is_abelian():
         raise NotAbelian("character construction requires an abelian group")
     f = field
     exp = group.exponent()
     omega = primitive_root_of_unity(field, exp)
-    # greedy generating sequence, largest order first
-    generators = []
-    generated = {group.identity}
-    by_order = sorted(group.elements(), key=lambda g: (-group.order(g), g))
-    for g in by_order:
-        if g in generated:
-            continue
-        generators.append(g)
-        frontier = set(generated) | {g}
-        while True:
-            new = {group.mul(a, b) for a in frontier for b in frontier}
-            if new <= frontier:
-                break
-            frontier |= new
-        generated = frontier
-        if len(generated) == group.size:
-            break
-
-    def try_extend(gen_values):
-        values = {group.identity: f.one()}
-        queue = [group.identity]
-        while queue:
-            x = queue.pop()
-            for g, val in gen_values:
-                y = group.mul(x, g)
-                v = f.mul(values[x], val)
-                if y in values:
-                    if values[y] != v:
-                        return None
-                else:
-                    values[y] = v
-                    queue.append(y)
-        if len(values) != group.size:
-            return None
-        return tuple(values[g] for g in group.elements())
-
-    found = set()
-    def assign(idx, chosen):
-        if idx == len(generators):
-            vec = try_extend(chosen)
-            if vec is not None:
-                found.add(vec)
-            return
-        g = generators[idx]
-        o = group.order(g)
-        root = f.pow(omega, exp // o)
-        for k in range(o):
-            assign(idx + 1, chosen + [(g, f.pow(root, k))])
-
-    assign(0, [])
-    if len(found) != group.size:
-        raise NotAbelian(f"character count {len(found)} != |G| = {group.size}")
-    return sorted(found)
+    roots = [f.pow(omega, k) for k in range(exp)]
+    chars = [{group.identity: f.one()}]
+    while len(chars[0]) < group.size:
+        g = min(x for x in group.elements() if x not in chars[0])
+        powers = [group.identity]  # g^k for k < m
+        gm = g
+        while gm not in chars[0]:
+            powers.append(gm)
+            gm = group.mul(gm, g)
+        m = len(powers)
+        extended = []
+        for chi in chars:
+            for z in roots:
+                if f.pow(z, m) != chi[gm]:
+                    continue
+                ext, zk = {}, f.one()
+                for gk in powers:
+                    ext.update((group.mul(h, gk), f.mul(c, zk)) for h, c in chi.items())
+                    zk = f.mul(zk, z)
+                extended.append(ext)
+        chars = extended
+    return sorted(tuple(chi[g] for g in group.elements()) for chi in chars)
 
 
 def abelian_idempotents(group: FiniteGroup, field: Field) -> IdempotentSet:

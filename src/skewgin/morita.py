@@ -28,7 +28,7 @@ from itertools import chain
 
 from .action import QuiverAction, is_potential_invariant, validate_action
 from .crossed import (CrossedElement, basis_index, crossed_basis, expand_certificate,
-                      express_modulo_commutators, merge_certificate, vectorize)
+                      express_modulo_commutators, vectorize)
 from .errors import (BasisExpressFailure, DegreeMismatch, IncompleteIdempotents,
                      InvalidAction, NoSolution, NotInvariantPotential)
 from .ginzburg import derivative_relations, jacobian_truncation, relation_ideal
@@ -65,10 +65,6 @@ def orbit_data(action: QuiverAction):
     return reps, kappa, stabilizers
 
 
-def _group_unit(action, g: int) -> CrossedElement:
-    return CrossedElement.from_alg(action, AlgElement.unit(action.quiver, action.field), g)
-
-
 def _diagonal_orbit_reps(action, orbit_a, orbit_b):
     """Least-pair representatives of the diagonal orbits on orbit_a x orbit_b."""
     G = action.group
@@ -83,54 +79,43 @@ def _diagonal_orbit_reps(action, orbit_a, orbit_b):
     return sorted(reps)
 
 
-class BimoduleEntry:
-    __slots__ = ("src_rep", "tgt_rep", "degree", "element")
-
-    def __init__(self, src_rep, tgt_rep, degree, element):
-        self.src_rep = src_rep
-        self.tgt_rep = tgt_rep
-        self.degree = degree
-        self.element = element
-
-
 def build_bimodule(action: QuiverAction, reps, kappa, stabilizers):
     """Deterministic basis of the arrow bimodule inside the crossed product.
 
-    Entries carry the representative pair and the common arrow degree of
-    their terms; within each (pair, degree) slot the basis is the first
-    linearly independent subset of the generating products.
+    Returns {(i, j, degree): [CrossedElement]} in representative and
+    degree order, keyed by the representative pair and the common arrow
+    degree of the terms.  Each generator g1.kappa[i'].a.kappa[j']^-1.g2 is
+    the one term (g1 kappa[i'] acting on a) tensored with
+    g1 kappa[i'] kappa[j']^-1 g2, and each slot is the first linearly
+    independent subset of its generators.
     """
-    G, quiver, field = action.group, action.quiver, action.field
-    orbit_rep = {v: min(action.act_vertex(g, v) for g in G.elements())
-                 for v in quiver.vertices}
+    G, quiver = action.group, action.quiver
+    rep_of = {v: action.act_vertex(kappa[v], v) for v in quiver.vertices}
     index1 = basis_index(action, 1)
-    entries = []
+    slots = {}
     for i in reps:
-        orbit_i = sorted(v for v in quiver.vertices if orbit_rep[v] == i)
+        orbit_i = sorted(v for v in quiver.vertices if rep_of[v] == i)
         for j in reps:
-            orbit_j = sorted(v for v in quiver.vertices if orbit_rep[v] == j)
+            orbit_j = sorted(v for v in quiver.vertices if rep_of[v] == j)
             slot_candidates = {}  # degree -> list of CrossedElement
             for (i2, j2) in _diagonal_orbit_reps(action, orbit_i, orbit_j):
-                left_twist = _group_unit(action, kappa[i2])
-                right_twist = _group_unit(action, G.inv(kappa[j2]))
                 arrows = sorted(a.name for a in quiver.arrows
                                 if a.src == i2 and a.tgt == j2)
                 for g1 in stabilizers[i]:
-                    u1 = _group_unit(action, g1)
+                    left = G.mul(g1, kappa[i2])
+                    twist = G.mul(left, G.inv(kappa[j2]))
                     for name in arrows:
-                        mid = CrossedElement.from_alg(
-                            action, AlgElement.from_arrow(quiver, field, name))
+                        image = action.act_path(left, quiver.path([name]))
                         deg = quiver.arrow(name).deg
                         for g2 in stabilizers[j]:
-                            z = u1 * left_twist * mid * right_twist * _group_unit(action, g2)
+                            z = CrossedElement.from_alg(action, image, G.mul(twist, g2))
                             if not z.is_zero():
                                 slot_candidates.setdefault(deg, []).append(z)
             for deg in sorted(slot_candidates):
-                solver = LinSolver(field)
-                for z in slot_candidates[deg]:
-                    if solver.add(vectorize(z, index1)):
-                        entries.append(BimoduleEntry(i, j, deg, z))
-    return entries
+                solver = LinSolver(action.field)
+                slots[(i, j, deg)] = [z for z in slot_candidates[deg]
+                                      if solver.add(vectorize(z, index1))]
+    return slots
 
 
 class MoritaData:
@@ -144,17 +129,15 @@ class MoritaData:
         self.kappa = kappa
         self.stabilizers = stabilizers
         self.idem_sets = idem_sets          # rep -> IdempotentSet over the subgroup
-        self.bimodule = bimodule
+        self.bimodule = bimodule            # (rep, rep, degree) -> basis elements
         self.qprime = qprime
         self.vertex_info = vertex_info      # qprime vertex -> (rep, idempotent idx)
         self.vertex_idems = vertex_idems    # qprime vertex -> CrossedElement
         self.arrow_embed = arrow_embed      # qprime arrow name -> CrossedElement
 
     def total_idempotent(self) -> CrossedElement:
-        total = CrossedElement.zero(self.action)
-        for v in self.qprime.vertices:
-            total = total + self.vertex_idems[v]
-        return total
+        return CrossedElement(self.action, (
+            term for v in self.qprime.vertices for term in self.vertex_idems[v].terms.items()))
 
     def choices(self):
         """Canonical record of every deterministic choice, for reports."""
@@ -165,11 +148,6 @@ class MoritaData:
             "stabilizer_orders": {v: len(self.stabilizers[v]) for v in self.reps},
             "irreducible_dims": {v: list(self.idem_sets[v].dims) for v in self.reps},
         }
-
-
-def _lift_idempotent(action, subgroup_ambient, coeffs: dict, rep: str) -> CrossedElement:
-    lifted = {subgroup_ambient[k]: c for k, c in coeffs.items()}
-    return CrossedElement.from_group_algebra(action, rep, lifted)
 
 
 def build_morita(action: QuiverAction, idempotents=None) -> MoritaData:
@@ -220,7 +198,8 @@ def build_morita(action: QuiverAction, idempotents=None) -> MoritaData:
             name = f"{rep}:{j}"
             vertex_names.append(name)
             vertex_info[name] = (rep, j)
-            vertex_idems[name] = _lift_idempotent(action, ambient, coeffs, rep)
+            vertex_idems[name] = CrossedElement(action, {
+                (action.quiver.trivial_path(rep), ambient[k]): c for k, c in coeffs.items()})
 
     # reduced quiver arrows: a deterministic basis of each corner slot of
     # the bimodule
@@ -235,14 +214,12 @@ def build_morita(action: QuiverAction, idempotents=None) -> MoritaData:
         for v2 in vertex_names:
             rep2 = vertex_info[v2][0]
             e2 = vertex_idems[v2]
-            degrees = sorted({entry.degree for entry in bimodule
-                              if entry.src_rep == rep1 and entry.tgt_rep == rep2})
-            for deg in degrees:
+            for (i, j, deg), slot in bimodule.items():
+                if (i, j) != (rep1, rep2):
+                    continue
                 solver = LinSolver(field)
-                slot = [entry for entry in bimodule
-                        if (entry.src_rep, entry.tgt_rep, entry.degree) == (rep1, rep2, deg)]
-                for entry in slot:
-                    cornered = e1 * entry.element * e2
+                for element in slot:
+                    cornered = e1 * element * e2
                     if cornered.is_zero():
                         continue
                     if solver.add(vectorize(cornered, index1)):
@@ -276,10 +253,9 @@ def embed_paths(md: MoritaData, paths) -> dict:
 def embed(md: MoritaData, x: AlgElement) -> CrossedElement:
     """Multiplicative embedding of a reduced path-algebra element."""
     embedded = embed_paths(md, x.terms)
-    out = CrossedElement.zero(md.action)
-    for path, coeff in x.terms.items():
-        out = out + embedded[path].scale(coeff)
-    return out
+    return CrossedElement(md.action, (
+        (key, coeff * c) for path, coeff in x.terms.items()
+        for key, c in embedded[path].terms.items()))
 
 
 def check_embedding(md: MoritaData, bound: int):
@@ -417,12 +393,12 @@ def transport_potential(w: Potential, md: MoritaData):
     embedded = embed_paths(md, [p for _, head, tail in splits for p in (head, tail)])
     # plain products: accumulate reduces them over GF(p); the entries are
     # merged as they are made, never held as one list
-    certificate = merge_certificate(field, chain(
+    certificate = list(field.accumulate({}, chain(
         (((u_key, v_key), coeff * a * b)
          for coeff, head, tail in splits
          for u_key, a in embedded[tail].terms.items()
          for v_key, b in embedded[head].terms.items()),
-        ((pair, field.neg(coeff)) for pair, coeff in solved)))
+        ((pair, field.neg(coeff)) for pair, coeff in solved))).items())
     del embedded
     reduced = canonicalize(qprime, field, raw_terms)
     # the certificate is never trusted: re-expand and compare exactly
@@ -459,9 +435,8 @@ def certify_reduction(md: MoritaData, w: Potential, reduced: Potential):
     return certificate
 
 
-def _relation_span_stable(w: Potential, action: QuiverAction) -> bool:
+def _relation_span_stable(relations, action: QuiverAction) -> bool:
     """The derivative relations must be permuted (as a span) by the action."""
-    relations = derivative_relations(w)
     if not relations:
         return True
     solver = LinSolver(action.field)
@@ -484,12 +459,12 @@ def morita_dimension_check(md: MoritaData, w: Potential, reduced_w: Potential, b
     permutes the relation span; that fact is asserted at runtime.
     """
     action, field = md.action, md.field
-    if not _relation_span_stable(w, action):
+    relations = derivative_relations(w)
+    if not _relation_span_stable(relations, action):
         raise NotInvariantPotential("derivative relations are not stable under the action")
     cyc_len = cycle_length_of(w)
     if cyc_len is None:
         raise DegreeMismatch("dimension check requires one cycle length")
-    relations = derivative_relations(w)
     by_len = paths_by_length(action.quiver, bound)
     ideals = (relation_ideal(relations, by_len, bound, cyc_len - 1) if relations
               else (LinSolver(field) for _ in range(bound + 1)))

@@ -12,8 +12,13 @@ the crossed product on field scalars that the scaled-integer kernel of
 ``CrossedElement.__mul__`` replaced, the entry-by-entry certificate
 re-expansion that ``skewgin.crossed.expand_certificate`` replaced, the
 per-path left folds that ``QuiverAction.act_path`` and
-``skewgin.morita.embed_paths`` replaced, and the span of every product
-p.r.q that the recurrence of ``skewgin.ginzburg.relation_ideal`` replaced.
+``skewgin.morita.embed_paths`` replaced, the span of every product
+p.r.q that the recurrence of ``skewgin.ginzburg.relation_ideal`` replaced,
+the characters by generator search that the coset extension of
+``skewgin.groups.characters`` replaced, the bimodule generators as
+five-fold products that ``skewgin.morita.build_bimodule`` replaced, and
+the commutator feed with a retry every 24 insertions that
+``skewgin.crossed.express_modulo_commutators`` replaced.
 
 The last section holds helpers that no command uses, kept for the tests:
 ``span_rank``, ``rotations_of``, ``cyclic_derivative_along``,
@@ -26,10 +31,13 @@ from itertools import combinations, product
 from math import comb, factorial
 
 from skewgin import weyl
-from skewgin.crossed import (CrossedElement, basis_index, commutator_basis, crossed_basis,
-                             expand_certificate, express_modulo_commutators, vectorize)
-from skewgin.errors import NoSolution, NotSymplectic, UnknownArrow
+from skewgin.crossed import (CommutatorTerm, CrossedElement, basis_index, commutator_basis,
+                             crossed_basis, expand_certificate, express_modulo_commutators,
+                             vectorize)
+from skewgin.errors import NoSolution, NotAbelian, NotSymplectic, UnknownArrow
+from skewgin.fields import primitive_root_of_unity
 from skewgin.linalg import LinSolver
+from skewgin.morita import _diagonal_orbit_reps
 from skewgin.potential import Potential, _rotations, cyclic_derivative
 from skewgin.quiver import AlgElement, Path
 
@@ -463,6 +471,145 @@ def relation_ideal_span(relations, by_len, ell: int, rel_len: int):
                     vec = lr * AlgElement.from_path(quiver, field, q)
                     if not vec.is_zero():
                         yield vec
+
+
+def naive_characters(group, field):
+    """All homomorphisms G -> k^x for an abelian group, as value tuples: root
+    values assigned to a greedy generating set, each assignment checked by a
+    walk over the whole group, then the count checked.
+
+    Requires a primitive root of unity of order exp(G); raises NoRootOfUnity
+    otherwise.  Characters are returned sorted by their value tuples.
+    """
+    if not group.is_abelian():
+        raise NotAbelian("character construction requires an abelian group")
+    f = field
+    exp = group.exponent()
+    omega = primitive_root_of_unity(field, exp)
+    # greedy generating sequence, largest order first
+    generators = []
+    generated = {group.identity}
+    by_order = sorted(group.elements(), key=lambda g: (-group.order(g), g))
+    for g in by_order:
+        if g in generated:
+            continue
+        generators.append(g)
+        frontier = set(generated) | {g}
+        while True:
+            new = {group.mul(a, b) for a in frontier for b in frontier}
+            if new <= frontier:
+                break
+            frontier |= new
+        generated = frontier
+        if len(generated) == group.size:
+            break
+
+    def try_extend(gen_values):
+        values = {group.identity: f.one()}
+        queue = [group.identity]
+        while queue:
+            x = queue.pop()
+            for g, val in gen_values:
+                y = group.mul(x, g)
+                v = f.mul(values[x], val)
+                if y in values:
+                    if values[y] != v:
+                        return None
+                else:
+                    values[y] = v
+                    queue.append(y)
+        if len(values) != group.size:
+            return None
+        return tuple(values[g] for g in group.elements())
+
+    found = set()
+    def assign(idx, chosen):
+        if idx == len(generators):
+            vec = try_extend(chosen)
+            if vec is not None:
+                found.add(vec)
+            return
+        g = generators[idx]
+        o = group.order(g)
+        root = f.pow(omega, exp // o)
+        for k in range(o):
+            assign(idx + 1, chosen + [(g, f.pow(root, k))])
+
+    assign(0, [])
+    if len(found) != group.size:
+        raise NotAbelian(f"character count {len(found)} != |G| = {group.size}")
+    return sorted(found)
+
+
+def naive_build_bimodule(action, reps, kappa, stabilizers):
+    """The arrow bimodule basis {(i, j, degree): [element]}, each generator
+    the left-to-right product g1 . kappa[i'] . a . kappa[j']^-1 . g2 of
+    five crossed elements, the group elements as unit sums over every
+    vertex, and the orbits recomputed from the action."""
+    G, quiver, field = action.group, action.quiver, action.field
+
+    def unit(g):
+        return CrossedElement.from_alg(action, AlgElement.unit(quiver, field), g)
+
+    orbit_rep = {v: min(action.act_vertex(g, v) for g in G.elements())
+                 for v in quiver.vertices}
+    index1 = basis_index(action, 1)
+    slots = {}
+    for i in reps:
+        orbit_i = sorted(v for v in quiver.vertices if orbit_rep[v] == i)
+        for j in reps:
+            orbit_j = sorted(v for v in quiver.vertices if orbit_rep[v] == j)
+            candidates = {}
+            for (i2, j2) in _diagonal_orbit_reps(action, orbit_i, orbit_j):
+                left_twist, right_twist = unit(kappa[i2]), unit(G.inv(kappa[j2]))
+                arrows = sorted(a.name for a in quiver.arrows
+                                if a.src == i2 and a.tgt == j2)
+                for g1 in stabilizers[i]:
+                    for name in arrows:
+                        mid = CrossedElement.from_alg(
+                            action, AlgElement.from_arrow(quiver, field, name))
+                        for g2 in stabilizers[j]:
+                            z = unit(g1) * left_twist * mid * right_twist * unit(g2)
+                            if not z.is_zero():
+                                candidates.setdefault(quiver.arrow(name).deg, []).append(z)
+            for deg in sorted(candidates):
+                solver = LinSolver(field)
+                for z in candidates[deg]:
+                    if solver.add(vectorize(z, index1)):
+                        slots.setdefault((i, j, deg), []).append(z)
+    return slots
+
+
+def retrying_express_modulo_commutators(solver, target, action, length, index):
+    """``express_modulo_commutators`` that feeds the commutators touching the
+    residual's support first and retries the target after every 24
+    insertions that enlarge the span, stopping at the first success."""
+    combo = solver.express(target)
+    if combo is None:
+        support = set(solver.residual(target))
+        terms = commutator_basis(action, length)
+        vectors = [vectorize(term.element, index) for term in terms]
+        order = sorted(range(len(terms)), key=lambda k: support.isdisjoint(vectors[k]))
+        since_check = 0
+        for k in order:
+            if solver.add(vectors[k], label=terms[k]):
+                since_check += 1
+                if since_check == 24:
+                    since_check = 0
+                    combo = solver.express(target)
+                    if combo is not None:
+                        break
+        else:
+            combo = solver.express(target)
+        if combo is None:
+            return None
+    own, certificate = {}, []
+    for label, coeff in combo.items():
+        if isinstance(label, CommutatorTerm):
+            certificate.append(((label.u, label.v), coeff))
+        else:
+            own[label] = coeff
+    return own, certificate
 
 
 # ---------- helpers no command uses ----------

@@ -66,7 +66,20 @@ def test_arrow_names_of_the_doubled_quiver_exit_2(capsys, tmp_path, command):
     ({"group": {"elements": ["e", "g", "g2"], "table": None}}, "/group/table"),
     ({"group": {"elements": ["e", "g", "g2"], "table": [[0, 1, 2], 5, [2, 0, 1]]}},
      "/group/table"),
-], ids=["cycle-entry", "table", "table-row"])
+    ({"quiver": dict(MCKAY["quiver"], vertices=["v", "v"])}, "/quiver/vertices"),
+    ({"group": dict(MCKAY["group"], elements=["e", "g", "g"])}, "/group/elements"),
+    # true and false are JSON booleans, not the integers 1 and 0
+    ({"options": {"max_len": True}}, "/options/max_len"),
+    ({"quiver": dict(MCKAY["quiver"], arrows=[dict(MCKAY["quiver"]["arrows"][0], deg=False),
+                                              *MCKAY["quiver"]["arrows"][1:]])},
+     "/quiver/arrows/0/deg"),
+    ({"group": dict(MCKAY["group"], table=[[0, True, 2], [1, 2, 0], [2, 0, 1]])},
+     "/group/table"),
+    ({"group": dict(MCKAY["group"], idempotents={"vectors": [["1", "0", "0"]] * 3,
+                                                 "dims": [True, 1, 1]})},
+     "/group/idempotents/dims"),
+], ids=["cycle-entry", "table", "table-row", "duplicate-vertex", "duplicate-element",
+        "max-len-bool", "deg-bool", "table-bool", "dims-bool"])
 def test_document_values_of_the_wrong_type_exit_2(capsys, tmp_path, changes, location):
     code, report = run_cli(capsys, tmp_path, doc(MCKAY, **changes), "validate")
     assert code == 2

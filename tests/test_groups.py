@@ -1,13 +1,17 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewgin.errors import (BadCharacteristic, NoRootOfUnity, NotAbelian,
-                            NotAssociative, NotLatinSquare)
+                            NotAssociative, NotLatinSquare, SkewginError)
 from skewgin.fields import make_field
 from skewgin.groups import (GroupAlgebra, IdempotentSet, abelian_idempotents,
                             characters, cyclic_group, make_group,
                             validate_idempotent_set)
+
+from oracles import naive_characters
 
 Q = make_field("Q")
 F7 = make_field(7)
@@ -100,6 +104,61 @@ def test_characters_require_root():
         characters(cyclic_group(3), Q)
     with pytest.raises(NotAbelian):
         characters(s3_group(), Q)
+
+
+def cyclic_product(orders, placement):
+    """Z/orders[0] x ... as a table whose element k sits at index
+    placement[k], so that the order in which the coset extension meets the
+    elements varies."""
+    elements = list(product(*(range(n) for n in orders)))
+    position = {x: placement[k] for k, x in enumerate(elements)}
+    names, table = [None] * len(elements), [[None] * len(elements) for _ in elements]
+    for x in elements:
+        names[position[x]] = "".join(map(str, x))
+        for y in elements:
+            xy = tuple((a + b) % n for a, b, n in zip(x, y, orders))
+            table[position[x]][position[y]] = position[xy]
+    return make_group(names, table)
+
+
+def outcome(function, *args):
+    try:
+        return function(*args)
+    except SkewginError as exc:
+        return type(exc), exc.args
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_characters_match_generator_search_oracle(data):
+    # direct products of up to three cyclic groups, the elements shuffled:
+    # the extension meets steps with m > 1 and chi(g^m) != 1 (Z/4 x Z/2 with
+    # an element of order 4 before the order-2 factor), and fields without
+    # the needed roots of unity must fail the same way in both
+    orders = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    size = 1
+    for n in orders:
+        size *= n
+    group = cyclic_product(orders, data.draw(st.permutations(range(size))))
+    field = make_field(data.draw(st.sampled_from(["Q", 3, 5, 7, 13, 17, 37])))
+    assert outcome(characters, group, field) == outcome(naive_characters, group, field)
+
+
+def test_characters_extend_past_a_nontrivial_power():
+    # Z/4 x Z/2 with (2,0) placed first: the extension reaches <(2,0)>, then
+    # (0,1) with m = 2 and g^2 = e, then (1,0) with m = 2 and g^2 = (2,0),
+    # where chi((2,0)) = -1 asks for the square roots 2 and 3 of -1 in GF(5)
+    group = cyclic_product([4, 2], [0, 2, 3, 4, 1, 5, 6, 7])
+    assert group.names[1:4] == ("20", "01", "10")
+    field = make_field(5)
+    chars = characters(group, field)
+    assert chars == naive_characters(group, field)
+    assert len(chars) == 8 == len(set(chars))
+    assert {chi[3] for chi in chars if chi[1] == 4} == {2, 3}
+    for chi in chars:
+        for a in group.elements():
+            for b in group.elements():
+                assert chi[group.mul(a, b)] == chi[a] * chi[b] % 5
 
 
 def test_abelian_idempotents_z2_rationals():
