@@ -31,6 +31,7 @@ class QuiverAction:
         # arrow_images[g] : dict arrow name -> AlgElement (combination of arrows)
         self.arrow_images = arrow_images
         self._path_cache = {}
+        self._cleared_cache = {}
 
     @classmethod
     def trivial(cls, group, quiver, field):
@@ -67,6 +68,22 @@ class QuiverAction:
             out = out * images[arrows[k]]
             cache[(g, Path(source, arrows[:k + 1]))] = out
         return out
+
+    def cleared_image(self, g: int, path: Path):
+        """``Field.scaled`` of act_path(g, path), cleared once and cached.
+
+        Returns (den, [(r, int)]): every path r of the image starts at the
+        vertex g(source), so one look at the first r tells whether a path
+        composes with the image.  The list is shared by every caller and is
+        never rescaled in place; a caller that needs another denominator
+        scales its own factors instead.
+        """
+        key = (g, path)
+        cleared = self._cleared_cache.get(key)
+        if cleared is None:
+            cleared = self._cleared_cache[key] = self.field.scaled(
+                self.act_path(g, path).terms.items())
+        return cleared
 
     def act(self, g: int, x: AlgElement) -> AlgElement:
         out = AlgElement.zero(self.quiver, self.field)

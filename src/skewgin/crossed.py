@@ -7,9 +7,13 @@ twisting what they pass.  A term's length is the length of its path part.
 All class computations happen inside a single length component, which
 commutators and length-zero idempotents preserve.
 
-A product of two multi-term elements is regrouped by the paths q of its
-right operand, so each (g, q) image is cleared once and each p.r built once
-(see ``CrossedElement.__mul__``).
+Every image g acting on q is cleared to (den, int terms) once per action
+(``QuiverAction.cleared_image``).  A product of two multi-term elements is
+regrouped by the paths q of its right operand, so each p.r is built once
+(see ``CrossedElement.__mul__``), and the basis-pair products (p, g)(q, h)
+of commutators and certificates are read straight off the cleared image,
+with one unscale per commutator or certificate.  The commutator feed of
+``express_modulo_commutators`` stops as soon as the target is in the span.
 """
 
 from __future__ import annotations
@@ -108,10 +112,12 @@ class CrossedElement:
 
         - both operands are cleared once, and the right one is grouped by
           its path q into the (h, c) pairs that share it;
-        - the image of each distinct (g, q) is cleared once, brought to one
-          common denominator, and keyed by the source vertex of its paths,
-          so whether p composes with the image is one dict lookup on the
-          target of p per (p, g, q), exact for any action, validated or not;
+        - the cleared image of each distinct (g, q) comes from the action's
+          cache and is filed under g and the common source vertex of its
+          paths, so the images that compose with p are one dict lookup on
+          (g, target of p), exact for any action, validated or not; the
+          factor that brings an image to the common denominator goes into
+          its (gh, c_q) pairs, never into the shared cached list;
         - each path p.r is built once and serves every h of its q, and the
           plain int products are unscaled once per key at the end.
         """
@@ -120,9 +126,9 @@ class CrossedElement:
         self._check(other)
         action = self.action
         field, quiver = action.field, action.quiver
-        gmul, act_path = action.group.mul, action.act_path
+        gmul = action.group.mul
         if len(self.terms) <= 1 or len(other.terms) <= 1:
-            compose = quiver.compose
+            compose, act_path = quiver.compose, action.act_path
             res = CrossedElement(action)
             res.terms = field.accumulate({}, (
                 ((pr, gmul(g, h)), cp * cq * cr)
@@ -136,28 +142,24 @@ class CrossedElement:
         by_path = {}
         for (q, h), cq in right:
             by_path.setdefault(q, []).append((h, cq))
-        cleared = {(g, q): field.scaled(act_path(g, q).terms.items())
+        cleared_image = action.cleared_image
+        cleared = {(g, q): cleared_image(g, q)
                    for g in {g for (_, g), _ in left} for q in by_path}
         den_image = lcm(*{den for den, _ in cleared.values()})
-        # per g, one (image of q by source vertex, [(gh, c_q)]) per path q
+        # per (g, source vertex), one (image of q, [(gh, c_q)]) per path q
         kernel = {}
-        for (g, q), (den, ints) in cleared.items():
-            scale = den_image // den
-            by_source = {}
-            for r, cr in ints:
-                by_source.setdefault(r.source, []).append((r, cr * scale))
-            kernel.setdefault(g, []).append(
-                (by_source, [(gmul(g, h), cq) for h, cq in by_path[q]]))
+        for (g, q), (den, image) in cleared.items():
+            if image:
+                scale = den_image // den
+                kernel.setdefault((g, image[0][0].source), []).append(
+                    (image, [(gmul(g, h), cq * scale) for h, cq in by_path[q]]))
         target = quiver.path_target
         acc = {}
         get = acc.get
         for (p, g), cp in left:
-            end, head = target(p), p.arrows
-            for by_source, twists in kernel[g]:
-                composable = by_source.get(end)
-                if composable is None:
-                    continue
-                for r, cr in composable:
+            head = p.arrows
+            for image, twists in kernel.get((g, target(p)), ()):
+                for r, cr in image:
                     pr = Path(p.source, head + r.arrows) if head else r
                     c = cp * cr
                     for gh, cq in twists:
@@ -214,15 +216,40 @@ class CommutatorTerm:
         self.element = element
 
 
+def _pair_product(action, u, v):
+    """(den, [(key, int)]) of the basis-pair product u v = (p, g)(q, h):
+    the terms c * r of the cleared image den, [(r, c)] of g acting on q
+    become c * p.r.gh, and the list is empty when p does not compose with
+    the image.  The keys are distinct, and the cached image is only read."""
+    (p, g), (q, h) = u, v
+    den, image = action.cleared_image(g, q)
+    if not image or action.quiver.path_target(p) != image[0][0].source:
+        return den, []
+    gh, head = action.group.mul(g, h), p.arrows
+    return den, [((Path(p.source, head + r.arrows) if head else r, gh), c)
+                 for r, c in image]
+
+
+def _commutator_ints(action, u, v):
+    """(den, [(key, int)]) with the commutator [u, v] = uv - vu the sum of
+    the int / den; a key may occur twice, once from each product."""
+    den_uv, uv = _pair_product(action, u, v)
+    den_vu, vu = _pair_product(action, v, u)
+    den = lcm(den_uv, den_vu)
+    a, b = den // den_uv, -(den // den_vu)
+    return den, [(key, a * c) for key, c in uv] + [(key, b * c) for key, c in vu]
+
+
 def commutator_basis(action, length: int):
     """Spanning set of the commutator subspace of one length component.
 
     Iterates basis pairs u = (p, g), v = (q, h) with len(p) + len(q) equal
     to the requested length, keeping each unordered pair once and dropping
-    zero commutators.
+    zero commutators.  Each commutator is summed on ints from the cleared
+    images of its two basis-pair products and unscaled once.
     """
     out = []
-    accumulate = action.field.accumulate
+    accumulate, unscale = action.field.accumulate, action.field.unscale
     for s in range(length // 2 + 1):
         t = length - s
         left = crossed_basis(action, s)
@@ -230,11 +257,10 @@ def commutator_basis(action, length: int):
         for i, u in enumerate(left):
             start = i + 1 if s == t else 0
             for v in right[start:]:
-                eu = CrossedElement.from_pair(action, *u)
-                ev = CrossedElement.from_pair(action, *v)
-                elem = eu * ev
-                accumulate(elem.terms, ((k, -c) for k, c in (ev * eu).terms.items()))
-                if not elem.is_zero():
+                den, ints = _commutator_ints(action, u, v)
+                if terms := unscale(accumulate({}, ints), den):
+                    elem = CrossedElement(action)
+                    elem.terms = terms
                     out.append(CommutatorTerm(u, v, elem))
     return out
 
@@ -242,27 +268,35 @@ def commutator_basis(action, length: int):
 def expand_certificate(action, certificate) -> CrossedElement:
     """Re-expand a list of ((u, v), coeff) commutator entries exactly.
 
-    Every coeff * uv and -coeff * vu goes straight into one accumulator.
+    The coefficients are cleared once, every coeff * [u, v] goes on ints
+    into one accumulator over the least common denominator of the
+    commutators, and the sum is unscaled once.
     """
+    field = action.field
+    den_coeff, entries = field.scaled(certificate)
+    commutators = [(coeff, *_commutator_ints(action, u, v)) for (u, v), coeff in entries]
+    den = lcm(*{d for _, d, _ in commutators})
+    acc = {}
+    for coeff, d, ints in commutators:
+        factor = coeff * (den // d)
+        field.accumulate(acc, ((key, factor * c) for key, c in ints))
     total = CrossedElement(action)
-    acc, accumulate = total.terms, action.field.accumulate
-    for (u, v), coeff in certificate:
-        eu = CrossedElement.from_pair(action, *u)
-        ev = CrossedElement.from_pair(action, *v)
-        accumulate(acc, ((k, coeff * c) for k, c in (eu * ev).terms.items()))
-        accumulate(acc, ((k, -coeff * c) for k, c in (ev * eu).terms.items()))
+    total.terms = field.unscale(acc, den_coeff * den)
     return total
 
 
 def express_modulo_commutators(solver, target, action, length: int, index: dict):
     """Write target as the solver's labelled vectors plus commutators.
 
-    The solver's own labelled vectors are tried first.  Only then is the
-    commutator span of the length component built and fed in, the
-    commutators touching the residual's support first, in basis order, and
-    the target is expressed once more.  The labelled inputs are
-    independent, so the combination is unique and does not depend on how
-    much of the span is in.  Returns (combination of the caller's labels,
+    Every input of the solver must carry a label.  The solver's own
+    labelled vectors are tried first.  Only then is the commutator span of
+    the length component built and fed in, the commutators touching the
+    residual's support first, in basis order.  The feed stops as soon as
+    the target is in the span, which is checked only after an insertion
+    that enlarged it, and the target is expressed once more.  The labelled
+    inputs are independent, so the combination is unique: a commutator fed
+    after the stop would get coefficient 0, and the certificate is the one
+    the whole feed gives.  Returns (combination of the caller's labels,
     certificate entries ((u, v), coeff)), or None.
     """
     combo = solver.express(target)
@@ -272,7 +306,8 @@ def express_modulo_commutators(solver, target, action, length: int, index: dict)
         vectors = [vectorize(term.element, index) for term in terms]
         order = sorted(range(len(terms)), key=lambda k: support.isdisjoint(vectors[k]))
         for k in order:
-            solver.add(vectors[k], label=terms[k])
+            if solver.add(vectors[k], label=terms[k]) and solver.contains(target):
+                break
         combo = solver.express(target)
         if combo is None:
             return None

@@ -189,19 +189,40 @@ def parse(text: str) -> ProblemDocument:
                     options[key] = oraw[key]
 
     differential_override = raw.get("differential_override")
-    if differential_override is not None and not isinstance(differential_override, dict):
-        issues.append(("/differential_override", "expected an object keyed by generators"))
-        differential_override = None
+    if differential_override is not None:
+        if not isinstance(differential_override, dict):
+            issues.append(("/differential_override", "expected an object keyed by generators"))
+        else:
+            for gen, terms in differential_override.items():
+                _check_terms(terms, f"/differential_override/{gen}", "path", issues)
 
     reduced_potential = raw.get("reduced_potential")
-    if reduced_potential is not None and not isinstance(reduced_potential, list):
-        issues.append(("/reduced_potential", "expected a list of terms"))
-        reduced_potential = None
+    if reduced_potential is not None:
+        _check_terms(reduced_potential, "/reduced_potential", "cycle", issues)
 
     if issues:
         raise ValidationError(issues)
     return ProblemDocument(field, quiver, potential, d, group, action,
                            idempotents, options, differential_override, reduced_potential)
+
+
+def _check_terms(terms, where, arrows_key, issues):
+    """The shape of override terms: a list of objects, each with a nonempty
+    list of arrow names under arrows_key and, if given, a string coeff.
+    The names are resolved where the quiver they live on is built."""
+    if not isinstance(terms, list):
+        issues.append((where, "expected a list of terms"))
+        return
+    for i, term in enumerate(terms):
+        here = f"{where}/{i}"
+        if not isinstance(term, dict):
+            issues.append((here, "expected an object"))
+            continue
+        names = term.get(arrows_key)
+        if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
+            issues.append((f"{here}/{arrows_key}", "expected a nonempty list of arrow names"))
+        if not isinstance(term.get("coeff", "1"), str):
+            issues.append((f"{here}/coeff", "expected a scalar string"))
 
 
 def _parse_potential(praw, where, quiver, field, issues):

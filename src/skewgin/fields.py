@@ -10,9 +10,11 @@ Hot loops run on plain ints instead (the scaled-integer convention):
 (the least common denominator over Q, 1 over GF(p)), the loop adds and
 multiplies those integers with no reduction, and ``Field.unscale`` turns
 the integer sums back into canonical scalars, one per key.  The crossed
-product, ``LinSolver`` and the Weyl checks of ``weyl.py`` follow this
-convention; the Weyl resolution has integer coefficients to begin with, so
-only its symplectic matrices need clearing.
+product, the commutators and certificate re-expansion of ``crossed.py``
+(each action image cleared once, by ``QuiverAction.cleared_image``),
+``LinSolver`` and the Weyl checks of ``weyl.py`` follow this convention;
+the Weyl resolution has integer coefficients to begin with, so only its
+symplectic matrices need clearing.
 """
 
 from __future__ import annotations

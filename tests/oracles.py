@@ -16,9 +16,14 @@ per-path left folds that ``QuiverAction.act_path`` and
 p.r.q that the recurrence of ``skewgin.ginzburg.relation_ideal`` replaced,
 the characters by generator search that the coset extension of
 ``skewgin.groups.characters`` replaced, the bimodule generators as
-five-fold products that ``skewgin.morita.build_bimodule`` replaced, and
-the commutator feed with a retry every 24 insertions that
-``skewgin.crossed.express_modulo_commutators`` replaced.
+five-fold products that ``skewgin.morita.build_bimodule`` replaced, the
+commutators as products of two one-term elements that the int commutators
+on cached cleared images of ``skewgin.crossed.commutator_basis`` replaced,
+and two commutator feeds that
+``skewgin.crossed.express_modulo_commutators`` replaced: one retrying the
+target every 24 insertions, and one feeding every commutator before it
+expresses the target once, which the feed that stops at the target
+replaced.
 
 The last section holds helpers that no command uses, kept for the tests:
 ``span_rank``, ``rotations_of``, ``cyclic_derivative_along``,
@@ -580,6 +585,54 @@ def naive_build_bimodule(action, reps, kappa, stabilizers):
     return slots
 
 
+def naive_commutator_basis(action, length):
+    """``commutator_basis`` with each commutator formed as uv - vu from
+    two one-term elements and their two products."""
+    out = []
+    for s in range(length // 2 + 1):
+        t = length - s
+        left = crossed_basis(action, s)
+        right = crossed_basis(action, t)
+        for i, u in enumerate(left):
+            start = i + 1 if s == t else 0
+            for v in right[start:]:
+                eu = CrossedElement.from_pair(action, *u)
+                ev = CrossedElement.from_pair(action, *v)
+                elem = eu * ev - ev * eu
+                if not elem.is_zero():
+                    out.append(CommutatorTerm(u, v, elem))
+    return out
+
+
+def _split_combination(combo):
+    """(the caller's labels, certificate entries) of a combination."""
+    own, certificate = {}, []
+    for label, coeff in combo.items():
+        if isinstance(label, CommutatorTerm):
+            certificate.append(((label.u, label.v), coeff))
+        else:
+            own[label] = coeff
+    return own, certificate
+
+
+def feed_all_express_modulo_commutators(solver, target, action, length, index):
+    """``express_modulo_commutators`` that feeds every commutator of
+    ``naive_commutator_basis``, those touching the residual's support
+    first, and only then expresses the target once more."""
+    combo = solver.express(target)
+    if combo is None:
+        support = set(solver.residual(target))
+        terms = naive_commutator_basis(action, length)
+        vectors = [vectorize(term.element, index) for term in terms]
+        order = sorted(range(len(terms)), key=lambda k: support.isdisjoint(vectors[k]))
+        for k in order:
+            solver.add(vectors[k], label=terms[k])
+        combo = solver.express(target)
+        if combo is None:
+            return None
+    return _split_combination(combo)
+
+
 def retrying_express_modulo_commutators(solver, target, action, length, index):
     """``express_modulo_commutators`` that feeds the commutators touching the
     residual's support first and retries the target after every 24
@@ -603,13 +656,7 @@ def retrying_express_modulo_commutators(solver, target, action, length, index):
             combo = solver.express(target)
         if combo is None:
             return None
-    own, certificate = {}, []
-    for label, coeff in combo.items():
-        if isinstance(label, CommutatorTerm):
-            certificate.append(((label.u, label.v), coeff))
-        else:
-            own[label] = coeff
-    return own, certificate
+    return _split_combination(combo)
 
 
 # ---------- helpers no command uses ----------

@@ -78,12 +78,44 @@ def test_arrow_names_of_the_doubled_quiver_exit_2(capsys, tmp_path, command):
     ({"group": dict(MCKAY["group"], idempotents={"vectors": [["1", "0", "0"]] * 3,
                                                  "dims": [True, 1, 1]})},
      "/group/idempotents/dims"),
+    # a string is not read as the list of its characters
+    ({"reduced_potential": [{"coeff": "1", "cycle": "m0"}]}, "/reduced_potential/0/cycle"),
+    ({"reduced_potential": [{"coeff": "1", "cycle": []}]}, "/reduced_potential/0/cycle"),
+    ({"reduced_potential": [{"coeff": "1", "cycle": ["m0", 1]}]},
+     "/reduced_potential/0/cycle"),
+    ({"reduced_potential": [{"coeff": 1, "cycle": ["m0"]}]}, "/reduced_potential/0/coeff"),
+    ({"reduced_potential": [3]}, "/reduced_potential/0"),
+    ({"reduced_potential": {"cycle": ["m0"]}}, "/reduced_potential"),
+    ({"differential_override": {"x*": [{"coeff": "1", "path": "yz"}]}},
+     "/differential_override/x*/0/path"),
+    ({"differential_override": {"x*": [{"coeff": "1", "path": [["y"], "z"]}]}},
+     "/differential_override/x*/0/path"),
+    ({"differential_override": {"x*": [{"coeff": 1, "path": ["y", "z"]}]}},
+     "/differential_override/x*/0/coeff"),
+    ({"differential_override": {"x*": [3]}}, "/differential_override/x*/0"),
+    ({"differential_override": {"x*": "yz"}}, "/differential_override/x*"),
 ], ids=["cycle-entry", "table", "table-row", "duplicate-vertex", "duplicate-element",
-        "max-len-bool", "deg-bool", "table-bool", "dims-bool"])
+        "max-len-bool", "deg-bool", "table-bool", "dims-bool",
+        "reduced-cycle-string", "reduced-cycle-empty", "reduced-cycle-entry",
+        "reduced-coeff-int", "reduced-term-int", "reduced-not-list",
+        "override-path-string", "override-path-entry", "override-coeff-int",
+        "override-term-int", "override-not-list"])
 def test_document_values_of_the_wrong_type_exit_2(capsys, tmp_path, changes, location):
     code, report = run_cli(capsys, tmp_path, doc(MCKAY, **changes), "validate")
     assert code == 2
     assert location in [e["location"] for e in report["errors"]]
+
+
+@pytest.mark.parametrize("command", ["validate", "ginzburg", "reduce", "transport", "verify"])
+def test_override_terms_of_the_wrong_shape_exit_2_in_every_command(capsys, tmp_path, command):
+    # "yz" once read as the path y.z, and "m0" as the arrows m and 0
+    bad = doc(MCKAY, differential_override={"x*": [{"coeff": "1", "path": "yz"}]},
+              reduced_potential=[{"coeff": "1", "cycle": "m0"}, 3])
+    code, report = run_cli(capsys, tmp_path, bad, command)
+    assert code == 2
+    assert [e["location"] for e in report["errors"]] == [
+        "/differential_override/x*/0/path", "/reduced_potential/0/cycle",
+        "/reduced_potential/1"]
 
 
 def test_ginzburg_check_passes(capsys, tmp_path):

@@ -387,3 +387,26 @@ def test_expand_certificate_matches_entrywise_oracle(name, data):
             assert type(c) is Fraction
         else:
             assert type(c) is int and 0 < c < field.p
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_ACTIONS))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_cleared_image_cache_is_never_rescaled(name, data):
+    # products mix path lengths and so images of different denominators
+    # (5^k on Q, 2 and 3 on Q-swap); each is brought to the common
+    # denominator of its product, which must not touch the cached list:
+    # the same products, repeated on the warm cache, still match the
+    # oracle, and every cached image is still the image cleared afresh
+    action = KERNEL_ACTIONS[name]()
+    elements = crossed_elements(action)
+    pairs = [(data.draw(elements), data.draw(elements)) for _ in range(3)]
+    for _ in range(2):
+        for x, y in pairs:
+            assert_matches_oracle(x, y)
+            assert_matches_oracle(y, x)
+    field = action.field
+    for g in action.group.elements():
+        for q in basis_up_to(action.quiver, 2):
+            assert action.cleared_image(g, q) == field.scaled(
+                action.act_path(g, q).terms.items())

@@ -1,8 +1,8 @@
 import pytest
 
 from skewgin.action import QuiverAction, validate_action
-from skewgin.crossed import (CrossedElement, basis_index, express_modulo_commutators,
-                             vectorize)
+from skewgin.crossed import (CommutatorTerm, CrossedElement, basis_index, commutator_basis,
+                             express_modulo_commutators, vectorize)
 from skewgin.document import parse
 from skewgin.errors import IncompleteIdempotents
 from skewgin.fields import make_field
@@ -15,7 +15,8 @@ from skewgin.potential import Potential, canonicalize, cycle_length_of
 from skewgin.quiver import AlgElement, GradedQuiver, paths_by_length
 
 from docs import MCKAY, SIGNED_S3, doc
-from oracles import (naive_build_bimodule, naive_embed_path,
+from oracles import (feed_all_express_modulo_commutators, naive_build_bimodule,
+                     naive_commutator_basis, naive_embed_path,
                      retrying_express_modulo_commutators)
 
 Q = make_field("Q")
@@ -555,13 +556,23 @@ def test_bimodule_slots_match_five_fold_product_oracle(name):
         assert [z.terms for z in elements] == [z.terms for z in want[key]]
 
 
-def transport_feed(md, w):
+class FeedCountingSolver(LinSolver):
+    """A LinSolver that counts the commutators fed into it."""
+
+    fed = 0
+
+    def add(self, vec, label=None):
+        self.fed += isinstance(label, CommutatorTerm)
+        return super().add(vec, label)
+
+
+def transport_feed(md, w, solver_class=LinSolver):
     """A fresh (solver, target, action, length, index) as transport_potential
     hands them to express_modulo_commutators."""
     action, qprime = md.action, md.qprime
     ell = cycle_length_of(w)
     index = basis_index(action, ell)
-    solver = LinSolver(md.field)
+    solver = solver_class(md.field)
     cycles = [p for p in paths_by_length(qprime, ell).get(ell, []) if qprime.is_cycle(p)]
     embedded = embed_paths(md, cycles)
     for p in cycles:
@@ -605,6 +616,7 @@ def test_one_commutator_feed_matches_retrying_oracle_on_transport(name):
     got = express_modulo_commutators(*transport_feed(md, w))
     assert got is not None
     assert got == retrying_express_modulo_commutators(*transport_feed(md, w))
+    assert got == feed_all_express_modulo_commutators(*transport_feed(md, w))
     # McKay's reduced cycles express its potential alone; the other two
     # need commutators, so only there is the feed itself compared
     assert bool(got[1]) == (name != "mckay")
@@ -617,9 +629,43 @@ def test_one_commutator_feed_matches_retrying_oracle_on_certification(mckay):
     got = express_modulo_commutators(*certify_feed(md, w, reduced))
     assert got is not None and got[1]
     assert got == retrying_express_modulo_commutators(*certify_feed(md, w, reduced))
+    assert got == feed_all_express_modulo_commutators(*certify_feed(md, w, reduced))
     path0, coeff0 = min(reduced.terms.items(), key=lambda kv: kv[0])
     bad_terms = dict(reduced.terms)
     bad_terms[path0] = F7.add(coeff0, F7.one())
     bad = canonicalize(md.qprime, F7, [(c, p) for p, c in bad_terms.items()])
     assert express_modulo_commutators(*certify_feed(md, w, bad)) is None
     assert retrying_express_modulo_commutators(*certify_feed(md, w, bad)) is None
+    assert feed_all_express_modulo_commutators(*certify_feed(md, w, bad)) is None
+
+
+def test_signed_s3_commutator_feed_stops_at_the_potential():
+    # the target is in the span long before the last of the 1,764
+    # commutators; the combination, and so the certificate, is the one the
+    # whole feed gives
+    md, w = document_problem(SIGNED_S3)
+    feed = transport_feed(md, w, FeedCountingSolver)
+    got = express_modulo_commutators(*feed)
+    assert len(commutator_basis(md.action, feed[3])) == 1764
+    assert 0 < feed[0].fed < 1764
+    assert got == feed_all_express_modulo_commutators(*transport_feed(md, w))
+
+
+def commutator_actions():
+    from test_crossed import KERNEL_ACTIONS
+    actions = {f"kernel-{name}": make for name, make in KERNEL_ACTIONS.items()}
+    actions.update({"signed-s3": lambda: parse(doc(SIGNED_S3)).action,
+                    "mckay": lambda: parse(doc(MCKAY)).action})
+    return actions
+
+
+@pytest.mark.parametrize("name, length", [
+    *((name, length) for name in sorted(commutator_actions()) if name.startswith("kernel-")
+      for length in range(4)),
+    ("signed-s3", 3), ("mckay", 3)])
+def test_commutator_basis_matches_product_oracle(name, length):
+    action = commutator_actions()[name]()
+    got = [(t.u, t.v, t.element.terms) for t in commutator_basis(action, length)]
+    want = [(t.u, t.v, t.element.terms) for t in naive_commutator_basis(action, length)]
+    assert got == want
+    assert got or length == 0
