@@ -76,7 +76,7 @@ class QuiverAction:
         vertex g(source), so one look at the first r tells whether a path
         composes with the image.  The list is shared by every caller and is
         never rescaled in place; a caller that needs another denominator
-        scales its own factors instead.
+        scales its own sums or factors instead.
         """
         key = (g, path)
         cleared = self._cleared_cache.get(key)

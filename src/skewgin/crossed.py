@@ -7,13 +7,17 @@ twisting what they pass.  A term's length is the length of its path part.
 All class computations happen inside a single length component, which
 commutators and length-zero idempotents preserve.
 
-Every image g acting on q is cleared to (den, int terms) once per action
-(``QuiverAction.cleared_image``).  A product of two multi-term elements is
-regrouped by the paths q of its right operand, so each p.r is built once
-(see ``CrossedElement.__mul__``), and the basis-pair products (p, g)(q, h)
-of commutators and certificates are read straight off the cleared image,
-with one unscale per commutator or certificate.  The commutator feed of
-``express_modulo_commutators`` stops as soon as the target is in the span.
+Elements hold their scalars as one positive int den and int terms (the
+scaled-integer form of ``skewgin.fields``), so products, sums,
+commutators and certificate re-expansion run on ints; field scalars are
+made only by ``CrossedElement.field_terms`` and ``sorted_terms``, which
+reports read.  Every image g acting on q is cleared to (den, int terms)
+once per action (``QuiverAction.cleared_image``).  A product of two
+elements is regrouped by the paths q of its right operand, so each p.r is
+built once (see ``CrossedElement.__mul__``), and the basis-pair products
+(p, g)(q, h) of commutators and certificates are read straight off the
+cleared image.  The commutator feed of ``express_modulo_commutators``
+stops as soon as the target is in the span.
 """
 
 from __future__ import annotations
@@ -25,26 +29,42 @@ from .quiver import AlgElement, Path, path_sort_key, paths_by_length
 
 
 class CrossedElement:
-    """Finite scalar combination of (path, group element) pairs."""
+    """Finite scalar combination of (path, group element) pairs.
 
-    __slots__ = ("action", "terms")
+    The scalars are kept in the scaled-integer form of ``skewgin.fields``:
+    one positive int ``den`` and int ``terms``, the scalar of a key being
+    its int / den.  Over GF(p) den is 1 and the ints are residues.  Field
+    scalars are made only by ``field_terms`` and ``sorted_terms``.
+    """
 
-    def __init__(self, action, terms=None):
-        self.action = action
-        self.terms = {}
-        if terms:
-            action.field.accumulate(
-                self.terms, terms.items() if isinstance(terms, dict) else terms)
+    __slots__ = ("action", "den", "terms")
+
+    def __init__(self, action, terms=()):
+        """The element with the given (key, field scalar) pairs or dict,
+        cleared once to ints over their least common denominator."""
+        field = action.field
+        acc = field.accumulate({}, terms.items() if isinstance(terms, dict) else terms)
+        den, items = field.scaled(acc.items())
+        self.action, self.den, self.terms = action, den, dict(items)
 
     # -- constructors --
 
     @classmethod
+    def from_ints(cls, action, den: int, terms: dict):
+        """The element terms / den; terms holds nonzero ints (residues over
+        GF(p), where den is 1) and is taken as it is, not copied."""
+        el = cls.__new__(cls)
+        el.action, el.den, el.terms = action, den, terms
+        return el
+
+    @classmethod
     def zero(cls, action):
-        return cls(action)
+        return cls.from_ints(action, 1, {})
 
     @classmethod
     def from_pair(cls, action, path, g: int, coeff=None):
-        coeff = action.field.one() if coeff is None else coeff
+        if coeff is None:
+            return cls.from_ints(action, 1, {(path, g): 1})
         return cls(action, {(path, g): coeff})
 
     @classmethod
@@ -55,14 +75,8 @@ class CrossedElement:
         if x.field != action.field:
             raise FieldMismatch("element lives over a different field")
         g = action.group.identity if g is None else g
-        return cls(action, {(p, g): c for p, c in x.terms.items()})
-
-    @classmethod
-    def one(cls, action):
-        ident = action.group.identity
-        one = action.field.one()
-        return cls(action, {(action.quiver.trivial_path(v), ident): one
-                            for v in action.quiver.vertices})
+        den, items = action.field.scaled(x.terms.items())
+        return cls.from_ints(action, den, {(p, g): c for p, c in items})
 
     # -- structure --
 
@@ -71,103 +85,94 @@ class CrossedElement:
 
     def _check(self, other):
         if self.action is not other.action:
-            if (self.action.quiver != other.action.quiver
-                    or self.action.field != other.action.field):
+            if self.action.quiver != other.action.quiver:
                 raise QuiverMismatch("elements belong to different crossed products")
+            if self.action.field != other.action.field:
+                raise FieldMismatch("elements belong to crossed products over different fields")
 
     def __eq__(self, other):
+        """Equal values: the terms cross-multiplied by the other's den."""
         if not isinstance(other, CrossedElement):
             return NotImplemented
-        return self.terms == other.terms
+        a, b = self.den, other.den
+        if a == b:
+            return self.terms == other.terms
+        theirs = other.terms
+        return (self.terms.keys() == theirs.keys()
+                and all(c * b == theirs[k] * a for k, c in self.terms.items()))
+
+    def _plus(self, other, sign):
+        self._check(other)
+        return CrossedElement.from_ints(self.action, *self.action.field.combine((
+            (1, self.den, self.terms.items()), (sign, other.den, other.terms.items()))))
 
     def __add__(self, other):
-        self._check(other)
-        res = CrossedElement(self.action)
-        res.terms = self.action.field.accumulate(dict(self.terms), other.terms.items())
-        return res
-
-    def __neg__(self):
-        f = self.action.field
-        res = CrossedElement(self.action)
-        res.terms = {k: f.neg(c) for k, c in self.terms.items()}
-        return res
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, coeff):
-        f = self.action.field
-        res = CrossedElement(self.action)
-        if coeff != f.zero():
-            res.terms = {k: f.mul(coeff, c) for k, c in self.terms.items()}
-        return res
+        return self._plus(other, -1)
 
     def __mul__(self, other):
         """(p.g)(q.h) = sum of c * p.r.gh over the terms c * r of g acting on q.
 
-        When one operand has at most one term there are few products, and
-        they go straight into one ``Field.accumulate`` as field scalars.
-        Otherwise the product runs on the field's scaled integers (see
-        ``skewgin.fields``), regrouped by path:
-
-        - both operands are cleared once, and the right one is grouped by
-          its path q into the (h, c) pairs that share it;
-        - the cleared image of each distinct (g, q) comes from the action's
-          cache and is filed under g and the common source vertex of its
-          paths, so the images that compose with p are one dict lookup on
-          (g, target of p), exact for any action, validated or not; the
-          factor that brings an image to the common denominator goes into
-          its (gh, c_q) pairs, never into the shared cached list;
-        - each path p.r is built once and serves every h of its q, and the
-          plain int products are unscaled once per key at the end.
+        One int kernel, regrouped by path.  The right operand is grouped by
+        its path q; per group element g of the left operand, the cached
+        cleared image of each q is filed under the source vertex of its
+        paths, so the images composing with p are one lookup on the target
+        of p, for any action.  Each path p.r serves every h of its q, and the
+        int products are summed unreduced, one sum per image den.  The sums
+        go to the lcm of those dens (the shared images are never rescaled)
+        and to canonical form (``Field.normalized``), whose content division
+        keeps den from growing.
         """
         if not isinstance(other, CrossedElement):
             return NotImplemented
-        self._check(other)
         action = self.action
-        field, quiver = action.field, action.quiver
-        gmul = action.group.mul
-        if len(self.terms) <= 1 or len(other.terms) <= 1:
-            compose, act_path = quiver.compose, action.act_path
-            res = CrossedElement(action)
-            res.terms = field.accumulate({}, (
-                ((pr, gmul(g, h)), cp * cq * cr)
-                for (p, g), cp in self.terms.items()
-                for (q, h), cq in other.terms.items()
-                for r, cr in act_path(g, q).terms.items()
-                if (pr := compose(p, r)) is not None))
-            return res
-        den_left, left = field.scaled(self.terms.items())
-        den_right, right = field.scaled(other.terms.items())
+        if other.action is not action:
+            self._check(other)
+        gmul, cleared_image = action.group.mul, action.cleared_image
+        arrow = action.quiver.arrow_by_name
         by_path = {}
-        for (q, h), cq in right:
-            by_path.setdefault(q, []).append((h, cq))
-        cleared_image = action.cleared_image
-        cleared = {(g, q): cleared_image(g, q)
-                   for g in {g for (_, g), _ in left} for q in by_path}
-        den_image = lcm(*{den for den, _ in cleared.values()})
-        # per (g, source vertex), one (image of q, [(gh, c_q)]) per path q
-        kernel = {}
-        for (g, q), (den, image) in cleared.items():
-            if image:
-                scale = den_image // den
-                kernel.setdefault((g, image[0][0].source), []).append(
-                    (image, [(gmul(g, h), cq * scale) for h, cq in by_path[q]]))
-        target = quiver.path_target
-        acc = {}
-        get = acc.get
-        for (p, g), cp in left:
+        for (q, h), cq in other.terms.items():
+            twists = by_path.get(q)
+            if twists is None:
+                by_path[q] = [(h, cq)]
+            else:
+                twists.append((h, cq))
+        kernel = {}  # g -> source vertex -> [(den, image, [(gh, c_q)])]
+        sums = {}    # image den -> {key: int sum}
+        for (p, g), cp in self.terms.items():
+            by_source = kernel.get(g)
+            if by_source is None:
+                by_source = kernel[g] = {}
+                for q, twists in by_path.items():
+                    den, image = cleared_image(g, q)
+                    if image:
+                        by_source.setdefault(image[0][0].source, []).append(
+                            (den, image, [(gmul(g, h), cq) for h, cq in twists]))
             head = p.arrows
-            for image, twists in kernel.get((g, target(p)), ()):
+            for den, image, twists in by_source.get(arrow[head[-1]].tgt if head else p.source, ()):
+                acc = sums.get(den)
+                if acc is None:
+                    acc = sums[den] = {}
+                get = acc.get
                 for r, cr in image:
                     pr = Path(p.source, head + r.arrows) if head else r
                     c = cp * cr
                     for gh, cq in twists:
                         key = (pr, gh)
                         acc[key] = get(key, 0) + c * cq
-        res = CrossedElement(action)
-        res.terms = field.unscale(acc, den_left * den_right * den_image)
-        return res
+        if len(sums) == 1:
+            [(den, acc)] = sums.items()
+        else:
+            den, acc = lcm(*sums), {}
+            get = acc.get
+            for d, part in sums.items():
+                scale = den // d
+                for key, s in part.items():
+                    acc[key] = get(key, 0) + s * scale
+        return CrossedElement.from_ints(action, *action.field.normalized(
+            acc, self.den * other.den * den))
 
     def pure_length(self):
         ls = {len(p.arrows) for (p, _) in self.terms}
@@ -175,20 +180,14 @@ class CrossedElement:
             raise NotLengthHomogeneous(f"element mixes path lengths {sorted(ls)}")
         return ls.pop()
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(),
-                      key=lambda kv: (path_sort_key(kv[0][0]), kv[0][1]))
+    def field_terms(self) -> dict:
+        """The sparse dict {key: field scalar}: one ``Field.ratio`` per term."""
+        ratio, den = self.action.field.ratio, self.den
+        return {k: ratio(c, den) for k, c in self.terms.items()}
 
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        names = self.action.group.names
-        f = self.action.field
-        bits = []
-        for (p, g), c in self.sorted_terms():
-            word = "".join(p.arrows) if p.arrows else f"e_{p.source}"
-            bits.append(f"{f.format(c)}*{word}.{names[g]}")
-        return " + ".join(bits)
+    def sorted_terms(self):
+        return sorted(self.field_terms().items(),
+                      key=lambda kv: (path_sort_key(kv[0][0]), kv[0][1]))
 
 
 def crossed_basis(action, length: int):
@@ -246,10 +245,11 @@ def commutator_basis(action, length: int):
     Iterates basis pairs u = (p, g), v = (q, h) with len(p) + len(q) equal
     to the requested length, keeping each unordered pair once and dropping
     zero commutators.  Each commutator is summed on ints from the cleared
-    images of its two basis-pair products and unscaled once.
+    images of its two basis-pair products and kept as it is, den and int
+    terms, with no field scalar made.
     """
     out = []
-    accumulate, unscale = action.field.accumulate, action.field.unscale
+    accumulate = action.field.accumulate
     for s in range(length // 2 + 1):
         t = length - s
         left = crossed_basis(action, s)
@@ -258,62 +258,58 @@ def commutator_basis(action, length: int):
             start = i + 1 if s == t else 0
             for v in right[start:]:
                 den, ints = _commutator_ints(action, u, v)
-                if terms := unscale(accumulate({}, ints), den):
-                    elem = CrossedElement(action)
-                    elem.terms = terms
-                    out.append(CommutatorTerm(u, v, elem))
+                if terms := accumulate({}, ints):
+                    out.append(CommutatorTerm(u, v, CrossedElement.from_ints(action, den, terms)))
     return out
 
 
 def expand_certificate(action, certificate) -> CrossedElement:
-    """Re-expand a list of ((u, v), coeff) commutator entries exactly.
-
-    The coefficients are cleared once, every coeff * [u, v] goes on ints
-    into one accumulator over the least common denominator of the
-    commutators, and the sum is unscaled once.
-    """
-    field = action.field
-    den_coeff, entries = field.scaled(certificate)
-    commutators = [(coeff, *_commutator_ints(action, u, v)) for (u, v), coeff in entries]
-    den = lcm(*{d for _, d, _ in commutators})
-    acc = {}
-    for coeff, d, ints in commutators:
-        factor = coeff * (den // d)
-        field.accumulate(acc, ((key, factor * c) for key, c in ints))
-    total = CrossedElement(action)
-    total.terms = field.unscale(acc, den_coeff * den)
-    return total
+    """Re-expand a list of ((u, v), coeff) commutator entries exactly:
+    every coeff * [u, v] goes on ints into one ``Field.combine``."""
+    return CrossedElement.from_ints(action, *action.field.combine(
+        (coeff, *_commutator_ints(action, u, v)) for (u, v), coeff in certificate))
 
 
-def express_modulo_commutators(solver, target, action, length: int, index: dict):
+def express_modulo_commutators(solver, target: CrossedElement, length: int, index: dict,
+                               dens: dict):
     """Write target as the solver's labelled vectors plus commutators.
 
-    Every input of the solver must carry a label.  The solver's own
-    labelled vectors are tried first.  Only then is the commutator span of
-    the length component built and fed in, the commutators touching the
-    residual's support first, in basis order.  The feed stops as soon as
-    the target is in the span, which is checked only after an insertion
-    that enlarged it, and the target is expressed once more.  The labelled
-    inputs are independent, so the combination is unique: a commutator fed
-    after the stop would get coefficient 0, and the certificate is the one
-    the whole feed gives.  Returns (combination of the caller's labels,
-    certificate entries ((u, v), coeff)), or None.
+    Every input of the solver must carry a label, and each is the int
+    terms of an element whose den is dens[label].
+    The solver's own labelled vectors are tried first.  Only then is the
+    commutator span of the length component built and fed in, each
+    commutator as its int terms, the ones touching the residual's support
+    first, in basis order.  The feed stops as soon as the target is in the
+    span, which is checked only after an insertion that enlarged it, and
+    the target is expressed once more.  The labelled inputs are
+    independent, so the combination is unique: a commutator fed after the
+    stop would get coefficient 0, and the certificate is the one the whole
+    feed gives.  The solver combines int vectors, so each coefficient is
+    rescaled by its input's den over the target's den.  Returns
+    (combination of the caller's labels, certificate entries
+    ((u, v), coeff)), or None.
     """
-    combo = solver.express(target)
+    vector = vectorize(target, index)
+    combo = solver.express(vector)
     if combo is None:
-        support = set(solver.residual(target))
-        terms = commutator_basis(action, length)
+        support = set(solver.residual(vector))
+        terms = commutator_basis(target.action, length)
         vectors = [vectorize(term.element, index) for term in terms]
         order = sorted(range(len(terms)), key=lambda k: support.isdisjoint(vectors[k]))
         for k in order:
-            if solver.add(vectors[k], label=terms[k]) and solver.contains(target):
+            if solver.add(vectors[k], label=terms[k]) and solver.contains(vector):
                 break
-        combo = solver.express(target)
+        combo = solver.express(vector)
         if combo is None:
             return None
+    field, den = target.action.field, target.den
     own, certificate = {}, []
     for label, coeff in combo.items():
-        if isinstance(label, CommutatorTerm):
+        is_commutator = isinstance(label, CommutatorTerm)
+        d = label.element.den if is_commutator else dens[label]
+        if d != den:
+            coeff = field.mul(coeff, field.ratio(d, den))
+        if is_commutator:
             certificate.append(((label.u, label.v), coeff))
         else:
             own[label] = coeff

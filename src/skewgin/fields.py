@@ -8,20 +8,19 @@ canonical forms.  Everything here is immutable and pure.
 Hot loops run on plain ints instead (the scaled-integer convention):
 ``Field.scaled`` writes scalars as integers over one common denominator
 (the least common denominator over Q, 1 over GF(p)), the loop adds and
-multiplies those integers with no reduction, and ``Field.unscale`` turns
-the integer sums back into canonical scalars, one per key.  The crossed
-product, the commutators and certificate re-expansion of ``crossed.py``
-(each action image cleared once, by ``QuiverAction.cleared_image``),
-``LinSolver`` and the Weyl checks of ``weyl.py`` follow this convention;
-the Weyl resolution has integer coefficients to begin with, so only its
-symplectic matrices need clearing.
+multiplies those integers with no reduction, and ``Field.normalized``
+brings the sums to canonical form (``Field.combine`` does all three for a
+linear combination).  ``CrossedElement`` keeps its scalars in this form,
+one positive int ``den`` plus int terms, so the Morita layer runs on ints;
+``Field.ratio`` makes a field scalar only where a report reads one.
+``LinSolver`` and the Weyl checks follow the same convention.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import NonPrimeModulus, NoRootOfUnity
 
@@ -145,14 +144,35 @@ class Field:
         den = lcm(*{c.denominator for _, c in items})
         return den, [(k, c.numerator * (den // c.denominator)) for k, c in items if c]
 
-    def unscale(self, acc: dict, den: int) -> dict:
-        """The sparse dict {key: s / den} of an int accumulator acc, zero sums
-        dropped: one Fraction per key over Q, one % p per key over GF(p),
-        where den is 1."""
+    def normalized(self, acc: dict, den: int):
+        """(den, terms) of the int sums acc over den in canonical form: the
+        nonzero residues over 1 over GF(p); over Q the nonzero sums with
+        their common content with den divided out, so den is the lcm of the
+        scalars' denominators."""
         p = self.p
         if p is not None:
-            return {k: r for k, s in acc.items() if (r := s % p)}
-        return {k: Fraction(s, den) for k, s in acc.items() if s}
+            return 1, {k: r for k, s in acc.items() if (r := s % p)}
+        terms = {k: s for k, s in acc.items() if s}
+        g = gcd(den, *terms.values()) if den != 1 else 1
+        if g == 1:
+            return den, terms
+        return den // g, {k: s // g for k, s in terms.items()}
+
+    def combine(self, parts):
+        """(den, acc) of the sum of coeff * x / d over parts (coeff, d, items)
+        with coeff a scalar, d a positive int and items (key, int x) pairs:
+        one accumulate on ints over the lcm den of the coeff denominators
+        times d (a GF(p) residue is an int, over 1)."""
+        parts = [(c.numerator, c.denominator * d, items) for c, d, items in parts if c]
+        den = lcm(*{m for _, m, _ in parts})
+        return den, self.accumulate({}, ((k, f * x) for f, items in (
+            (n * (den // m), items) for n, m, items in parts) for k, x in items))
+
+    def ratio(self, num: int, den: int):
+        """The canonical scalar num / den of an int and a positive int."""
+        if self.p is None:
+            return Fraction(num, den)
+        return num * pow(den, -1, self.p) % self.p
 
     # -- conversions --
 

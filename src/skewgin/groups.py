@@ -148,9 +148,6 @@ class GroupAlgebra:
         self.group = group
         self.field = field
 
-    def zero(self):
-        return {}
-
     def one(self):
         return {self.group.identity: self.field.one()}
 

@@ -85,9 +85,9 @@ def build_bimodule(action: QuiverAction, reps, kappa, stabilizers):
     Returns {(i, j, degree): [CrossedElement]} in representative and
     degree order, keyed by the representative pair and the common arrow
     degree of the terms.  Each generator g1.kappa[i'].a.kappa[j']^-1.g2 is
-    the one term (g1 kappa[i'] acting on a) tensored with
-    g1 kappa[i'] kappa[j']^-1 g2, and each slot is the first linearly
-    independent subset of its generators.
+    the one term (g1 kappa[i'] acting on a), read off its cleared image,
+    tensored with g1 kappa[i'] kappa[j']^-1 g2, and each slot is the first
+    linearly independent subset of its generators.
     """
     G, quiver = action.group, action.quiver
     rep_of = {v: action.act_vertex(kappa[v], v) for v in quiver.vertices}
@@ -105,12 +105,14 @@ def build_bimodule(action: QuiverAction, reps, kappa, stabilizers):
                     left = G.mul(g1, kappa[i2])
                     twist = G.mul(left, G.inv(kappa[j2]))
                     for name in arrows:
-                        image = action.act_path(left, quiver.path([name]))
+                        den, image = action.cleared_image(left, quiver.path([name]))
+                        if not image:
+                            continue
                         deg = quiver.arrow(name).deg
                         for g2 in stabilizers[j]:
-                            z = CrossedElement.from_alg(action, image, G.mul(twist, g2))
-                            if not z.is_zero():
-                                slot_candidates.setdefault(deg, []).append(z)
+                            g = G.mul(twist, g2)
+                            slot_candidates.setdefault(deg, []).append(CrossedElement.from_ints(
+                                action, den, {(r, g): c for r, c in image}))
             for deg in sorted(slot_candidates):
                 solver = LinSolver(action.field)
                 slots[(i, j, deg)] = [z for z in slot_candidates[deg]
@@ -136,8 +138,8 @@ class MoritaData:
         self.arrow_embed = arrow_embed      # qprime arrow name -> CrossedElement
 
     def total_idempotent(self) -> CrossedElement:
-        return CrossedElement(self.action, (
-            term for v in self.qprime.vertices for term in self.vertex_idems[v].terms.items()))
+        return sum((self.vertex_idems[v] for v in self.qprime.vertices),
+                   CrossedElement.zero(self.action))
 
     def choices(self):
         """Canonical record of every deterministic choice, for reports."""
@@ -253,9 +255,8 @@ def embed_paths(md: MoritaData, paths) -> dict:
 def embed(md: MoritaData, x: AlgElement) -> CrossedElement:
     """Multiplicative embedding of a reduced path-algebra element."""
     embedded = embed_paths(md, x.terms)
-    return CrossedElement(md.action, (
-        (key, coeff * c) for path, coeff in x.terms.items()
-        for key, c in embedded[path].terms.items()))
+    return CrossedElement.from_ints(md.action, *md.field.combine(
+        (coeff, embedded[p].den, embedded[p].terms.items()) for p, coeff in x.terms.items()))
 
 
 def check_embedding(md: MoritaData, bound: int):
@@ -364,12 +365,14 @@ def transport_potential(w: Potential, md: MoritaData):
     solver = LinSolver(field)
     cycles = [p for p in paths_by_length(qprime, ell).get(ell, []) if qprime.is_cycle(p)]
     embedded = embed_paths(md, cycles)
+    dens = {}
     for p in cycles:
         el = embedded[p]
         if not el.is_zero():
             solver.add(vectorize(el, index), label=p)
+            dens[p] = el.den
     del embedded  # not held through the commutator solve
-    found = express_modulo_commutators(solver, vectorize(x, index), action, ell, index)
+    found = express_modulo_commutators(solver, x, ell, index, dens)
     if found is None:
         raise NoSolution(
             "the potential class has no representative in the reduced cycle span")
@@ -391,15 +394,18 @@ def transport_potential(w: Potential, md: MoritaData):
             tail = rotations[best][0]._replace(arrows=cycle.arrows[best:])
             splits.append((coeff, head, tail))
     embedded = embed_paths(md, [p for _, head, tail in splits for p in (head, tail)])
-    # plain products: accumulate reduces them over GF(p); the entries are
-    # merged as they are made, never held as one list
-    certificate = list(field.accumulate({}, chain(
-        (((u_key, v_key), coeff * a * b)
-         for coeff, head, tail in splits
-         for u_key, a in embedded[tail].terms.items()
-         for v_key, b in embedded[head].terms.items()),
-        ((pair, field.neg(coeff)) for pair, coeff in solved))).items())
+    # every entry on ints over one denominator, merged as it is made and
+    # never held as one list; a field scalar only per merged entry
+    def bilinear(tail, head):
+        return (((u_key, v_key), a * b) for u_key, a in tail.terms.items()
+                for v_key, b in head.terms.items())
+
+    den, acc = field.combine(chain(
+        ((coeff, embedded[tail].den * embedded[head].den,
+          bilinear(embedded[tail], embedded[head])) for coeff, head, tail in splits),
+        ((field.neg(coeff), 1, ((pair, 1),)) for pair, coeff in solved)))
     del embedded
+    certificate = [(pair, field.ratio(s, den)) for pair, s in acc.items()]
     reduced = canonicalize(qprime, field, raw_terms)
     # the certificate is never trusted: re-expand and compare exactly
     difference = embed(md, reduced.as_element()) - x
@@ -423,8 +429,7 @@ def certify_reduction(md: MoritaData, w: Potential, reduced: Potential):
         return []
     ell = difference.pure_length()
     index = basis_index(action, ell)
-    found = express_modulo_commutators(
-        LinSolver(field), vectorize(difference, index), action, ell, index)
+    found = express_modulo_commutators(LinSolver(field), difference, ell, index, {})
     if found is None:
         raise BasisExpressFailure(
             "embedded reduced potential differs from the original by more "

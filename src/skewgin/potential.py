@@ -60,26 +60,6 @@ class Potential:
     def as_element(self) -> AlgElement:
         return AlgElement(self.quiver, self.field, self.terms)
 
-    def scale(self, coeff):
-        if coeff == self.field.zero():
-            return Potential(self.quiver, self.field)
-        f = self.field
-        return Potential(self.quiver, f, {p: f.mul(coeff, c) for p, c in self.terms.items()})
-
-    def __add__(self, other):
-        assert self.quiver == other.quiver and self.field == other.field
-        combined = list(self.terms.items()) + list(other.terms.items())
-        return canonicalize(self.quiver, self.field, [(c, p) for p, c in combined])
-
-    def __sub__(self, other):
-        return self + other.scale(self.field.neg(self.field.one()))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{self.field.format(c)}*{''.join(p.arrows)}"
-                          for p, c in self.sorted_terms())
-
 
 def canonicalize(quiver, field, raw_terms) -> Potential:
     """Fold (coeff, cycle) pairs into the canonical potential.

@@ -1,0 +1,163 @@
+"""A committed mutation catalogue for the crossed-product and Morita layers.
+
+Each entry names a file under ``src/skewgin``, an exact old text that
+occurs there once, the new text that replaces it, and the tests that must
+fail once it is replaced.  The script applies one entry at a time in a
+temporary copy of the checkout (``src``, ``tests``, ``perfbench`` and
+``pyproject.toml``), runs only the named tests there and reports the
+entry as killed (a named test failed) or survived.  Entries marked
+``survives`` are known gaps: an equivalent mutant, or one no test can
+see yet.  It is not part of tier-1; ``tests/test_mutants.py`` only checks
+that every old text still occurs exactly once, so a refactor has to
+update this catalogue rather than leave it vacuous.
+
+    python tests/mutants.py            # every entry
+    python tests/mutants.py NAME ...   # the named entries
+    python tests/mutants.py --list
+
+The exit status is 1 when an entry ends other than expected.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COPIED = ["src", "tests", "perfbench", "pyproject.toml"]
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str      # relative to src/skewgin
+    old: str
+    new: str
+    tests: tuple   # pytest node ids, relative to the checkout
+    survives: bool = False
+    why: str = ""
+
+
+ORACLE_PRODUCT = "tests/test_crossed.py::test_product_matches_field_scalar_oracle"
+
+MUTANTS = [
+    # -- the int kernel of CrossedElement and its denominators --
+    Mutant("kernel-drops-image-rescale", "crossed.py",
+           "                scale = den // d\n", "                scale = 1\n",
+           (ORACLE_PRODUCT,)),
+    Mutant("kernel-drops-content-division", "fields.py",
+           "        g = gcd(den, *terms.values()) if den != 1 else 1\n",
+           "        g = 1\n",
+           (ORACLE_PRODUCT,
+            "tests/test_fields.py::test_combine_normalized_and_ratio_agree_with_field_scalars")),
+    Mutant("kernel-skips-canonical-form", "crossed.py",
+           "        return CrossedElement.from_ints(action, *action.field.normalized(\n"
+           "            acc, self.den * other.den * den))\n",
+           "        return CrossedElement.from_ints(action, self.den * other.den * den, acc)\n",
+           (ORACLE_PRODUCT,)),
+    Mutant("equality-ignores-den", "crossed.py",
+           "        if a == b:\n            return self.terms == other.terms\n",
+           "        if True:\n            return self.terms == other.terms\n",
+           ("tests/test_crossed.py::test_equality_compares_values_across_dens",)),
+    Mutant("combination-skips-den-rescale", "crossed.py",
+           "        if d != den:\n            coeff = field.mul(coeff, field.ratio(d, den))\n",
+           "        if False:\n            coeff = field.mul(coeff, field.ratio(d, den))\n",
+           ("tests/test_morita.py::test_rescaled_combination_matches_labelled_oracle"
+            "_on_fraction_vectors",)),
+    Mutant("kernel-always-builds-new-path", "crossed.py",
+           "                    pr = Path(p.source, head + r.arrows) if head else r\n",
+           "                    pr = Path(p.source, head + r.arrows)\n",
+           (ORACLE_PRODUCT,), survives=True,
+           why="equivalent: r starts at the source of a trivial p, so the new "
+               "Path equals r"),
+    Mutant("kernel-swaps-group-product", "crossed.py",
+           "                            (den, image, [(gmul(g, h), cq) for h, cq in twists]))\n",
+           "                            (den, image, [(gmul(h, g), cq) for h, cq in twists]))\n",
+           ("tests/test_morita.py::test_signed_s3_pipeline",
+            "tests/test_bench_goldens.py::test_seed_1_reports_match_the_goldens")),
+    # -- commutators and the feed --
+    Mutant("commutator-keeps-sign-of-vu", "crossed.py",
+           "    a, b = den // den_uv, -(den // den_vu)\n",
+           "    a, b = den // den_uv, den // den_vu\n",
+           ("tests/test_crossed.py::test_commutator_basis_two_loops",
+            "tests/test_morita.py::test_commutator_basis_matches_product_oracle")),
+    Mutant("feed-only-first-commutator", "crossed.py",
+           "        for k in order:\n            if solver.add(vectors[k], label=terms[k])",
+           "        for k in order[:1]:\n            if solver.add(vectors[k], label=terms[k])",
+           ("tests/test_morita.py::test_one_commutator_feed_matches_retrying_oracle"
+            "_on_transport",)),
+    # -- the Morita layer --
+    Mutant("bimodule-drops-kappa-inverse", "morita.py",
+           "                    twist = G.mul(left, G.inv(kappa[j2]))\n",
+           "                    twist = G.mul(left, kappa[j2])\n",
+           ("tests/test_morita.py::test_bimodule_slots_match_five_fold_product_oracle",)),
+    Mutant("embed-folds-from-source-idempotent", "morita.py",
+           "            out[p] = out[Path(p.source, p.arrows[:-1])] * md.arrow_embed[p.arrows[-1]]\n",
+           "            out[p] = md.vertex_idems[p.source] * md.arrow_embed[p.arrows[-1]]\n",
+           ("tests/test_morita.py::test_embed_paths_matches_per_path_fold",)),
+    Mutant("embedding-pair-check-tautological", "morita.py",
+           "            if ep * embedded[q] != (zero if pq is None else embedded[pq]):\n",
+           "            if ep * embedded[q] != ep * embedded[q]:\n",
+           ("tests/test_morita.py::test_check_embedding_catches_an_uncornered_arrow",)),
+]
+
+
+def run(mutant: Mutant, workdir: str) -> bool:
+    """Apply mutant in a fresh copy under workdir; True if a named test failed."""
+    copy = os.path.join(workdir, mutant.name)
+    for part in COPIED:
+        source = os.path.join(ROOT, part)
+        if os.path.isdir(source):
+            shutil.copytree(source, os.path.join(copy, part),
+                            ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        else:
+            os.makedirs(copy, exist_ok=True)
+            shutil.copy(source, os.path.join(copy, part))
+    path = os.path.join(copy, "src", "skewgin", mutant.file)
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    if text.count(mutant.old) != 1:
+        raise SystemExit(f"{mutant.name}: old text occurs {text.count(mutant.old)} times")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text.replace(mutant.old, mutant.new))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPATH", None)
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests],
+        cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    if result.returncode not in (0, 1):
+        raise SystemExit(f"{mutant.name}: pytest exited {result.returncode}")
+    return result.returncode == 1
+
+
+def main(argv) -> int:
+    if argv == ["--list"]:
+        for m in MUTANTS:
+            print(m.name)
+        return 0
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        raise SystemExit(f"unknown entries: {sorted(unknown)}")
+    killed_count = unexpected = 0
+    start = time.monotonic()
+    with tempfile.TemporaryDirectory(prefix="skewgin-mutants-") as workdir:
+        for m in chosen:
+            killed = run(m, workdir)
+            killed_count += killed
+            expected = not m.survives
+            unexpected += killed != expected
+            note = "" if killed == expected else "  (UNEXPECTED)"
+            gap = f"  [known gap: {m.why}]" if m.survives else ""
+            print(f"{'killed' if killed else 'survived':8} {m.name}{gap}{note}", flush=True)
+    print(f"{killed_count} of {len(chosen)} killed, {unexpected} unexpected, "
+          f"{time.monotonic() - start:.0f} s")
+    return 1 if unexpected else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

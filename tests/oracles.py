@@ -26,6 +26,7 @@ expresses the target once, which the feed that stops at the target
 replaced.
 
 The last section holds helpers that no command uses, kept for the tests:
+``one`` and ``scale`` (which ``CrossedElement`` no longer has),
 ``span_rank``, ``rotations_of``, ``cyclic_derivative_along``,
 ``CyclicClass`` and ``hc0_reduce``.  They, unlike the oracles above, run on
 skewgin's ``LinSolver``.
@@ -412,17 +413,16 @@ def naive_sp_equivariance(n, matrices, field, filt_bound=2):
 
 def naive_crossed_mul(x, y):
     """x * y one field scalar product per term: (p.g)(q.h) summed over the
-    terms c * r of g acting on q as c_p * c_q * c * p.r.gh."""
+    terms c * r of g acting on q as c_p * c_q * c * p.r.gh, read from the
+    field-scalar views of x and y and of the action's images."""
     action = x.action
     gmul, compose = action.group.mul, action.quiver.compose
-    res = CrossedElement(action)
-    res.terms = action.field.accumulate({}, (
+    return CrossedElement(action, action.field.accumulate({}, (
         ((pr, gmul(g, h)), cp * cq * cr)
-        for (p, g), cp in x.terms.items()
-        for (q, h), cq in y.terms.items()
+        for (p, g), cp in x.field_terms().items()
+        for (q, h), cq in y.field_terms().items()
         for r, cr in action.act_path(g, q).terms.items()
-        if (pr := compose(p, r)) is not None))
-    return res
+        if (pr := compose(p, r)) is not None)))
 
 
 def naive_act_path(action, g, path):
@@ -443,7 +443,7 @@ def naive_expand_certificate(action, certificate):
     for (u, v), coeff in certificate:
         eu = CrossedElement.from_pair(action, *u)
         ev = CrossedElement.from_pair(action, *v)
-        total = total + (eu * ev - ev * eu).scale(coeff)
+        total = total + scale(eu * ev - ev * eu, coeff)
     return total
 
 
@@ -604,10 +604,14 @@ def naive_commutator_basis(action, length):
     return out
 
 
-def _split_combination(combo):
-    """(the caller's labels, certificate entries) of a combination."""
+def _split_combination(combo, target, dens):
+    """(the caller's labels, certificate entries) of a combination of int
+    vectors, each coefficient times its input's den over the target's."""
+    f = target.action.field
     own, certificate = {}, []
     for label, coeff in combo.items():
+        den = label.element.den if isinstance(label, CommutatorTerm) else dens[label]
+        coeff = f.div(f.mul(coeff, f.from_int(den)), f.from_int(target.den))
         if isinstance(label, CommutatorTerm):
             certificate.append(((label.u, label.v), coeff))
         else:
@@ -615,14 +619,15 @@ def _split_combination(combo):
     return own, certificate
 
 
-def feed_all_express_modulo_commutators(solver, target, action, length, index):
+def feed_all_express_modulo_commutators(solver, element, length, index, dens):
     """``express_modulo_commutators`` that feeds every commutator of
     ``naive_commutator_basis``, those touching the residual's support
     first, and only then expresses the target once more."""
+    target = vectorize(element, index)
     combo = solver.express(target)
     if combo is None:
         support = set(solver.residual(target))
-        terms = naive_commutator_basis(action, length)
+        terms = naive_commutator_basis(element.action, length)
         vectors = [vectorize(term.element, index) for term in terms]
         order = sorted(range(len(terms)), key=lambda k: support.isdisjoint(vectors[k]))
         for k in order:
@@ -630,17 +635,18 @@ def feed_all_express_modulo_commutators(solver, target, action, length, index):
         combo = solver.express(target)
         if combo is None:
             return None
-    return _split_combination(combo)
+    return _split_combination(combo, element, dens)
 
 
-def retrying_express_modulo_commutators(solver, target, action, length, index):
+def retrying_express_modulo_commutators(solver, element, length, index, dens):
     """``express_modulo_commutators`` that feeds the commutators touching the
     residual's support first and retries the target after every 24
     insertions that enlarge the span, stopping at the first success."""
+    target = vectorize(element, index)
     combo = solver.express(target)
     if combo is None:
         support = set(solver.residual(target))
-        terms = commutator_basis(action, length)
+        terms = commutator_basis(element.action, length)
         vectors = [vectorize(term.element, index) for term in terms]
         order = sorted(range(len(terms)), key=lambda k: support.isdisjoint(vectors[k]))
         since_check = 0
@@ -656,10 +662,24 @@ def retrying_express_modulo_commutators(solver, target, action, length, index):
             combo = solver.express(target)
         if combo is None:
             return None
-    return _split_combination(combo)
+    return _split_combination(combo, element, dens)
 
 
 # ---------- helpers no command uses ----------
+
+def one(action):
+    """The unit of the crossed product: the sum of the vertex idempotents
+    at the identity."""
+    ident, unit = action.group.identity, action.field.one()
+    return CrossedElement(action, {(action.quiver.trivial_path(v), ident): unit
+                                   for v in action.quiver.vertices})
+
+
+def scale(x, coeff):
+    """coeff * x on field scalars, cleared afresh by the constructor."""
+    f = x.action.field
+    return CrossedElement(x.action, {k: f.mul(coeff, c) for k, c in x.field_terms().items()})
+
 
 def span_rank(field, vectors) -> int:
     solver = LinSolver(field)
@@ -729,13 +749,14 @@ def hc0_reduce(x: CrossedElement, e: CrossedElement):
         if not cornered.is_zero():
             corners[key] = cornered
             solver.add(vectorize(cornered, index), label=key)
-    found = express_modulo_commutators(solver, vectorize(x, index), action, length, index)
+    found = express_modulo_commutators(solver, x, length, index,
+                                       {key: c.den for key, c in corners.items()})
     if found is None:
         raise NoSolution("no corner representative modulo commutators at this length")
     combo, certificate = found
     w = CrossedElement.zero(action)
     for key, coeff in combo.items():
-        w = w + corners[key].scale(coeff)
+        w = w + scale(corners[key], coeff)
     # self-verify: the certificate must re-expand exactly to x - w
     if expand_certificate(action, certificate) != x - w:
         raise NoSolution("certificate failed re-expansion")

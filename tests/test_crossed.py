@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewgin.crossed import CrossedElement, commutator_basis, expand_certificate
+from skewgin.errors import FieldMismatch, QuiverMismatch
 from skewgin.fields import make_field
 from skewgin.groups import cyclic_group
 from skewgin.action import QuiverAction, validate_action
 from skewgin.quiver import AlgElement, GradedQuiver, basis_up_to
 
-from oracles import CyclicClass, hc0_reduce, naive_crossed_mul, naive_expand_certificate
+from oracles import (CyclicClass, hc0_reduce, naive_crossed_mul, naive_expand_certificate, one,
+                     scale)
 
 Q = make_field("Q")
 F7 = make_field(7)
@@ -64,11 +66,11 @@ def test_product_trivial_component():
 
 def test_identity_element():
     action = negation_action()
-    one = CrossedElement.one(action)
+    unit = one(action)
     q = action.quiver
     el = CrossedElement.from_pair(action, q.path(["x", "y"]), 1, Q.parse("3"))
-    assert one * el == el
-    assert el * one == el
+    assert unit * el == el
+    assert el * unit == el
 
 
 def test_group_slides_past_arrows():
@@ -159,7 +161,7 @@ def test_hc0_reduce_full_corner_returns_input():
     action = trivial_two_loop_action()
     q = action.quiver
     x = CrossedElement.from_pair(action, q.path(["y", "x"]), 0)
-    w, cert = hc0_reduce(x, CrossedElement.one(action))
+    w, cert = hc0_reduce(x, one(action))
     assert w == x
     assert cert == []
 
@@ -202,12 +204,12 @@ def test_hc0_reduce_mod_commutators():
     xy = CrossedElement.from_pair(action, q.path(["x", "y"]), 0)
     yx = CrossedElement.from_pair(action, q.path(["y", "x"]), 0)
     # the class of xy - yx is zero, so the empty corner works
-    w, cert = hc0_reduce(xy - yx, CrossedElement.one(action))
+    w, cert = hc0_reduce(xy - yx, one(action))
     recombined = CrossedElement.zero(action)
     for (u, v), coeff in cert:
         eu = CrossedElement.from_pair(action, *u)
         ev = CrossedElement.from_pair(action, *v)
-        recombined = recombined + (eu * ev - ev * eu).scale(coeff)
+        recombined = recombined + scale(eu * ev - ev * eu, coeff)
     assert recombined == (xy - yx) - w
 
 
@@ -228,7 +230,7 @@ def test_hc0_reduce_certificate_on_scaling_setup():
     w_el = (CrossedElement.from_pair(action, q.path(["x", "y", "z"]), 0)
             - CrossedElement.from_pair(action, q.path(["x", "z", "y"]), 0))
     # reduce against a single character idempotent times nothing: e = 1 works
-    w, cert = hc0_reduce(w_el, CrossedElement.one(action))
+    w, cert = hc0_reduce(w_el, one(action))
     assert (w - w_el).is_zero() or cert  # either already corner or certified
 
 
@@ -282,15 +284,26 @@ KERNEL_ACTIONS = {"Q": reflection_action_q, "Q-swap": swap_action_q,
                   "GF(2)": shear_action_gf2, "GF(7)": scaling_action_gf7}
 
 
-def assert_matches_oracle(x, y):
-    got, want = (x * y).terms, naive_crossed_mul(x, y).terms
+def assert_field_scalars(element, want):
+    """element's field-scalar view is the dict want, with exact types, and
+    its own terms are plain ints."""
+    got = element.field_terms()
     assert got == want
-    field = x.action.field
+    field = element.action.field
     for c in got.values():
         if field.is_rationals:
             assert type(c) is Fraction
         else:
             assert type(c) is int and 0 < c < field.p
+    assert all(type(c) is int for c in element.terms.values())
+
+
+def assert_matches_oracle(x, y):
+    # the kernel divides out the content of its sums, so its den is the
+    # least common denominator that the oracle's result is cleared to
+    got, want = x * y, naive_crossed_mul(x, y)
+    assert (got.den, got.terms) == (want.den, want.terms)
+    assert_field_scalars(got, want.field_terms())
 
 
 def scalars(field):
@@ -381,12 +394,9 @@ def test_expand_certificate_matches_entrywise_oracle(name, data):
     pairs = st.tuples(st.sampled_from(keys), st.sampled_from(keys))
     certificate = data.draw(st.lists(st.tuples(pairs, coeffs), max_size=8))
     got = expand_certificate(action, certificate)
-    assert got.terms == naive_expand_certificate(action, certificate).terms
-    for c in got.terms.values():
-        if field.is_rationals:
-            assert type(c) is Fraction
-        else:
-            assert type(c) is int and 0 < c < field.p
+    want = naive_expand_certificate(action, certificate)
+    assert got == want
+    assert_field_scalars(got, want.field_terms())
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_ACTIONS))
@@ -410,3 +420,43 @@ def test_cleared_image_cache_is_never_rescaled(name, data):
         for q in basis_up_to(action.quiver, 2):
             assert action.cleared_image(g, q) == field.scaled(
                 action.act_path(g, q).terms.items())
+
+
+def test_field_mismatch_raises_field_mismatch():
+    # the same quiver and group over Q and GF(7): int terms would combine
+    # silently, so every binary operation must refuse them
+    q = GradedQuiver(["1"], [("x", "1", "1", 0)])
+    over_q = QuiverAction.trivial(cyclic_group(2), q, Q)
+    over_7 = QuiverAction.trivial(cyclic_group(2), q, F7)
+    a = CrossedElement.from_pair(over_q, q.path(["x"]), 1)
+    b = CrossedElement.from_pair(over_7, q.path(["x"]), 1)
+    for op in (lambda u, v: u * v, lambda u, v: u + v, lambda u, v: u - v):
+        with pytest.raises(FieldMismatch):
+            op(a, b)
+        with pytest.raises(FieldMismatch):
+            op(b, a)
+    other = GradedQuiver(["1"], [("y", "1", "1", 0)])
+    c = CrossedElement.from_pair(QuiverAction.trivial(cyclic_group(2), other, Q),
+                                 other.path(["y"]), 1)
+    with pytest.raises(QuiverMismatch):
+        a * c
+
+
+@pytest.mark.parametrize("name", ["Q", "Q-swap"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_equality_compares_values_across_dens(name, data):
+    # the same value over a den k times larger is equal; the same int terms
+    # over another den are not, unless both are zero
+    action = KERNEL_ACTIONS[name]()
+    x = data.draw(crossed_elements(action))
+    k = data.draw(st.integers(2, 6))
+    wider = CrossedElement.from_ints(action, x.den * k, {key: c * k for key, c in x.terms.items()})
+    assert x == wider and wider == x
+    assert wider.field_terms() == x.field_terms()
+    assert (x - wider).is_zero()
+    same_ints = CrossedElement.from_ints(action, x.den * k, dict(x.terms))
+    assert (x == same_ints) == x.is_zero()
+    assert (x != same_ints) == (not x.is_zero())
+    y = data.draw(crossed_elements(action))
+    assert (x == y) == (x.field_terms() == y.field_terms())

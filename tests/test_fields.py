@@ -140,3 +140,33 @@ def test_accumulate_agrees_with_naive_loop(data):
     assert got == expected
     assert list(got) == list(expected)  # same keys, absent keys and order
     assert all(got.values())
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_combine_normalized_and_ratio_agree_with_field_scalars(data):
+    # sum of coeff * x / d over parts, on field scalars one term at a time,
+    # against one Field.combine on ints, read back through Field.ratio; and
+    # the same int sums scaled by a common factor normalize to the same
+    # canonical (den, terms)
+    field = data.draw(st.sampled_from(ACCUMULATE_FIELDS))
+    keys = st.integers(min_value=0, max_value=4)
+    dens = st.sampled_from([1, 2, 3, 6, 10]) if field.is_rationals else st.just(1)
+    parts = data.draw(st.lists(st.tuples(any_scalars(field), dens,
+                                         st.lists(st.tuples(keys, st.integers(-6, 6)),
+                                                  max_size=4)), max_size=5))
+    expected = naive_accumulate(field, {}, [
+        (k, field.mul(field.from_int(c) if not field.is_rationals else c,
+                      field.ratio(x, d))) for c, d, items in parts for k, x in items])
+    den, acc = field.combine(parts)
+    assert {k: field.ratio(s, den) for k, s in acc.items()} == expected
+    assert list(acc) == list(expected)
+    assert all(type(s) is int for s in acc.values())
+
+    factor = data.draw(st.integers(1, 12)) if field.is_rationals else 1
+    canonical, terms = field.normalized({k: s * factor for k, s in acc.items()}, den * factor)
+    assert {k: field.ratio(s, canonical) for k, s in terms.items()} == expected
+    want_den, want_terms = field.scaled(list(expected.items()))
+    assert (canonical, terms) == (want_den, dict(want_terms))
+    for c in map(field.ratio, terms.values(), [canonical] * len(terms)):
+        assert type(c) is (Fraction if field.is_rationals else int)

@@ -15,9 +15,9 @@ from skewgin.potential import Potential, canonicalize, cycle_length_of
 from skewgin.quiver import AlgElement, GradedQuiver, paths_by_length
 
 from docs import MCKAY, SIGNED_S3, doc
-from oracles import (feed_all_express_modulo_commutators, naive_build_bimodule,
+from oracles import (LabelledLinSolver, feed_all_express_modulo_commutators, naive_build_bimodule,
                      naive_commutator_basis, naive_embed_path,
-                     retrying_express_modulo_commutators)
+                     retrying_express_modulo_commutators, scale)
 
 Q = make_field("Q")
 F7 = make_field(7)
@@ -94,7 +94,7 @@ def test_trivial_group_reduction_is_identity():
     amap = {}
     for name, el in md.arrow_embed.items():
         assert len(el.terms) == 1
-        (path, g), coeff = next(iter(el.terms.items()))
+        (path, g), coeff = next(iter(el.field_terms().items()))
         assert g == action.group.identity
         assert coeff == Q.one()
         assert len(path.arrows) == 1
@@ -375,7 +375,7 @@ def test_mckay_transport_and_dimensions(mckay):
     for (u, v), coeff in cert:
         eu = CrossedElement.from_pair(action, *u)
         ev = CrossedElement.from_pair(action, *v)
-        recombined = recombined + (eu * ev - ev * eu).scale(coeff)
+        recombined = recombined + scale(eu * ev - ev * eu, coeff)
     assert recombined == diff
     rows, ok = morita_dimension_check(md, w, reduced, 4)
     assert ok, rows
@@ -415,7 +415,7 @@ def test_mckay_dimensions_invariant_under_basis_reordering(mckay):
     for names in slots.values():
         assert len(names) == 3
         for name, following in zip(names, names[1:] + names[:1]):
-            changed.arrow_embed[name] = (md.arrow_embed[name].scale(F7.from_int(2))
+            changed.arrow_embed[name] = (scale(md.arrow_embed[name], F7.from_int(2))
                                          + md.arrow_embed[following])
     assert check_embedding(changed, 2) == []
     changed_reduced, _ = transport_potential(w, changed)
@@ -439,7 +439,7 @@ def test_hc0_reduce_into_mckay_corner(mckay):
     for (u, v), coeff in cert:
         eu = CrossedElement.from_pair(action, *u)
         ev = CrossedElement.from_pair(action, *v)
-        recombined = recombined + (eu * ev - ev * eu).scale(coeff)
+        recombined = recombined + scale(eu * ev - ev * eu, coeff)
     assert recombined == x - corner_rep
 
 
@@ -553,7 +553,7 @@ def test_bimodule_slots_match_five_fold_product_oracle(name):
     assert validate_action(action) == [] and want
     assert list(slots) == list(want)
     for key, elements in slots.items():
-        assert [z.terms for z in elements] == [z.terms for z in want[key]]
+        assert [z.field_terms() for z in elements] == [z.field_terms() for z in want[key]]
 
 
 class FeedCountingSolver(LinSolver):
@@ -567,7 +567,7 @@ class FeedCountingSolver(LinSolver):
 
 
 def transport_feed(md, w, solver_class=LinSolver):
-    """A fresh (solver, target, action, length, index) as transport_potential
+    """A fresh (solver, target, length, index, dens) as transport_potential
     hands them to express_modulo_commutators."""
     action, qprime = md.action, md.qprime
     ell = cycle_length_of(w)
@@ -575,22 +575,24 @@ def transport_feed(md, w, solver_class=LinSolver):
     solver = solver_class(md.field)
     cycles = [p for p in paths_by_length(qprime, ell).get(ell, []) if qprime.is_cycle(p)]
     embedded = embed_paths(md, cycles)
+    dens = {}
     for p in cycles:
         if not embedded[p].is_zero():
             solver.add(vectorize(embedded[p], index), label=p)
-    target = vectorize(CrossedElement.from_alg(action, w.as_element()), index)
-    return solver, target, action, ell, index
+            dens[p] = embedded[p].den
+    target = CrossedElement.from_alg(action, w.as_element())
+    return solver, target, ell, index, dens
 
 
 def certify_feed(md, w, reduced):
-    """A fresh (solver, target, action, length, index) as certify_reduction
+    """A fresh (solver, target, length, index, dens) as certify_reduction
     hands them to express_modulo_commutators."""
     action = md.action
     difference = (embed(md, reduced.as_element())
                   - CrossedElement.from_alg(action, w.as_element()))
     ell = difference.pure_length()
     index = basis_index(action, ell)
-    return LinSolver(md.field), vectorize(difference, index), action, ell, index
+    return LinSolver(md.field), difference, ell, index, {}
 
 
 def mixed_orbit_problem():
@@ -646,9 +648,59 @@ def test_signed_s3_commutator_feed_stops_at_the_potential():
     md, w = document_problem(SIGNED_S3)
     feed = transport_feed(md, w, FeedCountingSolver)
     got = express_modulo_commutators(*feed)
-    assert len(commutator_basis(md.action, feed[3])) == 1764
+    assert len(commutator_basis(md.action, feed[2])) == 1764
     assert 0 < feed[0].fed < 1764
     assert got == feed_all_express_modulo_commutators(*transport_feed(md, w))
+
+
+class RecordingSolver(LinSolver):
+    """A LinSolver that records the labels of the inputs that enlarged it."""
+
+    def __init__(self, field):
+        super().__init__(field)
+        self.enlarged = []
+
+    def add(self, vec, label=None):
+        if enlarged := super().add(vec, label):
+            self.enlarged.append(label)
+        return enlarged
+
+
+def field_vector(element, index):
+    return {index[key]: c for key, c in element.field_terms().items()}
+
+
+@pytest.mark.parametrize("name, stage", [(name, stage) for name in sorted(FEED_PROBLEMS)
+                                          for stage in ("transport", "certify")])
+def test_rescaled_combination_matches_labelled_oracle_on_fraction_vectors(name, stage):
+    # the solver combines int vectors, each its element's terms times the
+    # element's den; rescaled by the dens, the combination must be the one
+    # the field-scalar oracle solver finds on the Fraction vectors of the
+    # same inputs, inserted in the same order.  Over Q the embedded cycles
+    # of transport and the difference that certification expresses carry
+    # denominators
+    md, w = FEED_PROBLEMS[name]()
+    if stage == "transport":
+        solver, target, ell, index, dens = transport_feed(md, w, RecordingSolver)
+        assert any(d != 1 for d in dens.values()) == (name != "mckay")
+    else:
+        reduced, _ = transport_potential(w, md)
+        _, target, ell, index, dens = certify_feed(md, w, reduced)
+        solver = RecordingSolver(md.field)
+        assert (target.den != 1) == (name != "mckay")
+    own, certificate = express_modulo_commutators(solver, target, ell, index, dens)
+    # McKay's reduced cycles express its potential alone (see above)
+    assert bool(certificate) == ((name, stage) != ("mckay", "transport"))
+    embedded = embed_paths(md, list(dens))
+    oracle = LabelledLinSolver(md.field)
+    for label in solver.enlarged:
+        element = label.element if isinstance(label, CommutatorTerm) else embedded[label]
+        assert oracle.add(field_vector(element, index), label=label)
+    combo = oracle.express(field_vector(target, index))
+    assert own == {p: c for p, c in combo.items() if not isinstance(p, CommutatorTerm)}
+    assert dict(certificate) == {(t.u, t.v): c for t, c in combo.items()
+                                 if isinstance(t, CommutatorTerm)}
+    assert len(dict(certificate)) == len(certificate)
 
 
 def commutator_actions():
@@ -665,7 +717,8 @@ def commutator_actions():
     ("signed-s3", 3), ("mckay", 3)])
 def test_commutator_basis_matches_product_oracle(name, length):
     action = commutator_actions()[name]()
-    got = [(t.u, t.v, t.element.terms) for t in commutator_basis(action, length)]
-    want = [(t.u, t.v, t.element.terms) for t in naive_commutator_basis(action, length)]
+    got = [(t.u, t.v, t.element.field_terms()) for t in commutator_basis(action, length)]
+    want = [(t.u, t.v, t.element.field_terms())
+            for t in naive_commutator_basis(action, length)]
     assert got == want
     assert got or length == 0

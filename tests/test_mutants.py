@@ -1,0 +1,31 @@
+"""The mutation catalogue of ``tests/mutants.py`` stays applicable.
+
+Running the mutants takes half a minute and is not part of tier-1; this
+only checks, in milliseconds, that every entry still changes something
+real: its old text occurs exactly once in its source file, the new text
+differs, and each test it names exists.
+"""
+
+import os
+import re
+
+import pytest
+
+from mutants import MUTANTS, ROOT
+
+
+def test_mutant_names_are_unique():
+    assert len({m.name for m in MUTANTS}) == len(MUTANTS)
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
+def test_mutant_old_text_occurs_once(mutant):
+    with open(os.path.join(ROOT, "src", "skewgin", mutant.file), encoding="utf-8") as handle:
+        source = handle.read()
+    assert source.count(mutant.old) == 1
+    assert mutant.new != mutant.old
+    assert mutant.tests
+    for node in mutant.tests:
+        path, name = node.split("::")
+        with open(os.path.join(ROOT, path), encoding="utf-8") as handle:
+            assert re.search(rf"^def {re.escape(name)}\(", handle.read(), re.M), node
