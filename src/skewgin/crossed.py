@@ -14,7 +14,8 @@ made only by ``CrossedElement.field_terms`` and ``sorted_terms``, which
 reports read.  Every image g acting on q is cleared to (den, int terms)
 once per action (``QuiverAction.cleared_image``).  A product of two
 elements is regrouped by the paths q of its right operand, so each p.r is
-built once (see ``CrossedElement.__mul__``), and the basis-pair products
+built once (see ``CrossedElement.__mul__``); elements are immutable, so
+the right operand caches that regrouping.  The basis-pair products
 (p, g)(q, h) of commutators and certificates are read straight off the
 cleared image.  The commutator feed of ``express_modulo_commutators``
 stops as soon as the target is in the span.
@@ -37,7 +38,7 @@ class CrossedElement:
     scalars are made only by ``field_terms`` and ``sorted_terms``.
     """
 
-    __slots__ = ("action", "den", "terms")
+    __slots__ = ("action", "den", "terms", "_tables")
 
     def __init__(self, action, terms=()):
         """The element with the given (key, field scalar) pairs or dict,
@@ -46,6 +47,7 @@ class CrossedElement:
         acc = field.accumulate({}, terms.items() if isinstance(terms, dict) else terms)
         den, items = field.scaled(acc.items())
         self.action, self.den, self.terms = action, den, dict(items)
+        self._tables = None
 
     # -- constructors --
 
@@ -54,7 +56,7 @@ class CrossedElement:
         """The element terms / den; terms holds nonzero ints (residues over
         GF(p), where den is 1) and is taken as it is, not copied."""
         el = cls.__new__(cls)
-        el.action, el.den, el.terms = action, den, terms
+        el.action, el.den, el.terms, el._tables = action, den, terms, None
         return el
 
     @classmethod
@@ -115,46 +117,27 @@ class CrossedElement:
     def __mul__(self, other):
         """(p.g)(q.h) = sum of c * p.r.gh over the terms c * r of g acting on q.
 
-        One int kernel, regrouped by path.  The right operand is grouped by
-        its path q; per group element g of the left operand, the cached
-        cleared image of each q is filed under the source vertex of its
-        paths, so the images composing with p are one lookup on the target
-        of p, for any action.  Each path p.r serves every h of its q, and the
-        int products are summed unreduced, one sum per image den.  The sums
-        go to the lcm of those dens (the shared images are never rescaled)
-        and to canonical form (``Field.normalized``), whose content division
-        keeps den from growing.
+        One int kernel: in the right operand's cached ``_table`` for g, the
+        images composing with p are one lookup on the target of p.  Each p.r
+        serves every h of its q; int products are summed per image den.
         """
         if not isinstance(other, CrossedElement):
             return NotImplemented
         action = self.action
         if other.action is not action:
             self._check(other)
-        gmul, cleared_image = action.group.mul, action.cleared_image
         arrow = action.quiver.arrow_by_name
-        by_path = {}
-        for (q, h), cq in other.terms.items():
-            twists = by_path.get(q)
-            if twists is None:
-                by_path[q] = [(h, cq)]
-            else:
-                twists.append((h, cq))
-        kernel = {}  # g -> source vertex -> [(den, image, [(gh, c_q)])]
-        sums = {}    # image den -> {key: int sum}
+        tables = other._tables
+        if tables is None:
+            tables = other._tables = {}
+        sums = {}  # image den -> {key: int sum}
         for (p, g), cp in self.terms.items():
-            by_source = kernel.get(g)
+            by_source = tables.get(g)
             if by_source is None:
-                by_source = kernel[g] = {}
-                for q, twists in by_path.items():
-                    den, image = cleared_image(g, q)
-                    if image:
-                        by_source.setdefault(image[0][0].source, []).append(
-                            (den, image, [(gmul(g, h), cq) for h, cq in twists]))
+                by_source = tables[g] = other._table(g)
             head = p.arrows
             for den, image, twists in by_source.get(arrow[head[-1]].tgt if head else p.source, ()):
-                acc = sums.get(den)
-                if acc is None:
-                    acc = sums[den] = {}
+                acc = sums.setdefault(den, {})
                 get = acc.get
                 for r, cr in image:
                     pr = Path(p.source, head + r.arrows) if head else r
@@ -162,6 +145,27 @@ class CrossedElement:
                     for gh, cq in twists:
                         key = (pr, gh)
                         acc[key] = get(key, 0) + c * cq
+        return CrossedElement.from_sums(action, sums, self.den * other.den)
+
+    def _table(self, g):
+        """{source vertex: [(den, image, twists)]}: g's cleared image of each
+        path q under its paths' source, with the twists (gh, c) of c * (q, h)."""
+        cleared_image, gmul = self.action.cleared_image, self.action.group.mul
+        by_source, twists_of = {}, {}
+        for (q, h), cq in self.terms.items():
+            twists = twists_of.get(q)
+            if twists is None:
+                twists = twists_of[q] = []
+                den, image = cleared_image(g, q)
+                if image:
+                    by_source.setdefault(image[0][0].source, []).append((den, image, twists))
+            twists.append((gmul(g, h), cq))
+        return by_source
+
+    @classmethod
+    def from_sums(cls, action, sums: dict, outer: int):
+        """The int sums {d: {key: int}}, each over outer * d, at the lcm of the
+        ds (images are never rescaled), in canonical form (``Field.normalized``)."""
         if len(sums) == 1:
             [(den, acc)] = sums.items()
         else:
@@ -171,8 +175,7 @@ class CrossedElement:
                 scale = den // d
                 for key, s in part.items():
                     acc[key] = get(key, 0) + s * scale
-        return CrossedElement.from_ints(action, *action.field.normalized(
-            acc, self.den * other.den * den))
+        return cls.from_ints(action, *action.field.normalized(acc, outer * den))
 
     def pure_length(self):
         ls = {len(p.arrows) for (p, _) in self.terms}

@@ -237,18 +237,20 @@ def build_morita(action: QuiverAction, idempotents=None) -> MoritaData:
 def embed_paths(md: MoritaData, paths) -> dict:
     """Embeddings of the given reduced paths and of all their prefixes.
 
-    Paths are taken in length order, and each is the embedding of its
-    longest proper prefix times one arrow embedding, starting from the
-    source vertex idempotent: the left fold e_src * a1 * ... * ak, with
+    Each path walks back to its longest prefix embedded so far (else its
+    source vertex idempotent) and folds forward one arrow embedding at a
+    time, keeping every prefix: the left fold e_src * a1 * ... * ak, with
     every shared prefix multiplied once.  Returns {path: CrossedElement}.
     """
-    todo = {Path(p.source, p.arrows[:k]) for p in paths for k in range(len(p.arrows) + 1)}
     out = {}
-    for p in sorted(todo, key=path_sort_key):
-        if p.arrows:
-            out[p] = out[Path(p.source, p.arrows[:-1])] * md.arrow_embed[p.arrows[-1]]
-        else:
-            out[p] = md.vertex_idems[p.source]
+    for p in paths:
+        source, arrows, k, prefix = p.source, p.arrows, len(p.arrows), p
+        while k and prefix not in out:
+            k -= 1
+            prefix = Path(source, arrows[:k])
+        acc = out.setdefault(prefix, md.vertex_idems[source])
+        for k in range(k + 1, len(arrows) + 1):
+            acc = out[Path(source, arrows[:k])] = acc * md.arrow_embed[arrows[k - 1]]
     return out
 
 
@@ -454,6 +456,27 @@ def _relation_span_stable(relations, action: QuiverAction) -> bool:
     return True
 
 
+def corner(e: CrossedElement, key) -> CrossedElement:
+    """The corner e.(p, g).e of a basis pair, for e on trivial paths: terms
+    c * (e_v, h) and c' * (e_w, k) of e keep c * c' * h(p).hgk exactly when
+    h(src p) = v and h(tgt p) = hg(w), as every path of h(p) runs from
+    h(src p) to h(tgt p); summed per image den (``CrossedElement.from_sums``)."""
+    (p, g), action = key, e.action
+    src, tgt = p.source, action.quiver.path_target(p)
+    perms, gmul = action.vertex_perms, action.group.mul
+    sums = {}
+    for (v, h), c in e.terms.items():
+        if perms[h][src] == v.source:
+            den, image = action.cleared_image(h, p)
+            acc, hg = sums.setdefault(den, {}), gmul(h, g)
+            for (w, k), c_right in e.terms.items():
+                if perms[hg][w.source] == perms[h][tgt]:
+                    hgk = gmul(hg, k)
+                    for r, cr in image:
+                        acc[r, hgk] = acc.get((r, hgk), 0) + c * c_right * cr
+    return CrossedElement.from_sums(action, sums, e.den * e.den)
+
+
 def morita_dimension_check(md: MoritaData, w: Potential, reduced_w: Potential, bound: int):
     """Compare corner dimensions of the quotient crossed product against the
     reduced Jacobian dimensions, length by length.
@@ -461,7 +484,8 @@ def morita_dimension_check(md: MoritaData, w: Potential, reduced_w: Potential, b
     Returns (rows, ok): rows of (length, corner dim, reduced dim).  The
     left side quotients the path algebra by the derivative relations first
     and then crosses with the group, which is valid because the action
-    permutes the relation span; that fact is asserted at runtime.
+    permutes the relation span; that fact is asserted at runtime.  Each
+    corner e.b.e of a basis pair b is read off e (``corner``), with no product.
     """
     action, field = md.action, md.field
     relations = derivative_relations(w)
@@ -488,9 +512,7 @@ def morita_dimension_check(md: MoritaData, w: Potential, reduced_w: Potential, b
                                for k, row in ideal.rows.items())
         rank_relations = solver.rank
         for key in crossed_basis(action, ell):
-            b = CrossedElement.from_pair(action, *key)
-            cornered = e * b * e
-            if not cornered.is_zero():
+            if (cornered := corner(e, key)).terms:
                 solver.add(vectorize(cornered, index))
         left_dim = solver.rank - rank_relations
         rows.append((ell, left_dim, right[ell]))

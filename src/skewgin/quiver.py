@@ -50,6 +50,7 @@ class GradedQuiver:
         for a in self.arrows:
             self.arrows_from[a.src].append(a)
             self.arrows_to[a.tgt].append(a)
+        self._path_layers = []  # paths by length, see paths_by_length
 
     def __eq__(self, other):
         return (isinstance(other, GradedQuiver)
@@ -157,11 +158,15 @@ def count_paths_up_to(quiver: GradedQuiver, bound: int, cap: int) -> int:
 
 
 def paths_by_length(quiver: GradedQuiver, bound: int):
-    """Paths of length <= bound grouped by length, each group in basis order."""
-    by_len = {}
-    for p in basis_up_to(quiver, bound):
-        by_len.setdefault(len(p.arrows), []).append(p)
-    return by_len
+    """Paths of length <= bound grouped by length in basis order, as new lists
+    of layers cached on the quiver: only a larger bound enumerates again."""
+    layers = quiver._path_layers
+    if not 0 <= bound < len(layers):  # basis_up_to rejects a negative bound
+        layers = [[] for _ in range(bound + 1)]
+        for p in basis_up_to(quiver, bound):
+            layers[len(p.arrows)].append(p)
+        quiver._path_layers = layers
+    return {ell: list(layer) for ell, layer in enumerate(layers[:bound + 1]) if layer}
 
 
 class AlgElement:

@@ -1,4 +1,4 @@
-"""A committed mutation catalogue for the crossed-product and Morita layers.
+"""A committed mutation catalogue for the library's exact kernels.
 
 Each entry names a file under ``src/skewgin``, an exact old text that
 occurs there once, the new text that replaces it, and the tests that must
@@ -43,6 +43,7 @@ class Mutant(NamedTuple):
 
 
 ORACLE_PRODUCT = "tests/test_crossed.py::test_product_matches_field_scalar_oracle"
+CORNER_ORACLE = "tests/test_morita.py::test_corner_matches_two_product_oracle"
 
 MUTANTS = [
     # -- the int kernel of CrossedElement and its denominators --
@@ -55,10 +56,9 @@ MUTANTS = [
            (ORACLE_PRODUCT,
             "tests/test_fields.py::test_combine_normalized_and_ratio_agree_with_field_scalars")),
     Mutant("kernel-skips-canonical-form", "crossed.py",
-           "        return CrossedElement.from_ints(action, *action.field.normalized(\n"
-           "            acc, self.den * other.den * den))\n",
-           "        return CrossedElement.from_ints(action, self.den * other.den * den, acc)\n",
-           (ORACLE_PRODUCT,)),
+           "        return cls.from_ints(action, *action.field.normalized(acc, outer * den))\n",
+           "        return cls.from_ints(action, outer * den, acc)\n",
+           (ORACLE_PRODUCT, CORNER_ORACLE)),
     Mutant("equality-ignores-den", "crossed.py",
            "        if a == b:\n            return self.terms == other.terms\n",
            "        if True:\n            return self.terms == other.terms\n",
@@ -75,10 +75,14 @@ MUTANTS = [
            why="equivalent: r starts at the source of a trivial p, so the new "
                "Path equals r"),
     Mutant("kernel-swaps-group-product", "crossed.py",
-           "                            (den, image, [(gmul(g, h), cq) for h, cq in twists]))\n",
-           "                            (den, image, [(gmul(h, g), cq) for h, cq in twists]))\n",
+           "            twists.append((gmul(g, h), cq))\n",
+           "            twists.append((gmul(h, g), cq))\n",
            ("tests/test_morita.py::test_signed_s3_pipeline",
             "tests/test_bench_goldens.py::test_seed_1_reports_match_the_goldens")),
+    Mutant("table-cached-without-g-key", "crossed.py",
+           "            by_source = tables.get(g)\n",
+           "            by_source = next(iter(tables.values()), None)\n",
+           ("tests/test_crossed.py::test_reused_right_factor_matches_oracle",)),
     # -- commutators and the feed --
     Mutant("commutator-keeps-sign-of-vu", "crossed.py",
            "    a, b = den // den_uv, -(den // den_vu)\n",
@@ -96,13 +100,36 @@ MUTANTS = [
            "                    twist = G.mul(left, kappa[j2])\n",
            ("tests/test_morita.py::test_bimodule_slots_match_five_fold_product_oracle",)),
     Mutant("embed-folds-from-source-idempotent", "morita.py",
-           "            out[p] = out[Path(p.source, p.arrows[:-1])] * md.arrow_embed[p.arrows[-1]]\n",
-           "            out[p] = md.vertex_idems[p.source] * md.arrow_embed[p.arrows[-1]]\n",
+           "            acc = out[Path(source, arrows[:k])] = acc * md.arrow_embed[arrows[k - 1]]\n",
+           "            acc = out[Path(source, arrows[:k])] = (md.vertex_idems[source]\n"
+           "                                                   * md.arrow_embed[arrows[k - 1]])\n",
            ("tests/test_morita.py::test_embed_paths_matches_per_path_fold",)),
     Mutant("embedding-pair-check-tautological", "morita.py",
            "            if ep * embedded[q] != (zero if pq is None else embedded[pq]):\n",
            "            if ep * embedded[q] != ep * embedded[q]:\n",
            ("tests/test_morita.py::test_check_embedding_catches_an_uncornered_arrow",)),
+    Mutant("corner-drops-source-vertex-condition", "morita.py",
+           "        if perms[h][src] == v.source:\n", "        if True:\n",
+           (CORNER_ORACLE,)),
+    Mutant("corner-drops-target-vertex-condition", "morita.py",
+           "                if perms[hg][w.source] == perms[h][tgt]:\n",
+           "                if True:\n",
+           (CORNER_ORACLE,)),
+    # -- fields, linalg, groups and weyl --
+    Mutant("accumulate-drops-mod-p", "fields.py",
+           "                s = (get(key, 0) + c) % p\n", "                s = get(key, 0) + c\n",
+           ("tests/test_fields.py::test_accumulate_agrees_with_naive_loop",)),
+    Mutant("solver-drops-scale-update", "linalg.py",
+           "                scale *= a\n", "                pass\n",
+           ("tests/test_linalg.py::test_invert_matrix_roundtrip",)),
+    Mutant("characters-take-power-character-as-one", "groups.py",
+           "                if f.pow(z, m) != chi[gm]:\n",
+           "                if f.pow(z, m) != f.one():\n",
+           ("tests/test_groups.py::test_characters_extend_past_a_nontrivial_power",)),
+    Mutant("equivariance-drops-weight-factor", "weyl.py",
+           "                rhs = act({k: c * den ** (weight - _weight(k))\n",
+           "                rhs = act({k: c * den ** 0\n",
+           ("tests/test_weyl.py::test_cached_equivariance_matches_oracle_with_denominators_n2",)),
 ]
 
 

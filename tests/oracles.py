@@ -12,7 +12,10 @@ the crossed product on field scalars that the scaled-integer kernel of
 ``CrossedElement.__mul__`` replaced, the entry-by-entry certificate
 re-expansion that ``skewgin.crossed.expand_certificate`` replaced, the
 per-path left folds that ``QuiverAction.act_path`` and
-``skewgin.morita.embed_paths`` replaced, the span of every product
+``skewgin.morita.embed_paths`` replaced, the path layers enumerated
+afresh on every call that the cache of ``skewgin.quiver.paths_by_length``
+replaced, the corner e.b.e as two products that
+``skewgin.morita.corner`` replaced, the span of every product
 p.r.q that the recurrence of ``skewgin.ginzburg.relation_ideal`` replaced,
 the characters by generator search that the coset extension of
 ``skewgin.groups.characters`` replaced, the bimodule generators as
@@ -45,7 +48,7 @@ from skewgin.fields import primitive_root_of_unity
 from skewgin.linalg import LinSolver
 from skewgin.morita import _diagonal_orbit_reps
 from skewgin.potential import Potential, _rotations, cyclic_derivative
-from skewgin.quiver import AlgElement, Path
+from skewgin.quiver import AlgElement, Path, basis_up_to
 
 
 def naive_accumulate(field, acc, terms):
@@ -119,6 +122,15 @@ def enumerate_paths(arrows, length, vertices):
             stack = nxt
         result.extend((v, word, at) for at, word in stack)
     return result
+
+
+def naive_paths_by_length(quiver, bound):
+    """Paths of length <= bound grouped by length, from a fresh
+    ``basis_up_to`` on every call, with no cache."""
+    by_len = {}
+    for p in basis_up_to(quiver, bound):
+        by_len.setdefault(len(p.arrows), []).append(p)
+    return by_len
 
 
 def naive_cyclic_derivative(cycle, arrow):
@@ -454,6 +466,11 @@ def naive_embed_path(md, path):
     for name in path.arrows:
         acc = naive_crossed_mul(acc, md.arrow_embed[name])
     return acc
+
+
+def naive_corner(e, key):
+    """The corner e.(p, g).e as two general products."""
+    return e * CrossedElement.from_pair(e.action, *key) * e
 
 
 def relation_ideal_span(relations, by_len, ell: int, rel_len: int):

@@ -422,6 +422,34 @@ def test_cleared_image_cache_is_never_rescaled(name, data):
                 action.act_path(g, q).terms.items())
 
 
+@pytest.mark.parametrize("name", sorted(KERNEL_ACTIONS))
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_reused_right_factor_matches_oracle(name, data):
+    # one right operand serves left operands on each single group element,
+    # each single source vertex, zero and itself, in a drawn order, twice:
+    # its cached table must hold one entry per group element, and a
+    # product must leave both operands as they were
+    action = KERNEL_ACTIONS[name]()
+    keys = [(p, g) for p in basis_up_to(action.quiver, 2) for g in action.group.elements()]
+
+    def supported_on(subset):
+        return data.draw(st.lists(st.tuples(st.sampled_from(subset), scalars(action.field)),
+                                  min_size=1, max_size=4).map(
+            lambda terms: CrossedElement(action, terms)))
+
+    right = data.draw(crossed_elements(action, min_size=1))
+    lefts = ([supported_on([k for k in keys if k[1] == g]) for g in action.group.elements()]
+             + [supported_on([k for k in keys if k[0].source == v])
+                for v in action.quiver.vertices]
+             + [CrossedElement.zero(action), right])
+    order = data.draw(st.permutations(lefts))
+    for left in order + order:
+        before = [(x.den, dict(x.terms)) for x in (left, right)]
+        assert_matches_oracle(left, right)
+        assert [(x.den, x.terms) for x in (left, right)] == before
+
+
 def test_field_mismatch_raises_field_mismatch():
     # the same quiver and group over Q and GF(7): int terms would combine
     # silently, so every binary operation must refuse them

@@ -1,4 +1,7 @@
+import gc
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewgin.action import QuiverAction, validate_action
 from skewgin.crossed import (CommutatorTerm, CrossedElement, basis_index, commutator_basis,
@@ -9,15 +12,16 @@ from skewgin.fields import make_field
 from skewgin.groups import cyclic_group
 from skewgin.linalg import LinSolver
 from skewgin.morita import (build_bimodule, build_morita, check_embedding, check_fullness,
-                            embed, embed_paths, morita_dimension_check, orbit_data,
+                            corner, embed, embed_paths, morita_dimension_check, orbit_data,
                             transport_potential)
 from skewgin.potential import Potential, canonicalize, cycle_length_of
-from skewgin.quiver import AlgElement, GradedQuiver, paths_by_length
+from skewgin.quiver import AlgElement, GradedQuiver, basis_up_to, paths_by_length
 
 from docs import MCKAY, SIGNED_S3, doc
 from oracles import (LabelledLinSolver, feed_all_express_modulo_commutators, naive_build_bimodule,
-                     naive_commutator_basis, naive_embed_path,
+                     naive_commutator_basis, naive_corner, naive_embed_path,
                      retrying_express_modulo_commutators, scale)
+from test_crossed import KERNEL_ACTIONS, scalars
 
 Q = make_field("Q")
 F7 = make_field(7)
@@ -474,6 +478,56 @@ def test_embed_paths_matches_per_path_fold(document):
     for p, el in embedded.items():
         assert el == naive_embed_path(md, p)
     assert embed_paths(md, []) == {}
+
+
+def assert_corners_match_oracle(e, max_len):
+    action = e.action
+    for p in basis_up_to(action.quiver, max_len):
+        for g in action.group.elements():
+            got, want = corner(e, (p, g)), naive_corner(e, (p, g))
+            assert (got.den, got.terms) == (want.den, want.terms)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_ACTIONS) + ["mixed-orbit"])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_corner_matches_two_product_oracle(name, data):
+    # e is any element on trivial paths, idempotent or not; its terms at
+    # vertices other than h(src p), and h(tgt p) against hg(w), exercise
+    # both vertex conditions of the corner
+    action = mixed_orbit_action() if name == "mixed-orbit" else KERNEL_ACTIONS[name]()
+    trivial = [(action.quiver.trivial_path(v), g)
+               for v in action.quiver.vertices for g in action.group.elements()]
+    e = data.draw(st.lists(st.tuples(st.sampled_from(trivial), scalars(action.field)),
+                           max_size=5).map(lambda terms: CrossedElement(action, terms)))
+    assert_corners_match_oracle(e, 2)
+
+
+@pytest.mark.parametrize("document", [MCKAY, SIGNED_S3], ids=["mckay", "signed_s3"])
+def test_corner_of_the_total_idempotent_matches_oracle(document):
+    assert_corners_match_oracle(reduction_of(document).total_idempotent(), 2)
+
+
+def test_verify_stages_leave_no_reference_cycles():
+    # a reference cycle keeps whatever it reaches (every embedding, say)
+    # alive until the cyclic collector runs, which shows as peak RSS
+    parsed = parse(doc(MCKAY))
+    md = build_morita(parsed.action, parsed.idempotents)
+    reduced, _ = transport_potential(parsed.potential, md)
+    stages = {"check_embedding": lambda: check_embedding(md, 4),
+              "transport_potential": lambda: transport_potential(parsed.potential, md),
+              "morita_dimension_check":
+                  lambda: morita_dimension_check(md, parsed.potential, reduced, 4)}
+    found = {}
+    gc.collect()
+    gc.disable()
+    try:
+        for name, stage in stages.items():
+            stage()
+            found[name] = gc.collect()
+    finally:
+        gc.enable()
+    assert found == dict.fromkeys(stages, 0)
 
 
 def test_check_embedding_catches_an_uncornered_arrow():

@@ -2,9 +2,16 @@ import random
 
 import pytest
 
+from skewgin import quiver as quiver_module
+from skewgin.document import parse
 from skewgin.errors import QuiverMismatch
 from skewgin.fields import make_field
-from skewgin.quiver import AlgElement, GradedQuiver, basis_up_to, count_paths_up_to
+from skewgin.morita import build_morita
+from skewgin.quiver import (AlgElement, GradedQuiver, basis_up_to, count_paths_up_to,
+                            paths_by_length)
+
+from docs import MCKAY, doc
+from oracles import naive_paths_by_length
 
 Q = make_field("Q")
 
@@ -142,3 +149,62 @@ def test_count_paths_matches_enumeration_and_stops_early():
     # return at once for a huge bound
     assert count_paths_up_to(quivers[2], 10**9, cap=10**6) == 6
     assert 100 < count_paths_up_to(quivers[0], 10**9, cap=100) <= 2 * 100 + 1
+
+
+# ---------- cached path layers ----------
+
+def mckay_reduced_quiver():
+    md = build_morita(parse(doc(MCKAY)).action)
+    return md.qprime
+
+
+LAYER_QUIVERS = {
+    "one-vertex": two_loop_quiver,
+    "mckay-reduced": mckay_reduced_quiver,
+    # 3 is a sink and 4 has no arrows, so the layers run out at length 2
+    "sinks": lambda: GradedQuiver(["1", "2", "3", "4"], [("a", "1", "2", 0), ("b", "1", "2", 0),
+                                                         ("c", "2", "3", 0)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYER_QUIVERS))
+@pytest.mark.parametrize("bounds", [[0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [2, 2, 4, 1, 4, 0]],
+                         ids=["rising", "falling", "repeated"])
+def test_cached_path_layers_match_fresh_enumeration(name, bounds):
+    q = LAYER_QUIVERS[name]()
+    for bound in bounds:
+        assert paths_by_length(q, bound) == naive_paths_by_length(q, bound)
+
+
+def test_cached_path_layers_enumerate_once_per_larger_bound(monkeypatch):
+    # basis_up_to stays the one enumeration routine, looked up by name, and
+    # runs again only for a bound past the cached layers
+    calls = []
+    enumerate_paths = quiver_module.basis_up_to
+    monkeypatch.setattr(quiver_module, "basis_up_to",
+                        lambda q, bound: calls.append(bound) or enumerate_paths(q, bound))
+    q = two_loop_quiver()
+    for bound in (2, 0, 2, 1, 3, 3, 0):
+        paths_by_length(q, bound)
+    assert calls == [2, 3]
+
+
+def test_cached_path_layers_reject_a_negative_bound():
+    q = two_loop_quiver()
+    with pytest.raises(ValueError):
+        paths_by_length(q, -1)
+    paths_by_length(q, 2)
+    with pytest.raises(ValueError):
+        paths_by_length(q, -1)
+
+
+def test_mutating_returned_layers_leaves_the_cache_alone():
+    q = LAYER_QUIVERS["sinks"]()
+    by_len = paths_by_length(q, 3)
+    want = naive_paths_by_length(q, 3)
+    by_len[1].append(q.trivial_path("4"))
+    by_len[0].clear()
+    del by_len[2]
+    by_len[7] = []
+    assert paths_by_length(q, 3) == want
+    assert paths_by_length(q, 1) == naive_paths_by_length(q, 1)
