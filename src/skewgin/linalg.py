@@ -35,8 +35,16 @@ class LinSolver:
         """(kernel scalars, scale) with vec = kernel / scale, zeros dropped.
 
         Over Q the kernel vector is integral, cleared by the least common
-        denominator; over GF(p) it is vec itself and the scale is 1.
+        denominator; over GF(p) it is vec reduced and the scale is 1.  An
+        int vector over Q, or one of reduced nonzero residues over GF(p),
+        is taken as it is.
         """
+        values, p = vec.values(), self.field.p
+        if p is None:
+            if set(map(type, values)) <= {int}:
+                return {k: c for k, c in vec.items() if c}, 1
+        elif not vec or 0 < min(values) and max(values) < p:
+            return dict(vec), 1
         den, items = self.field.scaled(vec.items())
         return dict(items), den
 

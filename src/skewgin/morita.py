@@ -270,6 +270,7 @@ def check_embedding(md: MoritaData, bound: int):
     report = []
     qprime, field = md.qprime, md.field
     by_len = paths_by_length(qprime, bound)
+    paths_by_length(md.action.quiver, bound)  # every basis_index below reads these layers
     embedded = embed_paths(md, [p for layer in by_len.values() for p in layer])
     for ell in range(bound + 1):
         layer = by_len.get(ell, [])

@@ -12,7 +12,9 @@ The checks run on plain ints (the scaled-integer convention of
 ``fields.py``): monomial products are unreduced ints, the resolution and
 its dual have integer coefficients, and each symplectic matrix is cleared
 by its common denominator once.  ``Field.accumulate`` reduces every sum
-over GF(p).
+over GF(p).  Each differential reads the memoized monomial products of its
+terms and sums them in one accumulate; the equivariance check builds the
+image of each chain basis key under d once, for every matrix alike.
 """
 
 from __future__ import annotations
@@ -52,27 +54,12 @@ class WeylAlgebra:
         units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
         self._basis = [(u, (0,) * n) for u in units] + [((0,) * n, u) for u in units]
 
-    # -- elements --
-
-    def zero(self):
-        return {}
-
-    def one(self):
-        zero_idx = (0,) * self.n
-        return {(zero_idx, zero_idx): self.field.one()}
-
     def basis_monomial(self, k: int):
         """The monomial of the k-th V basis vector: x_1..x_n then d_1..d_n."""
         return self._basis[k]
 
     def basis_vector(self, k: int):
         return {self.basis_monomial(k): self.field.one()}
-
-    def x(self, i: int):
-        return self.basis_vector(i)
-
-    def d(self, i: int):
-        return self.basis_vector(self.n + i)
 
     def add(self, u: dict, v: dict) -> dict:
         return self.field.accumulate(dict(u), v.items())
@@ -142,34 +129,6 @@ class WeylEnvelope:
     def __init__(self, algebra: WeylAlgebra):
         self.algebra = algebra
         self.field = algebra.field
-
-    def one(self):
-        [(m, _)] = self.algebra.one().items()
-        return {(m, m): self.field.one()}
-
-    def left_difference(self, k: int, u: dict) -> dict:
-        """(v (x) 1 - 1 (x) v).u for the k-th V basis vector v."""
-        v = self.algebra.basis_monomial(k)
-        monomial_product = self.algebra._mul_monomials
-        out = {}
-        for (s, t), c in u.items():
-            self.field.accumulate(out, (((m, t), c * cm)
-                                        for m, cm in monomial_product(v, s).items()))
-            self.field.accumulate(out, (((s, m), -c * cm)
-                                        for m, cm in monomial_product(t, v).items()))
-        return out
-
-    def right_difference(self, k: int, u: dict) -> dict:
-        """u.(v (x) 1 - 1 (x) v) for the k-th V basis vector v."""
-        v = self.algebra.basis_monomial(k)
-        monomial_product = self.algebra._mul_monomials
-        out = {}
-        for (s, t), c in u.items():
-            self.field.accumulate(out, (((m, t), c * cm)
-                                        for m, cm in monomial_product(s, v).items()))
-            self.field.accumulate(out, (((s, m), -c * cm)
-                                        for m, cm in monomial_product(v, t).items()))
-        return out
 
 
 def apply_linear_automorphism(algebra: WeylAlgebra, images, u: dict) -> dict:
@@ -248,38 +207,47 @@ def _remove_sign(wedge, position):
 def koszul_differential(envelope: WeylEnvelope, element: dict) -> dict:
     """One step of the resolution differential.
 
-    (v_1 ^ ... ^ v_m) (x) u goes to the alternating sum over i of
-    (v_1 ^ ... v_i-hat ... ^ v_m) (x) (v_i (x) 1 - 1 (x) v_i) . u.
+    (v_1 ^ ... ^ v_m) (x) s (x) t goes to the alternating sum over i of
+    (v_1 ^ ... v_i-hat ... ^ v_m) (x) (v_i s (x) t - s (x) t v_i), read off
+    the memoized monomial products in one accumulate.
     """
-    out = {}
-    for (wedge, pair), coeff in element.items():
-        u = {pair: coeff}
-        for pos, k in enumerate(wedge):
-            moved = envelope.left_difference(k, u)
-            sign = _remove_sign(wedge, pos)
-            rest = wedge[:pos] + wedge[pos + 1:]
-            envelope.field.accumulate(out, (((rest, key), sign * c)
-                                            for key, c in moved.items()))
-    return out
+    algebra = envelope.algebra
+    product = algebra._mul_monomials
+
+    def terms():
+        for (wedge, (s, t)), c in element.items():
+            for pos, k in enumerate(wedge):
+                sc = _remove_sign(wedge, pos) * c
+                rest, v = wedge[:pos] + wedge[pos + 1:], algebra.basis_monomial(k)
+                for m, cm in product(v, s).items():
+                    yield (rest, (m, t)), sc * cm
+                for m, cm in product(t, v).items():
+                    yield (rest, (s, m)), -sc * cm
+
+    return envelope.field.accumulate({}, terms())
 
 
 def dual_differential(envelope: WeylEnvelope, element: dict) -> dict:
-    """One step of the dual complex: u (x) w goes to the sum over j of
-    u . (e_j (x) 1 - 1 (x) e_j) (x) (w ^ e_j*), with the sort sign."""
-    n2 = 2 * envelope.algebra.n
-    out = {}
-    for (wedge, pair), coeff in element.items():
-        u = {pair: coeff}
-        for j in range(n2):
-            if j in wedge:
-                continue
-            moved = envelope.right_difference(j, u)
-            greater = sum(1 for w in wedge if w > j)
-            sign = 1 if greater % 2 == 0 else -1
-            new_wedge = tuple(sorted(wedge + (j,)))
-            envelope.field.accumulate(out, (((new_wedge, key), sign * c)
-                                            for key, c in moved.items()))
-    return out
+    """One step of the dual complex: s (x) t (x) w goes to the sum over j
+    of (s e_j (x) t - s (x) e_j t) (x) (w ^ e_j*), with the sort sign, read
+    off the memoized monomial products in one accumulate."""
+    algebra = envelope.algebra
+    product, n2 = algebra._mul_monomials, 2 * algebra.n
+
+    def terms():
+        for (wedge, (s, t)), c in element.items():
+            for j in range(n2):
+                if j in wedge:
+                    continue
+                greater = sum(1 for w in wedge if w > j)
+                sign = 1 if greater % 2 == 0 else -1
+                new_wedge, v = tuple(sorted(wedge + (j,))), algebra.basis_monomial(j)
+                for m, cm in product(s, v).items():
+                    yield (new_wedge, (m, t)), sign * c * cm
+                for m, cm in product(v, t).items():
+                    yield (new_wedge, (s, m)), -sign * c * cm
+
+    return envelope.field.accumulate({}, terms())
 
 
 def wedge_action(algebra: WeylAlgebra, matrix, wedge):
@@ -361,7 +329,10 @@ def check_sp_equivariance(n: int, matrices, field: Field, filt_bound: int = 2):
     d(g . elem) = g . d(elem) over every chain basis element with
     enveloping filtration at most filt_bound and returns the failure list.
     Both sides are extended linearly from images computed once per basis
-    key: per matrix for the action, per matrix and position for d.
+    key: per matrix for the action, and once for all matrices for d, which
+    does not depend on the matrix.  Positions run in the outer loop, so only
+    one position's images of d are held at a time; the failures are still
+    listed matrix by matrix.
 
     Everything runs on ints.  For a basis key of weight W, act sends it to
     den ** W times g(key), so the left side is den ** W times d(g . key).
@@ -375,12 +346,14 @@ def check_sp_equivariance(n: int, matrices, field: Field, filt_bound: int = 2):
             raise NotSymplectic(
                 f"matrix {idx} does not preserve the commutator pairing", matrix_index=idx)
     accumulate = field.accumulate
-    report = []
-    for idx, matrix in enumerate(matrices):
-        den, act = chain_action(algebra, matrix)
-        for d in range(1, 2 * n + 1):
-            differential = cache(lambda key: koszul_differential(envelope, {key: 1}))
-            for key in _position_basis(algebra, d, filt_bound):
+    actions = [chain_action(algebra, matrix) for matrix in matrices]
+    failures = [[] for _ in matrices]
+    for d in range(1, 2 * n + 1):
+        # act keeps a key's wedge length, so every key met here is at position d
+        differential = cache(lambda key: koszul_differential(envelope, {key: 1}))
+        basis = _position_basis(algebra, d, filt_bound)
+        for idx, (den, act) in enumerate(actions):
+            for key in basis:
                 weight = _weight(key)
                 lhs = accumulate({}, ((image_key, c * ci)
                                       for moved, c in act({key: 1}).items()
@@ -389,10 +362,10 @@ def check_sp_equivariance(n: int, matrices, field: Field, filt_bound: int = 2):
                            for k, c in differential(key).items()})
                 if lhs != rhs:
                     w, pair = key
-                    report.append(
+                    failures[idx].append(
                         f"matrix {idx}: differential not equivariant at position {d} "
                         f"on wedge {w} and pair {pair}")
-    return report
+    return [line for failed in failures for line in failed]
 
 
 def _guarded_envelope(n: int, filt: int, field: Field, cap: int) -> WeylEnvelope:

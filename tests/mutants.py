@@ -44,6 +44,7 @@ class Mutant(NamedTuple):
 
 ORACLE_PRODUCT = "tests/test_crossed.py::test_product_matches_field_scalar_oracle"
 CORNER_ORACLE = "tests/test_morita.py::test_corner_matches_two_product_oracle"
+DIFFERENTIAL_ORACLE = "tests/test_weyl.py::test_differentials_match_oracles_on_every_basis_key"
 
 MUTANTS = [
     # -- the int kernel of CrossedElement and its denominators --
@@ -121,7 +122,15 @@ MUTANTS = [
            ("tests/test_fields.py::test_accumulate_agrees_with_naive_loop",)),
     Mutant("solver-drops-scale-update", "linalg.py",
            "                scale *= a\n", "                pass\n",
-           ("tests/test_linalg.py::test_invert_matrix_roundtrip",)),
+           ("tests/test_linalg.py::test_residual_divides_out_a_cross_multiplication",)),
+    Mutant("solver-takes-any-residues-as-given", "linalg.py",
+           "        elif not vec or 0 < min(values) and max(values) < p:\n",
+           "        elif True:\n",
+           ("tests/test_linalg.py::test_unreduced_residues_are_reduced_before_elimination",)),
+    Mutant("solver-takes-fractions-as-given", "linalg.py",
+           "            if set(map(type, values)) <= {int}:\n",
+           "            if True:\n",
+           ("tests/test_linalg.py::test_rank_counts_independent_rows",)),
     Mutant("characters-take-power-character-as-one", "groups.py",
            "                if f.pow(z, m) != chi[gm]:\n",
            "                if f.pow(z, m) != f.one():\n",
@@ -130,6 +139,37 @@ MUTANTS = [
            "                rhs = act({k: c * den ** (weight - _weight(k))\n",
            "                rhs = act({k: c * den ** 0\n",
            ("tests/test_weyl.py::test_cached_equivariance_matches_oracle_with_denominators_n2",)),
+    Mutant("dual-drops-sort-sign", "weyl.py",
+           "                sign = 1 if greater % 2 == 0 else -1\n",
+           "                sign = 1\n",
+           (DIFFERENTIAL_ORACLE,)),
+    Mutant("koszul-adds-right-term", "weyl.py",
+           "                    yield (rest, (s, m)), -sc * cm\n",
+           "                    yield (rest, (s, m)), sc * cm\n",
+           (DIFFERENTIAL_ORACLE,)),
+    Mutant("dual-adds-right-term", "weyl.py",
+           "                    yield (new_wedge, (s, m)), -sign * c * cm\n",
+           "                    yield (new_wedge, (s, m)), sign * c * cm\n",
+           (DIFFERENTIAL_ORACLE,)),
+    Mutant("koszul-swaps-right-product", "weyl.py",
+           "                for m, cm in product(t, v).items():\n",
+           "                for m, cm in product(v, t).items():\n",
+           (DIFFERENTIAL_ORACLE,)),
+    Mutant("dual-swaps-right-product", "weyl.py",
+           "                for m, cm in product(v, t).items():\n",
+           "                for m, cm in product(t, v).items():\n",
+           (DIFFERENTIAL_ORACLE,)),
+    Mutant("differential-cache-rebuilt-per-matrix", "weyl.py",
+           "        for idx, (den, act) in enumerate(actions):\n",
+           "        for idx, (den, act) in enumerate(actions):\n"
+           "            differential = cache(lambda key: koszul_differential(envelope, {key: 1}))\n",
+           ("tests/test_weyl.py::test_equivariance_differentiates_each_key_once_across_matrices",)),
+    Mutant("differential-cache-keyed-by-pair", "weyl.py",
+           "        differential = cache(lambda key: koszul_differential(envelope, {key: 1}))\n",
+           "        by_pair = {}\n"
+           "        differential = lambda key: by_pair.setdefault(\n"
+           "            key[1], koszul_differential(envelope, {key: 1}))\n",
+           ("tests/test_weyl.py::test_cached_equivariance_matches_oracle_n1",)),
 ]
 
 

@@ -8,6 +8,10 @@ replaced, the symplectic equivariance check on field scalars that maps
 every monomial, wedge and differential afresh on each use, with its own
 monomial product, differential, chain action and symplectic test, which
 the cached int kernels of ``skewgin.weyl.check_sp_equivariance`` replaced,
+the dual differential on field scalars, the two differentials built per
+term and position from the one-sided differences (v (x) 1 - 1 (x) v) that
+the single accumulate of ``skewgin.weyl.koszul_differential`` and
+``dual_differential`` replaced,
 the crossed product on field scalars that the scaled-integer kernel of
 ``CrossedElement.__mul__`` replaced, the entry-by-entry certificate
 re-expansion that ``skewgin.crossed.expand_certificate`` replaced, the
@@ -29,7 +33,9 @@ expresses the target once, which the feed that stops at the target
 replaced.
 
 The last section holds helpers that no command uses, kept for the tests:
-``one`` and ``scale`` (which ``CrossedElement`` no longer has),
+``one`` and ``scale`` (which ``CrossedElement`` no longer has), the Weyl
+generators ``weyl_x`` and ``weyl_d`` and the unit ``envelope_one`` (which
+``WeylAlgebra`` and ``WeylEnvelope`` no longer have),
 ``span_rank``, ``rotations_of``, ``cyclic_derivative_along``,
 ``CyclicClass`` and ``hc0_reduce``.  They, unlike the oracles above, run on
 skewgin's ``LinSolver``.
@@ -329,6 +335,87 @@ def naive_koszul_differential(field, n, element):
                                    for m, cm in naive_mul_monomials(field, v, s).items()))
             field.accumulate(out, (((rest, (s, m)), field.neg(field.mul(c, cm)))
                                    for m, cm in naive_mul_monomials(field, t, v).items()))
+    return out
+
+
+def naive_dual_differential(field, n, element):
+    """The dual complex's differential on field scalars:
+    w (x) s (x) t goes to the sum over j not in w of
+    eps (w ^ e_j*) (x) (s v_j (x) t - s (x) v_j t), with eps the sign of the
+    permutation that sorts w + (j,), counted by its inversions."""
+    out = {}
+    for (wedge, (s, t)), coeff in element.items():
+        for j in range(2 * n):
+            if j in wedge:
+                continue
+            word = wedge + (j,)
+            odd = sum(a > b for a, b in combinations(word, 2)) % 2
+            c = field.neg(coeff) if odd else coeff
+            v, new_wedge = _basis_monomial(n, j), tuple(sorted(word))
+            field.accumulate(out, (((new_wedge, (m, t)), field.mul(c, cm))
+                                   for m, cm in naive_mul_monomials(field, s, v).items()))
+            field.accumulate(out, (((new_wedge, (s, m)), field.neg(field.mul(c, cm)))
+                                   for m, cm in naive_mul_monomials(field, v, t).items()))
+    return out
+
+
+def left_difference(envelope, k, u):
+    """(v (x) 1 - 1 (x) v).u for the k-th V basis vector v, on the
+    library's memoized int products."""
+    v = envelope.algebra.basis_monomial(k)
+    monomial_product = envelope.algebra._mul_monomials
+    out = {}
+    for (s, t), c in u.items():
+        envelope.field.accumulate(out, (((m, t), c * cm)
+                                        for m, cm in monomial_product(v, s).items()))
+        envelope.field.accumulate(out, (((s, m), -c * cm)
+                                        for m, cm in monomial_product(t, v).items()))
+    return out
+
+
+def right_difference(envelope, k, u):
+    """u.(v (x) 1 - 1 (x) v) for the k-th V basis vector v, on the
+    library's memoized int products."""
+    v = envelope.algebra.basis_monomial(k)
+    monomial_product = envelope.algebra._mul_monomials
+    out = {}
+    for (s, t), c in u.items():
+        envelope.field.accumulate(out, (((m, t), c * cm)
+                                        for m, cm in monomial_product(s, v).items()))
+        envelope.field.accumulate(out, (((s, m), -c * cm)
+                                        for m, cm in monomial_product(v, t).items()))
+    return out
+
+
+def per_position_koszul_differential(envelope, element):
+    """The resolution differential as one ``left_difference`` per term and
+    wedge position, each summed into the result by its own accumulate."""
+    out = {}
+    for (wedge, pair), coeff in element.items():
+        u = {pair: coeff}
+        for pos, k in enumerate(wedge):
+            moved = left_difference(envelope, k, u)
+            sign = weyl._remove_sign(wedge, pos)
+            rest = wedge[:pos] + wedge[pos + 1:]
+            envelope.field.accumulate(out, (((rest, key), sign * c)
+                                            for key, c in moved.items()))
+    return out
+
+
+def per_position_dual_differential(envelope, element):
+    """The dual differential as one ``right_difference`` per term and added
+    index j, each summed into the result by its own accumulate."""
+    out = {}
+    for (wedge, pair), coeff in element.items():
+        u = {pair: coeff}
+        for j in range(2 * envelope.algebra.n):
+            if j in wedge:
+                continue
+            moved = right_difference(envelope, j, u)
+            sign = 1 if sum(1 for w in wedge if w > j) % 2 == 0 else -1
+            new_wedge = tuple(sorted(wedge + (j,)))
+            envelope.field.accumulate(out, (((new_wedge, key), sign * c)
+                                            for key, c in moved.items()))
     return out
 
 
@@ -696,6 +783,23 @@ def scale(x, coeff):
     """coeff * x on field scalars, cleared afresh by the constructor."""
     f = x.action.field
     return CrossedElement(x.action, {k: f.mul(coeff, c) for k, c in x.field_terms().items()})
+
+
+def weyl_x(algebra, i):
+    """The position x_i."""
+    return algebra.basis_vector(i)
+
+
+def weyl_d(algebra, i):
+    """The derivation d_i."""
+    return algebra.basis_vector(algebra.n + i)
+
+
+def envelope_one(envelope):
+    """The unit 1 (x) 1 of the enveloping algebra."""
+    zero_idx = (0,) * envelope.algebra.n
+    m = (zero_idx, zero_idx)
+    return {(m, m): envelope.field.one()}
 
 
 def span_rank(field, vectors) -> int:

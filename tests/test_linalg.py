@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewgin.fields import make_field
@@ -16,6 +17,23 @@ def test_rank_counts_independent_rows():
     assert not s.add({0: Fraction(2), 1: Fraction(4)})
     assert not s.add({0: Fraction(1)})
     assert s.rank == 2
+
+
+def test_residual_divides_out_a_cross_multiplication():
+    # the row 2 e0 + e1 clears e0 from e0 + e2 only after doubling it, so
+    # the residual (2 e2 - e1) / 2 has to divide that doubling back out
+    f = make_field("Q")
+    for vec in ({0: 1, 2: 1}, {0: Fraction(1), 2: Fraction(1)}):
+        s = LinSolver(f)
+        s.add({0: 2, 1: 1})
+        assert s.residual(vec) == {1: Fraction(-1, 2), 2: Fraction(1)}
+
+
+def test_unreduced_residues_are_reduced_before_elimination():
+    # 7 = 0 and 8 = 1 mod 7: taken as given, the 7 would become the pivot
+    s = LinSolver(make_field(7))
+    assert s.add({0: 7, 1: 8})
+    assert s.rows == {1: {1: 1}}
 
 
 def test_express_returns_exact_combination():
@@ -152,3 +170,38 @@ def test_invert_matrix_against_dense_rank(data):
                 for k in range(n):
                     entry = field.add(entry, field.mul(inv[i][k], mat[k][j]))
                 assert entry == (field.one() if i == j else field.zero())
+
+
+@pytest.mark.parametrize("spec", ["Q", 2, 7])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_vectors_taken_as_given_match_cleared_ones(spec, data):
+    # int vectors over Q and reduced residues over GF(p) skip the clearing
+    # and must land exactly where equal vectors that need it do: Fractions
+    # over Q, residues shifted by multiples of p over GF(p); zeros are
+    # dropped and the inputs are left as given
+    f = make_field(spec)
+    if f.is_rationals:
+        plain, cleared = st.integers(-6, 6), lambda c, shift: Fraction(c)
+    else:
+        plain, cleared = st.integers(0, f.p - 1), lambda c, shift: c + shift * f.p
+    vectors = st.dictionaries(st.integers(0, 7), plain, max_size=5)
+    shifts = st.lists(st.integers(-2, 2), min_size=8, max_size=8)
+    vecs = data.draw(st.lists(st.tuples(vectors, shifts), max_size=10))
+    queries = data.draw(st.lists(st.tuples(vectors, shifts), max_size=4))
+    taken, cleared_solver = LinSolver(f), LinSolver(f)
+    for vec, shift in vecs:
+        given_vec = dict(vec)
+        assert (taken.add(given_vec)
+                == cleared_solver.add({k: cleared(c, shift[k]) for k, c in vec.items()}))
+        assert given_vec == vec
+    assert taken.rows == cleared_solver.rows
+    assert all(type(c) is int for row in taken.rows.values() for c in row.values())
+    for query, shift in queries:
+        other = {k: cleared(c, shift[k]) for k, c in query.items()}
+        assert taken.contains(dict(query)) == cleared_solver.contains(dict(other))
+        residual = taken.residual(dict(query))
+        assert residual == cleared_solver.residual(other)
+        assert all(c for c in residual.values())
+        if f.is_rationals:
+            assert all(type(c) is Fraction for c in residual.values())

@@ -1,6 +1,6 @@
 """The mutation catalogue of ``tests/mutants.py`` stays applicable.
 
-Running the mutants takes about 95 s and is not part of tier-1; this
+Running the mutants takes about 100 s and is not part of tier-1; this
 only checks, in milliseconds, that every entry still changes something
 real: its old text occurs exactly once in its source file, the new text
 differs, and each test it names exists.
