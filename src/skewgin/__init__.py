@@ -18,9 +18,8 @@ from .crossed import CrossedElement, commutator_basis
 from .morita import (MoritaData, build_morita, certify_reduction,
                      check_embedding, check_fullness, embed,
                      morita_dimension_check, orbit_data, transport_potential)
-from .weyl import (WeylAlgebra, WeylEnvelope, bounded_exactness,
-                   check_sp_equivariance, dual_top_concentration,
-                   koszul_differential)
+from .weyl import (WeylAlgebra, bounded_exactness, check_sp_equivariance,
+                   dual_top_concentration, koszul_differential)
 
 __all__ = [
     "__version__",
@@ -35,6 +34,6 @@ __all__ = [
     "MoritaData", "build_morita", "certify_reduction", "check_embedding",
     "check_fullness", "embed", "morita_dimension_check", "orbit_data",
     "transport_potential",
-    "WeylAlgebra", "WeylEnvelope", "bounded_exactness", "check_sp_equivariance",
+    "WeylAlgebra", "bounded_exactness", "check_sp_equivariance",
     "dual_top_concentration", "koszul_differential",
 ]

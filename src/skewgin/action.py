@@ -86,10 +86,9 @@ class QuiverAction:
         return cleared
 
     def act(self, g: int, x: AlgElement) -> AlgElement:
-        out = AlgElement.zero(self.quiver, self.field)
-        for path, coeff in x.terms.items():
-            out = out + self.act_path(g, path).scale(coeff)
-        return out
+        return AlgElement(self.quiver, self.field, (
+            (r, coeff * c) for path, coeff in x.terms.items()
+            for r, c in self.act_path(g, path).terms.items()))
 
     def act_potential(self, g: int, w: Potential) -> Potential:
         moved = self.act(g, w.as_element())
@@ -131,13 +130,9 @@ class QuiverAction:
         inv = invert_matrix(self.field, mat)
         if inv is None:
             raise ValueError("non-invertible arrow block; validate the action first")
-        k = cols.index(arrow_name)
-        out = AlgElement.zero(self.quiver, self.field)
-        for t, row_name in enumerate(rows):
-            coeff = inv[k][t]  # (M^-1)^T indexed [t][k]
-            if coeff != self.field.zero():
-                out = out + AlgElement.from_arrow(self.quiver, self.field, row_name, coeff)
-        return out
+        k, src = cols.index(arrow_name), self.act_vertex(g, a.src)  # (M^-1)^T at [t][k]
+        return AlgElement(self.quiver, self.field, (
+            (Path(src, (row_name,)), inv[k][t]) for t, row_name in enumerate(rows)))
 
 
 def validate_action(action: QuiverAction):
@@ -229,18 +224,14 @@ def extend_to_ginzburg(action: QuiverAction, presentation: GinzburgPresentation)
     vertex_perms = [dict(action.vertex_perms[g]) for g in G.elements()]
     arrow_images = []
     for g in G.elements():
-        images = {}
-        for a in quiver.arrows:
-            img = action.arrow_images[g][a.name]
-            lifted = AlgElement(doubled, field, dict(img.terms))
-            images[a.name] = lifted
+        images = {a.name: AlgElement(doubled, field, action.arrow_images[g][a.name].terms)
+                  for a in quiver.arrows}
         # dual arrows transport by the inverse-transpose block matrices
         for a in quiver.arrows:
-            combo = AlgElement.zero(doubled, field)
-            for p, coeff in action.contragredient_image(g, a.name).terms.items():
-                combo = combo + AlgElement.from_arrow(doubled, field,
-                                                      star_name(p.arrows[0]), coeff)
-            images[star_name(a.name)] = combo
+            src = action.act_vertex(g, a.tgt)
+            images[star_name(a.name)] = AlgElement(doubled, field, (
+                (Path(src, (star_name(p.arrows[0]),)), c)
+                for p, c in action.contragredient_image(g, a.name).terms.items()))
         for v in quiver.vertices:
             images[loop_name(v)] = AlgElement.from_arrow(
                 doubled, field, loop_name(action.act_vertex(g, v)))

@@ -107,16 +107,20 @@ def _apply_differential_override(doc, presentation):
         if gen not in doubled.arrow_by_name:
             raise ValidationError([(f"/differential_override/{gen}",
                                     "unknown generator")])
-        el = AlgElement.zero(doubled, field)
+        arrow, pairs = doubled.arrow_by_name[gen], []
         for i, term in enumerate(terms):
             where = f"/differential_override/{gen}/{i}"
             try:
                 coeff = field.parse(term.get("coeff", "1"))
-                el = el + AlgElement.from_path(doubled, field,
-                                               doubled.path(term["path"]), coeff)
+                path = doubled.path(term["path"])
             except Exception as exc:
                 raise ValidationError([(where, f"bad differential term: {exc}")])
-        presentation.differential[gen] = el
+            ends = (path.source, doubled.path_target(path))
+            if ends != (arrow.src, arrow.tgt):
+                raise ValidationError([(where + "/path", f"the path runs {ends[0]} -> {ends[1]}, "
+                                        f"but {gen} runs {arrow.src} -> {arrow.tgt}")])
+            pairs.append((path, coeff))
+        presentation.differential[gen] = AlgElement(doubled, field, pairs)
 
 
 def cmd_ginzburg(args) -> int:

@@ -18,7 +18,7 @@ from .fields import make_field
 from .ginzburg import loop_name, star_name
 from .groups import make_group
 from .potential import canonicalize
-from .quiver import AlgElement, GradedQuiver
+from .quiver import AlgElement, GradedQuiver, Path
 
 
 DEFAULT_OPTIONS = {"max_len": 4}
@@ -376,11 +376,9 @@ def _parse_action(araw, quiver, field, group, issues):
                 ok = False
                 continue
             for k, col_name in enumerate(cols):
-                el = AlgElement.zero(quiver, field)
-                for t, row_name in enumerate(rows):
-                    if entries[t][k] != field.zero():
-                        el = el + AlgElement.from_arrow(quiver, field, row_name, entries[t][k])
-                images[col_name] = el
+                images[col_name] = AlgElement(quiver, field, (
+                    (Path(perm[src], (row_name,)), entries[t][k])
+                    for t, row_name in enumerate(rows)))
         # blocks that stay in place and were not listed default to identity
         for a in quiver.arrows:
             if a.name in images:
@@ -414,12 +412,10 @@ def _parse_action(araw, quiver, field, group, issues):
                 perm_g, img_g = given[g]
                 perm_h, img_h = given[h]
                 perm = {v: perm_g[perm_h[v]] for v in quiver.vertices}
-                images = {}
-                for a in quiver.arrows:
-                    acc = AlgElement.zero(quiver, field)
-                    for p, c in img_h[a.name].terms.items():
-                        acc = acc + img_g[p.arrows[0]].scale(c)
-                    images[a.name] = acc
+                images = {a.name: AlgElement(quiver, field, (
+                    (r, c * cr) for p, c in img_h[a.name].terms.items()
+                    for r, cr in img_g[p.arrows[0]].terms.items()))
+                    for a in quiver.arrows}
                 given[gh] = (perm, images)
                 changed = True
     missing = [group.names[g] for g in group.elements() if g not in given]

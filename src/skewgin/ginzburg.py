@@ -9,6 +9,9 @@ of the potential at a, and sends c_i to the signed sum of a a* minus a* a
 over arrows incident to i.  In the graded case the incidence sums need the
 sign weights below or the differential fails to square to zero; with all
 arrow degrees 0 they reduce to plain +1.
+
+Each term of d(gen) runs from the source to the target of gen, so d acts
+on a path by splicing those terms in for each arrow, with no product.
 """
 
 from __future__ import annotations
@@ -58,32 +61,24 @@ class GinzburgPresentation:
         return self.differential[gen]
 
     def apply_differential(self, x: AlgElement) -> AlgElement:
-        """Extend d to products: d(uv) = d(u)v + (-1)^deg(u) u d(v)."""
-        q, f = self.doubled, x.field
-        out = AlgElement.zero(q, f)
-        for path, coeff in x.terms.items():
-            prefix_deg = 0
-            for i, name in enumerate(path.arrows):
-                dgen = self.differential[name]
-                if not dgen.is_zero():
-                    pre = path.arrows[:i]
-                    post = path.arrows[i + 1:]
-                    left = (AlgElement.from_path(q, f, Path(path.source, pre))
-                            if pre else AlgElement.from_path(q, f, q.trivial_path(path.source)))
-                    piece = left * dgen
-                    if post:
-                        gen_tgt = q.arrow(name).tgt
-                        piece = piece * AlgElement.from_path(q, f, Path(gen_tgt, post))
-                    sign = f.one() if prefix_deg % 2 == 0 else f.neg(f.one())
-                    out = out + piece.scale(f.mul(sign, coeff))
-                prefix_deg += q.arrow(name).deg
-        return out
+        """Extend d to paths as a derivation, d(uv) = d(u)v + (-1)^deg(u) u d(v):
+        each arrow of a path is replaced in turn by the terms of its
+        differential, signed by the degree of the prefix before it.  Every
+        term of d(gen) runs from the source to the target of gen, so it
+        splices into the path in the arrow's place."""
+        arrow, differential = self.doubled.arrow, self.differential
 
+        def terms():
+            for path, coeff in x.terms.items():
+                arrows, prefix_deg = path.arrows, 0
+                for i, name in enumerate(arrows):
+                    signed = coeff if prefix_deg % 2 == 0 else -coeff
+                    head, tail = arrows[:i], arrows[i + 1:]
+                    for r, c in differential[name].terms.items():
+                        yield Path(path.source, head + r.arrows + tail), signed * c
+                    prefix_deg += arrow(name).deg
 
-def _lift(x: AlgElement, doubled) -> AlgElement:
-    res = AlgElement(doubled, x.field)
-    res.terms = dict(x.terms)
-    return res
+        return AlgElement(self.doubled, x.field, terms())
 
 
 def ginzburg(quiver: GradedQuiver, potential: Potential, d: int) -> GinzburgPresentation:
@@ -99,24 +94,18 @@ def ginzburg(quiver: GradedQuiver, potential: Potential, d: int) -> GinzburgPres
         raise DegreeMismatch(f"potential degree {w_deg} != 3 - d = {3 - d}")
     doubled = double_quiver(quiver, d)
     field = potential.field
-    one = field.one()
-    neg = field.neg(one)
-    differential = {}
+    one, neg = field.one(), field.from_int(-1)
+    differential = {a.name: AlgElement.zero(doubled, field) for a in quiver.arrows}
     for a in quiver.arrows:
-        differential[a.name] = AlgElement.zero(doubled, field)
-    for a in quiver.arrows:
-        differential[star_name(a.name)] = _lift(cyclic_derivative(potential, a.name), doubled)
+        differential[star_name(a.name)] = AlgElement(
+            doubled, field, cyclic_derivative(potential, a.name).terms)
     for v in quiver.vertices:
-        acc = AlgElement.zero(doubled, field)
-        for a in quiver.arrows_from[v]:
-            # weight (-1)^deg(a) on outgoing a a*
-            c = one if a.deg % 2 == 0 else neg
-            acc = acc + AlgElement.from_path(doubled, field, Path(v, (a.name, star_name(a.name))), c)
-        for a in quiver.arrows_to[v]:
-            # weight -(-1)^(d*deg(a)) on incoming a* a
-            c = neg if (d * a.deg) % 2 == 0 else one
-            acc = acc + AlgElement.from_path(doubled, field, Path(v, (star_name(a.name), a.name)), c)
-        differential[loop_name(v)] = acc
+        # weight (-1)^deg(a) on outgoing a a*, -(-1)^(d*deg(a)) on incoming a* a
+        differential[loop_name(v)] = AlgElement(doubled, field, chain(
+            ((Path(v, (a.name, star_name(a.name))), one if a.deg % 2 == 0 else neg)
+             for a in quiver.arrows_from[v]),
+            ((Path(v, (star_name(a.name), a.name)), neg if (d * a.deg) % 2 == 0 else one)
+             for a in quiver.arrows_to[v])))
     return GinzburgPresentation(quiver, potential, d, doubled, differential)
 
 

@@ -39,10 +39,6 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return self.inverses[a]
 
-    def conj(self, h: int, g: int) -> int:
-        """h g h^-1."""
-        return self.mul(self.mul(h, g), self.inv(h))
-
     def order(self, a: int) -> int:
         n, x = 1, a
         while x != self.identity:
@@ -157,23 +153,10 @@ class GroupAlgebra:
     def add(self, x: dict, y: dict) -> dict:
         return self.field.accumulate(dict(x), y.items())
 
-    def scale(self, coeff, x: dict) -> dict:
-        f = self.field
-        if coeff == f.zero():
-            return {}
-        return {g: f.mul(coeff, c) for g, c in x.items()}
-
-    def sub(self, x: dict, y: dict) -> dict:
-        return self.add(x, self.scale(self.field.neg(self.field.one()), y))
-
     def mul(self, x: dict, y: dict) -> dict:
         gmul = self.group.mul
         return self.field.accumulate({}, (
             (gmul(g, h), cg * ch) for g, cg in x.items() for h, ch in y.items()))
-
-    def conjugate(self, h: int, x: dict) -> dict:
-        """h x h^-1 term by term."""
-        return {self.group.conj(h, g): c for g, c in x.items()}
 
     def right_module_dimension(self, e: dict) -> int:
         """dim of e * kG as a subspace of kG."""

@@ -100,20 +100,12 @@ def cyclic_derivative(potential: Potential, arrow_name: str) -> AlgElement:
     rotation's sign times the remaining word.  With all arrow degrees zero
     this is exactly "sum over decompositions p = p1.a.p2 of p2.p1".
     """
-    quiver, field = potential.quiver, potential.field
-    quiver.arrow(arrow_name)
-    out = AlgElement.zero(quiver, field)
-    for cycle, coeff in potential.terms.items():
-        rots, _ = _rotations(quiver, cycle)
-        for word, exp in rots:
-            if word.arrows[0] != arrow_name:
-                continue
-            c = coeff if exp == 0 else field.neg(coeff)
-            rest = word.arrows[1:]
-            lead = quiver.arrow(arrow_name)
-            tail = Path(lead.tgt, rest) if rest else quiver.trivial_path(lead.tgt)
-            out = out + AlgElement.from_path(quiver, field, tail, c)
-    return out
+    quiver = potential.quiver
+    tgt = quiver.arrow(arrow_name).tgt
+    return AlgElement(quiver, potential.field, (
+        (Path(tgt, word.arrows[1:]), coeff if exp == 0 else -coeff)
+        for cycle, coeff in potential.terms.items()
+        for word, exp in _rotations(quiver, cycle)[0] if word.arrows[0] == arrow_name))
 
 
 def degree_of(potential: Potential):

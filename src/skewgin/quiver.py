@@ -4,10 +4,15 @@ Composition convention, fixed system-wide: ``p * q`` means "first traverse
 p, then q", paths are written left to right.  ``e_i * a = a`` exactly when
 a starts at i.  All linear algebra on path algebras happens on bounded-
 length components, so every enumeration takes an explicit length bound.
+
+A linear combination is one call, ``AlgElement(quiver, field, pairs)``
+over (path, scalar) pairs, summed by ``Field.accumulate``.  The cached
+path layers of ``paths_by_length`` are tuples, shared by every caller.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import FieldMismatch, QuiverMismatch, UnknownArrow
@@ -158,15 +163,16 @@ def count_paths_up_to(quiver: GradedQuiver, bound: int, cap: int) -> int:
 
 
 def paths_by_length(quiver: GradedQuiver, bound: int):
-    """Paths of length <= bound grouped by length in basis order, as new lists
-    of layers cached on the quiver: only a larger bound enumerates again."""
+    """Paths of length <= bound grouped by length in basis order, in a new
+    dict of the tuples cached on the quiver: only a larger bound enumerates
+    again."""
     layers = quiver._path_layers
     if not 0 <= bound < len(layers):  # basis_up_to rejects a negative bound
-        layers = [[] for _ in range(bound + 1)]
+        grouped = [[] for _ in range(bound + 1)]
         for p in basis_up_to(quiver, bound):
-            layers[len(p.arrows)].append(p)
-        quiver._path_layers = layers
-    return {ell: list(layer) for ell, layer in enumerate(layers[:bound + 1]) if layer}
+            grouped[len(p.arrows)].append(p)
+        layers = quiver._path_layers = [tuple(layer) for layer in grouped]
+    return {ell: layer for ell, layer in enumerate(layers[:bound + 1]) if layer}
 
 
 class AlgElement:
@@ -196,11 +202,6 @@ class AlgElement:
         a = quiver.arrow(name)
         return cls.from_path(quiver, field, Path(a.src, (name,)), coeff)
 
-    @classmethod
-    def unit(cls, quiver, field):
-        one = field.one()
-        return cls(quiver, field, {quiver.trivial_path(v): one for v in quiver.vertices})
-
     # -- structure --
 
     def is_zero(self) -> bool:
@@ -220,25 +221,12 @@ class AlgElement:
 
     def __add__(self, other):
         self._check(other)
-        res = AlgElement(self.quiver, self.field)
-        res.terms = self.field.accumulate(dict(self.terms), other.terms.items())
-        return res
-
-    def __neg__(self):
-        f = self.field
-        res = AlgElement(self.quiver, self.field)
-        res.terms = {p: f.neg(c) for p, c in self.terms.items()}
-        return res
+        return AlgElement(self.quiver, self.field, chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, coeff):
-        f = self.field
-        res = AlgElement(self.quiver, self.field)
-        if coeff != f.zero():
-            res.terms = {p: f.mul(coeff, c) for p, c in self.terms.items()}
-        return res
+        self._check(other)
+        return AlgElement(self.quiver, self.field,
+                          chain(self.terms.items(), ((p, -c) for p, c in other.terms.items())))
 
     def __mul__(self, other):
         if not isinstance(other, AlgElement):

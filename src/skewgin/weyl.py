@@ -3,8 +3,9 @@ the diagonal, its dual, symplectic-equivariance checking, and exactness of
 bounded filtration pieces.
 
 Monomials are kept normal ordered (all positions left of all derivations);
-elements of the algebra, of its enveloping algebra, and of the resolution
-terms are sparse dicts over monomial keys.  The total-degree (Bernstein)
+elements of the algebra, of its enveloping algebra (keyed by monomial
+pairs, with no class of its own: the differentials take the WeylAlgebra),
+and of the resolution terms are sparse dicts.  The total-degree (Bernstein)
 filtration bounds every computation: the chain differential does not raise
 it, so each filtration piece is a finite complex with exact ranks.
 
@@ -15,6 +16,8 @@ by its common denominator once.  ``Field.accumulate`` reduces every sum
 over GF(p).  Each differential reads the memoized monomial products of its
 terms and sums them in one accumulate; the equivariance check builds the
 image of each chain basis key under d once, for every matrix alike.
+Symplectic membership needs no product: linear elements commute to
+scalars, so it is the closed form M^T J M = J.
 """
 
 from __future__ import annotations
@@ -50,28 +53,12 @@ class WeylAlgebra:
         self.n = n
         self.field = field
         self._products = {}  # (m1, m2) -> normal-ordered product, int coefficients
-        self._form = None    # symplectic_form_matrix, built on first use
         units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
         self._basis = [(u, (0,) * n) for u in units] + [((0,) * n, u) for u in units]
 
     def basis_monomial(self, k: int):
         """The monomial of the k-th V basis vector: x_1..x_n then d_1..d_n."""
         return self._basis[k]
-
-    def basis_vector(self, k: int):
-        return {self.basis_monomial(k): self.field.one()}
-
-    def add(self, u: dict, v: dict) -> dict:
-        return self.field.accumulate(dict(u), v.items())
-
-    def scale(self, coeff, u: dict) -> dict:
-        f = self.field
-        if coeff == f.zero():
-            return {}
-        return {m: f.mul(coeff, c) for m, c in u.items()}
-
-    def sub(self, u: dict, v: dict) -> dict:
-        return self.add(u, self.scale(self.field.neg(self.field.one()), v))
 
     def _mul_monomials(self, m1, m2):
         """Normal-ordered product of two monomials, with plain int
@@ -104,9 +91,6 @@ class WeylAlgebra:
             for m2, c2 in v.items()
             for m, c in monomial_product(m1, m2).items()))
 
-    def commutator(self, u: dict, v: dict) -> dict:
-        return self.sub(self.mul(u, v), self.mul(v, u))
-
     def monomials_up_to(self, filt: int):
         out = []
         for total in range(filt + 1):
@@ -120,15 +104,6 @@ class WeylAlgebra:
     def monomial_filtration(m) -> int:
         alpha, beta = m
         return sum(alpha) + sum(beta)
-
-
-class WeylEnvelope:
-    """The enveloping algebra A (x) A^op: pairs multiply as
-    (s (x) t)(s' (x) t') = s s' (x) t' t."""
-
-    def __init__(self, algebra: WeylAlgebra):
-        self.algebra = algebra
-        self.field = algebra.field
 
 
 def apply_linear_automorphism(algebra: WeylAlgebra, images, u: dict) -> dict:
@@ -154,38 +129,20 @@ def matrix_images(algebra: WeylAlgebra, matrix):
             for k in range(size)]
 
 
-def symplectic_form_matrix(algebra: WeylAlgebra):
-    """Pairing of V basis vectors by their scalar commutators.
-
-    Built once per algebra and kept on it; callers must not modify it.
-    """
-    if algebra._form is not None:
-        return algebra._form
-    m = 2 * algebra.n
-    f = algebra.field
-    zero_mon = ((0,) * algebra.n, (0,) * algebra.n)
-    form = [[f.zero()] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            comm = algebra.commutator(algebra.basis_vector(i), algebra.basis_vector(j))
-            form[i][j] = comm.get(zero_mon, f.zero())
-    algebra._form = form
-    return form
-
-
 def is_symplectic(algebra: WeylAlgebra, matrix) -> bool:
-    """Does the matrix preserve the commutator pairing on V?"""
-    f = algebra.field
-    images = matrix_images(algebra, matrix)
-    zero_mon = ((0,) * algebra.n, (0,) * algebra.n)
-    form = symplectic_form_matrix(algebra)
-    m = 2 * algebra.n
-    for i in range(m):
-        for j in range(m):
-            comm = algebra.commutator(images[i], images[j])
-            if set(comm) - {zero_mon}:
-                return False
-            if comm.get(zero_mon, f.zero()) != form[i][j]:
+    """Does the matrix preserve the commutator pairing on V, M^T J M = J?
+
+    Linear elements u, v commute to the scalar
+    [u, v] = sum_i u_(n+i) v_i - u_i v_(n+i), as [x_i, d_i] = -1, so
+    columns i and j of the matrix must pair to J[i][j]: -1 at (i, n + i),
+    1 at (n + i, i) and 0 elsewhere.
+    """
+    n, f = algebra.n, algebra.field
+    for i in range(2 * n):
+        for j in range(2 * n):
+            pairing = sum(matrix[n + k][i] * matrix[k][j] - matrix[k][i] * matrix[n + k][j]
+                          for k in range(n))
+            if f.sub(pairing, (i == j + n) - (j == i + n)) != f.zero():
                 return False
     return True
 
@@ -204,14 +161,13 @@ def _remove_sign(wedge, position):
     return 1 if (m - (position + 1)) % 2 == 0 else -1
 
 
-def koszul_differential(envelope: WeylEnvelope, element: dict) -> dict:
+def koszul_differential(algebra: WeylAlgebra, element: dict) -> dict:
     """One step of the resolution differential.
 
     (v_1 ^ ... ^ v_m) (x) s (x) t goes to the alternating sum over i of
     (v_1 ^ ... v_i-hat ... ^ v_m) (x) (v_i s (x) t - s (x) t v_i), read off
     the memoized monomial products in one accumulate.
     """
-    algebra = envelope.algebra
     product = algebra._mul_monomials
 
     def terms():
@@ -224,14 +180,13 @@ def koszul_differential(envelope: WeylEnvelope, element: dict) -> dict:
                 for m, cm in product(t, v).items():
                     yield (rest, (s, m)), -sc * cm
 
-    return envelope.field.accumulate({}, terms())
+    return algebra.field.accumulate({}, terms())
 
 
-def dual_differential(envelope: WeylEnvelope, element: dict) -> dict:
+def dual_differential(algebra: WeylAlgebra, element: dict) -> dict:
     """One step of the dual complex: s (x) t (x) w goes to the sum over j
     of (s e_j (x) t - s (x) e_j t) (x) (w ^ e_j*), with the sort sign, read
     off the memoized monomial products in one accumulate."""
-    algebra = envelope.algebra
     product, n2 = algebra._mul_monomials, 2 * algebra.n
 
     def terms():
@@ -247,7 +202,7 @@ def dual_differential(envelope: WeylEnvelope, element: dict) -> dict:
                 for m, cm in product(v, t).items():
                     yield (new_wedge, (s, m)), -sign * c * cm
 
-    return envelope.field.accumulate({}, terms())
+    return algebra.field.accumulate({}, terms())
 
 
 def wedge_action(algebra: WeylAlgebra, matrix, wedge):
@@ -340,7 +295,6 @@ def check_sp_equivariance(n: int, matrices, field: Field, filt_bound: int = 2):
     by giving each term k of d(key) the factor den ** (W - weight(k)).
     """
     algebra = WeylAlgebra(n, field)
-    envelope = WeylEnvelope(algebra)
     for idx, matrix in enumerate(matrices):
         if not is_symplectic(algebra, matrix):
             raise NotSymplectic(
@@ -350,7 +304,7 @@ def check_sp_equivariance(n: int, matrices, field: Field, filt_bound: int = 2):
     failures = [[] for _ in matrices]
     for d in range(1, 2 * n + 1):
         # act keeps a key's wedge length, so every key met here is at position d
-        differential = cache(lambda key: koszul_differential(envelope, {key: 1}))
+        differential = cache(lambda key: koszul_differential(algebra, {key: 1}))
         basis = _position_basis(algebra, d, filt_bound)
         for idx, (den, act) in enumerate(actions):
             for key in basis:
@@ -368,9 +322,9 @@ def check_sp_equivariance(n: int, matrices, field: Field, filt_bound: int = 2):
     return [line for failed in failures for line in failed]
 
 
-def _guarded_envelope(n: int, filt: int, field: Field, cap: int) -> WeylEnvelope:
-    """The enveloping algebra for the filtration-filt piece of the resolution
-    or its dual, once n <= 2 and the piece's size is within the cap.
+def _guarded_envelope(n: int, filt: int, field: Field, cap: int) -> WeylAlgebra:
+    """The Weyl algebra for the filtration-filt piece of the resolution or
+    its dual, once n <= 2 and the piece's size is within the cap.
 
     The size is counted before any basis is built: position d of the
     resolution has C(2n, d) wedges times the C(filt - d + 4n, 4n) monomial
@@ -382,7 +336,7 @@ def _guarded_envelope(n: int, filt: int, field: Field, cap: int) -> WeylEnvelope
                 for d in range(min(filt, 2 * n) + 1))
     if total > cap:
         raise SizeGuard(f"truncated complex has dimension {total} > cap {cap}")
-    return WeylEnvelope(WeylAlgebra(n, field))
+    return WeylAlgebra(n, field)
 
 
 def _homology(field: Field, positions, differential, closing):
@@ -424,10 +378,10 @@ def bounded_exactness(n: int, filt: int, field: Field, cap: int = 200000):
     filtered Weyl algebra, which is also reported.  The augmentation
     s (x) t -> t s closes the complex at position 0.
     """
-    envelope = _guarded_envelope(n, filt, field, cap)
-    product = envelope.algebra._mul_monomials
-    positions = [_position_basis(envelope.algebra, d, filt - d) for d in range(2 * n + 1)]
-    ranks, homology = _homology(field, positions, lambda e: koszul_differential(envelope, e),
+    algebra = _guarded_envelope(n, filt, field, cap)
+    product = algebra._mul_monomials
+    positions = [_position_basis(algebra, d, filt - d) for d in range(2 * n + 1)]
+    ranks, homology = _homology(field, positions, lambda e: koszul_differential(algebra, e),
                                 lambda s, t: product(t, s))
     return {
         "dimensions": [len(b) for b in positions],
@@ -446,11 +400,11 @@ def dual_top_concentration(n: int, filt: int, field: Field, cap: int = 200000):
     listed from the top down it has the resolution's layout, and the dual
     differential, which raises d, lowers the distance from the top.
     """
-    envelope = _guarded_envelope(n, filt, field, cap)
+    algebra = _guarded_envelope(n, filt, field, cap)
     top = 2 * n
-    from_top = [_position_basis(envelope.algebra, top - i, filt - i) for i in range(top + 1)]
-    _, homology = _homology(field, from_top, lambda e: dual_differential(envelope, e),
-                            envelope.algebra._mul_monomials)
+    from_top = [_position_basis(algebra, top - i, filt - i) for i in range(top + 1)]
+    _, homology = _homology(field, from_top, lambda e: dual_differential(algebra, e),
+                            algebra._mul_monomials)
     return {
         "dimensions": [len(b) for b in reversed(from_top)],
         "homology": {d: homology[top - d] for d in range(top + 1)},

@@ -4,8 +4,10 @@ Each entry names a file under ``src/skewgin``, an exact old text that
 occurs there once, the new text that replaces it, and the tests that must
 fail once it is replaced.  The script applies one entry at a time in a
 temporary copy of the checkout (``src``, ``tests``, ``perfbench`` and
-``pyproject.toml``), runs only the named tests there and reports the
-entry as killed (a named test failed) or survived.  Entries marked
+``pyproject.toml``), runs only the named tests there, under the
+``no-explain`` Hypothesis profile (a failing Hypothesis test would spend
+seconds explaining itself), and reports the entry as killed (a named
+test failed) or survived.  Entries marked
 ``survives`` are known gaps: an equivalent mutant, or one no test can
 see yet.  It is not part of tier-1; ``tests/test_mutants.py`` only checks
 that every old text still occurs exactly once, so a refactor has to
@@ -162,14 +164,32 @@ MUTANTS = [
     Mutant("differential-cache-rebuilt-per-matrix", "weyl.py",
            "        for idx, (den, act) in enumerate(actions):\n",
            "        for idx, (den, act) in enumerate(actions):\n"
-           "            differential = cache(lambda key: koszul_differential(envelope, {key: 1}))\n",
+           "            differential = cache(lambda key: koszul_differential(algebra, {key: 1}))\n",
            ("tests/test_weyl.py::test_equivariance_differentiates_each_key_once_across_matrices",)),
     Mutant("differential-cache-keyed-by-pair", "weyl.py",
-           "        differential = cache(lambda key: koszul_differential(envelope, {key: 1}))\n",
+           "        differential = cache(lambda key: koszul_differential(algebra, {key: 1}))\n",
            "        by_pair = {}\n"
            "        differential = lambda key: by_pair.setdefault(\n"
-           "            key[1], koszul_differential(envelope, {key: 1}))\n",
+           "            key[1], koszul_differential(algebra, {key: 1}))\n",
            ("tests/test_weyl.py::test_cached_equivariance_matches_oracle_n1",)),
+    Mutant("symplectic-pairing-sign", "weyl.py",
+           "            pairing = sum(matrix[n + k][i] * matrix[k][j] - matrix[k][i] * matrix[n + k][j]\n",
+           "            pairing = sum(matrix[n + k][i] * matrix[k][j] + matrix[k][i] * matrix[n + k][j]\n",
+           ("tests/test_weyl.py::test_symplectic_membership",)),
+    # -- the Ginzburg differential, the action and the document --
+    Mutant("differential-drops-prefix-sign", "ginzburg.py",
+           "                    signed = coeff if prefix_deg % 2 == 0 else -coeff\n",
+           "                    signed = coeff\n",
+           ("tests/test_ginzburg.py::test_splicing_differential_matches_product_oracle"
+            "_on_short_paths",)),
+    Mutant("contragredient-reads-inverse-untransposed", "action.py",
+           "            (Path(src, (row_name,)), inv[k][t]) for t, row_name in enumerate(rows)))\n",
+           "            (Path(src, (row_name,)), inv[t][k]) for t, row_name in enumerate(rows)))\n",
+           ("tests/test_action.py::test_extend_shear_action_equivariant",)),
+    Mutant("completion-composes-left-factor-first", "document.py",
+           "                perm = {v: perm_g[perm_h[v]] for v in quiver.vertices}\n",
+           "                perm = {v: perm_h[perm_g[v]] for v in quiver.vertices}\n",
+           ("tests/test_document.py::test_completion_composes_vertex_maps_right_factor_first",)),
 ]
 
 
@@ -194,7 +214,8 @@ def run(mutant: Mutant, workdir: str) -> bool:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONPATH", None)
     result = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests],
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--hypothesis-profile", "no-explain", *mutant.tests],
         cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     if result.returncode not in (0, 1):
         raise SystemExit(f"{mutant.name}: pytest exited {result.returncode}")

@@ -26,7 +26,11 @@ the characters by generator search that the coset extension of
 five-fold products that ``skewgin.morita.build_bimodule`` replaced, the
 commutators as products of two one-term elements that the int commutators
 on cached cleared images of ``skewgin.crossed.commutator_basis`` replaced,
-and two commutator feeds that
+the differential of a path as products prefix * d(arrow) * suffix that the
+splicing of ``GinzburgPresentation.apply_differential`` replaced, the
+symplectic test M^T J M = J summed over every entry of J that the closed
+form of ``skewgin.weyl.is_symplectic`` replaced (which had replaced
+commutators of the images), and two commutator feeds that
 ``skewgin.crossed.express_modulo_commutators`` replaced: one retrying the
 target every 24 insertions, and one feeding every commutator before it
 expresses the target once, which the feed that stops at the target
@@ -34,8 +38,11 @@ replaced.
 
 The last section holds helpers that no command uses, kept for the tests:
 ``one`` and ``scale`` (which ``CrossedElement`` no longer has), the Weyl
-generators ``weyl_x`` and ``weyl_d`` and the unit ``envelope_one`` (which
-``WeylAlgebra`` and ``WeylEnvelope`` no longer have),
+generators ``weyl_x`` and ``weyl_d``, ``weyl_commutator`` and the unit
+``envelope_one`` (which ``WeylAlgebra`` and the removed ``WeylEnvelope``
+no longer have), ``path_unit`` and ``scale_path_element`` (which
+``AlgElement`` no longer has), ``group_scale``, ``group_sub`` and
+``group_conjugate`` (which ``GroupAlgebra`` no longer has),
 ``span_rank``, ``rotations_of``, ``cyclic_derivative_along``,
 ``CyclicClass`` and ``hc0_reduce``.  They, unlike the oracles above, run on
 skewgin's ``LinSolver``.
@@ -131,12 +138,12 @@ def enumerate_paths(arrows, length, vertices):
 
 
 def naive_paths_by_length(quiver, bound):
-    """Paths of length <= bound grouped by length, from a fresh
-    ``basis_up_to`` on every call, with no cache."""
+    """Paths of length <= bound grouped by length into tuples, from a
+    fresh ``basis_up_to`` on every call, with no cache."""
     by_len = {}
     for p in basis_up_to(quiver, bound):
         by_len.setdefault(len(p.arrows), []).append(p)
-    return by_len
+    return {ell: tuple(layer) for ell, layer in by_len.items()}
 
 
 def naive_cyclic_derivative(cycle, arrow):
@@ -145,6 +152,27 @@ def naive_cyclic_derivative(cycle, arrow):
     for i, name in enumerate(cycle):
         if name == arrow:
             out.append(cycle[i + 1:] + cycle[:i])
+    return out
+
+
+def naive_apply_differential(presentation, x):
+    """d on x as a derivation, d(uv) = d(u)v + (-1)^deg(u) u d(v), with each
+    arrow's term formed as the product prefix * d(arrow) * suffix, which
+    drops the terms of d(arrow) that do not compose."""
+    q, f = presentation.doubled, x.field
+    out = AlgElement.zero(q, f)
+    for path, coeff in x.terms.items():
+        prefix_deg = 0
+        for i, name in enumerate(path.arrows):
+            dgen = presentation.differential[name]
+            if not dgen.is_zero():
+                piece = AlgElement.from_path(q, f, Path(path.source, path.arrows[:i])) * dgen
+                post = path.arrows[i + 1:]
+                if post:
+                    piece = piece * AlgElement.from_path(q, f, Path(q.arrow(name).tgt, post))
+                sign = f.one() if prefix_deg % 2 == 0 else f.neg(f.one())
+                out = out + scale_path_element(piece, f.mul(sign, coeff))
+            prefix_deg += q.arrow(name).deg
     return out
 
 
@@ -359,63 +387,63 @@ def naive_dual_differential(field, n, element):
     return out
 
 
-def left_difference(envelope, k, u):
+def left_difference(algebra, k, u):
     """(v (x) 1 - 1 (x) v).u for the k-th V basis vector v, on the
     library's memoized int products."""
-    v = envelope.algebra.basis_monomial(k)
-    monomial_product = envelope.algebra._mul_monomials
+    v = algebra.basis_monomial(k)
+    monomial_product = algebra._mul_monomials
     out = {}
     for (s, t), c in u.items():
-        envelope.field.accumulate(out, (((m, t), c * cm)
-                                        for m, cm in monomial_product(v, s).items()))
-        envelope.field.accumulate(out, (((s, m), -c * cm)
-                                        for m, cm in monomial_product(t, v).items()))
+        algebra.field.accumulate(out, (((m, t), c * cm)
+                                       for m, cm in monomial_product(v, s).items()))
+        algebra.field.accumulate(out, (((s, m), -c * cm)
+                                       for m, cm in monomial_product(t, v).items()))
     return out
 
 
-def right_difference(envelope, k, u):
+def right_difference(algebra, k, u):
     """u.(v (x) 1 - 1 (x) v) for the k-th V basis vector v, on the
     library's memoized int products."""
-    v = envelope.algebra.basis_monomial(k)
-    monomial_product = envelope.algebra._mul_monomials
+    v = algebra.basis_monomial(k)
+    monomial_product = algebra._mul_monomials
     out = {}
     for (s, t), c in u.items():
-        envelope.field.accumulate(out, (((m, t), c * cm)
-                                        for m, cm in monomial_product(s, v).items()))
-        envelope.field.accumulate(out, (((s, m), -c * cm)
-                                        for m, cm in monomial_product(v, t).items()))
+        algebra.field.accumulate(out, (((m, t), c * cm)
+                                       for m, cm in monomial_product(s, v).items()))
+        algebra.field.accumulate(out, (((s, m), -c * cm)
+                                       for m, cm in monomial_product(v, t).items()))
     return out
 
 
-def per_position_koszul_differential(envelope, element):
+def per_position_koszul_differential(algebra, element):
     """The resolution differential as one ``left_difference`` per term and
     wedge position, each summed into the result by its own accumulate."""
     out = {}
     for (wedge, pair), coeff in element.items():
         u = {pair: coeff}
         for pos, k in enumerate(wedge):
-            moved = left_difference(envelope, k, u)
+            moved = left_difference(algebra, k, u)
             sign = weyl._remove_sign(wedge, pos)
             rest = wedge[:pos] + wedge[pos + 1:]
-            envelope.field.accumulate(out, (((rest, key), sign * c)
-                                            for key, c in moved.items()))
+            algebra.field.accumulate(out, (((rest, key), sign * c)
+                                           for key, c in moved.items()))
     return out
 
 
-def per_position_dual_differential(envelope, element):
+def per_position_dual_differential(algebra, element):
     """The dual differential as one ``right_difference`` per term and added
     index j, each summed into the result by its own accumulate."""
     out = {}
     for (wedge, pair), coeff in element.items():
         u = {pair: coeff}
-        for j in range(2 * envelope.algebra.n):
+        for j in range(2 * algebra.n):
             if j in wedge:
                 continue
-            moved = right_difference(envelope, j, u)
+            moved = right_difference(algebra, j, u)
             sign = 1 if sum(1 for w in wedge if w > j) % 2 == 0 else -1
             new_wedge = tuple(sorted(wedge + (j,)))
-            envelope.field.accumulate(out, (((new_wedge, key), sign * c)
-                                            for key, c in moved.items()))
+            algebra.field.accumulate(out, (((new_wedge, key), sign * c)
+                                           for key, c in moved.items()))
     return out
 
 
@@ -658,7 +686,7 @@ def naive_build_bimodule(action, reps, kappa, stabilizers):
     G, quiver, field = action.group, action.quiver, action.field
 
     def unit(g):
-        return CrossedElement.from_alg(action, AlgElement.unit(quiver, field), g)
+        return CrossedElement.from_alg(action, path_unit(quiver, field), g)
 
     orbit_rep = {v: min(action.act_vertex(g, v) for g in G.elements())
                  for v in quiver.vertices}
@@ -787,19 +815,52 @@ def scale(x, coeff):
 
 def weyl_x(algebra, i):
     """The position x_i."""
-    return algebra.basis_vector(i)
+    return {algebra.basis_monomial(i): algebra.field.one()}
 
 
 def weyl_d(algebra, i):
     """The derivation d_i."""
-    return algebra.basis_vector(algebra.n + i)
+    return {algebra.basis_monomial(algebra.n + i): algebra.field.one()}
 
 
-def envelope_one(envelope):
+def weyl_commutator(algebra, u, v):
+    """uv - vu of two Weyl algebra elements."""
+    f = algebra.field
+    return f.accumulate(algebra.mul(u, v), ((m, f.neg(c)) for m, c in algebra.mul(v, u).items()))
+
+
+def envelope_one(algebra):
     """The unit 1 (x) 1 of the enveloping algebra."""
-    zero_idx = (0,) * envelope.algebra.n
+    zero_idx = (0,) * algebra.n
     m = (zero_idx, zero_idx)
-    return {(m, m): envelope.field.one()}
+    return {(m, m): algebra.field.one()}
+
+
+def path_unit(quiver, field):
+    """The unit of the path algebra: the sum of the vertex idempotents."""
+    return AlgElement(quiver, field, ((quiver.trivial_path(v), field.one())
+                                      for v in quiver.vertices))
+
+
+def scale_path_element(x, coeff):
+    """coeff * x for a path-algebra element."""
+    return AlgElement(x.quiver, x.field, ((p, x.field.mul(coeff, c)) for p, c in x.terms.items()))
+
+
+def group_scale(algebra, coeff, x):
+    """coeff * x in the group algebra."""
+    return algebra.field.accumulate({}, ((g, algebra.field.mul(coeff, c)) for g, c in x.items()))
+
+
+def group_sub(algebra, x, y):
+    """x - y in the group algebra."""
+    return algebra.add(x, group_scale(algebra, algebra.field.from_int(-1), y))
+
+
+def group_conjugate(algebra, h, x):
+    """h x h^-1 term by term."""
+    group = algebra.group
+    return {group.mul(group.mul(h, g), group.inv(h)): c for g, c in x.items()}
 
 
 def span_rank(field, vectors) -> int:
@@ -821,7 +882,7 @@ def cyclic_derivative_along(potential: Potential, direction: AlgElement) -> AlgE
     for p, c in direction.terms.items():
         if len(p.arrows) != 1:
             raise UnknownArrow("derivative direction must be an arrow combination")
-        out = out + cyclic_derivative(potential, p.arrows[0]).scale(c)
+        out = out + scale_path_element(cyclic_derivative(potential, p.arrows[0]), c)
     return out
 
 

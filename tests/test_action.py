@@ -129,7 +129,7 @@ def broken_action():
     q = GradedQuiver(["1", "2", "3"], [("a", "1", "2", 0), ("b", "1", "3", 0),
                                        ("c", "2", "1", 0), ("d", "3", "1", 0)])
     arrows = {n: AlgElement.from_arrow(q, Q, n) for n in "abcd"}
-    images = [dict(arrows, a=arrows["a"].scale(Q.from_int(2))),
+    images = [dict(arrows, a=AlgElement.from_arrow(q, Q, "a", Q.from_int(2))),
               dict(arrows, a=arrows["b"], b=arrows["a"])]
     return QuiverAction(cyclic_group(2), q, Q, [{v: v for v in q.vertices}] * 2, images)
 

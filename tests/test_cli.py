@@ -118,6 +118,35 @@ def test_override_terms_of_the_wrong_shape_exit_2_in_every_command(capsys, tmp_p
         "/reduced_potential/1"]
 
 
+TWO_CYCLE = {
+    "field": "Q",
+    "quiver": {"vertices": ["1", "2"], "arrows": [
+        {"name": "a", "src": "1", "tgt": "2", "deg": 0},
+        {"name": "b", "src": "2", "tgt": "1", "deg": 0},
+    ]},
+    "potential": [{"coeff": "1", "cycle": ["a", "b"]}],
+    "d": 3,
+}
+
+
+# a* runs 2 -> 1 and c_1 is a loop at 1, so a term of d(a*) must run 2 -> 1
+# and one of d(c_1) 1 -> 1: the paths a (1 -> 2), b a b a (2 -> 2) and b
+# (2 -> 1) in the wrong place are refused where the doubled quiver is known
+@pytest.mark.parametrize("override, location", [
+    ({"a*": [{"coeff": "1", "path": ["a"]}, {"coeff": "1", "path": ["b"]}]},
+     "/differential_override/a*/0/path"),
+    ({"a*": [{"coeff": "1", "path": ["b"]}, {"coeff": "2", "path": ["b", "a", "b", "a"]}]},
+     "/differential_override/a*/1/path"),
+    ({"c_1": [{"coeff": "1", "path": ["b"]}]}, "/differential_override/c_1/0/path"),
+], ids=["first-term", "second-term", "loop"])
+@pytest.mark.parametrize("argv", [["ginzburg"], ["ginzburg", "--check"]])
+def test_override_term_off_its_generator_exit_2(capsys, tmp_path, override, location, argv):
+    code, report = run_cli(capsys, tmp_path, doc(TWO_CYCLE, differential_override=override),
+                           *argv)
+    assert code == 2
+    assert [e["location"] for e in report["errors"]] == [location]
+
+
 def test_ginzburg_check_passes(capsys, tmp_path):
     code, report = run_cli(capsys, tmp_path, doc(THREE_LOOPS_COMMUTATOR),
                            "ginzburg", "--check")

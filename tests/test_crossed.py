@@ -12,7 +12,7 @@ from skewgin.action import QuiverAction, validate_action
 from skewgin.quiver import AlgElement, GradedQuiver, basis_up_to
 
 from oracles import (CyclicClass, hc0_reduce, naive_crossed_mul, naive_expand_certificate, one,
-                     scale)
+                     path_unit, scale)
 
 Q = make_field("Q")
 F7 = make_field(7)
@@ -78,7 +78,7 @@ def test_group_slides_past_arrows():
     for action in (negation_action(), scaling_action_gf7()):
         q, f = action.quiver, action.field
         for g in action.group.elements():
-            eg = CrossedElement.from_alg(action, AlgElement.unit(q, f), g)
+            eg = CrossedElement.from_alg(action, path_unit(q, f), g)
             for a in q.arrows:
                 ae = CrossedElement.from_alg(action, AlgElement.from_arrow(q, f, a.name))
                 lhs = eg * ae

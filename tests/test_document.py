@@ -1,9 +1,13 @@
+import json
+
 import pytest
 
+from skewgin.action import validate_action
 from skewgin.document import parse
 from skewgin.errors import ParseError, ValidationError
+from skewgin.quiver import AlgElement
 
-from docs import (MCKAY, MINIMAL, NEGATION_NONINVARIANT,
+from docs import (MCKAY, MINIMAL, NEGATION_NONINVARIANT, SIGNED_S3,
                   THREE_LOOPS_COMMUTATOR, TRIVIAL_GROUP_PIPELINE, doc)
 
 
@@ -52,6 +56,30 @@ def test_group_and_action_completion_from_generator():
     [(path, coeff)] = img.terms.items()
     assert path.arrows == ("x",)
     assert coeff == 4  # 2 * 2 mod 7
+
+
+def test_completion_composes_vertex_maps_right_factor_first():
+    # S3 (the signed-S3 table, which composes right factor first) permuting
+    # three vertices, given by s = (01) and c = (012) only; the completed
+    # maps must form an action, and gh must move a vertex by h, then g
+    one = [["1"]]
+    blocks = {f"({v},{v})": one for v in "012"}
+    document = {
+        "field": "Q",
+        "quiver": {"vertices": ["0", "1", "2"],
+                   "arrows": [{"name": "l" + v, "src": v, "tgt": v, "deg": 0} for v in "012"]},
+        "group": {key: SIGNED_S3["group"][key] for key in ("elements", "table")},
+        "action": {"s": {"vertex_perm": {"0": "1", "1": "0", "2": "2"}, "arrow_matrices": blocks},
+                   "c": {"vertex_perm": {"0": "1", "1": "2", "2": "0"}, "arrow_matrices": blocks}},
+    }
+    action = parse(json.dumps(document)).action
+    assert validate_action(action) == []
+    group, perms = action.group, action.vertex_perms
+    for g in group.elements():
+        for h in group.elements():
+            assert perms[group.mul(g, h)] == {v: perms[g][perms[h][v]] for v in "012"}
+        assert action.arrow_images[g]["l0"] == AlgElement.from_arrow(
+            action.quiver, action.field, "l" + perms[g]["0"])
 
 
 def test_action_identity_default():

@@ -9,9 +9,10 @@ from skewgin.fields import make_field
 from skewgin.ginzburg import (check_d_squared, degree_report, double_quiver,
                               ginzburg, jacobian_truncation, relation_ideal)
 from skewgin.potential import canonicalize
-from skewgin.quiver import AlgElement, GradedQuiver, paths_by_length
+from skewgin.quiver import AlgElement, GradedQuiver, basis_up_to, paths_by_length
 
-from oracles import brute_jacobian_dims, relation_ideal_span, span_rank
+from oracles import (brute_jacobian_dims, naive_apply_differential, relation_ideal_span,
+                     span_rank)
 
 Q = make_field("Q")
 F7 = make_field(7)
@@ -123,6 +124,49 @@ def test_d_squared_zero_graded_mixed_loops():
     pres = ginzburg(q, w, 4)
     assert check_d_squared(pres) == []
     assert degree_report(pres) == []
+
+
+def differential_cases(field):
+    """Presentations to apply d on: three loops at d = 3, a two-cycle with a
+    loop, odd arrow degrees at d = 3 and mixed degrees at d = 4."""
+    def build(vertices, arrows, terms, d):
+        q = GradedQuiver(vertices, arrows)
+        w = canonicalize(q, field, [(field.from_int(c), q.path(word)) for c, word in terms])
+        return ginzburg(q, w, d)
+
+    return [
+        build(["1"], [("x", "1", "1", 0), ("y", "1", "1", 0), ("z", "1", "1", 0)],
+              [(1, ["x", "y", "z"]), (-1, ["x", "z", "y"])], 3),
+        build(["1", "2"], [("a", "1", "2", 0), ("b", "2", "1", 0), ("x", "1", "1", 0)],
+              [(1, ["x", "x", "x"]), (2, ["a", "b", "x"])], 3),
+        build(["1", "2"], [("a", "1", "2", 1), ("b", "2", "1", -1)], [(1, ["a", "b"])], 3),
+        build(["1"], [("u", "1", "1", 0), ("y", "1", "1", 1), ("z", "1", "1", -1)],
+              [(1, ["u", "z"]), (-1, ["y", "z", "z"])], 4),
+    ]
+
+
+@pytest.mark.parametrize("spec", ["Q", 7])
+def test_splicing_differential_matches_product_oracle_on_short_paths(spec):
+    # every doubled path of length <= 2, so an odd prefix (a star at d = 3,
+    # an odd arrow) stands before each generator with a nonzero differential
+    field = make_field(spec)
+    for pres in differential_cases(field):
+        assert check_d_squared(pres) == []
+        for p in basis_up_to(pres.doubled, 2):
+            x = AlgElement.from_path(pres.doubled, field, p)
+            assert pres.apply_differential(x) == naive_apply_differential(pres, x), p
+
+
+@pytest.mark.parametrize("spec", ["Q", 3, 7])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_splicing_differential_matches_product_oracle(spec, data):
+    field = make_field(spec)
+    pres = data.draw(st.sampled_from(differential_cases(field)))
+    terms = data.draw(st.lists(st.tuples(st.sampled_from(basis_up_to(pres.doubled, 3)),
+                                         st.integers(-3, 3)), min_size=1, max_size=5))
+    x = AlgElement(pres.doubled, field, [(p, field.from_int(c)) for p, c in terms])
+    assert pres.apply_differential(x) == naive_apply_differential(pres, x)
 
 
 def test_jacobian_three_loops_commutator():

@@ -20,7 +20,7 @@ from skewgin.quiver import AlgElement, GradedQuiver, basis_up_to, paths_by_lengt
 from docs import MCKAY, SIGNED_S3, doc
 from oracles import (LabelledLinSolver, feed_all_express_modulo_commutators, naive_build_bimodule,
                      naive_commutator_basis, naive_corner, naive_embed_path,
-                     retrying_express_modulo_commutators, scale)
+                     group_sub, retrying_express_modulo_commutators, scale)
 from test_crossed import KERNEL_ACTIONS, scalars
 
 Q = make_field("Q")
@@ -291,7 +291,7 @@ def signed_permutation_s3():
     sixth = Fraction(1, 6)
     e_triv = {i: sixth for i in group.elements()}
     e_sgn = {i: sixth * sgn[names[i]] for i in group.elements()}
-    z_std = alg.sub(alg.sub(alg.one(), e_triv), e_sgn)
+    z_std = group_sub(alg, group_sub(alg, alg.one(), e_triv), e_sgn)
     f_s = {names.index("e"): Fraction(1, 2), names.index("s"): Fraction(1, 2)}
     e_std = alg.mul(z_std, f_s)
     vectors = [[el.get(i, Fraction(0)) for i in group.elements()]

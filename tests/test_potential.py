@@ -7,7 +7,7 @@ from skewgin.fields import make_field
 from skewgin.potential import canonicalize, cyclic_derivative, cycle_length_of, degree_of
 from skewgin.quiver import AlgElement, GradedQuiver
 
-from oracles import rotations_of
+from oracles import rotations_of, scale_path_element
 
 Q = make_field("Q")
 
@@ -97,8 +97,8 @@ def test_cyclic_derivative_linear():
                                    (Q.parse("5"), q.path(["x", "x"]))])
     for arrow in ("x", "y", "z"):
         lhs = cyclic_derivative(combined, arrow)
-        rhs = (cyclic_derivative(w1, arrow).scale(Q.parse("3"))
-               + cyclic_derivative(w2, arrow).scale(Q.parse("5")))
+        rhs = (scale_path_element(cyclic_derivative(w1, arrow), Q.parse("3"))
+               + scale_path_element(cyclic_derivative(w2, arrow), Q.parse("5")))
         assert lhs == rhs
 
 

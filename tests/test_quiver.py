@@ -11,7 +11,7 @@ from skewgin.quiver import (AlgElement, GradedQuiver, basis_up_to, count_paths_u
                             paths_by_length)
 
 from docs import MCKAY, doc
-from oracles import naive_paths_by_length
+from oracles import naive_paths_by_length, path_unit
 
 Q = make_field("Q")
 
@@ -76,7 +76,7 @@ def test_multiply_expanded_by_hand():
 
 def test_unit_element_acts_as_identity():
     q = line_quiver()
-    one = AlgElement.unit(q, Q)
+    one = path_unit(q, Q)
     el = AlgElement.from_arrow(q, Q, "a") + AlgElement.from_path(q, Q, q.path(["b", "c"]))
     assert one * el == el
     assert el * one == el
@@ -199,12 +199,15 @@ def test_cached_path_layers_reject_a_negative_bound():
 
 
 def test_mutating_returned_layers_leaves_the_cache_alone():
+    # the layers are the cached tuples themselves, so they cannot change;
+    # the dict around them is new on every call
     q = LAYER_QUIVERS["sinks"]()
     by_len = paths_by_length(q, 3)
     want = naive_paths_by_length(q, 3)
-    by_len[1].append(q.trivial_path("4"))
-    by_len[0].clear()
+    assert all(type(layer) is tuple for layer in by_len.values())
+    by_len[1] += (q.trivial_path("4"),)
+    by_len[0] = ()
     del by_len[2]
-    by_len[7] = []
+    by_len[7] = ()
     assert paths_by_length(q, 3) == want
     assert paths_by_length(q, 1) == naive_paths_by_length(q, 1)

@@ -5,16 +5,16 @@ from math import comb
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import (envelope_one, naive_dual_differential, naive_koszul_differential,
-                     naive_mul_monomials, naive_sp_equivariance, per_position_dual_differential,
-                     per_position_koszul_differential, weyl_d, weyl_x)
+from oracles import (envelope_one, naive_dual_differential, naive_is_symplectic,
+                     naive_koszul_differential, naive_mul_monomials, naive_sp_equivariance,
+                     per_position_dual_differential, per_position_koszul_differential,
+                     weyl_commutator, weyl_d, weyl_x)
 from skewgin import weyl
 from skewgin.errors import NotSymplectic, SizeGuard
 from skewgin.fields import make_field
-from skewgin.weyl import (WeylAlgebra, WeylEnvelope, _guarded_envelope, _homology,
-                          _position_basis, bounded_exactness, check_sp_equivariance,
-                          dual_differential, dual_top_concentration, is_symplectic,
-                          koszul_differential, symplectic_form_matrix)
+from skewgin.weyl import (WeylAlgebra, _guarded_envelope, _homology, _position_basis,
+                          bounded_exactness, check_sp_equivariance, dual_differential,
+                          dual_top_concentration, is_symplectic, koszul_differential)
 
 Q = make_field("Q")
 
@@ -49,11 +49,11 @@ def test_canonical_commutators_exhaustive():
         zero_mon = ((0,) * n, (0,) * n)
         for i in range(n):
             for j in range(n):
-                comm = A.commutator(weyl_d(A, i), weyl_x(A, j))
+                comm = weyl_commutator(A, weyl_d(A, i), weyl_x(A, j))
                 expected = {zero_mon: fr(1)} if i == j else {}
                 assert comm == expected
-                assert A.commutator(weyl_x(A, i), weyl_x(A, j)) == {}
-                assert A.commutator(weyl_d(A, i), weyl_d(A, j)) == {}
+                assert weyl_commutator(A, weyl_x(A, i), weyl_x(A, j)) == {}
+                assert weyl_commutator(A, weyl_d(A, i), weyl_d(A, j)) == {}
 
 
 def test_weyl_associativity_random():
@@ -64,7 +64,7 @@ def test_weyl_associativity_random():
     def rand_el():
         el = {}
         for _ in range(rng.randint(1, 3)):
-            el = A.add(el, {rng.choice(mons): fr(rng.randint(-3, 3))})
+            Q.accumulate(el, [(rng.choice(mons), fr(rng.randint(-3, 3)))])
         return el
 
     for _ in range(40):
@@ -74,11 +74,10 @@ def test_weyl_associativity_random():
 
 def test_koszul_differential_degree_one():
     A = WeylAlgebra(1, Q)
-    env = WeylEnvelope(A)
-    one = envelope_one(env)
+    one = envelope_one(A)
     [(pair, _)] = one.items()
     elem = {((0,), pair): fr(1)}  # x (x) (1 (x) 1)
-    out = koszul_differential(env, elem)
+    out = koszul_differential(A, elem)
     zero_mon = ((0,), (0,))
     x_mon = ((1,), (0,))
     assert out == {((), (x_mon, zero_mon)): fr(1), ((), (zero_mon, x_mon)): fr(-1)}
@@ -87,23 +86,21 @@ def test_koszul_differential_degree_one():
 def test_koszul_d_squared_zero_exhaustive():
     for n, filt in ((1, 3), (2, 1)):
         A = WeylAlgebra(n, Q)
-        env = WeylEnvelope(A)
         mons = A.monomials_up_to(filt)
         for d in range(2, 2 * n + 1):
             for w, pair in _position_basis(A, d, filt):
                 elem = {(w, pair): fr(1)}
-                twice = koszul_differential(env, koszul_differential(env, elem))
+                twice = koszul_differential(A, koszul_differential(A, elem))
                 assert twice == {}
 
 
 def test_dual_d_squared_zero_exhaustive():
     for n, filt in ((1, 2), (2, 1)):
         A = WeylAlgebra(n, Q)
-        env = WeylEnvelope(A)
         for d in range(0, 2 * n - 1):
             for w, pair in _position_basis(A, d, filt):
                 elem = {(w, pair): fr(1)}
-                twice = dual_differential(env, dual_differential(env, elem))
+                twice = dual_differential(A, dual_differential(A, elem))
                 assert twice == {}
 
 
@@ -132,13 +129,12 @@ def test_differentials_match_oracles_on_every_basis_key(n, filt, spec):
     # on one basis key with coefficient 1
     field = make_field(spec)
     algebra = WeylAlgebra(n, field)
-    env = WeylEnvelope(algebra)
     for d in range(2 * n + 1):
         for key in _position_basis(algebra, d, filt):
             element = {key: 1}
-            assert koszul_differential(env, element) == naive_koszul_differential(
+            assert koszul_differential(algebra, element) == naive_koszul_differential(
                 field, n, element), key
-            assert dual_differential(env, element) == naive_dual_differential(
+            assert dual_differential(algebra, element) == naive_dual_differential(
                 field, n, element), key
 
 
@@ -148,11 +144,11 @@ def test_differentials_match_oracles_on_every_basis_key(n, filt, spec):
 @settings(max_examples=30, deadline=None)
 def test_koszul_differential_matches_oracles(n, spec, data):
     field = make_field(spec)
-    env = WeylEnvelope(WeylAlgebra(n, field))
+    algebra = WeylAlgebra(n, field)
     element = data.draw(chain_elements(field, n))
-    image = koszul_differential(env, element)
+    image = koszul_differential(algebra, element)
     assert image == naive_koszul_differential(field, n, element)
-    assert image == per_position_koszul_differential(env, element)
+    assert image == per_position_koszul_differential(algebra, element)
 
 
 @pytest.mark.parametrize("spec", DIFFERENTIAL_FIELDS)
@@ -161,11 +157,11 @@ def test_koszul_differential_matches_oracles(n, spec, data):
 @settings(max_examples=30, deadline=None)
 def test_dual_differential_matches_oracles(n, spec, data):
     field = make_field(spec)
-    env = WeylEnvelope(WeylAlgebra(n, field))
+    algebra = WeylAlgebra(n, field)
     element = data.draw(chain_elements(field, n))
-    image = dual_differential(env, element)
+    image = dual_differential(algebra, element)
     assert image == naive_dual_differential(field, n, element)
-    assert image == per_position_dual_differential(env, element)
+    assert image == per_position_dual_differential(algebra, element)
 
 
 def test_bounded_exactness_n1():
@@ -252,11 +248,10 @@ def test_homology_checks_the_closing_map():
     # differential of the resolution; the dual's closing map s (x) t -> s t
     # does not, and the shared routine must say so
     A = WeylAlgebra(1, Q)
-    env = WeylEnvelope(A)
     positions = [_position_basis(A, d, 2 - d) for d in range(3)]
 
     def differential(e):
-        return koszul_differential(env, e)
+        return koszul_differential(A, e)
 
     def augmentation(s, t):
         return A._mul_monomials(t, s)
@@ -277,23 +272,59 @@ def test_symplectic_membership():
     assert not is_symplectic(A, bad)
 
 
-def test_symplectic_form_built_once_per_algebra(monkeypatch):
-    A = WeylAlgebra(2, Q)
-    rot = [[fr(int(j == (i + 2) % 4) * (1 if i < 2 else -1)) for j in range(4)]
-           for i in range(4)]
-    assert is_symplectic(A, rot)
-    form = symplectic_form_matrix(A)
-    calls = []
-    commutator = A.commutator
-    monkeypatch.setattr(A, "commutator", lambda u, v: calls.append(1) or commutator(u, v))
-    assert is_symplectic(A, rot)
-    # only the 16 image pairs, not the 16 basis pairs of the form again
-    assert len(calls) == 16
-    assert symplectic_form_matrix(A) is form
-    # [x_i, d_i] = -1 = -[d_i, x_i]; every other pair commutes
-    assert form == [[fr(int(i == j + 2) - int(j == i + 2)) for j in range(4)]
-                    for i in range(4)]
-    assert symplectic_form_matrix(WeylAlgebra(2, Q)) == form
+SYMPLECTIC_FIELDS = ["Q", 2, 3, 7]
+
+
+def standard_form(n):
+    """The commutator pairing J on V: [x_i, d_i] = -1 = -[d_i, x_i]."""
+    return [[int(i == j + n) - int(j == i + n) for j in range(2 * n)] for i in range(2 * n)]
+
+
+@pytest.mark.parametrize("spec", SYMPLECTIC_FIELDS)
+@pytest.mark.parametrize("n", [1, 2])
+def test_basis_commutators_are_the_form_is_symplectic_checks(n, spec):
+    # every pair of V basis vectors commutes to the scalar J[i][j] that the
+    # closed form of is_symplectic compares against; J and 1 are symplectic
+    field = make_field(spec)
+    A = WeylAlgebra(n, field)
+    basis = [weyl_x(A, i) for i in range(n)] + [weyl_d(A, i) for i in range(n)]
+    zero_mon = ((0,) * n, (0,) * n)
+    form = standard_form(n)
+    for i in range(2 * n):
+        for j in range(2 * n):
+            want = field.accumulate({}, [(zero_mon, field.from_int(form[i][j]))])
+            assert weyl_commutator(A, basis[i], basis[j]) == want, (i, j)
+    assert is_symplectic(A, [[field.from_int(v) for v in row] for row in form])
+    assert is_symplectic(A, [[field.from_int(int(i == j)) for j in range(2 * n)]
+                             for i in range(2 * n)])
+
+
+def symplectic_candidates(field, n):
+    """Random small entries (now and then symplectic at n = 1), transvection
+    products (always symplectic), and such products with one entry moved."""
+    size = 2 * n
+    entry = st.integers(-2, 2).map(field.from_int)
+    rows = st.lists(st.lists(entry, min_size=size, max_size=size), min_size=size, max_size=size)
+    products = factors(n, 3).map(lambda fs: transvection_product(field, n, fs))
+
+    def moved(args):
+        matrix, i, j, c = args
+        matrix[i][j] = field.add(matrix[i][j], field.from_int(c))
+        return matrix
+
+    index = st.integers(0, size - 1)
+    return st.one_of(rows, products,
+                     st.tuples(products, index, index, st.integers(1, 2)).map(moved))
+
+
+@pytest.mark.parametrize("spec", SYMPLECTIC_FIELDS)
+@pytest.mark.parametrize("n", [1, 2])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_is_symplectic_matches_oracle(n, spec, data):
+    field = make_field(spec)
+    matrix = data.draw(symplectic_candidates(field, n))
+    assert is_symplectic(WeylAlgebra(n, field), matrix) == naive_is_symplectic(field, n, matrix)
 
 
 def test_equivariance_minus_identity_and_squeeze():
@@ -313,8 +344,8 @@ def test_equivariance_differentiates_each_key_once_across_matrices(monkeypatch):
     def keys_differentiated(matrices):
         calls = []
         monkeypatch.setattr(weyl, "koszul_differential",
-                            lambda env, element: calls.extend(element)
-                            or differential(env, element))
+                            lambda algebra, element: calls.extend(element)
+                            or differential(algebra, element))
         assert check_sp_equivariance(1, matrices, Q) == []
         return calls
 
