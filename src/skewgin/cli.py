@@ -9,7 +9,7 @@ import sys
 
 from . import __version__
 from .action import extend_to_ginzburg, validate_action
-from .document import parse
+from .document import parse, resolve_terms
 from .errors import (BasisExpressFailure, NonPrimeModulus, NoSolution,
                      NotInvariantPotential, NotSymplectic, ParseError, SizeGuard,
                      SkewginError, ValidationError)
@@ -99,30 +99,6 @@ def cmd_validate(args) -> int:
     return _finish(report)
 
 
-def _apply_differential_override(doc, presentation):
-    override = doc.differential_override or {}
-    field = doc.field
-    doubled = presentation.doubled
-    for gen, terms in override.items():
-        if gen not in doubled.arrow_by_name:
-            raise ValidationError([(f"/differential_override/{gen}",
-                                    "unknown generator")])
-        arrow, pairs = doubled.arrow_by_name[gen], []
-        for i, term in enumerate(terms):
-            where = f"/differential_override/{gen}/{i}"
-            try:
-                coeff = field.parse(term.get("coeff", "1"))
-                path = doubled.path(term["path"])
-            except Exception as exc:
-                raise ValidationError([(where, f"bad differential term: {exc}")])
-            ends = (path.source, doubled.path_target(path))
-            if ends != (arrow.src, arrow.tgt):
-                raise ValidationError([(where + "/path", f"the path runs {ends[0]} -> {ends[1]}, "
-                                        f"but {gen} runs {arrow.src} -> {arrow.tgt}")])
-            pairs.append((path, coeff))
-        presentation.differential[gen] = AlgElement(doubled, field, pairs)
-
-
 def cmd_ginzburg(args) -> int:
     doc = _read_document(args)
     d = args.d if args.d is not None else doc.d
@@ -132,7 +108,8 @@ def cmd_ginzburg(args) -> int:
     if potential is None:
         potential = Potential(doc.quiver, doc.field)
     presentation = ginzburg(doc.quiver, potential, d)
-    _apply_differential_override(doc, presentation)
+    for gen, pairs in (doc.differential_override or {}).items():
+        presentation.differential[gen] = AlgElement(presentation.doubled, doc.field, pairs)
     report = _base_report("ginzburg")
     report["cy_dimension"] = d
     report["generators"] = [
@@ -214,21 +191,6 @@ def cmd_reduce(args) -> int:
     return _finish(report)
 
 
-def _reduced_potential_from_doc(doc, md):
-    terms = []
-    for i, term in enumerate(doc.reduced_potential):
-        where = f"/reduced_potential/{i}"
-        try:
-            coeff = md.field.parse(term.get("coeff", "1"))
-            path = md.qprime.path(term["cycle"])
-        except Exception as exc:
-            raise ValidationError([(where, f"bad reduced-potential term: {exc}")])
-        if not md.qprime.is_cycle(path):
-            raise ValidationError([(where + "/cycle", "path is not closed")])
-        terms.append((coeff, path))
-    return canonicalize(md.qprime, md.field, terms)
-
-
 def cmd_transport(args) -> int:
     doc = _read_document(args)
     _need(doc, "potential", "potential")
@@ -290,7 +252,11 @@ def cmd_verify(args) -> int:
     })
 
     if doc.reduced_potential is not None:
-        reduced = _reduced_potential_from_doc(doc, md)
+        issues = []
+        pairs = resolve_terms(doc.reduced_potential, md.qprime, issues)
+        if issues:
+            raise ValidationError(issues)
+        reduced = canonicalize(md.qprime, md.field, ((c, p) for p, c in pairs))
         source = "document override"
         certificate = None
     else:

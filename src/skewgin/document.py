@@ -12,10 +12,9 @@ import json
 import re
 
 from .action import QuiverAction
-from .errors import (NonPrimeModulus, NotACycle, ParseError, SkewginError,
-                     ValidationError)
+from .errors import NonPrimeModulus, ParseError, SkewginError, ValidationError
 from .fields import make_field
-from .ginzburg import loop_name, star_name
+from .ginzburg import double_quiver, loop_name, star_name
 from .groups import make_group
 from .potential import canonicalize
 from .quiver import AlgElement, GradedQuiver, Path
@@ -35,8 +34,11 @@ class ProblemDocument:
         self.action = action                # QuiverAction or None
         self.idempotents = idempotents      # (vectors, dims) or None
         self.options = options
-        self.differential_override = differential_override  # raw or None
-        self.reduced_potential = reduced_potential          # raw or None
+        # generator -> (path, coeff) pairs on the doubled quiver, or None
+        self.differential_override = differential_override
+        # (location, arrow names, coeff) triples read but not yet resolved:
+        # the names are arrows of the reduced quiver (resolve_terms), or None
+        self.reduced_potential = reduced_potential
 
 
 def _is_int(value) -> bool:
@@ -135,7 +137,11 @@ def parse(text: str) -> ProblemDocument:
     if quiver is None:
         raise ValidationError(issues)
 
-    potential = _parse_potential(raw.get("potential"), "/potential", quiver, field, issues)
+    praw = raw.get("potential")
+    pairs = None if praw is None else resolve_terms(
+        _read_terms(praw, "/potential", "cycle", field, issues), quiver, issues)
+    potential = None if pairs is None else canonicalize(
+        quiver, field, ((coeff, path) for path, coeff in pairs))
 
     d = raw.get("d", 3)
     if not isinstance(d, int) or d < 3:
@@ -188,17 +194,27 @@ def parse(text: str) -> ProblemDocument:
                 else:
                     options[key] = oraw[key]
 
-    differential_override = raw.get("differential_override")
-    if differential_override is not None:
-        if not isinstance(differential_override, dict):
-            issues.append(("/differential_override", "expected an object keyed by generators"))
-        else:
-            for gen, terms in differential_override.items():
-                _check_terms(terms, f"/differential_override/{gen}", "path", issues)
+    differential_override = None
+    override_raw = raw.get("differential_override")
+    if override_raw is not None and not isinstance(override_raw, dict):
+        issues.append(("/differential_override", "expected an object keyed by generators"))
+    elif override_raw is not None:
+        # a* reverses a and c_v is a loop at v whatever d is, and paths
+        # carry no degree, so the same paths serve ginzburg --d
+        doubled, differential_override = double_quiver(quiver, d), {}
+        for gen, terms in override_raw.items():
+            where = f"/differential_override/{gen}"
+            read = _read_terms(terms, where, "path", field, issues)
+            arrow = doubled.arrow_by_name.get(gen)
+            if arrow is None:
+                issues.append((where, "unknown generator"))
+            else:
+                differential_override[gen] = resolve_terms(read, doubled, issues, along=arrow)
 
-    reduced_potential = raw.get("reduced_potential")
-    if reduced_potential is not None:
-        _check_terms(reduced_potential, "/reduced_potential", "cycle", issues)
+    # named on the reduced quiver, so resolved only once verify has built it
+    rraw = raw.get("reduced_potential")
+    reduced_potential = None if rraw is None else _read_terms(
+        rraw, "/reduced_potential", "cycle", field, issues)
 
     if issues:
         raise ValidationError(issues)
@@ -206,77 +222,70 @@ def parse(text: str) -> ProblemDocument:
                            idempotents, options, differential_override, reduced_potential)
 
 
-def _check_terms(terms, where, arrows_key, issues):
-    """The shape of override terms: a list of objects, each with a nonempty
-    list of arrow names under arrows_key and, if given, a string coeff.
-    The names are resolved where the quiver they live on is built."""
-    if not isinstance(terms, list):
-        issues.append((where, "expected a list of terms"))
-        return
-    for i, term in enumerate(terms):
-        here = f"{where}/{i}"
-        if not isinstance(term, dict):
-            issues.append((here, "expected an object"))
-            continue
-        names = term.get(arrows_key)
-        if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
-            issues.append((f"{here}/{arrows_key}", "expected a nonempty list of arrow names"))
-        if not isinstance(term.get("coeff", "1"), str):
-            issues.append((f"{here}/coeff", "expected a scalar string"))
-
-
-def _parse_potential(praw, where, quiver, field, issues):
-    if praw is None:
-        return None
-    if not isinstance(praw, list):
+def _read_terms(raw, where, key, field, issues):
+    """Terms {"coeff": scalar string, key: [arrow names]} as (location of
+    the names, names, coeff) triples, or None when any term is malformed.
+    The names are resolved by resolve_terms on the quiver they live on."""
+    if not isinstance(raw, list):
         issues.append((where, "expected a list of terms"))
         return None
-    terms = []
-    ok = True
-    for i, term in enumerate(praw):
+    terms, ok = [], True
+    for i, term in enumerate(raw):
         here = f"{where}/{i}"
         if not isinstance(term, dict):
             issues.append((here, "expected an object"))
             ok = False
             continue
-        coeff_raw = term.get("coeff", "1")
-        cycle = term.get("cycle")
+        coeff_raw, names = term.get("coeff", "1"), term.get(key)
         try:
             coeff = field.parse(coeff_raw)
         except Exception:
             issues.append((here + "/coeff", f"cannot parse scalar {coeff_raw!r}"))
             ok = False
-            continue
-        if not isinstance(cycle, list) or not cycle:
-            issues.append((here + "/cycle", "expected a nonempty list of arrow names"))
+        if not isinstance(names, list) or not names:
+            issues.append((f"{here}/{key}", "expected a nonempty list of arrow names"))
             ok = False
             continue
-        bad = False
-        for j, name in enumerate(cycle):
-            if not isinstance(name, str) or name not in quiver.arrow_by_name:
-                issues.append((f"{here}/cycle/{j}", f"unknown arrow {name!r}"))
-                bad = True
-        if bad:
-            ok = False
-            continue
-        try:
-            path = quiver.path(cycle)
-        except ValueError:
-            issues.append((here + "/cycle", "arrows do not compose"))
-            ok = False
-            continue
-        if not quiver.is_cycle(path):
-            issues.append((here + "/cycle", "path is not closed"))
-            ok = False
-            continue
-        terms.append((coeff, path))
-    if not ok:
+        for j, name in enumerate(names):
+            if not isinstance(name, str):
+                issues.append((f"{here}/{key}/{j}", f"expected an arrow name, got {name!r}"))
+                ok = False
+        if ok:
+            terms.append((f"{here}/{key}", tuple(names), coeff))
+    return terms if ok else None
+
+
+def resolve_terms(terms, quiver, issues, along=None):
+    """(path, coeff) pairs of read terms on quiver, or None when terms is
+    None or any term fails: every name must be an arrow of quiver, the
+    arrows must compose, and the path must be a cycle, or run from the
+    source to the target of the arrow along when one is given."""
+    if terms is None:
         return None
-    try:
-        return canonicalize(quiver, field, terms)
-    except NotACycle as exc:  # pragma: no cover - guarded above
-        issues.append((where, str(exc)))
-        return None
+    pairs, ok = [], True
+    for where, names, coeff in terms:
+        unknown = [j for j, name in enumerate(names) if name not in quiver.arrow_by_name]
+        for j in unknown:
+            issues.append((f"{where}/{j}", f"unknown arrow {names[j]!r}"))
+        if unknown:
+            ok = False
+            continue
+        path = Path(quiver.arrow_by_name[names[0]].src, names)
+        ends = (path.source, quiver.path_target(path))
+        if not quiver.is_composable(path):
+            problem = "arrows do not compose"
+        elif along is None:
+            problem = None if ends[0] == ends[1] else "path is not closed"
+        else:
+            problem = None if ends == (along.src, along.tgt) else (
+                f"the path runs {ends[0]} -> {ends[1]}, "
+                f"but {along.name} runs {along.src} -> {along.tgt}")
+        if problem:
+            issues.append((where, problem))
+            ok = False
+        else:
+            pairs.append((path, coeff))
+    return pairs if ok else None
 
 
 def _parse_idempotents(iraw, where, group, field, issues):

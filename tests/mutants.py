@@ -47,6 +47,7 @@ class Mutant(NamedTuple):
 ORACLE_PRODUCT = "tests/test_crossed.py::test_product_matches_field_scalar_oracle"
 CORNER_ORACLE = "tests/test_morita.py::test_corner_matches_two_product_oracle"
 DIFFERENTIAL_ORACLE = "tests/test_weyl.py::test_differentials_match_oracles_on_every_basis_key"
+OFF_GENERATOR = "tests/test_cli.py::test_override_term_off_its_generator_exit_2"
 
 MUTANTS = [
     # -- the int kernel of CrossedElement and its denominators --
@@ -190,6 +191,22 @@ MUTANTS = [
            "                perm = {v: perm_g[perm_h[v]] for v in quiver.vertices}\n",
            "                perm = {v: perm_h[perm_g[v]] for v in quiver.vertices}\n",
            ("tests/test_document.py::test_completion_composes_vertex_maps_right_factor_first",)),
+    Mutant("override-endpoints-unchecked", "document.py",
+           "            problem = None if ends == (along.src, along.tgt) else (\n",
+           "            problem = None if True else (\n",
+           (OFF_GENERATOR,)),
+    Mutant("override-unknown-generator-resolved-as-cycle", "document.py",
+           "            if arrow is None:\n                issues.append((where, \"unknown generator\"))\n",
+           "            if False:\n                issues.append((where, \"unknown generator\"))\n",
+           (OFF_GENERATOR,)),
+    Mutant("terms-compose-unchecked", "document.py",
+           "        if not quiver.is_composable(path):\n",
+           "        if False:\n",
+           (OFF_GENERATOR,)),
+    Mutant("reduced-coeffs-parsed-over-q", "document.py",
+           "        rraw, \"/reduced_potential\", \"cycle\", field, issues)\n",
+           "        rraw, \"/reduced_potential\", \"cycle\", make_field(\"Q\"), issues)\n",
+           ("tests/test_cli.py::test_document_values_of_the_wrong_type_exit_2",)),
 ]
 
 

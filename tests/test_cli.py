@@ -82,31 +82,44 @@ def test_arrow_names_of_the_doubled_quiver_exit_2(capsys, tmp_path, command):
     ({"reduced_potential": [{"coeff": "1", "cycle": "m0"}]}, "/reduced_potential/0/cycle"),
     ({"reduced_potential": [{"coeff": "1", "cycle": []}]}, "/reduced_potential/0/cycle"),
     ({"reduced_potential": [{"coeff": "1", "cycle": ["m0", 1]}]},
-     "/reduced_potential/0/cycle"),
+     "/reduced_potential/0/cycle/1"),
     ({"reduced_potential": [{"coeff": 1, "cycle": ["m0"]}]}, "/reduced_potential/0/coeff"),
+    ({"reduced_potential": [{"coeff": "1/0", "cycle": ["m0"]}]}, "/reduced_potential/0/coeff"),
+    ({"reduced_potential": [{"coeff": "x", "cycle": ["m0"]}]}, "/reduced_potential/0/coeff"),
+    # a scalar of Q, but 7 is 0 in the document's field GF(7)
+    ({"reduced_potential": [{"coeff": "1/7", "cycle": ["m0"]}]}, "/reduced_potential/0/coeff"),
     ({"reduced_potential": [3]}, "/reduced_potential/0"),
     ({"reduced_potential": {"cycle": ["m0"]}}, "/reduced_potential"),
     ({"differential_override": {"x*": [{"coeff": "1", "path": "yz"}]}},
      "/differential_override/x*/0/path"),
     ({"differential_override": {"x*": [{"coeff": "1", "path": [["y"], "z"]}]}},
-     "/differential_override/x*/0/path"),
+     "/differential_override/x*/0/path/0"),
     ({"differential_override": {"x*": [{"coeff": 1, "path": ["y", "z"]}]}},
+     "/differential_override/x*/0/coeff"),
+    ({"differential_override": {"x*": [{"coeff": "1/0", "path": ["y", "z"]}]}},
+     "/differential_override/x*/0/coeff"),
+    ({"differential_override": {"x*": [{"coeff": "x", "path": ["y", "z"]}]}},
      "/differential_override/x*/0/coeff"),
     ({"differential_override": {"x*": [3]}}, "/differential_override/x*/0"),
     ({"differential_override": {"x*": "yz"}}, "/differential_override/x*"),
 ], ids=["cycle-entry", "table", "table-row", "duplicate-vertex", "duplicate-element",
         "max-len-bool", "deg-bool", "table-bool", "dims-bool",
         "reduced-cycle-string", "reduced-cycle-empty", "reduced-cycle-entry",
-        "reduced-coeff-int", "reduced-term-int", "reduced-not-list",
+        "reduced-coeff-int", "reduced-coeff-zero-den", "reduced-coeff-word", "reduced-coeff-mod-p",
+        "reduced-term-int", "reduced-not-list",
         "override-path-string", "override-path-entry", "override-coeff-int",
-        "override-term-int", "override-not-list"])
+        "override-coeff-zero-den", "override-coeff-word", "override-term-int",
+        "override-not-list"])
 def test_document_values_of_the_wrong_type_exit_2(capsys, tmp_path, changes, location):
     code, report = run_cli(capsys, tmp_path, doc(MCKAY, **changes), "validate")
     assert code == 2
     assert location in [e["location"] for e in report["errors"]]
 
 
-@pytest.mark.parametrize("command", ["validate", "ginzburg", "reduce", "transport", "verify"])
+DOCUMENT_COMMANDS = ["validate", "ginzburg", "invariance", "reduce", "transport", "verify"]
+
+
+@pytest.mark.parametrize("command", DOCUMENT_COMMANDS)
 def test_override_terms_of_the_wrong_shape_exit_2_in_every_command(capsys, tmp_path, command):
     # "yz" once read as the path y.z, and "m0" as the arrows m and 0
     bad = doc(MCKAY, differential_override={"x*": [{"coeff": "1", "path": "yz"}]},
@@ -116,6 +129,21 @@ def test_override_terms_of_the_wrong_shape_exit_2_in_every_command(capsys, tmp_p
     assert [e["location"] for e in report["errors"]] == [
         "/differential_override/x*/0/path", "/reduced_potential/0/cycle",
         "/reduced_potential/1"]
+
+
+@pytest.mark.parametrize("command", DOCUMENT_COMMANDS)
+def test_term_coeffs_are_parsed_in_every_command(capsys, tmp_path, command):
+    # the coeffs of override and reduced-potential terms are refused as a
+    # potential coeff is, before any command runs
+    bad = doc(MCKAY, potential=[{"coeff": "1/0", "cycle": ["x", "y", "z"]}],
+              differential_override={"x*": [{"coeff": "1/0", "path": ["y", "z"]}]},
+              reduced_potential=[{"coeff": "1", "cycle": ["m0"]}, {"coeff": "1/0", "cycle": ["m0"]}])
+    code, report = run_cli(capsys, tmp_path, bad, command)
+    assert code == 2
+    assert report["errors"] == [
+        {"location": where, "message": "cannot parse scalar '1/0'"}
+        for where in ["/potential/0/coeff", "/differential_override/x*/0/coeff",
+                      "/reduced_potential/1/coeff"]]
 
 
 TWO_CYCLE = {
@@ -131,15 +159,23 @@ TWO_CYCLE = {
 
 # a* runs 2 -> 1 and c_1 is a loop at 1, so a term of d(a*) must run 2 -> 1
 # and one of d(c_1) 1 -> 1: the paths a (1 -> 2), b a b a (2 -> 2) and b
-# (2 -> 1) in the wrong place are refused where the doubled quiver is known
+# (2 -> 1) in the wrong place are refused by parse, the doubled quiver being
+# known from the quiver, and so by validate and by every command alike; so
+# are an unknown generator, an unknown arrow and b b, whose ends are those of
+# a* but whose arrows do not compose
 @pytest.mark.parametrize("override, location", [
     ({"a*": [{"coeff": "1", "path": ["a"]}, {"coeff": "1", "path": ["b"]}]},
      "/differential_override/a*/0/path"),
     ({"a*": [{"coeff": "1", "path": ["b"]}, {"coeff": "2", "path": ["b", "a", "b", "a"]}]},
      "/differential_override/a*/1/path"),
     ({"c_1": [{"coeff": "1", "path": ["b"]}]}, "/differential_override/c_1/0/path"),
-], ids=["first-term", "second-term", "loop"])
-@pytest.mark.parametrize("argv", [["ginzburg"], ["ginzburg", "--check"]])
+    ({"q*": [{"coeff": "1", "path": ["a"]}]}, "/differential_override/q*"),
+    ({"a*": [{"coeff": "1", "path": ["b", "q"]}]}, "/differential_override/a*/0/path/1"),
+    ({"a*": [{"coeff": "1", "path": ["b", "b"]}]}, "/differential_override/a*/0/path"),
+], ids=["first-term", "second-term", "loop", "unknown-generator", "unknown-arrow",
+        "not-composable"])
+@pytest.mark.parametrize("argv", [["ginzburg"], ["ginzburg", "--check"], ["validate"],
+                                  ["invariance"], ["reduce"], ["transport"], ["verify"]])
 def test_override_term_off_its_generator_exit_2(capsys, tmp_path, override, location, argv):
     code, report = run_cli(capsys, tmp_path, doc(TWO_CYCLE, differential_override=override),
                            *argv)
@@ -247,6 +283,23 @@ def test_verify_perturbed_reduced_potential_exit_1(capsys, tmp_path):
     assert code == 1
     check = next(c for c in report["checks"] if "represents the original" in c["check"])
     assert check["ok"] is False
+
+
+# McKay reduces to m0-m2: v:0 -> v:2, m3-m5: v:1 -> v:0, m6-m8: v:2 -> v:1;
+# those names exist only once the reduction is built, so validate accepts them
+@pytest.mark.parametrize("cycle, location, message", [
+    (["m0", "q"], "/reduced_potential/1/cycle/1", "unknown arrow 'q'"),
+    (["m0", "m0"], "/reduced_potential/1/cycle", "arrows do not compose"),
+    (["m0", "m6"], "/reduced_potential/1/cycle", "path is not closed"),
+], ids=["unknown-arrow", "not-composable", "not-closed"])
+def test_reduced_potential_names_are_resolved_by_verify(capsys, tmp_path, cycle, location,
+                                                        message):
+    bad = doc(MCKAY, reduced_potential=[{"cycle": ["m0", "m6", "m3"]}, {"cycle": cycle}])
+    code, _ = run_cli(capsys, tmp_path, bad, "validate")
+    assert code == 0
+    code, report = run_cli(capsys, tmp_path, bad, "verify")
+    assert code == 2
+    assert report["errors"] == [{"location": location, "message": message}]
 
 
 def test_verify_noninvariant_exit_1(capsys, tmp_path):
@@ -523,7 +576,9 @@ def assert_one_report_twice(argv):
     code, text = runs[0]
     assert code in (0, 1, 2), argv
     assert "Traceback" not in text
-    assert json.loads(text)["ok"] is (code == 0), argv
+    report = json.loads(text)
+    assert report["ok"] is (code == 0), argv
+    return code, report
 
 
 @given(data=st.data())
@@ -580,16 +635,35 @@ def mckay_documents(draw):
     return document
 
 
+def refused_after_parse(location, message):
+    """The refusals a command may make that validate does not."""
+    return (message.startswith("the command needs a")  # validate needs no part
+            or location == "/"  # errors of the computation, with no input location
+            # the InvalidAction of build_morita: validate reports it as a failed check
+            or location == "/action"
+            or message.startswith("length bound ")  # size guards set by the length bound
+            # arrow names of the reduced quiver, known only once it is built
+            or location.startswith("/reduced_potential/") and "/cycle" in location)
+
+
 def assert_document_commands_report(document):
     # every document ends, under every document command, in one JSON report
-    # with exit code 0, 1 or 2, and a rerun prints the same bytes
+    # with exit code 0, 1 or 2, and a rerun prints the same bytes; and
+    # validate refuses every location a command refuses, bar the exceptions
+    # of refused_after_parse
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "doc.json")
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(document, handle)
-        for argv in (["validate", path], ["invariance", path], ["ginzburg", path, "--check"],
-                     ["reduce", path], ["verify", path]):
-            assert_one_report_twice(argv)
+        reports = [assert_one_report_twice(argv) for argv in (
+            ["validate", path], ["invariance", path], ["ginzburg", path, "--check"],
+            ["reduce", path], ["transport", path], ["verify", path])]
+    refused = [{(e["location"], e["message"]) for e in report["errors"]} if code == 2 else set()
+               for code, report in reports]
+    validated = {location for location, _ in refused[0]}
+    for errors in refused[1:]:
+        assert all(location in validated or refused_after_parse(location, message)
+                   for location, message in errors), (errors, refused[0])
 
 
 @given(document=mckay_documents())
@@ -636,4 +710,40 @@ def restructured_documents(draw):
 @given(document=restructured_documents())
 @settings(max_examples=40, deadline=None)
 def test_document_structure_fuzz_exit_codes_json_and_determinism(document):
+    assert_document_commands_report(document)
+
+
+REDUCED_ARROWS = ["m0", "m1", "m3", "m6", "m7", "m9", "x", 1]
+
+
+@st.composite
+def term_documents(draw):
+    """McKay, signed S3 or the two-cycle with a length bound of at most 2,
+    and with differential_override and reduced_potential terms drawn from
+    the generators of the doubled quiver, the reduced arrows of McKay and
+    signed S3, and names, scalars and shapes that are wrong."""
+    document = copy.deepcopy(draw(st.sampled_from([MCKAY, SIGNED_S3, TWO_CYCLE])))
+    document["options"] = {"max_len": draw(st.integers(0, 2))}
+    quiver = document["quiver"]
+    generators = ([a["name"] for a in quiver["arrows"]]
+                  + [a["name"] + "*" for a in quiver["arrows"]]
+                  + ["c_" + v for v in quiver["vertices"]])
+
+    def terms(key, names):
+        # mostly well-shaped, so that most documents reach the commands
+        term = st.fixed_dictionaries({key: st.lists(names, min_size=1, max_size=3)},
+                                     optional={"coeff": DOC_SCALARS})
+        return st.lists(term, max_size=3) | st.lists(term | JSON_VALUES, max_size=2)
+
+    keys = st.sampled_from(generators + ["q*", "c_w"])
+    document["differential_override"] = draw(st.dictionaries(
+        keys, terms("path", st.sampled_from(generators + ["q", 0])), min_size=1, max_size=2))
+    if draw(st.booleans()):
+        document["reduced_potential"] = draw(terms("cycle", st.sampled_from(REDUCED_ARROWS)))
+    return document
+
+
+@given(document=term_documents())
+@settings(max_examples=25, deadline=None)
+def test_term_fuzz_validate_refuses_what_a_command_refuses(document):
     assert_document_commands_report(document)
