@@ -16,7 +16,7 @@ from .errors import NonPrimeModulus, ParseError, SkewginError, ValidationError
 from .fields import make_field
 from .ginzburg import double_quiver, loop_name, star_name
 from .groups import make_group
-from .potential import canonicalize
+from .potential import canonicalize, degree_of
 from .quiver import AlgElement, GradedQuiver, Path
 
 
@@ -147,6 +147,9 @@ def parse(text: str) -> ProblemDocument:
     if not isinstance(d, int) or d < 3:
         issues.append(("/d", "expected an integer >= 3"))
         d = 3
+    elif (potential is not None and not potential.is_zero()
+          and (w_deg := degree_of(potential)) != 3 - d):
+        issues.append(("/d", f"potential degree {w_deg} != 3 - d = {3 - d}"))
 
     group = None
     idempotents = None

@@ -2,15 +2,15 @@
 
 Vectors are dicts mapping basis indices (any sortable keys) to nonzero
 scalars of a fixed :class:`~skewgin.fields.Field`.  The solver keeps plain
-echelon rows, each under its pivot (its least key), plus the labelled
-inputs that enlarged the span; rank-only use keeps no inputs.  Over GF(p)
-rows are residues with pivot 1.  Over Q elimination is fraction-free (cf.
-Bareiss 1968): vectors are cleared to integers, rows are cross-multiplied
-rather than divided, and each stored row has its content divided out and
-a positive pivot, so no Fraction is built until a residual is returned.
-``express`` first tests membership against the rows and only then solves
-for the unique combination of the labelled inputs, which are independent.
-Insertion order is part of the contract: pivots are deterministic.
+echelon rows, each under its pivot (its least key).  Over GF(p) rows are
+residues with pivot 1.  Over Q elimination is fraction-free (cf. Bareiss
+1968): vectors are cleared to integers, rows are cross-multiplied rather
+than divided, and each stored row has its content divided out and a
+positive pivot, so no Fraction is built until a residual is returned.
+A labelled input that enlarges the span records the int multipliers of
+the rows that reduced it, so ``express`` reduces its target once and
+back-substitutes, with no second elimination; rank-only use records
+nothing.  Insertion order is part of the contract: pivots are deterministic.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ class LinSolver:
     def __init__(self, field):
         self.field = field
         self.rows = {}     # pivot key -> echelon row in kernel scalars
-        self.inputs = []   # (label, vector) of each labelled input that enlarged the span
+        self._records = []  # (pivot, label, m, g, steps): g * row = m * input - sum(s * rows[k])
 
     @property
     def rank(self) -> int:
@@ -48,12 +48,13 @@ class LinSolver:
         den, items = self.field.scaled(vec.items())
         return dict(items), den
 
-    def _eliminate(self, vec, scale=1, out=None):
+    def _eliminate(self, vec, scale=1, out=None, steps=None):
         """Reduce vec (kernel scalars) against the rows, least key first.
 
         Works in place.  Returns the first key that has no row, or None
         once vec is empty.  With out given, such keys move into out as field
-        scalars (vec / scale) and the reduction runs to the end.
+        scalars (vec / scale) and the reduction runs to the end.  With steps
+        given, each row used appends (pivot, multiplier, scale after it).
         """
         rows, p = self.rows, self.field.p
         while vec:
@@ -67,6 +68,8 @@ class LinSolver:
                 continue
             if p is not None:
                 c = vec[k]
+                if steps is not None:
+                    steps.append((k, c, scale))
                 for kk, v in row.items():
                     nv = (vec.get(kk, 0) - c * v) % p
                     if nv:
@@ -83,6 +86,8 @@ class LinSolver:
                 scale *= a
                 for kk in vec:
                     vec[kk] *= a
+            if steps is not None:
+                steps.append((k, c, scale))
             for kk, v in row.items():
                 nv = vec.get(kk, 0) - c * v
                 if nv:
@@ -91,15 +96,23 @@ class LinSolver:
                     del vec[kk]
         return None
 
+    @staticmethod
+    def _multipliers(steps):
+        """(scale, [(pivot, m)]) with the reduced vector scale * vec - sum(m *
+        rows[pivot]): each m rescaled by the cross-multiplications after it."""
+        scale = steps[-1][2] if steps else 1
+        return scale, [(k, c * (scale // s)) for k, c, s in steps]
+
     def add(self, vec: dict, label=None) -> bool:
         """Insert a vector; returns True if it enlarged the span."""
-        work, _ = self._scaled(vec)
-        pivot = self._eliminate(work)
+        work, den = self._scaled(vec)
+        steps = None if label is None else []
+        pivot = self._eliminate(work, steps=steps)
         if pivot is None:
             return False
         p = self.field.p
         if p is not None:
-            inv = self.field.inv(work[pivot])
+            inv = self.field.inv(g := work[pivot])
             work = {k: v * inv % p for k, v in work.items()}
         else:
             g = gcd(*work.values())
@@ -107,7 +120,8 @@ class LinSolver:
             work = {k: v // g for k, v in work.items()}
         self.rows[pivot] = work
         if label is not None:
-            self.inputs.append((label, dict(vec)))
+            scale, mults = self._multipliers(steps)
+            self._records.append((pivot, label, scale * den, g, mults))
         return True
 
     def contains(self, vec: dict) -> bool:
@@ -122,27 +136,29 @@ class LinSolver:
     def express(self, vec: dict):
         """Write vec as a combination of previously added labelled vectors.
 
-        Returns a dict label -> coefficient, or None if vec is outside the
-        span of the labelled vectors.
-
-        The labelled inputs are independent, so the combination is unique.
-        It is solved in a fresh solver over those inputs, each extended by a
-        marker column keyed (1, i) after every original key (0, k): reducing
-        vec there leaves minus the coefficients on the markers.
+        Returns a dict label -> coefficient in insertion order, a repeated
+        label getting the sum of its inputs' coefficients, or None if vec is
+        outside the span of the labelled vectors.  The inputs that enlarged
+        the span are independent, so the combination is unique: vec is
+        reduced once over the rows, then each labelled row, newest first,
+        passes its coefficient on to its input and the rows that reduced it.
         """
-        if not self.contains(vec):
-            return None
         f = self.field
-        solver = LinSolver(f)
-        for i, (_, v) in enumerate(self.inputs):
-            marked = {(0, k): c for k, c in v.items()}
-            marked[(1, i)] = f.one()
-            solver.add(marked)
-        residual = solver.residual({(0, k): c for k, c in vec.items()})
-        if any(part == 0 for part, _ in residual):  # vec needs an unlabelled input
+        work, den = self._scaled(vec)
+        steps = []
+        if self._eliminate(work, steps=steps) is not None:
             return None
-        return f.accumulate({}, ((self.inputs[i][0], f.neg(c))
-                                 for (_, i), c in residual.items()))
+        scale, mults = self._multipliers(steps)
+        on_rows = f.accumulate({}, ((k, f.ratio(m, scale * den)) for k, m in mults))
+        on_inputs = []
+        for pivot, label, m, g, row_steps in reversed(self._records):
+            c = on_rows.pop(pivot, None)
+            if c is None:
+                continue
+            c = f.div(c, g)
+            on_inputs.append((label, f.mul(c, m)))
+            f.accumulate(on_rows, ((k, -c * s) for k, s in row_steps))
+        return None if on_rows else f.accumulate({}, reversed(on_inputs))
 
 
 def invert_matrix(field, mat):

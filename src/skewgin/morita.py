@@ -24,6 +24,7 @@ identity.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import chain
 
 from .action import QuiverAction, is_potential_invariant, validate_action
@@ -121,10 +122,11 @@ def build_bimodule(action: QuiverAction, reps, kappa, stabilizers):
 
 
 class MoritaData:
-    """Everything the reduction produces, ready for embedding and transport."""
+    """Everything the reduction produces, ready for embedding and transport;
+    an arrow i -> j from bimodule element b embeds as e_i b e_j, folds by b e_j."""
 
     def __init__(self, action, reps, kappa, stabilizers, idem_sets,
-                 bimodule, qprime, vertex_info, vertex_idems, arrow_embed):
+                 bimodule, qprime, vertex_info, vertex_idems, arrow_embed, fold_factors):
         self.action = action
         self.field = action.field
         self.reps = reps
@@ -135,7 +137,8 @@ class MoritaData:
         self.qprime = qprime
         self.vertex_info = vertex_info      # qprime vertex -> (rep, idempotent idx)
         self.vertex_idems = vertex_idems    # qprime vertex -> CrossedElement
-        self.arrow_embed = arrow_embed      # qprime arrow name -> CrossedElement
+        self.arrow_embed = arrow_embed      # qprime arrow name -> e_src * b * e_tgt
+        self.fold_factors = fold_factors    # qprime arrow name -> b * e_tgt, see embed_paths
 
     def total_idempotent(self) -> CrossedElement:
         return sum((self.vertex_idems[v] for v in self.qprime.vertices),
@@ -208,7 +211,7 @@ def build_morita(action: QuiverAction, idempotents=None) -> MoritaData:
     bimodule = build_bimodule(action, reps, kappa, stabilizers)
     index1 = basis_index(action, 1)
     arrows = []
-    arrow_embed = {}
+    arrow_embed, fold_factors = {}, {}
     counter = 0
     for v1 in vertex_names:
         rep1 = vertex_info[v1][0]
@@ -221,26 +224,29 @@ def build_morita(action: QuiverAction, idempotents=None) -> MoritaData:
                     continue
                 solver = LinSolver(field)
                 for element in slot:
-                    cornered = e1 * element * e2
+                    right = element * e2
+                    cornered = e1 * right
                     if cornered.is_zero():
                         continue
                     if solver.add(vectorize(cornered, index1)):
                         name = f"m{counter}"
                         counter += 1
                         arrows.append(Arrow(name, v1, v2, deg))
-                        arrow_embed[name] = cornered
+                        arrow_embed[name], fold_factors[name] = cornered, right
     qprime = GradedQuiver(vertex_names, arrows)
-    return MoritaData(action, reps, kappa, stabilizers, idem_sets,
-                      bimodule, qprime, vertex_info, vertex_idems, arrow_embed)
+    return MoritaData(action, reps, kappa, stabilizers, idem_sets, bimodule,
+                      qprime, vertex_info, vertex_idems, arrow_embed, fold_factors)
 
 
 def embed_paths(md: MoritaData, paths) -> dict:
     """Embeddings of the given reduced paths and of all their prefixes.
 
     Each path walks back to its longest prefix embedded so far (else its
-    source vertex idempotent) and folds forward one arrow embedding at a
-    time, keeping every prefix: the left fold e_src * a1 * ... * ak, with
-    every shared prefix multiplied once.  Returns {path: CrossedElement}.
+    source vertex idempotent) and folds forward one arrow at a time,
+    keeping every prefix: the left fold e_src * a1 * ... * ak, with every
+    shared prefix multiplied once.  The first arrow is its embedding; a
+    later one i -> j is its fold factor b * e_j, as the prefix ends in e_i.
+    Returns {path: CrossedElement}.
     """
     out = {}
     for p in paths:
@@ -250,7 +256,8 @@ def embed_paths(md: MoritaData, paths) -> dict:
             prefix = Path(source, arrows[:k])
         acc = out.setdefault(prefix, md.vertex_idems[source])
         for k in range(k + 1, len(arrows) + 1):
-            acc = out[Path(source, arrows[:k])] = acc * md.arrow_embed[arrows[k - 1]]
+            acc = out[Path(source, arrows[:k])] = (acc * md.fold_factors[arrows[k - 1]] if k > 1
+                                                   else md.arrow_embed[arrows[0]])
     return out
 
 
@@ -261,14 +268,25 @@ def embed(md: MoritaData, x: AlgElement) -> CrossedElement:
         (coeff, embedded[p].den, embedded[p].terms.items()) for p, coeff in x.terms.items()))
 
 
+def block_rank(md: MoritaData, paths, embedded, index) -> int:
+    """Rank of the embedded paths, one solver per Peirce block: a path i -> j
+    lies in e_i (A#G) e_j, independent of the other blocks when the vertex
+    idempotents are orthogonal."""
+    solvers = defaultdict(lambda: LinSolver(md.field))
+    for p in paths:
+        solvers[p.source, md.qprime.path_target(p)].add(vectorize(embedded[p], index))
+    return sum(solver.rank for solver in solvers.values())
+
+
 def check_embedding(md: MoritaData, bound: int):
     """Injectivity and multiplicativity of the embedding, length by length.
 
     Returns a report list; empty means every length component up to the
-    bound embeds with full rank and products match.
+    bound embeds with full rank and products match.  Lengths are ranked by
+    ``block_rank``, whose e_i e_j = delta_ij e_i the length-0 pairs check.
     """
     report = []
-    qprime, field = md.qprime, md.field
+    qprime = md.qprime
     by_len = paths_by_length(qprime, bound)
     paths_by_length(md.action.quiver, bound)  # every basis_index below reads these layers
     embedded = embed_paths(md, [p for layer in by_len.values() for p in layer])
@@ -276,16 +294,13 @@ def check_embedding(md: MoritaData, bound: int):
         layer = by_len.get(ell, [])
         if not layer:
             continue
-        index = basis_index(md.action, ell)
-        solver = LinSolver(field)
-        for p in layer:
-            solver.add(vectorize(embedded[p], index))
-        if solver.rank != len(layer):
+        rank = block_rank(md, layer, embedded, basis_index(md.action, ell))
+        if rank != len(layer):
             report.append(
-                f"length {ell}: embedded rank {solver.rank} < {len(layer)} paths; "
+                f"length {ell}: embedded rank {rank} < {len(layer)} paths; "
                 "the reduced path algebra does not inject")
-    # ep * eq multiplies in q's source idempotent and the stored fold of pq
-    # does not, so comparing the two is not a tautology
+    # ep * eq multiplies in q's source idempotent and q's first arrow in full,
+    # the stored fold of pq does not, so comparing the two is not a tautology
     pair_bound = min(bound, 2)
     short = [p for ell in range(pair_bound + 1) for p in by_len.get(ell, [])]
     zero = CrossedElement.zero(md.action)

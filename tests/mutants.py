@@ -104,10 +104,17 @@ MUTANTS = [
            "                    twist = G.mul(left, kappa[j2])\n",
            ("tests/test_morita.py::test_bimodule_slots_match_five_fold_product_oracle",)),
     Mutant("embed-folds-from-source-idempotent", "morita.py",
-           "            acc = out[Path(source, arrows[:k])] = acc * md.arrow_embed[arrows[k - 1]]\n",
-           "            acc = out[Path(source, arrows[:k])] = (md.vertex_idems[source]\n"
-           "                                                   * md.arrow_embed[arrows[k - 1]])\n",
+           "(acc * md.fold_factors[arrows[k - 1]] if k > 1\n",
+           "(md.vertex_idems[source] * md.arrow_embed[arrows[k - 1]] if k > 1\n",
            ("tests/test_morita.py::test_embed_paths_matches_per_path_fold",)),
+    Mutant("fold-factor-cornered-on-the-left", "morita.py",
+           "                        arrow_embed[name], fold_factors[name] = cornered, right\n",
+           "                        arrow_embed[name], fold_factors[name] = cornered, e1 * element\n",
+           ("tests/test_morita.py::test_embed_paths_matches_per_path_fold",)),
+    Mutant("block-rank-takes-max", "morita.py",
+           "    return sum(solver.rank for solver in solvers.values())\n",
+           "    return max(solver.rank for solver in solvers.values())\n",
+           ("tests/test_morita.py::test_block_ranks_match_whole_layer_oracle",)),
     Mutant("embedding-pair-check-tautological", "morita.py",
            "            if ep * embedded[q] != (zero if pq is None else embedded[pq]):\n",
            "            if ep * embedded[q] != ep * embedded[q]:\n",
@@ -126,6 +133,14 @@ MUTANTS = [
     Mutant("solver-drops-scale-update", "linalg.py",
            "                scale *= a\n", "                pass\n",
            ("tests/test_linalg.py::test_residual_divides_out_a_cross_multiplication",)),
+    Mutant("express-skips-step-rescale", "linalg.py",
+           "        return scale, [(k, c * (scale // s)) for k, c, s in steps]\n",
+           "        return scale, [(k, c) for k, c, s in steps]\n",
+           ("tests/test_linalg.py::test_express_rescales_steps_after_a_cross_multiplication",)),
+    Mutant("express-overwrites-repeated-label", "linalg.py",
+           "        return None if on_rows else f.accumulate({}, reversed(on_inputs))\n",
+           "        return None if on_rows else dict(reversed(on_inputs))\n",
+           ("tests/test_linalg.py::test_express_sums_the_coefficients_of_a_repeated_label",)),
     Mutant("solver-takes-any-residues-as-given", "linalg.py",
            "        elif not vec or 0 < min(values) and max(values) < p:\n",
            "        elif True:\n",

@@ -34,7 +34,11 @@ commutators of the images), and two commutator feeds that
 ``skewgin.crossed.express_modulo_commutators`` replaced: one retrying the
 target every 24 insertions, and one feeding every commutator before it
 expresses the target once, which the feed that stops at the target
-replaced.
+replaced.  Two more run on skewgin's ``LinSolver``: the marker-column
+solve ``marker_express`` that the back-substitution of
+``LinSolver.express`` replaced, and ``whole_layer_ranks``, the one solver
+per length layer that the Peirce-block ranks of
+``skewgin.morita.block_rank`` replaced.
 
 The last section holds helpers that no command uses, kept for the tests:
 ``one`` and ``scale`` (which ``CrossedElement`` no longer has), the Weyl
@@ -317,6 +321,29 @@ class LabelledLinSolver:
         return combo
 
 
+def marker_express(field, inputs, vec):
+    """The combination of the labelled inputs, a list of (label, vector)
+    that each enlarged a solver's span, that gives vec, or None; the
+    marker-column solve that back-substitution in
+    ``skewgin.linalg.LinSolver.express`` replaced.
+
+    Each input is extended by a marker column keyed (1, i) after every
+    original key (0, k) and eliminated afresh: reducing vec there leaves
+    minus the coefficients on the markers, and a key (0, k) left over means
+    vec is outside the span of the inputs.  A repeated label gets the sum
+    of its inputs' coefficients.
+    """
+    solver = LinSolver(field)
+    for i, (_, v) in enumerate(inputs):
+        marked = {(0, k): c for k, c in v.items()}
+        marked[(1, i)] = field.one()
+        solver.add(marked)
+    residual = solver.residual({(0, k): c for k, c in vec.items()})
+    if any(part == 0 for part, _ in residual):
+        return None
+    return field.accumulate({}, ((inputs[i][0], field.neg(c)) for (_, i), c in residual.items()))
+
+
 def naive_mul_monomials(field, m1, m2):
     """Normal-ordered product of two monomials on field scalars, computed
     afresh on each call; the product that ``WeylAlgebra._mul_monomials``
@@ -581,6 +608,22 @@ def naive_embed_path(md, path):
     for name in path.arrows:
         acc = naive_crossed_mul(acc, md.arrow_embed[name])
     return acc
+
+
+def whole_layer_ranks(md, bound):
+    """The rank of each length layer of the embedded reduced paths, up to
+    bound, in one solver per layer; the rank that the per-block solvers of
+    ``skewgin.morita.block_rank`` replaced.  Each path is embedded as its
+    own fold of full arrow embeddings, e_src * a1 * ... * ak."""
+    solvers = [LinSolver(md.field) for _ in range(bound + 1)]
+    indices = [basis_index(md.action, ell) for ell in range(bound + 1)]
+    for p in basis_up_to(md.qprime, bound):
+        acc = md.vertex_idems[p.source]
+        for name in p.arrows:
+            acc = acc * md.arrow_embed[name]
+        ell = len(p.arrows)
+        solvers[ell].add(vectorize(acc, indices[ell]))
+    return [solver.rank for solver in solvers]
 
 
 def naive_corner(e, key):

@@ -102,6 +102,8 @@ def test_arrow_names_of_the_doubled_quiver_exit_2(capsys, tmp_path, command):
      "/differential_override/x*/0/coeff"),
     ({"differential_override": {"x*": [3]}}, "/differential_override/x*/0"),
     ({"differential_override": {"x*": "yz"}}, "/differential_override/x*"),
+    # the potential has degree 0, and d = 4 asks for 3 - d = -1
+    ({"d": 4}, "/d"),
 ], ids=["cycle-entry", "table", "table-row", "duplicate-vertex", "duplicate-element",
         "max-len-bool", "deg-bool", "table-bool", "dims-bool",
         "reduced-cycle-string", "reduced-cycle-empty", "reduced-cycle-entry",
@@ -109,7 +111,7 @@ def test_arrow_names_of_the_doubled_quiver_exit_2(capsys, tmp_path, command):
         "reduced-term-int", "reduced-not-list",
         "override-path-string", "override-path-entry", "override-coeff-int",
         "override-coeff-zero-den", "override-coeff-word", "override-term-int",
-        "override-not-list"])
+        "override-not-list", "potential-degree-off-d"])
 def test_document_values_of_the_wrong_type_exit_2(capsys, tmp_path, changes, location):
     code, report = run_cli(capsys, tmp_path, doc(MCKAY, **changes), "validate")
     assert code == 2
@@ -363,11 +365,12 @@ def test_ginzburg_d_below_3_exit_2(capsys, tmp_path):
 
 @pytest.mark.parametrize("command", ["ginzburg", "verify"])
 def test_document_d_is_honoured(capsys, tmp_path, command):
-    # the McKay potential has degree 0, which only fits d = 3
+    # the McKay potential has degree 0, which only fits d = 3; the document
+    # is refused at its d before any command computes
     code, report = run_cli(capsys, tmp_path, doc(MCKAY, d=4), command)
     assert code == 2
     assert report["ok"] is False
-    assert report["errors"] == [{"location": "/",
+    assert report["errors"] == [{"location": "/d",
                                  "message": "potential degree 0 != 3 - d = -1"}]
 
 

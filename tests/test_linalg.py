@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from skewgin.fields import make_field
 from skewgin.linalg import LinSolver, invert_matrix
 
-from oracles import LabelledLinSolver, dense_rank, span_rank
+from oracles import LabelledLinSolver, dense_rank, marker_express, span_rank
 
 
 def test_rank_counts_independent_rows():
@@ -71,6 +71,49 @@ def test_express_after_internal_elimination():
         for k, v in vecs[lbl].items():
             acc[k] = acc.get(k, Fraction(0)) + c * v
     assert {k: v for k, v in acc.items() if v} == target
+
+
+def test_express_rescales_steps_after_a_cross_multiplication():
+    # w meets the row of u (pivot 1) and then the row of v (pivot 2), which
+    # doubles it: its row is 2 w - 2 u + v, not 2 w - u + v.  Expressing
+    # w + u then meets u, v and w's row, with v again doubling.
+    f = make_field("Q")
+    s = LinSolver(f)
+    vecs = {"u": {0: 1, 1: 1}, "v": {1: 2, 2: 1}, "w": {0: 1, 3: 1}}
+    for lbl, vec in vecs.items():
+        assert s.add(dict(vec), label=lbl)
+    assert s.rows[2] == {2: 1, 3: 2}
+    assert s.express({0: 2, 1: 1, 3: 1}) == {"u": 1, "w": 1}
+    assert s.express({0: 2, 1: 3, 2: 1, 3: 1}) == {"u": 1, "v": 1, "w": 1}
+
+
+def test_express_sums_the_coefficients_of_a_repeated_label():
+    for f in (make_field("Q"), make_field(7)):
+        s = LinSolver(f)
+        assert s.add({0: f.one()}, label="a")
+        assert s.add({1: f.one()}, label="b")
+        assert s.add({2: f.one()}, label="a")
+        assert s.express({0: f.one(), 1: f.one(), 2: f.from_int(2)}) == {
+            "a": f.from_int(3), "b": f.one()}
+        assert s.express({0: f.one(), 2: f.neg(f.one())}) == {}
+
+
+def test_invert_matrix_adds_each_row_once_and_express_adds_none(monkeypatch):
+    calls = []
+    add = LinSolver.add
+    monkeypatch.setattr(LinSolver, "add", lambda self, vec, label=None: (
+        calls.append(label), add(self, vec, label))[1])
+    f = make_field("Q")
+    mat = [[Fraction(2), Fraction(1), Fraction(0)],
+           [Fraction(1), Fraction(1), Fraction(3)],
+           [Fraction(0), Fraction(5), Fraction(1)]]
+    assert invert_matrix(f, mat) is not None
+    assert calls == [0, 1, 2]
+    s = LinSolver(f)
+    s.add({0: Fraction(1), 1: Fraction(2)}, label="x")
+    del calls[:]
+    assert s.express({0: Fraction(3), 1: Fraction(6)}) == {"x": 3}
+    assert calls == []
 
 
 def test_express_detects_outside_span():
@@ -152,6 +195,41 @@ def test_solver_agrees_with_labelled_oracle(data):
             assert combo is None or combo == expected
         else:
             assert combo == expected
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_express_agrees_with_marker_oracle(data):
+    # back-substitution must give the marker-column solve's combination,
+    # and the labelled oracle's when no unlabelled input enlarged the
+    # span, with repeated labels summed and unlabelled rows refused
+    field = data.draw(st.sampled_from(FIELDS))
+    vecs = data.draw(st.lists(sparse_vectors(field), max_size=10))
+    solver, oracle = LinSolver(field), LabelledLinSolver(field)
+    inputs, all_inputs = [], []
+    for vec in vecs:
+        label = data.draw(st.sampled_from([None, "a", "b", 0, 1, 2]))
+        oracle.add(dict(vec), label)
+        if solver.add(dict(vec), label):
+            all_inputs.append(vec)
+            if label is not None:
+                inputs.append((label, vec))
+    unlabelled_growth = len(inputs) < len(all_inputs)
+
+    def combination(vectors):
+        coeffs = data.draw(st.lists(scalars(field), min_size=len(vectors),
+                                    max_size=len(vectors)))
+        return combine(field, zip(coeffs, vectors))
+
+    labelled = combination([vec for _, vec in inputs])
+    queries = data.draw(st.lists(sparse_vectors(field), max_size=2))
+    queries += [labelled, combination(all_inputs)]
+    for query in queries:
+        combo = solver.express(dict(query))
+        assert combo == marker_express(field, inputs, query)
+        if not unlabelled_growth:
+            assert combo == oracle.express(dict(query))
+    assert solver.express(labelled) is not None
 
 
 @given(st.data())

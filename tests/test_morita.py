@@ -11,16 +11,17 @@ from skewgin.errors import IncompleteIdempotents
 from skewgin.fields import make_field
 from skewgin.groups import cyclic_group
 from skewgin.linalg import LinSolver
-from skewgin.morita import (build_bimodule, build_morita, check_embedding, check_fullness,
-                            corner, embed, embed_paths, morita_dimension_check, orbit_data,
-                            transport_potential)
+from skewgin.morita import (block_rank, build_bimodule, build_morita, check_embedding,
+                            check_fullness, corner, embed, embed_paths, morita_dimension_check,
+                            orbit_data, transport_potential)
 from skewgin.potential import Potential, canonicalize, cycle_length_of
 from skewgin.quiver import AlgElement, GradedQuiver, basis_up_to, paths_by_length
 
 from docs import MCKAY, SIGNED_S3, doc
 from oracles import (LabelledLinSolver, feed_all_express_modulo_commutators, naive_build_bimodule,
                      naive_commutator_basis, naive_corner, naive_embed_path,
-                     group_sub, retrying_express_modulo_commutators, scale)
+                     group_sub, retrying_express_modulo_commutators, scale,
+                     whole_layer_ranks)
 from test_crossed import KERNEL_ACTIONS, scalars
 
 Q = make_field("Q")
@@ -406,7 +407,8 @@ def test_mckay_dimensions_invariant_under_basis_reordering(mckay):
     # another basis of each arrow slot presents the same corner: the
     # transported potential changes, the dimension table must not.  Each
     # arrow m goes to 2m + (the next arrow of its slot), an invertible
-    # change of determinant 9 = 2 over GF(7) on the three arrows of a slot.
+    # change of determinant 9 = 2 over GF(7) on the three arrows of a slot,
+    # made on the arrow embeddings and on the fold factors alike.
     action, md = mckay
     w = mckay_potential(action)
     reduced, _ = transport_potential(w, md)
@@ -419,8 +421,9 @@ def test_mckay_dimensions_invariant_under_basis_reordering(mckay):
     for names in slots.values():
         assert len(names) == 3
         for name, following in zip(names, names[1:] + names[:1]):
-            changed.arrow_embed[name] = (scale(md.arrow_embed[name], F7.from_int(2))
-                                         + md.arrow_embed[following])
+            for table, base in ((changed.arrow_embed, md.arrow_embed),
+                                (changed.fold_factors, md.fold_factors)):
+                table[name] = scale(base[name], F7.from_int(2)) + base[following]
     assert check_embedding(changed, 2) == []
     changed_reduced, _ = transport_potential(w, changed)
     assert changed_reduced.terms != reduced.terms
@@ -549,6 +552,30 @@ def test_check_embedding_catches_an_uncornered_arrow():
     # check against comparing a product with itself
     arrow_path, target = md.qprime.path([name]), md.qprime.trivial_path(tgt)
     assert f"embedding is not multiplicative on {arrow_path} * {target}" in check_embedding(md, 2)
+
+
+@pytest.mark.parametrize("document", [MCKAY, SIGNED_S3], ids=["mckay", "signed_s3"])
+def test_block_ranks_match_whole_layer_oracle(document):
+    # a path from i to j embeds into e_i (A#G) e_j, so with orthogonal
+    # vertex idempotents the per-block ranks add up to the layer's rank
+    md = reduction_of(document)
+    by_len = paths_by_length(md.qprime, 4)
+    embedded = embed_paths(md, by_len[4])
+    ranks = [block_rank(md, by_len[ell], embedded, basis_index(md.action, ell))
+             for ell in range(5)]
+    assert ranks == whole_layer_ranks(md, 4) == [len(by_len[ell]) for ell in range(5)]
+    assert len({(p.source, md.qprime.path_target(p)) for p in by_len[4]}) > 1
+
+
+def test_check_embedding_names_non_orthogonal_vertex_idempotents():
+    # the block ranks rest on e_i e_j = 0 for i != j; an idempotent e_0 + e_1
+    # breaks that, and the length-0 pair check has to say so
+    md = reduction_of(MCKAY)
+    assert check_embedding(md, 2) == []
+    v0, v1 = md.qprime.vertices[:2]
+    md.vertex_idems[v0] = md.vertex_idems[v0] + md.vertex_idems[v1]
+    t0, t1 = md.qprime.trivial_path(v0), md.qprime.trivial_path(v1)
+    assert f"embedding is not multiplicative on {t0} * {t1}" in check_embedding(md, 2)
 
 
 @pytest.mark.parametrize("dropped, failing", [(0, [0]), (2, [0, 1, 2, 3])])
