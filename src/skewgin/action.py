@@ -97,18 +97,14 @@ class QuiverAction:
 
     # -- block matrices --
 
-    def block_arrows(self, src: str, tgt: str):
-        return sorted((a.name for a in self.quiver.arrows
-                       if a.src == src and a.tgt == tgt))
-
     def block_matrix(self, g: int, src: str, tgt: str):
         """Matrix of the g-action from the (src, tgt) arrow space.
 
         Column k holds the coordinates of the image of the k-th source
         arrow in the target block's arrow basis.
         """
-        cols = self.block_arrows(src, tgt)
-        rows = self.block_arrows(self.act_vertex(g, src), self.act_vertex(g, tgt))
+        cols = self.quiver.arrows_between(src, tgt)
+        rows = self.quiver.arrows_between(self.act_vertex(g, src), self.act_vertex(g, tgt))
         f = self.field
         mat = [[f.zero()] * len(cols) for _ in rows]
         row_pos = {name: i for i, name in enumerate(rows)}
@@ -125,8 +121,7 @@ class QuiverAction:
         arrow image exactly for orthogonal (e.g. permutation) blocks.
         """
         a = self.quiver.arrow(arrow_name)
-        cols = self.block_arrows(a.src, a.tgt)
-        mat, _, rows = self.block_matrix(g, a.src, a.tgt)
+        mat, cols, rows = self.block_matrix(g, a.src, a.tgt)
         inv = invert_matrix(self.field, mat)
         if inv is None:
             raise ValueError("non-invertible arrow block; validate the action first")
@@ -180,7 +175,7 @@ def validate_action(action: QuiverAction):
     for g in G.elements():
         for src in quiver.vertices:
             for tgt in quiver.vertices:
-                cols = action.block_arrows(src, tgt)
+                cols = quiver.arrows_between(src, tgt)
                 if not cols:
                     continue
                 mat, _, rows = action.block_matrix(g, src, tgt)

@@ -9,7 +9,7 @@ import sys
 
 from . import __version__
 from .action import extend_to_ginzburg, validate_action
-from .document import parse, resolve_terms
+from .document import check_d, parse, read_matrix, resolve_terms
 from .errors import (BasisExpressFailure, NonPrimeModulus, NoSolution,
                      NotInvariantPotential, NotSymplectic, ParseError, SizeGuard,
                      SkewginError, ValidationError)
@@ -101,9 +101,10 @@ def cmd_validate(args) -> int:
 
 def cmd_ginzburg(args) -> int:
     doc = _read_document(args)
-    d = args.d if args.d is not None else doc.d
-    if d < 3:
-        raise ValidationError([("/d", "expected an integer >= 3")])
+    d, issues = (args.d if args.d is not None else doc.d), []
+    check_d(d, doc.potential, issues)
+    if issues:
+        raise ValidationError(issues)
     potential = doc.potential
     if potential is None:
         potential = Potential(doc.quiver, doc.field)
@@ -295,8 +296,8 @@ def cmd_verify(args) -> int:
 
 def _read_matrices(path, n, field):
     """The matrices of a --matrices file: {"matrices": [...]} or a bare list
-    of 2n x 2n matrices of scalar strings.  A matrix of the wrong shape is
-    named as /matrices/k and a bad entry as /matrices/k/i/j."""
+    of 2n x 2n matrices of scalar strings, each read by read_matrix at
+    /matrices/k."""
     try:
         handle = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -310,25 +311,9 @@ def _read_matrices(path, n, field):
     if not isinstance(mats, list):
         raise ValidationError([("/matrices", 'expected a list of matrices, bare or '
                                              'under the key "matrices"')])
-    size, issues = 2 * n, []
-
-    def scalar(where, text):
-        if not isinstance(text, str):
-            issues.append((where, "expected a scalar string"))
-            return None
-        try:
-            return field.parse(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            issues.append((where, f"{text!r} is not a scalar of {field!r} ({exc})"))
-
-    matrices = []
-    for k, mat in enumerate(mats):
-        if not (isinstance(mat, list) and len(mat) == size
-                and all(isinstance(row, list) and len(row) == size for row in mat)):
-            issues.append((f"/matrices/{k}", f"matrices must be {size}x{size}"))
-            continue
-        matrices.append([[scalar(f"/matrices/{k}/{i}/{j}", v) for j, v in enumerate(row)]
-                         for i, row in enumerate(mat)])
+    issues = []
+    matrices = [read_matrix(mat, f"/matrices/{k}", 2 * n, 2 * n, field, issues)
+                for k, mat in enumerate(mats)]
     if issues:
         raise ValidationError(issues)
     return matrices

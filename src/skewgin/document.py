@@ -4,6 +4,11 @@ errors, and construction of the working objects.
 All scalar values in a document are strings ("2", "-1/3", residues for a
 prime field) so no number-precision ambiguity can creep in.  Validation
 reports JSON-pointer style locations.
+
+Every reader here appends (location, message) pairs to a shared issues
+list, and its result counts only if it appended none.  Every scalar is read
+by read_scalar and every matrix of scalars by read_matrix, so each bad
+entry is refused at its own location with one of two messages.
 """
 
 from __future__ import annotations
@@ -87,43 +92,36 @@ def parse(text: str) -> ProblemDocument:
     if not isinstance(qraw, dict):
         issues.append(("/quiver", "missing or not an object"))
     else:
+        # no issue is recorded before this section: a bad field raises
         vertices = qraw.get("vertices", [])
         arrows_raw = qraw.get("arrows", [])
-        ok = _check_str_list(vertices, "/quiver/vertices", issues)
+        _check_str_list(vertices, "/quiver/vertices", issues)
         arrows = []
         if not isinstance(arrows_raw, list):
             issues.append(("/quiver/arrows", "expected a list"))
-            ok = False
-        elif ok:
+        elif not issues:
             names = set()
             for i, a in enumerate(arrows_raw):
                 where = f"/quiver/arrows/{i}"
                 if not isinstance(a, dict):
                     issues.append((where, "expected an object"))
-                    ok = False
                     continue
                 name, src, tgt = a.get("name"), a.get("src"), a.get("tgt")
                 deg = a.get("deg", 0)
                 if not isinstance(name, str) or not name:
                     issues.append((where + "/name", "expected a nonempty string"))
-                    ok = False
                     continue
                 if name in names:
                     issues.append((where + "/name", f"duplicate arrow name {name!r}"))
-                    ok = False
                 names.add(name)
                 if src not in vertices:
                     issues.append((where + "/src", f"unknown vertex {src!r}"))
-                    ok = False
                 if tgt not in vertices:
                     issues.append((where + "/tgt", f"unknown vertex {tgt!r}"))
-                    ok = False
                 if not _is_int(deg):
                     issues.append((where + "/deg", "expected an integer"))
-                    ok = False
-                if ok:
-                    arrows.append((name, src, tgt, deg))
-        if ok:
+                arrows.append((name, src, tgt, deg))
+        if not issues:
             # the doubled quiver adds a dual per arrow and a loop per vertex
             generated = {star_name(name): f"the dual of arrow {name!r}" for name in names}
             generated.update((loop_name(v), f"the loop at vertex {v!r}") for v in vertices)
@@ -131,8 +129,7 @@ def parse(text: str) -> ProblemDocument:
                 if name in generated:
                     issues.append((f"/quiver/arrows/{i}/name",
                                    f"{name!r} is {generated[name]} in the doubled quiver"))
-                    ok = False
-        if ok:
+        if not issues:
             quiver = GradedQuiver(vertices, arrows)
     if quiver is None:
         raise ValidationError(issues)
@@ -144,12 +141,7 @@ def parse(text: str) -> ProblemDocument:
         quiver, field, ((coeff, path) for path, coeff in pairs))
 
     d = raw.get("d", 3)
-    if not isinstance(d, int) or d < 3:
-        issues.append(("/d", "expected an integer >= 3"))
-        d = 3
-    elif (potential is not None and not potential.is_zero()
-          and (w_deg := degree_of(potential)) != 3 - d):
-        issues.append(("/d", f"potential degree {w_deg} != 3 - d = {3 - d}"))
+    check_d(d, potential, issues)
 
     group = None
     idempotents = None
@@ -203,8 +195,8 @@ def parse(text: str) -> ProblemDocument:
         issues.append(("/differential_override", "expected an object keyed by generators"))
     elif override_raw is not None:
         # a* reverses a and c_v is a loop at v whatever d is, and paths
-        # carry no degree, so the same paths serve ginzburg --d
-        doubled, differential_override = double_quiver(quiver, d), {}
+        # carry no degree, so the paths of the d = 3 double serve every d
+        doubled, differential_override = double_quiver(quiver, 3), {}
         for gen, terms in override_raw.items():
             where = f"/differential_override/{gen}"
             read = _read_terms(terms, where, "path", field, issues)
@@ -225,53 +217,85 @@ def parse(text: str) -> ProblemDocument:
                            idempotents, options, differential_override, reduced_potential)
 
 
+def check_d(d, potential, issues):
+    """Refuse at /d a CY dimension d that is not an integer >= 3, or that
+    a nonzero potential, homogeneous of degree 3 - d, does not fit."""
+    if not _is_int(d) or d < 3:
+        issues.append(("/d", "expected an integer >= 3"))
+    elif (potential is not None and not potential.is_zero()
+          and (w_deg := degree_of(potential)) != 3 - d):
+        issues.append(("/d", f"potential degree {w_deg} != 3 - d = {3 - d}"))
+
+
+def read_scalar(raw, where, field, issues):
+    """The scalar of field that the scalar string raw names."""
+    if not isinstance(raw, str):
+        issues.append((where, f"expected a scalar string, got {raw!r}"))
+        return None
+    try:
+        return field.parse(raw)
+    except (ValueError, ZeroDivisionError) as exc:
+        issues.append((where, f"{raw!r} is not a scalar of {field!r} ({exc})"))
+        return None
+
+
+def read_matrix(raw, where, rows, cols, field, issues):
+    """A list of rows of cols scalar strings as rows of scalars of field:
+    exactly rows of them, or any positive number when rows is None.  A wrong
+    row count is refused at where, a bad row at where/i and a bad entry at
+    where/i/j."""
+    if not isinstance(raw, list) or (not raw if rows is None else len(raw) != rows):
+        issues.append((where, "expected a nonempty list of rows" if rows is None
+                       else f"expected a {rows}x{cols} matrix"))
+        return None
+    start, matrix = len(issues), []
+    for i, row in enumerate(raw):
+        if not isinstance(row, list) or len(row) != cols:
+            issues.append((f"{where}/{i}", f"expected {cols} entries"))
+            continue
+        matrix.append([read_scalar(v, f"{where}/{i}/{j}", field, issues)
+                       for j, v in enumerate(row)])
+    return matrix if len(issues) == start else None
+
+
 def _read_terms(raw, where, key, field, issues):
     """Terms {"coeff": scalar string, key: [arrow names]} as (location of
-    the names, names, coeff) triples, or None when any term is malformed.
-    The names are resolved by resolve_terms on the quiver they live on."""
+    the names, names, coeff) triples.  The names are resolved by
+    resolve_terms on the quiver they live on."""
     if not isinstance(raw, list):
         issues.append((where, "expected a list of terms"))
         return None
-    terms, ok = [], True
+    start, terms = len(issues), []
     for i, term in enumerate(raw):
         here = f"{where}/{i}"
         if not isinstance(term, dict):
             issues.append((here, "expected an object"))
-            ok = False
             continue
-        coeff_raw, names = term.get("coeff", "1"), term.get(key)
-        try:
-            coeff = field.parse(coeff_raw)
-        except Exception:
-            issues.append((here + "/coeff", f"cannot parse scalar {coeff_raw!r}"))
-            ok = False
+        coeff = read_scalar(term.get("coeff", "1"), here + "/coeff", field, issues)
+        names = term.get(key)
         if not isinstance(names, list) or not names:
             issues.append((f"{here}/{key}", "expected a nonempty list of arrow names"))
-            ok = False
             continue
         for j, name in enumerate(names):
             if not isinstance(name, str):
                 issues.append((f"{here}/{key}/{j}", f"expected an arrow name, got {name!r}"))
-                ok = False
-        if ok:
-            terms.append((f"{here}/{key}", tuple(names), coeff))
-    return terms if ok else None
+        terms.append((f"{here}/{key}", tuple(names), coeff))
+    return terms if len(issues) == start else None
 
 
 def resolve_terms(terms, quiver, issues, along=None):
     """(path, coeff) pairs of read terms on quiver, or None when terms is
-    None or any term fails: every name must be an arrow of quiver, the
-    arrows must compose, and the path must be a cycle, or run from the
-    source to the target of the arrow along when one is given."""
+    None: every name must be an arrow of quiver, the arrows must compose,
+    and the path must be a cycle, or run from the source to the target of
+    the arrow along when one is given."""
     if terms is None:
         return None
-    pairs, ok = [], True
+    start, pairs = len(issues), []
     for where, names, coeff in terms:
         unknown = [j for j, name in enumerate(names) if name not in quiver.arrow_by_name]
         for j in unknown:
             issues.append((f"{where}/{j}", f"unknown arrow {names[j]!r}"))
         if unknown:
-            ok = False
             continue
         path = Path(quiver.arrow_by_name[names[0]].src, names)
         ends = (path.source, quiver.path_target(path))
@@ -285,36 +309,22 @@ def resolve_terms(terms, quiver, issues, along=None):
                 f"but {along.name} runs {along.src} -> {along.tgt}")
         if problem:
             issues.append((where, problem))
-            ok = False
-        else:
-            pairs.append((path, coeff))
-    return pairs if ok else None
+        pairs.append((path, coeff))
+    return pairs if len(issues) == start else None
 
 
 def _parse_idempotents(iraw, where, group, field, issues):
     if not isinstance(iraw, dict):
         issues.append((where, "expected an object with vectors and dims"))
         return None
-    vectors_raw = iraw.get("vectors")
+    start = len(issues)
+    vectors = read_matrix(iraw.get("vectors"), where + "/vectors", None, group.size,
+                          field, issues)
     dims = iraw.get("dims")
-    if not isinstance(vectors_raw, list) or not vectors_raw:
-        issues.append((where + "/vectors", "expected a nonempty list of rows"))
-        return None
-    if not isinstance(dims, list) or len(dims) != len(vectors_raw) \
-            or not all(_is_int(v) and v >= 1 for v in dims):
+    if (not isinstance(dims, list) or vectors is not None and len(dims) != len(vectors)
+            or not all(_is_int(v) and v >= 1 for v in dims)):
         issues.append((where + "/dims", "expected one positive integer per vector"))
-        return None
-    vectors = []
-    for i, row in enumerate(vectors_raw):
-        if not isinstance(row, list) or len(row) != group.size:
-            issues.append((f"{where}/vectors/{i}", f"expected {group.size} entries"))
-            return None
-        try:
-            vectors.append([field.parse(v) for v in row])
-        except Exception:
-            issues.append((f"{where}/vectors/{i}", "cannot parse a scalar entry"))
-            return None
-    return vectors, dims
+    return (vectors, dims) if len(issues) == start else None
 
 
 _BLOCK_KEY = re.compile(r"^\((.+),(.+)\)$")
@@ -323,69 +333,49 @@ _BLOCK_KEY = re.compile(r"^\((.+),(.+)\)$")
 def _parse_action(araw, quiver, field, group, issues):
     """Per-element (or generator) maps, completed by composition."""
     given = {}
-    ok = True
+    start = len(issues)
     for key, spec in araw.items():
         where = f"/action/{key}"
         try:
             g = group.index_of(key)
         except ValueError:
             issues.append((where, f"unknown group element {key!r}"))
-            ok = False
             continue
         if not isinstance(spec, dict):
             issues.append((where, "expected an object"))
-            ok = False
             continue
         perm_raw = spec.get("vertex_perm", {})
         perm = {v: v for v in quiver.vertices}
         if not isinstance(perm_raw, dict):
             issues.append((where + "/vertex_perm", "expected an object"))
-            ok = False
             continue
         for src, tgt in perm_raw.items():
             if src not in quiver.vertices or tgt not in quiver.vertices:
                 issues.append((where + "/vertex_perm", f"unknown vertex in {src!r}: {tgt!r}"))
-                ok = False
             else:
                 perm[src] = tgt
         if sorted(perm.values()) != sorted(quiver.vertices):
             issues.append((where + "/vertex_perm", "not a permutation"))
-            ok = False
             continue
         matrices_raw = spec.get("arrow_matrices", {})
         if not isinstance(matrices_raw, dict):
             issues.append((where + "/arrow_matrices", "expected an object"))
-            ok = False
             continue
         images = {}
         for block_key, mat in matrices_raw.items():
+            block = where + f"/arrow_matrices/{block_key}"
             m = _BLOCK_KEY.match(block_key)
             if not m:
-                issues.append((where + f"/arrow_matrices/{block_key}",
-                               "expected a key of the form (src,tgt)"))
-                ok = False
+                issues.append((block, "expected a key of the form (src,tgt)"))
                 continue
             src, tgt = m.group(1).strip(), m.group(2).strip()
-            cols = sorted(a.name for a in quiver.arrows if a.src == src and a.tgt == tgt)
-            rows = sorted(a.name for a in quiver.arrows
-                          if a.src == perm.get(src) and a.tgt == perm.get(tgt))
+            cols = quiver.arrows_between(src, tgt)
+            rows = quiver.arrows_between(perm.get(src), perm.get(tgt))
             if not cols:
-                issues.append((where + f"/arrow_matrices/{block_key}",
-                               f"no arrows {src} -> {tgt}"))
-                ok = False
+                issues.append((block, f"no arrows {src} -> {tgt}"))
                 continue
-            if (not isinstance(mat, list) or len(mat) != len(rows)
-                    or any(not isinstance(r, list) or len(r) != len(cols) for r in mat)):
-                issues.append((where + f"/arrow_matrices/{block_key}",
-                               f"expected a {len(rows)}x{len(cols)} matrix"))
-                ok = False
-                continue
-            try:
-                entries = [[field.parse(v) for v in r] for r in mat]
-            except Exception:
-                issues.append((where + f"/arrow_matrices/{block_key}",
-                               "cannot parse a matrix entry"))
-                ok = False
+            entries = read_matrix(mat, block, len(rows), len(cols), field, issues)
+            if entries is None:
                 continue
             for k, col_name in enumerate(cols):
                 images[col_name] = AlgElement(quiver, field, (
@@ -400,10 +390,8 @@ def _parse_action(araw, quiver, field, group, issues):
             else:
                 issues.append((where + "/arrow_matrices",
                                f"missing matrix for block ({a.src},{a.tgt})"))
-                ok = False
-        if ok:
-            given[g] = (perm, images)
-    if not ok:
+        given[g] = (perm, images)
+    if len(issues) != start:
         return None
 
     ident = group.identity

@@ -31,7 +31,7 @@ from .action import QuiverAction, is_potential_invariant, validate_action
 from .crossed import (CrossedElement, basis_index, crossed_basis, expand_certificate,
                       express_modulo_commutators, vectorize)
 from .errors import (BasisExpressFailure, DegreeMismatch, IncompleteIdempotents,
-                     InvalidAction, NoSolution, NotInvariantPotential)
+                     InvalidAction, NoSolution, NotInvariantPotential, SkewginError)
 from .ginzburg import derivative_relations, jacobian_truncation, relation_ideal
 from .groups import GroupAlgebra, IdempotentSet, abelian_idempotents, validate_idempotent_set
 from .linalg import LinSolver
@@ -100,8 +100,7 @@ def build_bimodule(action: QuiverAction, reps, kappa, stabilizers):
             orbit_j = sorted(v for v in quiver.vertices if rep_of[v] == j)
             slot_candidates = {}  # degree -> list of CrossedElement
             for (i2, j2) in _diagonal_orbit_reps(action, orbit_i, orbit_j):
-                arrows = sorted(a.name for a in quiver.arrows
-                                if a.src == i2 and a.tgt == j2)
+                arrows = quiver.arrows_between(i2, j2)
                 for g1 in stabilizers[i]:
                     left = G.mul(g1, kappa[i2])
                     twist = G.mul(left, G.inv(kappa[j2]))
@@ -191,7 +190,7 @@ def build_morita(action: QuiverAction, idempotents=None) -> MoritaData:
         else:
             try:
                 idem_set = abelian_idempotents(sub, field)
-            except Exception as exc:
+            except SkewginError as exc:
                 raise IncompleteIdempotents(
                     f"stabilizer of {rep} needs a supplied idempotent set: {exc}") from exc
         failures = validate_idempotent_set(idem_set)

@@ -73,6 +73,11 @@ class GradedQuiver:
         except KeyError:
             raise UnknownArrow(f"no arrow named {name!r}") from None
 
+    def arrows_between(self, src: str, tgt: str) -> tuple:
+        """The names of the arrows src -> tgt, sorted: the basis of that
+        arrow block.  () when there are none or a vertex is unknown."""
+        return tuple(sorted(a.name for a in self.arrows_from.get(src, ()) if a.tgt == tgt))
+
     # -- paths --
 
     def trivial_path(self, vertex: str) -> Path:

@@ -222,6 +222,19 @@ MUTANTS = [
            "        rraw, \"/reduced_potential\", \"cycle\", field, issues)\n",
            "        rraw, \"/reduced_potential\", \"cycle\", make_field(\"Q\"), issues)\n",
            ("tests/test_cli.py::test_document_values_of_the_wrong_type_exit_2",)),
+    # -- the scalar and matrix readers --
+    Mutant("matrix-row-length-unchecked", "document.py",
+           "        if not isinstance(row, list) or len(row) != cols:\n",
+           "        if not isinstance(row, list):\n",
+           ("tests/test_cli.py::test_a_row_of_the_wrong_length_is_refused_at_its_index",)),
+    Mutant("scalar-type-unchecked", "document.py",
+           "    if not isinstance(raw, str):\n        issues.append((where, f\"expected a scalar",
+           "    if False:\n        issues.append((where, f\"expected a scalar",
+           ("tests/test_cli.py::test_a_bad_scalar_is_refused_at_its_entry_by_every_run",)),
+    Mutant("matrix-reader-returns-after-an-issue", "document.py",
+           "    return matrix if len(issues) == start else None\n",
+           "    return matrix\n",
+           ("tests/test_cli.py::test_a_bad_scalar_is_refused_at_its_entry_by_every_run",)),
 ]
 
 

@@ -2,8 +2,10 @@ import contextlib
 import copy
 import io
 import json
+import operator
 import os
 import tempfile
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -143,7 +145,7 @@ def test_term_coeffs_are_parsed_in_every_command(capsys, tmp_path, command):
     code, report = run_cli(capsys, tmp_path, bad, command)
     assert code == 2
     assert report["errors"] == [
-        {"location": where, "message": "cannot parse scalar '1/0'"}
+        {"location": where, "message": "'1/0' is not a scalar of GF(7) (inverse of zero)"}
         for where in ["/potential/0/coeff", "/differential_override/x*/0/coeff",
                       "/reduced_potential/1/coeff"]]
 
@@ -363,6 +365,17 @@ def test_ginzburg_d_below_3_exit_2(capsys, tmp_path):
     assert report["errors"] == [{"location": "/d", "message": "expected an integer >= 3"}]
 
 
+@pytest.mark.parametrize("d, code, errors", [
+    ("4", 2, [{"location": "/d", "message": "potential degree 0 != 3 - d = -1"}]),
+    ("3", 0, None),
+])
+def test_ginzburg_d_is_checked_against_the_potential(capsys, tmp_path, d, code, errors):
+    # the McKay potential has degree 0, which fits --d 3 only
+    got, report = run_cli(capsys, tmp_path, doc(MCKAY), "ginzburg", "--d", d)
+    assert got == code
+    assert report.get("errors") == errors
+
+
 @pytest.mark.parametrize("command", ["ginzburg", "verify"])
 def test_document_d_is_honoured(capsys, tmp_path, command):
     # the McKay potential has degree 0, which only fits d = 3; the document
@@ -464,9 +477,9 @@ def test_weyl_signed_fraction_entries(capsys, tmp_path):
     (THREE_LOOPS_COMMUTATOR, lambda d, t: d["potential"][1].update(coeff=t),
      "/potential/1/coeff"),
     (MCKAY, lambda d, t: d["action"]["g"]["arrow_matrices"]["(v,v)"][0].__setitem__(0, t),
-     "/action/g/arrow_matrices/(v,v)"),
+     "/action/g/arrow_matrices/(v,v)/0/0"),
     (SIGNED_S3, lambda d, t: d["group"]["idempotents"]["vectors"][2].__setitem__(1, t),
-     "/group/idempotents/vectors/2"),
+     "/group/idempotents/vectors/2/1"),
 ], ids=["potential", "action", "idempotents"])
 def test_document_scalar_outside_grammar_exit_2(capsys, tmp_path, text, base, change, location):
     document = copy.deepcopy(base)
@@ -474,6 +487,77 @@ def test_document_scalar_outside_grammar_exit_2(capsys, tmp_path, text, base, ch
     code, report = run_cli(capsys, tmp_path, json.dumps(document), "validate")
     assert code == 2
     assert [e["location"] for e in report["errors"]] == [location]
+
+
+S3_GF7 = dict(SIGNED_S3, field={"p": 7})
+IDENTITY_2 = [["1", "0"], ["0", "1"]]
+
+# every site of a scalar in an input, over GF(7): the input, the keys down to
+# an entry, and the location of the input's root.  A document is run by
+# every document command, a matrix list by weyl --n 1 --matrices.
+SCALAR_SITES = {
+    "action": (MCKAY, ("action", "g", "arrow_matrices", "(v,v)", 1, 2), ""),
+    "idempotents": (S3_GF7, ("group", "idempotents", "vectors", 2, 1), ""),
+    "coeff": (MCKAY, ("potential", 1, "coeff"), ""),
+    "matrices": ([IDENTITY_2, IDENTITY_2], (1, 1, 1), "/matrices"),
+}
+
+
+def refusals(capsys, tmp_path, site, keys, value):
+    """The location of keys in the input of site, and the (exit code,
+    errors) of every run on that input with value put at keys."""
+    base, _, root = SCALAR_SITES[site]
+    data = json.loads(json.dumps(base))  # a copy that shares no list
+    *path, last = keys
+    reduce(operator.getitem, path, data)[last] = value
+    file = tmp_path / "input.json"
+    file.write_text(json.dumps(data), encoding="utf-8")
+    runs = ([["weyl", "--n", "1", "--field", "7", "--matrices", str(file)]] if root
+            else [[command, str(file)] for command in DOCUMENT_COMMANDS])
+    out = []
+    for argv in runs:
+        code = main(argv)
+        out.append((code, json.loads(capsys.readouterr().out).get("errors")))
+    return root + "".join(f"/{key}" for key in keys), out
+
+
+@pytest.mark.parametrize("value, message", [
+    (1, "expected a scalar string, got 1"),
+    ("1/0", "'1/0' is not a scalar of GF(7) (inverse of zero)"),
+    ("1e5", "'1e5' is not a scalar of GF(7) (expected n or n/m)"),
+    ("x", "'x' is not a scalar of GF(7) (expected n or n/m)"),
+    ("1/7", "'1/7' is not a scalar of GF(7) (inverse of zero)"),
+], ids=["int", "zero-den", "exponent", "word", "mod-p"])
+@pytest.mark.parametrize("site", SCALAR_SITES)
+def test_a_bad_scalar_is_refused_at_its_entry_by_every_run(capsys, tmp_path, site, value,
+                                                           message):
+    location, runs = refusals(capsys, tmp_path, site, SCALAR_SITES[site][1], value)
+    assert runs == [(2, [{"location": location, "message": message}])] * len(runs)
+
+
+@pytest.mark.parametrize("row", [["1"], ["1"] * 7, "1"], ids=["short", "long", "string"])
+@pytest.mark.parametrize("site", ["action", "idempotents", "matrices"])
+def test_a_row_of_the_wrong_length_is_refused_at_its_index(capsys, tmp_path, site, row):
+    base, keys, _ = SCALAR_SITES[site]
+    entries = len(reduce(operator.getitem, keys[:-1], base))
+    location, runs = refusals(capsys, tmp_path, site, keys[:-1], row)
+    assert runs == [(2, [{"location": location,
+                          "message": f"expected {entries} entries"}])] * len(runs)
+
+
+@pytest.mark.parametrize("site, rows, location, message", [
+    ("action", 2, "/action/g/arrow_matrices/(v,v)", "expected a 3x3 matrix"),
+    ("idempotents", 0, "/group/idempotents/vectors", "expected a nonempty list of rows"),
+    # the dims are checked against the rows read
+    ("idempotents", 2, "/group/idempotents/dims", "expected one positive integer per vector"),
+    ("matrices", 1, "/matrices/1", "expected a 2x2 matrix"),
+], ids=["action", "idempotents-none", "idempotents-dims", "matrices"])
+def test_a_matrix_of_the_wrong_row_count_is_refused_at_the_matrix(capsys, tmp_path, site, rows,
+                                                                  location, message):
+    base, keys, _ = SCALAR_SITES[site]
+    matrix = reduce(operator.getitem, keys[:-2], base)
+    _, runs = refusals(capsys, tmp_path, site, keys[:-2], matrix[:rows])
+    assert runs == [(2, [{"location": location, "message": message}])] * len(runs)
 
 
 def test_weyl_matrix_of_wrong_shape_named_by_index(capsys, tmp_path):
@@ -484,8 +568,8 @@ def test_weyl_matrix_of_wrong_shape_named_by_index(capsys, tmp_path):
     report = json.loads(capsys.readouterr().out)
     assert code == 2
     assert report["errors"] == [
-        {"location": "/matrices/1", "message": "matrices must be 2x2"},
-        {"location": "/matrices/2", "message": "matrices must be 2x2"}]
+        {"location": "/matrices/1", "message": "expected a 2x2 matrix"},
+        {"location": "/matrices/2", "message": "expected a 2x2 matrix"}]
 
 
 def test_weyl_size_guard_before_any_basis(capsys, monkeypatch):
@@ -508,6 +592,25 @@ def test_weyl_negative_filtration_exit_2(capsys):
     assert code == 2
     assert report["ok"] is False
     assert [e["location"] for e in report["errors"]] == ["/filtration"]
+
+
+def test_nonabelian_stabilizer_without_a_supplied_set_exit_2(capsys, tmp_path):
+    group = {k: v for k, v in SIGNED_S3["group"].items() if k != "idempotents"}
+    code, report = run_cli(capsys, tmp_path, doc(SIGNED_S3, group=group), "reduce")
+    assert code == 2
+    [error] = report["errors"]
+    assert error["location"] == "/"
+    assert error["message"].startswith("stabilizer of v needs a supplied idempotent set")
+
+
+def test_a_programming_error_in_the_idempotents_propagates(capsys, tmp_path, monkeypatch):
+    # only a refusal of the group or the field is a missing idempotent set
+    def broken(group, field):
+        raise RuntimeError("broken")
+
+    monkeypatch.setattr("skewgin.morita.abelian_idempotents", broken)
+    with pytest.raises(RuntimeError, match="broken"):
+        run_cli(capsys, tmp_path, doc(MCKAY), "reduce")
 
 
 @pytest.mark.parametrize("command", ["reduce", "verify"])
