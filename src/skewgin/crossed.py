@@ -18,7 +18,10 @@ built once (see ``CrossedElement.__mul__``); elements are immutable, so
 the right operand caches that regrouping.  The basis-pair products
 (p, g)(q, h) of commutators and certificates are read straight off the
 cleared image.  The commutator feed of ``express_modulo_commutators``
-stops as soon as the target is in the span.
+forms a commutator only when it reaches it, finding the ones that touch
+the target's residual through an index of the cleared images, and stops
+as soon as the target is in the span.  A ``Certificate`` keeps one den and
+int entries; field scalars are made only when it is iterated.
 """
 
 from __future__ import annotations
@@ -242,35 +245,108 @@ def _commutator_ints(action, u, v):
     return den, [(key, a * c) for key, c in uv] + [(key, b * c) for key, c in vu]
 
 
-def commutator_basis(action, length: int):
-    """Spanning set of the commutator subspace of one length component.
+def _basis_pairs(action, length: int):
+    """The basis pairs u = (p, g), v = (q, h) of one length component in
+    basis order: len(p) + len(q) = length, len(p) <= len(q), each unordered
+    pair once."""
+    for s in range(length // 2 + 1):
+        left, right = crossed_basis(action, s), crossed_basis(action, length - s)
+        for i, u in enumerate(left):
+            for v in right[i + 1 if 2 * s == length else 0:]:
+                yield u, v
 
-    Iterates basis pairs u = (p, g), v = (q, h) with len(p) + len(q) equal
-    to the requested length, keeping each unordered pair once and dropping
-    zero commutators.  Each commutator is summed on ints from the cleared
-    images of its two basis-pair products and kept as it is, den and int
-    terms, with no field scalar made.
-    """
+
+def commutator_basis(action, length: int, pairs=None):
+    """Spanning set of the commutator subspace of one length component: the
+    nonzero commutators of the given basis pairs (by default all of
+    ``_basis_pairs``) in order, each summed on ints from the cleared images
+    of its two basis-pair products and kept as den and int terms."""
     out = []
     accumulate = action.field.accumulate
-    for s in range(length // 2 + 1):
-        t = length - s
-        left = crossed_basis(action, s)
-        right = crossed_basis(action, t)
-        for i, u in enumerate(left):
-            start = i + 1 if s == t else 0
-            for v in right[start:]:
-                den, ints = _commutator_ints(action, u, v)
-                if terms := accumulate({}, ints):
-                    out.append(CommutatorTerm(u, v, CrossedElement.from_ints(action, den, terms)))
+    for u, v in _basis_pairs(action, length) if pairs is None else pairs:
+        den, ints = _commutator_ints(action, u, v)
+        if terms := accumulate({}, ints):
+            out.append(CommutatorTerm(u, v, CrossedElement.from_ints(action, den, terms)))
     return out
 
 
-def expand_certificate(action, certificate) -> CrossedElement:
-    """Re-expand a list of ((u, v), coeff) commutator entries exactly:
-    every coeff * [u, v] goes on ints into one ``Field.combine``."""
-    return CrossedElement.from_ints(action, *action.field.combine(
-        (coeff, *_commutator_ints(action, u, v)) for (u, v), coeff in certificate))
+class Certificate:
+    """Commutator entries ((u, v), coeff), each coeff = terms[u, v] / den:
+    one positive int den and int terms, as ``Field.combine`` leaves them.
+    Iteration makes the field scalars, one ``Field.ratio`` per entry."""
+
+    __slots__ = ("field", "den", "terms")
+
+    def __init__(self, field, den: int, terms: dict):
+        self.field, self.den, self.terms = field, den, terms
+
+    @classmethod
+    def from_entries(cls, field, entries):
+        """The certificate of ((u, v), field scalar) entries, a repeated
+        pair getting the sum of its coefficients."""
+        return cls(field, *field.combine((coeff, 1, ((pair, 1),)) for pair, coeff in entries))
+
+    def __len__(self):
+        return len(self.terms)
+
+    def __iter__(self):
+        ratio, den = self.field.ratio, self.den
+        return ((pair, ratio(s, den)) for pair, s in self.terms.items())
+
+
+def expand_certificate(action, certificate: Certificate) -> CrossedElement:
+    """Re-expand a certificate exactly: the int of every entry (u, v) times
+    the int terms of [u, v], summed per commutator den into one
+    ``CrossedElement.from_sums`` over the certificate's den."""
+    sums = {}
+    for (u, v), s in certificate.terms.items():
+        den, ints = _commutator_ints(action, u, v)
+        acc = sums.setdefault(den, {})
+        get = acc.get
+        for key, c in ints:
+            acc[key] = get(key, 0) + s * c
+    return CrossedElement.from_sums(action, sums, certificate.den)
+
+
+def _touching_candidates(action, length: int, keys):
+    """The basis pairs, in basis order, whose commutator may have a term on
+    one of keys: a product (a, g)(q, h) has a raw term on (s, k) only when
+    a is a prefix of s, gh = k and the rest of s is a path of g's image of
+    q, so each split of s is looked up in an index of the cleared images."""
+    group, quiver = action.group, action.quiver
+    sources = {}  # (g, r) -> the paths q whose image under g has the path r
+    for layer in paths_by_length(quiver, length).values():
+        for g in group.elements():
+            for q in layer:
+                for r, _ in action.cleared_image(g, q)[1]:
+                    sources.setdefault((g, r), []).append(q)
+    pairs = set()
+    for s, k in keys:
+        for i in range(length + 1):
+            a = Path(s.source, s.arrows[:i])
+            rest = Path(quiver.path_target(a), s.arrows[i:])
+            for g in group.elements():
+                u, h = (a, g), group.mul(group.inv(g), k)
+                pairs.update(pair for q in sources.get((g, rest), ())
+                             for pair in ((u, (q, h)), ((q, h), u)))
+    return [pair for pair in _basis_pairs(action, length) if pair in pairs]
+
+
+def _feed(action, length: int, index: dict, support):
+    """(commutator, vector) in feed order: those whose vector meets the
+    support first, then the rest, each part in basis order.  Only the
+    touching candidates are formed up front, the rest when reached."""
+    touching = set()
+    keys = [key for key, i in index.items() if i in support]
+    for term in commutator_basis(action, length, _touching_candidates(action, length, keys)):
+        vector = vectorize(term.element, index)
+        if not support.isdisjoint(vector):
+            touching.add((term.u, term.v))
+            yield term, vector
+    for pair in _basis_pairs(action, length):
+        if pair not in touching:
+            for term in commutator_basis(action, length, (pair,)):
+                yield term, vectorize(term.element, index)
 
 
 def express_modulo_commutators(solver, target: CrossedElement, length: int, index: dict,
@@ -279,28 +355,28 @@ def express_modulo_commutators(solver, target: CrossedElement, length: int, inde
 
     Every input of the solver must carry a label, and each is the int
     terms of an element whose den is dens[label].
-    The solver's own labelled vectors are tried first.  Only then is the
-    commutator span of the length component built and fed in, each
-    commutator as its int terms, the ones touching the residual's support
-    first, in basis order.  The feed stops as soon as the target is in the
-    span, which is checked only after an insertion that enlarged it, and
-    the target is expressed once more.  The labelled inputs are
-    independent, so the combination is unique: a commutator fed after the
-    stop would get coefficient 0, and the certificate is the one the whole
-    feed gives.  The solver combines int vectors, so each coefficient is
-    rescaled by its input's den over the target's den.  Returns
-    (combination of the caller's labels, certificate entries
-    ((u, v), coeff)), or None.
+    The solver's own labelled vectors are tried first.  Only then are the
+    commutators of the length component fed in (``_feed``), each as its
+    int terms, the ones touching the residual's support first, in basis
+    order, each formed only when the feed reaches it.  The feed stops as
+    soon as the target is in the span: after an insertion that enlarged
+    it, only the target's residual is reduced further
+    (``LinSolver.span_test``), which is exact as the residual holds no
+    pivot key; then the target is expressed once more.
+    The labelled inputs are independent, so the combination is unique: a
+    commutator fed after the stop would get coefficient 0, and the
+    certificate is the one the whole feed gives.  The solver combines int
+    vectors, so each coefficient is rescaled by its input's den over the
+    target's den.  Returns (combination of the caller's labels,
+    certificate entries ((u, v), coeff)), or None.
     """
     vector = vectorize(target, index)
     combo = solver.express(vector)
     if combo is None:
-        support = set(solver.residual(vector))
-        terms = commutator_basis(target.action, length)
-        vectors = [vectorize(term.element, index) for term in terms]
-        order = sorted(range(len(terms)), key=lambda k: support.isdisjoint(vectors[k]))
-        for k in order:
-            if solver.add(vectors[k], label=terms[k]) and solver.contains(vector):
+        residual = solver.residual(vector)
+        in_span = solver.span_test(residual)
+        for term, vec in _feed(target.action, length, index, set(residual)):
+            if solver.add(vec, label=term) and in_span():
                 break
         combo = solver.express(vector)
         if combo is None:

@@ -361,7 +361,7 @@ def _parse_action(araw, quiver, field, group, issues):
         if not isinstance(matrices_raw, dict):
             issues.append((where + "/arrow_matrices", "expected an object"))
             continue
-        images = {}
+        images, listed = {}, set()
         for block_key, mat in matrices_raw.items():
             block = where + f"/arrow_matrices/{block_key}"
             m = _BLOCK_KEY.match(block_key)
@@ -374,6 +374,7 @@ def _parse_action(araw, quiver, field, group, issues):
             if not cols:
                 issues.append((block, f"no arrows {src} -> {tgt}"))
                 continue
+            listed.update(cols)
             entries = read_matrix(mat, block, len(rows), len(cols), field, issues)
             if entries is None:
                 continue
@@ -381,9 +382,10 @@ def _parse_action(araw, quiver, field, group, issues):
                 images[col_name] = AlgElement(quiver, field, (
                     (Path(perm[src], (row_name,)), entries[t][k])
                     for t, row_name in enumerate(rows)))
-        # blocks that stay in place and were not listed default to identity
+        # blocks that stay in place and were not listed default to identity;
+        # a listed block that was refused has its issue already
         for a in quiver.arrows:
-            if a.name in images:
+            if a.name in listed:
                 continue
             if perm[a.src] == a.src and perm[a.tgt] == a.tgt:
                 images[a.name] = AlgElement.from_arrow(quiver, field, a.name)

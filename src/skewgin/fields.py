@@ -182,13 +182,15 @@ class Field:
         n is an optionally signed decimal integer and m an unsigned one;
         surrounding white space is ignored.  Anything else (exponents,
         decimal points, underscores) raises ValueError, and m = 0 (or
-        m = 0 mod p) raises ZeroDivisionError.
+        m = 0 mod p) raises ZeroDivisionError("inverse of zero").
         """
         match = _SCALAR.fullmatch(text.strip())
         if match is None:
             raise ValueError("expected n or n/m")
         num, den = match.groups()
         if self.p is None:
+            if den is not None and int(den) == 0:
+                raise ZeroDivisionError("inverse of zero")
             return Fraction(int(num), 1 if den is None else int(den))
         if den is None:
             return int(num) % self.p

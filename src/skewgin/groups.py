@@ -159,13 +159,17 @@ class GroupAlgebra:
             (gmul(g, h), cg * ch) for g, cg in x.items() for h, ch in y.items()))
 
     def right_module_dimension(self, e: dict) -> int:
-        """dim of e * kG as a subspace of kG."""
+        """dim of e * kG as a subspace of kG: the rank of the translates e.g.
+        e may be cleared to ints (``Field.scaled``), which scales them alike."""
         solver = LinSolver(self.field)
         for g in self.group.elements():
-            vec = self.mul(e, self.from_element(g))
-            if vec:
-                solver.add(vec)
+            solver.add(_right_translate(self.group, e, g))
         return solver.rank
+
+
+def _right_translate(group: FiniteGroup, e: dict, g: int) -> dict:
+    """e.g, a re-keying h -> hg of e's terms, with no product."""
+    return {group.mul(h, g): c for h, c in e.items()}
 
 
 class IdempotentSet:
@@ -249,17 +253,21 @@ def validate_idempotent_set(idem_set: IdempotentSet):
     dims = idem_set.dims
     if len(els) != len(dims):
         return [f"{len(els)} idempotents but {len(dims)} declared dimensions"]
-    for i, e in enumerate(els):
-        if alg.mul(e, e) != e:
+    # each e_i cleared once to E_i / d_i, and every product below is on the
+    # ints: scaling an element does not change whether a product vanishes
+    cleared = [alg.field.scaled(e.items()) for e in els]
+    ints = [dict(items) for _, items in cleared]
+    for i, (d, items) in enumerate(cleared):
+        if alg.mul(ints[i], ints[i]) != {g: d * c for g, c in items}:
             report.append(f"element {i} is not idempotent")
     for i in range(len(els)):
         for j in range(len(els)):
-            if i != j and alg.mul(els[i], els[j]):
+            if i != j and alg.mul(ints[i], ints[j]):
                 report.append(f"elements {i} and {j} are not orthogonal")
     if sum(d * d for d in dims) != G.size:
         report.append(
             f"sum of squared dimensions {sum(d * d for d in dims)} != |G| = {G.size}")
-    for i, (e, d) in enumerate(zip(els, dims)):
+    for i, (e, d) in enumerate(zip(ints, dims)):
         got = alg.right_module_dimension(e)
         if got != d:
             report.append(f"element {i} spans a module of dimension {got}, declared {d}")
@@ -267,7 +275,7 @@ def validate_idempotent_set(idem_set: IdempotentSet):
         for j in range(len(els)):
             if i == j:
                 continue
-            if any(alg.mul(alg.mul(els[i], alg.from_element(g)), els[j]) for g in G.elements()):
+            if any(alg.mul(_right_translate(G, ints[i], g), ints[j]) for g in G.elements()):
                 report.append(f"elements {i} and {j} select isomorphic summands")
     if all(d == 1 for d in dims):
         total = {}

@@ -127,6 +127,13 @@ class LinSolver:
     def contains(self, vec: dict) -> bool:
         return self._eliminate(self._scaled(vec)[0]) is None
 
+    def span_test(self, vec: dict):
+        """A function telling whether vec is in the span now.  It keeps vec
+        reduced in place between calls, so each call meets only the rows
+        added since: the least key left has no row until a row pivots on it."""
+        work = self._scaled(vec)[0]
+        return lambda: self._eliminate(work) is None
+
     def residual(self, vec: dict) -> dict:
         """The fully reduced form of vec; empty iff vec lies in the span."""
         out = {}

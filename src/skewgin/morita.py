@@ -28,8 +28,8 @@ from collections import defaultdict
 from itertools import chain
 
 from .action import QuiverAction, is_potential_invariant, validate_action
-from .crossed import (CrossedElement, basis_index, crossed_basis, expand_certificate,
-                      express_modulo_commutators, vectorize)
+from .crossed import (Certificate, CrossedElement, basis_index, crossed_basis,
+                      expand_certificate, express_modulo_commutators, vectorize)
 from .errors import (BasisExpressFailure, DegreeMismatch, IncompleteIdempotents,
                      InvalidAction, NoSolution, NotInvariantPotential, SkewginError)
 from .ginzburg import derivative_relations, jacobian_truncation, relation_ideal
@@ -360,7 +360,7 @@ def transport_potential(w: Potential, md: MoritaData):
     """Move a potential through the corner onto the reduced quiver.
 
     Only for the untwisted grading (all arrow degrees 0).  Returns
-    (reduced potential, certificate); the certificate lists commutator
+    (reduced potential, certificate); the ``Certificate`` holds commutator
     pairs with coefficients and re-expands exactly to the difference
     between the embedded result and the original element.
     """
@@ -371,7 +371,7 @@ def transport_potential(w: Potential, md: MoritaData):
     if not is_potential_invariant(w, action):
         raise NotInvariantPotential("the potential is not fixed by the group action")
     if w.is_zero():
-        return Potential(md.qprime, field), []
+        return Potential(md.qprime, field), Certificate(field, 1, {})
     ell = cycle_length_of(w)
     if ell is None:
         raise DegreeMismatch("potential transport requires one cycle length")
@@ -412,17 +412,16 @@ def transport_potential(w: Potential, md: MoritaData):
             splits.append((coeff, head, tail))
     embedded = embed_paths(md, [p for _, head, tail in splits for p in (head, tail)])
     # every entry on ints over one denominator, merged as it is made and
-    # never held as one list; a field scalar only per merged entry
+    # never held as one list, and kept on ints
     def bilinear(tail, head):
         return (((u_key, v_key), a * b) for u_key, a in tail.terms.items()
                 for v_key, b in head.terms.items())
 
-    den, acc = field.combine(chain(
+    certificate = Certificate(field, *field.combine(chain(
         ((coeff, embedded[tail].den * embedded[head].den,
           bilinear(embedded[tail], embedded[head])) for coeff, head, tail in splits),
-        ((field.neg(coeff), 1, ((pair, 1),)) for pair, coeff in solved)))
+        ((field.neg(coeff), 1, ((pair, 1),)) for pair, coeff in solved))))
     del embedded
-    certificate = [(pair, field.ratio(s, den)) for pair, s in acc.items()]
     reduced = canonicalize(qprime, field, raw_terms)
     # the certificate is never trusted: re-expand and compare exactly
     difference = embed(md, reduced.as_element()) - x
@@ -435,7 +434,8 @@ def certify_reduction(md: MoritaData, w: Potential, reduced: Potential):
     """Certify that a reduced potential represents the original class.
 
     Solves embed(reduced) - (original tensor identity) as an exact
-    combination of commutators, re-expands the certificate, and returns it.
+    combination of commutators, re-expands the certificate, and returns it
+    as a ``Certificate``.
     Raises BasisExpressFailure when the classes differ, which is how a
     perturbed reduced potential is caught.
     """
@@ -443,7 +443,7 @@ def certify_reduction(md: MoritaData, w: Potential, reduced: Potential):
     x = CrossedElement.from_alg(action, w.as_element())
     difference = embed(md, reduced.as_element()) - x
     if difference.is_zero():
-        return []
+        return Certificate(field, 1, {})
     ell = difference.pure_length()
     index = basis_index(action, ell)
     found = express_modulo_commutators(LinSolver(field), difference, ell, index, {})
@@ -451,7 +451,7 @@ def certify_reduction(md: MoritaData, w: Potential, reduced: Potential):
         raise BasisExpressFailure(
             "embedded reduced potential differs from the original by more "
             "than commutators")
-    certificate = found[1]
+    certificate = Certificate.from_entries(field, found[1])
     if expand_certificate(action, certificate) != difference:
         raise BasisExpressFailure("certificate failed re-expansion")
     return certificate

@@ -48,6 +48,7 @@ ORACLE_PRODUCT = "tests/test_crossed.py::test_product_matches_field_scalar_oracl
 CORNER_ORACLE = "tests/test_morita.py::test_corner_matches_two_product_oracle"
 DIFFERENTIAL_ORACLE = "tests/test_weyl.py::test_differentials_match_oracles_on_every_basis_key"
 OFF_GENERATOR = "tests/test_cli.py::test_override_term_off_its_generator_exit_2"
+FEED_COUNT = "tests/test_morita.py::test_signed_s3_feed_builds_only_the_commutators_it_feeds"
 
 MUTANTS = [
     # -- the int kernel of CrossedElement and its denominators --
@@ -94,10 +95,22 @@ MUTANTS = [
            ("tests/test_crossed.py::test_commutator_basis_two_loops",
             "tests/test_morita.py::test_commutator_basis_matches_product_oracle")),
     Mutant("feed-only-first-commutator", "crossed.py",
-           "        for k in order:\n            if solver.add(vectors[k], label=terms[k])",
-           "        for k in order[:1]:\n            if solver.add(vectors[k], label=terms[k])",
+           "        for term, vec in _feed(target.action, length, index, set(residual)):\n",
+           "        for term, vec in [next(_feed(target.action, length, index, set(residual)))]:\n",
            ("tests/test_morita.py::test_one_commutator_feed_matches_retrying_oracle"
             "_on_transport",)),
+    Mutant("candidates-try-only-split-zero", "crossed.py",
+           "        for i in range(length + 1):\n            a = Path(s.source, s.arrows[:i])\n",
+           "        for i in range(1):\n            a = Path(s.source, s.arrows[:i])\n",
+           (FEED_COUNT,)),
+    Mutant("feed-stop-never-reduces-residual", "crossed.py",
+           "            if solver.add(vec, label=term) and in_span():\n",
+           "            if solver.add(vec, label=term) and not residual:\n",
+           (FEED_COUNT,)),
+    Mutant("expand-drops-certificate-den", "crossed.py",
+           "    return CrossedElement.from_sums(action, sums, certificate.den)\n",
+           "    return CrossedElement.from_sums(action, sums, 1)\n",
+           ("tests/test_morita.py::test_signed_s3_certificate_is_one_den_and_ints",)),
     # -- the Morita layer --
     Mutant("bimodule-drops-kappa-inverse", "morita.py",
            "                    twist = G.mul(left, G.inv(kappa[j2]))\n",
@@ -149,6 +162,14 @@ MUTANTS = [
            "            if set(map(type, values)) <= {int}:\n",
            "            if True:\n",
            ("tests/test_linalg.py::test_rank_counts_independent_rows",)),
+    Mutant("right-translate-on-the-left", "groups.py",
+           "    return {group.mul(h, g): c for h, c in e.items()}\n",
+           "    return {group.mul(g, h): c for h, c in e.items()}\n",
+           ("tests/test_groups.py::test_validate_catches_isomorphic_pair",)),
+    Mutant("idempotent-check-ignores-den", "groups.py",
+           "        if alg.mul(ints[i], ints[i]) != {g: d * c for g, c in items}:\n",
+           "        if alg.mul(ints[i], ints[i]) != {g: c for g, c in items}:\n",
+           ("tests/test_groups.py::test_abelian_idempotents_z2_rationals",)),
     Mutant("characters-take-power-character-as-one", "groups.py",
            "                if f.pow(z, m) != chi[gm]:\n",
            "                if f.pow(z, m) != f.one():\n",

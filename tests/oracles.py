@@ -57,9 +57,9 @@ from itertools import combinations, product
 from math import comb, factorial
 
 from skewgin import weyl
-from skewgin.crossed import (CommutatorTerm, CrossedElement, basis_index, commutator_basis,
-                             crossed_basis, expand_certificate, express_modulo_commutators,
-                             vectorize)
+from skewgin.crossed import (Certificate, CommutatorTerm, CrossedElement, basis_index,
+                             commutator_basis, crossed_basis, expand_certificate,
+                             express_modulo_commutators, vectorize)
 from skewgin.errors import NoSolution, NotAbelian, NotSymplectic, UnknownArrow
 from skewgin.fields import primitive_root_of_unity
 from skewgin.linalg import LinSolver
@@ -983,6 +983,6 @@ def hc0_reduce(x: CrossedElement, e: CrossedElement):
     for key, coeff in combo.items():
         w = w + scale(corners[key], coeff)
     # self-verify: the certificate must re-expand exactly to x - w
-    if expand_certificate(action, certificate) != x - w:
+    if expand_certificate(action, Certificate.from_entries(action.field, certificate)) != x - w:
         raise NoSolution("certificate failed re-expansion")
     return w, certificate

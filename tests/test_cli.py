@@ -501,18 +501,26 @@ SCALAR_SITES = {
     "coeff": (MCKAY, ("potential", 1, "coeff"), ""),
     "matrices": ([IDENTITY_2, IDENTITY_2], (1, 1, 1), "/matrices"),
 }
+# the same sites over Q
+Q_SCALAR_SITES = {
+    "action": (SIGNED_S3, ("action", "c", "arrow_matrices", "(v,v)", 1, 2), ""),
+    "idempotents": (SIGNED_S3, ("group", "idempotents", "vectors", 2, 1), ""),
+    "coeff": (SIGNED_S3, ("potential", 1, "coeff"), ""),
+    "matrices": ([IDENTITY_2, IDENTITY_2], (1, 1, 1), "/matrices"),
+}
 
 
-def refusals(capsys, tmp_path, site, keys, value):
-    """The location of keys in the input of site, and the (exit code,
-    errors) of every run on that input with value put at keys."""
-    base, _, root = SCALAR_SITES[site]
+def refusals(capsys, tmp_path, site, keys, value, field="7"):
+    """The location of keys in the input of site over field ("7" or "Q"),
+    and the (exit code, errors) of every run on that input with value put
+    at keys."""
+    base, _, root = (SCALAR_SITES if field == "7" else Q_SCALAR_SITES)[site]
     data = json.loads(json.dumps(base))  # a copy that shares no list
     *path, last = keys
     reduce(operator.getitem, path, data)[last] = value
     file = tmp_path / "input.json"
     file.write_text(json.dumps(data), encoding="utf-8")
-    runs = ([["weyl", "--n", "1", "--field", "7", "--matrices", str(file)]] if root
+    runs = ([["weyl", "--n", "1", "--field", field, "--matrices", str(file)]] if root
             else [[command, str(file)] for command in DOCUMENT_COMMANDS])
     out = []
     for argv in runs:
@@ -532,6 +540,19 @@ def refusals(capsys, tmp_path, site, keys, value):
 def test_a_bad_scalar_is_refused_at_its_entry_by_every_run(capsys, tmp_path, site, value,
                                                            message):
     location, runs = refusals(capsys, tmp_path, site, SCALAR_SITES[site][1], value)
+    assert runs == [(2, [{"location": location, "message": message}])] * len(runs)
+
+
+@pytest.mark.parametrize("value, message", [
+    (1, "expected a scalar string, got 1"),
+    ("1/0", "'1/0' is not a scalar of Q (inverse of zero)"),
+    ("1e5", "'1e5' is not a scalar of Q (expected n or n/m)"),
+    ("x", "'x' is not a scalar of Q (expected n or n/m)"),
+], ids=["int", "zero-den", "exponent", "word"])
+@pytest.mark.parametrize("site", Q_SCALAR_SITES)
+def test_a_bad_scalar_over_q_is_refused_at_its_entry_by_every_run(capsys, tmp_path, site, value,
+                                                                  message):
+    location, runs = refusals(capsys, tmp_path, site, Q_SCALAR_SITES[site][1], value, "Q")
     assert runs == [(2, [{"location": location, "message": message}])] * len(runs)
 
 

@@ -99,3 +99,20 @@ def test_negation_document_parses():
     d = parse(doc(NEGATION_NONINVARIANT))
     assert d.action is not None
     assert not d.potential.is_zero()
+
+
+def test_a_refused_block_is_not_also_reported_missing():
+    # the (1,2) block of an element that swaps the two vertices is listed
+    # but refused: its entry issue is the only one, with no second
+    # "missing matrix for block (1,2)"
+    bad = doc(MINIMAL,
+              quiver={"vertices": ["1", "2"], "arrows": [
+                  {"name": "a", "src": "1", "tgt": "2", "deg": 0},
+                  {"name": "b", "src": "2", "tgt": "1", "deg": 0}]},
+              group={"elements": ["e", "s"], "table": [[0, 1], [1, 0]]},
+              action={"s": {"vertex_perm": {"1": "2", "2": "1"},
+                            "arrow_matrices": {"(1,2)": [["1/0"]], "(2,1)": [["1"]]}}})
+    with pytest.raises(ValidationError) as info:
+        parse(bad)
+    assert info.value.issues == [("/action/s/arrow_matrices/(1,2)/0/0",
+                                  "'1/0' is not a scalar of Q (inverse of zero)")]

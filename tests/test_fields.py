@@ -33,9 +33,10 @@ def test_parse_signed_fractions():
     assert make_field("Q").parse(" -3/4 ") == Fraction(-3, 4)
     assert make_field("Q").parse("+6/4") == Fraction(3, 2)
     assert make_field(7).parse("-3/4") == 1  # 4 * 1 = 4 = -3 mod 7
-    with pytest.raises(ZeroDivisionError):
+    # one reason for a zero denominator over every field
+    with pytest.raises(ZeroDivisionError, match="^inverse of zero$"):
         make_field("Q").parse("1/0")
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ZeroDivisionError, match="^inverse of zero$"):
         make_field(7).parse("2/14")
 
 

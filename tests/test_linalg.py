@@ -198,6 +198,24 @@ def test_solver_agrees_with_labelled_oracle(data):
 
 
 @given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_span_test_follows_the_span_as_rows_are_added(data):
+    # the kept vector is reduced only past the rows added since the last
+    # call, and must answer what a fresh contains answers; the last vector
+    # is at times a combination of the others, so both answers occur
+    field = data.draw(st.sampled_from(FIELDS))
+    vecs = data.draw(st.lists(sparse_vectors(field), max_size=8))
+    coeffs = data.draw(st.lists(scalars(field), min_size=len(vecs), max_size=len(vecs)))
+    target = data.draw(st.one_of(sparse_vectors(field), st.just(combine(field, zip(coeffs, vecs)))))
+    solver = LinSolver(field)
+    in_span = solver.span_test(dict(target))
+    assert in_span() == solver.contains(dict(target))
+    for vec in vecs:
+        solver.add(dict(vec))
+        assert in_span() == solver.contains(dict(target))
+
+
+@given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_express_agrees_with_marker_oracle(data):
     # back-substitution must give the marker-column solve's combination,

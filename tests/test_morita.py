@@ -1,11 +1,14 @@
 import gc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skewgin import crossed
 from skewgin.action import QuiverAction, validate_action
-from skewgin.crossed import (CommutatorTerm, CrossedElement, basis_index, commutator_basis,
-                             express_modulo_commutators, vectorize)
+from skewgin.crossed import (Certificate, CommutatorTerm, CrossedElement, basis_index,
+                             commutator_basis, expand_certificate, express_modulo_commutators,
+                             vectorize)
 from skewgin.document import parse
 from skewgin.errors import IncompleteIdempotents
 from skewgin.fields import make_field
@@ -20,6 +23,7 @@ from skewgin.quiver import AlgElement, GradedQuiver, basis_up_to, paths_by_lengt
 from docs import MCKAY, SIGNED_S3, doc
 from oracles import (LabelledLinSolver, feed_all_express_modulo_commutators, naive_build_bimodule,
                      naive_commutator_basis, naive_corner, naive_embed_path,
+                     naive_expand_certificate,
                      group_sub, retrying_express_modulo_commutators, scale,
                      whole_layer_ranks)
 from test_crossed import KERNEL_ACTIONS, scalars
@@ -120,7 +124,7 @@ def test_trivial_group_potential_transport_identity():
                             (Q.parse("-1"), q.path(["x", "z", "y"]))])
     md = build_morita(action)
     reduced, cert = transport_potential(w, md)
-    assert cert == []
+    assert len(cert) == 0
     # map the reduced potential back through the arrow bijection
     back = {name: next(iter(el.terms))[0].arrows[0] for name, el in md.arrow_embed.items()}
     mapped = canonicalize(q, Q, [(c, q.path([back[n] for n in p.arrows]))
@@ -163,7 +167,7 @@ def test_swap_zero_potential_dimension_check():
     action = md.action
     w = Potential(action.quiver, Q)
     reduced, cert = transport_potential(w, md)
-    assert reduced.is_zero() and cert == []
+    assert reduced.is_zero() and len(cert) == 0
     rows, ok = morita_dimension_check(md, w, reduced, 4)
     assert ok
     # corner of k(cycle quiver) x Z/2 is k[t]: one dimension per length
@@ -732,6 +736,88 @@ def test_signed_s3_commutator_feed_stops_at_the_potential():
     assert len(commutator_basis(md.action, feed[2])) == 1764
     assert 0 < feed[0].fed < 1764
     assert got == feed_all_express_modulo_commutators(*transport_feed(md, w))
+
+
+def test_signed_s3_feed_builds_only_the_commutators_it_feeds(monkeypatch):
+    # the touching commutators are found through the image index and the
+    # rest are built as the feed reaches them, so on signed S3 every
+    # commutator that commutator_basis builds is inserted: 442 of 1,764
+    built = []
+
+    def counting_basis(action, length, pairs=None):
+        terms = commutator_basis(action, length, pairs)
+        built.extend(terms)
+        return terms
+
+    monkeypatch.setattr(crossed, "commutator_basis", counting_basis)
+    md, w = document_problem(SIGNED_S3)
+    feed = transport_feed(md, w, FeedCountingSolver)
+    got = express_modulo_commutators(*feed)
+    assert len(built) == feed[0].fed == 442
+    monkeypatch.undo()
+    assert got == feed_all_express_modulo_commutators(*transport_feed(md, w))
+
+
+@pytest.mark.parametrize("name", ["Q", "Q-swap", "GF(7)"])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_lazy_feed_matches_feed_all_oracle_on_random_inputs(name, data):
+    # random labelled inputs and a random target of one length component:
+    # the feed returns what feeding every commutator returns, and the
+    # touching candidates hold every pair whose commutator meets the
+    # residual's support
+    action = KERNEL_ACTIONS[name]()
+    length = data.draw(st.integers(2, 3), label="length")
+    index = basis_index(action, length)
+    elements = st.lists(st.tuples(st.sampled_from(list(index)), scalars(action.field)),
+                        min_size=1, max_size=4).map(lambda terms: CrossedElement(action, terms))
+    inputs = data.draw(st.lists(elements, max_size=3), label="inputs")
+    # the inputs and commutators, each times a scalar, and at times a
+    # random element that is mostly outside their span
+    pairs = st.sampled_from(list(crossed._basis_pairs(action, length)))
+    terms = data.draw(st.lists(st.tuples(st.one_of(st.sampled_from(inputs or [None]), pairs),
+                                         scalars(action.field)), max_size=5), label="terms")
+    noise = data.draw(st.one_of(st.just(CrossedElement.zero(action)), elements), label="noise")
+    target = noise
+    for x, c in terms:
+        if isinstance(x, tuple):
+            u, v = (CrossedElement.from_pair(action, *key) for key in x)
+            x = u * v - v * u
+        if x is not None:
+            target = target + scale(x, c)
+
+    def feed():
+        solver = LinSolver(action.field)
+        for label, x in enumerate(inputs):
+            solver.add(vectorize(x, index), label=label)
+        return solver, target, length, index, {label: x.den for label, x in enumerate(inputs)}
+
+    got = express_modulo_commutators(*feed())
+    assert got == feed_all_express_modulo_commutators(*feed())
+    assert got is not None or not noise.is_zero()
+    support = set(feed()[0].residual(vectorize(target, index)))
+    keys = [key for key, i in index.items() if i in support]
+    candidates = crossed._touching_candidates(action, length, keys)
+    touching = [(t.u, t.v) for t in commutator_basis(action, length)
+                if not support.isdisjoint(vectorize(t.element, index))]
+    assert set(touching) <= set(candidates)
+
+
+def test_signed_s3_certificate_is_one_den_and_ints():
+    # transport keeps its merged certificate as one den and int entries;
+    # len counts the entries and iteration gives the Fractions they stand for
+    md, w = document_problem(SIGNED_S3)
+    _, cert = transport_potential(w, md)
+    entries = list(cert)
+    assert len(cert) == len(entries) == len(dict(entries)) == 1730
+    assert cert.den != 1 and all(type(s) is int for s in cert.terms.values())
+    assert entries == [(pair, Fraction(s, cert.den)) for pair, s in cert.terms.items()]
+    assert all(type(c) is Fraction for _, c in entries)
+    # re-expansion on ints is the entry-by-entry sum of the Fraction list
+    want = naive_expand_certificate(md.action, entries)
+    assert expand_certificate(md.action, cert) == want
+    again = Certificate.from_entries(md.field, entries)
+    assert list(again) == entries and expand_certificate(md.action, again) == want
 
 
 class RecordingSolver(LinSolver):
