@@ -7,19 +7,11 @@ import argparse
 import json
 import sys
 
-from . import __version__
-from .action import extend_to_ginzburg, validate_action
-from .document import check_d, parse, read_matrix, resolve_terms
+from . import (__version__, action, document, fields, ginzburg, morita, potential,
+               quiver, weyl)
 from .errors import (BasisExpressFailure, NonPrimeModulus, NoSolution,
                      NotInvariantPotential, NotSymplectic, ParseError, SizeGuard,
                      SkewginError, ValidationError)
-from .fields import make_field
-from .ginzburg import check_d_squared, degree_report, ginzburg
-from .morita import (build_morita, certify_reduction, check_embedding,
-                     check_fullness, morita_dimension_check, transport_potential)
-from .potential import Potential, canonicalize
-from .quiver import AlgElement, count_paths_up_to
-from .weyl import bounded_exactness, check_sp_equivariance, dual_top_concentration
 
 CHECK_ERRORS = (NotSymplectic, NotInvariantPotential, NoSolution, BasisExpressFailure)
 
@@ -48,9 +40,9 @@ def _crossed_json(md, el):
     return out
 
 
-def _potential_json(field, potential):
+def _potential_json(field, w):
     return [{"coeff": field.format(c), "cycle": list(p.arrows)}
-            for p, c in potential.sorted_terms()]
+            for p, c in w.sorted_terms()]
 
 
 def _read_document(args):
@@ -59,7 +51,7 @@ def _read_document(args):
     else:
         with open(args.document, "r", encoding="utf-8") as handle:
             text = handle.read()
-    return parse(text)
+    return document.parse(text)
 
 
 def _emit(report) -> None:
@@ -93,7 +85,7 @@ def cmd_validate(args) -> int:
         "has_action": doc.action is not None,
     }
     if doc.action is not None:
-        failures = validate_action(doc.action)
+        failures = action.validate_action(doc.action)
         report["checks"].append({"check": "action is a valid group action",
                                  "ok": not failures, "failures": failures})
     return _finish(report)
@@ -102,15 +94,15 @@ def cmd_validate(args) -> int:
 def cmd_ginzburg(args) -> int:
     doc = _read_document(args)
     d, issues = (args.d if args.d is not None else doc.d), []
-    check_d(d, doc.potential, issues)
+    document.check_d(d, doc.potential, issues)
     if issues:
         raise ValidationError(issues)
-    potential = doc.potential
-    if potential is None:
-        potential = Potential(doc.quiver, doc.field)
-    presentation = ginzburg(doc.quiver, potential, d)
+    w = doc.potential
+    if w is None:
+        w = potential.Potential(doc.quiver, doc.field)
+    presentation = ginzburg.ginzburg(doc.quiver, w, d)
     for gen, pairs in (doc.differential_override or {}).items():
-        presentation.differential[gen] = AlgElement(presentation.doubled, doc.field, pairs)
+        presentation.differential[gen] = quiver.AlgElement(presentation.doubled, doc.field, pairs)
     report = _base_report("ginzburg")
     report["cy_dimension"] = d
     report["generators"] = [
@@ -119,7 +111,7 @@ def cmd_ginzburg(args) -> int:
         for a in presentation.doubled.arrows
     ]
     if args.check:
-        square = check_d_squared(presentation)
+        square = ginzburg.check_d_squared(presentation)
         report["checks"].append({
             "check": "differential squares to zero on every generator",
             "rule": "d(a) = 0, d(a*) = dW/da, d(c_i) = sum out a a* - sum in a* a, "
@@ -129,7 +121,7 @@ def cmd_ginzburg(args) -> int:
                             "value": _element_json(doc.field, val)}
                            for gen, val in square],
         })
-        degrees = degree_report(presentation)
+        degrees = ginzburg.degree_report(presentation)
         report["checks"].append({
             "check": "differential raises degree by one",
             "ok": not degrees,
@@ -144,7 +136,7 @@ def cmd_invariance(args) -> int:
     _need(doc, "group action", "action")
     _need(doc, "potential", "potential")
     report = _base_report("invariance")
-    failures = validate_action(doc.action)
+    failures = action.validate_action(doc.action)
     report["checks"].append({"check": "action is a valid group action",
                              "ok": not failures, "failures": failures})
     if not failures:
@@ -165,7 +157,7 @@ def cmd_invariance(args) -> int:
 
 def _build_reduction(doc):
     _need(doc, "group action", "action")
-    return build_morita(doc.action, doc.idempotents)
+    return morita.build_morita(doc.action, doc.idempotents)
 
 
 def _reduced_quiver_json(md):
@@ -187,7 +179,7 @@ def cmd_reduce(args) -> int:
     report["reduced_quiver"] = _reduced_quiver_json(md)
     report["bimodule_dimension"] = sum(map(len, md.bimodule.values()))
     if doc.potential is not None and not doc.potential.is_zero():
-        reduced, _ = transport_potential(doc.potential, md)
+        reduced, _ = morita.transport_potential(doc.potential, md)
         report["reduced_potential"] = _potential_json(md.field, reduced)
     return _finish(report)
 
@@ -198,7 +190,7 @@ def cmd_transport(args) -> int:
     md = _build_reduction(doc)
     report = _base_report("transport")
     report["choices"] = md.choices()
-    reduced, certificate = transport_potential(doc.potential, md)
+    reduced, certificate = morita.transport_potential(doc.potential, md)
     report["reduced_potential"] = _potential_json(md.field, reduced)
     report["checks"].append({
         "check": "certificate re-expands to the class difference",
@@ -216,7 +208,7 @@ def _verify_bound(args, doc):
         bound, where = doc.options["max_len"], "/options/max_len"
     if bound < 0:
         raise ValidationError([(where, "expected a nonnegative integer")])
-    paths = count_paths_up_to(doc.quiver, bound, MAX_CROSSED_KEYS // doc.group.size)
+    paths = quiver.count_paths_up_to(doc.quiver, bound, MAX_CROSSED_KEYS // doc.group.size)
     keys = paths * doc.group.size
     if keys > MAX_CROSSED_KEYS:
         raise SizeGuard(f"length bound {bound} gives more than {MAX_CROSSED_KEYS} "
@@ -233,20 +225,20 @@ def cmd_verify(args) -> int:
     report = _base_report("verify")
     report["choices"] = md.choices()
 
-    pres = ginzburg(doc.quiver, doc.potential, doc.d)
-    _, equivariance = extend_to_ginzburg(doc.action, pres)
+    pres = ginzburg.ginzburg(doc.quiver, doc.potential, doc.d)
+    _, equivariance = action.extend_to_ginzburg(doc.action, pres)
     report["checks"].append({
         "check": "extended action commutes with the differential",
         "ok": not equivariance,
         "failures": [{"generator": gen, "g": g} for gen, g, _ in equivariance],
     })
 
-    embedding = check_embedding(md, bound)
+    embedding = morita.check_embedding(md, bound)
     report["checks"].append({
         "check": f"reduced path algebra embeds injectively up to length {bound}",
         "ok": not embedding, "failures": embedding,
     })
-    fullness = check_fullness(md, min(bound, 3))
+    fullness = morita.check_fullness(md, min(bound, 3))
     report["checks"].append({
         "check": "total idempotent is full at every checked length",
         "ok": not fullness, "failures": fullness,
@@ -254,14 +246,14 @@ def cmd_verify(args) -> int:
 
     if doc.reduced_potential is not None:
         issues = []
-        pairs = resolve_terms(doc.reduced_potential, md.qprime, issues)
+        pairs = document.resolve_terms(doc.reduced_potential, md.qprime, issues)
         if issues:
             raise ValidationError(issues)
-        reduced = canonicalize(md.qprime, md.field, ((c, p) for p, c in pairs))
+        reduced = potential.canonicalize(md.qprime, md.field, ((c, p) for p, c in pairs))
         source = "document override"
         certificate = None
     else:
-        reduced, certificate = transport_potential(doc.potential, md)
+        reduced, certificate = morita.transport_potential(doc.potential, md)
         source = "transport"
     report["reduced_potential"] = {
         "source": source,
@@ -269,7 +261,7 @@ def cmd_verify(args) -> int:
     }
     try:
         if certificate is None:
-            certificate = certify_reduction(md, doc.potential, reduced)
+            certificate = morita.certify_reduction(md, doc.potential, reduced)
         report["checks"].append({
             "check": "reduced potential represents the original class",
             "ok": True, "commutators_used": len(certificate),
@@ -283,7 +275,7 @@ def cmd_verify(args) -> int:
         })
         return _finish(report)
 
-    rows, ok = morita_dimension_check(md, doc.potential, reduced, bound)
+    rows, ok = morita.morita_dimension_check(md, doc.potential, reduced, bound)
     report["checks"].append({
         "check": "corner dimensions match reduced Jacobian dimensions",
         "rule": "dim of the idempotent corner of the quotient crossed product "
@@ -312,7 +304,7 @@ def _read_matrices(path, n, field):
         raise ValidationError([("/matrices", 'expected a list of matrices, bare or '
                                              'under the key "matrices"')])
     issues = []
-    matrices = [read_matrix(mat, f"/matrices/{k}", 2 * n, 2 * n, field, issues)
+    matrices = [fields.read_matrix(mat, f"/matrices/{k}", 2 * n, 2 * n, field, issues)
                 for k, mat in enumerate(mats)]
     if issues:
         raise ValidationError(issues)
@@ -321,10 +313,10 @@ def _read_matrices(path, n, field):
 
 def cmd_weyl(args) -> int:
     if args.field == "Q":
-        field = make_field("Q")
+        field = fields.make_field("Q")
     else:
         try:
-            field = make_field(int(args.field))
+            field = fields.make_field(int(args.field))
         except (ValueError, NonPrimeModulus):
             raise ValidationError([("/field", f"expected Q or a prime, got {args.field!r}")])
     if args.n < 1:
@@ -335,7 +327,7 @@ def cmd_weyl(args) -> int:
     report = _base_report("weyl")
     report["n"] = args.n
     report["filtration"] = args.filtration
-    resolution = bounded_exactness(args.n, args.filtration, field, cap=args.cap)
+    resolution = weyl.bounded_exactness(args.n, args.filtration, field, cap=args.cap)
     report["resolution"] = resolution
     report["checks"].append({
         "check": "resolution homology vanishes away from the augmentation",
@@ -346,7 +338,7 @@ def cmd_weyl(args) -> int:
         "check": "augmentation cokernel matches the filtered algebra dimension",
         "ok": resolution["augmentation_cokernel"] == resolution["expected_cokernel"],
     })
-    dual = dual_top_concentration(args.n, args.filtration, field, cap=args.cap)
+    dual = weyl.dual_top_concentration(args.n, args.filtration, field, cap=args.cap)
     report["dual"] = dual
     report["checks"].append({
         "check": "dual complex homology concentrates at the top position",
@@ -354,8 +346,8 @@ def cmd_weyl(args) -> int:
                and dual["top_homology"] == dual["expected_top"]),
     })
     if matrices is not None:
-        failures = check_sp_equivariance(args.n, matrices, field,
-                                         filt_bound=min(args.filtration, 2))
+        failures = weyl.check_sp_equivariance(args.n, matrices, field,
+                                              filt_bound=min(args.filtration, 2))
         report["checks"].append({
             "check": "matrices are symplectic and the differential is equivariant",
             "ok": not failures, "failures": failures,

@@ -7,8 +7,8 @@ reports JSON-pointer style locations.
 
 Every reader here appends (location, message) pairs to a shared issues
 list, and its result counts only if it appended none.  Every scalar is read
-by read_scalar and every matrix of scalars by read_matrix, so each bad
-entry is refused at its own location with one of two messages.
+by fields.read_scalar and every matrix of scalars by fields.read_matrix, so
+each bad entry is refused at its own location with one of two messages.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import re
 
 from .action import QuiverAction
 from .errors import NonPrimeModulus, ParseError, SkewginError, ValidationError
-from .fields import make_field
+from .fields import make_field, read_matrix, read_scalar
 from .ginzburg import double_quiver, loop_name, star_name
 from .groups import make_group
 from .potential import canonicalize, degree_of
@@ -225,37 +225,6 @@ def check_d(d, potential, issues):
     elif (potential is not None and not potential.is_zero()
           and (w_deg := degree_of(potential)) != 3 - d):
         issues.append(("/d", f"potential degree {w_deg} != 3 - d = {3 - d}"))
-
-
-def read_scalar(raw, where, field, issues):
-    """The scalar of field that the scalar string raw names."""
-    if not isinstance(raw, str):
-        issues.append((where, f"expected a scalar string, got {raw!r}"))
-        return None
-    try:
-        return field.parse(raw)
-    except (ValueError, ZeroDivisionError) as exc:
-        issues.append((where, f"{raw!r} is not a scalar of {field!r} ({exc})"))
-        return None
-
-
-def read_matrix(raw, where, rows, cols, field, issues):
-    """A list of rows of cols scalar strings as rows of scalars of field:
-    exactly rows of them, or any positive number when rows is None.  A wrong
-    row count is refused at where, a bad row at where/i and a bad entry at
-    where/i/j."""
-    if not isinstance(raw, list) or (not raw if rows is None else len(raw) != rows):
-        issues.append((where, "expected a nonempty list of rows" if rows is None
-                       else f"expected a {rows}x{cols} matrix"))
-        return None
-    start, matrix = len(issues), []
-    for i, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != cols:
-            issues.append((f"{where}/{i}", f"expected {cols} entries"))
-            continue
-        matrix.append([read_scalar(v, f"{where}/{i}/{j}", field, issues)
-                       for j, v in enumerate(row)])
-    return matrix if len(issues) == start else None
 
 
 def _read_terms(raw, where, key, field, issues):

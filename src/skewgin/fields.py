@@ -248,3 +248,34 @@ def primitive_root_of_unity(field: Field, n: int):
         if all(pow(candidate, m, p) != 1 for m in _proper_divisors(n)):
             return candidate
     raise NoRootOfUnity(f"no primitive {n}-th root of unity in GF({p})")
+
+
+def read_scalar(raw, where, field, issues):
+    """The scalar of field that the scalar string raw names."""
+    if not isinstance(raw, str):
+        issues.append((where, f"expected a scalar string, got {raw!r}"))
+        return None
+    try:
+        return field.parse(raw)
+    except (ValueError, ZeroDivisionError) as exc:
+        issues.append((where, f"{raw!r} is not a scalar of {field!r} ({exc})"))
+        return None
+
+
+def read_matrix(raw, where, rows, cols, field, issues):
+    """A list of rows of cols scalar strings as rows of scalars of field:
+    exactly rows of them, or any positive number when rows is None.  A wrong
+    row count is refused at where, a bad row at where/i and a bad entry at
+    where/i/j."""
+    if not isinstance(raw, list) or (not raw if rows is None else len(raw) != rows):
+        issues.append((where, "expected a nonempty list of rows" if rows is None
+                       else f"expected a {rows}x{cols} matrix"))
+        return None
+    start, matrix = len(issues), []
+    for i, row in enumerate(raw):
+        if not isinstance(row, list) or len(row) != cols:
+            issues.append((f"{where}/{i}", f"expected {cols} entries"))
+            continue
+        matrix.append([read_scalar(v, f"{where}/{i}/{j}", field, issues)
+                       for j, v in enumerate(row)])
+    return matrix if len(issues) == start else None

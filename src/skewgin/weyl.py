@@ -348,12 +348,14 @@ def _homology(field: Field, positions, differential, closing):
     200 images of position 1 it must vanish.  Returns (ranks, homology):
     ranks[i] is the rank of the map out of position i (0 at i = 0), and
     homology[0] is the cokernel of the map into position 0.  Each basis key
-    goes in with coefficient 1, so every image is an int vector.
+    goes in with coefficient 1, so every image is an int vector.  Target
+    keys are numbered by minus their index, so rows pivot on their
+    last-listed key (of highest filtration), which leaves less fill-in.
     """
     accumulate = field.accumulate
     ranks = [0] * (len(positions) + 1)
     for i in range(1, len(positions)):
-        target = {key: k for k, key in enumerate(positions[i - 1])}
+        target = {key: -k for k, key in enumerate(positions[i - 1])}
         solver = LinSolver(field)
         for k, key in enumerate(positions[i]):
             image = differential({key: 1})

@@ -49,6 +49,7 @@ CORNER_ORACLE = "tests/test_morita.py::test_corner_matches_two_product_oracle"
 DIFFERENTIAL_ORACLE = "tests/test_weyl.py::test_differentials_match_oracles_on_every_basis_key"
 OFF_GENERATOR = "tests/test_cli.py::test_override_term_off_its_generator_exit_2"
 FEED_COUNT = "tests/test_morita.py::test_signed_s3_feed_builds_only_the_commutators_it_feeds"
+MODULE_SET = "tests/test_package.py::test_each_command_executes_only_the_modules_it_uses"
 
 MUTANTS = [
     # -- the int kernel of CrossedElement and its denominators --
@@ -244,18 +245,26 @@ MUTANTS = [
            "        rraw, \"/reduced_potential\", \"cycle\", make_field(\"Q\"), issues)\n",
            ("tests/test_cli.py::test_document_values_of_the_wrong_type_exit_2",)),
     # -- the scalar and matrix readers --
-    Mutant("matrix-row-length-unchecked", "document.py",
+    Mutant("matrix-row-length-unchecked", "fields.py",
            "        if not isinstance(row, list) or len(row) != cols:\n",
            "        if not isinstance(row, list):\n",
            ("tests/test_cli.py::test_a_row_of_the_wrong_length_is_refused_at_its_index",)),
-    Mutant("scalar-type-unchecked", "document.py",
+    Mutant("scalar-type-unchecked", "fields.py",
            "    if not isinstance(raw, str):\n        issues.append((where, f\"expected a scalar",
            "    if False:\n        issues.append((where, f\"expected a scalar",
            ("tests/test_cli.py::test_a_bad_scalar_is_refused_at_its_entry_by_every_run",)),
-    Mutant("matrix-reader-returns-after-an-issue", "document.py",
+    Mutant("matrix-reader-returns-after-an-issue", "fields.py",
            "    return matrix if len(issues) == start else None\n",
            "    return matrix\n",
            ("tests/test_cli.py::test_a_bad_scalar_is_refused_at_its_entry_by_every_run",)),
+    # -- loading each module on first use --
+    Mutant("init-loads-submodules-eagerly", "__init__.py",
+           "    _spec.loader = importlib.util.LazyLoader(_spec.loader)\n", "",
+           (MODULE_SET,)),
+    Mutant("cli-reads-weyl-at-import", "cli.py",
+           "               quiver, weyl)\n",
+           "               quiver, weyl)\nfrom .weyl import bounded_exactness\n",
+           (MODULE_SET,)),
 ]
 
 

@@ -34,11 +34,13 @@ commutators of the images), and two commutator feeds that
 ``skewgin.crossed.express_modulo_commutators`` replaced: one retrying the
 target every 24 insertions, and one feeding every commutator before it
 expresses the target once, which the feed that stops at the target
-replaced.  Two more run on skewgin's ``LinSolver``: the marker-column
+replaced.  Three more run on skewgin's ``LinSolver``: the marker-column
 solve ``marker_express`` that the back-substitution of
-``LinSolver.express`` replaced, and ``whole_layer_ranks``, the one solver
+``LinSolver.express`` replaced, ``whole_layer_ranks``, the one solver
 per length layer that the Peirce-block ranks of
-``skewgin.morita.block_rank`` replaced.
+``skewgin.morita.block_rank`` replaced, and ``listing_order_homology``,
+the Weyl homology with rows pivoting on their first-listed key, which the
+last-listed pivots of ``skewgin.weyl._homology`` replaced.
 
 The last section holds helpers that no command uses, kept for the tests:
 ``one`` and ``scale`` (which ``CrossedElement`` no longer has), the Weyl
@@ -563,6 +565,27 @@ def naive_sp_equivariance(n, matrices, field, filt_bound=2):
                         f"matrix {idx}: differential not equivariant at position {d} "
                         f"on wedge {w} and pair {pair}")
     return report
+
+
+def listing_order_homology(field, positions, differential, closing):
+    """``skewgin.weyl._homology`` with each target key indexed by its
+    position in the listing, so every row pivots on its first-listed key."""
+    ranks = [0] * (len(positions) + 1)
+    for i in range(1, len(positions)):
+        target = {key: k for k, key in enumerate(positions[i - 1])}
+        solver = LinSolver(field)
+        for k, key in enumerate(positions[i]):
+            image = differential({key: 1})
+            if i == 1 and k < 200 and field.accumulate({}, (
+                    (m, c * cm) for (_, (s, t)), c in image.items()
+                    for m, cm in closing(s, t).items())):
+                raise AssertionError("the closing map does not annihilate the image")
+            vec = {target[key]: c for key, c in image.items()}
+            if vec:
+                solver.add(vec)
+        ranks[i] = solver.rank
+    homology = [len(b) - ranks[i] - ranks[i + 1] for i, b in enumerate(positions)]
+    return ranks[:-1], homology
 
 
 def naive_crossed_mul(x, y):

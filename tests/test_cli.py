@@ -412,7 +412,7 @@ def test_weyl_malformed_matrix_file_exit_2_before_rank_work(capsys, tmp_path,
     def no_rank_work(*args, **kwargs):
         raise AssertionError("the matrix file is read before any rank work")
 
-    monkeypatch.setattr("skewgin.cli.bounded_exactness", no_rank_work)
+    monkeypatch.setattr("skewgin.weyl.bounded_exactness", no_rank_work)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(content), encoding="utf-8")
     code = main(["weyl", "--n", "1", "--matrices", str(bad)])
@@ -658,7 +658,7 @@ def test_verify_bad_max_len_exit_2_before_any_product(capsys, tmp_path, monkeypa
     def no_products(*args, **kwargs):
         raise AssertionError("the length bound is checked before the reduction")
 
-    monkeypatch.setattr("skewgin.cli.build_morita", no_products)
+    monkeypatch.setattr("skewgin.morita.build_morita", no_products)
     code, report = run_cli(capsys, tmp_path, doc(MCKAY), "verify", "--max-len", max_len)
     assert code == 2
     assert report["ok"] is False

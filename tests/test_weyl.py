@@ -5,10 +5,10 @@ from math import comb
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import (envelope_one, naive_dual_differential, naive_is_symplectic,
-                     naive_koszul_differential, naive_mul_monomials, naive_sp_equivariance,
-                     per_position_dual_differential, per_position_koszul_differential,
-                     weyl_commutator, weyl_d, weyl_x)
+from oracles import (envelope_one, listing_order_homology, naive_dual_differential,
+                     naive_is_symplectic, naive_koszul_differential, naive_mul_monomials,
+                     naive_sp_equivariance, per_position_dual_differential,
+                     per_position_koszul_differential, weyl_commutator, weyl_d, weyl_x)
 from skewgin import weyl
 from skewgin.errors import NotSymplectic, SizeGuard
 from skewgin.fields import make_field
@@ -260,6 +260,24 @@ def test_homology_checks_the_closing_map():
     assert homology == [6, 0, 0]
     with pytest.raises(AssertionError):
         _homology(Q, positions, differential, A._mul_monomials)
+
+
+@pytest.mark.parametrize("field", [Q, make_field(7)], ids=["Q", "GF7"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_last_listed_pivots_give_the_listing_order_ranks(n, field):
+    # _homology pivots each row on its last-listed target key; ranks and
+    # homology must be those of first-listed pivots, on the resolution and
+    # on its dual, at every filtration up to 5
+    A = WeylAlgebra(n, field)
+    top = 2 * n
+    for filt in range(6):
+        resolution = ([_position_basis(A, d, filt - d) for d in range(top + 1)],
+                      lambda e: koszul_differential(A, e), lambda s, t: A._mul_monomials(t, s))
+        dual = ([_position_basis(A, top - i, filt - i) for i in range(top + 1)],
+                lambda e: dual_differential(A, e), A._mul_monomials)
+        for positions, differential, closing in (resolution, dual):
+            assert (_homology(field, positions, differential, closing)
+                    == listing_order_homology(field, positions, differential, closing))
 
 
 def test_symplectic_membership():
