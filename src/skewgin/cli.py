@@ -346,8 +346,7 @@ def cmd_weyl(args) -> int:
                and dual["top_homology"] == dual["expected_top"]),
     })
     if matrices is not None:
-        failures = weyl.check_sp_equivariance(args.n, matrices, field,
-                                              filt_bound=min(args.filtration, 2))
+        failures = weyl.check_sp_equivariance(args.n, matrices, field)
         report["checks"].append({
             "check": "matrices are symplectic and the differential is equivariant",
             "ok": not failures, "failures": failures,

@@ -256,14 +256,14 @@ def _basis_pairs(action, length: int):
                 yield u, v
 
 
-def commutator_basis(action, length: int, pairs=None):
-    """Spanning set of the commutator subspace of one length component: the
-    nonzero commutators of the given basis pairs (by default all of
-    ``_basis_pairs``) in order, each summed on ints from the cleared images
-    of its two basis-pair products and kept as den and int terms."""
+def commutator_basis(action, length: int, pairs):
+    """The nonzero commutators of the given basis pairs of one length
+    component, in order, each summed on ints from the cleared images of its
+    two basis-pair products and kept as den and int terms.  Over all of
+    ``_basis_pairs`` they span the component's commutator subspace."""
     out = []
     accumulate = action.field.accumulate
-    for u, v in _basis_pairs(action, length) if pairs is None else pairs:
+    for u, v in pairs:
         den, ints = _commutator_ints(action, u, v)
         if terms := accumulate({}, ints):
             out.append(CommutatorTerm(u, v, CrossedElement.from_ints(action, den, terms)))

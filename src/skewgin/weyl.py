@@ -14,8 +14,9 @@ The checks run on plain ints (the scaled-integer convention of
 its dual have integer coefficients, and each symplectic matrix is cleared
 by its common denominator once.  ``Field.accumulate`` reduces every sum
 over GF(p).  Each differential reads the memoized monomial products of its
-terms and sums them in one accumulate; the equivariance check builds the
-image of each chain basis key under d once, for every matrix alike.
+terms and sums them in one accumulate.  The equivariance check runs on
+the free generators w (x) 1 (x) 1 of the resolution only, whatever the
+filtration, and builds each of their images under d once for every matrix.
 Symplectic membership needs no product: linear elements commute to
 scalars, so it is the closed form M^T J M = J.
 """
@@ -271,28 +272,19 @@ def _position_basis(algebra: WeylAlgebra, d: int, env_filt: int):
     return [(w, p) for w in _wedges(n2, d) for p in pairs]
 
 
-def _weight(key) -> int:
-    """|w| + |s| + |t| of a chain basis key (w, (s, t))."""
-    w, ((a1, b1), (a2, b2)) = key
-    return len(w) + sum(a1) + sum(b1) + sum(a2) + sum(b2)
-
-
-def check_sp_equivariance(n: int, matrices, field: Field, filt_bound: int = 2):
+def check_sp_equivariance(n: int, matrices, field: Field):
     """Symplectic membership plus differential equivariance.
 
     Raises NotSymplectic naming the first failing matrix; otherwise checks
-    d(g . elem) = g . d(elem) over every chain basis element with
-    enveloping filtration at most filt_bound and returns the failure list.
-    Both sides are extended linearly from images computed once per basis
-    key: per matrix for the action, and once for all matrices for d, which
-    does not depend on the matrix.  Positions run in the outer loop, so only
-    one position's images of d are held at a time; the failures are still
-    listed matrix by matrix.
+    d(g . elem) = g . d(elem) on the generators w (x) 1 (x) 1 of every
+    position and returns the failure list.  The images of d are built once
+    for all matrices, since d does not depend on the matrix.  Positions run
+    in the outer loop, so only one position's images of d are held at a
+    time; the failures are still listed matrix by matrix.
 
-    Everything runs on ints.  For a basis key of weight W, act sends it to
-    den ** W times g(key), so the left side is den ** W times d(g . key).
-    The differential never raises weight, so the right side is scaled alike
-    by giving each term k of d(key) the factor den ** (W - weight(k)).
+    The generators suffice: d is right linear over the enveloping algebra
+    and a symplectic g acts semilinearly.  Each term of d(w (x) 1 (x) 1)
+    has weight |w|, so act scales both sides by den ** |w|.
     """
     algebra = WeylAlgebra(n, field)
     for idx, matrix in enumerate(matrices):
@@ -300,21 +292,20 @@ def check_sp_equivariance(n: int, matrices, field: Field, filt_bound: int = 2):
             raise NotSymplectic(
                 f"matrix {idx} does not preserve the commutator pairing", matrix_index=idx)
     accumulate = field.accumulate
-    actions = [chain_action(algebra, matrix) for matrix in matrices]
+    actions = [chain_action(algebra, matrix)[1] for matrix in matrices]
     failures = [[] for _ in matrices]
+    one = ((0,) * n, (0,) * n)
     for d in range(1, 2 * n + 1):
-        # act keeps a key's wedge length, so every key met here is at position d
+        # act keeps a key's wedge length and sends 1 (x) 1 to itself, so
+        # every key met here is a generator at position d
         differential = cache(lambda key: koszul_differential(algebra, {key: 1}))
-        basis = _position_basis(algebra, d, filt_bound)
-        for idx, (den, act) in enumerate(actions):
-            for key in basis:
-                weight = _weight(key)
+        generators = [(w, (one, one)) for w in _wedges(2 * n, d)]
+        for idx, act in enumerate(actions):
+            for key in generators:
                 lhs = accumulate({}, ((image_key, c * ci)
                                       for moved, c in act({key: 1}).items()
                                       for image_key, ci in differential(moved).items()))
-                rhs = act({k: c * den ** (weight - _weight(k))
-                           for k, c in differential(key).items()})
-                if lhs != rhs:
+                if lhs != act(differential(key)):
                     w, pair = key
                     failures[idx].append(
                         f"matrix {idx}: differential not equivariant at position {d} "

@@ -47,6 +47,7 @@ class Mutant(NamedTuple):
 ORACLE_PRODUCT = "tests/test_crossed.py::test_product_matches_field_scalar_oracle"
 CORNER_ORACLE = "tests/test_morita.py::test_corner_matches_two_product_oracle"
 DIFFERENTIAL_ORACLE = "tests/test_weyl.py::test_differentials_match_oracles_on_every_basis_key"
+BOUNDED_EXACTNESS = "tests/test_weyl.py::test_bounded_exactness_n1"
 OFF_GENERATOR = "tests/test_cli.py::test_override_term_off_its_generator_exit_2"
 FEED_COUNT = "tests/test_morita.py::test_signed_s3_feed_builds_only_the_commutators_it_feeds"
 MODULE_SET = "tests/test_package.py::test_each_command_executes_only_the_modules_it_uses"
@@ -175,18 +176,20 @@ MUTANTS = [
            "                if f.pow(z, m) != chi[gm]:\n",
            "                if f.pow(z, m) != f.one():\n",
            ("tests/test_groups.py::test_characters_extend_past_a_nontrivial_power",)),
-    Mutant("equivariance-drops-weight-factor", "weyl.py",
-           "                rhs = act({k: c * den ** (weight - _weight(k))\n",
-           "                rhs = act({k: c * den ** 0\n",
-           ("tests/test_weyl.py::test_cached_equivariance_matches_oracle_with_denominators_n2",)),
+    Mutant("wedge-action-drops-sort-sign", "weyl.py",
+           "        coeff = -1 if sum(a > b for a, b in combinations(idxs, 2)) % 2 else 1\n",
+           "        coeff = 1\n",
+           ("tests/test_weyl.py::test_cached_equivariance_matches_oracle_n1",)),
     Mutant("dual-drops-sort-sign", "weyl.py",
            "                sign = 1 if greater % 2 == 0 else -1\n",
            "                sign = 1\n",
            (DIFFERENTIAL_ORACLE,)),
+    # d is equivariant under these two mutants too, so the equivariance
+    # check cannot see them; the exactness checks do
     Mutant("koszul-adds-right-term", "weyl.py",
            "                    yield (rest, (s, m)), -sc * cm\n",
            "                    yield (rest, (s, m)), sc * cm\n",
-           (DIFFERENTIAL_ORACLE,)),
+           (DIFFERENTIAL_ORACLE, BOUNDED_EXACTNESS)),
     Mutant("dual-adds-right-term", "weyl.py",
            "                    yield (new_wedge, (s, m)), -sign * c * cm\n",
            "                    yield (new_wedge, (s, m)), sign * c * cm\n",
@@ -194,14 +197,15 @@ MUTANTS = [
     Mutant("koszul-swaps-right-product", "weyl.py",
            "                for m, cm in product(t, v).items():\n",
            "                for m, cm in product(v, t).items():\n",
-           (DIFFERENTIAL_ORACLE,)),
+           (DIFFERENTIAL_ORACLE, "tests/test_weyl.py::test_koszul_d_squared_zero_exhaustive",
+            BOUNDED_EXACTNESS)),
     Mutant("dual-swaps-right-product", "weyl.py",
            "                for m, cm in product(v, t).items():\n",
            "                for m, cm in product(t, v).items():\n",
            (DIFFERENTIAL_ORACLE,)),
     Mutant("differential-cache-rebuilt-per-matrix", "weyl.py",
-           "        for idx, (den, act) in enumerate(actions):\n",
-           "        for idx, (den, act) in enumerate(actions):\n"
+           "        for idx, act in enumerate(actions):\n",
+           "        for idx, act in enumerate(actions):\n"
            "            differential = cache(lambda key: koszul_differential(algebra, {key: 1}))\n",
            ("tests/test_weyl.py::test_equivariance_differentiates_each_key_once_across_matrices",)),
     Mutant("differential-cache-keyed-by-pair", "weyl.py",

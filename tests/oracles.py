@@ -7,7 +7,9 @@ replaced, the per-entry accumulate loop that ``Field.accumulate``
 replaced, the symplectic equivariance check on field scalars that maps
 every monomial, wedge and differential afresh on each use, with its own
 monomial product, differential, chain action and symplectic test, which
-the cached int kernels of ``skewgin.weyl.check_sp_equivariance`` replaced,
+the cached int kernels of ``skewgin.weyl.check_sp_equivariance`` replaced
+(over every chain basis key up to a filtration bound, where the library
+checks the free generators only),
 the dual differential on field scalars, the two differentials built per
 term and position from the one-sided differences (v (x) 1 - 1 (x) v) that
 the single accumulate of ``skewgin.weyl.koszul_differential`` and
@@ -59,8 +61,8 @@ from itertools import combinations, product
 from math import comb, factorial
 
 from skewgin import weyl
-from skewgin.crossed import (Certificate, CommutatorTerm, CrossedElement, basis_index,
-                             commutator_basis, crossed_basis, expand_certificate,
+from skewgin.crossed import (Certificate, CommutatorTerm, CrossedElement, _basis_pairs,
+                             basis_index, commutator_basis, crossed_basis, expand_certificate,
                              express_modulo_commutators, vectorize)
 from skewgin.errors import NoSolution, NotAbelian, NotSymplectic, UnknownArrow
 from skewgin.fields import primitive_root_of_unity
@@ -538,12 +540,13 @@ def naive_is_symplectic(field, n, matrix):
     return True
 
 
-def naive_sp_equivariance(n, matrices, field, filt_bound=2):
+def naive_sp_equivariance(n, matrices, field, filt_bound):
     """``check_sp_equivariance`` on field scalars with nothing cached: both
     sides of d(g . elem) = g . d(elem) are computed from scratch for every
-    chain basis element, in the same order and with the same failure text.
-    Only the monomial list and the differential's sign come from
-    ``skewgin.weyl``."""
+    chain basis element of enveloping filtration at most filt_bound, in the
+    same order and with the same failure text.  Bound 0 leaves exactly the
+    generators w (x) 1 (x) 1 that the library checks.  Only the monomial
+    list and the differential's sign come from ``skewgin.weyl``."""
     for idx, matrix in enumerate(matrices):
         if not naive_is_symplectic(field, n, matrix):
             raise NotSymplectic(
@@ -844,7 +847,7 @@ def retrying_express_modulo_commutators(solver, element, length, index, dens):
     combo = solver.express(target)
     if combo is None:
         support = set(solver.residual(target))
-        terms = commutator_basis(element.action, length)
+        terms = commutator_basis(element.action, length, _basis_pairs(element.action, length))
         vectors = [vectorize(term.element, index) for term in terms]
         order = sorted(range(len(terms)), key=lambda k: support.isdisjoint(vectors[k]))
         since_check = 0
@@ -961,7 +964,8 @@ class CyclicClass:
         self.action = representative.action
         self._solver = LinSolver(self.action.field)
         self._index = basis_index(self.action, self.length)
-        for term in commutator_basis(self.action, self.length):
+        for term in commutator_basis(self.action, self.length,
+                                     _basis_pairs(self.action, self.length)):
             self._solver.add(vectorize(term.element, self._index))
 
     def __eq__(self, other):

@@ -271,7 +271,7 @@ def test_criterion_7_weyl_koszul():
                 ok = False
     good = [[Q.parse("-1"), Q.parse("0")], [Q.parse("0"), Q.parse("-1")]]
     squeeze = [[Q.parse("2"), Q.parse("0")], [Q.parse("0"), Q.parse("1/2")]]
-    if check_sp_equivariance(1, [good, squeeze], Q, filt_bound=2):
+    if check_sp_equivariance(1, [good, squeeze], Q):
         ok = False
     try:
         check_sp_equivariance(1, [[[Q.parse("2"), Q.parse("0")],

@@ -1,6 +1,6 @@
 """The bench's report-bytes contract, checked in tier-1.
 
-Seed 1 of two bench workloads is generated with ``perfbench/workloads.py``
+Seed 1 of each bench workload is generated with ``perfbench/workloads.py``
 into a temporary directory, each command runs in-process through
 ``skewgin.cli.main``, and every report must pass ``perfbench/gate.py``'s
 ``check`` against the recorded ``perfbench/goldens.json``.  Nothing under
@@ -29,7 +29,7 @@ def bench_module(name):
     return module
 
 
-@pytest.mark.parametrize("workload", ["s3-q-verify", "mckay-gfp-session"])
+@pytest.mark.parametrize("workload", ["s3-q-verify", "mckay-gfp-session", "weyl-n2-f5"])
 def test_seed_1_reports_match_the_goldens(capsys, tmp_path, monkeypatch, workload):
     gate, workloads = bench_module("gate"), bench_module("workloads")
     goldens = gate.load_goldens()

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewgin.crossed import Certificate, CrossedElement, commutator_basis, expand_certificate
+from skewgin.crossed import (Certificate, CrossedElement, _basis_pairs, commutator_basis,
+                             expand_certificate)
 from skewgin.errors import FieldMismatch, QuiverMismatch
 from skewgin.fields import make_field
 from skewgin.groups import cyclic_group
@@ -132,7 +133,7 @@ def test_associativity_random():
 def test_commutator_basis_one_loop():
     q = GradedQuiver(["1"], [("x", "1", "1", 0)])
     action = QuiverAction.trivial(cyclic_group(1), q, Q)
-    terms = commutator_basis(action, 2)
+    terms = commutator_basis(action, 2, _basis_pairs(action, 2))
     # k[x] is commutative: every commutator of the length-2 component vanishes
     assert terms == []
 
@@ -143,7 +144,7 @@ def test_commutator_basis_two_loops():
     from skewgin.crossed import basis_index, vectorize
     index = basis_index(action, 2)
     solver = LinSolver(Q)
-    for term in commutator_basis(action, 2):
+    for term in commutator_basis(action, 2, _basis_pairs(action, 2)):
         solver.add(vectorize(term.element, index))
     # span contains exactly xy - yx: quotient of the 4-dim component is 3
     assert solver.rank == 1
@@ -154,7 +155,7 @@ def test_commutators_vanish_for_length_zero_trivial_action():
     q = GradedQuiver(["1"], [("x", "1", "1", 0)])
     g2 = cyclic_group(2)
     action = QuiverAction.trivial(g2, q, Q)
-    assert commutator_basis(action, 0) == []
+    assert commutator_basis(action, 0, _basis_pairs(action, 0)) == []
 
 
 def test_hc0_reduce_full_corner_returns_input():

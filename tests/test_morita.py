@@ -733,7 +733,8 @@ def test_signed_s3_commutator_feed_stops_at_the_potential():
     md, w = document_problem(SIGNED_S3)
     feed = transport_feed(md, w, FeedCountingSolver)
     got = express_modulo_commutators(*feed)
-    assert len(commutator_basis(md.action, feed[2])) == 1764
+    assert len(commutator_basis(md.action, feed[2],
+                                crossed._basis_pairs(md.action, feed[2]))) == 1764
     assert 0 < feed[0].fed < 1764
     assert got == feed_all_express_modulo_commutators(*transport_feed(md, w))
 
@@ -744,7 +745,7 @@ def test_signed_s3_feed_builds_only_the_commutators_it_feeds(monkeypatch):
     # commutator that commutator_basis builds is inserted: 442 of 1,764
     built = []
 
-    def counting_basis(action, length, pairs=None):
+    def counting_basis(action, length, pairs):
         terms = commutator_basis(action, length, pairs)
         built.extend(terms)
         return terms
@@ -798,7 +799,8 @@ def test_lazy_feed_matches_feed_all_oracle_on_random_inputs(name, data):
     support = set(feed()[0].residual(vectorize(target, index)))
     keys = [key for key, i in index.items() if i in support]
     candidates = crossed._touching_candidates(action, length, keys)
-    touching = [(t.u, t.v) for t in commutator_basis(action, length)
+    touching = [(t.u, t.v)
+                for t in commutator_basis(action, length, crossed._basis_pairs(action, length))
                 if not support.isdisjoint(vectorize(t.element, index))]
     assert set(touching) <= set(candidates)
 
@@ -884,7 +886,8 @@ def commutator_actions():
     ("signed-s3", 3), ("mckay", 3)])
 def test_commutator_basis_matches_product_oracle(name, length):
     action = commutator_actions()[name]()
-    got = [(t.u, t.v, t.element.field_terms()) for t in commutator_basis(action, length)]
+    got = [(t.u, t.v, t.element.field_terms())
+           for t in commutator_basis(action, length, crossed._basis_pairs(action, length))]
     want = [(t.u, t.v, t.element.field_terms())
             for t in naive_commutator_basis(action, length)]
     assert got == want

@@ -1,6 +1,6 @@
 """The mutation catalogue of ``tests/mutants.py`` stays applicable.
 
-Running the 50 entries took 75 s on a 2-vCPU VM with Python 3.11, under
+Running the 50 entries took 80 s on a 2-vCPU VM with Python 3.11, under
 the ``no-explain`` Hypothesis profile of ``tests/conftest.py``; with
 Hypothesis's explain phase left on, 32 entries took 100-108 s.  It is not part of
 tier-1; this only checks, in milliseconds, that every entry still changes something
