@@ -501,6 +501,10 @@ def morita_dimension_check(md: MoritaData, w: Potential, reduced_w: Potential, b
     and then crosses with the group, which is valid because the action
     permutes the relation span; that fact is asserted at runtime.  Each
     corner e.b.e of a basis pair b is read off e (``corner``), with no product.
+    Only pairs (p, g) with p a normal word, no pivot of I's echelon rows,
+    are cornered: rows pivot on their least key, so modulo I#G any (p, g)
+    is a combination of normal-word pairs, and e.(I#G).e lies in the
+    two-sided ideal I#G, so every rank is unchanged.
     """
     action, field = md.action, md.field
     relations = derivative_relations(w)
@@ -526,8 +530,8 @@ def morita_dimension_check(md: MoritaData, w: Potential, reduced_w: Potential, b
             solver.rows.update((k * n + g, {kk * n + g: c for kk, c in row.items()})
                                for k, row in ideal.rows.items())
         rank_relations = solver.rank
-        for key in crossed_basis(action, ell):
-            if (cornered := corner(e, key)).terms:
+        for key, i in index.items():
+            if i // n not in ideal.rows and (cornered := corner(e, key)).terms:
                 solver.add(vectorize(cornered, index))
         left_dim = solver.rank - rank_relations
         rows.append((ell, left_dim, right[ell]))

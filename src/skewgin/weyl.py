@@ -225,18 +225,18 @@ def wedge_action(algebra: WeylAlgebra, matrix, wedge):
 
 def chain_action(algebra: WeylAlgebra, matrix):
     """The diagonal action of the matrix on wedge (x) enveloping-algebra
-    elements, on ints: returns (den, act).
+    elements, on ints: returns act.
 
     The matrix is cleared once by ``Field.scaled`` to an int matrix over its
-    common denominator den (1 over GF(p)).  act extends
+    common denominator den (1 over GF(p)), and den is dropped.  act extends
     g . (w (x) s (x) t) = g(w) (x) g(s) (x) g(t) linearly through the images
     under the cleared matrix, so a key of weight |w| + |s| + |t| goes to
     den ** weight times its image under g.  Each wedge and each monomial is
     mapped once, the first time act meets it, and its image is reused.
     """
     size, accumulate = 2 * algebra.n, algebra.field.accumulate
-    den, entries = algebra.field.scaled([((i, k), matrix[i][k])
-                                         for i in range(size) for k in range(size)])
+    _, entries = algebra.field.scaled([((i, k), matrix[i][k])
+                                       for i in range(size) for k in range(size)])
     cleared = [[0] * size for _ in range(size)]
     for (i, k), v in entries:
         cleared[i][k] = v
@@ -254,7 +254,7 @@ def chain_action(algebra: WeylAlgebra, matrix):
                              for mt, ct in gt.items()))
         return out
 
-    return den, act
+    return act
 
 
 def _wedges(n2: int, size: int):
@@ -292,7 +292,7 @@ def check_sp_equivariance(n: int, matrices, field: Field):
             raise NotSymplectic(
                 f"matrix {idx} does not preserve the commutator pairing", matrix_index=idx)
     accumulate = field.accumulate
-    actions = [chain_action(algebra, matrix)[1] for matrix in matrices]
+    actions = [chain_action(algebra, matrix) for matrix in matrices]
     failures = [[] for _ in matrices]
     one = ((0,) * n, (0,) * n)
     for d in range(1, 2 * n + 1):

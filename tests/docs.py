@@ -45,6 +45,15 @@ MCKAY = {
     "options": {"max_len": 4},
 }
 
+# MCKAY with g acting by a matrix that is not monomial: of order 3 and
+# determinant 1, so x y z - x z y stays invariant, while g sends a path to
+# a combination of several paths
+MCKAY_NON_MONOMIAL = dict(MCKAY, action={
+    "g": {"arrow_matrices": {"(v,v)": [["0", "-1", "0"],
+                                       ["1", "-1", "0"],
+                                       ["0", "0", "1"]]}},
+})
+
 TRIVIAL_GROUP_PIPELINE = {
     "field": "Q",
     "quiver": THREE_LOOPS_COMMUTATOR["quiver"],
@@ -111,6 +120,19 @@ SIGNED_S3 = {
     },
     "options": {"max_len": 3},
 }
+
+
+# SIGNED_S3 conjugated by the shear P = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]:
+# s and c become P s P^-1 and P c P^-1, which are not monomial and still
+# have determinant 1, so x y z - x z y stays invariant
+SIGNED_S3_SHEARED = dict(SIGNED_S3, action={
+    "s": {"arrow_matrices": {"(v,v)": [["-1", "0", "0"],
+                                       ["-1", "1", "0"],
+                                       ["0", "0", "-1"]]}},
+    "c": {"arrow_matrices": {"(v,v)": [["1", "-1", "1"],
+                                       ["1", "-1", "0"],
+                                       ["0", "1", "0"]]}},
+})
 
 
 def doc(base, **changes):

@@ -51,6 +51,9 @@ BOUNDED_EXACTNESS = "tests/test_weyl.py::test_bounded_exactness_n1"
 OFF_GENERATOR = "tests/test_cli.py::test_override_term_off_its_generator_exit_2"
 FEED_COUNT = "tests/test_morita.py::test_signed_s3_feed_builds_only_the_commutators_it_feeds"
 MODULE_SET = "tests/test_package.py::test_each_command_executes_only_the_modules_it_uses"
+DIMENSION_ORACLE = "tests/test_morita.py::test_dimension_check_matches_all_pairs_oracle"
+CORNER_COUNT = ("tests/test_morita.py::test_dimension_check_corners_each_normal_word_once"
+                "_per_group_element")
 
 MUTANTS = [
     # -- the int kernel of CrossedElement and its denominators --
@@ -134,6 +137,14 @@ MUTANTS = [
            "            if ep * embedded[q] != (zero if pq is None else embedded[pq]):\n",
            "            if ep * embedded[q] != ep * embedded[q]:\n",
            ("tests/test_morita.py::test_check_embedding_catches_an_uncornered_arrow",)),
+    Mutant("dimension-check-corners-pivots-not-normal-words", "morita.py",
+           "            if i // n not in ideal.rows and (cornered := corner(e, key)).terms:\n",
+           "            if i // n in ideal.rows and (cornered := corner(e, key)).terms:\n",
+           (DIMENSION_ORACLE, CORNER_COUNT)),
+    Mutant("dimension-check-reads-group-part-as-path", "morita.py",
+           "            if i // n not in ideal.rows and (cornered := corner(e, key)).terms:\n",
+           "            if i % n not in ideal.rows and (cornered := corner(e, key)).terms:\n",
+           (DIMENSION_ORACLE, CORNER_COUNT)),
     Mutant("corner-drops-source-vertex-condition", "morita.py",
            "        if perms[h][src] == v.source:\n", "        if True:\n",
            (CORNER_ORACLE,)),

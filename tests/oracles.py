@@ -36,11 +36,14 @@ commutators of the images), and two commutator feeds that
 ``skewgin.crossed.express_modulo_commutators`` replaced: one retrying the
 target every 24 insertions, and one feeding every commutator before it
 expresses the target once, which the feed that stops at the target
-replaced.  Three more run on skewgin's ``LinSolver``: the marker-column
+replaced.  Four more run on skewgin's ``LinSolver``: the marker-column
 solve ``marker_express`` that the back-substitution of
 ``LinSolver.express`` replaced, ``whole_layer_ranks``, the one solver
 per length layer that the Peirce-block ranks of
-``skewgin.morita.block_rank`` replaced, and ``listing_order_homology``,
+``skewgin.morita.block_rank`` replaced, ``all_pairs_dimension_check``,
+the corner of every (path, group element) pair that the normal words of
+``skewgin.morita.morita_dimension_check`` replaced, and
+``listing_order_homology``,
 the Weyl homology with rows pivoting on their first-listed key, which the
 last-listed pivots of ``skewgin.weyl._homology`` replaced.
 
@@ -66,10 +69,11 @@ from skewgin.crossed import (Certificate, CommutatorTerm, CrossedElement, _basis
                              express_modulo_commutators, vectorize)
 from skewgin.errors import NoSolution, NotAbelian, NotSymplectic, UnknownArrow
 from skewgin.fields import primitive_root_of_unity
+from skewgin.ginzburg import derivative_relations, jacobian_truncation, relation_ideal
 from skewgin.linalg import LinSolver
-from skewgin.morita import _diagonal_orbit_reps
-from skewgin.potential import Potential, _rotations, cyclic_derivative
-from skewgin.quiver import AlgElement, Path, basis_up_to
+from skewgin.morita import _diagonal_orbit_reps, corner
+from skewgin.potential import Potential, _rotations, cycle_length_of, cyclic_derivative
+from skewgin.quiver import AlgElement, Path, basis_up_to, paths_by_length
 
 
 def naive_accumulate(field, acc, terms):
@@ -650,6 +654,35 @@ def whole_layer_ranks(md, bound):
         ell = len(p.arrows)
         solvers[ell].add(vectorize(acc, indices[ell]))
     return [solver.rank for solver in solvers]
+
+
+def all_pairs_dimension_check(md, w, reduced_w, bound):
+    """(rows, ok) of ``skewgin.morita.morita_dimension_check`` with the
+    corner e.(p, g).e formed for every (path, group element) pair, the loop
+    that its restriction to normal words replaced: the relation ideal I is
+    eliminated once per length, its rows are copied onto each group slice,
+    and the corner dimension is the rank all corners add to them."""
+    action, field = md.action, md.field
+    relations = derivative_relations(w)
+    by_len = paths_by_length(action.quiver, bound)
+    ideals = (relation_ideal(relations, by_len, bound, cycle_length_of(w) - 1) if relations
+              else (LinSolver(field) for _ in range(bound + 1)))
+    n = action.group.size
+    e = md.total_idempotent()
+    right = jacobian_truncation(md.qprime, reduced_w, bound)
+    rows = []
+    for ell, ideal in zip(range(bound + 1), ideals):
+        index = basis_index(action, ell)
+        solver = LinSolver(field)
+        for g in action.group.elements():
+            solver.rows.update((k * n + g, {kk * n + g: c for kk, c in row.items()})
+                               for k, row in ideal.rows.items())
+        rank_relations = solver.rank
+        for key in crossed_basis(action, ell):
+            if (cornered := corner(e, key)).terms:
+                solver.add(vectorize(cornered, index))
+        rows.append((ell, solver.rank - rank_relations, right[ell]))
+    return rows, all(l == r for _, l, r in rows)
 
 
 def naive_corner(e, key):

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import operator
@@ -323,6 +324,20 @@ def test_verify_signed_s3_with_supplied_idempotents(capsys, tmp_path):
     assert rq_report["choices"]["irreducible_dims"]["v"] == [1, 1, 2]
     table = next(c for c in report["checks"] if "corner dimensions" in c["check"])
     assert [row["corner"] for row in table["table"]] == [3, 8, 16, 27]
+
+
+# sha256 of the signed-S3 verify report at length 4, as the full
+# (path, group element) corner loop of the dimension check wrote it; the
+# bench goldens pin length 3 only
+SIGNED_S3_VERIFY_4_SHA256 = "1f66ed537c54f2d372efb6348c6b98c4622c453ea12a17932e53a2dfcdcb0fb3"
+
+
+def test_signed_s3_verify_length_4_report_bytes_are_pinned(capsys, tmp_path):
+    path = tmp_path / "s3.json"
+    path.write_text(doc(SIGNED_S3), encoding="utf-8")
+    assert main(["verify", str(path), "--max-len", "4"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == SIGNED_S3_VERIFY_4_SHA256
 
 
 def test_weyl_command(capsys, tmp_path):

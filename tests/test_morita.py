@@ -1,10 +1,12 @@
+import functools
 import gc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewgin import crossed
+from skewgin import crossed, morita
 from skewgin.action import QuiverAction, validate_action
 from skewgin.crossed import (Certificate, CommutatorTerm, CrossedElement, basis_index,
                              commutator_basis, expand_certificate, express_modulo_commutators,
@@ -12,6 +14,7 @@ from skewgin.crossed import (Certificate, CommutatorTerm, CrossedElement, basis_
 from skewgin.document import parse
 from skewgin.errors import IncompleteIdempotents
 from skewgin.fields import make_field
+from skewgin.ginzburg import derivative_relations, relation_ideal
 from skewgin.groups import cyclic_group
 from skewgin.linalg import LinSolver
 from skewgin.morita import (block_rank, build_bimodule, build_morita, check_embedding,
@@ -20,8 +23,9 @@ from skewgin.morita import (block_rank, build_bimodule, build_morita, check_embe
 from skewgin.potential import Potential, canonicalize, cycle_length_of
 from skewgin.quiver import AlgElement, GradedQuiver, basis_up_to, paths_by_length
 
-from docs import MCKAY, SIGNED_S3, doc
-from oracles import (LabelledLinSolver, feed_all_express_modulo_commutators, naive_build_bimodule,
+from docs import MCKAY, MCKAY_NON_MONOMIAL, SIGNED_S3, SIGNED_S3_SHEARED, doc
+from oracles import (LabelledLinSolver, all_pairs_dimension_check,
+                     feed_all_express_modulo_commutators, naive_build_bimodule,
                      naive_commutator_basis, naive_corner, naive_embed_path,
                      naive_expand_certificate,
                      group_sub, retrying_express_modulo_commutators, scale,
@@ -465,6 +469,83 @@ def test_mckay_dropped_term_breaks_dimensions(mckay):
     rows, ok = morita_dimension_check(md, w, bad, 4)
     assert not ok
     assert any(l != r for _, l, r in rows)
+
+
+# ---------- the dimension check corners normal words only ----------
+
+def _document_input(document, bound, drop_term=False):
+    parsed = parse(doc(document))
+    md = build_morita(parsed.action, parsed.idempotents)
+    reduced, _ = transport_potential(parsed.potential, md)
+    if drop_term:
+        terms = dict(reduced.terms)
+        del terms[min(terms)]
+        reduced = canonicalize(md.qprime, md.field, [(c, p) for p, c in terms.items()])
+    return md, parsed.potential, reduced, bound
+
+
+def _swap_input(cycle, bound):
+    md = build_morita(swap_action())
+    q = md.action.quiver
+    w = (canonicalize(q, Q, [(Q.one(), q.path(cycle))]) if cycle
+         else Potential(q, Q))
+    return md, w, transport_potential(w, md)[0], bound
+
+
+def _trivial_group_input(bound):
+    q = GradedQuiver(["1"], [("x", "1", "1", 0), ("y", "1", "1", 0), ("z", "1", "1", 0)])
+    md = build_morita(trivial_action(q))
+    w = canonicalize(q, Q, [(Q.one(), q.path(["x", "y", "z"])),
+                            (Q.parse("-1"), q.path(["x", "z", "y"]))])
+    return md, w, transport_potential(w, md)[0], bound
+
+
+# (md, w, reduced_w, bound).  On one vertex with G abelian the total
+# idempotent is the unit, so the corner of (p, g) is (p, g) itself, for the
+# non-monomial McKay action too; the corner of a normal word has terms off
+# the normal words on the signed-S3 documents, whose e is not the unit
+DIMENSION_INPUTS = {
+    "mckay": lambda: _document_input(MCKAY, 6),
+    "signed-s3": lambda: _document_input(SIGNED_S3, 5),
+    "non-monomial-mckay": lambda: _document_input(MCKAY_NON_MONOMIAL, 6),
+    "sheared-signed-s3": lambda: _document_input(SIGNED_S3_SHEARED, 3),
+    "swap-cycle": lambda: _swap_input(["a", "b"], 4),
+    "q-swap-zero": lambda: _swap_input(None, 4),
+    "trivial-group": lambda: _trivial_group_input(4),
+    "mckay-dropped-term": lambda: _document_input(MCKAY, 4, drop_term=True),
+}
+
+
+@functools.cache
+def dimension_input(name):
+    return DIMENSION_INPUTS[name]()
+
+
+@pytest.mark.parametrize("name", DIMENSION_INPUTS)
+def test_dimension_check_matches_all_pairs_oracle(name):
+    md, w, reduced, bound = dimension_input(name)
+    rows, ok = morita_dimension_check(md, w, reduced, bound)
+    assert (rows, ok) == all_pairs_dimension_check(md, w, reduced, bound)
+    # the tables agree on a failing check too
+    assert ok is (name != "mckay-dropped-term")
+
+
+@pytest.mark.parametrize("name, bound, total", [
+    ("mckay", 6, 252), ("signed-s3", 3, 120), ("signed-s3", 5, 336)])
+def test_dimension_check_corners_each_normal_word_once_per_group_element(
+        monkeypatch, name, bound, total):
+    md, w, reduced, _ = dimension_input(name)
+    formed = Counter()
+    real_corner = morita.corner
+    monkeypatch.setattr(morita, "corner",
+                        lambda e, key: formed.update([len(key[0].arrows)]) or real_corner(e, key))
+    morita_dimension_check(md, w, reduced, bound)
+    by_len = paths_by_length(md.action.quiver, bound)
+    ideals = relation_ideal(derivative_relations(w), by_len, bound, cycle_length_of(w) - 1)
+    normal_words = [len(by_len[ell]) - ideal.rank for ell, ideal in enumerate(ideals)]
+    assert [formed[ell] for ell in range(bound + 1)] == [
+        count * md.action.group.size for count in normal_words]
+    assert sum(formed.values()) == total
 
 
 # ---------- embedding each reduced path once ----------
