@@ -133,6 +133,15 @@ MUTANTS = [
            "    return sum(solver.rank for solver in solvers.values())\n",
            "    return max(solver.rank for solver in solvers.values())\n",
            ("tests/test_morita.py::test_block_ranks_match_whole_layer_oracle",)),
+    Mutant("pivot-elements-use-rep-path", "morita.py",
+           "                action, trivial_path(act_vertex(g, rep)), g) * e).terms)\n",
+           "                action, trivial_path(rep), g) * e).terms)\n",
+           ("tests/test_morita.py::test_block_ranks_match_whole_layer_oracle",
+            "tests/test_morita.py::test_swap_reduction_single_vertex_loop")),
+    Mutant("pair-check-skips-composable-arrow-pairs", "morita.py",
+           "            if pq is None and p.arrows and q.arrows:\n",
+           "            if p.arrows and q.arrows:\n",
+           ("tests/test_morita.py::test_pair_check_compares_composable_arrows_with_their_fold",)),
     Mutant("embedding-pair-check-tautological", "morita.py",
            "            if ep * embedded[q] != (zero if pq is None else embedded[pq]):\n",
            "            if ep * embedded[q] != ep * embedded[q]:\n",

@@ -46,6 +46,10 @@ the corner of every (path, group element) pair that the normal words of
 ``listing_order_homology``,
 the Weyl homology with rows pivoting on their first-listed key, which the
 last-listed pivots of ``skewgin.weyl._homology`` replaced.
+``all_pairs_multiplicativity``, the product of every pair of reduced
+paths of total length at most 2 that the products on vertices and arrows
+of ``skewgin.morita.check_embedding`` replaced, runs on skewgin's crossed
+product and ``embed_paths``.
 
 The last section holds helpers that no command uses, kept for the tests:
 ``one`` and ``scale`` (which ``CrossedElement`` no longer has), the Weyl
@@ -71,7 +75,7 @@ from skewgin.errors import NoSolution, NotAbelian, NotSymplectic, UnknownArrow
 from skewgin.fields import primitive_root_of_unity
 from skewgin.ginzburg import derivative_relations, jacobian_truncation, relation_ideal
 from skewgin.linalg import LinSolver
-from skewgin.morita import _diagonal_orbit_reps, corner
+from skewgin.morita import _diagonal_orbit_reps, corner, embed_paths
 from skewgin.potential import Potential, _rotations, cycle_length_of, cyclic_derivative
 from skewgin.quiver import AlgElement, Path, basis_up_to, paths_by_length
 
@@ -642,7 +646,8 @@ def naive_embed_path(md, path):
 
 def whole_layer_ranks(md, bound):
     """The rank of each length layer of the embedded reduced paths, up to
-    bound, in one solver per layer; the rank that the per-block solvers of
+    bound, in one solver per layer on every (path, group element) key; the
+    rank that the per-block solvers on pivot coordinates of
     ``skewgin.morita.block_rank`` replaced.  Each path is embedded as its
     own fold of full arrow embeddings, e_src * a1 * ... * ak."""
     solvers = [LinSolver(md.field) for _ in range(bound + 1)]
@@ -654,6 +659,29 @@ def whole_layer_ranks(md, bound):
         ell = len(p.arrows)
         solvers[ell].add(vectorize(acc, indices[ell]))
     return [solver.rank for solver in solvers]
+
+
+def all_pairs_multiplicativity(md, bound):
+    """The report lines of the pair check of
+    ``skewgin.morita.check_embedding`` with ep * eq formed for every pair
+    of reduced paths of total length at most min(bound, 2), composable or
+    not, the loop that its products on the vertices and arrows replaced."""
+    report = []
+    qprime = md.qprime
+    by_len = paths_by_length(qprime, bound)
+    embedded = embed_paths(md, [p for layer in by_len.values() for p in layer])
+    pair_bound = min(bound, 2)
+    short = [p for ell in range(pair_bound + 1) for p in by_len.get(ell, [])]
+    zero = CrossedElement.zero(md.action)
+    for p in short:
+        ep = embedded[p]
+        for q in short:
+            if len(p.arrows) + len(q.arrows) > pair_bound:
+                continue
+            pq = qprime.compose(p, q)
+            if ep * embedded[q] != (zero if pq is None else embedded[pq]):
+                report.append(f"embedding is not multiplicative on {p} * {q}")
+    return report
 
 
 def all_pairs_dimension_check(md, w, reduced_w, bound):

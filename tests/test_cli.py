@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from skewgin.cli import main
 
-from docs import (MCKAY, MINIMAL, NEGATION_NONINVARIANT, SIGNED_S3,
-                  THREE_LOOPS_COMMUTATOR, TRIVIAL_GROUP_PIPELINE, doc)
+from docs import (MCKAY, MCKAY_NON_MONOMIAL, MINIMAL, NEGATION_NONINVARIANT, SIGNED_S3,
+                  SIGNED_S3_SHEARED, THREE_LOOPS_COMMUTATOR, TRIVIAL_GROUP_PIPELINE, doc)
 
 
 def run_cli(capsys, tmp_path, document_text, *argv_tail, name="doc.json"):
@@ -338,6 +338,22 @@ def test_signed_s3_verify_length_4_report_bytes_are_pinned(capsys, tmp_path):
     assert main(["verify", str(path), "--max-len", "4"]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == SIGNED_S3_VERIFY_4_SHA256
+
+
+# sha256 of the verify reports at length 4 whose pivot sets and embedded
+# rows differ most from the bench documents, as the embedding check wrote
+# them with every pair of total length at most 2 multiplied out and every
+# (path, group element) key ranked
+@pytest.mark.parametrize("document, digest", [
+    (SIGNED_S3_SHEARED, "3939656d387eef460569ee4a9d6fce23ea57d5c5a52e52b944fa96177bb8536d"),
+    (MCKAY_NON_MONOMIAL, "7cb446a58175ac2c4dde26e2fb235a52db1f9c07c03d1e05986dc336af0f537e"),
+], ids=["sheared-signed-s3", "non-monomial-mckay"])
+def test_verify_length_4_report_bytes_are_pinned(capsys, tmp_path, document, digest):
+    path = tmp_path / "doc.json"
+    path.write_text(doc(document), encoding="utf-8")
+    assert main(["verify", str(path), "--max-len", "4"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == digest
 
 
 def test_weyl_command(capsys, tmp_path):

@@ -19,12 +19,12 @@ from skewgin.groups import cyclic_group
 from skewgin.linalg import LinSolver
 from skewgin.morita import (block_rank, build_bimodule, build_morita, check_embedding,
                             check_fullness, corner, embed, embed_paths, morita_dimension_check,
-                            orbit_data, transport_potential)
+                            orbit_data, pivot_elements, transport_potential)
 from skewgin.potential import Potential, canonicalize, cycle_length_of
 from skewgin.quiver import AlgElement, GradedQuiver, basis_up_to, paths_by_length
 
 from docs import MCKAY, MCKAY_NON_MONOMIAL, SIGNED_S3, SIGNED_S3_SHEARED, doc
-from oracles import (LabelledLinSolver, all_pairs_dimension_check,
+from oracles import (LabelledLinSolver, all_pairs_dimension_check, all_pairs_multiplicativity,
                      feed_all_express_modulo_commutators, naive_build_bimodule,
                      naive_commutator_basis, naive_corner, naive_embed_path,
                      naive_expand_certificate,
@@ -618,11 +618,9 @@ def test_verify_stages_leave_no_reference_cycles():
     assert found == dict.fromkeys(stages, 0)
 
 
-def test_check_embedding_catches_an_uncornered_arrow():
-    # an arrow embedding left outside its corner is no longer multiplicative:
-    # the pair check multiplies in the target idempotent, the stored fold
-    # does not.  (Over McKay's one-dimensional idempotents the source
-    # idempotent alone corners an arrow, so there the swap goes unseen.)
+def uncornered_arrow_reduction():
+    """Signed S3 with its first arrow embedded as a bimodule element b
+    whose corner e_src.b.e_tgt is the arrow's embedding; returns (md, name)."""
     md = reduction_of(SIGNED_S3)
     assert check_embedding(md, 2) == []
     name = md.qprime.arrows[0].name
@@ -632,35 +630,143 @@ def test_check_embedding_catches_an_uncornered_arrow():
                  if e_src * element * e_tgt == md.arrow_embed[name])
     assert entry != md.arrow_embed[name]
     md.arrow_embed[name] = entry
+    return md, name
+
+
+def non_orthogonal_reduction():
+    """McKay with e_0 replaced by e_0 + e_1; returns (md, (v0, v1))."""
+    md = reduction_of(MCKAY)
+    assert check_embedding(md, 2) == []
+    v0, v1 = md.qprime.vertices[:2]
+    md.vertex_idems[v0] = md.vertex_idems[v0] + md.vertex_idems[v1]
+    return md, (v0, v1)
+
+
+def test_check_embedding_catches_an_uncornered_arrow():
+    # an arrow embedding left outside its corner is no longer multiplicative:
+    # the pair check multiplies in the target idempotent, the stored fold
+    # does not.  (Over McKay's one-dimensional idempotents the source
+    # idempotent alone corners an arrow, so there the swap goes unseen.)
+    md, name = uncornered_arrow_reduction()
     # the composable pair (arrow, target vertex) must fail too: it compares
     # the product with the stored embedding of the arrow, so it guards the
     # check against comparing a product with itself
+    tgt = md.qprime.arrow(name).tgt
     arrow_path, target = md.qprime.path([name]), md.qprime.trivial_path(tgt)
     assert f"embedding is not multiplicative on {arrow_path} * {target}" in check_embedding(md, 2)
-
-
-@pytest.mark.parametrize("document", [MCKAY, SIGNED_S3], ids=["mckay", "signed_s3"])
-def test_block_ranks_match_whole_layer_oracle(document):
-    # a path from i to j embeds into e_i (A#G) e_j, so with orthogonal
-    # vertex idempotents the per-block ranks add up to the layer's rank
-    md = reduction_of(document)
-    by_len = paths_by_length(md.qprime, 4)
-    embedded = embed_paths(md, by_len[4])
-    ranks = [block_rank(md, by_len[ell], embedded, basis_index(md.action, ell))
-             for ell in range(5)]
-    assert ranks == whole_layer_ranks(md, 4) == [len(by_len[ell]) for ell in range(5)]
-    assert len({(p.source, md.qprime.path_target(p)) for p in by_len[4]}) > 1
 
 
 def test_check_embedding_names_non_orthogonal_vertex_idempotents():
     # the block ranks rest on e_i e_j = 0 for i != j; an idempotent e_0 + e_1
     # breaks that, and the length-0 pair check has to say so
-    md = reduction_of(MCKAY)
-    assert check_embedding(md, 2) == []
-    v0, v1 = md.qprime.vertices[:2]
-    md.vertex_idems[v0] = md.vertex_idems[v0] + md.vertex_idems[v1]
+    md, (v0, v1) = non_orthogonal_reduction()
     t0, t1 = md.qprime.trivial_path(v0), md.qprime.trivial_path(v1)
     assert f"embedding is not multiplicative on {t0} * {t1}" in check_embedding(md, 2)
+
+
+# ---------- the embedding check on generators and pivot coordinates ----------
+
+def trivial_group_reduction():
+    q = GradedQuiver(["1", "2"], [("a", "1", "2", 0), ("b", "2", "1", 0), ("x", "1", "1", 0)])
+    return build_morita(trivial_action(q))
+
+
+EMBEDDING_INPUTS = {
+    "mckay": lambda: reduction_of(MCKAY),
+    "signed_s3": lambda: reduction_of(SIGNED_S3),
+    "non-monomial-mckay": lambda: reduction_of(MCKAY_NON_MONOMIAL),
+    "sheared-signed-s3": lambda: reduction_of(SIGNED_S3_SHEARED),
+    "swap": lambda: build_morita(swap_action()),
+    "mixed-orbit": lambda: build_morita(mixed_orbit_action()),
+    "trivial-group": trivial_group_reduction,
+}
+
+
+@functools.cache
+def embedding_input(name):
+    return EMBEDDING_INPUTS[name]()
+
+
+@pytest.mark.parametrize("bound", range(4))
+@pytest.mark.parametrize("name", EMBEDDING_INPUTS)
+def test_check_embedding_passes_with_the_all_pairs_oracle(name, bound):
+    md = embedding_input(name)
+    assert check_embedding(md, bound) == []
+    assert all_pairs_multiplicativity(md, bound) == []
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+@pytest.mark.parametrize("corrupted", [uncornered_arrow_reduction, non_orthogonal_reduction],
+                         ids=["uncornered-arrow", "non-orthogonal-idempotents"])
+def test_check_embedding_failures_are_all_pairs_failures(corrupted, bound):
+    md, _ = corrupted()
+    report = check_embedding(md, bound)
+    assert report and set(report) <= set(all_pairs_multiplicativity(md, bound))
+
+
+@pytest.mark.parametrize("name, counts", [("signed_s3", [9, 57, 81, 81]),
+                                          ("mckay", [9, 63, 90, 90])], ids=["signed_s3", "mckay"])
+def test_pair_check_multiplies_vertices_and_arrows_only(monkeypatch, name, counts):
+    # V^2 vertex pairs, 2VA vertex-arrow pairs and, from bound 2 on, the
+    # sum over v of in(v) * out(v) composable arrow pairs, against 265
+    # (signed S3) and 306 (McKay) pairs of total length at most 2
+    md = embedding_input(name)
+    vertices, arrows = md.qprime.vertices, md.qprime.arrows
+    v, a = len(vertices), len(arrows)
+    through = sum(sum(b.tgt == u for b in arrows) * sum(b.src == u for b in arrows)
+                  for u in vertices)
+    assert counts == [v * v, v * v + 2 * v * a] + [v * v + 2 * v * a + through] * 2
+    generators = {id(x) for x in [*md.vertex_idems.values(), *md.arrow_embed.values()]}
+    formed = []
+    real_mul = CrossedElement.__mul__
+    monkeypatch.setattr(CrossedElement, "__mul__", lambda x, y: formed.append(
+        id(x) in generators and id(y) in generators) or real_mul(x, y))
+    for bound, count in enumerate(counts):
+        formed.clear()
+        assert check_embedding(md, bound) == []
+        assert sum(formed) == count
+
+
+def test_pair_check_compares_composable_arrows_with_their_fold():
+    # a path ab embeds as a's corner times b's fold factor b.e_j.  A wrong
+    # fold factor leaves every rank and every product with a vertex as it
+    # was, so only the arrow * arrow pairs can see it
+    md = reduction_of(SIGNED_S3)
+    a = md.qprime.arrows[0]
+    md.fold_factors[a.name] = md.fold_factors[a.name] + md.fold_factors[a.name]
+    into = [md.qprime.path([b.name]) for b in md.qprime.arrows if b.tgt == a.src]
+    report = check_embedding(md, 2)
+    assert into and sorted(report) == sorted(
+        f"embedding is not multiplicative on {b} * {md.qprime.path([a.name])}" for b in into)
+
+
+@pytest.mark.parametrize("name", EMBEDDING_INPUTS)
+def test_block_ranks_match_whole_layer_oracle(name):
+    # a path from i to j embeds into e_i (A#G) e_j, so with orthogonal
+    # vertex idempotents the per-block ranks add up to the layer's rank,
+    # and on the pivot coordinates of (A#G).e_j each block keeps its rank
+    md = embedding_input(name)
+    by_len = paths_by_length(md.qprime, 4)
+    embedded = embed_paths(md, by_len[4])
+    pivots = pivot_elements(md)
+    ranks = [block_rank(md, by_len[ell], embedded, basis_index(md.action, ell), pivots)
+             for ell in range(5)]
+    assert ranks == whole_layer_ranks(md, 4) == [len(by_len[ell]) for ell in range(5)]
+    blocks = {(p.source, md.qprime.path_target(p)) for p in by_len[4]}
+    assert len(blocks) > 1 or len(md.qprime.vertices) == 1
+
+
+@pytest.mark.parametrize("name", EMBEDDING_INPUTS)
+def test_pivot_sets_have_the_dimension_of_the_group_part(name):
+    # kG.eps_j has dimension d_j [G:H], H the stabilizer of the representative
+    md = embedding_input(name)
+    pivots = pivot_elements(md)
+    size = md.action.group.size
+    for j in md.qprime.vertices:
+        rep, k = md.vertex_info[j]
+        assert len(pivots[j]) == md.idem_sets[rep].dims[k] * size // len(md.stabilizers[rep])
+    if name == "signed_s3":
+        assert [len(pivots[j]) for j in md.qprime.vertices] == [1, 1, 2]
 
 
 @pytest.mark.parametrize("dropped, failing", [(0, [0]), (2, [0, 1, 2, 3])])
