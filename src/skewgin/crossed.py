@@ -17,11 +17,13 @@ elements is regrouped by the paths q of its right operand, so each p.r is
 built once (see ``CrossedElement.__mul__``); elements are immutable, so
 the right operand caches that regrouping.  The basis-pair products
 (p, g)(q, h) of commutators and certificates are read straight off the
-cleared image.  The commutator feed of ``express_modulo_commutators``
-forms a commutator only when it reaches it, finding the ones that touch
-the target's residual through an index of the cleared images, and stops
-as soon as the target is in the span.  A ``Certificate`` keeps one den and
-int entries; field scalars are made only when it is iterated.
+cleared image.  ``express_modulo_commutators`` takes a target and (label,
+element) pairs and returns their combination with a ``Certificate`` for
+the commutator part; its feed forms a commutator only when it reaches it,
+finding the ones that touch the target's residual through an index of the
+cleared images, and stops as soon as the target is in the span.  A
+``Certificate`` keeps one den and int entries; field scalars are made only
+when it is iterated.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 from math import lcm
 
 from .errors import FieldMismatch, NotLengthHomogeneous, QuiverMismatch
+from .linalg import LinSolver
 from .quiver import AlgElement, Path, path_sort_key, paths_by_length
 
 
@@ -280,12 +283,6 @@ class Certificate:
     def __init__(self, field, den: int, terms: dict):
         self.field, self.den, self.terms = field, den, terms
 
-    @classmethod
-    def from_entries(cls, field, entries):
-        """The certificate of ((u, v), field scalar) entries, a repeated
-        pair getting the sum of its coefficients."""
-        return cls(field, *field.combine((coeff, 1, ((pair, 1),)) for pair, coeff in entries))
-
     def __len__(self):
         return len(self.terms)
 
@@ -349,47 +346,53 @@ def _feed(action, length: int, index: dict, support):
                 yield term, vectorize(term.element, index)
 
 
-def express_modulo_commutators(solver, target: CrossedElement, length: int, index: dict,
-                               dens: dict):
-    """Write target as the solver's labelled vectors plus commutators.
+def express_modulo_commutators(target: CrossedElement, labelled=()):
+    """Write target as labelled elements plus commutators of its length.
 
-    Every input of the solver must carry a label, and each is the int
-    terms of an element whose den is dens[label].
-    The solver's own labelled vectors are tried first.  Only then are the
-    commutators of the length component fed in (``_feed``), each as its
-    int terms, the ones touching the residual's support first, in basis
-    order, each formed only when the feed reaches it.  The feed stops as
-    soon as the target is in the span: after an insertion that enlarged
-    it, only the target's residual is reduced further
-    (``LinSolver.span_test``), which is exact as the residual holds no
-    pivot key; then the target is expressed once more.
-    The labelled inputs are independent, so the combination is unique: a
-    commutator fed after the stop would get coefficient 0, and the
-    certificate is the one the whole feed gives.  The solver combines int
-    vectors, so each coefficient is rescaled by its input's den over the
-    target's den.  Returns (combination of the caller's labels,
-    certificate entries ((u, v), coeff)), or None.
+    labelled holds (label, element) pairs of the target's length; each
+    element's int terms go into a fresh ``LinSolver`` in the order given,
+    and the target is tried on them first.  Only then are the commutators
+    of the length component fed in (``_feed``), each as its int terms, the
+    ones touching the residual's support first, in basis order, each
+    formed only when the feed reaches it.  The feed stops as soon as the
+    target is in the span: after an insertion that enlarged it, only the
+    target's residual is reduced further (``LinSolver.span_test``), which
+    is exact as the residual holds no pivot key; then the target is
+    expressed once more.
+    The inputs that enlarged the span are independent, so the combination
+    is unique: a commutator fed after the stop would get coefficient 0, and
+    the certificate is the one the whole feed gives.  The solver combines
+    int vectors, so each coefficient is rescaled by its input's den over
+    the target's den; the commutators enter one ``Field.combine`` that way.
+    Returns (combination of the labels, ``Certificate``), or None; the
+    zero target is the empty combination.
     """
+    action, field = target.action, target.action.field
+    if target.is_zero():
+        return {}, Certificate(field, 1, {})
+    length = target.pure_length()
+    index = basis_index(action, length)
+    solver = LinSolver(field)
+    dens = {}
+    for label, element in labelled:
+        solver.add(vectorize(element, index), label=label)
+        dens[label] = element.den
     vector = vectorize(target, index)
     combo = solver.express(vector)
     if combo is None:
         residual = solver.residual(vector)
         in_span = solver.span_test(residual)
-        for term, vec in _feed(target.action, length, index, set(residual)):
+        for term, vec in _feed(action, length, index, set(residual)):
             if solver.add(vec, label=term) and in_span():
                 break
         combo = solver.express(vector)
         if combo is None:
             return None
-    field, den = target.action.field, target.den
-    own, certificate = {}, []
+    den = target.den
+    own, commutators = {}, []
     for label, coeff in combo.items():
-        is_commutator = isinstance(label, CommutatorTerm)
-        d = label.element.den if is_commutator else dens[label]
-        if d != den:
-            coeff = field.mul(coeff, field.ratio(d, den))
-        if is_commutator:
-            certificate.append(((label.u, label.v), coeff))
+        if isinstance(label, CommutatorTerm):
+            commutators.append((coeff, den, (((label.u, label.v), label.element.den),)))
         else:
-            own[label] = coeff
-    return own, certificate
+            own[label] = field.mul(coeff, field.ratio(dens[label], den))
+    return own, Certificate(field, *field.combine(commutators))

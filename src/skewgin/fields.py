@@ -247,7 +247,6 @@ def primitive_root_of_unity(field: Field, n: int):
             continue
         if all(pow(candidate, m, p) != 1 for m in _proper_divisors(n)):
             return candidate
-    raise NoRootOfUnity(f"no primitive {n}-th root of unity in GF({p})")
 
 
 def read_scalar(raw, where, field, issues):

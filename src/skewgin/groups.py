@@ -113,14 +113,8 @@ def make_group(names, table) -> FiniteGroup:
                 if table[table[a][b]][c] != table[a][table[b][c]]:
                     raise NotAssociative(
                         f"({names[a]}*{names[b]})*{names[c]} != {names[a]}*({names[b]}*{names[c]})")
-    inverses = [None] * n
-    for a in range(n):
-        for b in range(n):
-            if table[a][b] == identity and table[b][a] == identity:
-                inverses[a] = b
-                break
-    if any(v is None for v in inverses):
-        raise NoIdentity("an element has no inverse")
+    # the Latin row of a holds e once, at b with ab = e: two-sided, as G is a group
+    inverses = [row.index(identity) for row in table]
     return FiniteGroup(names, table, identity, inverses)
 
 

@@ -396,10 +396,13 @@ def check_fullness(md: MoritaData, bound: int):
 def transport_potential(w: Potential, md: MoritaData):
     """Move a potential through the corner onto the reduced quiver.
 
-    Only for the untwisted grading (all arrow degrees 0).  Returns
-    (reduced potential, certificate); the ``Certificate`` holds commutator
-    pairs with coefficients and re-expands exactly to the difference
-    between the embedded result and the original element.
+    Only for the untwisted grading (all arrow degrees 0).  The potential
+    is expressed by ``express_modulo_commutators`` on the embedded reduced
+    cycles of its length.  Returns (reduced potential, certificate); the
+    ``Certificate`` adds the rotation commutators of the solved cycles to
+    the solved certificate negated, in one ``Field.combine``, and
+    re-expands exactly to the difference between the embedded result and
+    the original element.
     """
     action, field = md.action, md.field
     quiver = action.quiver
@@ -414,19 +417,10 @@ def transport_potential(w: Potential, md: MoritaData):
         raise DegreeMismatch("potential transport requires one cycle length")
 
     x = CrossedElement.from_alg(action, w.as_element())
-    index = basis_index(md.action, ell)
     qprime = md.qprime
-    solver = LinSolver(field)
     cycles = [p for p in paths_by_length(qprime, ell).get(ell, []) if qprime.is_cycle(p)]
     embedded = embed_paths(md, cycles)
-    dens = {}
-    for p in cycles:
-        el = embedded[p]
-        if not el.is_zero():
-            solver.add(vectorize(el, index), label=p)
-            dens[p] = el.den
-    del embedded  # not held through the commutator solve
-    found = express_modulo_commutators(solver, x, ell, index, dens)
+    found = express_modulo_commutators(x, [(p, embedded[p]) for p in cycles])
     if found is None:
         raise NoSolution(
             "the potential class has no representative in the reduced cycle span")
@@ -457,7 +451,7 @@ def transport_potential(w: Potential, md: MoritaData):
     certificate = Certificate(field, *field.combine(chain(
         ((coeff, embedded[tail].den * embedded[head].den,
           bilinear(embedded[tail], embedded[head])) for coeff, head, tail in splits),
-        ((field.neg(coeff), 1, ((pair, 1),)) for pair, coeff in solved))))
+        [(-1, solved.den, solved.terms.items())])))
     del embedded
     reduced = canonicalize(qprime, field, raw_terms)
     # the certificate is never trusted: re-expand and compare exactly
@@ -470,25 +464,22 @@ def transport_potential(w: Potential, md: MoritaData):
 def certify_reduction(md: MoritaData, w: Potential, reduced: Potential):
     """Certify that a reduced potential represents the original class.
 
-    Solves embed(reduced) - (original tensor identity) as an exact
-    combination of commutators, re-expands the certificate, and returns it
-    as a ``Certificate``.
+    Expresses embed(reduced) - (original tensor identity) by commutators
+    alone (``express_modulo_commutators`` with nothing labelled, which
+    gives the zero difference the empty certificate), re-expands the
+    ``Certificate`` and returns it.
     Raises BasisExpressFailure when the classes differ, which is how a
     perturbed reduced potential is caught.
     """
-    action, field = md.action, md.field
+    action = md.action
     x = CrossedElement.from_alg(action, w.as_element())
     difference = embed(md, reduced.as_element()) - x
-    if difference.is_zero():
-        return Certificate(field, 1, {})
-    ell = difference.pure_length()
-    index = basis_index(action, ell)
-    found = express_modulo_commutators(LinSolver(field), difference, ell, index, {})
+    found = express_modulo_commutators(difference)
     if found is None:
         raise BasisExpressFailure(
             "embedded reduced potential differs from the original by more "
             "than commutators")
-    certificate = Certificate.from_entries(field, found[1])
+    certificate = found[1]
     if expand_certificate(action, certificate) != difference:
         raise BasisExpressFailure("certificate failed re-expansion")
     return certificate

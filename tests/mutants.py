@@ -74,8 +74,8 @@ MUTANTS = [
            "        if True:\n            return self.terms == other.terms\n",
            ("tests/test_crossed.py::test_equality_compares_values_across_dens",)),
     Mutant("combination-skips-den-rescale", "crossed.py",
-           "        if d != den:\n            coeff = field.mul(coeff, field.ratio(d, den))\n",
-           "        if False:\n            coeff = field.mul(coeff, field.ratio(d, den))\n",
+           "            own[label] = field.mul(coeff, field.ratio(dens[label], den))\n",
+           "            own[label] = coeff\n",
            ("tests/test_morita.py::test_rescaled_combination_matches_labelled_oracle"
             "_on_fraction_vectors",)),
     Mutant("kernel-always-builds-new-path", "crossed.py",
@@ -100,8 +100,8 @@ MUTANTS = [
            ("tests/test_crossed.py::test_commutator_basis_two_loops",
             "tests/test_morita.py::test_commutator_basis_matches_product_oracle")),
     Mutant("feed-only-first-commutator", "crossed.py",
-           "        for term, vec in _feed(target.action, length, index, set(residual)):\n",
-           "        for term, vec in [next(_feed(target.action, length, index, set(residual)))]:\n",
+           "        for term, vec in _feed(action, length, index, set(residual)):\n",
+           "        for term, vec in [next(_feed(action, length, index, set(residual)))]:\n",
            ("tests/test_morita.py::test_one_commutator_feed_matches_retrying_oracle"
             "_on_transport",)),
     Mutant("candidates-try-only-split-zero", "crossed.py",
@@ -112,6 +112,25 @@ MUTANTS = [
            "            if solver.add(vec, label=term) and in_span():\n",
            "            if solver.add(vec, label=term) and not residual:\n",
            (FEED_COUNT,)),
+    Mutant("labelled-inserted-without-label", "crossed.py",
+           "        solver.add(vectorize(element, index), label=label)\n",
+           "        solver.add(vectorize(element, index))\n",
+           ("tests/test_morita.py::test_one_commutator_feed_matches_retrying_oracle"
+            "_on_transport",)),
+    Mutant("labelled-den-taken-as-1", "crossed.py",
+           "        dens[label] = element.den\n",
+           "        dens[label] = 1\n",
+           ("tests/test_morita.py::test_rescaled_combination_matches_labelled_oracle"
+            "_on_fraction_vectors",)),
+    Mutant("certificate-part-skips-target-den", "crossed.py",
+           "            commutators.append((coeff, den, (((label.u, label.v), label.element.den),)))\n",
+           "            commutators.append((coeff, 1, (((label.u, label.v), label.element.den),)))\n",
+           ("tests/test_morita.py::test_rescaled_combination_matches_labelled_oracle"
+            "_on_fraction_vectors",)),
+    Mutant("zero-target-not-short-cut", "crossed.py",
+           "    if target.is_zero():\n        return {}, Certificate(field, 1, {})\n",
+           "",
+           ("tests/test_cli.py::test_verify_certifies_a_supplied_reduced_potential",)),
     Mutant("expand-drops-certificate-den", "crossed.py",
            "    return CrossedElement.from_sums(action, sums, certificate.den)\n",
            "    return CrossedElement.from_sums(action, sums, 1)\n",

@@ -52,7 +52,11 @@ of ``skewgin.morita.check_embedding`` replaced, runs on skewgin's crossed
 product and ``embed_paths``.
 
 The last section holds helpers that no command uses, kept for the tests:
-``one`` and ``scale`` (which ``CrossedElement`` no longer has), the Weyl
+``one`` and ``scale`` (which ``CrossedElement`` no longer has),
+``entries``, which lists the ``Certificate`` that
+``express_modulo_commutators`` returns so it compares with the two feeds
+above, ``certificate_of``, which builds a ``Certificate`` from entries
+through ``Field.combine`` as ``src`` does, the Weyl
 generators ``weyl_x`` and ``weyl_d``, ``weyl_commutator`` and the unit
 ``envelope_one`` (which ``WeylAlgebra`` and the removed ``WeylEnvelope``
 no longer have), ``path_unit`` and ``scale_path_element`` (which
@@ -866,6 +870,19 @@ def naive_commutator_basis(action, length):
     return out
 
 
+def _feed_solver(target, labelled):
+    """(solver, target vector, length, index, dens): a fresh ``LinSolver``
+    holding the labelled elements' int terms in the order given, as
+    ``express_modulo_commutators`` fills its own."""
+    length = target.pure_length()
+    index = basis_index(target.action, length)
+    solver, dens = LinSolver(target.action.field), {}
+    for label, element in labelled:
+        solver.add(vectorize(element, index), label=label)
+        dens[label] = element.den
+    return solver, vectorize(target, index), length, index, dens
+
+
 def _split_combination(combo, target, dens):
     """(the caller's labels, certificate entries) of a combination of int
     vectors, each coefficient times its input's den over the target's."""
@@ -881,11 +898,15 @@ def _split_combination(combo, target, dens):
     return own, certificate
 
 
-def feed_all_express_modulo_commutators(solver, element, length, index, dens):
+def feed_all_express_modulo_commutators(element, labelled=()):
     """``express_modulo_commutators`` that feeds every commutator of
     ``naive_commutator_basis``, those touching the residual's support
-    first, and only then expresses the target once more."""
-    target = vectorize(element, index)
+    first, and only then expresses the target once more.  Returns
+    (combination, certificate entries); the zero target is the empty
+    combination."""
+    if element.is_zero():
+        return {}, []
+    solver, target, length, index, dens = _feed_solver(element, labelled)
     combo = solver.express(target)
     if combo is None:
         support = set(solver.residual(target))
@@ -900,11 +921,12 @@ def feed_all_express_modulo_commutators(solver, element, length, index, dens):
     return _split_combination(combo, element, dens)
 
 
-def retrying_express_modulo_commutators(solver, element, length, index, dens):
+def retrying_express_modulo_commutators(element, labelled=()):
     """``express_modulo_commutators`` that feeds the commutators touching the
     residual's support first and retries the target after every 24
-    insertions that enlarge the span, stopping at the first success."""
-    target = vectorize(element, index)
+    insertions that enlarge the span, stopping at the first success.
+    Returns (combination, certificate entries)."""
+    solver, target, length, index, dens = _feed_solver(element, labelled)
     combo = solver.express(target)
     if combo is None:
         support = set(solver.residual(target))
@@ -941,6 +963,19 @@ def scale(x, coeff):
     """coeff * x on field scalars, cleared afresh by the constructor."""
     f = x.action.field
     return CrossedElement(x.action, {k: f.mul(coeff, c) for k, c in x.field_terms().items()})
+
+
+def entries(found):
+    """(combination, certificate entries) of what
+    ``express_modulo_commutators`` returns, so it compares with the
+    oracles above; None stays None."""
+    return None if found is None else (found[0], list(found[1]))
+
+
+def certificate_of(field, entries):
+    """The ``Certificate`` of ((u, v), field scalar) entries through one
+    ``Field.combine``, a repeated pair getting the sum of its coefficients."""
+    return Certificate(field, *field.combine((coeff, 1, ((pair, 1),)) for pair, coeff in entries))
 
 
 def weyl_x(algebra, i):
@@ -1052,18 +1087,13 @@ def hc0_reduce(x: CrossedElement, e: CrossedElement):
         raise ValueError("corner element is not idempotent")
     if x.is_zero():
         return CrossedElement.zero(action), []
-    length = x.pure_length()
-    index = basis_index(action, length)
-    solver = LinSolver(action.field)
     # corner span first so representatives prefer pure corner solutions
     corners = {}
-    for key in crossed_basis(action, length):
+    for key in crossed_basis(action, x.pure_length()):
         cornered = e * CrossedElement.from_pair(action, *key) * e
         if not cornered.is_zero():
             corners[key] = cornered
-            solver.add(vectorize(cornered, index), label=key)
-    found = express_modulo_commutators(solver, x, length, index,
-                                       {key: c.den for key, c in corners.items()})
+    found = express_modulo_commutators(x, corners.items())
     if found is None:
         raise NoSolution("no corner representative modulo commutators at this length")
     combo, certificate = found
@@ -1071,6 +1101,6 @@ def hc0_reduce(x: CrossedElement, e: CrossedElement):
     for key, coeff in combo.items():
         w = w + scale(corners[key], coeff)
     # self-verify: the certificate must re-expand exactly to x - w
-    if expand_certificate(action, Certificate.from_entries(action.field, certificate)) != x - w:
+    if expand_certificate(action, certificate) != x - w:
         raise NoSolution("certificate failed re-expansion")
-    return w, certificate
+    return w, list(certificate)

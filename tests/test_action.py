@@ -94,6 +94,75 @@ def test_validate_catches_block_violation():
     assert any("image of a hits b" in line for line in report)
 
 
+
+def _graded_loops(field):
+    """Z/2 swapping a degree-0 loop and a degree-1 loop."""
+    q = GradedQuiver(["1"], [("x", "1", "1", 0), ("y", "1", "1", 1)])
+    ident = {n: AlgElement.from_arrow(q, field, n) for n in ("x", "y")}
+    swap = {"x": AlgElement.from_arrow(q, field, "y"), "y": AlgElement.from_arrow(q, field, "x")}
+    return QuiverAction(cyclic_group(2), q, field, [{"1": "1"}] * 2, [ident, swap])
+
+
+def _vertex_swap_by_z3(field):
+    """Z/3 with both g and g2 swapping the two vertices: g*g = g2 moves them,
+    the composite does not."""
+    q = GradedQuiver(["1", "2"], [("a", "1", "2", 0), ("b", "2", "1", 0)])
+    ident = {n: AlgElement.from_arrow(q, field, n) for n in ("a", "b")}
+    swap = {"a": AlgElement.from_arrow(q, field, "b"), "b": AlgElement.from_arrow(q, field, "a")}
+    perms = [{"1": "1", "2": "2"}] + [{"1": "2", "2": "1"}] * 2
+    return QuiverAction(cyclic_group(3), q, field, perms, [ident, swap, swap])
+
+
+def _set_perm(g, perm):
+    def change(action):
+        action.vertex_perms[g] = perm
+    return change
+
+
+def _set_image(g, name, path=None, coeff=None):
+    """Give arrow name the image coeff * path under g, or none when path is None."""
+    def change(action):
+        images = action.arrow_images[g] = dict(action.arrow_images[g])
+        if path is None:
+            del images[name]
+        else:
+            images[name] = AlgElement.from_path(action.quiver, action.field,
+                                                action.quiver.path(path), coeff)
+    return change
+
+
+@pytest.mark.parametrize("make, change, line", [
+    (swap_action, _set_perm(1, {"1": "1", "2": "1"}),
+     "element g: vertex map is not a permutation"),
+    (swap_action, _set_perm(0, {"1": "2", "2": "1"}), "identity element moves a vertex"),
+    (lambda f: loop_scaling_action(f, 2), _set_image(0, "x", ["x"], 2),
+     "identity element does not fix arrow x"),
+    (lambda f: loop_scaling_action(f, 2), _set_image(1, "x"), "element g: no image for arrow x"),
+    (lambda f: loop_scaling_action(f, 2), _set_image(1, "x", ["x", "y"]),
+     "element g: image of x is not an arrow combination"),
+    (_graded_loops, None, "element g: image of x changes degree 0 -> 1"),
+    (loop_permutation_action, _set_image(1, "y", ["x"]),
+     "element g: arrow-space map on block (1,1) is not invertible"),
+    (_vertex_swap_by_z3, None, "vertex action of g*g differs from the composite"),
+], ids=["not-a-permutation", "identity-moves-vertex", "identity-moves-arrow", "no-image",
+        "not-arrows", "changes-degree", "not-invertible", "vertex-composite"])
+def test_validate_action_reports_each_broken_input(make, change, line):
+    action = make(F7)
+    if change is not None:
+        change(action)
+    assert line in validate_action(action)
+
+
+def test_extend_reports_a_changed_differential():
+    # d(x*) = x instead of yz - zy: x scales by 2 and x* by 2^-1 = 4, so
+    # neither g nor g2 commutes with the changed differential
+    action = loop_scaling_action(F7, 2)
+    pres = ginzburg(action.quiver, commutator_potential(action.quiver, F7), 3)
+    pres.differential["x*"] = AlgElement.from_arrow(pres.doubled, F7, "x")
+    _, report = extend_to_ginzburg(action, pres)
+    assert [(gen, g) for gen, g, _ in report] == [("x*", "g"), ("x*", "g2")]
+
+
 def test_act_on_paths():
     action = loop_permutation_action(Q)
     q = action.quiver

@@ -121,6 +121,76 @@ def test_document_values_of_the_wrong_type_exit_2(capsys, tmp_path, changes, loc
     assert location in [e["location"] for e in report["errors"]]
 
 
+# two vertices with one arrow each way under Z/2
+TWO_VERTICES = {"field": "Q", "quiver": {"vertices": ["1", "2"], "arrows": [
+    {"name": "a", "src": "1", "tgt": "2"}, {"name": "b", "src": "2", "tgt": "1"}]},
+    "group": {"elements": ["e", "g"], "table": [[0, 1], [1, 0]]}}
+
+
+@pytest.mark.parametrize("text, errors", [
+    ("[]", [("/", "the document must be a JSON object")]),
+    (json.dumps({"quiver": MINIMAL["quiver"]}), [("/field", "missing")]),
+    (json.dumps({"field": "Q"}), [("/quiver", "missing or not an object")]),
+    (doc(MINIMAL, quiver={"vertices": ["1"], "arrows": {}}),
+     [("/quiver/arrows", "expected a list")]),
+    (doc(MINIMAL, quiver={"vertices": ["1"], "arrows": [5]}),
+     [("/quiver/arrows/0", "expected an object")]),
+    (doc(MINIMAL, quiver={"vertices": ["1"], "arrows": [{"name": "a", "src": "2", "tgt": "3"}]}),
+     [("/quiver/arrows/0/src", "unknown vertex '2'"), ("/quiver/arrows/0/tgt", "unknown vertex '3'")]),
+    (doc(MINIMAL, group=[]), [("/group", "expected an object")]),
+    (doc(MINIMAL, field={"p": 3}, group=MCKAY["group"]),
+     [("/group", "the field characteristic 3 divides the group order 3")]),
+    (doc(MINIMAL, differential_override=[]),
+     [("/differential_override", "expected an object keyed by generators")]),
+    (doc(MCKAY, group=dict(MCKAY["group"], idempotents=[])),
+     [("/group/idempotents", "expected an object with vectors and dims")]),
+    (doc(MCKAY, action=[]), [("/action", "expected an object keyed by group elements")]),
+    (doc(MINIMAL, options=[]), [("/options", "expected an object")]),
+    (doc(MCKAY, action={"h": {}}), [("/action/h", "unknown group element 'h'")]),
+    (doc(MCKAY, action={"g": 5}), [("/action/g", "expected an object")]),
+    (doc(MCKAY, action={"g": {"vertex_perm": []}}), [("/action/g/vertex_perm", "expected an object")]),
+    (doc(MCKAY, action={"g": {"arrow_matrices": []}}),
+     [("/action/g/arrow_matrices", "expected an object")]),
+    (doc(MCKAY, action={"g": {"vertex_perm": {"w": "v"}}}),
+     [("/action/g/vertex_perm", "unknown vertex in 'w': 'v'")]),
+    (doc(TWO_VERTICES, action={"g": {"vertex_perm": {"1": "2"}}}),
+     [("/action/g/vertex_perm", "not a permutation")]),
+    (doc(MCKAY, action={"g": {"arrow_matrices": {"v,v": [["1"]]}}}),
+     [("/action/g/arrow_matrices/v,v", "expected a key of the form (src,tgt)")]),
+    (doc(TWO_VERTICES, action={"g": {"arrow_matrices": {"(1,1)": [["1"]]}}}),
+     [("/action/g/arrow_matrices/(1,1)", "no arrows 1 -> 1")]),
+    (doc(TWO_VERTICES, action={"g": {"vertex_perm": {"1": "2", "2": "1"}}}),
+     [("/action/g/arrow_matrices", "missing matrix for block (1,2)"),
+      ("/action/g/arrow_matrices", "missing matrix for block (2,1)")]),
+    (doc(MCKAY, action={}), [("/action", "elements not generated by the given maps: ['g', 'g2']")]),
+    (doc(MINIMAL, group={"elements": ["e", "g", "h"], "table": [[0, 1, 2], [0, 1, 2], [1, 2, 0]]}),
+     [("/group/table", "column 0 repeats an entry")]),
+], ids=["not-an-object", "no-field", "no-quiver", "arrows-not-a-list", "arrow-not-an-object",
+        "arrow-unknown-ends", "group-not-an-object", "char-divides-order",
+        "override-not-an-object", "idempotents-not-an-object", "action-not-an-object",
+        "options-not-an-object", "unknown-element",
+        "entry-not-an-object", "perm-not-an-object", "matrices-not-an-object",
+        "perm-unknown-vertex", "perm-not-a-permutation", "bad-block-key", "block-without-arrows",
+        "moved-block-without-matrix", "not-generated", "column-repeats"])
+def test_document_refusals_name_location_and_message(capsys, tmp_path, text, errors):
+    code, report = run_cli(capsys, tmp_path, text, "validate")
+    assert code == 2
+    assert [(e["location"], e["message"]) for e in report["errors"]] == errors
+
+
+def test_an_unlisted_fixed_block_gets_the_identity(capsys, tmp_path):
+    # g lists the block of the loop x only; the loop y at the fixed vertex 2
+    # keeps its arrow
+    two_loops = {"vertices": ["1", "2"], "arrows": [{"name": "x", "src": "1", "tgt": "1"},
+                                                    {"name": "y", "src": "2", "tgt": "2"}]}
+    text = doc(TWO_VERTICES, quiver=two_loops,
+               action={"g": {"arrow_matrices": {"(1,1)": [["-1"]]}}})
+    code, report = run_cli(capsys, tmp_path, text, "validate")
+    assert code == 0
+    assert report["checks"] == [{"check": "action is a valid group action", "ok": True,
+                                 "failures": []}]
+
+
 DOCUMENT_COMMANDS = ["validate", "ginzburg", "invariance", "reduce", "transport", "verify"]
 
 
@@ -288,6 +358,34 @@ def test_verify_perturbed_reduced_potential_exit_1(capsys, tmp_path):
     assert code == 1
     check = next(c for c in report["checks"] if "represents the original" in c["check"])
     assert check["ok"] is False
+
+
+# verify --max-len 3 with transport's reduced potential supplied back as the
+# document's reduced_potential: certify_reduction finds a certificate of
+# this many commutators (none on the trivial group, where the difference
+# is zero) and writes these report bytes, as the certificate built from
+# ((u, v), coefficient) entries wrote them
+@pytest.mark.parametrize("document, used, digest", [
+    (MCKAY, 12, "32b1d6d1acbe3f33713a35ee683ca168f4157ed60081f262454c828ad9b1c9e3"),
+    (MCKAY_NON_MONOMIAL, 16, "bf3bbb56783cb0052a3c91924975b33bec81ff85c92560c8f7696c1495b7ce94"),
+    (SIGNED_S3, 125, "b0974a918bf3226f19920016af6bac99fc53789389e2cfcec8edad9ea92bf666"),
+    (SIGNED_S3_SHEARED, 136, "2e977481d2f19076e15a0b26ca2358d65bc320db5932f1515b4ee5fe5629d8c4"),
+    (TRIVIAL_GROUP_PIPELINE, 0, "b4291fd13caaf49aecc75fde7c9b10f7602263d42bb0b6b8ad9678ebe2953add"),
+], ids=["mckay", "non-monomial-mckay", "signed-s3", "sheared-signed-s3", "trivial-group"])
+def test_verify_certifies_a_supplied_reduced_potential(capsys, tmp_path, document, used,
+                                                       digest):
+    code, report = run_cli(capsys, tmp_path, doc(document), "transport")
+    assert code == 0
+    path = tmp_path / "supplied.json"
+    path.write_text(doc(document, reduced_potential=report["reduced_potential"]),
+                    encoding="utf-8")
+    assert main(["verify", str(path), "--max-len", "3"]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert report["reduced_potential"]["source"] == "document override"
+    check = next(c for c in report["checks"] if "represents the original" in c["check"])
+    assert check["commutators_used"] == used
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 # McKay reduces to m0-m2: v:0 -> v:2, m3-m5: v:1 -> v:0, m6-m8: v:2 -> v:1;

@@ -4,16 +4,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewgin.crossed import (Certificate, CrossedElement, _basis_pairs, commutator_basis,
-                             expand_certificate)
+from skewgin.crossed import CrossedElement, _basis_pairs, commutator_basis, expand_certificate
 from skewgin.errors import FieldMismatch, QuiverMismatch
 from skewgin.fields import make_field
 from skewgin.groups import cyclic_group
 from skewgin.action import QuiverAction, validate_action
 from skewgin.quiver import AlgElement, GradedQuiver, basis_up_to
 
-from oracles import (CyclicClass, hc0_reduce, naive_crossed_mul, naive_expand_certificate, one,
-                     path_unit, scale)
+from oracles import (CyclicClass, certificate_of, hc0_reduce, naive_crossed_mul,
+                     naive_expand_certificate, one, path_unit, scale)
 
 Q = make_field("Q")
 F7 = make_field(7)
@@ -394,7 +393,7 @@ def test_expand_certificate_matches_entrywise_oracle(name, data):
     coeffs = scalars(field) if field.is_rationals else st.integers(0, 3 * field.p)
     pairs = st.tuples(st.sampled_from(keys), st.sampled_from(keys))
     certificate = data.draw(st.lists(st.tuples(pairs, coeffs), max_size=8))
-    got = expand_certificate(action, Certificate.from_entries(field, certificate))
+    got = expand_certificate(action, certificate_of(field, certificate))
     want = naive_expand_certificate(action, certificate)
     assert got == want
     assert_field_scalars(got, want.field_terms())

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from skewgin import crossed, morita
 from skewgin.action import QuiverAction, validate_action
-from skewgin.crossed import (Certificate, CommutatorTerm, CrossedElement, basis_index,
+from skewgin.crossed import (CommutatorTerm, CrossedElement, basis_index,
                              commutator_basis, expand_certificate, express_modulo_commutators,
                              vectorize)
 from skewgin.document import parse
@@ -25,7 +25,7 @@ from skewgin.quiver import AlgElement, GradedQuiver, basis_up_to, paths_by_lengt
 
 from docs import MCKAY, MCKAY_NON_MONOMIAL, SIGNED_S3, SIGNED_S3_SHEARED, doc
 from oracles import (LabelledLinSolver, all_pairs_dimension_check, all_pairs_multiplicativity,
-                     feed_all_express_modulo_commutators, naive_build_bimodule,
+                     certificate_of, entries, feed_all_express_modulo_commutators, naive_build_bimodule,
                      naive_commutator_basis, naive_corner, naive_embed_path,
                      naive_expand_certificate,
                      group_sub, retrying_express_modulo_commutators, scale,
@@ -828,43 +828,44 @@ def test_bimodule_slots_match_five_fold_product_oracle(name):
         assert [z.field_terms() for z in elements] == [z.field_terms() for z in want[key]]
 
 
-class FeedCountingSolver(LinSolver):
-    """A LinSolver that counts the commutators fed into it."""
+def watch_solver(monkeypatch):
+    """Make express_modulo_commutators build its solver as a LinSolver that
+    lists the label of each input and of each input that enlarged it, and
+    return those two lists."""
+    fed, enlarged = [], []
 
-    fed = 0
+    class RecordingSolver(LinSolver):
+        def add(self, vec, label=None):
+            fed.append(label)
+            if grew := super().add(vec, label):
+                enlarged.append(label)
+            return grew
 
-    def add(self, vec, label=None):
-        self.fed += isinstance(label, CommutatorTerm)
-        return super().add(vec, label)
+    monkeypatch.setattr(crossed, "LinSolver", RecordingSolver)
+    return fed, enlarged
 
 
-def transport_feed(md, w, solver_class=LinSolver):
-    """A fresh (solver, target, length, index, dens) as transport_potential
-    hands them to express_modulo_commutators."""
-    action, qprime = md.action, md.qprime
+def commutators_fed(fed):
+    return sum(isinstance(label, CommutatorTerm) for label in fed)
+
+
+def transport_feed(md, w):
+    """(target, labelled) as transport_potential hands them to
+    express_modulo_commutators."""
+    qprime = md.qprime
     ell = cycle_length_of(w)
-    index = basis_index(action, ell)
-    solver = solver_class(md.field)
     cycles = [p for p in paths_by_length(qprime, ell).get(ell, []) if qprime.is_cycle(p)]
     embedded = embed_paths(md, cycles)
-    dens = {}
-    for p in cycles:
-        if not embedded[p].is_zero():
-            solver.add(vectorize(embedded[p], index), label=p)
-            dens[p] = embedded[p].den
-    target = CrossedElement.from_alg(action, w.as_element())
-    return solver, target, ell, index, dens
+    target = CrossedElement.from_alg(md.action, w.as_element())
+    return target, [(p, embedded[p]) for p in cycles]
 
 
 def certify_feed(md, w, reduced):
-    """A fresh (solver, target, length, index, dens) as certify_reduction
-    hands them to express_modulo_commutators."""
-    action = md.action
+    """(target, labelled) as certify_reduction hands them to
+    express_modulo_commutators: the difference, and nothing labelled."""
     difference = (embed(md, reduced.as_element())
-                  - CrossedElement.from_alg(action, w.as_element()))
-    ell = difference.pure_length()
-    index = basis_index(action, ell)
-    return LinSolver(md.field), difference, ell, index, {}
+                  - CrossedElement.from_alg(md.action, w.as_element()))
+    return difference, ()
 
 
 def mixed_orbit_problem():
@@ -887,7 +888,7 @@ FEED_PROBLEMS = {"mckay": lambda: document_problem(MCKAY),
 @pytest.mark.parametrize("name", sorted(FEED_PROBLEMS))
 def test_one_commutator_feed_matches_retrying_oracle_on_transport(name):
     md, w = FEED_PROBLEMS[name]()
-    got = express_modulo_commutators(*transport_feed(md, w))
+    got = entries(express_modulo_commutators(*transport_feed(md, w)))
     assert got is not None
     assert got == retrying_express_modulo_commutators(*transport_feed(md, w))
     assert got == feed_all_express_modulo_commutators(*transport_feed(md, w))
@@ -900,7 +901,7 @@ def test_one_commutator_feed_matches_retrying_oracle_on_certification(mckay):
     action, md = mckay
     w = mckay_potential(action)
     reduced, _ = transport_potential(w, md)
-    got = express_modulo_commutators(*certify_feed(md, w, reduced))
+    got = entries(express_modulo_commutators(*certify_feed(md, w, reduced)))
     assert got is not None and got[1]
     assert got == retrying_express_modulo_commutators(*certify_feed(md, w, reduced))
     assert got == feed_all_express_modulo_commutators(*certify_feed(md, w, reduced))
@@ -913,16 +914,15 @@ def test_one_commutator_feed_matches_retrying_oracle_on_certification(mckay):
     assert feed_all_express_modulo_commutators(*certify_feed(md, w, bad)) is None
 
 
-def test_signed_s3_commutator_feed_stops_at_the_potential():
+def test_signed_s3_commutator_feed_stops_at_the_potential(monkeypatch):
     # the target is in the span long before the last of the 1,764
     # commutators; the combination, and so the certificate, is the one the
     # whole feed gives
     md, w = document_problem(SIGNED_S3)
-    feed = transport_feed(md, w, FeedCountingSolver)
-    got = express_modulo_commutators(*feed)
-    assert len(commutator_basis(md.action, feed[2],
-                                crossed._basis_pairs(md.action, feed[2]))) == 1764
-    assert 0 < feed[0].fed < 1764
+    fed, _ = watch_solver(monkeypatch)
+    got = entries(express_modulo_commutators(*transport_feed(md, w)))
+    assert len(commutator_basis(md.action, 3, crossed._basis_pairs(md.action, 3))) == 1764
+    assert 0 < commutators_fed(fed) < 1764
     assert got == feed_all_express_modulo_commutators(*transport_feed(md, w))
 
 
@@ -938,10 +938,10 @@ def test_signed_s3_feed_builds_only_the_commutators_it_feeds(monkeypatch):
         return terms
 
     monkeypatch.setattr(crossed, "commutator_basis", counting_basis)
+    fed, _ = watch_solver(monkeypatch)
     md, w = document_problem(SIGNED_S3)
-    feed = transport_feed(md, w, FeedCountingSolver)
-    got = express_modulo_commutators(*feed)
-    assert len(built) == feed[0].fed == 442
+    got = entries(express_modulo_commutators(*transport_feed(md, w)))
+    assert len(built) == commutators_fed(fed) == 442
     monkeypatch.undo()
     assert got == feed_all_express_modulo_commutators(*transport_feed(md, w))
 
@@ -974,16 +974,14 @@ def test_lazy_feed_matches_feed_all_oracle_on_random_inputs(name, data):
         if x is not None:
             target = target + scale(x, c)
 
-    def feed():
-        solver = LinSolver(action.field)
-        for label, x in enumerate(inputs):
-            solver.add(vectorize(x, index), label=label)
-        return solver, target, length, index, {label: x.den for label, x in enumerate(inputs)}
-
-    got = express_modulo_commutators(*feed())
-    assert got == feed_all_express_modulo_commutators(*feed())
+    labelled = list(enumerate(inputs))
+    got = entries(express_modulo_commutators(target, labelled))
+    assert got == feed_all_express_modulo_commutators(target, labelled)
     assert got is not None or not noise.is_zero()
-    support = set(feed()[0].residual(vectorize(target, index)))
+    solver = LinSolver(action.field)
+    for label, x in labelled:
+        solver.add(vectorize(x, index), label=label)
+    support = set(solver.residual(vectorize(target, index)))
     keys = [key for key, i in index.items() if i in support]
     candidates = crossed._touching_candidates(action, length, keys)
     touching = [(t.u, t.v)
@@ -997,29 +995,16 @@ def test_signed_s3_certificate_is_one_den_and_ints():
     # len counts the entries and iteration gives the Fractions they stand for
     md, w = document_problem(SIGNED_S3)
     _, cert = transport_potential(w, md)
-    entries = list(cert)
-    assert len(cert) == len(entries) == len(dict(entries)) == 1730
+    listed = list(cert)
+    assert len(cert) == len(listed) == len(dict(listed)) == 1730
     assert cert.den != 1 and all(type(s) is int for s in cert.terms.values())
-    assert entries == [(pair, Fraction(s, cert.den)) for pair, s in cert.terms.items()]
-    assert all(type(c) is Fraction for _, c in entries)
+    assert listed == [(pair, Fraction(s, cert.den)) for pair, s in cert.terms.items()]
+    assert all(type(c) is Fraction for _, c in listed)
     # re-expansion on ints is the entry-by-entry sum of the Fraction list
-    want = naive_expand_certificate(md.action, entries)
+    want = naive_expand_certificate(md.action, listed)
     assert expand_certificate(md.action, cert) == want
-    again = Certificate.from_entries(md.field, entries)
-    assert list(again) == entries and expand_certificate(md.action, again) == want
-
-
-class RecordingSolver(LinSolver):
-    """A LinSolver that records the labels of the inputs that enlarged it."""
-
-    def __init__(self, field):
-        super().__init__(field)
-        self.enlarged = []
-
-    def add(self, vec, label=None):
-        if enlarged := super().add(vec, label):
-            self.enlarged.append(label)
-        return enlarged
+    again = certificate_of(md.field, listed)
+    assert list(again) == listed and expand_certificate(md.action, again) == want
 
 
 def field_vector(element, index):
@@ -1028,7 +1013,8 @@ def field_vector(element, index):
 
 @pytest.mark.parametrize("name, stage", [(name, stage) for name in sorted(FEED_PROBLEMS)
                                           for stage in ("transport", "certify")])
-def test_rescaled_combination_matches_labelled_oracle_on_fraction_vectors(name, stage):
+def test_rescaled_combination_matches_labelled_oracle_on_fraction_vectors(name, stage,
+                                                                          monkeypatch):
     # the solver combines int vectors, each its element's terms times the
     # element's den; rescaled by the dens, the combination must be the one
     # the field-scalar oracle solver finds on the Fraction vectors of the
@@ -1037,19 +1023,19 @@ def test_rescaled_combination_matches_labelled_oracle_on_fraction_vectors(name, 
     # denominators
     md, w = FEED_PROBLEMS[name]()
     if stage == "transport":
-        solver, target, ell, index, dens = transport_feed(md, w, RecordingSolver)
-        assert any(d != 1 for d in dens.values()) == (name != "mckay")
+        target, labelled = transport_feed(md, w)
+        assert any(x.den != 1 for _, x in labelled) == (name != "mckay")
     else:
         reduced, _ = transport_potential(w, md)
-        _, target, ell, index, dens = certify_feed(md, w, reduced)
-        solver = RecordingSolver(md.field)
+        target, labelled = certify_feed(md, w, reduced)
         assert (target.den != 1) == (name != "mckay")
-    own, certificate = express_modulo_commutators(solver, target, ell, index, dens)
+    _, enlarged = watch_solver(monkeypatch)
+    own, certificate = express_modulo_commutators(target, labelled)
     # McKay's reduced cycles express its potential alone (see above)
     assert bool(certificate) == ((name, stage) != ("mckay", "transport"))
-    embedded = embed_paths(md, list(dens))
+    embedded, index = dict(labelled), basis_index(md.action, target.pure_length())
     oracle = LabelledLinSolver(md.field)
-    for label in solver.enlarged:
+    for label in enlarged:
         element = label.element if isinstance(label, CommutatorTerm) else embedded[label]
         assert oracle.add(field_vector(element, index), label=label)
     combo = oracle.express(field_vector(target, index))
