@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import (__version__, action, document, fields, ginzburg, morita, potential,
@@ -55,7 +56,8 @@ def _read_document(args):
 
 
 def _emit(report) -> None:
-    print(json.dumps(report, indent=2, sort_keys=True))
+    # flushed here, so a stdout whose reader has gone fails inside main
+    print(json.dumps(report, indent=2, sort_keys=True), flush=True)
 
 
 def _base_report(command):
@@ -402,9 +404,9 @@ def build_parser():
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(args) -> int:
+    """The command's exit code; a failed check or a refused input ends in a
+    report of its own."""
     try:
         return args.func(args)
     except CHECK_ERRORS as exc:
@@ -412,10 +414,24 @@ def main(argv=None) -> int:
                "failure": str(exc),
                "matrix_index": getattr(exc, "matrix_index", None)})
         return 1
+    except BrokenPipeError:
+        raise
     except (SkewginError, OSError) as exc:
         issues = getattr(exc, "issues", None) or [("/", str(exc))]
         _emit({"version": __version__, "command": args.command, "ok": False,
                "errors": [{"location": ptr, "message": msg} for ptr, msg in issues]})
+        return 2
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except BrokenPipeError:
+        # stdout's reader has gone, so no report can reach it; stdout points
+        # at the null device from here, so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

@@ -9,16 +9,22 @@ and of the resolution terms are sparse dicts.  The total-degree (Bernstein)
 filtration bounds every computation: the chain differential does not raise
 it, so each filtration piece is a finite complex with exact ranks.
 
+Inside, a chain key w (x) s (x) t is one int code over numbered wedges
+and monomials, and the products of the V basis vectors with monomials and
+the moves of each wedge are tabulated once per algebra (``_Chains``).  One
+image routine builds a code's image as an int vector straight in the
+numbering its caller asks for: minus the listing index of the target
+position, which the homology feeds to ``LinSolver``, or minus the code,
+which ``koszul_differential`` and ``dual_differential`` decode to keys.
+
 The checks run on plain ints (the scaled-integer convention of
 ``fields.py``): monomial products are unreduced ints, the resolution and
-its dual have integer coefficients, and each symplectic matrix is cleared
-by its common denominator once.  ``Field.accumulate`` reduces every sum
-over GF(p).  Each differential reads the memoized monomial products of its
-terms and sums them in one accumulate.  The equivariance check runs on
-the free generators w (x) 1 (x) 1 of the resolution only, whatever the
-filtration, and builds each of their images under d once for every matrix.
-Symplectic membership needs no product: linear elements commute to
-scalars, so it is the closed form M^T J M = J.
+its dual have integer coefficients, reduced mod p over GF(p), and each
+symplectic matrix is cleared by its common denominator once.  The
+equivariance check runs on the free generators w (x) 1 (x) 1 of the
+resolution only, whatever the filtration, and builds each of their images
+under d once for every matrix.  Symplectic membership needs no product:
+linear elements commute to scalars, so it is the closed form M^T J M = J.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ class WeylAlgebra:
         self.n = n
         self.field = field
         self._products = {}  # (m1, m2) -> normal-ordered product, int coefficients
+        self._chains = None  # the _Chains of the largest filtration asked for so far
         units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
         self._basis = [(u, (0,) * n) for u in units] + [((0,) * n, u) for u in units]
 
@@ -153,6 +160,7 @@ def is_symplectic(algebra: WeylAlgebra, matrix) -> bool:
 # Chain elements in homological position d are dicts
 #   (wedge, (monomial, monomial)) -> scalar
 # with wedge a strictly increasing tuple of V basis indices of length d.
+# Inside, each key is its int code (see _Chains).
 
 
 def _remove_sign(wedge, position):
@@ -162,48 +170,160 @@ def _remove_sign(wedge, position):
     return 1 if (m - (position + 1)) % 2 == 0 else -1
 
 
+def _wedges(n2: int, size: int):
+    return [tuple(c) for c in combinations(range(n2), size)]
+
+
+def _count(filt: int, letters: int) -> int:
+    """The number of monomials in the given number of letters of total
+    degree at most filt."""
+    return comb(filt + letters, letters) if filt >= 0 else 0
+
+
+class _Chains:
+    """Int codes and product tables for the chains whose monomials have
+    filtration at most filt.
+
+    A key (w, (s, t)) has the code (w * M + s) * M + t, with s and t the
+    ids of the M monomials in ``monomials_up_to(filt)`` and w the id of the
+    wedge in ``wedges``.  The tables left[k](s) and right[k](s) list the
+    products v_k s and s v_k of the k-th V basis vector as (monomial id,
+    int) pairs, each formed when first read; they are read for monomials
+    s below filt only, so every product is numbered.  A move of a wedge is
+    (target wedge id, sign, s table, sign, t table), with the signs of its
+    two terms: drops[w] are the moves of the resolution, by
+    v s (x) t - s (x) t v for each letter v dropped from w, and inserts[w]
+    those of the dual, by s v (x) t - s (x) v t for each letter inserted.
+    """
+
+    def __init__(self, algebra: WeylAlgebra, filt: int):
+        n2, product = 2 * algebra.n, algebra._mul_monomials
+        self.filt, self.n2, self.field = filt, n2, algebra.field
+        self.mons = mons = algebra.monomials_up_to(filt)
+        self.size = size = len(mons)
+        self.degree = [WeylAlgebra.monomial_filtration(m) for m in mons]
+        self.index = index = {m: i for i, m in enumerate(mons)}
+        self.wedges = [w for d in range(n2 + 1) for w in _wedges(n2, d)]
+        self.wedge_index = wid = {w: i for i, w in enumerate(self.wedges)}
+        generators = [algebra.basis_monomial(k) for k in range(n2)]
+
+        def table(multiply):
+            return cache(lambda s: [(index[m], c) for m, c in multiply(mons[s]).items()])
+
+        left = [table(lambda s, v=v: product(v, s)) for v in generators]
+        right = [table(lambda s, v=v: product(s, v)) for v in generators]
+        self.drops, self.inserts = [], []
+        for w in self.wedges:
+            drops = []
+            for pos, k in enumerate(w):
+                sign = _remove_sign(w, pos)
+                drops.append((wid[w[:pos] + w[pos + 1:]], sign, left[k], -sign, right[k]))
+            inserts = []
+            for j in range(n2):
+                if j in w:
+                    continue
+                greater = sum(1 for x in w if x > j)
+                sign = 1 if greater % 2 == 0 else -1
+                inserts.append((wid[tuple(sorted(w + (j,)))], sign, right[j], -sign, left[j]))
+            self.drops.append(drops)
+            self.inserts.append(inserts)
+        # the numbering by minus the code
+        self.codes = ([-w * size * size for w in range(len(self.wedges))],
+                      [-s * size for s in range(size)])
+
+    def split(self, code: int):
+        """(wedge id, s id, t id) of a code."""
+        w, pair = divmod(code, self.size * self.size)
+        s, t = divmod(pair, self.size)
+        return w, s, t
+
+    def code(self, key) -> int:
+        w, (s, t) = key
+        return (self.wedge_index[w] * self.size + self.index[s]) * self.size + self.index[t]
+
+    def key(self, code: int):
+        w, s, t = self.split(code)
+        return self.wedges[w], (self.mons[s], self.mons[t])
+
+    def position(self, d: int, env: int):
+        """(codes, numbering) of position d at enveloping filtration at most
+        env.  The codes run by wedge, then s, then t: monomials_up_to lists
+        by filtration, so the partners t of s with |s| + |t| <= env are the
+        first C(env - |s| + 2n, 2n) monomials.  The numbering is minus the
+        index in that listing, split as (wedge_at, pair_at): the key of ids
+        w, s, t has coordinate wedge_at[w] + pair_at[s] - t."""
+        size, n2 = self.size, self.n2
+        partners = [_count(env - self.degree[s], n2) for s in range(_count(env, n2))]
+        pair_at = [-sum(partners[:s]) for s in range(len(partners))]
+        first = sum(comb(n2, e) for e in range(d))
+        wedges = range(first, first + comb(n2, d))
+        wedge_at = [None] * len(self.wedges)
+        for local, w in enumerate(wedges):
+            wedge_at[w] = -local * sum(partners)
+        codes = [(w * size + s) * size + t
+                 for w in wedges for s, count in enumerate(partners) for t in range(count)]
+        return codes, (wedge_at, pair_at)
+
+    def image(self, code: int, moves, numbering) -> dict:
+        """The image of one code under the differential of moves (drops or
+        inserts), an int vector in numbering (reduced mod p over GF(p)).
+
+        The s-terms put a monomial of filtration |s| +- 1 in the s slot and
+        the t-terms keep s there, and each move reaches its own wedge, so
+        no two terms share a coordinate.
+        """
+        wedge_at, pair_at = numbering
+        w, s, t = self.split(code)
+        vec = {}
+        for target, s_sign, s_side, t_sign, t_side in moves[w]:
+            at = wedge_at[target] - t
+            for m, c in s_side(s):
+                vec[at + pair_at[m]] = s_sign * c
+            at = wedge_at[target] + pair_at[s]
+            for m, c in t_side(t):
+                vec[at - m] = t_sign * c
+        p = self.field.p
+        return vec if p is None else {k: r for k, v in vec.items() if (r := v % p)}
+
+
+def _chains(algebra: WeylAlgebra, filt: int) -> _Chains:
+    """The algebra's codes and tables for monomials up to filt, rebuilt
+    only when a larger filtration is asked for."""
+    chains = algebra._chains
+    if chains is None or chains.filt < filt:
+        chains = algebra._chains = _Chains(algebra, filt)
+    return chains
+
+
+def _differential(algebra: WeylAlgebra, element: dict, dual: bool) -> dict:
+    """The linear extension of ``_Chains.image`` to a dict-keyed element:
+    each key is encoded, its image built keyed by minus the code, and the
+    sum decoded.  The tables are those one filtration above the element's,
+    so every image is numbered."""
+    filt = max((WeylAlgebra.monomial_filtration(m) for _, pair in element for m in pair),
+               default=-1)
+    chains = _chains(algebra, filt + 1)
+    moves = chains.inserts if dual else chains.drops
+    out = {}
+    for key, c in element.items():
+        image = chains.image(chains.code(key), moves, chains.codes)
+        algebra.field.accumulate(out, ((-at, c * v) for at, v in image.items()))
+    return {chains.key(code): c for code, c in out.items()}
+
+
 def koszul_differential(algebra: WeylAlgebra, element: dict) -> dict:
     """One step of the resolution differential.
 
     (v_1 ^ ... ^ v_m) (x) s (x) t goes to the alternating sum over i of
-    (v_1 ^ ... v_i-hat ... ^ v_m) (x) (v_i s (x) t - s (x) t v_i), read off
-    the memoized monomial products in one accumulate.
+    (v_1 ^ ... v_i-hat ... ^ v_m) (x) (v_i s (x) t - s (x) t v_i).
     """
-    product = algebra._mul_monomials
-
-    def terms():
-        for (wedge, (s, t)), c in element.items():
-            for pos, k in enumerate(wedge):
-                sc = _remove_sign(wedge, pos) * c
-                rest, v = wedge[:pos] + wedge[pos + 1:], algebra.basis_monomial(k)
-                for m, cm in product(v, s).items():
-                    yield (rest, (m, t)), sc * cm
-                for m, cm in product(t, v).items():
-                    yield (rest, (s, m)), -sc * cm
-
-    return algebra.field.accumulate({}, terms())
+    return _differential(algebra, element, dual=False)
 
 
 def dual_differential(algebra: WeylAlgebra, element: dict) -> dict:
     """One step of the dual complex: s (x) t (x) w goes to the sum over j
-    of (s e_j (x) t - s (x) e_j t) (x) (w ^ e_j*), with the sort sign, read
-    off the memoized monomial products in one accumulate."""
-    product, n2 = algebra._mul_monomials, 2 * algebra.n
-
-    def terms():
-        for (wedge, (s, t)), c in element.items():
-            for j in range(n2):
-                if j in wedge:
-                    continue
-                greater = sum(1 for w in wedge if w > j)
-                sign = 1 if greater % 2 == 0 else -1
-                new_wedge, v = tuple(sorted(wedge + (j,))), algebra.basis_monomial(j)
-                for m, cm in product(s, v).items():
-                    yield (new_wedge, (m, t)), sign * c * cm
-                for m, cm in product(v, t).items():
-                    yield (new_wedge, (s, m)), -sign * c * cm
-
-    return algebra.field.accumulate({}, terms())
+    of (s e_j (x) t - s (x) e_j t) (x) (w ^ e_j*), with the sort sign."""
+    return _differential(algebra, element, dual=True)
 
 
 def wedge_action(algebra: WeylAlgebra, matrix, wedge):
@@ -255,21 +375,6 @@ def chain_action(algebra: WeylAlgebra, matrix):
         return out
 
     return act
-
-
-def _wedges(n2: int, size: int):
-    return [tuple(c) for c in combinations(range(n2), size)]
-
-
-def _position_basis(algebra: WeylAlgebra, d: int, env_filt: int):
-    if env_filt < 0:
-        return []
-    # monomials_up_to lists by filtration, so the partners t of s with
-    # |s| + |t| <= env_filt are the first C(env_filt - |s| + 2n, 2n)
-    mons, n2 = algebra.monomials_up_to(env_filt), 2 * algebra.n
-    pairs = [(s, t) for s in mons
-             for t in mons[:comb(env_filt - WeylAlgebra.monomial_filtration(s) + n2, n2)]]
-    return [(w, p) for w in _wedges(n2, d) for p in pairs]
 
 
 def check_sp_equivariance(n: int, matrices, field: Field):
@@ -330,36 +435,39 @@ def _guarded_envelope(n: int, filt: int, field: Field, cap: int) -> WeylAlgebra:
     return WeylAlgebra(n, field)
 
 
-def _homology(field: Field, positions, differential, closing):
-    """Ranks and homology of a bounded complex, counted from its closing end.
+def _homology(chains: _Chains, layout, moves, closing):
+    """Dimensions, ranks and homology of a bounded complex, counted from its
+    closing end.
 
-    positions[i] is the basis at distance i from the closing end, and the
-    differential maps position i into position i - 1.  closing(s, t) maps
-    the monomial pair s (x) t off position 0 into the algebra; on the first
-    200 images of position 1 it must vanish.  Returns (ranks, homology):
-    ranks[i] is the rank of the map out of position i (0 at i = 0), and
-    homology[0] is the cokernel of the map into position 0.  Each basis key
-    goes in with coefficient 1, so every image is an int vector.  Target
-    keys are numbered by minus their index, so rows pivot on their
-    last-listed key (of highest filtration), which leaves less fill-in.
+    layout[i] is the (wedge length, enveloping filtration bound) of the
+    position at distance i from the closing end, and moves (drops or
+    inserts) map position i into position i - 1.  closing(s, t) maps the
+    monomial pair s (x) t off position 0 into the algebra; on the first 200
+    images of position 1 it must vanish.  Returns (dimensions, ranks,
+    homology): ranks[i] is the rank of the map out of position i (0 at
+    i = 0), and homology[0] is the cokernel of the map into position 0.
+    Each basis code goes in with coefficient 1, so every image is an int
+    vector.  It is built keyed by minus the target's listing index, so rows
+    pivot on their last-listed key (of highest filtration), which leaves
+    less fill-in.
     """
-    accumulate = field.accumulate
+    field = chains.field
+    positions = [chains.position(d, env) for d, env in layout]
     ranks = [0] * (len(positions) + 1)
     for i in range(1, len(positions)):
-        target = {key: -k for k, key in enumerate(positions[i - 1])}
-        solver = LinSolver(field)
-        for k, key in enumerate(positions[i]):
-            image = differential({key: 1})
-            if i == 1 and k < 200 and accumulate({}, (
-                    (m, c * cm) for (_, (s, t)), c in image.items()
-                    for m, cm in closing(s, t).items())):
+        solver, target = LinSolver(field), positions[i - 1][1]
+        for k, code in enumerate(positions[i][0]):
+            vec = chains.image(code, moves, target)
+            if i == 1 and k < 200 and field.accumulate({}, (
+                    (m, c * cm) for at, c in vec.items()
+                    for m, cm in closing(*chains.key(positions[0][0][-at])[1]).items())):
                 raise AssertionError("the closing map does not annihilate the image")
-            vec = {target[key]: c for key, c in image.items()}
             if vec:
                 solver.add(vec)
         ranks[i] = solver.rank
-    homology = [len(b) - ranks[i] - ranks[i + 1] for i, b in enumerate(positions)]
-    return ranks[:-1], homology
+    dimensions = [len(codes) for codes, _ in positions]
+    homology = [size - ranks[i] - ranks[i + 1] for i, size in enumerate(dimensions)]
+    return dimensions, ranks[:-1], homology
 
 
 def bounded_exactness(n: int, filt: int, field: Field, cap: int = 200000):
@@ -372,12 +480,12 @@ def bounded_exactness(n: int, filt: int, field: Field, cap: int = 200000):
     s (x) t -> t s closes the complex at position 0.
     """
     algebra = _guarded_envelope(n, filt, field, cap)
-    product = algebra._mul_monomials
-    positions = [_position_basis(algebra, d, filt - d) for d in range(2 * n + 1)]
-    ranks, homology = _homology(field, positions, lambda e: koszul_differential(algebra, e),
-                                lambda s, t: product(t, s))
+    chains, product = _chains(algebra, filt), algebra._mul_monomials
+    dimensions, ranks, homology = _homology(
+        chains, [(d, filt - d) for d in range(2 * n + 1)], chains.drops,
+        lambda s, t: product(t, s))
     return {
-        "dimensions": [len(b) for b in positions],
+        "dimensions": dimensions,
         "ranks": ranks[1:],
         "homology": {d: homology[d] for d in range(1, 2 * n + 1)},
         "augmentation_cokernel": homology[0],
@@ -394,12 +502,12 @@ def dual_top_concentration(n: int, filt: int, field: Field, cap: int = 200000):
     differential, which raises d, lowers the distance from the top.
     """
     algebra = _guarded_envelope(n, filt, field, cap)
-    top = 2 * n
-    from_top = [_position_basis(algebra, top - i, filt - i) for i in range(top + 1)]
-    _, homology = _homology(field, from_top, lambda e: dual_differential(algebra, e),
-                            algebra._mul_monomials)
+    chains, top = _chains(algebra, filt), 2 * n
+    dimensions, _, homology = _homology(
+        chains, [(top - i, filt - i) for i in range(top + 1)], chains.inserts,
+        algebra._mul_monomials)
     return {
-        "dimensions": [len(b) for b in reversed(from_top)],
+        "dimensions": dimensions[::-1],
         "homology": {d: homology[top - d] for d in range(top + 1)},
         "top_homology": homology[0],
         "expected_top": comb(filt + 2 * n, 2 * n),

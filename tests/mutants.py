@@ -226,22 +226,35 @@ MUTANTS = [
     # d is equivariant under these two mutants too, so the equivariance
     # check cannot see them; the exactness checks do
     Mutant("koszul-adds-right-term", "weyl.py",
-           "                    yield (rest, (s, m)), -sc * cm\n",
-           "                    yield (rest, (s, m)), sc * cm\n",
+           "                drops.append((wid[w[:pos] + w[pos + 1:]], sign, left[k], -sign, right[k]))\n",
+           "                drops.append((wid[w[:pos] + w[pos + 1:]], sign, left[k], sign, right[k]))\n",
            (DIFFERENTIAL_ORACLE, BOUNDED_EXACTNESS)),
     Mutant("dual-adds-right-term", "weyl.py",
-           "                    yield (new_wedge, (s, m)), -sign * c * cm\n",
-           "                    yield (new_wedge, (s, m)), sign * c * cm\n",
+           "                inserts.append((wid[tuple(sorted(w + (j,)))], sign, right[j], -sign, left[j]))\n",
+           "                inserts.append((wid[tuple(sorted(w + (j,)))], sign, right[j], sign, left[j]))\n",
            (DIFFERENTIAL_ORACLE,)),
     Mutant("koszul-swaps-right-product", "weyl.py",
-           "                for m, cm in product(t, v).items():\n",
-           "                for m, cm in product(v, t).items():\n",
+           "                drops.append((wid[w[:pos] + w[pos + 1:]], sign, left[k], -sign, right[k]))\n",
+           "                drops.append((wid[w[:pos] + w[pos + 1:]], sign, left[k], -sign, left[k]))\n",
            (DIFFERENTIAL_ORACLE, "tests/test_weyl.py::test_koszul_d_squared_zero_exhaustive",
             BOUNDED_EXACTNESS)),
     Mutant("dual-swaps-right-product", "weyl.py",
-           "                for m, cm in product(v, t).items():\n",
-           "                for m, cm in product(t, v).items():\n",
+           "                inserts.append((wid[tuple(sorted(w + (j,)))], sign, right[j], -sign, left[j]))\n",
+           "                inserts.append((wid[tuple(sorted(w + (j,)))], sign, right[j], -sign, right[j]))\n",
            (DIFFERENTIAL_ORACLE,)),
+    Mutant("product-tables-swap-left-and-right", "weyl.py",
+           "        left = [table(lambda s, v=v: product(v, s)) for v in generators]\n"
+           "        right = [table(lambda s, v=v: product(s, v)) for v in generators]\n",
+           "        right = [table(lambda s, v=v: product(v, s)) for v in generators]\n"
+           "        left = [table(lambda s, v=v: product(s, v)) for v in generators]\n",
+           (DIFFERENTIAL_ORACLE, BOUNDED_EXACTNESS)),
+    Mutant("code-decodes-s-and-t-swapped", "weyl.py",
+           "        s, t = divmod(pair, self.size)\n", "        t, s = divmod(pair, self.size)\n",
+           (DIFFERENTIAL_ORACLE, "tests/test_weyl.py::test_basis_codes_list_the_dict_keys_in_order")),
+    Mutant("homology-skips-closing-check", "weyl.py",
+           "            if i == 1 and k < 200 and field.accumulate({}, (\n",
+           "            if False and field.accumulate({}, (\n",
+           ("tests/test_weyl.py::test_homology_checks_the_closing_map",)),
     Mutant("differential-cache-rebuilt-per-matrix", "weyl.py",
            "        for idx, act in enumerate(actions):\n",
            "        for idx, act in enumerate(actions):\n"

@@ -12,8 +12,10 @@ the cached int kernels of ``skewgin.weyl.check_sp_equivariance`` replaced
 checks the free generators only),
 the dual differential on field scalars, the two differentials built per
 term and position from the one-sided differences (v (x) 1 - 1 (x) v) that
-the single accumulate of ``skewgin.weyl.koszul_differential`` and
-``dual_differential`` replaced,
+a single accumulate replaced, and that single accumulate itself, the
+dict-keyed ``dict_koszul_differential`` and ``dict_dual_differential``
+that the int codes and product tables of ``skewgin.weyl._Chains``
+replaced, with the dict-keyed listing ``position_keys``,
 the crossed product on field scalars that the scaled-integer kernel of
 ``CrossedElement.__mul__`` replaced, the entry-by-entry certificate
 re-expansion that ``skewgin.crossed.expand_certificate`` replaced, the
@@ -43,9 +45,10 @@ per length layer that the Peirce-block ranks of
 ``skewgin.morita.block_rank`` replaced, ``all_pairs_dimension_check``,
 the corner of every (path, group element) pair that the normal words of
 ``skewgin.morita.morita_dimension_check`` replaced, and
-``listing_order_homology``,
-the Weyl homology with rows pivoting on their first-listed key, which the
-last-listed pivots of ``skewgin.weyl._homology`` replaced.
+``dict_keyed_homology``, the Weyl homology on dict keys that the int
+codes of ``skewgin.weyl._homology`` replaced, whose rows pivot on their
+last-listed key or, with ``first_listed``, on their first-listed key, the
+order the last-listed pivots replaced.
 ``all_pairs_multiplicativity``, the product of every pair of reduced
 paths of total length at most 2 that the products on vertices and arrows
 of ``skewgin.morita.check_embedding`` replaced, runs on skewgin's crossed
@@ -582,12 +585,69 @@ def naive_sp_equivariance(n, matrices, field, filt_bound):
     return report
 
 
-def listing_order_homology(field, positions, differential, closing):
-    """``skewgin.weyl._homology`` with each target key indexed by its
-    position in the listing, so every row pivots on its first-listed key."""
+def position_keys(algebra, d, env):
+    """The dict keys (w, (s, t)) of position d at enveloping filtration at
+    most env, in listing order: the ``skewgin.weyl._position_basis`` that
+    the codes of ``_Chains.basis`` replaced."""
+    if env < 0:
+        return []
+    mons, n2 = algebra.monomials_up_to(env), 2 * algebra.n
+    pairs = [(s, t) for s in mons
+             for t in mons[:comb(env - weyl.WeylAlgebra.monomial_filtration(s) + n2, n2)]]
+    return [(w, p) for w in combinations(range(n2), d) for p in pairs]
+
+
+def dict_koszul_differential(algebra, element):
+    """The dict-keyed resolution differential that the codes and tables of
+    ``skewgin.weyl._Chains`` replaced: the memoized monomial products of
+    each term, summed in one accumulate."""
+    product = algebra._mul_monomials
+
+    def terms():
+        for (wedge, (s, t)), c in element.items():
+            for pos, k in enumerate(wedge):
+                sc = weyl._remove_sign(wedge, pos) * c
+                rest, v = wedge[:pos] + wedge[pos + 1:], algebra.basis_monomial(k)
+                for m, cm in product(v, s).items():
+                    yield (rest, (m, t)), sc * cm
+                for m, cm in product(t, v).items():
+                    yield (rest, (s, m)), -sc * cm
+
+    return algebra.field.accumulate({}, terms())
+
+
+def dict_dual_differential(algebra, element):
+    """The dict-keyed dual differential that the codes and tables of
+    ``skewgin.weyl._Chains`` replaced."""
+    product, n2 = algebra._mul_monomials, 2 * algebra.n
+
+    def terms():
+        for (wedge, (s, t)), c in element.items():
+            for j in range(n2):
+                if j in wedge:
+                    continue
+                sign = 1 if sum(1 for w in wedge if w > j) % 2 == 0 else -1
+                new_wedge, v = tuple(sorted(wedge + (j,))), algebra.basis_monomial(j)
+                for m, cm in product(s, v).items():
+                    yield (new_wedge, (m, t)), sign * c * cm
+                for m, cm in product(v, t).items():
+                    yield (new_wedge, (s, m)), -sign * c * cm
+
+    return algebra.field.accumulate({}, terms())
+
+
+def dict_keyed_homology(field, positions, differential, closing, first_listed=False):
+    """The dict-keyed ``skewgin.weyl._homology`` that int codes replaced:
+    positions hold the dict keys of each position, differential maps a
+    dict to a dict, and each image is re-keyed by minus the index of its
+    target key, so rows pivot on their last-listed key.  With first_listed
+    the index itself is the key, so rows pivot on their first-listed key,
+    the order that the last-listed pivots replaced.  Returns (ranks,
+    homology)."""
+    sign = 1 if first_listed else -1
     ranks = [0] * (len(positions) + 1)
     for i in range(1, len(positions)):
-        target = {key: k for k, key in enumerate(positions[i - 1])}
+        target = {key: sign * k for k, key in enumerate(positions[i - 1])}
         solver = LinSolver(field)
         for k, key in enumerate(positions[i]):
             image = differential({key: 1})

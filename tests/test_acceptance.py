@@ -253,16 +253,17 @@ def test_criterion_6_crossed_product_laws():
 
 def test_criterion_7_weyl_koszul():
     from skewgin.errors import NotSymplectic
-    from skewgin.weyl import (WeylAlgebra, _position_basis, bounded_exactness,
-                              check_sp_equivariance, koszul_differential)
+    from skewgin.weyl import (WeylAlgebra, _Chains, bounded_exactness, check_sp_equivariance,
+                              koszul_differential)
     ok = True
     for n, filt_max in ((1, 3), (2, 1)):
         algebra = WeylAlgebra(n, Q)
         for filt in range(filt_max + 1):
+            chains = _Chains(algebra, filt)
             for d in range(2, 2 * n + 1):
-                for w, pair in _position_basis(algebra, d, filt):
+                for code in chains.position(d, filt)[0]:
                     if koszul_differential(algebra, koszul_differential(
-                            algebra, {(w, pair): Q.one()})):
+                            algebra, {chains.key(code): Q.one()})):
                         ok = False
             rep = bounded_exactness(n, filt, Q)
             if any(v != 0 for v in rep["homology"].values()):

@@ -5,6 +5,8 @@ import io
 import json
 import operator
 import os
+import subprocess
+import sys
 import tempfile
 from functools import reduce
 
@@ -478,6 +480,85 @@ def test_weyl_nonsymplectic_exit_1(capsys, tmp_path):
     assert report["matrix_index"] == 0
 
 
+# matrix files for the pinned weyl reports: two symplectic matrices (a
+# fraction among the entries, read as 4 over GF(7)), and a symplectic one
+# followed by one that is not
+WEYL_MATRICES = {
+    (1, "symplectic"): [[["2", "1"], ["0", "1/2"]], [["0", "-1"], ["1", "0"]]],
+    (1, "not-symplectic"): [[["0", "-1"], ["1", "0"]], [["2", "0"], ["0", "1"]]],
+    (2, "symplectic"): [
+        [["2", "0", "0", "0"], ["1", "1", "0", "0"], ["0", "0", "1/2", "-1/2"],
+         ["0", "0", "0", "1"]],
+        [["1", "0", "1", "0"], ["0", "1", "0", "-2"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]],
+    (2, "not-symplectic"): [
+        [["1", "0", "1", "0"], ["0", "1", "0", "-2"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+        [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "2"]]],
+}
+
+# sha256 of the weyl reports at filtrations 0-6, as the dict-keyed
+# differentials and homology wrote them.  The report names no field, so Q
+# and GF(7) print the same bytes; a matrix that is not symplectic gives the
+# same short report at every n, field and filtration.
+WEYL_SHA256 = {
+    (1, None): [
+        "234c0228472320e0b7cedb80da06fd68fb29b187fbc2f6fbc8dbface16fffdec",
+        "ede0ecbe3a35d6c177c5fad172531f47ddef80970d5a8b13e8d998ddc61f02df",
+        "67e3df661791f4fd8a350c43e0bb3ed705fb66fefa2f7b6cdf418c9ca213b419",
+        "ae508732700c8184c0a131701c2cd2542eee251fd2f0ded4c60eb96340f14928",
+        "4a84b186dcf36206b4eed316f879620ed6554774b97500a9d7a677291fff4bbb",
+        "95a5a10431b36070a56757bf31f9e8e9da67c7cde596516a17ac83106648075e",
+        "eaf8b8cee72dc92a25fe51b5120f7ab6447b8988f8c6efe2d201c7ce7b803d88",
+    ],
+    (1, "symplectic"): [
+        "baa2b534fb1da5c94260945daa2f33c928532633f005a0718f5425d63a822003",
+        "ac7693cf9c988f80174918e7f8d1c6004916ffa43632f6966dc7f3c4bd431b77",
+        "55fc81c1df65433e6b57f0c467ea6a8b2f2c0eecf13862cc71cb10e440231242",
+        "534346a9dab1387e9c40706b186ffe5567af05fd4078915b8be52088276a5e9d",
+        "3dbe430b1013c19e99860da3bafb3ac45b1d0320fe5729099ab8dc8c105d8a89",
+        "787169310fb3ecc0ba50bb5e721299eb8875a52a2fe348b1190a8d85e97f361a",
+        "2b5c6259eee3e12c3d0d60284957667457bccdd1073b1adfa749271add3e048a",
+    ],
+    (2, None): [
+        "ee07ade3f905550d2c1c009f7ec2a02f0ffbd16e6bf3553fd3411b8de536a85b",
+        "faa8b1da7fcb6ed6efe062fa2e93bbe3b7eaae0e34c7811c8b31b64c66a2565e",
+        "c672bcb9511aed7b740ec79018f9fa8b9c7334161d6179e467012bc4d9d71ae5",
+        "26880577ba78c34721b2ce9a5b3a91eec8453c39290af4bb0f5060423d979ce6",
+        "c52029924d4ad08dd0edb2162cebcc85c504380909a283ecc66e5c8a2fba2ec7",
+        "081fc5afe571a2429a86f2270357b2edf2466fa0e806193eb32ec4d9e6f507f3",
+        "040f1153e65cd16585cbf9ffa5bb3a80ffae6033b6c4ea9dbca9f8ec10f203bf",
+    ],
+    (2, "symplectic"): [
+        "2f3161551ce8bba83b7903109f11adac07f4b8f83761bf03ef6034a68f053571",
+        "30c4a9447e271e8e7e02702282ce7b46c1321a28d06fcc842082563aa96375b1",
+        "3ed73f642299c2b11ae35cf69bb4ecf4b8d02928a009414653087f315d38c5e5",
+        "559c04ae3faad42a7779a4077eebf80e83c050b5cd19191f641850fdb4ca8737",
+        "1c2fb1fb223b1200a2985d02349c72419e8b6e33728686658283df4d4451c621",
+        "e1526efc6282235137672add413d36966b5b56663b2928622186b8c2a964383e",
+        "1591d5d4e6f2c638ca5b0da1acb3cde4d6caa89e82c8198d41ff78f6aa9776a2",
+    ],
+}
+WEYL_NOT_SYMPLECTIC_SHA256 = "f03ebdf622e386271f26f5890671c90308028ebc11179cc3ceefa98c33f80bc5"
+
+
+@pytest.mark.parametrize("matrices", [None, "symplectic", "not-symplectic"])
+@pytest.mark.parametrize("field", ["Q", "7"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_weyl_report_bytes_are_pinned(capsys, tmp_path, n, field, matrices):
+    argv = ["weyl", "--n", str(n), "--field", field]
+    if matrices is not None:
+        path = tmp_path / "mats.json"
+        path.write_text(json.dumps(WEYL_MATRICES[n, matrices]), encoding="utf-8")
+        argv += ["--matrices", str(path)]
+    for filtration in range(7):
+        code = main([*argv, "--filtration", str(filtration)])
+        out = capsys.readouterr().out.encode("utf-8")
+        if matrices == "not-symplectic":
+            assert (code, hashlib.sha256(out).hexdigest()) == (1, WEYL_NOT_SYMPLECTIC_SHA256)
+        else:
+            assert (code, hashlib.sha256(out).hexdigest()) == (
+                0, WEYL_SHA256[n, matrices][filtration]), filtration
+
+
 def test_ginzburg_degree_mismatch_exit_2(capsys, tmp_path):
     # a length-one degree-zero potential cannot be homogeneous of degree -1
     bad = doc(THREE_LOOPS_COMMUTATOR,
@@ -724,11 +805,11 @@ def test_weyl_matrix_of_wrong_shape_named_by_index(capsys, tmp_path):
 
 def test_weyl_size_guard_before_any_basis(capsys, monkeypatch):
     # the filtration-20 piece has 26,423,826 basis elements; the closed-form
-    # count refuses it without building one of them
+    # count refuses it without building one of them, or any code table
     def no_basis(*args, **kwargs):
         raise AssertionError("the cap is checked before any basis is built")
 
-    monkeypatch.setattr("skewgin.weyl._position_basis", no_basis)
+    monkeypatch.setattr("skewgin.weyl._Chains", no_basis)
     code = main(["weyl", "--n", "2", "--filtration", "20"])
     report = json.loads(capsys.readouterr().out)
     assert code == 2
@@ -773,6 +854,30 @@ def test_action_not_a_homomorphism_exit_2(capsys, tmp_path, command):
     assert report["ok"] is False
     assert report["errors"]
     assert all(e["location"] == "/action" for e in report["errors"])
+
+
+@pytest.mark.parametrize("argv, matrices", [
+    (["weyl", "--n", "1", "--filtration", "1"], None),
+    (["weyl", "--n", "1", "--filtration", "1", "--matrices"], WEYL_MATRICES[1, "not-symplectic"]),
+    (["weyl", "--n", "0"], None),
+], ids=["passing", "failed-check", "refused-input"])
+def test_a_closed_stdout_exits_2_without_a_traceback(tmp_path, argv, matrices):
+    # the read end is closed before the spawn, so every write to stdout
+    # fails: the report cannot be written and no second one is tried
+    if matrices is not None:
+        path = tmp_path / "mats.json"
+        path.write_text(json.dumps(matrices), encoding="utf-8")
+        argv = [*argv, str(path)]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        child = subprocess.run([sys.executable, "-m", "skewgin.cli", *argv], stdout=write,
+                               stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+                               timeout=120)
+    finally:
+        os.close(write)
+    assert (child.returncode, child.stderr) == (2, b"")
 
 
 def test_missing_file_exit_2(capsys):

@@ -1,6 +1,6 @@
 import functools
 import gc
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
@@ -12,14 +12,16 @@ from skewgin.crossed import (CommutatorTerm, CrossedElement, basis_index,
                              commutator_basis, expand_certificate, express_modulo_commutators,
                              vectorize)
 from skewgin.document import parse
-from skewgin.errors import IncompleteIdempotents
+from skewgin.errors import (BasisExpressFailure, DegreeMismatch, IncompleteIdempotents,
+                            NoSolution, NotInvariantPotential)
 from skewgin.fields import make_field
 from skewgin.ginzburg import derivative_relations, relation_ideal
 from skewgin.groups import cyclic_group
 from skewgin.linalg import LinSolver
 from skewgin.morita import (block_rank, build_bimodule, build_morita, check_embedding,
                             check_fullness, corner, embed, embed_paths, morita_dimension_check,
-                            orbit_data, pivot_elements, transport_potential)
+                            certify_reduction, orbit_data, pivot_elements,
+                            transport_potential)
 from skewgin.potential import Potential, canonicalize, cycle_length_of
 from skewgin.quiver import AlgElement, GradedQuiver, basis_up_to, paths_by_length
 
@@ -1065,3 +1067,70 @@ def test_commutator_basis_matches_product_oracle(name, length):
             for t in naive_commutator_basis(action, length)]
     assert got == want
     assert got or length == 0
+
+
+# ---------- the failure branches, each reached by one monkeypatch ----------
+
+def test_check_embedding_reports_each_length_that_does_not_inject(mckay, monkeypatch):
+    # with no pivot coordinates kept every block ranks 0, while the pair
+    # check, on full products, still passes
+    _, md = mckay
+    monkeypatch.setattr(morita, "pivot_elements", lambda md: defaultdict(set))
+    assert check_embedding(md, 1) == [
+        "length 0: embedded rank 0 < 3 paths; the reduced path algebra does not inject",
+        "length 1: embedded rank 0 < 9 paths; the reduced path algebra does not inject"]
+
+
+def test_transport_without_a_reduced_representative_raises_no_solution(mckay, monkeypatch):
+    action, md = mckay
+    monkeypatch.setattr(morita, "express_modulo_commutators", lambda target, labelled=(): None)
+    with pytest.raises(NoSolution) as info:
+        transport_potential(mckay_potential(action), md)
+    assert str(info.value) == "the potential class has no representative in the reduced cycle span"
+
+
+def break_re_expansion(monkeypatch):
+    """Make every certificate re-expand one basis pair off its sum."""
+    def expand(action, certificate):
+        return expand_certificate(action, certificate) + CrossedElement.from_pair(
+            action, *crossed.crossed_basis(action, 0)[0])
+
+    monkeypatch.setattr(morita, "expand_certificate", expand)
+
+
+def test_transport_refuses_a_certificate_that_fails_re_expansion(mckay, monkeypatch):
+    action, md = mckay
+    break_re_expansion(monkeypatch)
+    with pytest.raises(BasisExpressFailure) as info:
+        transport_potential(mckay_potential(action), md)
+    assert str(info.value) == "transport certificate failed re-expansion"
+
+
+def test_certification_refuses_a_certificate_that_fails_re_expansion(mckay, monkeypatch):
+    action, md = mckay
+    w = mckay_potential(action)
+    reduced, _ = transport_potential(w, md)
+    break_re_expansion(monkeypatch)
+    with pytest.raises(BasisExpressFailure) as info:
+        certify_reduction(md, w, reduced)
+    assert str(info.value) == "certificate failed re-expansion"
+
+
+def test_dimension_check_refuses_relations_the_action_moves(mckay, monkeypatch):
+    action, md = mckay
+    w = mckay_potential(action)
+    reduced, _ = transport_potential(w, md)
+    monkeypatch.setattr(morita, "_relation_span_stable", lambda relations, action: False)
+    with pytest.raises(NotInvariantPotential) as info:
+        morita_dimension_check(md, w, reduced, 2)
+    assert str(info.value) == "derivative relations are not stable under the action"
+
+
+def test_dimension_check_refuses_a_potential_without_one_cycle_length(mckay, monkeypatch):
+    action, md = mckay
+    w = mckay_potential(action)
+    reduced, _ = transport_potential(w, md)
+    monkeypatch.setattr(morita, "cycle_length_of", lambda w: None)
+    with pytest.raises(DegreeMismatch) as info:
+        morita_dimension_check(md, w, reduced, 2)
+    assert str(info.value) == "dimension check requires one cycle length"

@@ -5,16 +5,17 @@ from math import comb
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import (envelope_one, listing_order_homology, naive_dual_differential,
-                     naive_is_symplectic, naive_koszul_differential, naive_mul_monomials,
-                     naive_sp_equivariance, per_position_dual_differential,
-                     per_position_koszul_differential, weyl_commutator, weyl_d, weyl_x)
+from oracles import (dict_dual_differential, dict_keyed_homology, dict_koszul_differential,
+                     envelope_one, naive_dual_differential, naive_is_symplectic,
+                     naive_koszul_differential, naive_mul_monomials, naive_sp_equivariance,
+                     per_position_dual_differential, per_position_koszul_differential,
+                     position_keys, weyl_commutator, weyl_d, weyl_x)
 from skewgin import weyl
 from skewgin.errors import NotSymplectic, SizeGuard
 from skewgin.fields import make_field
-from skewgin.weyl import (WeylAlgebra, _guarded_envelope, _homology, _position_basis,
-                          bounded_exactness, check_sp_equivariance, dual_differential,
-                          dual_top_concentration, is_symplectic, koszul_differential)
+from skewgin.weyl import (WeylAlgebra, _Chains, _guarded_envelope, _homology, bounded_exactness,
+                          check_sp_equivariance, dual_differential, dual_top_concentration,
+                          is_symplectic, koszul_differential)
 
 Q = make_field("Q")
 
@@ -86,9 +87,8 @@ def test_koszul_differential_degree_one():
 def test_koszul_d_squared_zero_exhaustive():
     for n, filt in ((1, 3), (2, 1)):
         A = WeylAlgebra(n, Q)
-        mons = A.monomials_up_to(filt)
         for d in range(2, 2 * n + 1):
-            for w, pair in _position_basis(A, d, filt):
+            for w, pair in position_keys(A, d, filt):
                 elem = {(w, pair): fr(1)}
                 twice = koszul_differential(A, koszul_differential(A, elem))
                 assert twice == {}
@@ -98,7 +98,7 @@ def test_dual_d_squared_zero_exhaustive():
     for n, filt in ((1, 2), (2, 1)):
         A = WeylAlgebra(n, Q)
         for d in range(0, 2 * n - 1):
-            for w, pair in _position_basis(A, d, filt):
+            for w, pair in position_keys(A, d, filt):
                 elem = {(w, pair): fr(1)}
                 twice = dual_differential(A, dual_differential(A, elem))
                 assert twice == {}
@@ -130,7 +130,7 @@ def test_differentials_match_oracles_on_every_basis_key(n, filt, spec):
     field = make_field(spec)
     algebra = WeylAlgebra(n, field)
     for d in range(2 * n + 1):
-        for key in _position_basis(algebra, d, filt):
+        for key in position_keys(algebra, d, filt):
             element = {key: 1}
             assert koszul_differential(algebra, element) == naive_koszul_differential(
                 field, n, element), key
@@ -149,6 +149,7 @@ def test_koszul_differential_matches_oracles(n, spec, data):
     image = koszul_differential(algebra, element)
     assert image == naive_koszul_differential(field, n, element)
     assert image == per_position_koszul_differential(algebra, element)
+    assert image == dict_koszul_differential(WeylAlgebra(n, field), element)
 
 
 @pytest.mark.parametrize("spec", DIFFERENTIAL_FIELDS)
@@ -162,6 +163,7 @@ def test_dual_differential_matches_oracles(n, spec, data):
     image = dual_differential(algebra, element)
     assert image == naive_dual_differential(field, n, element)
     assert image == per_position_dual_differential(algebra, element)
+    assert image == dict_dual_differential(WeylAlgebra(n, field), element)
 
 
 def test_bounded_exactness_n1():
@@ -217,11 +219,12 @@ def test_dual_concentrated_at_top_gf7():
 
 def test_size_guard_counts_the_bases_in_closed_form():
     # the guard's count, taken before any basis is built, is the number of
-    # basis elements the resolution then enumerates
+    # basis codes the resolution then enumerates
     for n in (1, 2):
         A = WeylAlgebra(n, Q)
         for filt in range(5):
-            total = sum(len(_position_basis(A, d, filt - d)) for d in range(2 * n + 1))
+            chains = _Chains(A, filt)
+            total = sum(len(chains.position(d, filt - d)[0]) for d in range(2 * n + 1))
             _guarded_envelope(n, filt, Q, cap=total)
             with pytest.raises(SizeGuard, match=f"dimension {total} > cap {total - 1}"):
                 _guarded_envelope(n, filt, Q, cap=total - 1)
@@ -248,36 +251,57 @@ def test_homology_checks_the_closing_map():
     # differential of the resolution; the dual's closing map s (x) t -> s t
     # does not, and the shared routine must say so
     A = WeylAlgebra(1, Q)
-    positions = [_position_basis(A, d, 2 - d) for d in range(3)]
-
-    def differential(e):
-        return koszul_differential(A, e)
+    chains = _Chains(A, 2)
+    layout = [(d, 2 - d) for d in range(3)]
 
     def augmentation(s, t):
         return A._mul_monomials(t, s)
 
-    _, homology = _homology(Q, positions, differential, augmentation)
-    assert homology == [6, 0, 0]
+    assert _homology(chains, layout, chains.drops, augmentation) == ([15, 10, 1], [0, 9, 1],
+                                                                      [6, 0, 0])
     with pytest.raises(AssertionError):
-        _homology(Q, positions, differential, A._mul_monomials)
+        _homology(chains, layout, chains.drops, A._mul_monomials)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_basis_codes_list_the_dict_keys_in_order(n):
+    # each position's codes decode to the dict-keyed listing, and the
+    # numbering the homology builds images in is minus the listing index
+    A = WeylAlgebra(n, Q)
+    for filt in range(5):
+        chains = _Chains(A, filt)
+        for d in range(2 * n + 1):
+            for env in range(-1, filt + 1):
+                codes, (wedge_at, pair_at) = chains.position(d, env)
+                assert [chains.key(code) for code in codes] == position_keys(A, d, env)
+                assert [chains.code(chains.key(code)) for code in codes] == codes
+                assert [wedge_at[w] + pair_at[s] - t for w, s, t in map(chains.split, codes)] \
+                    == [-k for k in range(len(codes))]
 
 
 @pytest.mark.parametrize("field", [Q, make_field(7)], ids=["Q", "GF7"])
 @pytest.mark.parametrize("n", [1, 2])
 def test_last_listed_pivots_give_the_listing_order_ranks(n, field):
-    # _homology pivots each row on its last-listed target key; ranks and
-    # homology must be those of first-listed pivots, on the resolution and
-    # on its dual, at every filtration up to 5
+    # the int-coded homology gives the ranks and homology of the dict-keyed
+    # oracle, whose rows pivot on their last-listed keys as the library's
+    # do, and those of first-listed pivots, on the resolution and on its
+    # dual, at every filtration up to 5
     A = WeylAlgebra(n, field)
     top = 2 * n
     for filt in range(6):
-        resolution = ([_position_basis(A, d, filt - d) for d in range(top + 1)],
-                      lambda e: koszul_differential(A, e), lambda s, t: A._mul_monomials(t, s))
-        dual = ([_position_basis(A, top - i, filt - i) for i in range(top + 1)],
-                lambda e: dual_differential(A, e), A._mul_monomials)
-        for positions, differential, closing in (resolution, dual):
-            assert (_homology(field, positions, differential, closing)
-                    == listing_order_homology(field, positions, differential, closing))
+        chains = _Chains(A, filt)
+        resolution = ([(d, filt - d) for d in range(top + 1)], chains.drops,
+                      lambda e: dict_koszul_differential(A, e),
+                      lambda s, t: A._mul_monomials(t, s))
+        dual = ([(top - i, filt - i) for i in range(top + 1)], chains.inserts,
+                lambda e: dict_dual_differential(A, e), A._mul_monomials)
+        for layout, moves, differential, closing in (resolution, dual):
+            dimensions, ranks, homology = _homology(chains, layout, moves, closing)
+            positions = [position_keys(A, d, env) for d, env in layout]
+            assert dimensions == [len(keys) for keys in positions]
+            for first_listed in (False, True):
+                assert (ranks, homology) == dict_keyed_homology(
+                    field, positions, differential, closing, first_listed)
 
 
 def test_symplectic_membership():
