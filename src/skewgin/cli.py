@@ -24,21 +24,15 @@ MAX_CROSSED_KEYS = 6_000
 
 
 def _element_json(field, el):
-    out = []
-    for path, coeff in el.sorted_terms():
-        out.append({"coeff": field.format(coeff), "source": path.source,
-                    "arrows": list(path.arrows)})
-    return out
+    return [{"coeff": field.format(coeff), "source": path.source, "arrows": list(path.arrows)}
+            for path, coeff in el.sorted_terms()]
 
 
 def _crossed_json(md, el):
-    names = md.action.group.names
-    field = md.field
-    out = []
-    for (path, g), coeff in el.sorted_terms():
-        out.append({"coeff": field.format(coeff), "source": path.source,
-                    "arrows": list(path.arrows), "g": names[g]})
-    return out
+    names, field = md.action.group.names, md.field
+    return [{"coeff": field.format(coeff), "source": path.source,
+             "arrows": list(path.arrows), "g": names[g]}
+            for (path, g), coeff in el.sorted_terms()]
 
 
 def _potential_json(field, w):
@@ -314,13 +308,10 @@ def _read_matrices(path, n, field):
 
 
 def cmd_weyl(args) -> int:
-    if args.field == "Q":
-        field = fields.make_field("Q")
-    else:
-        try:
-            field = fields.make_field(int(args.field))
-        except (ValueError, NonPrimeModulus):
-            raise ValidationError([("/field", f"expected Q or a prime, got {args.field!r}")])
+    try:
+        field = fields.make_field("Q" if args.field == "Q" else int(args.field))
+    except (ValueError, NonPrimeModulus):
+        raise ValidationError([("/field", f"expected Q or a prime, got {args.field!r}")])
     if args.n < 1:
         raise ValidationError([("/n", "the number of variables must be positive")])
     if args.filtration < 0:
@@ -340,7 +331,7 @@ def cmd_weyl(args) -> int:
         "check": "augmentation cokernel matches the filtered algebra dimension",
         "ok": resolution["augmentation_cokernel"] == resolution["expected_cokernel"],
     })
-    dual = weyl.dual_top_concentration(args.n, args.filtration, field, cap=args.cap)
+    dual = weyl.dual_top_concentration(args.n, field, resolution)
     report["dual"] = dual
     report["checks"].append({
         "check": "dual complex homology concentrates at the top position",

@@ -93,8 +93,6 @@ class Field:
         return self.mul(a, self.inv(b))
 
     def pow(self, a, n: int):
-        if n < 0:
-            return self.pow(self.inv(a), -n)
         if self.p is not None:
             return pow(a, n, self.p)
         return a ** n

@@ -80,9 +80,6 @@ class FiniteGroup:
         sub = make_group([self.names[g] for g in ambient], table)
         return sub, ambient
 
-    def __repr__(self):
-        return f"FiniteGroup({list(self.names)})"
-
 
 def make_group(names, table) -> FiniteGroup:
     """Validate a multiplication table and wrap it up."""
@@ -140,9 +137,6 @@ class GroupAlgebra:
 
     def one(self):
         return {self.group.identity: self.field.one()}
-
-    def from_element(self, g: int, coeff=None):
-        return {g: self.field.one() if coeff is None else coeff}
 
     def add(self, x: dict, y: dict) -> dict:
         return self.field.accumulate(dict(x), y.items())

@@ -64,9 +64,6 @@ class GradedQuiver:
     def __hash__(self):
         return hash((self.vertices, self.arrows))
 
-    def __repr__(self):
-        return f"GradedQuiver({len(self.vertices)} vertices, {len(self.arrows)} arrows)"
-
     def arrow(self, name: str) -> Arrow:
         try:
             return self.arrow_by_name[name]
@@ -255,12 +252,3 @@ class AlgElement:
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: path_sort_key(kv[0]))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for p, c in self.sorted_terms():
-            word = "".join(p.arrows) if p.arrows else f"e_{p.source}"
-            bits.append(f"{self.field.format(c)}*{word}")
-        return " + ".join(bits)

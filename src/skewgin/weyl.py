@@ -10,12 +10,14 @@ filtration bounds every computation: the chain differential does not raise
 it, so each filtration piece is a finite complex with exact ranks.
 
 Inside, a chain key w (x) s (x) t is one int code over numbered wedges
-and monomials, and the products of the V basis vectors with monomials and
-the moves of each wedge are tabulated once per algebra (``_Chains``).  One
-image routine builds a code's image as an int vector straight in the
-numbering its caller asks for: minus the listing index of the target
-position, which the homology feeds to ``LinSolver``, or minus the code,
-which ``koszul_differential`` and ``dual_differential`` decode to keys.
+and monomials, and the closed-form products of the V basis vectors with
+monomials and the moves of each wedge are tabulated once per algebra
+(``_Chains``).  One image routine builds a code's image as an int vector
+straight in the numbering its caller asks for: minus the listing index of
+the target position, which the homology feeds to ``LinSolver``, or minus
+the code, which ``koszul_differential`` and ``dual_differential`` decode
+to keys.  Only the resolution is eliminated: the dual is read off it
+through the self-duality that makes A_n Calabi-Yau, checked on generators.
 
 The checks run on plain ints (the scaled-integer convention of
 ``fields.py``): monomial products are unreduced ints, the resolution and
@@ -188,16 +190,16 @@ class _Chains:
     ids of the M monomials in ``monomials_up_to(filt)`` and w the id of the
     wedge in ``wedges``.  The tables left[k](s) and right[k](s) list the
     products v_k s and s v_k of the k-th V basis vector as (monomial id,
-    int) pairs, each formed when first read; they are read for monomials
-    s below filt only, so every product is numbered.  A move of a wedge is
-    (target wedge id, sign, s table, sign, t table), with the signs of its
-    two terms: drops[w] are the moves of the resolution, by
+    int) pairs, each formed in closed form when first read; they are read
+    for monomials s below filt only, so every product is numbered.  A move
+    of a wedge is (target wedge id, sign, s table, sign, t table), with the
+    signs of its two terms: drops[w] are the moves of the resolution, by
     v s (x) t - s (x) t v for each letter v dropped from w, and inserts[w]
     those of the dual, by s v (x) t - s (x) v t for each letter inserted.
     """
 
     def __init__(self, algebra: WeylAlgebra, filt: int):
-        n2, product = 2 * algebra.n, algebra._mul_monomials
+        n, n2 = algebra.n, 2 * algebra.n
         self.filt, self.n2, self.field = filt, n2, algebra.field
         self.mons = mons = algebra.monomials_up_to(filt)
         self.size = size = len(mons)
@@ -205,13 +207,24 @@ class _Chains:
         self.index = index = {m: i for i, m in enumerate(mons)}
         self.wedges = [w for d in range(n2 + 1) for w in _wedges(n2, d)]
         self.wedge_index = wid = {w: i for i, w in enumerate(self.wedges)}
-        generators = [algebra.basis_monomial(k) for k in range(n2)]
+        flat = {a + b: i for i, (a, b) in enumerate(mons)}  # by exponents of v_0..v_2n-1
 
-        def table(multiply):
-            return cache(lambda s: [(index[m], c) for m, c in multiply(mons[s]).items()])
+        def table(k, on_left):
+            # v_k raises its exponent; d_i on the left or x_i on the right
+            # passes its partner v_j: d_i x^a = x^a d_i + a_i x^(a - e_i)
+            j, passes = (k + n) % n2, on_left == (k >= n)
 
-        left = [table(lambda s, v=v: product(v, s)) for v in generators]
-        right = [table(lambda s, v=v: product(s, v)) for v in generators]
+            def products(s):
+                e = mons[s][0] + mons[s][1]
+                terms = [(flat[e[:k] + (e[k] + 1,) + e[k + 1:]], 1)]
+                if passes and e[j]:
+                    terms.append((flat[e[:j] + (e[j] - 1,) + e[j + 1:]], e[j]))
+                return terms
+
+            return cache(products)
+
+        left = [table(k, on_left=True) for k in range(n2)]
+        right = [table(k, on_left=False) for k in range(n2)]
         self.drops, self.inserts = [], []
         for w in self.wedges:
             drops = []
@@ -419,12 +432,12 @@ def check_sp_equivariance(n: int, matrices, field: Field):
 
 
 def _guarded_envelope(n: int, filt: int, field: Field, cap: int) -> WeylAlgebra:
-    """The Weyl algebra for the filtration-filt piece of the resolution or
-    its dual, once n <= 2 and the piece's size is within the cap.
+    """The Weyl algebra for the filtration-filt piece of the resolution,
+    once n <= 2 and the piece's size is within the cap.
 
-    The size is counted before any basis is built: position d of the
-    resolution has C(2n, d) wedges times the C(filt - d + 4n, 4n) monomial
-    pairs of filtration at most filt - d, and the dual has the same sizes.
+    The size is counted before any basis is built: position d has C(2n, d)
+    wedges times the C(filt - d + 4n, 4n) monomial pairs of filtration at
+    most filt - d.
     """
     if n > 2:
         raise SizeGuard("resolution checks are guarded to n <= 2")
@@ -493,22 +506,35 @@ def bounded_exactness(n: int, filt: int, field: Field, cap: int = 200000):
     }
 
 
-def dual_top_concentration(n: int, filt: int, field: Field, cap: int = 200000):
-    """Homology of the filtered dual complex: expected concentrated at the
-    top position, where the multiplication map induces the comparison.
+def dual_top_concentration(n: int, field: Field, resolution: dict):
+    """Homology of the filtered dual complex, expected concentrated at the
+    top position, read off the report of ``bounded_exactness`` through
+    phi(w (x) s (x) t) = sign(w, c) c (x) t (x) s, c the complement of w and
+    sign(w, c) the sign of listing w, then c.  phi maps dual position d
+    bijectively onto resolution position 2n - d under the same filtration
+    bound, and both are free on the w (x) 1 (x) 1 (swapping s and t turns
+    outer linearity into inner), so phi d^v = (-1)^d d phi is checked on
+    those generators only; a mismatch raises AssertionError."""
+    algebra, n2 = WeylAlgebra(n, field), 2 * n
+    one = ((0,) * n, (0,) * n)
 
-    Dual position d keeps enveloping filtration at most filt - (2n - d), so
-    listed from the top down it has the resolution's layout, and the dual
-    differential, which raises d, lowers the distance from the top.
-    """
-    algebra = _guarded_envelope(n, filt, field, cap)
-    chains, top = _chains(algebra, filt), 2 * n
-    dimensions, _, homology = _homology(
-        chains, [(top - i, filt - i) for i in range(top + 1)], chains.inserts,
-        algebra._mul_monomials)
+    def phi(element):
+        out = {}  # no two keys share an image
+        for (w, (s, t)), v in element.items():
+            c = tuple(j for j in range(n2) if j not in w)
+            sign = -1 if sum(a > b for a in w for b in c) % 2 else 1
+            out[c, (t, s)] = field.mul(sign, v)
+        return out
+
+    for d in range(n2):
+        for w in _wedges(n2, d):
+            lhs = phi(dual_differential(algebra, {(w, (one, one)): 1}))
+            if lhs != koszul_differential(algebra, phi({(w, (one, one)): (-1) ** d})):
+                raise AssertionError(f"phi is not a chain map at dual position {d} on wedge {w}")
+    homology = {0: resolution["augmentation_cokernel"], **resolution["homology"]}
     return {
-        "dimensions": dimensions[::-1],
-        "homology": {d: homology[top - d] for d in range(top + 1)},
+        "dimensions": resolution["dimensions"][::-1],
+        "homology": {d: homology[n2 - d] for d in range(n2 + 1)},
         "top_homology": homology[0],
-        "expected_top": comb(filt + 2 * n, 2 * n),
+        "expected_top": resolution["expected_cokernel"],
     }

@@ -48,6 +48,7 @@ ORACLE_PRODUCT = "tests/test_crossed.py::test_product_matches_field_scalar_oracl
 CORNER_ORACLE = "tests/test_morita.py::test_corner_matches_two_product_oracle"
 DIFFERENTIAL_ORACLE = "tests/test_weyl.py::test_differentials_match_oracles_on_every_basis_key"
 BOUNDED_EXACTNESS = "tests/test_weyl.py::test_bounded_exactness_n1"
+DUAL_ISO = "tests/test_weyl.py::test_phi_derived_dual_matches_the_eliminated_dual"
 OFF_GENERATOR = "tests/test_cli.py::test_override_term_off_its_generator_exit_2"
 FEED_COUNT = "tests/test_morita.py::test_signed_s3_feed_builds_only_the_commutators_it_feeds"
 MODULE_SET = "tests/test_package.py::test_each_command_executes_only_the_modules_it_uses"
@@ -243,11 +244,21 @@ MUTANTS = [
            "                inserts.append((wid[tuple(sorted(w + (j,)))], sign, right[j], -sign, right[j]))\n",
            (DIFFERENTIAL_ORACLE,)),
     Mutant("product-tables-swap-left-and-right", "weyl.py",
-           "        left = [table(lambda s, v=v: product(v, s)) for v in generators]\n"
-           "        right = [table(lambda s, v=v: product(s, v)) for v in generators]\n",
-           "        right = [table(lambda s, v=v: product(v, s)) for v in generators]\n"
-           "        left = [table(lambda s, v=v: product(s, v)) for v in generators]\n",
+           "        left = [table(k, on_left=True) for k in range(n2)]\n"
+           "        right = [table(k, on_left=False) for k in range(n2)]\n",
+           "        right = [table(k, on_left=True) for k in range(n2)]\n"
+           "        left = [table(k, on_left=False) for k in range(n2)]\n",
            (DIFFERENTIAL_ORACLE, BOUNDED_EXACTNESS)),
+    # phi sees the two sign mutants; on its generators s = t = 1, so it
+    # cannot see dual-swaps-right-product, which DIFFERENTIAL_ORACLE kills
+    Mutant("dual-iso-drops-permutation-sign", "weyl.py",
+           "            sign = -1 if sum(a > b for a in w for b in c) % 2 else 1\n",
+           "            sign = 1\n",
+           (DUAL_ISO,)),
+    Mutant("dual-iso-drops-alternating-sign", "weyl.py",
+           "{(w, (one, one)): (-1) ** d}",
+           "{(w, (one, one)): 1}",
+           (DUAL_ISO,)),
     Mutant("code-decodes-s-and-t-swapped", "weyl.py",
            "        s, t = divmod(pair, self.size)\n", "        t, s = divmod(pair, self.size)\n",
            (DIFFERENTIAL_ORACLE, "tests/test_weyl.py::test_basis_codes_list_the_dict_keys_in_order")),

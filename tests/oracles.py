@@ -48,7 +48,10 @@ the corner of every (path, group element) pair that the normal words of
 ``dict_keyed_homology``, the Weyl homology on dict keys that the int
 codes of ``skewgin.weyl._homology`` replaced, whose rows pivot on their
 last-listed key or, with ``first_listed``, on their first-listed key, the
-order the last-listed pivots replaced.
+order the last-listed pivots replaced.  ``eliminated_dual_report`` runs on
+``skewgin.weyl``'s own guard, codes and homology: the dual complex's own
+elimination, which the checked chain isomorphism of
+``skewgin.weyl.dual_top_concentration`` replaced.
 ``all_pairs_multiplicativity``, the product of every pair of reduced
 paths of total length at most 2 that the products on vertices and arrows
 of ``skewgin.morita.check_embedding`` replaced, runs on skewgin's crossed
@@ -661,6 +664,24 @@ def dict_keyed_homology(field, positions, differential, closing, first_listed=Fa
         ranks[i] = solver.rank
     homology = [len(b) - ranks[i] - ranks[i + 1] for i, b in enumerate(positions)]
     return ranks[:-1], homology
+
+
+def eliminated_dual_report(n, filt, field, cap=200000):
+    """The dual report by its own elimination, which the chain isomorphism
+    of ``skewgin.weyl.dual_top_concentration`` replaced: the size guard,
+    then the int-coded homology of the dual complex listed from the top
+    down, by the insertion moves, closed off the top by s (x) t -> s t."""
+    algebra = weyl._guarded_envelope(n, filt, field, cap)
+    chains, top = weyl._chains(algebra, filt), 2 * n
+    dimensions, _, homology = weyl._homology(
+        chains, [(top - i, filt - i) for i in range(top + 1)], chains.inserts,
+        algebra._mul_monomials)
+    return {
+        "dimensions": dimensions[::-1],
+        "homology": {d: homology[top - d] for d in range(top + 1)},
+        "top_homology": homology[0],
+        "expected_top": comb(filt + 2 * n, 2 * n),
+    }
 
 
 def naive_crossed_mul(x, y):

@@ -139,6 +139,11 @@ TWO_VERTICES = {"field": "Q", "quiver": {"vertices": ["1", "2"], "arrows": [
      [("/quiver/arrows/0", "expected an object")]),
     (doc(MINIMAL, quiver={"vertices": ["1"], "arrows": [{"name": "a", "src": "2", "tgt": "3"}]}),
      [("/quiver/arrows/0/src", "unknown vertex '2'"), ("/quiver/arrows/0/tgt", "unknown vertex '3'")]),
+    (doc(MINIMAL, quiver={"vertices": ["1"], "arrows": [{"name": "", "src": "1", "tgt": "1"}]}),
+     [("/quiver/arrows/0/name", "expected a nonempty string")]),
+    (doc(MINIMAL, quiver={"vertices": ["1"], "arrows": [{"name": "x", "src": "1", "tgt": "1"},
+                                                        {"name": "x", "src": "1", "tgt": "1"}]}),
+     [("/quiver/arrows/1/name", "duplicate arrow name 'x'")]),
     (doc(MINIMAL, group=[]), [("/group", "expected an object")]),
     (doc(MINIMAL, field={"p": 3}, group=MCKAY["group"]),
      [("/group", "the field characteristic 3 divides the group order 3")]),
@@ -168,7 +173,8 @@ TWO_VERTICES = {"field": "Q", "quiver": {"vertices": ["1", "2"], "arrows": [
     (doc(MINIMAL, group={"elements": ["e", "g", "h"], "table": [[0, 1, 2], [0, 1, 2], [1, 2, 0]]}),
      [("/group/table", "column 0 repeats an entry")]),
 ], ids=["not-an-object", "no-field", "no-quiver", "arrows-not-a-list", "arrow-not-an-object",
-        "arrow-unknown-ends", "group-not-an-object", "char-divides-order",
+        "arrow-unknown-ends", "arrow-name-empty", "arrow-name-duplicate", "group-not-an-object",
+        "char-divides-order",
         "override-not-an-object", "idempotents-not-an-object", "action-not-an-object",
         "options-not-an-object", "unknown-element",
         "entry-not-an-object", "perm-not-an-object", "matrices-not-an-object",

@@ -203,7 +203,7 @@ def test_eigenvector_property():
     for chi, e in zip(chars, s.elements):
         alg = s.algebra
         for h in g.elements():
-            assert alg.mul(e, alg.from_element(h)) == group_scale(alg, chi[h], e)
+            assert alg.mul(e, {h: f.one()}) == group_scale(alg, chi[h], e)
 
 
 def test_validate_rejects_incomplete():

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import comb
@@ -6,11 +7,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (dict_dual_differential, dict_keyed_homology, dict_koszul_differential,
-                     envelope_one, naive_dual_differential, naive_is_symplectic,
-                     naive_koszul_differential, naive_mul_monomials, naive_sp_equivariance,
-                     per_position_dual_differential, per_position_koszul_differential,
-                     position_keys, weyl_commutator, weyl_d, weyl_x)
+                     eliminated_dual_report, envelope_one, naive_dual_differential,
+                     naive_is_symplectic, naive_koszul_differential, naive_mul_monomials,
+                     naive_sp_equivariance, per_position_dual_differential,
+                     per_position_koszul_differential, position_keys, weyl_commutator, weyl_d,
+                     weyl_x)
 from skewgin import weyl
+from skewgin.cli import main
 from skewgin.errors import NotSymplectic, SizeGuard
 from skewgin.fields import make_field
 from skewgin.weyl import (WeylAlgebra, _Chains, _guarded_envelope, _homology, bounded_exactness,
@@ -192,9 +195,13 @@ def test_bounded_exactness_size_guard():
         bounded_exactness(3, 0, Q)
 
 
+def dual_report(n, filt, field):
+    return dual_top_concentration(n, field, bounded_exactness(n, filt, field))
+
+
 def test_dual_concentrated_at_top():
     for filt in (0, 1, 2):
-        report = dual_top_concentration(1, filt, Q)
+        report = dual_report(1, filt, Q)
         for d, h in report["homology"].items():
             if d == 2:
                 assert h == report["expected_top"] == comb(filt + 2, 2)
@@ -203,7 +210,7 @@ def test_dual_concentrated_at_top():
 
 
 def test_dual_concentrated_at_top_n2():
-    report = dual_top_concentration(2, 1, Q)
+    report = dual_report(2, 1, Q)
     for d, h in report["homology"].items():
         if d == 4:
             assert h == report["expected_top"] == 5
@@ -212,7 +219,7 @@ def test_dual_concentrated_at_top_n2():
 
 
 def test_dual_concentrated_at_top_gf7():
-    report = dual_top_concentration(1, 2, make_field(7))
+    report = dual_report(1, 2, make_field(7))
     assert report["homology"] == {0: 0, 1: 0, 2: 6}
     assert report["top_homology"] == report["expected_top"] == 6
 
@@ -230,11 +237,21 @@ def test_size_guard_counts_the_bases_in_closed_form():
                 _guarded_envelope(n, filt, Q, cap=total - 1)
 
 
-def test_dual_size_guard():
-    with pytest.raises(SizeGuard):
-        dual_top_concentration(2, 1, Q, cap=10)
-    with pytest.raises(SizeGuard):
-        dual_top_concentration(3, 0, Q)
+def test_dual_size_guard(capsys, monkeypatch):
+    # the dual reads the resolution's report, so the resolution's one guard
+    # refuses a piece over the cap, or n > 2, before the dual runs
+    def not_reached(*args):
+        raise AssertionError("the dual runs only after the resolution's guard")
+
+    monkeypatch.setattr(weyl, "dual_top_concentration", not_reached)
+    for argv, message in ((["--n", "2", "--filtration", "1", "--cap", "10"],
+                           "truncated complex has dimension 13 > cap 10"),
+                          (["--n", "3", "--filtration", "0"],
+                           "resolution checks are guarded to n <= 2")):
+        code = main(["weyl", *argv])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert report["errors"] == [{"location": "/", "message": message}]
 
 
 def test_dual_dimensions_mirror_the_resolution():
@@ -243,7 +260,55 @@ def test_dual_dimensions_mirror_the_resolution():
     # filtration; C(2n, d) = C(2n, 2n - d) makes the sizes agree
     for n, filt in ((1, 0), (1, 3), (2, 0), (2, 2), (2, 3)):
         resolution = bounded_exactness(n, filt, Q)["dimensions"]
-        assert dual_top_concentration(n, filt, Q)["dimensions"] == resolution[::-1]
+        assert eliminated_dual_report(n, filt, Q)["dimensions"] == resolution[::-1]
+        assert dual_report(n, filt, Q)["dimensions"] == resolution[::-1]
+
+
+@pytest.mark.parametrize("field", [Q, make_field(7)], ids=["Q", "GF7"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_phi_derived_dual_matches_the_eliminated_dual(n, field):
+    # the report read off the resolution through the checked isomorphism
+    # phi is the one the dual's own elimination gives
+    for filt in range(7):
+        assert dual_report(n, filt, field) == eliminated_dual_report(n, filt, field), filt
+
+
+def test_dual_runs_no_elimination(monkeypatch):
+    resolution, expected = bounded_exactness(2, 3, Q), eliminated_dual_report(2, 3, Q)
+
+    def no_solver(*args):
+        raise AssertionError("the dual is read off the resolution")
+
+    monkeypatch.setattr(weyl, "LinSolver", no_solver)
+    assert dual_top_concentration(2, Q, resolution) == expected
+
+
+def test_phi_mismatch_names_the_position_and_wedge(monkeypatch):
+    # with the dual differential lost, phi fails to be a chain map on the
+    # first generator checked, 1 (x) 1 (x) 1 at dual position 0
+    monkeypatch.setattr(weyl, "dual_differential", lambda algebra, element: {})
+    with pytest.raises(AssertionError,
+                       match=r"^phi is not a chain map at dual position 0 on wedge \(\)$"):
+        dual_report(1, 0, Q)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_closed_form_tables_match_the_monomial_product(n):
+    # every table entry the chains read, each generator on each side of each
+    # monomial below the filtration, is the general normal-ordered product
+    A = WeylAlgebra(n, Q)
+    for filt in range(7):
+        chains = _Chains(A, filt)
+        for k in range(2 * n):
+            # the single letter v_k drops by v_k s (x) t - s (x) t v_k
+            [(_, _, left, _, right)] = chains.drops[chains.wedge_index[(k,)]]
+            v = A.basis_monomial(k)
+            for s, m in enumerate(chains.mons):
+                if chains.degree[s] < filt:
+                    assert dict(left(s)) == {chains.index[p]: c
+                                             for p, c in A._mul_monomials(v, m).items()}
+                    assert dict(right(s)) == {chains.index[p]: c
+                                              for p, c in A._mul_monomials(m, v).items()}
 
 
 def test_homology_checks_the_closing_map():
