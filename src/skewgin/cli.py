@@ -317,6 +317,10 @@ def cmd_weyl(args) -> int:
     if args.filtration < 0:
         raise ValidationError([("/filtration", "the filtration bound must be non-negative")])
     matrices = _read_matrices(args.matrices, args.n, field) if args.matrices else None
+    for k, matrix in enumerate(matrices or ()):
+        if (terms := weyl.wedge_action_terms(matrix)) > args.cap:
+            raise SizeGuard(f"wedge action has {terms} terms > cap {args.cap}",
+                            location=f"/matrices/{k}")
     report = _base_report("weyl")
     report["n"] = args.n
     report["filtration"] = args.filtration
@@ -386,11 +390,13 @@ def build_parser():
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("weyl", help="filtered resolution and symplectic equivariance checks")
-    p.add_argument("--n", type=int, required=True, help="number of variables (guarded to 2)")
+    p.add_argument("--n", type=int, required=True, help="number of variables")
     p.add_argument("--filtration", type=int, default=2, help="total degree bound")
     p.add_argument("--matrices", default=None, help="JSON file with matrices to check")
     p.add_argument("--field", default="Q", help='"Q" or a prime modulus')
-    p.add_argument("--cap", type=int, default=200000, help="size guard for truncations")
+    p.add_argument("--cap", type=int, default=200000,
+                   help="cap on each counted cost: complex dimension, wedge-table moves "
+                        "and wedge-action terms")
     p.set_defaults(func=cmd_weyl)
     return parser
 

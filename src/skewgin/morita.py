@@ -106,8 +106,6 @@ def build_bimodule(action: QuiverAction, reps, kappa, stabilizers):
                     twist = G.mul(left, G.inv(kappa[j2]))
                     for name in arrows:
                         den, image = action.cleared_image(left, quiver.path([name]))
-                        if not image:
-                            continue
                         deg = quiver.arrow(name).deg
                         for g2 in stabilizers[j]:
                             g = G.mul(twist, g2)
@@ -326,8 +324,6 @@ def check_embedding(md: MoritaData, bound: int):
     pivots = pivot_elements(md)
     for ell in range(bound + 1):
         layer = by_len.get(ell, [])
-        if not layer:
-            continue
         rank = block_rank(md, layer, embedded, basis_index(md.action, ell), pivots)
         if rank != len(layer):
             report.append(

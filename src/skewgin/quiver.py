@@ -61,9 +61,6 @@ class GradedQuiver:
         return (isinstance(other, GradedQuiver)
                 and self.vertices == other.vertices and self.arrows == other.arrows)
 
-    def __hash__(self):
-        return hash((self.vertices, self.arrows))
-
     def arrow(self, name: str) -> Arrow:
         try:
             return self.arrow_by_name[name]

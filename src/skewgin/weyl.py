@@ -16,8 +16,12 @@ monomials and the moves of each wedge are tabulated once per algebra
 straight in the numbering its caller asks for: minus the listing index of
 the target position, which the homology feeds to ``LinSolver``, or minus
 the code, which ``koszul_differential`` and ``dual_differential`` decode
-to keys.  Only the resolution is eliminated: the dual is read off it
-through the self-duality that makes A_n Calabi-Yau, checked on generators.
+to keys.  Only the resolution is eliminated, by ``bounded_exactness``:
+the dual is read off it through the self-duality that makes A_n
+Calabi-Yau, checked on generators.  No rule names n: each cost (the
+piece's dimension, the wedge tables, and the wedge action of a matrix
+through ``wedge_action_terms``) is counted in closed form against one
+cap before any table is built.
 
 The checks run on plain ints (the scaled-integer convention of
 ``fields.py``): monomial products are unreduced ints, the resolution and
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations, product as iproduct
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .errors import NotSymplectic, SizeGuard
 from .fields import Field
@@ -356,6 +360,13 @@ def wedge_action(algebra: WeylAlgebra, matrix, wedge):
     return algebra.field.accumulate({}, terms)
 
 
+def wedge_action_terms(matrix) -> int:
+    """The (wedge, entry) choices ``wedge_action`` enumerates over all the
+    wedges together: each column is left out of the wedge or gives one of
+    its nonzero entries, so the product over columns of 1 + nonzeros."""
+    return prod(1 + sum(1 for entry in column if entry) for column in zip(*matrix))
+
+
 def chain_action(algebra: WeylAlgebra, matrix):
     """The diagonal action of the matrix on wedge (x) enveloping-algebra
     elements, on ints: returns act.
@@ -431,78 +442,63 @@ def check_sp_equivariance(n: int, matrices, field: Field):
     return [line for failed in failures for line in failed]
 
 
-def _guarded_envelope(n: int, filt: int, field: Field, cap: int) -> WeylAlgebra:
-    """The Weyl algebra for the filtration-filt piece of the resolution,
-    once n <= 2 and the piece's size is within the cap.
-
-    The size is counted before any basis is built: position d has C(2n, d)
-    wedges times the C(filt - d + 4n, 4n) monomial pairs of filtration at
-    most filt - d.
-    """
-    if n > 2:
-        raise SizeGuard("resolution checks are guarded to n <= 2")
-    total = sum(comb(2 * n, d) * comb(filt - d + 4 * n, 4 * n)
-                for d in range(min(filt, 2 * n) + 1))
-    if total > cap:
-        raise SizeGuard(f"truncated complex has dimension {total} > cap {cap}")
-    return WeylAlgebra(n, field)
-
-
-def _homology(chains: _Chains, layout, moves, closing):
-    """Dimensions, ranks and homology of a bounded complex, counted from its
-    closing end.
-
-    layout[i] is the (wedge length, enveloping filtration bound) of the
-    position at distance i from the closing end, and moves (drops or
-    inserts) map position i into position i - 1.  closing(s, t) maps the
-    monomial pair s (x) t off position 0 into the algebra; on the first 200
-    images of position 1 it must vanish.  Returns (dimensions, ranks,
-    homology): ranks[i] is the rank of the map out of position i (0 at
-    i = 0), and homology[0] is the cokernel of the map into position 0.
-    Each basis code goes in with coefficient 1, so every image is an int
-    vector.  It is built keyed by minus the target's listing index, so rows
-    pivot on their last-listed key (of highest filtration), which leaves
-    less fill-in.
-    """
-    field = chains.field
-    positions = [chains.position(d, env) for d, env in layout]
-    ranks = [0] * (len(positions) + 1)
-    for i in range(1, len(positions)):
-        solver, target = LinSolver(field), positions[i - 1][1]
-        for k, code in enumerate(positions[i][0]):
-            vec = chains.image(code, moves, target)
-            if i == 1 and k < 200 and field.accumulate({}, (
-                    (m, c * cm) for at, c in vec.items()
-                    for m, cm in closing(*chains.key(positions[0][0][-at])[1]).items())):
-                raise AssertionError("the closing map does not annihilate the image")
-            if vec:
-                solver.add(vec)
-        ranks[i] = solver.rank
-    dimensions = [len(codes) for codes, _ in positions]
-    homology = [size - ranks[i] - ranks[i + 1] for i, size in enumerate(dimensions)]
-    return dimensions, ranks[:-1], homology
-
-
 def bounded_exactness(n: int, filt: int, field: Field, cap: int = 200000):
     """Homology dimensions of the filtration piece of the resolution.
 
     Position d keeps enveloping filtration at most filt - d, which the
     differential respects.  Expected: zero homology at every positive
     position and an augmentation cokernel matching the dimension of the
-    filtered Weyl algebra, which is also reported.  The augmentation
-    s (x) t -> t s closes the complex at position 0.
+    filtered Weyl algebra, which is also reported.
+
+    Two costs are counted against the cap before any table is built: the
+    piece's dimension, C(2n, d) wedges times C(filt - d + 4n, 4n) monomial
+    pairs at position d, and the 2n moves of each of the 4^n wedges that
+    ``_Chains`` tabulates and the generator checks walk.  An n past the
+    cap's bit length, or a filt past the cap, puts one count past it, and
+    is refused before either count is formed.
+
+    Each basis code goes in with coefficient 1, so every image is an int
+    vector, keyed by minus the target's listing index: rows pivot on their
+    last-listed key (of highest filtration), which leaves less fill-in.
+    The augmentation s (x) t -> t s closes the complex at position 0; on
+    the first 200 images of position 1 it must vanish.
     """
-    algebra = _guarded_envelope(n, filt, field, cap)
+    n2 = 2 * n
+    if filt > cap or n > cap.bit_length():
+        raise SizeGuard(f"n = {n} and filtration {filt} give counts past cap {cap}")
+    total = sum(comb(n2, d) * comb(filt - d + 2 * n2, 2 * n2) for d in range(min(filt, n2) + 1))
+    if total > cap:
+        raise SizeGuard(f"truncated complex has dimension {total} > cap {cap}")
+    moves = n2 * 4 ** n
+    if moves > cap:
+        raise SizeGuard(f"wedge tables have {moves} moves > cap {cap}")
+    algebra = WeylAlgebra(n, field)
     chains, product = _chains(algebra, filt), algebra._mul_monomials
-    dimensions, ranks, homology = _homology(
-        chains, [(d, filt - d) for d in range(2 * n + 1)], chains.drops,
-        lambda s, t: product(t, s))
+    positions = [chains.position(d, filt - d) for d in range(n2 + 1)]
+
+    def augmentation(at):  # t s, for the key s (x) t listed at -at in position 0
+        s, t = chains.key(positions[0][0][-at])[1]
+        return product(t, s)
+
+    ranks = [0] * (n2 + 2)
+    for d in range(1, n2 + 1):
+        solver, target = LinSolver(field), positions[d - 1][1]
+        for k, code in enumerate(positions[d][0]):
+            vec = chains.image(code, chains.drops, target)
+            if d == 1 and k < 200 and field.accumulate({}, (
+                    (m, c * cm) for at, c in vec.items() for m, cm in augmentation(at).items())):
+                raise AssertionError("the augmentation does not annihilate the image")
+            if vec:
+                solver.add(vec)
+        ranks[d] = solver.rank
+    dimensions = [len(codes) for codes, _ in positions]
+    homology = [size - ranks[d] - ranks[d + 1] for d, size in enumerate(dimensions)]
     return {
         "dimensions": dimensions,
-        "ranks": ranks[1:],
-        "homology": {d: homology[d] for d in range(1, 2 * n + 1)},
+        "ranks": ranks[1:-1],
+        "homology": {d: homology[d] for d in range(1, n2 + 1)},
         "augmentation_cokernel": homology[0],
-        "expected_cokernel": comb(filt + 2 * n, 2 * n),
+        "expected_cokernel": comb(filt + n2, n2),
     }
 
 

@@ -263,9 +263,22 @@ MUTANTS = [
            "        s, t = divmod(pair, self.size)\n", "        t, s = divmod(pair, self.size)\n",
            (DIFFERENTIAL_ORACLE, "tests/test_weyl.py::test_basis_codes_list_the_dict_keys_in_order")),
     Mutant("homology-skips-closing-check", "weyl.py",
-           "            if i == 1 and k < 200 and field.accumulate({}, (\n",
+           "            if d == 1 and k < 200 and field.accumulate({}, (\n",
            "            if False and field.accumulate({}, (\n",
            ("tests/test_weyl.py::test_homology_checks_the_closing_map",)),
+    Mutant("weyl-guard-counts-past-the-cap", "weyl.py",
+           "    if filt > cap or n > cap.bit_length():\n",
+           "    if False:\n",
+           ("tests/test_weyl.py::test_size_guard_refuses_past_the_cap_uncounted",)),
+    Mutant("weyl-guard-skips-wedge-count", "weyl.py",
+           "    if moves > cap:\n",
+           "    if False:\n",
+           ("tests/test_cli.py::test_weyl_wedge_tables_over_the_cap_refused_before_any_table",)),
+    Mutant("weyl-guard-skips-matrix-count", "cli.py",
+           "        if (terms := weyl.wedge_action_terms(matrix)) > args.cap:\n",
+           "        if (terms := weyl.wedge_action_terms(matrix)) < 0:\n",
+           ("tests/test_cli.py::test_weyl_matrix_over_the_cap_refused_at_its_index_before_rank"
+            "_work",)),
     Mutant("differential-cache-rebuilt-per-matrix", "weyl.py",
            "        for idx, act in enumerate(actions):\n",
            "        for idx, act in enumerate(actions):\n"

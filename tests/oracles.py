@@ -46,12 +46,14 @@ per length layer that the Peirce-block ranks of
 the corner of every (path, group element) pair that the normal words of
 ``skewgin.morita.morita_dimension_check`` replaced, and
 ``dict_keyed_homology``, the Weyl homology on dict keys that the int
-codes of ``skewgin.weyl._homology`` replaced, whose rows pivot on their
-last-listed key or, with ``first_listed``, on their first-listed key, the
-order the last-listed pivots replaced.  ``eliminated_dual_report`` runs on
-``skewgin.weyl``'s own guard, codes and homology: the dual complex's own
-elimination, which the checked chain isomorphism of
-``skewgin.weyl.dual_top_concentration`` replaced.
+codes of ``skewgin.weyl.bounded_exactness`` replaced, whose rows pivot on
+their last-listed key or, with ``first_listed``, on their first-listed
+key, the order the last-listed pivots replaced.  ``coded_homology`` runs
+on ``skewgin.weyl``'s codes and tables: the elimination of any bounded
+complex laid out from its closing end, which ``bounded_exactness`` folded
+in for the resolution alone, and on which ``eliminated_dual_report`` runs
+the dual complex's own elimination, which the checked chain isomorphism
+of ``skewgin.weyl.dual_top_concentration`` replaced.
 ``all_pairs_multiplicativity``, the product of every pair of reduced
 paths of total length at most 2 that the products on vertices and arrows
 of ``skewgin.morita.check_embedding`` replaced, runs on skewgin's crossed
@@ -666,14 +668,46 @@ def dict_keyed_homology(field, positions, differential, closing, first_listed=Fa
     return ranks[:-1], homology
 
 
-def eliminated_dual_report(n, filt, field, cap=200000):
+def coded_homology(chains, layout, moves, closing):
+    """Dimensions, ranks and homology of a bounded complex on int codes,
+    counted from its closing end: the general form that
+    ``skewgin.weyl.bounded_exactness`` folded in for the resolution alone.
+
+    layout[i] is the (wedge length, enveloping filtration bound) of the
+    position at distance i from the closing end, and moves (drops or
+    inserts) map position i into position i - 1.  closing(s, t) maps the
+    monomial pair s (x) t off position 0 into the algebra; on the first 200
+    images of position 1 it must vanish.  Returns (dimensions, ranks,
+    homology): ranks[i] is the rank of the map out of position i (0 at
+    i = 0), and homology[0] is the cokernel of the map into position 0.
+    """
+    field = chains.field
+    positions = [chains.position(d, env) for d, env in layout]
+    ranks = [0] * (len(positions) + 1)
+    for i in range(1, len(positions)):
+        solver, target = LinSolver(field), positions[i - 1][1]
+        for k, code in enumerate(positions[i][0]):
+            vec = chains.image(code, moves, target)
+            if i == 1 and k < 200 and field.accumulate({}, (
+                    (m, c * cm) for at, c in vec.items()
+                    for m, cm in closing(*chains.key(positions[0][0][-at])[1]).items())):
+                raise AssertionError("the closing map does not annihilate the image")
+            if vec:
+                solver.add(vec)
+        ranks[i] = solver.rank
+    dimensions = [len(codes) for codes, _ in positions]
+    homology = [size - ranks[i] - ranks[i + 1] for i, size in enumerate(dimensions)]
+    return dimensions, ranks[:-1], homology
+
+
+def eliminated_dual_report(n, filt, field):
     """The dual report by its own elimination, which the chain isomorphism
-    of ``skewgin.weyl.dual_top_concentration`` replaced: the size guard,
-    then the int-coded homology of the dual complex listed from the top
-    down, by the insertion moves, closed off the top by s (x) t -> s t."""
-    algebra = weyl._guarded_envelope(n, filt, field, cap)
+    of ``skewgin.weyl.dual_top_concentration`` replaced: the int-coded
+    homology of the dual complex listed from the top down, by the
+    insertion moves, closed off the top by s (x) t -> s t."""
+    algebra = weyl.WeylAlgebra(n, field)
     chains, top = weyl._chains(algebra, filt), 2 * n
-    dimensions, _, homology = weyl._homology(
+    dimensions, _, homology = coded_homology(
         chains, [(top - i, filt - i) for i in range(top + 1)], chains.inserts,
         algebra._mul_monomials)
     return {

@@ -5,10 +5,12 @@ import io
 import json
 import operator
 import os
+import random
 import subprocess
 import sys
 import tempfile
 from functools import reduce
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -308,6 +310,55 @@ def test_invariance_failure_exit_1(capsys, tmp_path):
     assert any(not e["invariant"] and e["g"] == "g" for e in check["elements"])
 
 
+def test_transport_of_a_noninvariant_potential_exit_1(capsys, tmp_path):
+    code, report = run_cli(capsys, tmp_path, doc(NEGATION_NONINVARIANT), "transport")
+    assert code == 1
+    assert report["failure"] == "the potential is not fixed by the group action"
+
+
+def test_transport_refusals_exit_2_at_the_root(capsys, tmp_path):
+    # transport moves one cycle length of untwisted (degree 0) arrows
+    mixed = doc(TRIVIAL_GROUP_PIPELINE, potential=[
+        *TRIVIAL_GROUP_PIPELINE["potential"],
+        {"coeff": "1", "cycle": ["x", "y", "z", "x", "y", "z"]}])
+    arrows = [dict(a, deg=-1) for a in TRIVIAL_GROUP_PIPELINE["quiver"]["arrows"]]
+    graded = doc(TRIVIAL_GROUP_PIPELINE, d=6, quiver={"vertices": ["1"], "arrows": arrows})
+    for text, message in ((mixed, "potential transport requires one cycle length"),
+                          (graded, "potential transport requires all arrow degrees 0")):
+        code, report = run_cli(capsys, tmp_path, text, "transport")
+        assert code == 2
+        assert report["errors"] == [{"location": "/", "message": message}]
+
+
+def test_reduce_names_each_failed_idempotent_rule(capsys, tmp_path):
+    vectors = SIGNED_S3["group"]["idempotents"]["vectors"]
+    prefix = "idempotent set for v failed validation: "
+    for changed, message in (
+            ([["1/3"] * 6, *vectors[1:]], "element 0 is not idempotent"),
+            ([vectors[0], vectors[0], vectors[2]],
+             "elements 0 and 1 are not orthogonal; elements 1 and 0 are not orthogonal; "
+             "elements 0 and 1 select isomorphic summands; "
+             "elements 1 and 0 select isomorphic summands")):
+        group = copy.deepcopy(SIGNED_S3["group"])
+        group["idempotents"]["vectors"] = changed
+        code, report = run_cli(capsys, tmp_path, doc(SIGNED_S3, group=group), "reduce")
+        assert code == 2
+        assert report["errors"] == [{"location": "/", "message": prefix + message}]
+
+
+def test_ginzburg_check_without_a_potential(capsys, tmp_path):
+    text = doc({k: v for k, v in MCKAY.items() if k != "potential"})
+    code, report = run_cli(capsys, tmp_path, text, "ginzburg", "--check")
+    assert code == 0
+    assert report["ok"] is True
+
+
+def test_validate_nonprime_modulus_exit_2_at_field(capsys, tmp_path):
+    code, report = run_cli(capsys, tmp_path, doc(MINIMAL, field={"p": 4}), "validate")
+    assert code == 2
+    assert report["errors"] == [{"location": "/field", "message": "modulus 4 is not prime"}]
+
+
 def test_reduce_trivial_group(capsys, tmp_path):
     code, report = run_cli(capsys, tmp_path, doc(TRIVIAL_GROUP_PIPELINE), "reduce")
     assert code == 0
@@ -563,6 +614,57 @@ def test_weyl_report_bytes_are_pinned(capsys, tmp_path, n, field, matrices):
         else:
             assert (code, hashlib.sha256(out).hexdigest()) == (
                 0, WEYL_SHA256[n, matrices][filtration]), filtration
+
+
+# sha256 of the weyl --n 3 reports at filtrations 0-4, the same bytes over
+# Q and GF(7)
+WEYL_N3_SHA256 = [
+    "ee50cd93cd1b3fee60d65cb1d01f61abdadb80ec2768bd79e766d1c528bdf99b",
+    "6f5d8022bcd325f16853f499822bb178b3ab07bd19e71ecd9c0427891b037a7b",
+    "159f4aa6cb35a18c60b475829f290e12dab33f6d9b79811564ab9ebc5b30403d",
+    "17e78a80eeb8a9134a4a07d2893d02edb58326b94333367a4060874a5f967280",
+    "4ab2d506ac7db4549c1dc5559c19c312200f43860f7a3eef5638f3126657104f",
+]
+
+
+@pytest.mark.parametrize("field", ["Q", "7"])
+def test_weyl_n3_report_bytes_are_pinned(capsys, field):
+    # no rule names n: each n = 3 piece is exact, with cokernel C(F + 6, 6),
+    # and its dual concentrates at the top
+    for filtration, digest in enumerate(WEYL_N3_SHA256):
+        code = main(["weyl", "--n", "3", "--field", field, "--filtration", str(filtration)])
+        out = capsys.readouterr().out
+        assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (0, digest), filtration
+        report = json.loads(out)
+        resolution = report["resolution"]
+        assert set(resolution["homology"].values()) == {0}
+        assert resolution["augmentation_cokernel"] == comb(filtration + 6, 6)
+        assert all(check["ok"] for check in report["checks"])
+
+
+def transvection(n, seed):
+    """The symplectic transvection x -> x + c omega(v, x) v along a seeded
+    vector v, with omega(u, w) = sum_i u_(n+i) w_i - u_i w_(n+i) the pairing
+    the weyl check preserves, as scalar strings."""
+    rng = random.Random(seed)
+    v = [rng.randint(-2, 2) for _ in range(2 * n)]
+    c = rng.choice([1, -1, 2])
+    omega = [v[n + k] for k in range(n)] + [-v[k] for k in range(n)]  # omega(v, e_k)
+    return [[str(int(i == k) + c * v[i] * omega[k]) for k in range(2 * n)]
+            for i in range(2 * n)]
+
+
+@pytest.mark.parametrize("field", ["Q", "7"])
+def test_weyl_n3_transvection_is_equivariant(capsys, tmp_path, field):
+    path = tmp_path / "mats.json"
+    path.write_text(json.dumps([transvection(3, seed=1)]), encoding="utf-8")
+    code = main(["weyl", "--n", "3", "--field", field, "--filtration", "2",
+                 "--matrices", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["checks"][-1] == {
+        "check": "matrices are symplectic and the differential is equivariant",
+        "ok": True, "failures": []}
 
 
 def test_ginzburg_degree_mismatch_exit_2(capsys, tmp_path):
@@ -821,6 +923,50 @@ def test_weyl_size_guard_before_any_basis(capsys, monkeypatch):
     assert code == 2
     assert report["errors"] == [{"location": "/", "message":
                                  "truncated complex has dimension 26423826 > cap 200000"}]
+
+
+def test_weyl_wedge_tables_over_the_cap_refused_before_any_table(capsys, monkeypatch):
+    # n = 7 at filtration 0 has a one-code complex, but 4^7 wedges with 14
+    # moves each: 229,376 > 200,000, refused before _Chains tabulates them
+    def no_table(*args, **kwargs):
+        raise AssertionError("the cap is checked before any table is built")
+
+    monkeypatch.setattr("skewgin.weyl._Chains", no_table)
+    code = main(["weyl", "--n", "7", "--filtration", "0"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report["errors"] == [{"location": "/", "message":
+                                 "wedge tables have 229376 moves > cap 200000"}]
+
+
+def test_weyl_matrix_over_the_cap_refused_at_its_index_before_rank_work(capsys, tmp_path,
+                                                                       monkeypatch):
+    # the wedge action enumerates, over all wedges, the product over columns
+    # of 1 + nonzeros: 11^10 for a dense 10 x 10 matrix, refused at its
+    # index before the resolution is eliminated; at n = 1 the dense 2 x 2
+    # matrix counts 9, so cap 8 refuses it and cap 9 lets it on to the
+    # symplectic check it fails
+    def no_rank_work(*args, **kwargs):
+        raise AssertionError("the matrices are counted before any rank work")
+
+    monkeypatch.setattr("skewgin.weyl.bounded_exactness", no_rank_work)
+    path = tmp_path / "mats.json"
+    identity = [[str(int(i == k)) for k in range(10)] for i in range(10)]
+    path.write_text(json.dumps([identity, [["1"] * 10] * 10]), encoding="utf-8")
+    code = main(["weyl", "--n", "5", "--filtration", "0", "--matrices", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report["errors"] == [{"location": "/matrices/1", "message":
+                                 "wedge action has 25937424601 terms > cap 200000"}]
+    monkeypatch.undo()
+    path.write_text(json.dumps([[["1", "0"], ["0", "1"]], [["1", "1"], ["1", "1"]]]),
+                    encoding="utf-8")
+    argv = ["weyl", "--n", "1", "--filtration", "0", "--matrices", str(path), "--cap"]
+    assert main([*argv, "8"]) == 2
+    assert json.loads(capsys.readouterr().out)["errors"] == [
+        {"location": "/matrices/1", "message": "wedge action has 9 terms > cap 8"}]
+    assert main([*argv, "9"]) == 1
+    assert json.loads(capsys.readouterr().out)["matrix_index"] == 1
 
 
 def test_weyl_negative_filtration_exit_2(capsys):

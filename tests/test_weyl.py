@@ -1,24 +1,25 @@
 import json
 import random
 from fractions import Fraction
-from math import comb
+from itertools import combinations
+from math import comb, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import (dict_dual_differential, dict_keyed_homology, dict_koszul_differential,
-                     eliminated_dual_report, envelope_one, naive_dual_differential,
-                     naive_is_symplectic, naive_koszul_differential, naive_mul_monomials,
-                     naive_sp_equivariance, per_position_dual_differential,
+from oracles import (coded_homology, dict_dual_differential, dict_keyed_homology,
+                     dict_koszul_differential, eliminated_dual_report, envelope_one,
+                     naive_dual_differential, naive_is_symplectic, naive_koszul_differential,
+                     naive_mul_monomials, naive_sp_equivariance, per_position_dual_differential,
                      per_position_koszul_differential, position_keys, weyl_commutator, weyl_d,
                      weyl_x)
 from skewgin import weyl
 from skewgin.cli import main
 from skewgin.errors import NotSymplectic, SizeGuard
 from skewgin.fields import make_field
-from skewgin.weyl import (WeylAlgebra, _Chains, _guarded_envelope, _homology, bounded_exactness,
-                          check_sp_equivariance, dual_differential, dual_top_concentration,
-                          is_symplectic, koszul_differential)
+from skewgin.weyl import (WeylAlgebra, _Chains, bounded_exactness, check_sp_equivariance,
+                          dual_differential, dual_top_concentration, is_symplectic,
+                          koszul_differential, wedge_action_terms)
 
 Q = make_field("Q")
 
@@ -189,10 +190,37 @@ def test_bounded_exactness_n2():
 
 
 def test_bounded_exactness_size_guard():
-    with pytest.raises(SizeGuard):
+    # each count refuses on its own, the piece's dimension first; no rule
+    # names n, so n = 3 and n = 6 run at the default cap and n = 7 does not
+    with pytest.raises(SizeGuard, match=r"^truncated complex has dimension 13 > cap 10$"):
         bounded_exactness(2, 1, Q, cap=10)
-    with pytest.raises(SizeGuard):
-        bounded_exactness(3, 0, Q)
+    with pytest.raises(SizeGuard, match=r"^wedge tables have 64 moves > cap 63$"):
+        bounded_exactness(2, 0, Q, cap=63)
+    with pytest.raises(SizeGuard, match=r"^wedge tables have 229376 moves > cap 200000$"):
+        bounded_exactness(7, 0, Q)
+    assert bounded_exactness(3, 0, Q)["dimensions"] == [1, 0, 0, 0, 0, 0, 0]
+    assert bounded_exactness(6, 0, Q)["augmentation_cokernel"] == 1
+
+
+def test_size_guard_refuses_past_the_cap_uncounted(monkeypatch):
+    # an n past the cap's bit length has more than 4^n > cap moves, and a
+    # filtration past the cap more than filt basis codes; neither count is
+    # formed, though either would run to thousands of digits
+    def no_count(*args):
+        raise AssertionError("no count is formed past the cap's size")
+
+    monkeypatch.setattr(weyl, "comb", no_count)
+    for n, filt, cap in ((10 ** 9, 0, 200000), (2, 10 ** 600, 200000), (20, 0, 2 ** 18),
+                         (1, 11, 10)):
+        with pytest.raises(SizeGuard, match=rf"^n = {n} and filtration {filt} give counts "
+                                            rf"past cap {cap}$"):
+            bounded_exactness(n, filt, Q, cap=cap)
+    monkeypatch.undo()
+    # at the bounds themselves the counts are formed and refuse
+    with pytest.raises(SizeGuard, match=r"^wedge tables have 10445360463872 moves > cap 262144$"):
+        bounded_exactness(19, 0, Q, cap=2 ** 18)
+    with pytest.raises(SizeGuard, match=r"^truncated complex has dimension 2926 > cap 10$"):
+        bounded_exactness(1, 10, Q, cap=10)
 
 
 def dual_report(n, filt, field):
@@ -225,29 +253,41 @@ def test_dual_concentrated_at_top_gf7():
 
 
 def test_size_guard_counts_the_bases_in_closed_form():
-    # the guard's count, taken before any basis is built, is the number of
-    # basis codes the resolution then enumerates
-    for n in (1, 2):
+    # each count, taken before any table is built, is what the resolution
+    # then enumerates: the piece's basis codes, and the moves of all 4^n
+    # wedges, drops and inserts; each refuses one below its value (at
+    # filtration 0 the piece is the one code 1 (x) 1, and cap 0 is refused
+    # uncounted)
+    for n in (1, 2, 3):
         A = WeylAlgebra(n, Q)
+        moves = 2 * n * 4 ** n
         for filt in range(5):
             chains = _Chains(A, filt)
             total = sum(len(chains.position(d, filt - d)[0]) for d in range(2 * n + 1))
-            _guarded_envelope(n, filt, Q, cap=total)
-            with pytest.raises(SizeGuard, match=f"dimension {total} > cap {total - 1}"):
-                _guarded_envelope(n, filt, Q, cap=total - 1)
+            assert sum(map(len, chains.drops + chains.inserts)) == moves
+            assert sum(bounded_exactness(n, filt, Q, cap=max(total, moves))["dimensions"]) == total
+            if filt:
+                with pytest.raises(SizeGuard, match=f"^truncated complex has dimension {total} "
+                                                    f"> cap {total - 1}$"):
+                    bounded_exactness(n, filt, Q, cap=total - 1)
+            if total < moves:
+                with pytest.raises(SizeGuard, match=f"^wedge tables have {moves} moves "
+                                                    f"> cap {moves - 1}$"):
+                    bounded_exactness(n, filt, Q, cap=moves - 1)
 
 
 def test_dual_size_guard(capsys, monkeypatch):
-    # the dual reads the resolution's report, so the resolution's one guard
-    # refuses a piece over the cap, or n > 2, before the dual runs
+    # the dual reads the resolution's report, so the resolution's guard
+    # refuses a piece over the cap, or wedge tables over it, before the
+    # dual runs
     def not_reached(*args):
         raise AssertionError("the dual runs only after the resolution's guard")
 
     monkeypatch.setattr(weyl, "dual_top_concentration", not_reached)
     for argv, message in ((["--n", "2", "--filtration", "1", "--cap", "10"],
                            "truncated complex has dimension 13 > cap 10"),
-                          (["--n", "3", "--filtration", "0"],
-                           "resolution checks are guarded to n <= 2")):
+                          (["--n", "7", "--filtration", "0"],
+                           "wedge tables have 229376 moves > cap 200000")):
         code = main(["weyl", *argv])
         report = json.loads(capsys.readouterr().out)
         assert code == 2
@@ -271,6 +311,12 @@ def test_phi_derived_dual_matches_the_eliminated_dual(n, field):
     # phi is the one the dual's own elimination gives
     for filt in range(7):
         assert dual_report(n, filt, field) == eliminated_dual_report(n, filt, field), filt
+
+
+@pytest.mark.parametrize("field", [Q, make_field(7)], ids=["Q", "GF7"])
+def test_phi_derived_dual_matches_the_eliminated_dual_n3(field):
+    for filt in range(5):
+        assert dual_report(3, filt, field) == eliminated_dual_report(3, filt, field), filt
 
 
 def test_dual_runs_no_elimination(monkeypatch):
@@ -311,21 +357,18 @@ def test_closed_form_tables_match_the_monomial_product(n):
                                               for p, c in A._mul_monomials(m, v).items()}
 
 
-def test_homology_checks_the_closing_map():
+def test_homology_checks_the_closing_map(monkeypatch):
     # the augmentation s (x) t -> t s kills the image of the first
-    # differential of the resolution; the dual's closing map s (x) t -> s t
-    # does not, and the shared routine must say so
-    A = WeylAlgebra(1, Q)
-    chains = _Chains(A, 2)
-    layout = [(d, 2 - d) for d in range(3)]
-
-    def augmentation(s, t):
-        return A._mul_monomials(t, s)
-
-    assert _homology(chains, layout, chains.drops, augmentation) == ([15, 10, 1], [0, 9, 1],
-                                                                      [6, 0, 0])
-    with pytest.raises(AssertionError):
-        _homology(chains, layout, chains.drops, A._mul_monomials)
+    # differential of the resolution; with the product's arguments swapped
+    # it becomes the dual's closing map s (x) t -> s t, which does not, and
+    # bounded_exactness must say so
+    report = bounded_exactness(1, 2, Q)
+    assert (report["dimensions"], report["ranks"], report["augmentation_cokernel"]) == (
+        [15, 10, 1], [9, 1], 6)
+    product = WeylAlgebra._mul_monomials
+    monkeypatch.setattr(WeylAlgebra, "_mul_monomials", lambda self, m1, m2: product(self, m2, m1))
+    with pytest.raises(AssertionError, match="^the augmentation does not annihilate the image$"):
+        bounded_exactness(1, 2, Q)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -349,24 +392,31 @@ def test_basis_codes_list_the_dict_keys_in_order(n):
 def test_last_listed_pivots_give_the_listing_order_ranks(n, field):
     # the int-coded homology gives the ranks and homology of the dict-keyed
     # oracle, whose rows pivot on their last-listed keys as the library's
-    # do, and those of first-listed pivots, on the resolution and on its
-    # dual, at every filtration up to 5
+    # do, and those of first-listed pivots, at every filtration up to 5: on
+    # the resolution by bounded_exactness, and on its dual by the oracle's
+    # general form on the same codes
     A = WeylAlgebra(n, field)
     top = 2 * n
     for filt in range(6):
+        report = bounded_exactness(n, filt, field)
+        positions = [position_keys(A, d, filt - d) for d in range(top + 1)]
+        assert report["dimensions"] == [len(keys) for keys in positions]
+        for first_listed in (False, True):
+            assert (([0, *report["ranks"]],
+                     [report["augmentation_cokernel"], *report["homology"].values()])
+                    == dict_keyed_homology(field, positions,
+                                           lambda e: dict_koszul_differential(A, e),
+                                           lambda s, t: A._mul_monomials(t, s), first_listed))
         chains = _Chains(A, filt)
-        resolution = ([(d, filt - d) for d in range(top + 1)], chains.drops,
-                      lambda e: dict_koszul_differential(A, e),
-                      lambda s, t: A._mul_monomials(t, s))
-        dual = ([(top - i, filt - i) for i in range(top + 1)], chains.inserts,
-                lambda e: dict_dual_differential(A, e), A._mul_monomials)
-        for layout, moves, differential, closing in (resolution, dual):
-            dimensions, ranks, homology = _homology(chains, layout, moves, closing)
-            positions = [position_keys(A, d, env) for d, env in layout]
-            assert dimensions == [len(keys) for keys in positions]
-            for first_listed in (False, True):
-                assert (ranks, homology) == dict_keyed_homology(
-                    field, positions, differential, closing, first_listed)
+        layout = [(top - i, filt - i) for i in range(top + 1)]
+        dimensions, ranks, homology = coded_homology(chains, layout, chains.inserts,
+                                                     A._mul_monomials)
+        positions = [position_keys(A, d, env) for d, env in layout]
+        assert dimensions == [len(keys) for keys in positions]
+        for first_listed in (False, True):
+            assert (ranks, homology) == dict_keyed_homology(
+                field, positions, lambda e: dict_dual_differential(A, e), A._mul_monomials,
+                first_listed)
 
 
 def test_symplectic_membership():
@@ -432,6 +482,22 @@ def test_is_symplectic_matches_oracle(n, spec, data):
     field = make_field(spec)
     matrix = data.draw(symplectic_candidates(field, n))
     assert is_symplectic(WeylAlgebra(n, field), matrix) == naive_is_symplectic(field, n, matrix)
+
+
+@pytest.mark.parametrize("spec", SYMPLECTIC_FIELDS)
+@pytest.mark.parametrize("n", [1, 2])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_wedge_action_terms_count_the_choices_of_every_wedge(n, spec, data):
+    # wedge_action on w runs through one nonzero entry of each column of w,
+    # so over all wedges it meets sum over w of prod over k in w of the
+    # column's nonzeros choices; the count is that sum in closed form
+    field = make_field(spec)
+    matrix = data.draw(symplectic_candidates(field, n))
+    nonzeros = [sum(1 for row in matrix if row[k]) for k in range(2 * n)]
+    choices = sum(prod(nonzeros[k] for k in w)
+                  for d in range(2 * n + 1) for w in combinations(range(2 * n), d))
+    assert wedge_action_terms(matrix) == choices
 
 
 def test_equivariance_minus_identity_and_squeeze():
