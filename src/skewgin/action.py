@@ -12,7 +12,7 @@ equivariance report surfaces any residual failure rather than hiding it.
 
 from __future__ import annotations
 
-from .errors import NotInvariantPotential
+from .errors import CheckFailed
 from .ginzburg import GinzburgPresentation, loop_name, star_name
 from .linalg import invert_matrix
 from .potential import Potential, canonicalize
@@ -208,11 +208,11 @@ def is_potential_invariant(w: Potential, action: QuiverAction) -> bool:
 def extend_to_ginzburg(action: QuiverAction, presentation: GinzburgPresentation):
     """Extend the action to the doubled quiver and check d-equivariance.
 
-    Returns (extended action, report).  Raises NotInvariantPotential when
-    the potential is not fixed by the action.
+    Returns (extended action, report).  Raises CheckFailed when the
+    potential is not fixed by the action.
     """
     if not is_potential_invariant(presentation.potential, action):
-        raise NotInvariantPotential("the potential is not fixed by the group action")
+        raise CheckFailed("the potential is not fixed by the group action")
     G, field = action.group, action.field
     quiver, doubled = action.quiver, presentation.doubled
 

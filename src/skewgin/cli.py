@@ -10,11 +10,7 @@ import sys
 
 from . import (__version__, action, document, fields, ginzburg, morita, potential,
                quiver, weyl)
-from .errors import (BasisExpressFailure, NonPrimeModulus, NoSolution,
-                     NotInvariantPotential, NotSymplectic, ParseError, SizeGuard,
-                     SkewginError, ValidationError)
-
-CHECK_ERRORS = (NotSymplectic, NotInvariantPotential, NoSolution, BasisExpressFailure)
+from .errors import CheckFailed, SkewginError, ValidationError
 
 # verify refuses a length bound whose crossed basis, the (path, group
 # element) pairs of length <= bound, has more keys than this.  Signed S3
@@ -41,12 +37,15 @@ def _potential_json(field, w):
 
 
 def _read_document(args):
-    if args.document == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.document, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    return document.parse(text)
+    try:
+        if args.document == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(args.document, "rb") as handle:
+                data = handle.read()
+    except OSError as exc:
+        raise SkewginError(str(exc)) from exc
+    return document.parse(data)
 
 
 def _emit(report) -> None:
@@ -66,7 +65,7 @@ def _finish(report) -> int:
 
 def _need(doc, what, attr):
     if getattr(doc, attr) is None:
-        raise ValidationError([(f"/{attr}", f"the command needs a {what}")])
+        raise SkewginError(f"the command needs a {what}", location=f"/{attr}")
 
 
 def cmd_validate(args) -> int:
@@ -201,14 +200,14 @@ def _verify_bound(args, doc):
     if args.max_len is not None:
         bound, where = args.max_len, "/max_len"
     else:
-        bound, where = doc.options["max_len"], "/options/max_len"
+        bound, where = doc.max_len, "/options/max_len"
     if bound < 0:
-        raise ValidationError([(where, "expected a nonnegative integer")])
+        raise SkewginError("expected a nonnegative integer", location=where)
     paths = quiver.count_paths_up_to(doc.quiver, bound, MAX_CROSSED_KEYS // doc.group.size)
     keys = paths * doc.group.size
     if keys > MAX_CROSSED_KEYS:
-        raise SizeGuard(f"length bound {bound} gives more than {MAX_CROSSED_KEYS} "
-                        "(path, group element) pairs", location=where)
+        raise SkewginError(f"length bound {bound} gives more than {MAX_CROSSED_KEYS} "
+                           "(path, group element) pairs", location=where)
     return bound
 
 
@@ -287,18 +286,15 @@ def _read_matrices(path, n, field):
     of 2n x 2n matrices of scalar strings, each read by read_matrix at
     /matrices/k."""
     try:
-        handle = open(path, "r", encoding="utf-8")
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
-        raise ValidationError([("/matrices", f"cannot read the matrix file: {exc}")]) from exc
-    with handle:
-        try:
-            raw = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"matrix file is not valid JSON: {exc}")
+        raise SkewginError(f"cannot read the matrix file: {exc}", location="/matrices") from exc
+    raw = fields.read_json(data, "matrix file is not valid JSON")
     mats = raw.get("matrices") if isinstance(raw, dict) else raw
     if not isinstance(mats, list):
-        raise ValidationError([("/matrices", 'expected a list of matrices, bare or '
-                                             'under the key "matrices"')])
+        raise SkewginError('expected a list of matrices, bare or under the key "matrices"',
+                           location="/matrices")
     issues = []
     matrices = [fields.read_matrix(mat, f"/matrices/{k}", 2 * n, 2 * n, field, issues)
                 for k, mat in enumerate(mats)]
@@ -310,17 +306,14 @@ def _read_matrices(path, n, field):
 def cmd_weyl(args) -> int:
     try:
         field = fields.make_field("Q" if args.field == "Q" else int(args.field))
-    except (ValueError, NonPrimeModulus):
-        raise ValidationError([("/field", f"expected Q or a prime, got {args.field!r}")])
+    except (ValueError, SkewginError):
+        raise SkewginError(f"expected Q or a prime, got {args.field!r}", location="/field")
     if args.n < 1:
-        raise ValidationError([("/n", "the number of variables must be positive")])
+        raise SkewginError("the number of variables must be positive", location="/n")
     if args.filtration < 0:
-        raise ValidationError([("/filtration", "the filtration bound must be non-negative")])
+        raise SkewginError("the filtration bound must be non-negative", location="/filtration")
     matrices = _read_matrices(args.matrices, args.n, field) if args.matrices else None
-    for k, matrix in enumerate(matrices or ()):
-        if (terms := weyl.wedge_action_terms(matrix)) > args.cap:
-            raise SizeGuard(f"wedge action has {terms} terms > cap {args.cap}",
-                            location=f"/matrices/{k}")
+    weyl.check_costs(args.n, args.filtration, args.cap, matrices or ())
     report = _base_report("weyl")
     report["n"] = args.n
     report["filtration"] = args.filtration
@@ -402,21 +395,18 @@ def build_parser():
 
 
 def _run(args) -> int:
-    """The command's exit code; a failed check or a refused input ends in a
-    report of its own."""
+    """The command's exit code.  A CheckFailed ends in a report naming the
+    failure (exit 1), any other SkewginError in one listing its issues
+    (exit 2)."""
     try:
         return args.func(args)
-    except CHECK_ERRORS as exc:
+    except CheckFailed as exc:
         _emit({"version": __version__, "command": args.command, "ok": False,
-               "failure": str(exc),
-               "matrix_index": getattr(exc, "matrix_index", None)})
+               "failure": str(exc), "matrix_index": exc.matrix_index})
         return 1
-    except BrokenPipeError:
-        raise
-    except (SkewginError, OSError) as exc:
-        issues = getattr(exc, "issues", None) or [("/", str(exc))]
+    except SkewginError as exc:
         _emit({"version": __version__, "command": args.command, "ok": False,
-               "errors": [{"location": ptr, "message": msg} for ptr, msg in issues]})
+               "errors": [{"location": ptr, "message": msg} for ptr, msg in exc.issues]})
         return 2
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .errors import FieldMismatch, NotLengthHomogeneous, QuiverMismatch
+from .errors import SkewginError
 from .linalg import LinSolver
 from .quiver import AlgElement, Path, path_sort_key, paths_by_length
 
@@ -79,9 +79,9 @@ class CrossedElement:
     def from_alg(cls, action, x: AlgElement, g: int | None = None):
         """Embed a path-algebra element, tensored with one group element."""
         if x.quiver != action.quiver:
-            raise QuiverMismatch("element lives on a different quiver")
+            raise SkewginError("element lives on a different quiver")
         if x.field != action.field:
-            raise FieldMismatch("element lives over a different field")
+            raise SkewginError("element lives over a different field")
         g = action.group.identity if g is None else g
         den, items = action.field.scaled(x.terms.items())
         return cls.from_ints(action, den, {(p, g): c for p, c in items})
@@ -94,9 +94,9 @@ class CrossedElement:
     def _check(self, other):
         if self.action is not other.action:
             if self.action.quiver != other.action.quiver:
-                raise QuiverMismatch("elements belong to different crossed products")
+                raise SkewginError("elements belong to different crossed products")
             if self.action.field != other.action.field:
-                raise FieldMismatch("elements belong to crossed products over different fields")
+                raise SkewginError("elements belong to crossed products over different fields")
 
     def __eq__(self, other):
         """Equal values: the terms cross-multiplied by the other's den."""
@@ -186,7 +186,7 @@ class CrossedElement:
     def pure_length(self):
         ls = {len(p.arrows) for (p, _) in self.terms}
         if len(ls) != 1:
-            raise NotLengthHomogeneous(f"element mixes path lengths {sorted(ls)}")
+            raise SkewginError(f"element mixes path lengths {sorted(ls)}")
         return ls.pop()
 
     def field_terms(self) -> dict:

@@ -13,24 +13,20 @@ each bad entry is refused at its own location with one of two messages.
 
 from __future__ import annotations
 
-import json
 import re
 
 from .action import QuiverAction
-from .errors import NonPrimeModulus, ParseError, SkewginError, ValidationError
-from .fields import make_field, read_matrix, read_scalar
+from .errors import SkewginError, ValidationError
+from .fields import make_field, read_json, read_matrix, read_scalar
 from .ginzburg import double_quiver, loop_name, star_name
 from .groups import make_group
 from .potential import canonicalize, degree_of
 from .quiver import AlgElement, GradedQuiver, Path
 
 
-DEFAULT_OPTIONS = {"max_len": 4}
-
-
 class ProblemDocument:
     def __init__(self, field, quiver, potential, d, group, action,
-                 idempotents, options, differential_override, reduced_potential):
+                 idempotents, max_len, differential_override, reduced_potential):
         self.field = field
         self.quiver = quiver
         self.potential = potential          # Potential or None
@@ -38,7 +34,7 @@ class ProblemDocument:
         self.group = group                  # FiniteGroup or None
         self.action = action                # QuiverAction or None
         self.idempotents = idempotents      # (vectors, dims) or None
-        self.options = options
+        self.max_len = max_len              # verify's default length bound
         # generator -> (path, coeff) pairs on the doubled quiver, or None
         self.differential_override = differential_override
         # (location, arrow names, coeff) triples read but not yet resolved:
@@ -47,8 +43,10 @@ class ProblemDocument:
 
 
 def _is_int(value) -> bool:
-    """A JSON integer: true and false are bools, not integers."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """A JSON integer of at most 18 digits: true and false are bools, not
+    integers, and a longer integer is refused where it stands, so every
+    sum and message formed from document integers stays short."""
+    return isinstance(value, int) and not isinstance(value, bool) and -10 ** 18 < value < 10 ** 18
 
 
 def _check_str_list(value, pointer, issues):
@@ -63,14 +61,11 @@ def _check_str_list(value, pointer, issues):
     return True
 
 
-def parse(text: str) -> ProblemDocument:
-    """Parse and fully validate a problem document."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not valid JSON: {exc}") from exc
+def parse(text) -> ProblemDocument:
+    """Parse and fully validate a problem document, a str or UTF-8 bytes."""
+    raw = read_json(text, "not valid JSON")
     if not isinstance(raw, dict):
-        raise ParseError("the document must be a JSON object")
+        raise SkewginError("the document must be a JSON object")
     issues = []
 
     field = None
@@ -82,7 +77,7 @@ def parse(text: str) -> ProblemDocument:
             spec = spec.get("p")
         try:
             field = make_field(spec)
-        except NonPrimeModulus as exc:
+        except SkewginError as exc:
             issues.append(("/field", str(exc)))
     if field is None:
         raise ValidationError(issues)
@@ -177,17 +172,13 @@ def parse(text: str) -> ProblemDocument:
         else:
             action = _parse_action(araw, quiver, field, group, issues)
 
-    options = dict(DEFAULT_OPTIONS)
     oraw = raw.get("options", {})
     if not isinstance(oraw, dict):
         issues.append(("/options", "expected an object"))
-    else:
-        for key in DEFAULT_OPTIONS:
-            if key in oraw:
-                if not _is_int(oraw[key]) or oraw[key] < 0:
-                    issues.append((f"/options/{key}", "expected a nonnegative integer"))
-                else:
-                    options[key] = oraw[key]
+        oraw = {}
+    max_len = oraw.get("max_len", 4)
+    if not _is_int(max_len) or max_len < 0:
+        issues.append(("/options/max_len", "expected a nonnegative integer"))
 
     differential_override = None
     override_raw = raw.get("differential_override")
@@ -214,7 +205,7 @@ def parse(text: str) -> ProblemDocument:
     if issues:
         raise ValidationError(issues)
     return ProblemDocument(field, quiver, potential, d, group, action,
-                           idempotents, options, differential_override, reduced_potential)
+                           idempotents, max_len, differential_override, reduced_potential)
 
 
 def check_d(d, potential, issues):

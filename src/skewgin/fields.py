@@ -18,11 +18,12 @@ one positive int ``den`` plus int terms, so the Morita layer runs on ints;
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import NonPrimeModulus, NoRootOfUnity
+from .errors import SkewginError
 
 _SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
@@ -47,7 +48,7 @@ class Field:
 
     def __init__(self, p: int | None = None):
         if p is not None and not _is_prime(p):
-            raise NonPrimeModulus(f"modulus {p} is not prime")
+            raise SkewginError(f"modulus {p} is not prime")
         self.p = p
 
     @property
@@ -215,7 +216,7 @@ def make_field(spec) -> Field:
         return Field(None)
     if isinstance(spec, int):
         return Field(spec)
-    raise NonPrimeModulus(f"unrecognised field spec {spec!r}")
+    raise SkewginError(f"unrecognised field spec {spec!r}")
 
 
 def _proper_divisors(n: int):
@@ -236,15 +237,25 @@ def primitive_root_of_unity(field: Field, n: int):
             return Fraction(1)
         if n == 2:
             return Fraction(-1)
-        raise NoRootOfUnity(f"the rationals contain no primitive {n}-th root of unity")
+        raise SkewginError(f"the rationals contain no primitive {n}-th root of unity")
     p = field.p
     if (p - 1) % n != 0:
-        raise NoRootOfUnity(f"GF({p}) has no primitive {n}-th root of unity ({n} does not divide {p - 1})")
+        raise SkewginError(f"GF({p}) has no primitive {n}-th root of unity ({n} does not divide {p - 1})")
     for candidate in range(1, p):
         if pow(candidate, n, p) != 1:
             continue
         if all(pow(candidate, m, p) != 1 for m in _proper_divisors(n)):
             return candidate
+
+
+def read_json(data, refusal):
+    """The JSON value of data, a str or UTF-8 bytes.  Bytes that are not
+    UTF-8, text that is not JSON, nesting past the recursion limit and an
+    integer past the int-to-str limit are refused at / as "refusal: why"."""
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as exc:
+        raise SkewginError(f"{refusal}: {exc}") from exc
 
 
 def read_scalar(raw, where, field, issues):

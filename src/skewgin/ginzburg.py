@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .errors import DegreeMismatch, DimensionTooSmall, NotLengthHomogeneous, QuiverMismatch
+from .errors import SkewginError
 from .linalg import LinSolver
 from .potential import Potential, cyclic_derivative, cycle_length_of, degree_of
 from .quiver import AlgElement, Arrow, GradedQuiver, Path, paths_by_length
@@ -35,7 +35,7 @@ def loop_name(vertex: str) -> str:
 def double_quiver(quiver: GradedQuiver, d: int):
     """The doubled quiver with dual arrows and vertex loops."""
     if d < 3:
-        raise DimensionTooSmall("CY dimension must be >= 3")
+        raise SkewginError("CY dimension must be >= 3")
     arrows = list(quiver.arrows)
     for a in quiver.arrows:
         arrows.append(Arrow(star_name(a.name), a.tgt, a.src, 2 - d - a.deg))
@@ -88,10 +88,10 @@ def ginzburg(quiver: GradedQuiver, potential: Potential, d: int) -> GinzburgPres
     construction).
     """
     if potential.quiver != quiver:
-        raise QuiverMismatch("potential lives on a different quiver")
+        raise SkewginError("potential lives on a different quiver")
     w_deg = degree_of(potential)
     if not potential.is_zero() and w_deg != 3 - d:
-        raise DegreeMismatch(f"potential degree {w_deg} != 3 - d = {3 - d}")
+        raise SkewginError(f"potential degree {w_deg} != 3 - d = {3 - d}")
     doubled = double_quiver(quiver, d)
     field = potential.field
     one, neg = field.one(), field.from_int(-1)
@@ -197,12 +197,12 @@ def jacobian_truncation(quiver: GradedQuiver, potential: Potential, bound: int):
     truncation is exact.
     """
     if potential.quiver != quiver:
-        raise QuiverMismatch("potential lives on a different quiver")
+        raise SkewginError("potential lives on a different quiver")
     if any(a.deg != 0 for a in quiver.arrows):
-        raise DegreeMismatch("Jacobian truncation requires all arrow degrees 0")
+        raise SkewginError("Jacobian truncation requires all arrow degrees 0")
     cyc_len = cycle_length_of(potential)
     if cyc_len is None:
-        raise NotLengthHomogeneous("potential mixes cycle lengths")
+        raise SkewginError("potential mixes cycle lengths")
     relations = derivative_relations(potential)
     by_len = paths_by_length(quiver, bound)
     sizes = [len(by_len.get(ell, [])) for ell in range(bound + 1)]

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import (BadCharacteristic, NoIdentity, NotAbelian,
-                     NotAssociative, NotLatinSquare)
+from .errors import SkewginError
 from .fields import Field, primitive_root_of_unity
 from .linalg import LinSolver
 
@@ -86,29 +85,29 @@ def make_group(names, table) -> FiniteGroup:
     n = len(names)
     if (not isinstance(table, list) or len(table) != n
             or any(not isinstance(row, list) or len(row) != n for row in table)):
-        raise NotLatinSquare(f"table must be {n}x{n}")
+        raise SkewginError(f"table must be {n}x{n}")
     for row in table:
         for v in row:
             if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:
-                raise NotLatinSquare(f"table entry {v!r} out of range")
+                raise SkewginError(f"table entry {v!r} out of range")
     for i, row in enumerate(table):
         if len(set(row)) != n:
-            raise NotLatinSquare(f"row {i} repeats an entry")
+            raise SkewginError(f"row {i} repeats an entry")
     for j in range(n):
         if len({table[i][j] for i in range(n)}) != n:
-            raise NotLatinSquare(f"column {j} repeats an entry")
+            raise SkewginError(f"column {j} repeats an entry")
     identity = None
     for e in range(n):
         if all(table[e][x] == x and table[x][e] == x for x in range(n)):
             identity = e
             break
     if identity is None:
-        raise NoIdentity("no two-sided identity element")
+        raise SkewginError("no two-sided identity element")
     for a in range(n):
         for b in range(n):
             for c in range(n):
                 if table[table[a][b]][c] != table[a][table[b][c]]:
-                    raise NotAssociative(
+                    raise SkewginError(
                         f"({names[a]}*{names[b]})*{names[c]} != {names[a]}*({names[b]}*{names[c]})")
     # the Latin row of a holds e once, at b with ab = e: two-sided, as G is a group
     inverses = [row.index(identity) for row in table]
@@ -130,7 +129,7 @@ class GroupAlgebra:
     def __init__(self, group: FiniteGroup, field: Field):
         p = field.characteristic()
         if p and group.size % p == 0:
-            raise BadCharacteristic(
+            raise SkewginError(
                 f"char {p} divides |G| = {group.size}; the group order must be invertible")
         self.group = group
         self.field = field
@@ -172,7 +171,7 @@ class IdempotentSet:
 def characters(group: FiniteGroup, field: Field):
     """All homomorphisms G -> k^x for an abelian group, as value tuples.
 
-    Requires a primitive root of unity of order exp(G); raises NoRootOfUnity
+    Requires a primitive root of unity of order exp(G); raises SkewginError
     otherwise.  The characters are extended one coset at a time: with H the
     elements reached so far, g the least element outside H and m least with
     g^m in H, each character chi of H extends to H<g> once for every
@@ -181,7 +180,7 @@ def characters(group: FiniteGroup, field: Field):
     Characters are returned sorted by their value tuples.
     """
     if not group.is_abelian():
-        raise NotAbelian("character construction requires an abelian group")
+        raise SkewginError("character construction requires an abelian group")
     f = field
     exp = group.exponent()
     omega = primitive_root_of_unity(field, exp)

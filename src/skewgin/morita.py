@@ -30,8 +30,7 @@ from itertools import chain
 from .action import QuiverAction, is_potential_invariant, validate_action
 from .crossed import (Certificate, CrossedElement, basis_index, crossed_basis,
                       expand_certificate, express_modulo_commutators, vectorize)
-from .errors import (BasisExpressFailure, DegreeMismatch, IncompleteIdempotents,
-                     InvalidAction, NoSolution, NotInvariantPotential, SkewginError)
+from .errors import CheckFailed, SkewginError, ValidationError
 from .ginzburg import derivative_relations, jacobian_truncation, relation_ideal
 from .groups import GroupAlgebra, IdempotentSet, abelian_idempotents, validate_idempotent_set
 from .linalg import LinSolver
@@ -162,7 +161,7 @@ def build_morita(action: QuiverAction, idempotents=None) -> MoritaData:
     """
     problems = validate_action(action)
     if problems:
-        raise InvalidAction(problems)
+        raise ValidationError([("/action", problem) for problem in problems])
     field = action.field
     group = action.group
     reps, kappa, stabilizers = orbit_data(action)
@@ -180,7 +179,7 @@ def build_morita(action: QuiverAction, idempotents=None) -> MoritaData:
             elements = []
             for vec in vectors:
                 if len(vec) != sub.size:
-                    raise IncompleteIdempotents(
+                    raise SkewginError(
                         f"idempotent vector for {rep} has {len(vec)} entries, "
                         f"stabilizer has {sub.size}")
                 elements.append({k: c for k, c in enumerate(vec) if c != field.zero()})
@@ -189,11 +188,11 @@ def build_morita(action: QuiverAction, idempotents=None) -> MoritaData:
             try:
                 idem_set = abelian_idempotents(sub, field)
             except SkewginError as exc:
-                raise IncompleteIdempotents(
+                raise SkewginError(
                     f"stabilizer of {rep} needs a supplied idempotent set: {exc}") from exc
         failures = validate_idempotent_set(idem_set)
         if failures:
-            raise IncompleteIdempotents(
+            raise SkewginError(
                 f"idempotent set for {rep} failed validation: " + "; ".join(failures))
         idem_sets[rep] = idem_set
         for j, coeffs in enumerate(idem_set.elements):
@@ -403,14 +402,14 @@ def transport_potential(w: Potential, md: MoritaData):
     action, field = md.action, md.field
     quiver = action.quiver
     if any(a.deg != 0 for a in quiver.arrows):
-        raise DegreeMismatch("potential transport requires all arrow degrees 0")
+        raise SkewginError("potential transport requires all arrow degrees 0")
     if not is_potential_invariant(w, action):
-        raise NotInvariantPotential("the potential is not fixed by the group action")
+        raise CheckFailed("the potential is not fixed by the group action")
     if w.is_zero():
         return Potential(md.qprime, field), Certificate(field, 1, {})
     ell = cycle_length_of(w)
     if ell is None:
-        raise DegreeMismatch("potential transport requires one cycle length")
+        raise SkewginError("potential transport requires one cycle length")
 
     x = CrossedElement.from_alg(action, w.as_element())
     qprime = md.qprime
@@ -418,7 +417,7 @@ def transport_potential(w: Potential, md: MoritaData):
     embedded = embed_paths(md, cycles)
     found = express_modulo_commutators(x, [(p, embedded[p]) for p in cycles])
     if found is None:
-        raise NoSolution(
+        raise CheckFailed(
             "the potential class has no representative in the reduced cycle span")
     combo, solved = found
 
@@ -453,7 +452,7 @@ def transport_potential(w: Potential, md: MoritaData):
     # the certificate is never trusted: re-expand and compare exactly
     difference = embed(md, reduced.as_element()) - x
     if expand_certificate(action, certificate) != difference:
-        raise BasisExpressFailure("transport certificate failed re-expansion")
+        raise CheckFailed("transport certificate failed re-expansion")
     return reduced, certificate
 
 
@@ -464,7 +463,7 @@ def certify_reduction(md: MoritaData, w: Potential, reduced: Potential):
     alone (``express_modulo_commutators`` with nothing labelled, which
     gives the zero difference the empty certificate), re-expands the
     ``Certificate`` and returns it.
-    Raises BasisExpressFailure when the classes differ, which is how a
+    Raises CheckFailed when the classes differ, which is how a
     perturbed reduced potential is caught.
     """
     action = md.action
@@ -472,12 +471,12 @@ def certify_reduction(md: MoritaData, w: Potential, reduced: Potential):
     difference = embed(md, reduced.as_element()) - x
     found = express_modulo_commutators(difference)
     if found is None:
-        raise BasisExpressFailure(
+        raise CheckFailed(
             "embedded reduced potential differs from the original by more "
             "than commutators")
     certificate = found[1]
     if expand_certificate(action, certificate) != difference:
-        raise BasisExpressFailure("certificate failed re-expansion")
+        raise CheckFailed("certificate failed re-expansion")
     return certificate
 
 
@@ -533,10 +532,10 @@ def morita_dimension_check(md: MoritaData, w: Potential, reduced_w: Potential, b
     action, field = md.action, md.field
     relations = derivative_relations(w)
     if not _relation_span_stable(relations, action):
-        raise NotInvariantPotential("derivative relations are not stable under the action")
+        raise CheckFailed("derivative relations are not stable under the action")
     cyc_len = cycle_length_of(w)
     if cyc_len is None:
-        raise DegreeMismatch("dimension check requires one cycle length")
+        raise SkewginError("dimension check requires one cycle length")
     by_len = paths_by_length(action.quiver, bound)
     ideals = (relation_ideal(relations, by_len, bound, cyc_len - 1) if relations
               else (LinSolver(field) for _ in range(bound + 1)))

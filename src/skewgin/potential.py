@@ -8,7 +8,7 @@ itself with opposite signs is 2-torsion and canonicalises to zero.
 
 from __future__ import annotations
 
-from .errors import NotACycle
+from .errors import SkewginError
 from .quiver import AlgElement, Path, path_sort_key
 
 
@@ -70,13 +70,13 @@ def canonicalize(quiver, field, raw_terms) -> Potential:
     z = field.zero()
     for coeff, cycle in raw_terms:
         if not quiver.is_composable(cycle):
-            raise NotACycle(f"path {cycle} is not composable")
+            raise SkewginError(f"path {cycle} is not composable")
         if not quiver.is_cycle(cycle):
-            raise NotACycle(f"path {cycle} is not a cycle")
+            raise SkewginError(f"path {cycle} is not a cycle")
         if coeff == z:
             continue
         if not cycle.arrows:
-            raise NotACycle("trivial paths are not potential cycles")
+            raise SkewginError("trivial paths are not potential cycles")
         rots, wrap_exp = _rotations(quiver, cycle)
         # a word revisited with opposite sign kills the whole orbit
         seen = {}

@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import NamedTuple
 
-from .errors import FieldMismatch, QuiverMismatch, UnknownArrow
+from .errors import SkewginError
 
 
 class Arrow(NamedTuple):
@@ -65,7 +65,7 @@ class GradedQuiver:
         try:
             return self.arrow_by_name[name]
         except KeyError:
-            raise UnknownArrow(f"no arrow named {name!r}") from None
+            raise SkewginError(f"no arrow named {name!r}") from None
 
     def arrows_between(self, src: str, tgt: str) -> tuple:
         """The names of the arrows src -> tgt, sorted: the basis of that
@@ -208,9 +208,9 @@ class AlgElement:
 
     def _check(self, other):
         if self.quiver != other.quiver:
-            raise QuiverMismatch("elements live on different quivers")
+            raise SkewginError("elements live on different quivers")
         if self.field != other.field:
-            raise FieldMismatch("elements live over different fields")
+            raise SkewginError("elements live over different fields")
 
     def __eq__(self, other):
         if not isinstance(other, AlgElement):

@@ -21,7 +21,7 @@ the dual is read off it through the self-duality that makes A_n
 Calabi-Yau, checked on generators.  No rule names n: each cost (the
 piece's dimension, the wedge tables, and the wedge action of a matrix
 through ``wedge_action_terms``) is counted in closed form against one
-cap before any table is built.
+cap by ``check_costs`` before any table is built.
 
 The checks run on plain ints (the scaled-integer convention of
 ``fields.py``): monomial products are unreduced ints, the resolution and
@@ -39,7 +39,7 @@ from functools import cache
 from itertools import combinations, product as iproduct
 from math import comb, factorial, prod
 
-from .errors import NotSymplectic, SizeGuard
+from .errors import CheckFailed, SkewginError
 from .fields import Field
 from .linalg import LinSolver
 
@@ -404,7 +404,7 @@ def chain_action(algebra: WeylAlgebra, matrix):
 def check_sp_equivariance(n: int, matrices, field: Field):
     """Symplectic membership plus differential equivariance.
 
-    Raises NotSymplectic naming the first failing matrix; otherwise checks
+    Raises CheckFailed naming the first failing matrix; otherwise checks
     d(g . elem) = g . d(elem) on the generators w (x) 1 (x) 1 of every
     position and returns the failure list.  The images of d are built once
     for all matrices, since d does not depend on the matrix.  Positions run
@@ -418,7 +418,7 @@ def check_sp_equivariance(n: int, matrices, field: Field):
     algebra = WeylAlgebra(n, field)
     for idx, matrix in enumerate(matrices):
         if not is_symplectic(algebra, matrix):
-            raise NotSymplectic(
+            raise CheckFailed(
                 f"matrix {idx} does not preserve the commutator pairing", matrix_index=idx)
     accumulate = field.accumulate
     actions = [chain_action(algebra, matrix) for matrix in matrices]
@@ -442,20 +442,46 @@ def check_sp_equivariance(n: int, matrices, field: Field):
     return [line for failed in failures for line in failed]
 
 
+# The default cap, 200000, takes seconds; under this cap every count
+# check_costs forms has at most 1,700 digits.
+MAX_CAP = 10 ** 12
+
+
+def check_costs(n: int, filt: int, cap: int, matrices=()):
+    """Refuse, before any table is built, a run whose counted costs pass
+    the cap, in this order: the piece's dimension, C(2n, d) wedges times
+    C(filt - d + 4n, 4n) monomial pairs at position d; the 2n moves of
+    each of the 4^n wedges that ``_Chains`` tabulates and the generator
+    checks walk; and each matrix's ``wedge_action_terms``, at
+    /matrices/k.  A cap past MAX_CAP is refused at /cap.  An n past the
+    cap's bit length, or a filt past the cap, puts the wedge or the piece
+    count past it, and is refused before any count is formed, so every
+    count formed is short enough to print."""
+    if cap > MAX_CAP:
+        raise SkewginError(f"expected a cap of at most {MAX_CAP}", location="/cap")
+    if filt > cap or n > cap.bit_length():
+        raise SkewginError(f"n = {n} and filtration {filt} give counts past cap {cap}")
+    n2 = 2 * n
+    total = sum(comb(n2, d) * comb(filt - d + 2 * n2, 2 * n2) for d in range(min(filt, n2) + 1))
+    if total > cap:
+        raise SkewginError(f"truncated complex has dimension {total} > cap {cap}")
+    moves = n2 * 4 ** n
+    if moves > cap:
+        raise SkewginError(f"wedge tables have {moves} moves > cap {cap}")
+    for k, matrix in enumerate(matrices):
+        if (terms := wedge_action_terms(matrix)) > cap:
+            raise SkewginError(f"wedge action has {terms} terms > cap {cap}",
+                               location=f"/matrices/{k}")
+
+
 def bounded_exactness(n: int, filt: int, field: Field, cap: int = 200000):
     """Homology dimensions of the filtration piece of the resolution.
 
     Position d keeps enveloping filtration at most filt - d, which the
     differential respects.  Expected: zero homology at every positive
     position and an augmentation cokernel matching the dimension of the
-    filtered Weyl algebra, which is also reported.
-
-    Two costs are counted against the cap before any table is built: the
-    piece's dimension, C(2n, d) wedges times C(filt - d + 4n, 4n) monomial
-    pairs at position d, and the 2n moves of each of the 4^n wedges that
-    ``_Chains`` tabulates and the generator checks walk.  An n past the
-    cap's bit length, or a filt past the cap, puts one count past it, and
-    is refused before either count is formed.
+    filtered Weyl algebra, which is also reported.  ``check_costs``
+    refuses a piece or wedge tables past the cap first.
 
     Each basis code goes in with coefficient 1, so every image is an int
     vector, keyed by minus the target's listing index: rows pivot on their
@@ -463,15 +489,8 @@ def bounded_exactness(n: int, filt: int, field: Field, cap: int = 200000):
     The augmentation s (x) t -> t s closes the complex at position 0; on
     the first 200 images of position 1 it must vanish.
     """
+    check_costs(n, filt, cap)
     n2 = 2 * n
-    if filt > cap or n > cap.bit_length():
-        raise SizeGuard(f"n = {n} and filtration {filt} give counts past cap {cap}")
-    total = sum(comb(n2, d) * comb(filt - d + 2 * n2, 2 * n2) for d in range(min(filt, n2) + 1))
-    if total > cap:
-        raise SizeGuard(f"truncated complex has dimension {total} > cap {cap}")
-    moves = n2 * 4 ** n
-    if moves > cap:
-        raise SizeGuard(f"wedge tables have {moves} moves > cap {cap}")
     algebra = WeylAlgebra(n, field)
     chains, product = _chains(algebra, filt), algebra._mul_monomials
     positions = [chains.position(d, filt - d) for d in range(n2 + 1)]

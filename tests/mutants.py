@@ -274,9 +274,9 @@ MUTANTS = [
            "    if moves > cap:\n",
            "    if False:\n",
            ("tests/test_cli.py::test_weyl_wedge_tables_over_the_cap_refused_before_any_table",)),
-    Mutant("weyl-guard-skips-matrix-count", "cli.py",
-           "        if (terms := weyl.wedge_action_terms(matrix)) > args.cap:\n",
-           "        if (terms := weyl.wedge_action_terms(matrix)) < 0:\n",
+    Mutant("weyl-guard-skips-matrix-count", "weyl.py",
+           "        if (terms := wedge_action_terms(matrix)) > cap:\n",
+           "        if (terms := wedge_action_terms(matrix)) < 0:\n",
            ("tests/test_cli.py::test_weyl_matrix_over_the_cap_refused_at_its_index_before_rank"
             "_work",)),
     Mutant("differential-cache-rebuilt-per-matrix", "weyl.py",
@@ -337,6 +337,14 @@ MUTANTS = [
            "    return matrix if len(issues) == start else None\n",
            "    return matrix\n",
            ("tests/test_cli.py::test_a_bad_scalar_is_refused_at_its_entry_by_every_run",)),
+    # -- the exit code by exception type, and the JSON reader --
+    Mutant("check-failed-exits-as-a-refusal", "cli.py",
+           "    except CheckFailed as exc:\n", "    except ZeroDivisionError as exc:\n",
+           ("tests/test_cli.py::test_verify_noninvariant_exit_1",)),
+    Mutant("json-reader-catches-only-decode-errors", "fields.py",
+           "    except (ValueError, RecursionError) as exc:\n",
+           "    except json.JSONDecodeError as exc:\n",
+           ("tests/test_cli.py::test_unreadable_json_is_refused_at_the_root",)),
     # -- loading each module on first use --
     Mutant("init-loads-submodules-eagerly", "__init__.py",
            "    _spec.loader = importlib.util.LazyLoader(_spec.loader)\n", "",

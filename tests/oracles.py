@@ -83,7 +83,7 @@ from skewgin import weyl
 from skewgin.crossed import (Certificate, CommutatorTerm, CrossedElement, _basis_pairs,
                              basis_index, commutator_basis, crossed_basis, expand_certificate,
                              express_modulo_commutators, vectorize)
-from skewgin.errors import NoSolution, NotAbelian, NotSymplectic, UnknownArrow
+from skewgin.errors import CheckFailed, SkewginError
 from skewgin.fields import primitive_root_of_unity
 from skewgin.ginzburg import derivative_relations, jacobian_truncation, relation_ideal
 from skewgin.linalg import LinSolver
@@ -569,7 +569,7 @@ def naive_sp_equivariance(n, matrices, field, filt_bound):
     list and the differential's sign come from ``skewgin.weyl``."""
     for idx, matrix in enumerate(matrices):
         if not naive_is_symplectic(field, n, matrix):
-            raise NotSymplectic(
+            raise CheckFailed(
                 f"matrix {idx} does not preserve the commutator pairing", matrix_index=idx)
     mons = weyl.WeylAlgebra(n, field).monomials_up_to(filt_bound)
     pairs = [(s, t) for s in mons for t in mons
@@ -864,11 +864,11 @@ def naive_characters(group, field):
     values assigned to a greedy generating set, each assignment checked by a
     walk over the whole group, then the count checked.
 
-    Requires a primitive root of unity of order exp(G); raises NoRootOfUnity
+    Requires a primitive root of unity of order exp(G); raises SkewginError
     otherwise.  Characters are returned sorted by their value tuples.
     """
     if not group.is_abelian():
-        raise NotAbelian("character construction requires an abelian group")
+        raise SkewginError("character construction requires an abelian group")
     f = field
     exp = group.exponent()
     omega = primitive_root_of_unity(field, exp)
@@ -923,7 +923,7 @@ def naive_characters(group, field):
 
     assign(0, [])
     if len(found) != group.size:
-        raise NotAbelian(f"character count {len(found)} != |G| = {group.size}")
+        raise SkewginError(f"character count {len(found)} != |G| = {group.size}")
     return sorted(found)
 
 
@@ -1161,7 +1161,7 @@ def cyclic_derivative_along(potential: Potential, direction: AlgElement) -> AlgE
     out = AlgElement.zero(potential.quiver, potential.field)
     for p, c in direction.terms.items():
         if len(p.arrows) != 1:
-            raise UnknownArrow("derivative direction must be an arrow combination")
+            raise SkewginError("derivative direction must be an arrow combination")
         out = out + scale_path_element(cyclic_derivative(potential, p.arrows[0]), c)
     return out
 
@@ -1195,7 +1195,7 @@ def hc0_reduce(x: CrossedElement, e: CrossedElement):
 
     Returns (w, certificate) with w in e.L.e, x - w = sum of coeff * [u, v]
     over the certificate entries ((u, v), coeff), re-verified by expansion.
-    Raises NoSolution when the class has no corner representative.
+    Raises CheckFailed when the class has no corner representative.
     """
     action = x.action
     if (e * e) != e:
@@ -1210,12 +1210,12 @@ def hc0_reduce(x: CrossedElement, e: CrossedElement):
             corners[key] = cornered
     found = express_modulo_commutators(x, corners.items())
     if found is None:
-        raise NoSolution("no corner representative modulo commutators at this length")
+        raise CheckFailed("no corner representative modulo commutators at this length")
     combo, certificate = found
     w = CrossedElement.zero(action)
     for key, coeff in combo.items():
         w = w + scale(corners[key], coeff)
     # self-verify: the certificate must re-expand exactly to x - w
     if expand_certificate(action, certificate) != x - w:
-        raise NoSolution("certificate failed re-expansion")
+        raise CheckFailed("certificate failed re-expansion")
     return w, list(certificate)

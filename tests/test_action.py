@@ -2,7 +2,7 @@ import pytest
 
 from skewgin.action import (QuiverAction, extend_to_ginzburg,
                             is_potential_invariant, validate_action)
-from skewgin.errors import NotInvariantPotential
+from skewgin.errors import CheckFailed
 from skewgin.fields import make_field
 from skewgin.ginzburg import ginzburg
 from skewgin.groups import cyclic_group
@@ -362,6 +362,14 @@ def test_extend_graded_negation_equivariant():
     assert validate_action(extended) == []
 
 
+def test_contragredient_of_a_singular_block_raises():
+    q = GradedQuiver(["1"], [("x", "1", "1", 0)])
+    action = QuiverAction(cyclic_group(2), q, Q, [{"1": "1"}] * 2,
+                          [{"x": AlgElement.from_arrow(q, Q, "x")}, {"x": AlgElement(q, Q)}])
+    with pytest.raises(ValueError, match="^non-invertible arrow block; validate the action first$"):
+        action.contragredient_image(1, "x")
+
+
 def test_extend_rejects_noninvariant():
     q = GradedQuiver(["1"], [("x", "1", "1", 0)])
     g2 = cyclic_group(2)
@@ -371,7 +379,7 @@ def test_extend_rejects_noninvariant():
     action = QuiverAction(g2, q, Q, perms, images)
     w = canonicalize(q, Q, [(Q.one(), q.path(["x", "x", "x"]))])
     pres = ginzburg(q, w, 3)
-    with pytest.raises(NotInvariantPotential):
+    with pytest.raises(CheckFailed, match="^the potential is not fixed by the group action$"):
         extend_to_ginzburg(action, pres)
 
 

@@ -969,6 +969,22 @@ def test_weyl_matrix_over_the_cap_refused_at_its_index_before_rank_work(capsys, 
     assert json.loads(capsys.readouterr().out)["matrix_index"] == 1
 
 
+def test_weyl_matrix_is_not_counted_past_the_caps_bit_length(capsys, tmp_path, monkeypatch):
+    # a 2n x 2n matrix counts up to (2n + 1)^(2n) terms, past 4,300 digits
+    # from n = 700 on; an n past the cap's bit length is refused before
+    # any count, the matrices' included
+    def no_count(matrix):
+        raise AssertionError("no matrix is counted past the cap's size")
+
+    monkeypatch.setattr("skewgin.weyl.wedge_action_terms", no_count)
+    path = tmp_path / "mats.json"
+    path.write_text(json.dumps([[[str(int(i == k)) for k in range(38)] for i in range(38)]]),
+                    encoding="utf-8")
+    code = main(["weyl", "--n", "19", "--filtration", "0", "--matrices", str(path)])
+    assert (code, json.loads(capsys.readouterr().out)["errors"]) == (2, [{
+        "location": "/", "message": "n = 19 and filtration 0 give counts past cap 200000"}])
+
+
 def test_weyl_negative_filtration_exit_2(capsys):
     code = main(["weyl", "--n", "1", "--filtration", "-1"])
     report = json.loads(capsys.readouterr().out)
@@ -1037,6 +1053,122 @@ def test_missing_file_exit_2(capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 2
     assert report["ok"] is False
+
+
+UNREADABLE = {
+    "not-utf8": b"\xff\xfe",
+    "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
+    "long-integer": b"1" * 5000,
+}
+
+
+@pytest.mark.parametrize("reader", ["document", "matrices"])
+@pytest.mark.parametrize("name", list(UNREADABLE))
+def test_unreadable_json_is_refused_at_the_root(capsys, tmp_path, name, reader):
+    # bytes that are not UTF-8, nesting past the recursion limit and an
+    # integer past the int-to-str limit are each refused as not valid JSON
+    path = tmp_path / "input.json"
+    path.write_bytes(UNREADABLE[name])
+    argv, refusal = (["validate", str(path)], "not valid JSON: ") if reader == "document" else (
+        ["weyl", "--n", "1", "--matrices", str(path)], "matrix file is not valid JSON: ")
+    code = main(argv)
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    [error] = report["errors"]
+    assert error["location"] == "/"
+    assert error["message"].startswith(refusal)
+
+
+def test_a_document_on_stdin_is_read_as_utf8_bytes(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "doc.json"
+    path.write_text(doc(MCKAY), encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+    from_file = capsys.readouterr().out
+    for data, code in ((path.read_bytes(), 0), (b"\xff\xfe", 2)):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        assert main(["validate", "-"]) == code
+        out = capsys.readouterr().out
+        if code == 0:
+            assert out == from_file
+        else:
+            assert json.loads(out)["errors"] == [{"location": "/", "message": (
+                "not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: "
+                "invalid start byte")}]
+
+
+@st.composite
+def document_bytes(draw):
+    """Any bytes, or a shipped document's UTF-8 with one byte replaced."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=200))
+    data = bytearray(doc(draw(st.sampled_from([MINIMAL, MCKAY]))).encode("utf-8"))
+    data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
+@given(data=document_bytes())
+@settings(max_examples=100, deadline=None)
+def test_validate_fuzz_on_bytes_exit_codes_json_and_determinism(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        assert_one_report_twice(["validate", path])
+
+
+def integer_places(value):
+    """(document, location, refusal) for value at each integer a document holds."""
+    loop = {"vertices": ["1"], "arrows": [{"name": "x", "src": "1", "tgt": "1", "deg": value}]}
+    group = copy.deepcopy(SIGNED_S3["group"])
+    group["idempotents"]["dims"][0] = value
+    return [(doc(MINIMAL, quiver=loop), "/quiver/arrows/0/deg", "expected an integer"),
+            (doc(MINIMAL, d=value), "/d", "expected an integer >= 3"),
+            (doc(MINIMAL, options={"max_len": value}), "/options/max_len",
+             "expected a nonnegative integer"),
+            (doc(SIGNED_S3, group=group), "/group/idempotents/dims",
+             "expected one positive integer per vector")]
+
+
+@pytest.mark.parametrize("value", [10 ** 18, 10 ** 4298, -10 ** 18])
+def test_document_integers_past_18_digits_are_refused_at_their_place(capsys, tmp_path, value):
+    # so every degree sum and message formed from them stays short: an
+    # 11-arrow cycle of a loop of degree 10^4298 has a degree of 4,300 digits
+    for text, location, refusal in integer_places(value):
+        code, report = run_cli(capsys, tmp_path, text, "validate")
+        assert (code, report["errors"]) == (2, [{"location": location, "message": refusal}])
+    loop = {"vertices": ["1"], "arrows": [{"name": "x", "src": "1", "tgt": "1", "deg": value}]}
+    cycle = doc(MINIMAL, quiver=loop, potential=[{"coeff": "1", "cycle": ["x"] * 11}])
+    code, report = run_cli(capsys, tmp_path, cycle, "validate")
+    assert (code, report["errors"]) == (2, [{"location": "/quiver/arrows/0/deg",
+                                             "message": "expected an integer"}])
+    code, report = run_cli(capsys, tmp_path, doc(MINIMAL), "ginzburg", "--d", str(value))
+    assert (code, report["errors"]) == (2, [{"location": "/d",
+                                             "message": "expected an integer >= 3"}])
+
+
+def test_document_integers_of_18_digits_are_read(capsys, tmp_path):
+    for text, _, _ in integer_places(10 ** 18 - 1):
+        assert run_cli(capsys, tmp_path, text, "validate")[0] == 0
+
+
+def test_weyl_cap_past_the_largest_is_refused_at_cap(capsys, monkeypatch):
+    # at --cap 10^24 the complex's count has 7,064 digits, past the
+    # int-to-str limit; under the largest cap, 10^12, every count has at
+    # most 1,700 and is refused by name
+    def no_table(*args, **kwargs):
+        raise AssertionError("the cap is checked before any table is built")
+
+    monkeypatch.setattr("skewgin.weyl._Chains", no_table)
+    big = str(10 ** 24)
+    assert main(["weyl", "--n", "80", "--filtration", big, "--cap", big]) == 2
+    assert json.loads(capsys.readouterr().out)["errors"] == [
+        {"location": "/cap", "message": "expected a cap of at most 1000000000000"}]
+    largest = str(10 ** 12)
+    assert main(["weyl", "--n", "40", "--filtration", largest, "--cap", largest]) == 2
+    [error] = json.loads(capsys.readouterr().out)["errors"]
+    assert error["location"] == "/"
+    count, cap = error["message"].removeprefix("truncated complex has dimension ").split(" > ")
+    assert (count.isdigit(), 1600 < len(count) < 1700, cap) == (True, True, "cap " + largest)
 
 
 @pytest.mark.parametrize("max_len", ["-1", "1000000000"])
@@ -1152,7 +1284,7 @@ def refused_after_parse(location, message):
     """The refusals a command may make that validate does not."""
     return (message.startswith("the command needs a")  # validate needs no part
             or location == "/"  # errors of the computation, with no input location
-            # the InvalidAction of build_morita: validate reports it as a failed check
+            # the /action refusal of build_morita: validate reports it as a failed check
             or location == "/action"
             or message.startswith("length bound ")  # size guards set by the length bound
             # arrow names of the reduced quiver, known only once it is built

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewgin.crossed import CrossedElement, _basis_pairs, commutator_basis, expand_certificate
-from skewgin.errors import FieldMismatch, QuiverMismatch
+from skewgin.errors import CheckFailed, SkewginError
 from skewgin.fields import make_field
 from skewgin.groups import cyclic_group
 from skewgin.action import QuiverAction, validate_action
@@ -215,12 +215,12 @@ def test_hc0_reduce_mod_commutators():
 
 def test_hc0_reduce_no_solution_for_empty_corner():
     import pytest
-    from skewgin.errors import NoSolution
     action = trivial_two_loop_action()
     q = action.quiver
     xx = CrossedElement.from_pair(action, q.path(["x", "x"]), 0)
     # the zero idempotent has an empty corner and xx has a nonzero class
-    with pytest.raises(NoSolution):
+    with pytest.raises(CheckFailed, match="^no corner representative modulo commutators at "
+                                          "this length$"):
         hc0_reduce(xx, CrossedElement.zero(action))
 
 
@@ -450,6 +450,25 @@ def test_reused_right_factor_matches_oracle(name, data):
         assert [(x.den, x.terms) for x in (left, right)] == before
 
 
+def test_embedding_an_element_of_another_algebra_raises():
+    action = trivial_two_loop_action()
+    q = action.quiver
+    other = GradedQuiver(["1"], [("y", "1", "1", 0)])
+    with pytest.raises(SkewginError, match="^element lives on a different quiver$"):
+        CrossedElement.from_alg(action, AlgElement.from_arrow(other, Q, "y"))
+    with pytest.raises(SkewginError, match="^element lives over a different field$"):
+        CrossedElement.from_alg(action, AlgElement.from_arrow(q, F7, "x"))
+
+
+def test_pure_length_of_mixed_lengths_raises():
+    action = trivial_two_loop_action()
+    q = action.quiver
+    mixed = (CrossedElement.from_pair(action, q.path(["x"]), 0)
+             + CrossedElement.from_pair(action, q.path(["x", "y"]), 0))
+    with pytest.raises(SkewginError, match=r"^element mixes path lengths \[1, 2\]$"):
+        mixed.pure_length()
+
+
 def test_field_mismatch_raises_field_mismatch():
     # the same quiver and group over Q and GF(7): int terms would combine
     # silently, so every binary operation must refuse them
@@ -458,15 +477,16 @@ def test_field_mismatch_raises_field_mismatch():
     over_7 = QuiverAction.trivial(cyclic_group(2), q, F7)
     a = CrossedElement.from_pair(over_q, q.path(["x"]), 1)
     b = CrossedElement.from_pair(over_7, q.path(["x"]), 1)
+    FIELDS = "^elements belong to crossed products over different fields$"
     for op in (lambda u, v: u * v, lambda u, v: u + v, lambda u, v: u - v):
-        with pytest.raises(FieldMismatch):
+        with pytest.raises(SkewginError, match=FIELDS):
             op(a, b)
-        with pytest.raises(FieldMismatch):
+        with pytest.raises(SkewginError, match=FIELDS):
             op(b, a)
     other = GradedQuiver(["1"], [("y", "1", "1", 0)])
     c = CrossedElement.from_pair(QuiverAction.trivial(cyclic_group(2), other, Q),
                                  other.path(["y"]), 1)
-    with pytest.raises(QuiverMismatch):
+    with pytest.raises(SkewginError, match="^elements belong to different crossed products$"):
         a * c
 
 

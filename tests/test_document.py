@@ -4,7 +4,7 @@ import pytest
 
 from skewgin.action import validate_action
 from skewgin.document import parse
-from skewgin.errors import ParseError, ValidationError
+from skewgin.errors import SkewginError, ValidationError
 from skewgin.quiver import AlgElement
 
 from docs import (MCKAY, MINIMAL, NEGATION_NONINVARIANT, SIGNED_S3,
@@ -16,11 +16,11 @@ def test_minimal_document_valid():
     assert d.field.is_rationals
     assert d.quiver.vertices == ("1",)
     assert d.potential is None
-    assert d.options["max_len"] == 4
+    assert d.max_len == 4
 
 
 def test_bad_json_is_parse_error():
-    with pytest.raises(ParseError):
+    with pytest.raises(SkewginError, match="^not valid JSON: "):
         parse("{not json")
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from oracles import naive_accumulate
-from skewgin.errors import NonPrimeModulus, NoRootOfUnity
+from skewgin.errors import SkewginError
 from skewgin.fields import make_field, primitive_root_of_unity
 
 
@@ -41,10 +41,13 @@ def test_parse_signed_fractions():
 
 
 def test_make_field_rejects_composite():
-    with pytest.raises(NonPrimeModulus):
+    with pytest.raises(SkewginError, match="^modulus 6 is not prime$"):
         make_field(6)
-    with pytest.raises(NonPrimeModulus):
+    with pytest.raises(SkewginError, match="^modulus 1 is not prime$"):
         make_field(1)
+    for odd in (9, 15, 49):
+        with pytest.raises(SkewginError, match=f"^modulus {odd} is not prime$"):
+            make_field(odd)
 
 
 @pytest.mark.parametrize("spec", ["Q", 7, 13])
@@ -89,7 +92,8 @@ def test_primitive_root_rationals():
     q = make_field("Q")
     assert primitive_root_of_unity(q, 2) == Fraction(-1)
     assert primitive_root_of_unity(q, 1) == Fraction(1)
-    with pytest.raises(NoRootOfUnity):
+    with pytest.raises(SkewginError,
+                       match="^the rationals contain no primitive 3-th root of unity$"):
         primitive_root_of_unity(q, 3)
 
 
@@ -103,8 +107,15 @@ def test_primitive_root_order_is_exact():
                 assert f.pow(w, m) != 1
 
 
+def test_primitive_root_of_order_below_one_raises():
+    for field in (make_field("Q"), make_field(7)):
+        with pytest.raises(ValueError, match="^order must be positive$"):
+            primitive_root_of_unity(field, 0)
+
+
 def test_no_root_when_order_does_not_divide():
-    with pytest.raises(NoRootOfUnity):
+    with pytest.raises(SkewginError, match=r"^GF\(7\) has no primitive 5-th root of unity "
+                                           r"\(5 does not divide 6\)$"):
         primitive_root_of_unity(make_field(7), 5)
 
 

@@ -3,8 +3,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from skewgin.errors import (DegreeMismatch, DimensionTooSmall, NotLengthHomogeneous,
-                            QuiverMismatch)
+from skewgin.errors import SkewginError
 from skewgin.fields import make_field
 from skewgin.ginzburg import (check_d_squared, degree_report, double_quiver,
                               ginzburg, jacobian_truncation, relation_ideal)
@@ -36,7 +35,7 @@ def test_double_quiver_degrees_d3():
 
 def test_double_quiver_rejects_d_below_3():
     q = GradedQuiver(["1"], [("x", "1", "1", 0)])
-    with pytest.raises(DimensionTooSmall):
+    with pytest.raises(SkewginError, match="^CY dimension must be >= 3$"):
         double_quiver(q, 2)
 
 
@@ -79,10 +78,16 @@ def test_ginzburg_commutator_derivatives():
     assert pres.diff_of("z*") == el("x", "y") - el("y", "x")
 
 
+def test_ginzburg_of_a_potential_on_another_quiver_raises():
+    one_loop = GradedQuiver(["1"], [("x", "1", "1", 0)])
+    with pytest.raises(SkewginError, match="^potential lives on a different quiver$"):
+        ginzburg(one_loop, commutator_potential(three_loops()), 3)
+
+
 def test_ginzburg_degree_mismatch():
     q = GradedQuiver(["1"], [("x", "1", "1", -1)])
     w = canonicalize(q, Q, [(Q.one(), q.path(["x"]))])  # degree -1
-    with pytest.raises(DegreeMismatch):
+    with pytest.raises(SkewginError, match="^potential degree -1 != 3 - d = 0$"):
         ginzburg(q, w, 3)
 
 
@@ -190,20 +195,20 @@ def test_jacobian_single_arrow():
 
 def test_jacobian_rejects_graded_arrows():
     q = GradedQuiver(["1"], [("x", "1", "1", -1)])
-    with pytest.raises(DegreeMismatch):
+    with pytest.raises(SkewginError, match="^Jacobian truncation requires all arrow degrees 0$"):
         jacobian_truncation(q, canonicalize(q, Q, []), 2)
 
 
 def test_jacobian_rejects_mixed_lengths():
     q = three_loops()
     w = canonicalize(q, Q, [(Q.one(), q.path(["x", "x"])), (Q.one(), q.path(["x", "y", "z"]))])
-    with pytest.raises(NotLengthHomogeneous):
+    with pytest.raises(SkewginError, match="^potential mixes cycle lengths$"):
         jacobian_truncation(q, w, 2)
 
 
 def test_jacobian_rejects_potential_on_another_quiver():
     one_loop = GradedQuiver(["1"], [("x", "1", "1", 0)])
-    with pytest.raises(QuiverMismatch):
+    with pytest.raises(SkewginError, match="^potential lives on a different quiver$"):
         jacobian_truncation(one_loop, commutator_potential(three_loops()), 3)
 
 

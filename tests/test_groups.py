@@ -4,8 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewgin.errors import (BadCharacteristic, NoRootOfUnity, NotAbelian,
-                            NotAssociative, NotLatinSquare, SkewginError)
+from skewgin.errors import SkewginError
 from skewgin.fields import make_field
 from skewgin.groups import (GroupAlgebra, IdempotentSet, abelian_idempotents,
                             characters, cyclic_group, make_group,
@@ -48,14 +47,13 @@ def test_cyclic_group_valid():
 
 
 def test_not_latin_square():
-    with pytest.raises(NotLatinSquare):
+    with pytest.raises(SkewginError, match="^row 0 repeats an entry$"):
         make_group(["e", "g"], [[0, 0], [1, 1]])
 
 
 def test_no_identity():
-    from skewgin.errors import NoIdentity
     # a Latin square whose only identity-like row has no matching column
-    with pytest.raises(NoIdentity):
+    with pytest.raises(SkewginError, match="^no two-sided identity element$"):
         make_group(["a", "b", "c"], [[1, 2, 0], [0, 1, 2], [2, 0, 1]])
 
 
@@ -68,7 +66,7 @@ def test_not_associative():
         [3, 2, 4, 0, 1],
         [4, 3, 1, 2, 0],
     ]
-    with pytest.raises(NotAssociative):
+    with pytest.raises(SkewginError, match=r"^\(a\*a\)\*b != a\*\(a\*b\)$"):
         make_group(list("eabcd"), table)
 
 
@@ -79,9 +77,21 @@ def test_s3_valid_nonabelian():
     assert sorted(g.order(a) for a in g.elements()) == [1, 2, 2, 2, 3, 3]
 
 
+def test_subgroup_of_a_subset_not_closed_raises():
+    with pytest.raises(ValueError, match="^subset is not closed under multiplication$"):
+        cyclic_group(4).subgroup([0, 1])
+
+
+def test_idempotent_set_with_a_dimension_count_off_fails():
+    algebra = GroupAlgebra(cyclic_group(2), Q)
+    idem_set = IdempotentSet(algebra, [{0: Q.one()}], [1, 1])
+    assert validate_idempotent_set(idem_set) == ["1 idempotents but 2 declared dimensions"]
+
+
 def test_group_algebra_char_guard():
     g = cyclic_group(3)
-    with pytest.raises(BadCharacteristic):
+    with pytest.raises(SkewginError, match=r"^char 3 divides \|G\| = 3; the group order must be "
+                                           r"invertible$"):
         GroupAlgebra(g, make_field(3))
     GroupAlgebra(g, F7)  # fine
 
@@ -100,9 +110,11 @@ def test_characters_z3_gf7():
 
 
 def test_characters_require_root():
-    with pytest.raises(NoRootOfUnity):
+    with pytest.raises(SkewginError,
+                       match="^the rationals contain no primitive 3-th root of unity$"):
         characters(cyclic_group(3), Q)
-    with pytest.raises(NotAbelian):
+    with pytest.raises(SkewginError,
+                       match="^character construction requires an abelian group$"):
         characters(s3_group(), Q)
 
 

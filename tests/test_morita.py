@@ -12,8 +12,7 @@ from skewgin.crossed import (CommutatorTerm, CrossedElement, basis_index,
                              commutator_basis, expand_certificate, express_modulo_commutators,
                              vectorize)
 from skewgin.document import parse
-from skewgin.errors import (BasisExpressFailure, DegreeMismatch, IncompleteIdempotents,
-                            NoSolution, NotInvariantPotential)
+from skewgin.errors import CheckFailed, SkewginError
 from skewgin.fields import make_field
 from skewgin.ginzburg import derivative_relations, relation_ideal
 from skewgin.groups import cyclic_group
@@ -185,7 +184,7 @@ def test_swap_zero_potential_dimension_check():
 def test_missing_root_of_unity_raises():
     q = GradedQuiver(["v"], [("x", "v", "v", 0)])
     action = QuiverAction.trivial(cyclic_group(3), q, Q)  # Q lacks cube roots
-    with pytest.raises(IncompleteIdempotents):
+    with pytest.raises(SkewginError, match="^stabilizer of v needs a supplied idempotent set: "):
         build_morita(action)
 
 
@@ -209,10 +208,11 @@ def test_bimodule_entries_live_in_their_slots():
 def test_supplied_idempotents_failing_validation_rejected():
     from fractions import Fraction
     action, (vectors, _) = signed_permutation_s3()
-    with pytest.raises(IncompleteIdempotents):
+    with pytest.raises(SkewginError, match="^idempotent set for v failed validation: "):
         # wrong declared dimensions: sum of squares misses the group order
         build_morita(action, (vectors, [1, 1, 1]))
-    with pytest.raises(IncompleteIdempotents):
+    with pytest.raises(SkewginError, match="^idempotent vector for v has 3 entries, stabilizer "
+                                           "has 6$"):
         # wrong vector length
         build_morita(action, ([vectors[0][:3]] + vectors[1:], [1, 1, 2]))
 
@@ -399,7 +399,6 @@ def test_mckay_transport_and_dimensions(mckay):
 
 
 def test_mckay_perturbed_coefficient_fails_certification(mckay):
-    from skewgin.errors import BasisExpressFailure
     from skewgin.morita import certify_reduction
     action, md = mckay
     w = mckay_potential(action)
@@ -409,7 +408,8 @@ def test_mckay_perturbed_coefficient_fails_certification(mckay):
     bad_terms = dict(reduced.terms)
     bad_terms[path0] = F7.add(coeff0, F7.one())
     bad = canonicalize(md.qprime, F7, [(c, p) for p, c in bad_terms.items()])
-    with pytest.raises(BasisExpressFailure):
+    with pytest.raises(CheckFailed, match="^embedded reduced potential differs from the original "
+                                          "by more than commutators$"):
         certify_reduction(md, w, bad)
 
 
@@ -1084,7 +1084,8 @@ def test_check_embedding_reports_each_length_that_does_not_inject(mckay, monkeyp
 def test_transport_without_a_reduced_representative_raises_no_solution(mckay, monkeypatch):
     action, md = mckay
     monkeypatch.setattr(morita, "express_modulo_commutators", lambda target, labelled=(): None)
-    with pytest.raises(NoSolution) as info:
+    with pytest.raises(CheckFailed, match="^the potential class has no representative in the "
+                                          "reduced cycle span$") as info:
         transport_potential(mckay_potential(action), md)
     assert str(info.value) == "the potential class has no representative in the reduced cycle span"
 
@@ -1101,7 +1102,8 @@ def break_re_expansion(monkeypatch):
 def test_transport_refuses_a_certificate_that_fails_re_expansion(mckay, monkeypatch):
     action, md = mckay
     break_re_expansion(monkeypatch)
-    with pytest.raises(BasisExpressFailure) as info:
+    with pytest.raises(CheckFailed,
+                       match="^transport certificate failed re-expansion$") as info:
         transport_potential(mckay_potential(action), md)
     assert str(info.value) == "transport certificate failed re-expansion"
 
@@ -1111,9 +1113,19 @@ def test_certification_refuses_a_certificate_that_fails_re_expansion(mckay, monk
     w = mckay_potential(action)
     reduced, _ = transport_potential(w, md)
     break_re_expansion(monkeypatch)
-    with pytest.raises(BasisExpressFailure) as info:
+    with pytest.raises(CheckFailed, match="^certificate failed re-expansion$") as info:
         certify_reduction(md, w, reduced)
     assert str(info.value) == "certificate failed re-expansion"
+
+
+def test_relation_span_stability_under_the_swap():
+    # the swap sends a to b: the span of a alone is moved, that of a + b is not
+    action = swap_action()
+    q = action.quiver
+    a, b = (AlgElement.from_arrow(q, Q, name) for name in "ab")
+    assert not morita._relation_span_stable([a], action)
+    assert morita._relation_span_stable([a + b], action)
+    assert morita._relation_span_stable([], action)
 
 
 def test_dimension_check_refuses_relations_the_action_moves(mckay, monkeypatch):
@@ -1121,7 +1133,8 @@ def test_dimension_check_refuses_relations_the_action_moves(mckay, monkeypatch):
     w = mckay_potential(action)
     reduced, _ = transport_potential(w, md)
     monkeypatch.setattr(morita, "_relation_span_stable", lambda relations, action: False)
-    with pytest.raises(NotInvariantPotential) as info:
+    with pytest.raises(CheckFailed,
+                       match="^derivative relations are not stable under the action$") as info:
         morita_dimension_check(md, w, reduced, 2)
     assert str(info.value) == "derivative relations are not stable under the action"
 
@@ -1131,6 +1144,7 @@ def test_dimension_check_refuses_a_potential_without_one_cycle_length(mckay, mon
     w = mckay_potential(action)
     reduced, _ = transport_potential(w, md)
     monkeypatch.setattr(morita, "cycle_length_of", lambda w: None)
-    with pytest.raises(DegreeMismatch) as info:
+    with pytest.raises(SkewginError,
+                       match="^dimension check requires one cycle length$") as info:
         morita_dimension_check(md, w, reduced, 2)
     assert str(info.value) == "dimension check requires one cycle length"

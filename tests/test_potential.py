@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from skewgin.errors import NotACycle
+from skewgin.errors import SkewginError
 from skewgin.fields import make_field
 from skewgin.potential import canonicalize, cyclic_derivative, cycle_length_of, degree_of
 from skewgin.quiver import AlgElement, GradedQuiver
@@ -49,8 +49,12 @@ def test_self_annihilating_orbit_is_zero():
 
 def test_not_a_cycle_rejected():
     q = GradedQuiver(["1", "2"], [("a", "1", "2", 0)])
-    with pytest.raises(NotACycle):
+    with pytest.raises(SkewginError, match=r"^path .* is not a cycle$"):
         canonicalize(q, Q, [(Q.one(), q.path(["a"]))])
+    with pytest.raises(SkewginError, match=r"^path .*\('a', 'a'\).* is not composable$"):
+        canonicalize(q, Q, [(Q.one(), q.path(["a"])._replace(arrows=("a", "a")))])
+    with pytest.raises(SkewginError, match="^trivial paths are not potential cycles$"):
+        canonicalize(q, Q, [(Q.one(), q.trivial_path("1"))])
 
 
 def test_rotation_invariance_random():

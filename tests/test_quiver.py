@@ -4,7 +4,7 @@ import pytest
 
 from skewgin import quiver as quiver_module
 from skewgin.document import parse
-from skewgin.errors import QuiverMismatch
+from skewgin.errors import SkewginError
 from skewgin.fields import make_field
 from skewgin.morita import build_morita
 from skewgin.quiver import (AlgElement, GradedQuiver, basis_up_to, count_paths_up_to,
@@ -84,8 +84,38 @@ def test_unit_element_acts_as_identity():
 
 def test_quiver_mismatch_raises():
     qa, qb = two_loop_quiver(), line_quiver()
-    with pytest.raises(QuiverMismatch):
+    with pytest.raises(SkewginError, match="^elements live on different quivers$"):
         AlgElement.from_arrow(qa, Q, "x") * AlgElement.from_arrow(qb, Q, "a")
+
+
+def test_field_mismatch_raises():
+    q = two_loop_quiver()
+    with pytest.raises(SkewginError, match="^elements live over different fields$"):
+        AlgElement.from_arrow(q, Q, "x") + AlgElement.from_arrow(q, make_field(7), "x")
+
+
+@pytest.mark.parametrize("vertices, arrows, message", [
+    (["1", "1"], [], "duplicate vertex names"),
+    (["1"], [("x", "1", "1", 0), ("x", "1", "1", 0)], "duplicate arrow name 'x'"),
+    (["1"], [("x", "1", "2", 0)], "arrow 'x' references unknown vertex"),
+])
+def test_quiver_constructor_guards(vertices, arrows, message):
+    # documents refuse these first (document.parse); the library keeps its
+    # own precondition
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GradedQuiver(vertices, arrows)
+
+
+def test_path_guards():
+    q = line_quiver()
+    with pytest.raises(SkewginError, match="^no arrow named 'd'$"):
+        q.arrow("d")
+    with pytest.raises(ValueError, match="^unknown vertex '4'$"):
+        q.trivial_path("4")
+    with pytest.raises(ValueError, match="^empty arrow list; use trivial_path$"):
+        q.path([])
+    with pytest.raises(ValueError, match=r"^arrows do not compose: \('a', 'a'\)$"):
+        q.path(["a", "a"])
 
 
 def test_basis_up_to_two_loops():

@@ -15,7 +15,7 @@ from oracles import (coded_homology, dict_dual_differential, dict_keyed_homology
                      weyl_x)
 from skewgin import weyl
 from skewgin.cli import main
-from skewgin.errors import NotSymplectic, SizeGuard
+from skewgin.errors import CheckFailed, SkewginError
 from skewgin.fields import make_field
 from skewgin.weyl import (WeylAlgebra, _Chains, bounded_exactness, check_sp_equivariance,
                           dual_differential, dual_top_concentration, is_symplectic,
@@ -192,11 +192,11 @@ def test_bounded_exactness_n2():
 def test_bounded_exactness_size_guard():
     # each count refuses on its own, the piece's dimension first; no rule
     # names n, so n = 3 and n = 6 run at the default cap and n = 7 does not
-    with pytest.raises(SizeGuard, match=r"^truncated complex has dimension 13 > cap 10$"):
+    with pytest.raises(SkewginError, match=r"^truncated complex has dimension 13 > cap 10$"):
         bounded_exactness(2, 1, Q, cap=10)
-    with pytest.raises(SizeGuard, match=r"^wedge tables have 64 moves > cap 63$"):
+    with pytest.raises(SkewginError, match=r"^wedge tables have 64 moves > cap 63$"):
         bounded_exactness(2, 0, Q, cap=63)
-    with pytest.raises(SizeGuard, match=r"^wedge tables have 229376 moves > cap 200000$"):
+    with pytest.raises(SkewginError, match=r"^wedge tables have 229376 moves > cap 200000$"):
         bounded_exactness(7, 0, Q)
     assert bounded_exactness(3, 0, Q)["dimensions"] == [1, 0, 0, 0, 0, 0, 0]
     assert bounded_exactness(6, 0, Q)["augmentation_cokernel"] == 1
@@ -212,15 +212,27 @@ def test_size_guard_refuses_past_the_cap_uncounted(monkeypatch):
     monkeypatch.setattr(weyl, "comb", no_count)
     for n, filt, cap in ((10 ** 9, 0, 200000), (2, 10 ** 600, 200000), (20, 0, 2 ** 18),
                          (1, 11, 10)):
-        with pytest.raises(SizeGuard, match=rf"^n = {n} and filtration {filt} give counts "
+        with pytest.raises(SkewginError, match=rf"^n = {n} and filtration {filt} give counts "
                                             rf"past cap {cap}$"):
             bounded_exactness(n, filt, Q, cap=cap)
     monkeypatch.undo()
     # at the bounds themselves the counts are formed and refuse
-    with pytest.raises(SizeGuard, match=r"^wedge tables have 10445360463872 moves > cap 262144$"):
+    with pytest.raises(SkewginError, match=r"^wedge tables have 10445360463872 moves > cap 262144$"):
         bounded_exactness(19, 0, Q, cap=2 ** 18)
-    with pytest.raises(SizeGuard, match=r"^truncated complex has dimension 2926 > cap 10$"):
+    with pytest.raises(SkewginError, match=r"^truncated complex has dimension 2926 > cap 10$"):
         bounded_exactness(1, 10, Q, cap=10)
+
+
+def test_size_guard_refuses_a_cap_past_the_largest_at_cap(monkeypatch):
+    # under MAX_CAP every count prints; past it the cap itself is refused,
+    # before anything is counted
+    monkeypatch.setattr(weyl, "comb", lambda *args: pytest.fail("a count was formed"))
+    for cap in (weyl.MAX_CAP + 1, 10 ** 24):
+        with pytest.raises(SkewginError, match=r"^expected a cap of at most 1000000000000$") as info:
+            bounded_exactness(80, cap, Q, cap=cap)
+        assert info.value.issues == [("/cap", "expected a cap of at most 1000000000000")]
+    with pytest.raises(SkewginError, match=r"^n = 41 and filtration 0 give counts past cap "):
+        bounded_exactness(41, 0, Q, cap=weyl.MAX_CAP)
 
 
 def dual_report(n, filt, field):
@@ -267,11 +279,11 @@ def test_size_guard_counts_the_bases_in_closed_form():
             assert sum(map(len, chains.drops + chains.inserts)) == moves
             assert sum(bounded_exactness(n, filt, Q, cap=max(total, moves))["dimensions"]) == total
             if filt:
-                with pytest.raises(SizeGuard, match=f"^truncated complex has dimension {total} "
+                with pytest.raises(SkewginError, match=f"^truncated complex has dimension {total} "
                                                     f"> cap {total - 1}$"):
                     bounded_exactness(n, filt, Q, cap=total - 1)
             if total < moves:
-                with pytest.raises(SizeGuard, match=f"^wedge tables have {moves} moves "
+                with pytest.raises(SkewginError, match=f"^wedge tables have {moves} moves "
                                                     f"> cap {moves - 1}$"):
                     bounded_exactness(n, filt, Q, cap=moves - 1)
 
@@ -529,7 +541,8 @@ def test_equivariance_differentiates_each_key_once_across_matrices(monkeypatch):
 
 def test_equivariance_rejects_nonsymplectic():
     bad = [[fr(2), fr(0)], [fr(0), fr(1)]]
-    with pytest.raises(NotSymplectic) as info:
+    with pytest.raises(CheckFailed,
+                       match="^matrix 0 does not preserve the commutator pairing$") as info:
         check_sp_equivariance(1, [bad], Q)
     assert info.value.matrix_index == 0
 
