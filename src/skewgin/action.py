@@ -4,10 +4,12 @@ doubled presentation.
 An action stores, per group element, a vertex permutation and the image of
 every arrow as a combination of arrows between the permuted endpoints.
 Dual generators transform by the inverse-transpose of the arrow-space
-matrices: for permutation-type actions this agrees with transporting stars
-along the arrow rule, and it keeps the loop differentials equivariant for
-arbitrary invertible actions because sum_a a (x) a* is preserved.  The
-equivariance report surfaces any residual failure rather than hiding it.
+matrices, each block inverted once per group element by
+``extend_to_ginzburg``: for permutation-type actions this agrees with
+transporting stars along the arrow rule, and it keeps the loop
+differentials equivariant for arbitrary invertible actions because
+sum_a a (x) a* is preserved.  The equivariance report surfaces any
+residual failure rather than hiding it.
 """
 
 from __future__ import annotations
@@ -114,21 +116,6 @@ class QuiverAction:
                 mat[row_pos[p.arrows[0]]][k] = c
         return mat, cols, rows
 
-    def contragredient_image(self, g: int, arrow_name: str) -> AlgElement:
-        """Image of an arrow under the inverse-transpose of its block matrix.
-
-        This is how dual generators transport; it coincides with the plain
-        arrow image exactly for orthogonal (e.g. permutation) blocks.
-        """
-        a = self.quiver.arrow(arrow_name)
-        mat, cols, rows = self.block_matrix(g, a.src, a.tgt)
-        inv = invert_matrix(self.field, mat)
-        if inv is None:
-            raise ValueError("non-invertible arrow block; validate the action first")
-        k, src = cols.index(arrow_name), self.act_vertex(g, a.src)  # (M^-1)^T at [t][k]
-        return AlgElement(self.quiver, self.field, (
-            (Path(src, (row_name,)), inv[k][t]) for t, row_name in enumerate(rows)))
-
 
 def validate_action(action: QuiverAction):
     """Exhaustive structural checks; returns a list of failure strings."""
@@ -209,7 +196,8 @@ def extend_to_ginzburg(action: QuiverAction, presentation: GinzburgPresentation)
     """Extend the action to the doubled quiver and check d-equivariance.
 
     Returns (extended action, report).  Raises CheckFailed when the
-    potential is not fixed by the action.
+    potential is not fixed by the action, and ValueError on an arrow block
+    that is not invertible.
     """
     if not is_potential_invariant(presentation.potential, action):
         raise CheckFailed("the potential is not fixed by the group action")
@@ -221,12 +209,17 @@ def extend_to_ginzburg(action: QuiverAction, presentation: GinzburgPresentation)
     for g in G.elements():
         images = {a.name: AlgElement(doubled, field, action.arrow_images[g][a.name].terms)
                   for a in quiver.arrows}
-        # dual arrows transport by the inverse-transpose block matrices
-        for a in quiver.arrows:
-            src = action.act_vertex(g, a.tgt)
-            images[star_name(a.name)] = AlgElement(doubled, field, (
-                (Path(src, (star_name(p.arrows[0]),)), c)
-                for p, c in action.contragredient_image(g, a.name).terms.items()))
+        # the dual of the k-th arrow of a block moves by the inverse-transpose
+        # of the block matrix: row k of the block's one inverse
+        for src, tgt in dict.fromkeys((a.src, a.tgt) for a in quiver.arrows):
+            mat, cols, rows = action.block_matrix(g, src, tgt)
+            inv = invert_matrix(field, mat)
+            if inv is None:
+                raise ValueError("non-invertible arrow block; validate the action first")
+            start = action.act_vertex(g, tgt)
+            for k, name in enumerate(cols):
+                images[star_name(name)] = AlgElement(doubled, field, (
+                    (Path(start, (star_name(row),)), inv[k][t]) for t, row in enumerate(rows)))
         for v in quiver.vertices:
             images[loop_name(v)] = AlgElement.from_arrow(
                 doubled, field, loop_name(action.act_vertex(g, v)))

@@ -305,9 +305,12 @@ def _read_matrices(path, n, field):
 
 def cmd_weyl(args) -> int:
     try:
-        field = fields.make_field("Q" if args.field == "Q" else int(args.field))
-    except (ValueError, SkewginError):
-        raise SkewginError(f"expected Q or a prime, got {args.field!r}", location="/field")
+        spec = "Q" if args.field == "Q" else int(args.field)
+        field = fields.make_field(spec)
+    except (ValueError, SkewginError) as exc:
+        past = isinstance(exc, SkewginError) and spec > fields.MAX_MODULUS
+        raise SkewginError(str(exc) if past else f"expected Q or a prime, got {args.field!r}",
+                           location="/field") from exc
     if args.n < 1:
         raise SkewginError("the number of variables must be positive", location="/n")
     if args.filtration < 0:

@@ -8,22 +8,23 @@ All class computations happen inside a single length component, which
 commutators and length-zero idempotents preserve.
 
 Elements hold their scalars as one positive int den and int terms (the
-scaled-integer form of ``skewgin.fields``), so products, sums,
-commutators and certificate re-expansion run on ints; field scalars are
-made only by ``CrossedElement.field_terms`` and ``sorted_terms``, which
-reports read.  Every image g acting on q is cleared to (den, int terms)
-once per action (``QuiverAction.cleared_image``).  A product of two
-elements is regrouped by the paths q of its right operand, so each p.r is
-built once (see ``CrossedElement.__mul__``); elements are immutable, so
-the right operand caches that regrouping.  The basis-pair products
+scaled-integer form of ``skewgin.fields``), and are built that way only:
+a caller holding field scalars clears them with ``Field.scaled`` first.
+Products, sums, commutators and certificate re-expansion run on ints;
+field scalars are made only by ``CrossedElement.field_terms`` and
+``sorted_terms``, which reports read.  Every image g acting on q is
+cleared to (den, int terms) once per action
+(``QuiverAction.cleared_image``).  A product of two elements is regrouped
+by the paths q of its right operand, so each p.r is built once (see
+``CrossedElement.__mul__``); elements are immutable, so the right operand
+caches that regrouping.  The basis-pair products
 (p, g)(q, h) of commutators and certificates are read straight off the
 cleared image.  ``express_modulo_commutators`` takes a target and (label,
 element) pairs and returns their combination with a ``Certificate`` for
 the commutator part; its feed forms a commutator only when it reaches it,
 finding the ones that touch the target's residual through an index of the
 cleared images, and stops as soon as the target is in the span.  A
-``Certificate`` keeps one den and int entries; field scalars are made only
-when it is iterated.
+``Certificate`` is one den and int entries, and is read only on ints.
 """
 
 from __future__ import annotations
@@ -46,34 +47,20 @@ class CrossedElement:
 
     __slots__ = ("action", "den", "terms", "_tables")
 
-    def __init__(self, action, terms=()):
-        """The element with the given (key, field scalar) pairs or dict,
-        cleared once to ints over their least common denominator."""
-        field = action.field
-        acc = field.accumulate({}, terms.items() if isinstance(terms, dict) else terms)
-        den, items = field.scaled(acc.items())
-        self.action, self.den, self.terms = action, den, dict(items)
-        self._tables = None
+    def __init__(self, action, den: int, terms: dict):
+        """The element terms / den; terms holds nonzero ints (residues over
+        GF(p), where den is 1) and is taken as it is, not copied."""
+        self.action, self.den, self.terms, self._tables = action, den, terms, None
 
     # -- constructors --
 
     @classmethod
-    def from_ints(cls, action, den: int, terms: dict):
-        """The element terms / den; terms holds nonzero ints (residues over
-        GF(p), where den is 1) and is taken as it is, not copied."""
-        el = cls.__new__(cls)
-        el.action, el.den, el.terms, el._tables = action, den, terms, None
-        return el
-
-    @classmethod
     def zero(cls, action):
-        return cls.from_ints(action, 1, {})
+        return cls(action, 1, {})
 
     @classmethod
-    def from_pair(cls, action, path, g: int, coeff=None):
-        if coeff is None:
-            return cls.from_ints(action, 1, {(path, g): 1})
-        return cls(action, {(path, g): coeff})
+    def from_pair(cls, action, path, g: int):
+        return cls(action, 1, {(path, g): 1})
 
     @classmethod
     def from_alg(cls, action, x: AlgElement, g: int | None = None):
@@ -84,7 +71,7 @@ class CrossedElement:
             raise SkewginError("element lives over a different field")
         g = action.group.identity if g is None else g
         den, items = action.field.scaled(x.terms.items())
-        return cls.from_ints(action, den, {(p, g): c for p, c in items})
+        return cls(action, den, {(p, g): c for p, c in items})
 
     # -- structure --
 
@@ -111,7 +98,7 @@ class CrossedElement:
 
     def _plus(self, other, sign):
         self._check(other)
-        return CrossedElement.from_ints(self.action, *self.action.field.combine((
+        return CrossedElement(self.action, *self.action.field.combine((
             (1, self.den, self.terms.items()), (sign, other.den, other.terms.items()))))
 
     def __add__(self, other):
@@ -181,7 +168,7 @@ class CrossedElement:
                 scale = den // d
                 for key, s in part.items():
                     acc[key] = get(key, 0) + s * scale
-        return cls.from_ints(action, *action.field.normalized(acc, outer * den))
+        return cls(action, *action.field.normalized(acc, outer * den))
 
     def pure_length(self):
         ls = {len(p.arrows) for (p, _) in self.terms}
@@ -269,26 +256,21 @@ def commutator_basis(action, length: int, pairs):
     for u, v in pairs:
         den, ints = _commutator_ints(action, u, v)
         if terms := accumulate({}, ints):
-            out.append(CommutatorTerm(u, v, CrossedElement.from_ints(action, den, terms)))
+            out.append(CommutatorTerm(u, v, CrossedElement(action, den, terms)))
     return out
 
 
 class Certificate:
     """Commutator entries ((u, v), coeff), each coeff = terms[u, v] / den:
-    one positive int den and int terms, as ``Field.combine`` leaves them.
-    Iteration makes the field scalars, one ``Field.ratio`` per entry."""
+    one positive int den and int terms, as ``Field.combine`` leaves them."""
 
-    __slots__ = ("field", "den", "terms")
+    __slots__ = ("den", "terms")
 
-    def __init__(self, field, den: int, terms: dict):
-        self.field, self.den, self.terms = field, den, terms
+    def __init__(self, den: int, terms: dict):
+        self.den, self.terms = den, terms
 
     def __len__(self):
         return len(self.terms)
-
-    def __iter__(self):
-        ratio, den = self.field.ratio, self.den
-        return ((pair, ratio(s, den)) for pair, s in self.terms.items())
 
 
 def expand_certificate(action, certificate: Certificate) -> CrossedElement:
@@ -369,7 +351,7 @@ def express_modulo_commutators(target: CrossedElement, labelled=()):
     """
     action, field = target.action, target.action.field
     if target.is_zero():
-        return {}, Certificate(field, 1, {})
+        return {}, Certificate(1, {})
     length = target.pure_length()
     index = basis_index(action, length)
     solver = LinSolver(field)
@@ -395,4 +377,4 @@ def express_modulo_commutators(target: CrossedElement, labelled=()):
             commutators.append((coeff, den, (((label.u, label.v), label.element.den),)))
         else:
             own[label] = field.mul(coeff, field.ratio(dens[label], den))
-    return own, Certificate(field, *field.combine(commutators))
+    return own, Certificate(*field.combine(commutators))

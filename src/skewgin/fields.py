@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import count
 from math import gcd, lcm
 
 from .errors import SkewginError
@@ -28,25 +29,31 @@ from .errors import SkewginError
 _SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
+# Miller-Rabin on the prime bases 2 to 37 is exact below
+# 318665857834031151167461, the least strong pseudoprime to all of them; a
+# modulus is refused past this bound, so every test made is exact.
+MAX_MODULUS = 10 ** 23
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    """Deterministic Miller-Rabin, exact for n <= MAX_MODULUS: with
+    n - 1 = d * 2^s and d odd, every base b has b^d = 1 or some
+    b^(d * 2^r) = -1 for r < s."""
+    if n < 2 or any(n % b == 0 for b in _BASES):
+        return n in _BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # the lowest set bit of n - 1
+    d = (n - 1) >> s
+    return all(pow(b, d, n) == 1 or n - 1 in (pow(b, d << r, n) for r in range(s))
+               for b in _BASES)
 
 
 class Field:
     """The rationals (``p is None``) or GF(p) for a prime p."""
 
     def __init__(self, p: int | None = None):
+        if p is not None and p > MAX_MODULUS:
+            raise SkewginError(f"expected a modulus of at most {MAX_MODULUS}")
         if p is not None and not _is_prime(p):
             raise SkewginError(f"modulus {p} is not prime")
         self.p = p
@@ -219,16 +226,13 @@ def make_field(spec) -> Field:
     raise SkewginError(f"unrecognised field spec {spec!r}")
 
 
-def _proper_divisors(n: int):
-    return [m for m in range(1, n) if n % m == 0]
-
-
 def primitive_root_of_unity(field: Field, n: int):
     """Return a scalar of exact multiplicative order n, if the field has one.
 
     Over the rationals only n = 1, 2 are possible.  Over GF(p) a root exists
-    iff n divides p - 1; the search is exhaustive, which is fine at the
-    intended scale.
+    iff n divides p - 1: r = g^((p - 1)/n) for the first g = 1, 2, ... that
+    makes r primitive (no r^(n/q) is 1 for a prime q dividing n), and the
+    least power r^k with k prime to n is returned, the least root there is.
     """
     if n < 1:
         raise ValueError("order must be positive")
@@ -241,11 +245,10 @@ def primitive_root_of_unity(field: Field, n: int):
     p = field.p
     if (p - 1) % n != 0:
         raise SkewginError(f"GF({p}) has no primitive {n}-th root of unity ({n} does not divide {p - 1})")
-    for candidate in range(1, p):
-        if pow(candidate, n, p) != 1:
-            continue
-        if all(pow(candidate, m, p) != 1 for m in _proper_divisors(n)):
-            return candidate
+    primes = [q for q in range(2, n + 1) if n % q == 0 and _is_prime(q)]
+    roots = (pow(g, (p - 1) // n, p) for g in count(1))
+    r = next(r for r in roots if all(pow(r, n // q, p) != 1 for q in primes))
+    return min(pow(r, k, p) for k in range(1, n + 1) if gcd(k, n) == 1)
 
 
 def read_json(data, refusal):

@@ -108,7 +108,7 @@ def build_bimodule(action: QuiverAction, reps, kappa, stabilizers):
                         deg = quiver.arrow(name).deg
                         for g2 in stabilizers[j]:
                             g = G.mul(twist, g2)
-                            slot_candidates.setdefault(deg, []).append(CrossedElement.from_ints(
+                            slot_candidates.setdefault(deg, []).append(CrossedElement(
                                 action, den, {(r, g): c for r, c in image}))
             for deg in sorted(slot_candidates):
                 solver = LinSolver(action.field)
@@ -199,8 +199,9 @@ def build_morita(action: QuiverAction, idempotents=None) -> MoritaData:
             name = f"{rep}:{j}"
             vertex_names.append(name)
             vertex_info[name] = (rep, j)
-            vertex_idems[name] = CrossedElement(action, {
-                (action.quiver.trivial_path(rep), ambient[k]): c for k, c in coeffs.items()})
+            den, items = field.scaled([((action.quiver.trivial_path(rep), ambient[k]), c)
+                                       for k, c in coeffs.items()])
+            vertex_idems[name] = CrossedElement(action, den, dict(items))
 
     # reduced quiver arrows: a deterministic basis of each corner slot of
     # the bimodule
@@ -260,7 +261,7 @@ def embed_paths(md: MoritaData, paths) -> dict:
 def embed(md: MoritaData, x: AlgElement) -> CrossedElement:
     """Multiplicative embedding of a reduced path-algebra element."""
     embedded = embed_paths(md, x.terms)
-    return CrossedElement.from_ints(md.action, *md.field.combine(
+    return CrossedElement(md.action, *md.field.combine(
         (coeff, embedded[p].den, embedded[p].terms.items()) for p, coeff in x.terms.items()))
 
 
@@ -406,7 +407,7 @@ def transport_potential(w: Potential, md: MoritaData):
     if not is_potential_invariant(w, action):
         raise CheckFailed("the potential is not fixed by the group action")
     if w.is_zero():
-        return Potential(md.qprime, field), Certificate(field, 1, {})
+        return Potential(md.qprime, field), Certificate(1, {})
     ell = cycle_length_of(w)
     if ell is None:
         raise SkewginError("potential transport requires one cycle length")
@@ -443,7 +444,7 @@ def transport_potential(w: Potential, md: MoritaData):
         return (((u_key, v_key), a * b) for u_key, a in tail.terms.items()
                 for v_key, b in head.terms.items())
 
-    certificate = Certificate(field, *field.combine(chain(
+    certificate = Certificate(*field.combine(chain(
         ((coeff, embedded[tail].den * embedded[head].den,
           bilinear(embedded[tail], embedded[head])) for coeff, head, tail in splits),
         [(-1, solved.den, solved.terms.items())])))

@@ -198,8 +198,12 @@ class _Chains:
     for monomials s below filt only, so every product is numbered.  A move
     of a wedge is (target wedge id, sign, s table, sign, t table), with the
     signs of its two terms: drops[w] are the moves of the resolution, by
-    v s (x) t - s (x) t v for each letter v dropped from w, and inserts[w]
-    those of the dual, by s v (x) t - s (x) v t for each letter inserted.
+    v s (x) t - s (x) t v for each letter v dropped from w.  The dual's
+    moves inserts[w] are their transpose, read off in the same loop: the
+    drop of v from W with sign e gives W minus v the insert of v back to W,
+    by e (s v (x) t - s (x) v t), the same sign with the two sides swapped.
+    Wedges are listed by size, then lexicographically, so each inserts[w]
+    lists its letters in increasing order.
     """
 
     def __init__(self, algebra: WeylAlgebra, filt: int):
@@ -229,21 +233,12 @@ class _Chains:
 
         left = [table(k, on_left=True) for k in range(n2)]
         right = [table(k, on_left=False) for k in range(n2)]
-        self.drops, self.inserts = [], []
-        for w in self.wedges:
-            drops = []
+        self.drops, self.inserts = [[] for _ in self.wedges], [[] for _ in self.wedges]
+        for i, w in enumerate(self.wedges):
             for pos, k in enumerate(w):
-                sign = _remove_sign(w, pos)
-                drops.append((wid[w[:pos] + w[pos + 1:]], sign, left[k], -sign, right[k]))
-            inserts = []
-            for j in range(n2):
-                if j in w:
-                    continue
-                greater = sum(1 for x in w if x > j)
-                sign = 1 if greater % 2 == 0 else -1
-                inserts.append((wid[tuple(sorted(w + (j,)))], sign, right[j], -sign, left[j]))
-            self.drops.append(drops)
-            self.inserts.append(inserts)
+                sign, rest = _remove_sign(w, pos), wid[w[:pos] + w[pos + 1:]]
+                self.drops[i].append((rest, sign, left[k], -sign, right[k]))
+                self.inserts[rest].append((i, sign, right[k], -sign, left[k]))
         # the numbering by minus the code
         self.codes = ([-w * size * size for w in range(len(self.wedges))],
                       [-s * size for s in range(size)])
@@ -506,7 +501,7 @@ def bounded_exactness(n: int, filt: int, field: Field, cap: int = 200000):
             vec = chains.image(code, chains.drops, target)
             if d == 1 and k < 200 and field.accumulate({}, (
                     (m, c * cm) for at, c in vec.items() for m, cm in augmentation(at).items())):
-                raise AssertionError("the augmentation does not annihilate the image")
+                raise CheckFailed("the augmentation does not annihilate the image")
             if vec:
                 solver.add(vec)
         ranks[d] = solver.rank
@@ -529,7 +524,9 @@ def dual_top_concentration(n: int, field: Field, resolution: dict):
     bijectively onto resolution position 2n - d under the same filtration
     bound, and both are free on the w (x) 1 (x) 1 (swapping s and t turns
     outer linearity into inner), so phi d^v = (-1)^d d phi is checked on
-    those generators only; a mismatch raises AssertionError."""
+    those generators only; a mismatch raises CheckFailed.  The dual's
+    moves are the transpose of the resolution's (``_Chains``), so the check
+    shows that the resolution itself is self-dual."""
     algebra, n2 = WeylAlgebra(n, field), 2 * n
     one = ((0,) * n, (0,) * n)
 
@@ -545,7 +542,7 @@ def dual_top_concentration(n: int, field: Field, resolution: dict):
         for w in _wedges(n2, d):
             lhs = phi(dual_differential(algebra, {(w, (one, one)): 1}))
             if lhs != koszul_differential(algebra, phi({(w, (one, one)): (-1) ** d})):
-                raise AssertionError(f"phi is not a chain map at dual position {d} on wedge {w}")
+                raise CheckFailed(f"phi is not a chain map at dual position {d} on wedge {w}")
     homology = {0: resolution["augmentation_cokernel"], **resolution["homology"]}
     return {
         "dimensions": resolution["dimensions"][::-1],

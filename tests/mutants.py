@@ -67,8 +67,8 @@ MUTANTS = [
            (ORACLE_PRODUCT,
             "tests/test_fields.py::test_combine_normalized_and_ratio_agree_with_field_scalars")),
     Mutant("kernel-skips-canonical-form", "crossed.py",
-           "        return cls.from_ints(action, *action.field.normalized(acc, outer * den))\n",
-           "        return cls.from_ints(action, outer * den, acc)\n",
+           "        return cls(action, *action.field.normalized(acc, outer * den))\n",
+           "        return cls(action, outer * den, acc)\n",
            (ORACLE_PRODUCT, CORNER_ORACLE)),
     Mutant("equality-ignores-den", "crossed.py",
            "        if a == b:\n            return self.terms == other.terms\n",
@@ -129,7 +129,7 @@ MUTANTS = [
            ("tests/test_morita.py::test_rescaled_combination_matches_labelled_oracle"
             "_on_fraction_vectors",)),
     Mutant("zero-target-not-short-cut", "crossed.py",
-           "    if target.is_zero():\n        return {}, Certificate(field, 1, {})\n",
+           "    if target.is_zero():\n        return {}, Certificate(1, {})\n",
            "",
            ("tests/test_cli.py::test_verify_certifies_a_supplied_reduced_potential",)),
     Mutant("expand-drops-certificate-den", "crossed.py",
@@ -221,27 +221,27 @@ MUTANTS = [
            "        coeff = 1\n",
            ("tests/test_weyl.py::test_cached_equivariance_matches_oracle_n1",)),
     Mutant("dual-drops-sort-sign", "weyl.py",
-           "                sign = 1 if greater % 2 == 0 else -1\n",
-           "                sign = 1\n",
+           "                self.inserts[rest].append((i, sign, right[k], -sign, left[k]))\n",
+           "                self.inserts[rest].append((i, 1, right[k], -1, left[k]))\n",
            (DIFFERENTIAL_ORACLE,)),
     # d is equivariant under these two mutants too, so the equivariance
     # check cannot see them; the exactness checks do
     Mutant("koszul-adds-right-term", "weyl.py",
-           "                drops.append((wid[w[:pos] + w[pos + 1:]], sign, left[k], -sign, right[k]))\n",
-           "                drops.append((wid[w[:pos] + w[pos + 1:]], sign, left[k], sign, right[k]))\n",
+           "                self.drops[i].append((rest, sign, left[k], -sign, right[k]))\n",
+           "                self.drops[i].append((rest, sign, left[k], sign, right[k]))\n",
            (DIFFERENTIAL_ORACLE, BOUNDED_EXACTNESS)),
     Mutant("dual-adds-right-term", "weyl.py",
-           "                inserts.append((wid[tuple(sorted(w + (j,)))], sign, right[j], -sign, left[j]))\n",
-           "                inserts.append((wid[tuple(sorted(w + (j,)))], sign, right[j], sign, left[j]))\n",
+           "                self.inserts[rest].append((i, sign, right[k], -sign, left[k]))\n",
+           "                self.inserts[rest].append((i, sign, right[k], sign, left[k]))\n",
            (DIFFERENTIAL_ORACLE,)),
     Mutant("koszul-swaps-right-product", "weyl.py",
-           "                drops.append((wid[w[:pos] + w[pos + 1:]], sign, left[k], -sign, right[k]))\n",
-           "                drops.append((wid[w[:pos] + w[pos + 1:]], sign, left[k], -sign, left[k]))\n",
+           "                self.drops[i].append((rest, sign, left[k], -sign, right[k]))\n",
+           "                self.drops[i].append((rest, sign, left[k], -sign, left[k]))\n",
            (DIFFERENTIAL_ORACLE, "tests/test_weyl.py::test_koszul_d_squared_zero_exhaustive",
             BOUNDED_EXACTNESS)),
     Mutant("dual-swaps-right-product", "weyl.py",
-           "                inserts.append((wid[tuple(sorted(w + (j,)))], sign, right[j], -sign, left[j]))\n",
-           "                inserts.append((wid[tuple(sorted(w + (j,)))], sign, right[j], -sign, right[j]))\n",
+           "                self.inserts[rest].append((i, sign, right[k], -sign, left[k]))\n",
+           "                self.inserts[rest].append((i, sign, right[k], -sign, right[k]))\n",
            (DIFFERENTIAL_ORACLE,)),
     Mutant("product-tables-swap-left-and-right", "weyl.py",
            "        left = [table(k, on_left=True) for k in range(n2)]\n"
@@ -301,8 +301,8 @@ MUTANTS = [
            ("tests/test_ginzburg.py::test_splicing_differential_matches_product_oracle"
             "_on_short_paths",)),
     Mutant("contragredient-reads-inverse-untransposed", "action.py",
-           "            (Path(src, (row_name,)), inv[k][t]) for t, row_name in enumerate(rows)))\n",
-           "            (Path(src, (row_name,)), inv[t][k]) for t, row_name in enumerate(rows)))\n",
+           "                    (Path(start, (star_name(row),)), inv[k][t]) for t, row in enumerate(rows)))\n",
+           "                    (Path(start, (star_name(row),)), inv[t][k]) for t, row in enumerate(rows)))\n",
            ("tests/test_action.py::test_extend_shear_action_equivariant",)),
     Mutant("completion-composes-left-factor-first", "document.py",
            "                perm = {v: perm_g[perm_h[v]] for v in quiver.vertices}\n",
@@ -345,6 +345,14 @@ MUTANTS = [
            "    except (ValueError, RecursionError) as exc:\n",
            "    except json.JSONDecodeError as exc:\n",
            ("tests/test_cli.py::test_unreadable_json_is_refused_at_the_root",)),
+    # -- primality and roots of unity --
+    Mutant("miller-rabin-skips-a-base", "fields.py",
+           "               for b in _BASES)\n", "               for b in _BASES[:-1])\n",
+           ("tests/test_fields.py::test_strong_pseudoprimes_are_not_prime",)),
+    Mutant("root-search-returns-r-itself", "fields.py",
+           "    return min(pow(r, k, p) for k in range(1, n + 1) if gcd(k, n) == 1)\n",
+           "    return r\n",
+           ("tests/test_fields.py::test_primitive_root_is_the_least_of_the_linear_search",)),
     # -- loading each module on first use --
     Mutant("init-loads-submodules-eagerly", "__init__.py",
            "    _spec.loader = importlib.util.LazyLoader(_spec.loader)\n", "",

@@ -38,8 +38,15 @@ commutators of the images), and two commutator feeds that
 ``skewgin.crossed.express_modulo_commutators`` replaced: one retrying the
 target every 24 insertions, and one feeding every commutator before it
 expresses the target once, which the feed that stops at the target
-replaced.  Four more run on skewgin's ``LinSolver``: the marker-column
-solve ``marker_express`` that the back-substitution of
+replaced.  Also here: the trial division and the search through every
+residue that Miller-Rabin and the powers of
+``skewgin.fields.primitive_root_of_unity`` replaced, the dual's moves by
+their own sign rule (``greater_sign_inserts``) that the transposed drops
+of ``skewgin.weyl._Chains`` replaced, and the contragredient image with
+its block inverted once per arrow that the one inverse per block of
+``skewgin.action.extend_to_ginzburg`` replaced.  Four more run on
+skewgin's ``LinSolver``: the marker-column solve ``marker_express`` that
+the back-substitution of
 ``LinSolver.express`` replaced, ``whole_layer_ranks``, the one solver
 per length layer that the Peirce-block ranks of
 ``skewgin.morita.block_rank`` replaced, ``all_pairs_dimension_check``,
@@ -60,7 +67,9 @@ of ``skewgin.morita.check_embedding`` replaced, runs on skewgin's crossed
 product and ``embed_paths``.
 
 The last section holds helpers that no command uses, kept for the tests:
-``one`` and ``scale`` (which ``CrossedElement`` no longer has),
+``one``, ``scale`` and ``scalar_element``, the element of field scalars
+(``CrossedElement`` is built from den and int terms only),
+``certificate_entries``, the field-scalar entries of a ``Certificate``,
 ``entries``, which lists the ``Certificate`` that
 ``express_modulo_commutators`` returns so it compares with the two feeds
 above, ``certificate_of``, which builds a ``Certificate`` from entries
@@ -86,7 +95,7 @@ from skewgin.crossed import (Certificate, CommutatorTerm, CrossedElement, _basis
 from skewgin.errors import CheckFailed, SkewginError
 from skewgin.fields import primitive_root_of_unity
 from skewgin.ginzburg import derivative_relations, jacobian_truncation, relation_ideal
-from skewgin.linalg import LinSolver
+from skewgin.linalg import LinSolver, invert_matrix
 from skewgin.morita import _diagonal_orbit_reps, corner, embed_paths
 from skewgin.potential import Potential, _rotations, cycle_length_of, cyclic_derivative
 from skewgin.quiver import AlgElement, Path, basis_up_to, paths_by_length
@@ -103,6 +112,30 @@ def naive_accumulate(field, acc, terms):
         else:
             acc[key] = s
     return acc
+
+
+def trial_division_is_prime(n):
+    """Primality by trial division up to the square root, the test that
+    Miller-Rabin in ``skewgin.fields`` replaced."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def linear_root_of_unity(p, n):
+    """The least residue of exact multiplicative order n mod the prime p,
+    or None, by trying every candidate below p: the search that the powers
+    of ``skewgin.fields.primitive_root_of_unity`` replaced."""
+    for candidate in range(1, p):
+        if pow(candidate, n, p) == 1 and all(pow(candidate, m, p) != 1
+                                             for m in range(1, n) if n % m == 0):
+            return candidate
+    return None
 
 
 def dense_rank(rows, p=None):
@@ -438,6 +471,28 @@ def naive_dual_differential(field, n, element):
     return out
 
 
+def greater_sign_inserts(chains):
+    """The dual's moves of a ``skewgin.weyl._Chains``, built by their own
+    rule: for each letter j not in w, the insert to w + j with the sign
+    (-1)^(letters of w greater than j), on the product tables that the
+    resolution's moves hold (drops of the full wedge, one per letter).
+    The loop that the transpose of the drops replaced."""
+    n2, wid = chains.n2, chains.wedge_index
+    tables = [(left, right) for _, _, left, _, right in chains.drops[wid[tuple(range(n2))]]]
+    out = []
+    for w in chains.wedges:
+        inserts = []
+        for j in range(n2):
+            if j in w:
+                continue
+            greater = sum(1 for x in w if x > j)
+            sign = 1 if greater % 2 == 0 else -1
+            left, right = tables[j]
+            inserts.append((wid[tuple(sorted(w + (j,)))], sign, right, -sign, left))
+        out.append(inserts)
+    return out
+
+
 def left_difference(algebra, k, u):
     """(v (x) 1 - 1 (x) v).u for the k-th V basis vector v, on the
     library's memoized int products."""
@@ -724,7 +779,7 @@ def naive_crossed_mul(x, y):
     field-scalar views of x and y and of the action's images."""
     action = x.action
     gmul, compose = action.group.mul, action.quiver.compose
-    return CrossedElement(action, action.field.accumulate({}, (
+    return scalar_element(action, action.field.accumulate({}, (
         ((pr, gmul(g, h)), cp * cq * cr)
         for (p, g), cp in x.field_terms().items()
         for (q, h), cq in y.field_terms().items()
@@ -740,6 +795,18 @@ def naive_act_path(action, g, path):
     for name in path.arrows:
         out = out * action.arrow_images[g][name]
     return out
+
+
+def naive_contragredient_image(action, g, arrow_name):
+    """Image of an arrow under the inverse-transpose of its block matrix,
+    the block inverted afresh for each arrow: the method that the one
+    inverse per block of ``skewgin.action.extend_to_ginzburg`` replaced."""
+    a = action.quiver.arrow(arrow_name)
+    mat, cols, rows = action.block_matrix(g, a.src, a.tgt)
+    inv = invert_matrix(action.field, mat)
+    k, src = cols.index(arrow_name), action.act_vertex(g, a.src)  # (M^-1)^T at [t][k]
+    return AlgElement(action.quiver, action.field, (
+        (Path(src, (row_name,)), inv[k][t]) for t, row_name in enumerate(rows)))
 
 
 def naive_expand_certificate(action, certificate):
@@ -1070,27 +1137,44 @@ def one(action):
     """The unit of the crossed product: the sum of the vertex idempotents
     at the identity."""
     ident, unit = action.group.identity, action.field.one()
-    return CrossedElement(action, {(action.quiver.trivial_path(v), ident): unit
+    return scalar_element(action, {(action.quiver.trivial_path(v), ident): unit
                                    for v in action.quiver.vertices})
 
 
 def scale(x, coeff):
-    """coeff * x on field scalars, cleared afresh by the constructor."""
+    """coeff * x on field scalars, cleared afresh by ``scalar_element``."""
     f = x.action.field
-    return CrossedElement(x.action, {k: f.mul(coeff, c) for k, c in x.field_terms().items()})
+    return scalar_element(x.action, {k: f.mul(coeff, c) for k, c in x.field_terms().items()})
 
 
-def entries(found):
+def scalar_element(action, terms):
+    """The crossed element of (key, field scalar) pairs or a dict, summed
+    and cleared by ``Field.scaled`` to the den and int terms that
+    ``CrossedElement`` takes."""
+    field = action.field
+    acc = field.accumulate({}, terms.items() if isinstance(terms, dict) else terms)
+    den, items = field.scaled(acc.items())
+    return CrossedElement(action, den, dict(items))
+
+
+def certificate_entries(field, certificate):
+    """The entries ((u, v), field scalar) of a ``Certificate``, one
+    ``Field.ratio`` each, in its order."""
+    den = certificate.den
+    return [(pair, field.ratio(s, den)) for pair, s in certificate.terms.items()]
+
+
+def entries(field, found):
     """(combination, certificate entries) of what
     ``express_modulo_commutators`` returns, so it compares with the
     oracles above; None stays None."""
-    return None if found is None else (found[0], list(found[1]))
+    return None if found is None else (found[0], certificate_entries(field, found[1]))
 
 
 def certificate_of(field, entries):
     """The ``Certificate`` of ((u, v), field scalar) entries through one
     ``Field.combine``, a repeated pair getting the sum of its coefficients."""
-    return Certificate(field, *field.combine((coeff, 1, ((pair, 1),)) for pair, coeff in entries))
+    return Certificate(*field.combine((coeff, 1, ((pair, 1),)) for pair, coeff in entries))
 
 
 def weyl_x(algebra, i):
@@ -1218,4 +1302,4 @@ def hc0_reduce(x: CrossedElement, e: CrossedElement):
     # self-verify: the certificate must re-expand exactly to x - w
     if expand_certificate(action, certificate) != x - w:
         raise CheckFailed("certificate failed re-expansion")
-    return w, list(certificate)
+    return w, certificate_entries(action.field, certificate)

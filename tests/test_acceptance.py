@@ -20,7 +20,8 @@ from skewgin.potential import canonicalize
 from skewgin.quiver import AlgElement, GradedQuiver, basis_up_to
 
 from docs import MCKAY, NEGATION_NONINVARIANT, THREE_LOOPS_COMMUTATOR, doc
-from oracles import brute_jacobian_dims, path_unit, scale
+from oracles import (brute_jacobian_dims, certificate_entries, path_unit, scalar_element,
+                     scale)
 from test_ginzburg import JACOBIAN_CASES
 
 Q = make_field("Q")
@@ -153,7 +154,7 @@ def test_criterion_3_mckay_pipeline():
     from skewgin.morita import embed
     diff = embed(md, reduced.as_element()) - x
     recombined = CrossedElement.zero(action)
-    for (u, v), coeff in certificate:
+    for (u, v), coeff in certificate_entries(action.field, certificate):
         eu = CrossedElement.from_pair(action, *u)
         ev = CrossedElement.from_pair(action, *v)
         recombined = recombined + scale(eu * ev - ev * eu, coeff)
@@ -226,9 +227,8 @@ def test_criterion_6_crossed_product_laws():
     def rand_el():
         el = CrossedElement.zero(action)
         for _ in range(rng.randint(1, 3)):
-            el = el + CrossedElement.from_pair(
-                action, rng.choice(paths), rng.randrange(3),
-                field.from_int(rng.randint(1, 6)))
+            el = el + scalar_element(action, {(rng.choice(paths), rng.randrange(3)):
+                                       field.from_int(rng.randint(1, 6))})
         return el
 
     ok = True

@@ -1,14 +1,18 @@
 import pytest
 
+from skewgin import action as action_module
 from skewgin.action import (QuiverAction, extend_to_ginzburg,
                             is_potential_invariant, validate_action)
+from skewgin.document import parse
 from skewgin.errors import CheckFailed
 from skewgin.fields import make_field
-from skewgin.ginzburg import ginzburg
+from skewgin.ginzburg import ginzburg, star_name
 from skewgin.groups import cyclic_group
+from skewgin.linalg import invert_matrix
 from skewgin.potential import canonicalize, cyclic_derivative
-from skewgin.quiver import AlgElement, GradedQuiver, basis_up_to
+from skewgin.quiver import AlgElement, GradedQuiver, Path, basis_up_to
 
+from docs import MCKAY, SIGNED_S3, doc
 from oracles import naive_act_path
 
 Q = make_field("Q")
@@ -254,14 +258,14 @@ def test_potential_not_invariant_under_negation():
 def test_derivative_transport_identity():
     # g(dW/da) equals the derivative along the contragredient image of a,
     # for invariant W; on permutation actions that image is just g(a)
-    from oracles import cyclic_derivative_along
+    from oracles import cyclic_derivative_along, naive_contragredient_image
     for action, field in ((loop_permutation_action(Q), Q),
                           (loop_scaling_action(F7, 2), F7)):
         w = commutator_potential(action.quiver, field)
         for g in action.group.elements():
             for a in action.quiver.arrows:
                 lhs = action.act(g, cyclic_derivative(w, a.name))
-                rhs = cyclic_derivative_along(w, action.contragredient_image(g, a.name))
+                rhs = cyclic_derivative_along(w, naive_contragredient_image(action, g, a.name))
                 assert lhs == rhs
 
 
@@ -307,19 +311,22 @@ def test_extend_trivial_group():
     assert report == []
 
 
-def test_extend_shear_action_equivariant():
-    # an order-2 action mixing two loops with a non-orthogonal matrix:
-    # u -> u, v -> u - v; following the arrows on stars would break the loop
-    # differential, the inverse-transpose keeps everything equivariant
+def shear_action():
+    """Z/2 mixing two loops with a non-orthogonal matrix: u -> u, v -> u - v."""
     q = GradedQuiver(["1"], [("u", "1", "1", 0), ("v", "1", "1", 0)])
-    g2 = cyclic_group(2)
-    perms = [{"1": "1"}, {"1": "1"}]
     images = [
         {"u": AlgElement.from_arrow(q, Q, "u"), "v": AlgElement.from_arrow(q, Q, "v")},
         {"u": AlgElement.from_arrow(q, Q, "u"),
          "v": AlgElement.from_arrow(q, Q, "u") - AlgElement.from_arrow(q, Q, "v")},
     ]
-    action = QuiverAction(g2, q, Q, perms, images)
+    return QuiverAction(cyclic_group(2), q, Q, [{"1": "1"}, {"1": "1"}], images)
+
+
+def test_extend_shear_action_equivariant():
+    # following the arrows on stars would break the loop differential of
+    # the shear, the inverse-transpose keeps everything equivariant
+    action = shear_action()
+    q = action.quiver
     assert validate_action(action) == []
     for w_terms in ([], [(Q.one(), q.path(["u", "u"]))]):
         w = canonicalize(q, Q, [(c, p) for c, p in w_terms])
@@ -366,8 +373,42 @@ def test_contragredient_of_a_singular_block_raises():
     q = GradedQuiver(["1"], [("x", "1", "1", 0)])
     action = QuiverAction(cyclic_group(2), q, Q, [{"1": "1"}] * 2,
                           [{"x": AlgElement.from_arrow(q, Q, "x")}, {"x": AlgElement(q, Q)}])
+    pres = ginzburg(q, canonicalize(q, Q, []), 3)
     with pytest.raises(ValueError, match="^non-invertible arrow block; validate the action first$"):
-        action.contragredient_image(1, "x")
+        extend_to_ginzburg(action, pres)
+
+
+@pytest.mark.parametrize("name", ["mckay", "signed-s3", "swap", "shear"])
+def test_extend_inverts_each_block_once_and_moves_stars_by_its_transpose(name, monkeypatch):
+    # each dual arrow a* goes to the starred inverse-transpose image of a,
+    # the oracle inverting a's block afresh per arrow; extend_to_ginzburg
+    # inverts each nonempty arrow block once per group element
+    from oracles import naive_contragredient_image
+    if name in ("mckay", "signed-s3"):
+        problem = parse(doc(MCKAY if name == "mckay" else SIGNED_S3))
+        action, w, d = problem.action, problem.potential, problem.d
+    else:
+        action = swap_action(Q) if name == "swap" else shear_action()
+        w, d = canonicalize(action.quiver, Q, []), 3
+    pres = ginzburg(action.quiver, w, d)
+    calls = []
+
+    def counting(field, mat):
+        calls.append(mat)
+        return invert_matrix(field, mat)
+
+    monkeypatch.setattr(action_module, "invert_matrix", counting)
+    extended, report = extend_to_ginzburg(action, pres)
+    quiver = action.quiver
+    blocks = {(a.src, a.tgt) for a in quiver.arrows}
+    assert report == []
+    assert len(calls) == action.group.size * len(blocks)
+    for g in action.group.elements():
+        for a in quiver.arrows:
+            want = AlgElement(pres.doubled, action.field, (
+                (Path(action.act_vertex(g, a.tgt), (star_name(p.arrows[0]),)), c)
+                for p, c in naive_contragredient_image(action, g, a.name).terms.items()))
+            assert extended.arrow_images[g][star_name(a.name)] == want
 
 
 def test_extend_rejects_noninvariant():

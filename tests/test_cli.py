@@ -289,6 +289,20 @@ def test_ginzburg_corrupted_differential_exit_1(capsys, tmp_path):
     assert any(v["generator"] == "c_1" for v in square["violations"])
 
 
+@pytest.mark.parametrize("paths, got", [([["x", "y"]], 0), ([["x", "y"], ["x", "x*"]], None)],
+                         ids=["wrong-degree", "two-degrees"])
+def test_ginzburg_override_off_its_degree_exit_1(capsys, tmp_path, paths, got):
+    # d(c_1) must have degree -1: a term of degree 0 is reported with its
+    # degree, terms of degrees 0 and -1 with none
+    bad = doc(THREE_LOOPS_COMMUTATOR,
+              differential_override={"c_1": [{"coeff": "1", "path": p} for p in paths]})
+    code, report = run_cli(capsys, tmp_path, bad, "ginzburg", "--check")
+    assert code == 1
+    degree = next(c for c in report["checks"] if c["check"] == "differential raises degree by one")
+    assert degree["ok"] is False
+    assert degree["violations"] == [{"generator": "c_1", "expected": -1, "got": got}]
+
+
 def test_ginzburg_determinism(capsys, tmp_path):
     text = doc(MCKAY)
     code1, r1 = run_cli(capsys, tmp_path, text, "ginzburg", "--check", name="a.json")
@@ -357,6 +371,34 @@ def test_validate_nonprime_modulus_exit_2_at_field(capsys, tmp_path):
     code, report = run_cli(capsys, tmp_path, doc(MINIMAL, field={"p": 4}), "validate")
     assert code == 2
     assert report["errors"] == [{"location": "/field", "message": "modulus 4 is not prime"}]
+
+
+def test_a_modulus_near_10_18_is_read_by_both_readers(capsys, tmp_path):
+    # a prime of 19 digits is tested by Miller-Rabin at once
+    p = 10 ** 18 + 3
+    code, report = run_cli(capsys, tmp_path, doc(MINIMAL, field={"p": p}), "validate")
+    assert code == 0 and report["ok"] is True
+    assert main(["weyl", "--n", "1", "--filtration", "0", "--field", str(p)]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+def test_a_modulus_past_the_bound_is_refused_at_field_by_both_readers(capsys, tmp_path):
+    refusal = [{"location": "/field", "message": "expected a modulus of at most 10" + "0" * 22}]
+    p = 10 ** 23 + 117
+    code, report = run_cli(capsys, tmp_path, doc(MINIMAL, field={"p": p}), "validate")
+    assert code == 2 and report["errors"] == refusal
+    assert main(["weyl", "--n", "1", "--field", str(p)]) == 2
+    assert json.loads(capsys.readouterr().out)["errors"] == refusal
+
+
+def test_mckay_over_a_ten_digit_prime_reduces(capsys, tmp_path):
+    # the characters need a primitive cube root of unity mod p, found by
+    # powers rather than a search through every residue
+    p, w = 1_000_000_009, "115381398"
+    scaling = {"g": {"arrow_matrices": {"(v,v)": [[w, "0", "0"], ["0", w, "0"], ["0", "0", w]]}}}
+    code, report = run_cli(capsys, tmp_path, doc(MCKAY, field={"p": p}, action=scaling), "reduce")
+    assert code == 0
+    assert report["choices"]["irreducible_dims"] == {"v": [1, 1, 1]}
 
 
 def test_reduce_trivial_group(capsys, tmp_path):
@@ -535,6 +577,20 @@ def test_weyl_nonsymplectic_exit_1(capsys, tmp_path):
     report = json.loads(capsys.readouterr().out)
     assert code == 1
     assert report["matrix_index"] == 0
+
+
+def test_weyl_failed_closing_check_exits_1_with_one_report(capsys, monkeypatch):
+    # with the product's arguments swapped the augmentation no longer
+    # closes the resolution: a failed derived check, one report, exit 1
+    from skewgin.weyl import WeylAlgebra
+    product = WeylAlgebra._mul_monomials
+    monkeypatch.setattr(WeylAlgebra, "_mul_monomials", lambda self, m1, m2: product(self, m2, m1))
+    code = main(["weyl", "--n", "1", "--filtration", "2"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report == {"version": report["version"], "command": "weyl", "ok": False,
+                      "failure": "the augmentation does not annihilate the image",
+                      "matrix_index": None}
 
 
 # matrix files for the pinned weyl reports: two symplectic matrices (a

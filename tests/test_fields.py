@@ -4,7 +4,8 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from oracles import naive_accumulate
+from oracles import linear_root_of_unity, naive_accumulate, trial_division_is_prime
+from skewgin import fields
 from skewgin.errors import SkewginError
 from skewgin.fields import make_field, primitive_root_of_unity
 
@@ -48,6 +49,35 @@ def test_make_field_rejects_composite():
     for odd in (9, 15, 49):
         with pytest.raises(SkewginError, match=f"^modulus {odd} is not prime$"):
             make_field(odd)
+
+
+def test_primality_agrees_with_trial_division_below_100000():
+    assert [n for n in range(10 ** 5) if fields._is_prime(n)] == [
+        n for n in range(10 ** 5) if trial_division_is_prime(n)]
+
+
+# the least strong pseudoprimes to the first 1, 2, ..., 11 prime bases
+# (3825123056546413051 passes 2 to 31), each caught by a later base
+STRONG_PSEUDOPRIMES = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                       341550071728321, 3825123056546413051]
+
+
+@pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES)
+def test_strong_pseudoprimes_are_not_prime(n):
+    assert not fields._is_prime(n)
+    with pytest.raises(SkewginError, match=f"^modulus {n} is not prime$"):
+        make_field(n)
+
+
+def test_moduli_up_to_the_bound_are_read_and_past_it_refused():
+    # primes near 10^18 and 10^23 are tested at once; past the bound,
+    # where bases 2 to 37 stop being exact, a modulus is refused
+    assert make_field(10 ** 18 + 3).p == 10 ** 18 + 3
+    assert fields.MAX_MODULUS == 10 ** 23
+    assert make_field(10 ** 23 - 23).p == 10 ** 23 - 23
+    for p in (10 ** 23 + 117, 318665857834031151167461):
+        with pytest.raises(SkewginError, match="^expected a modulus of at most 10{23}$"):
+            make_field(p)
 
 
 @pytest.mark.parametrize("spec", ["Q", 7, 13])
@@ -105,6 +135,21 @@ def test_primitive_root_order_is_exact():
         for m in range(1, n):
             if n % m == 0:
                 assert f.pow(w, m) != 1
+
+
+def test_primitive_root_is_the_least_of_the_linear_search():
+    # every prime p < 200 and every order n dividing p - 1
+    for p in range(2, 200):
+        if trial_division_is_prime(p):
+            for n in range(1, p):
+                if (p - 1) % n == 0:
+                    assert primitive_root_of_unity(make_field(p), n) == linear_root_of_unity(p, n)
+
+
+def test_primitive_root_mod_a_large_prime_is_found_at_once():
+    p = 1_000_000_009
+    w = primitive_root_of_unity(make_field(p), 3)
+    assert w == 115_381_398 and pow(w, 3, p) == 1 and w != 1
 
 
 def test_primitive_root_of_order_below_one_raises():

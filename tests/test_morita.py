@@ -26,10 +26,11 @@ from skewgin.quiver import AlgElement, GradedQuiver, basis_up_to, paths_by_lengt
 
 from docs import MCKAY, MCKAY_NON_MONOMIAL, SIGNED_S3, SIGNED_S3_SHEARED, doc
 from oracles import (LabelledLinSolver, all_pairs_dimension_check, all_pairs_multiplicativity,
-                     certificate_of, entries, feed_all_express_modulo_commutators, naive_build_bimodule,
+                     certificate_entries, certificate_of, entries,
+                     feed_all_express_modulo_commutators, naive_build_bimodule,
                      naive_commutator_basis, naive_corner, naive_embed_path,
                      naive_expand_certificate,
-                     group_sub, retrying_express_modulo_commutators, scale,
+                     group_sub, retrying_express_modulo_commutators, scalar_element, scale,
                      whole_layer_ranks)
 from test_crossed import KERNEL_ACTIONS, scalars
 
@@ -387,7 +388,7 @@ def test_mckay_transport_and_dimensions(mckay):
     # check the class equation directly
     diff = embed(md, reduced.as_element()) - CrossedElement.from_alg(action, w.as_element())
     recombined = CrossedElement.zero(action)
-    for (u, v), coeff in cert:
+    for (u, v), coeff in certificate_entries(md.field, cert):
         eu = CrossedElement.from_pair(action, *u)
         ev = CrossedElement.from_pair(action, *v)
         recombined = recombined + scale(eu * ev - ev * eu, coeff)
@@ -589,7 +590,7 @@ def test_corner_matches_two_product_oracle(name, data):
     trivial = [(action.quiver.trivial_path(v), g)
                for v in action.quiver.vertices for g in action.group.elements()]
     e = data.draw(st.lists(st.tuples(st.sampled_from(trivial), scalars(action.field)),
-                           max_size=5).map(lambda terms: CrossedElement(action, terms)))
+                           max_size=5).map(lambda terms: scalar_element(action, terms)))
     assert_corners_match_oracle(e, 2)
 
 
@@ -890,7 +891,7 @@ FEED_PROBLEMS = {"mckay": lambda: document_problem(MCKAY),
 @pytest.mark.parametrize("name", sorted(FEED_PROBLEMS))
 def test_one_commutator_feed_matches_retrying_oracle_on_transport(name):
     md, w = FEED_PROBLEMS[name]()
-    got = entries(express_modulo_commutators(*transport_feed(md, w)))
+    got = entries(md.field, express_modulo_commutators(*transport_feed(md, w)))
     assert got is not None
     assert got == retrying_express_modulo_commutators(*transport_feed(md, w))
     assert got == feed_all_express_modulo_commutators(*transport_feed(md, w))
@@ -903,7 +904,7 @@ def test_one_commutator_feed_matches_retrying_oracle_on_certification(mckay):
     action, md = mckay
     w = mckay_potential(action)
     reduced, _ = transport_potential(w, md)
-    got = entries(express_modulo_commutators(*certify_feed(md, w, reduced)))
+    got = entries(md.field, express_modulo_commutators(*certify_feed(md, w, reduced)))
     assert got is not None and got[1]
     assert got == retrying_express_modulo_commutators(*certify_feed(md, w, reduced))
     assert got == feed_all_express_modulo_commutators(*certify_feed(md, w, reduced))
@@ -922,7 +923,7 @@ def test_signed_s3_commutator_feed_stops_at_the_potential(monkeypatch):
     # whole feed gives
     md, w = document_problem(SIGNED_S3)
     fed, _ = watch_solver(monkeypatch)
-    got = entries(express_modulo_commutators(*transport_feed(md, w)))
+    got = entries(md.field, express_modulo_commutators(*transport_feed(md, w)))
     assert len(commutator_basis(md.action, 3, crossed._basis_pairs(md.action, 3))) == 1764
     assert 0 < commutators_fed(fed) < 1764
     assert got == feed_all_express_modulo_commutators(*transport_feed(md, w))
@@ -942,7 +943,7 @@ def test_signed_s3_feed_builds_only_the_commutators_it_feeds(monkeypatch):
     monkeypatch.setattr(crossed, "commutator_basis", counting_basis)
     fed, _ = watch_solver(monkeypatch)
     md, w = document_problem(SIGNED_S3)
-    got = entries(express_modulo_commutators(*transport_feed(md, w)))
+    got = entries(md.field, express_modulo_commutators(*transport_feed(md, w)))
     assert len(built) == commutators_fed(fed) == 442
     monkeypatch.undo()
     assert got == feed_all_express_modulo_commutators(*transport_feed(md, w))
@@ -960,7 +961,7 @@ def test_lazy_feed_matches_feed_all_oracle_on_random_inputs(name, data):
     length = data.draw(st.integers(2, 3), label="length")
     index = basis_index(action, length)
     elements = st.lists(st.tuples(st.sampled_from(list(index)), scalars(action.field)),
-                        min_size=1, max_size=4).map(lambda terms: CrossedElement(action, terms))
+                        min_size=1, max_size=4).map(lambda terms: scalar_element(action, terms))
     inputs = data.draw(st.lists(elements, max_size=3), label="inputs")
     # the inputs and commutators, each times a scalar, and at times a
     # random element that is mostly outside their span
@@ -977,7 +978,7 @@ def test_lazy_feed_matches_feed_all_oracle_on_random_inputs(name, data):
             target = target + scale(x, c)
 
     labelled = list(enumerate(inputs))
-    got = entries(express_modulo_commutators(target, labelled))
+    got = entries(action.field, express_modulo_commutators(target, labelled))
     assert got == feed_all_express_modulo_commutators(target, labelled)
     assert got is not None or not noise.is_zero()
     solver = LinSolver(action.field)
@@ -994,10 +995,10 @@ def test_lazy_feed_matches_feed_all_oracle_on_random_inputs(name, data):
 
 def test_signed_s3_certificate_is_one_den_and_ints():
     # transport keeps its merged certificate as one den and int entries;
-    # len counts the entries and iteration gives the Fractions they stand for
+    # len counts the entries, which stand for the Fractions listed
     md, w = document_problem(SIGNED_S3)
     _, cert = transport_potential(w, md)
-    listed = list(cert)
+    listed = certificate_entries(md.field, cert)
     assert len(cert) == len(listed) == len(dict(listed)) == 1730
     assert cert.den != 1 and all(type(s) is int for s in cert.terms.values())
     assert listed == [(pair, Fraction(s, cert.den)) for pair, s in cert.terms.items()]
@@ -1006,7 +1007,8 @@ def test_signed_s3_certificate_is_one_den_and_ints():
     want = naive_expand_certificate(md.action, listed)
     assert expand_certificate(md.action, cert) == want
     again = certificate_of(md.field, listed)
-    assert list(again) == listed and expand_certificate(md.action, again) == want
+    assert certificate_entries(md.field, again) == listed
+    assert expand_certificate(md.action, again) == want
 
 
 def field_vector(element, index):
@@ -1042,9 +1044,9 @@ def test_rescaled_combination_matches_labelled_oracle_on_fraction_vectors(name, 
         assert oracle.add(field_vector(element, index), label=label)
     combo = oracle.express(field_vector(target, index))
     assert own == {p: c for p, c in combo.items() if not isinstance(p, CommutatorTerm)}
-    assert dict(certificate) == {(t.u, t.v): c for t, c in combo.items()
-                                 if isinstance(t, CommutatorTerm)}
-    assert len(dict(certificate)) == len(certificate)
+    listed = dict(certificate_entries(md.field, certificate))
+    assert listed == {(t.u, t.v): c for t, c in combo.items() if isinstance(t, CommutatorTerm)}
+    assert len(listed) == len(certificate)
 
 
 def commutator_actions():
@@ -1148,3 +1150,15 @@ def test_dimension_check_refuses_a_potential_without_one_cycle_length(mckay, mon
                        match="^dimension check requires one cycle length$") as info:
         morita_dimension_check(md, w, reduced, 2)
     assert str(info.value) == "dimension check requires one cycle length"
+
+
+def test_check_fullness_skips_empty_layers_and_negative_bounds():
+    # with no arrows every layer past length 0 is empty, so only the
+    # dropped idempotent's length 0 is reported; a negative bound checks
+    # nothing
+    action = trivial_action(GradedQuiver(["1", "2"], []))
+    md = build_morita(action)
+    md.vertex_idems[md.qprime.vertices[0]] = CrossedElement.zero(action)
+    assert check_fullness(md, 2) == [
+        "length 0: idempotent span has rank 1 < 2; the corner misses part of the algebra"]
+    assert check_fullness(md, -1) == []

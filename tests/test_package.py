@@ -110,3 +110,12 @@ def test_each_command_executes_only_the_modules_it_uses(tmp_path, argv, exactly,
         assert set(executed) == exactly
     else:
         assert not never & set(executed)
+
+
+def test_every_public_name_is_read_from_its_module():
+    # the package reads a public name off the module that defines it
+    for name in skewgin.__all__[1:]:
+        home = skewgin._HOME[name]
+        assert getattr(skewgin, name) is getattr(importlib.import_module(f"skewgin.{home}"), name)
+    with pytest.raises(AttributeError, match="^module 'skewgin' has no attribute 'nope'$"):
+        skewgin.nope

@@ -140,3 +140,10 @@ def test_degree_of_inhomogeneous():
     q = graded_two_loop(0, -1)
     w = canonicalize(q, Q, [(Q.one(), q.path(["a", "a"])), (Q.one(), q.path(["b"]))])
     assert degree_of(w) is None
+
+
+def test_equality_leaves_other_types_to_python():
+    q = three_loop_quiver()
+    w = canonicalize(q, Q, [(Q.one(), q.path(["x", "y"]))])
+    assert w.__eq__(1) is NotImplemented
+    assert w != 1 and w != w.as_element()

@@ -241,3 +241,19 @@ def test_mutating_returned_layers_leaves_the_cache_alone():
     by_len[7] = ()
     assert paths_by_length(q, 3) == want
     assert paths_by_length(q, 1) == naive_paths_by_length(q, 1)
+
+
+def test_operators_leave_other_types_to_python():
+    q = GradedQuiver(["1"], [("x", "1", "1", 0)])
+    x = AlgElement.from_arrow(q, Q, "x")
+    assert x.__eq__(1) is NotImplemented and x.__mul__(1) is NotImplemented
+    assert x != 1
+    with pytest.raises(TypeError):
+        x * 1
+
+
+def test_degree_of_an_inhomogeneous_element_is_none():
+    q = GradedQuiver(["1"], [("x", "1", "1", 0), ("y", "1", "1", -1)])
+    x, y = AlgElement.from_arrow(q, Q, "x"), AlgElement.from_arrow(q, Q, "y")
+    assert x.degree() == 0 and (x * y).degree() == -1
+    assert (x + y).degree() is None and AlgElement(q, Q).degree() is None

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (coded_homology, dict_dual_differential, dict_keyed_homology,
                      dict_koszul_differential, eliminated_dual_report, envelope_one,
+                     greater_sign_inserts,
                      naive_dual_differential, naive_is_symplectic, naive_koszul_differential,
                      naive_mul_monomials, naive_sp_equivariance, per_position_dual_differential,
                      per_position_koszul_differential, position_keys, weyl_commutator, weyl_d,
@@ -345,9 +346,19 @@ def test_phi_mismatch_names_the_position_and_wedge(monkeypatch):
     # with the dual differential lost, phi fails to be a chain map on the
     # first generator checked, 1 (x) 1 (x) 1 at dual position 0
     monkeypatch.setattr(weyl, "dual_differential", lambda algebra, element: {})
-    with pytest.raises(AssertionError,
+    with pytest.raises(CheckFailed,
                        match=r"^phi is not a chain map at dual position 0 on wedge \(\)$"):
         dual_report(1, 0, Q)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_dual_moves_are_the_transpose_of_the_resolutions(n):
+    # the inserts read off the drops are the moves of the dual's own sign
+    # rule, element by element, in the same order, on the same table objects
+    A = WeylAlgebra(n, Q)
+    for filt in range(3):
+        chains = _Chains(A, filt)
+        assert chains.inserts == greater_sign_inserts(chains)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -379,7 +390,7 @@ def test_homology_checks_the_closing_map(monkeypatch):
         [15, 10, 1], [9, 1], 6)
     product = WeylAlgebra._mul_monomials
     monkeypatch.setattr(WeylAlgebra, "_mul_monomials", lambda self, m1, m2: product(self, m2, m1))
-    with pytest.raises(AssertionError, match="^the augmentation does not annihilate the image$"):
+    with pytest.raises(CheckFailed, match="^the augmentation does not annihilate the image$"):
         bounded_exactness(1, 2, Q)
 
 
