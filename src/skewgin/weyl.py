@@ -13,15 +13,14 @@ Inside, a chain key w (x) s (x) t is one int code over numbered wedges
 and monomials, and the closed-form products of the V basis vectors with
 monomials and the moves of each wedge are tabulated once per algebra
 (``_Chains``).  One image routine builds a code's image as an int vector
-straight in the numbering its caller asks for: minus the listing index of
-the target position, which the homology feeds to ``LinSolver``, or minus
-the code, which ``koszul_differential`` and ``dual_differential`` decode
-to keys.  Only the resolution is eliminated, by ``bounded_exactness``:
-the dual is read off it through the self-duality that makes A_n
-Calabi-Yau, checked on generators.  No rule names n: each cost (the
-piece's dimension, the wedge tables, and the wedge action of a matrix
-through ``wedge_action_terms``) is counted in closed form against one
-cap by ``check_costs`` before any table is built.
+keyed by minus the code of each target: the homology feeds it to
+``LinSolver``, and ``koszul_differential`` and ``dual_differential``
+decode it to keys.  Only the resolution is eliminated, by
+``bounded_exactness``: the dual is read off it through the self-duality
+that makes A_n Calabi-Yau, checked on generators.  No rule names n: each
+cost (the piece's dimension, the wedge tables, and the wedge action of a
+matrix through ``wedge_action_terms``) is counted in closed form against
+one cap by ``check_costs`` before any table is built.
 
 The checks run on plain ints (the scaled-integer convention of
 ``fields.py``): monomial products are unreduced ints, the resolution and
@@ -191,19 +190,21 @@ class _Chains:
     filtration at most filt.
 
     A key (w, (s, t)) has the code (w * M + s) * M + t, with s and t the
-    ids of the M monomials in ``monomials_up_to(filt)`` and w the id of the
-    wedge in ``wedges``.  The tables left[k](s) and right[k](s) list the
-    products v_k s and s v_k of the k-th V basis vector as (monomial id,
-    int) pairs, each formed in closed form when first read; they are read
-    for monomials s below filt only, so every product is numbered.  A move
-    of a wedge is (target wedge id, sign, s table, sign, t table), with the
-    signs of its two terms: drops[w] are the moves of the resolution, by
-    v s (x) t - s (x) t v for each letter v dropped from w.  The dual's
-    moves inserts[w] are their transpose, read off in the same loop: the
-    drop of v from W with sign e gives W minus v the insert of v back to W,
-    by e (s v (x) t - s (x) v t), the same sign with the two sides swapped.
-    Wedges are listed by size, then lexicographically, so each inserts[w]
-    lists its letters in increasing order.
+    ids of the M monomials in ``monomials_up_to(filt)``, found by their
+    exponents in ``flat``, and w the id of the wedge in ``wedges``.  Images
+    are keyed by minus the code, wedge_at[w] + pair_at[s] - t.  The tables
+    left[k](s) and right[k](s) list the products v_k s and s v_k of the
+    k-th V basis vector as (monomial id, int) pairs, each formed in closed
+    form when first read; they are read for monomials s below filt only,
+    so every product is numbered.  A move of a wedge is (target wedge id,
+    sign, s table, sign, t table), with the signs of its two terms:
+    drops[w] are the moves of the resolution, by v s (x) t - s (x) t v for
+    each letter v dropped from w.  The dual's moves inserts[w] are their
+    transpose, read off in the same loop: the drop of v from W with sign e
+    gives W minus v the insert of v back to W, by e (s v (x) t - s (x) v t),
+    the same sign with the two sides swapped.  Wedges are listed by size,
+    then lexicographically, so each inserts[w] lists its letters in
+    increasing order.
     """
 
     def __init__(self, algebra: WeylAlgebra, filt: int):
@@ -212,10 +213,9 @@ class _Chains:
         self.mons = mons = algebra.monomials_up_to(filt)
         self.size = size = len(mons)
         self.degree = [WeylAlgebra.monomial_filtration(m) for m in mons]
-        self.index = index = {m: i for i, m in enumerate(mons)}
         self.wedges = [w for d in range(n2 + 1) for w in _wedges(n2, d)]
         self.wedge_index = wid = {w: i for i, w in enumerate(self.wedges)}
-        flat = {a + b: i for i, (a, b) in enumerate(mons)}  # by exponents of v_0..v_2n-1
+        self.flat = flat = {a + b: i for i, (a, b) in enumerate(mons)}  # by exponents of v_k
 
         def table(k, on_left):
             # v_k raises its exponent; d_i on the left or x_i on the right
@@ -239,9 +239,8 @@ class _Chains:
                 sign, rest = _remove_sign(w, pos), wid[w[:pos] + w[pos + 1:]]
                 self.drops[i].append((rest, sign, left[k], -sign, right[k]))
                 self.inserts[rest].append((i, sign, right[k], -sign, left[k]))
-        # the numbering by minus the code
-        self.codes = ([-w * size * size for w in range(len(self.wedges))],
-                      [-s * size for s in range(size)])
+        self.wedge_at = [-w * size * size for w in range(len(self.wedges))]
+        self.pair_at = [-s * size for s in range(size)]
 
     def split(self, code: int):
         """(wedge id, s id, t id) of a code."""
@@ -250,41 +249,34 @@ class _Chains:
         return w, s, t
 
     def code(self, key) -> int:
-        w, (s, t) = key
-        return (self.wedge_index[w] * self.size + self.index[s]) * self.size + self.index[t]
+        w, ((sa, sb), (ta, tb)) = key
+        size, flat = self.size, self.flat
+        return (self.wedge_index[w] * size + flat[sa + sb]) * size + flat[ta + tb]
 
     def key(self, code: int):
         w, s, t = self.split(code)
         return self.wedges[w], (self.mons[s], self.mons[t])
 
     def position(self, d: int, env: int):
-        """(codes, numbering) of position d at enveloping filtration at most
-        env.  The codes run by wedge, then s, then t: monomials_up_to lists
-        by filtration, so the partners t of s with |s| + |t| <= env are the
-        first C(env - |s| + 2n, 2n) monomials.  The numbering is minus the
-        index in that listing, split as (wedge_at, pair_at): the key of ids
-        w, s, t has coordinate wedge_at[w] + pair_at[s] - t."""
+        """The codes of position d at enveloping filtration at most env, in
+        listing order: by wedge, then s, then t, so increasing.
+        monomials_up_to lists by filtration, so the partners t of s with
+        |s| + |t| <= env are the first C(env - |s| + 2n, 2n) monomials."""
         size, n2 = self.size, self.n2
-        partners = [_count(env - self.degree[s], n2) for s in range(_count(env, n2))]
-        pair_at = [-sum(partners[:s]) for s in range(len(partners))]
         first = sum(comb(n2, e) for e in range(d))
-        wedges = range(first, first + comb(n2, d))
-        wedge_at = [None] * len(self.wedges)
-        for local, w in enumerate(wedges):
-            wedge_at[w] = -local * sum(partners)
-        codes = [(w * size + s) * size + t
-                 for w in wedges for s, count in enumerate(partners) for t in range(count)]
-        return codes, (wedge_at, pair_at)
+        return [(w * size + s) * size + t for w in range(first, first + comb(n2, d))
+                for s in range(_count(env, n2)) for t in range(_count(env - self.degree[s], n2))]
 
-    def image(self, code: int, moves, numbering) -> dict:
+    def image(self, code: int, moves) -> dict:
         """The image of one code under the differential of moves (drops or
-        inserts), an int vector in numbering (reduced mod p over GF(p)).
+        inserts), an int vector keyed by minus the code of each target
+        (reduced mod p over GF(p)).
 
         The s-terms put a monomial of filtration |s| +- 1 in the s slot and
         the t-terms keep s there, and each move reaches its own wedge, so
-        no two terms share a coordinate.
+        no two terms share a key.
         """
-        wedge_at, pair_at = numbering
+        wedge_at, pair_at = self.wedge_at, self.pair_at
         w, s, t = self.split(code)
         vec = {}
         for target, s_sign, s_side, t_sign, t_side in moves[w]:
@@ -318,7 +310,7 @@ def _differential(algebra: WeylAlgebra, element: dict, dual: bool) -> dict:
     moves = chains.inserts if dual else chains.drops
     out = {}
     for key, c in element.items():
-        image = chains.image(chains.code(key), moves, chains.codes)
+        image = chains.image(chains.code(key), moves)
         algebra.field.accumulate(out, ((-at, c * v) for at, v in image.items()))
     return {chains.key(code): c for code, c in out.items()}
 
@@ -479,7 +471,7 @@ def bounded_exactness(n: int, filt: int, field: Field, cap: int = 200000):
     refuses a piece or wedge tables past the cap first.
 
     Each basis code goes in with coefficient 1, so every image is an int
-    vector, keyed by minus the target's listing index: rows pivot on their
+    vector keyed by minus the target's code: rows pivot on their
     last-listed key (of highest filtration), which leaves less fill-in.
     The augmentation s (x) t -> t s closes the complex at position 0; on
     the first 200 images of position 1 it must vanish.
@@ -488,24 +480,23 @@ def bounded_exactness(n: int, filt: int, field: Field, cap: int = 200000):
     n2 = 2 * n
     algebra = WeylAlgebra(n, field)
     chains, product = _chains(algebra, filt), algebra._mul_monomials
-    positions = [chains.position(d, filt - d) for d in range(n2 + 1)]
 
-    def augmentation(at):  # t s, for the key s (x) t listed at -at in position 0
-        s, t = chains.key(positions[0][0][-at])[1]
+    def augmentation(at):  # t s, for the key s (x) t of code -at
+        s, t = chains.key(-at)[1]
         return product(t, s)
 
-    ranks = [0] * (n2 + 2)
+    ranks, dimensions = [0] * (n2 + 2), [len(chains.position(0, filt))]
     for d in range(1, n2 + 1):
-        solver, target = LinSolver(field), positions[d - 1][1]
-        for k, code in enumerate(positions[d][0]):
-            vec = chains.image(code, chains.drops, target)
+        solver, codes = LinSolver(field), chains.position(d, filt - d)
+        for k, code in enumerate(codes):
+            vec = chains.image(code, chains.drops)
             if d == 1 and k < 200 and field.accumulate({}, (
                     (m, c * cm) for at, c in vec.items() for m, cm in augmentation(at).items())):
                 raise CheckFailed("the augmentation does not annihilate the image")
             if vec:
                 solver.add(vec)
         ranks[d] = solver.rank
-    dimensions = [len(codes) for codes, _ in positions]
+        dimensions.append(len(codes))
     homology = [size - ranks[d] - ranks[d + 1] for d, size in enumerate(dimensions)]
     return {
         "dimensions": dimensions,

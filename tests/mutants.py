@@ -266,6 +266,11 @@ MUTANTS = [
            "            if d == 1 and k < 200 and field.accumulate({}, (\n",
            "            if False and field.accumulate({}, (\n",
            ("tests/test_weyl.py::test_homology_checks_the_closing_map",)),
+    # an image is keyed by minus its code, so the augmentation decodes -at
+    Mutant("augmentation-decodes-the-key-unnegated", "weyl.py",
+           "        s, t = chains.key(-at)[1]\n",
+           "        s, t = chains.key(at)[1]\n",
+           ("tests/test_weyl.py::test_homology_checks_the_closing_map",)),
     Mutant("weyl-guard-counts-past-the-cap", "weyl.py",
            "    if filt > cap or n > cap.bit_length():\n",
            "    if False:\n",

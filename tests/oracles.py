@@ -730,27 +730,28 @@ def coded_homology(chains, layout, moves, closing):
 
     layout[i] is the (wedge length, enveloping filtration bound) of the
     position at distance i from the closing end, and moves (drops or
-    inserts) map position i into position i - 1.  closing(s, t) maps the
-    monomial pair s (x) t off position 0 into the algebra; on the first 200
-    images of position 1 it must vanish.  Returns (dimensions, ranks,
-    homology): ranks[i] is the rank of the map out of position i (0 at
-    i = 0), and homology[0] is the cokernel of the map into position 0.
+    inserts) map position i into position i - 1, each image keyed by minus
+    the codes of its targets.  closing(s, t) maps the monomial pair s (x) t
+    off position 0 into the algebra; on the first 200 images of position 1
+    it must vanish.  Returns (dimensions, ranks, homology): ranks[i] is the
+    rank of the map out of position i (0 at i = 0), and homology[0] is the
+    cokernel of the map into position 0.
     """
     field = chains.field
     positions = [chains.position(d, env) for d, env in layout]
     ranks = [0] * (len(positions) + 1)
     for i in range(1, len(positions)):
-        solver, target = LinSolver(field), positions[i - 1][1]
-        for k, code in enumerate(positions[i][0]):
-            vec = chains.image(code, moves, target)
+        solver = LinSolver(field)
+        for k, code in enumerate(positions[i]):
+            vec = chains.image(code, moves)
             if i == 1 and k < 200 and field.accumulate({}, (
                     (m, c * cm) for at, c in vec.items()
-                    for m, cm in closing(*chains.key(positions[0][0][-at])[1]).items())):
+                    for m, cm in closing(*chains.key(-at)[1]).items())):
                 raise AssertionError("the closing map does not annihilate the image")
             if vec:
                 solver.add(vec)
         ranks[i] = solver.rank
-    dimensions = [len(codes) for codes, _ in positions]
+    dimensions = [len(codes) for codes in positions]
     homology = [size - ranks[i] - ranks[i + 1] for i, size in enumerate(dimensions)]
     return dimensions, ranks[:-1], homology
 

@@ -261,7 +261,7 @@ def test_criterion_7_weyl_koszul():
         for filt in range(filt_max + 1):
             chains = _Chains(algebra, filt)
             for d in range(2, 2 * n + 1):
-                for code in chains.position(d, filt)[0]:
+                for code in chains.position(d, filt):
                     if koszul_differential(algebra, koszul_differential(
                             algebra, {chains.key(code): Q.one()})):
                         ok = False

@@ -18,6 +18,7 @@ from skewgin import weyl
 from skewgin.cli import main
 from skewgin.errors import CheckFailed, SkewginError
 from skewgin.fields import make_field
+from skewgin.linalg import LinSolver
 from skewgin.weyl import (WeylAlgebra, _Chains, bounded_exactness, check_sp_equivariance,
                           dual_differential, dual_top_concentration, is_symplectic,
                           koszul_differential, wedge_action_terms)
@@ -276,7 +277,7 @@ def test_size_guard_counts_the_bases_in_closed_form():
         moves = 2 * n * 4 ** n
         for filt in range(5):
             chains = _Chains(A, filt)
-            total = sum(len(chains.position(d, filt - d)[0]) for d in range(2 * n + 1))
+            total = sum(len(chains.position(d, filt - d)) for d in range(2 * n + 1))
             assert sum(map(len, chains.drops + chains.inserts)) == moves
             assert sum(bounded_exactness(n, filt, Q, cap=max(total, moves))["dimensions"]) == total
             if filt:
@@ -368,15 +369,16 @@ def test_closed_form_tables_match_the_monomial_product(n):
     A = WeylAlgebra(n, Q)
     for filt in range(7):
         chains = _Chains(A, filt)
+        index = {m: i for i, m in enumerate(chains.mons)}
         for k in range(2 * n):
             # the single letter v_k drops by v_k s (x) t - s (x) t v_k
             [(_, _, left, _, right)] = chains.drops[chains.wedge_index[(k,)]]
             v = A.basis_monomial(k)
             for s, m in enumerate(chains.mons):
                 if chains.degree[s] < filt:
-                    assert dict(left(s)) == {chains.index[p]: c
+                    assert dict(left(s)) == {index[p]: c
                                              for p, c in A._mul_monomials(v, m).items()}
-                    assert dict(right(s)) == {chains.index[p]: c
+                    assert dict(right(s)) == {index[p]: c
                                               for p, c in A._mul_monomials(m, v).items()}
 
 
@@ -396,18 +398,49 @@ def test_homology_checks_the_closing_map(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_basis_codes_list_the_dict_keys_in_order(n):
-    # each position's codes decode to the dict-keyed listing, and the
-    # numbering the homology builds images in is minus the listing index
+    # each position's codes decode to the dict-keyed listing and strictly
+    # increase along it, so minus the code orders the keys as minus the
+    # listing index would: a solver pivoting on the least key pivots on
+    # the last-listed one either way
     A = WeylAlgebra(n, Q)
     for filt in range(5):
         chains = _Chains(A, filt)
         for d in range(2 * n + 1):
             for env in range(-1, filt + 1):
-                codes, (wedge_at, pair_at) = chains.position(d, env)
+                codes = chains.position(d, env)
                 assert [chains.key(code) for code in codes] == position_keys(A, d, env)
                 assert [chains.code(chains.key(code)) for code in codes] == codes
-                assert [wedge_at[w] + pair_at[s] - t for w, s, t in map(chains.split, codes)] \
-                    == [-k for k in range(len(codes))]
+                assert all(a < b for a, b in zip(codes, codes[1:]))
+
+
+@pytest.mark.parametrize("field", [Q, make_field(7)], ids=["Q", "GF7"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_homology_keys_each_image_by_minus_the_codes_below(n, field, monkeypatch):
+    # bounded_exactness builds one solver per position d = 1..2n, in order,
+    # and every vector it adds at position d is keyed only by minus codes
+    # of position d - 1
+    solvers = []
+
+    class Recording(LinSolver):
+        def __init__(self, field):
+            super().__init__(field)
+            self.added = []
+            solvers.append(self)
+
+        def add(self, vec, label=None):
+            self.added.append(vec)
+            return super().add(vec, label)
+
+    monkeypatch.setattr(weyl, "LinSolver", Recording)
+    for filt in range(6):
+        solvers.clear()
+        report = bounded_exactness(n, filt, field)
+        chains = _Chains(WeylAlgebra(n, field), filt)
+        assert [solver.rank for solver in solvers] == report["ranks"]
+        for d, solver in enumerate(solvers, 1):
+            below = {-code for code in chains.position(d - 1, filt - d + 1)}
+            assert bool(solver.added) == (d <= filt)
+            assert all(set(vec) <= below for vec in solver.added), (filt, d)
 
 
 @pytest.mark.parametrize("field", [Q, make_field(7)], ids=["Q", "GF7"])
