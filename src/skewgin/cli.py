@@ -316,11 +316,12 @@ def cmd_weyl(args) -> int:
     if args.filtration < 0:
         raise SkewginError("the filtration bound must be non-negative", location="/filtration")
     matrices = _read_matrices(args.matrices, args.n, field) if args.matrices else None
-    weyl.check_costs(args.n, args.filtration, args.cap, matrices or ())
+    cap = weyl.DEFAULT_CAP if args.cap is None else args.cap
+    weyl.check_costs(args.n, args.filtration, cap, matrices or ())
     report = _base_report("weyl")
     report["n"] = args.n
     report["filtration"] = args.filtration
-    resolution = weyl.bounded_exactness(args.n, args.filtration, field, cap=args.cap)
+    resolution = weyl.bounded_exactness(args.n, args.filtration, field, cap=cap)
     report["resolution"] = resolution
     report["checks"].append({
         "check": "resolution homology vanishes away from the augmentation",
@@ -390,7 +391,7 @@ def build_parser():
     p.add_argument("--filtration", type=int, default=2, help="total degree bound")
     p.add_argument("--matrices", default=None, help="JSON file with matrices to check")
     p.add_argument("--field", default="Q", help='"Q" or a prime modulus')
-    p.add_argument("--cap", type=int, default=200000,
+    p.add_argument("--cap", type=int, default=None,
                    help="cap on each counted cost: complex dimension, wedge-table moves "
                         "and wedge-action terms")
     p.set_defaults(func=cmd_weyl)

@@ -338,9 +338,9 @@ def express_modulo_commutators(target: CrossedElement, labelled=()):
     ones touching the residual's support first, in basis order, each
     formed only when the feed reaches it.  The feed stops as soon as the
     target is in the span: after an insertion that enlarged it, only the
-    target's residual is reduced further (``LinSolver.span_test``), which
-    is exact as the residual holds no pivot key; then the target is
-    expressed once more.
+    target's residual, cleared once by ``field.scaled``, is reduced further
+    (``LinSolver.span_test``), which is exact as the residual holds no
+    pivot key; then the target is expressed once more.
     The inputs that enlarged the span are independent, so the combination
     is unique: a commutator fed after the stop would get coefficient 0, and
     the certificate is the one the whole feed gives.  The solver combines
@@ -363,7 +363,7 @@ def express_modulo_commutators(target: CrossedElement, labelled=()):
     combo = solver.express(vector)
     if combo is None:
         residual = solver.residual(vector)
-        in_span = solver.span_test(residual)
+        in_span = solver.span_test(dict(field.scaled(residual.items())[1]))
         for term, vec in _feed(action, length, index, set(residual)):
             if solver.add(vec, label=term) and in_span():
                 break

@@ -13,7 +13,8 @@ brings the sums to canonical form (``Field.combine`` does all three for a
 linear combination).  ``CrossedElement`` keeps its scalars in this form,
 one positive int ``den`` plus int terms, so the Morita layer runs on ints;
 ``Field.ratio`` makes a field scalar only where a report reads one.
-``LinSolver`` and the Weyl checks follow the same convention.
+``LinSolver`` takes kernel ints only (residues in [1, p) over GF(p)), so
+callers clear field scalars with ``field.scaled(pairs)``, as Weyl does.
 """
 
 from __future__ import annotations

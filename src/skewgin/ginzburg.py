@@ -154,15 +154,15 @@ def relation_ideal(relations, by_len, bound: int, rel_len: int):
     since p.r.q with |p| >= 1 is an arrow times an element of I_(ell-1).
     Each length takes e_v.r.q for every vertex v and path q of length
     ell - rel_len, and then the vectors that enlarged the previous length,
-    each prefixed by every arrow into its source.  Both only relabel
-    paths, so no product is formed and no scalar is touched.  (This order
-    eliminated about twice as fast as the reverse one on the McKay
-    documents at length 7.)
+    each prefixed by every arrow into its source.  Both only relabel paths
+    of the relations, each cleared once (``Field.scaled``), so no product is
+    formed and no scalar is touched.  (This order eliminated about twice as
+    fast as the reverse one on the McKay documents at length 7.)
     """
     quiver, field = relations[0].quiver, relations[0].field
     pieces = {}  # (i, v, w) -> the part e_v.r.e_w of relation i
     for i, rel in enumerate(relations):
-        for p, c in rel.terms.items():
+        for p, c in field.scaled(rel.terms.items())[1]:
             pieces.setdefault((i, p.source, quiver.path_target(p)), {})[p] = c
     grown = []  # (source vertex, vector) that enlarged the previous length
     layer = []

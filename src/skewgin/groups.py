@@ -146,9 +146,9 @@ class GroupAlgebra:
             (gmul(g, h), cg * ch) for g, cg in x.items() for h, ch in y.items()))
 
     def right_module_dimension(self, e: dict) -> int:
-        """dim of e * kG as a subspace of kG: the rank of the translates e.g.
-        e may be cleared to ints (``Field.scaled``), which scales them alike."""
-        solver = LinSolver(self.field)
+        """dim of e * kG as a subspace of kG: the rank of the translates e.g
+        of e, cleared once here (``field.scaled``), which scales them alike."""
+        solver, e = LinSolver(self.field), dict(self.field.scaled(e.items())[1])
         for g in self.group.elements():
             solver.add(_right_translate(self.group, e, g))
         return solver.rank

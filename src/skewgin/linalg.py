@@ -1,12 +1,14 @@
 """Exact incremental Gaussian elimination on sparse vectors.
 
 Vectors are dicts mapping basis indices (any sortable keys) to nonzero
-scalars of a fixed :class:`~skewgin.fields.Field`.  The solver keeps plain
-echelon rows, each under its pivot (its least key).  Over GF(p) rows are
-residues with pivot 1.  Over Q elimination is fraction-free (cf. Bareiss
-1968): vectors are cleared to integers, rows are cross-multiplied rather
-than divided, and each stored row has its content divided out and a
-positive pivot, so no Fraction is built until a residual is returned.
+kernel ints of a fixed :class:`~skewgin.fields.Field`, residues in [1, p)
+over GF(p); callers clear field scalars once with ``field.scaled(pairs)``,
+a positive scaling that changes no row, pivot or rank.  The solver copies
+its input and keeps plain echelon rows, each under its pivot (its least
+key).  Over GF(p) rows are residues with pivot 1.  Over Q elimination is
+fraction-free (cf. Bareiss 1968): rows are cross-multiplied rather than
+divided, and each stored row has its content divided out and a positive
+pivot, so no field scalar is built until a result is returned.
 A labelled input that enlarges the span records the int multipliers of
 the rows that reduced it, so ``express`` reduces its target once and
 back-substitutes, with no second elimination; rank-only use records
@@ -15,7 +17,6 @@ nothing.  Insertion order is part of the contract: pivots are deterministic.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -31,32 +32,16 @@ class LinSolver:
     def rank(self) -> int:
         return len(self.rows)
 
-    def _scaled(self, vec):
-        """(kernel scalars, scale) with vec = kernel / scale, zeros dropped.
-
-        Over Q the kernel vector is integral, cleared by the least common
-        denominator; over GF(p) it is vec reduced and the scale is 1.  An
-        int vector over Q, or one of reduced nonzero residues over GF(p),
-        is taken as it is.
-        """
-        values, p = vec.values(), self.field.p
-        if p is None:
-            if set(map(type, values)) <= {int}:
-                return {k: c for k, c in vec.items() if c}, 1
-        elif not vec or 0 < min(values) and max(values) < p:
-            return dict(vec), 1
-        den, items = self.field.scaled(vec.items())
-        return dict(items), den
-
-    def _eliminate(self, vec, scale=1, out=None, steps=None):
-        """Reduce vec (kernel scalars) against the rows, least key first.
+    def _eliminate(self, vec, out=None, steps=None):
+        """Reduce vec (kernel ints) against the rows, least key first.
 
         Works in place.  Returns the first key that has no row, or None
         once vec is empty.  With out given, such keys move into out as field
-        scalars (vec / scale) and the reduction runs to the end.  With steps
-        given, each row used appends (pivot, multiplier, scale after it).
+        scalars (``Field.ratio`` of the int and the cross-multiplications'
+        scale) and the reduction runs to the end.  With steps given, each
+        row used appends (pivot, multiplier, scale after it).
         """
-        rows, p = self.rows, self.field.p
+        rows, f, p, scale = self.rows, self.field, self.field.p, 1
         while vec:
             k = min(vec)
             row = rows.get(k)
@@ -64,7 +49,7 @@ class LinSolver:
                 if out is None:
                     return k
                 v = vec.pop(k)
-                out[k] = v if p is not None else Fraction(v, scale)
+                out[k] = f.ratio(v, scale)
                 continue
             if p is not None:
                 c = vec[k]
@@ -105,7 +90,7 @@ class LinSolver:
 
     def add(self, vec: dict, label=None) -> bool:
         """Insert a vector; returns True if it enlarged the span."""
-        work, den = self._scaled(vec)
+        work = dict(vec)
         steps = None if label is None else []
         pivot = self._eliminate(work, steps=steps)
         if pivot is None:
@@ -121,23 +106,23 @@ class LinSolver:
         self.rows[pivot] = work
         if label is not None:
             scale, mults = self._multipliers(steps)
-            self._records.append((pivot, label, scale * den, g, mults))
+            self._records.append((pivot, label, scale, g, mults))
         return True
 
     def contains(self, vec: dict) -> bool:
-        return self._eliminate(self._scaled(vec)[0]) is None
+        return self._eliminate(dict(vec)) is None
 
     def span_test(self, vec: dict):
         """A function telling whether vec is in the span now.  It keeps vec
         reduced in place between calls, so each call meets only the rows
         added since: the least key left has no row until a row pivots on it."""
-        work = self._scaled(vec)[0]
+        work = dict(vec)
         return lambda: self._eliminate(work) is None
 
     def residual(self, vec: dict) -> dict:
         """The fully reduced form of vec; empty iff vec lies in the span."""
         out = {}
-        self._eliminate(*self._scaled(vec), out=out)
+        self._eliminate(dict(vec), out=out)
         return out
 
     def express(self, vec: dict):
@@ -151,12 +136,11 @@ class LinSolver:
         passes its coefficient on to its input and the rows that reduced it.
         """
         f = self.field
-        work, den = self._scaled(vec)
         steps = []
-        if self._eliminate(work, steps=steps) is not None:
+        if self._eliminate(dict(vec), steps=steps) is not None:
             return None
         scale, mults = self._multipliers(steps)
-        on_rows = f.accumulate({}, ((k, f.ratio(m, scale * den)) for k, m in mults))
+        on_rows = f.accumulate({}, ((k, f.ratio(m, scale)) for k, m in mults))
         on_inputs = []
         for pivot, label, m, g, row_steps in reversed(self._records):
             c = on_rows.pop(pivot, None)
@@ -169,17 +153,19 @@ class LinSolver:
 
 
 def invert_matrix(field, mat):
-    """Inverse of a square matrix given as a list of rows; None if singular.
-
-    Row j of the inverse is the combination of the rows of mat that gives
-    the j-th unit vector.
-    """
-    solver = LinSolver(field)
+    """Inverse of a square matrix given as a list of rows of field scalars;
+    None if singular.  Each row is cleared once (``Field.scaled``); row j of
+    the inverse, the combination of the rows that gives the j-th unit
+    vector, is each row's den (1 over GF(p)) times its cleared row's
+    coefficient."""
+    solver, dens = LinSolver(field), []
     for i, row in enumerate(mat):
-        if not solver.add(dict(enumerate(row)), label=i):
+        den, items = field.scaled(list(enumerate(row)))
+        dens.append(den)
+        if not solver.add(dict(items), label=i):
             return None
     inverse = []
     for j in range(len(mat)):
-        combo = solver.express({j: field.one()})
-        inverse.append([combo.get(i, field.zero()) for i in range(len(mat))])
+        combo = solver.express({j: 1})
+        inverse.append([combo.get(i, field.zero()) * den for i, den in enumerate(dens)])
     return inverse

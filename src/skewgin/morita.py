@@ -486,11 +486,12 @@ def _relation_span_stable(relations, action: QuiverAction) -> bool:
     if not relations:
         return True
     solver = LinSolver(action.field)
+    cleared = lambda x: dict(action.field.scaled(x.terms.items())[1])
     for r in relations:
-        solver.add(dict(r.terms))
+        solver.add(cleared(r))
     for g in action.group.elements():
         for r in relations:
-            if not solver.contains(dict(action.act(g, r).terms)):
+            if not solver.contains(cleared(action.act(g, r))):
                 return False
     return True
 

@@ -429,8 +429,9 @@ def check_sp_equivariance(n: int, matrices, field: Field):
     return [line for failed in failures for line in failed]
 
 
-# The default cap, 200000, takes seconds; under this cap every count
-# check_costs forms has at most 1,700 digits.
+# The default cap takes seconds; under MAX_CAP every count check_costs
+# forms has at most 1,700 digits.
+DEFAULT_CAP = 200000
 MAX_CAP = 10 ** 12
 
 
@@ -461,7 +462,7 @@ def check_costs(n: int, filt: int, cap: int, matrices=()):
                                location=f"/matrices/{k}")
 
 
-def bounded_exactness(n: int, filt: int, field: Field, cap: int = 200000):
+def bounded_exactness(n: int, filt: int, field: Field, cap: int = DEFAULT_CAP):
     """Homology dimensions of the filtration piece of the resolution.
 
     Position d keeps enveloping filtration at most filt - d, which the
@@ -474,7 +475,9 @@ def bounded_exactness(n: int, filt: int, field: Field, cap: int = 200000):
     vector keyed by minus the target's code: rows pivot on their
     last-listed key (of highest filtration), which leaves less fill-in.
     The augmentation s (x) t -> t s closes the complex at position 0; on
-    the first 200 images of position 1 it must vanish.
+    the first 200 images of position 1 it must vanish.  Homology as size
+    minus ranks needs d^2 = 0, checked on the generators w (x) 1 (x) 1 at
+    positions 2 to min(filt, 2n), which suffice as d is right linear.
     """
     check_costs(n, filt, cap)
     n2 = 2 * n
@@ -485,6 +488,12 @@ def bounded_exactness(n: int, filt: int, field: Field, cap: int = 200000):
         s, t = chains.key(-at)[1]
         return product(t, s)
 
+    for d in range(2, min(filt, n2) + 1):
+        for code in chains.position(d, 0):  # the generators w (x) 1 (x) 1
+            image = chains.image(code, chains.drops)
+            if field.accumulate({}, ((at, c * v) for top, c in image.items()
+                                     for at, v in chains.image(-top, chains.drops).items())):
+                raise CheckFailed(f"d^2 is not zero at position {d} on wedge {chains.key(code)[0]}")
     ranks, dimensions = [0] * (n2 + 2), [len(chains.position(0, filt))]
     for d in range(1, n2 + 1):
         solver, codes = LinSolver(field), chains.position(d, filt - d)

@@ -196,14 +196,10 @@ MUTANTS = [
            "        return None if on_rows else f.accumulate({}, reversed(on_inputs))\n",
            "        return None if on_rows else dict(reversed(on_inputs))\n",
            ("tests/test_linalg.py::test_express_sums_the_coefficients_of_a_repeated_label",)),
-    Mutant("solver-takes-any-residues-as-given", "linalg.py",
-           "        elif not vec or 0 < min(values) and max(values) < p:\n",
-           "        elif True:\n",
-           ("tests/test_linalg.py::test_unreduced_residues_are_reduced_before_elimination",)),
-    Mutant("solver-takes-fractions-as-given", "linalg.py",
-           "            if set(map(type, values)) <= {int}:\n",
-           "            if True:\n",
-           ("tests/test_linalg.py::test_rank_counts_independent_rows",)),
+    Mutant("inverse-drops-row-den", "linalg.py",
+           "        inverse.append([combo.get(i, field.zero()) * den for i, den in enumerate(dens)])\n",
+           "        inverse.append([combo.get(i, field.zero()) for i, den in enumerate(dens)])\n",
+           ("tests/test_linalg.py::test_invert_matrix_rescales_by_each_row_den",)),
     Mutant("right-translate-on-the-left", "groups.py",
            "    return {group.mul(h, g): c for h, c in e.items()}\n",
            "    return {group.mul(g, h): c for h, c in e.items()}\n",
@@ -266,6 +262,10 @@ MUTANTS = [
            "            if d == 1 and k < 200 and field.accumulate({}, (\n",
            "            if False and field.accumulate({}, (\n",
            ("tests/test_weyl.py::test_homology_checks_the_closing_map",)),
+    Mutant("homology-skips-d-squared-check", "weyl.py",
+           "            if field.accumulate({}, ((at, c * v) for top, c in image.items()\n",
+           "            if False and field.accumulate({}, ((at, c * v) for top, c in image.items()\n",
+           ("tests/test_weyl.py::test_homology_checks_d_squared_on_the_generators",)),
     # an image is keyed by minus its code, so the augmentation decodes -at
     Mutant("augmentation-decodes-the-key-unnegated", "weyl.py",
            "        s, t = chains.key(-at)[1]\n",

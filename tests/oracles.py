@@ -388,12 +388,13 @@ def marker_express(field, inputs, vec):
     original key (0, k) and eliminated afresh: reducing vec there leaves
     minus the coefficients on the markers, and a key (0, k) left over means
     vec is outside the span of the inputs.  A repeated label gets the sum
-    of its inputs' coefficients.
+    of its inputs' coefficients.  The vectors hold kernel ints, as
+    ``LinSolver`` takes them.
     """
     solver = LinSolver(field)
     for i, (_, v) in enumerate(inputs):
         marked = {(0, k): c for k, c in v.items()}
-        marked[(1, i)] = field.one()
+        marked[(1, i)] = 1
         solver.add(marked)
     residual = solver.residual({(0, k): c for k, c in vec.items()})
     if any(part == 0 for part, _ in residual):
@@ -1229,9 +1230,10 @@ def group_conjugate(algebra, h, x):
 
 
 def span_rank(field, vectors) -> int:
+    """The rank of vectors of field scalars, each cleared by ``Field.scaled``."""
     solver = LinSolver(field)
     for v in vectors:
-        solver.add(v)
+        solver.add(dict(field.scaled(list(v.items()))[1]))
     return solver.rank
 
 

@@ -555,6 +555,36 @@ def test_verify_length_4_report_bytes_are_pinned(capsys, tmp_path, document, dig
     assert hashlib.sha256(out).hexdigest() == digest
 
 
+def test_the_commands_hand_the_solver_kernel_ints_only(capsys, tmp_path, monkeypatch):
+    # every caller clears its field scalars once (Field.scaled), so each
+    # vector the solver is handed holds nonzero ints over Q and residues
+    # in [1, p) over GF(p), on every path these commands take
+    from skewgin.linalg import LinSolver
+    seen = set()
+
+    def checked(name, method):
+        def wrapper(self, vec, *args, **kwargs):
+            p = self.field.p
+            assert all(type(c) is int and (0 < c < p if p else c) for c in vec.values()), (name, vec)
+            seen.add(name)
+            return method(self, vec, *args, **kwargs)
+        return wrapper
+
+    names = ("add", "contains", "span_test", "residual", "express")
+    for name in names:
+        monkeypatch.setattr(LinSolver, name, checked(name, getattr(LinSolver, name)))
+    path = tmp_path / "doc.json"
+    for document in (MCKAY, SIGNED_S3, SIGNED_S3_SHEARED):
+        path.write_text(doc(document), encoding="utf-8")
+        assert main(["validate", str(path)]) == 0
+        assert main(["verify", str(path), "--max-len", "3"]) == 0
+    matrices = tmp_path / "mats.json"
+    matrices.write_text(json.dumps(WEYL_MATRICES[2, "symplectic"]), encoding="utf-8")
+    assert main(["weyl", "--n", "2", "--filtration", "3", "--matrices", str(matrices)]) == 0
+    capsys.readouterr()
+    assert seen == set(names)
+
+
 def test_weyl_command(capsys, tmp_path):
     matrices = tmp_path / "mats.json"
     matrices.write_text(json.dumps({"matrices": [

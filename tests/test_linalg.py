@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,31 +10,30 @@ from skewgin.linalg import LinSolver, invert_matrix
 from oracles import LabelledLinSolver, dense_rank, marker_express, span_rank
 
 
+def cleared(field, vec):
+    """vec's field scalars as kernel ints over their den (``Field.scaled``),
+    the form the solver takes."""
+    return dict(field.scaled(list(vec.items()))[1])
+
+
 def test_rank_counts_independent_rows():
     f = make_field("Q")
     s = LinSolver(f)
-    assert s.add({0: Fraction(1), 1: Fraction(2)})
-    assert s.add({1: Fraction(1)})
-    assert not s.add({0: Fraction(2), 1: Fraction(4)})
-    assert not s.add({0: Fraction(1)})
+    assert s.add({0: 1, 1: 2})
+    assert s.add({1: 1})
+    assert not s.add({0: 2, 1: 4})
+    assert not s.add({0: 1})
     assert s.rank == 2
 
 
 def test_residual_divides_out_a_cross_multiplication():
     # the row 2 e0 + e1 clears e0 from e0 + e2 only after doubling it, so
     # the residual (2 e2 - e1) / 2 has to divide that doubling back out
-    f = make_field("Q")
-    for vec in ({0: 1, 2: 1}, {0: Fraction(1), 2: Fraction(1)}):
-        s = LinSolver(f)
-        s.add({0: 2, 1: 1})
-        assert s.residual(vec) == {1: Fraction(-1, 2), 2: Fraction(1)}
-
-
-def test_unreduced_residues_are_reduced_before_elimination():
-    # 7 = 0 and 8 = 1 mod 7: taken as given, the 7 would become the pivot
-    s = LinSolver(make_field(7))
-    assert s.add({0: 7, 1: 8})
-    assert s.rows == {1: {1: 1}}
+    s = LinSolver(make_field("Q"))
+    s.add({0: 2, 1: 1})
+    residual = s.residual({0: 1, 2: 1})
+    assert residual == {1: Fraction(-1, 2), 2: Fraction(1)}
+    assert all(type(c) is Fraction for c in residual.values())
 
 
 def test_express_returns_exact_combination():
@@ -58,12 +58,10 @@ def test_express_after_internal_elimination():
     # eliminate; the returned combination must still be exact
     f = make_field("Q")
     s = LinSolver(f)
-    vecs = {"u": {0: Fraction(1), 1: Fraction(1)},
-            "v": {0: Fraction(1), 2: Fraction(1)},
-            "w": {0: Fraction(2), 1: Fraction(1), 2: Fraction(1), 3: Fraction(1)}}
+    vecs = {"u": {0: 1, 1: 1}, "v": {0: 1, 2: 1}, "w": {0: 2, 1: 1, 2: 1, 3: 1}}
     for lbl, vec in vecs.items():
         assert s.add(dict(vec), label=lbl)
-    target = {0: Fraction(4), 1: Fraction(3), 2: Fraction(1), 3: Fraction(-2)}
+    target = {0: 4, 1: 3, 2: 1, 3: -2}
     combo = s.express(dict(target))
     assert combo is not None
     acc = {}
@@ -90,12 +88,11 @@ def test_express_rescales_steps_after_a_cross_multiplication():
 def test_express_sums_the_coefficients_of_a_repeated_label():
     for f in (make_field("Q"), make_field(7)):
         s = LinSolver(f)
-        assert s.add({0: f.one()}, label="a")
-        assert s.add({1: f.one()}, label="b")
-        assert s.add({2: f.one()}, label="a")
-        assert s.express({0: f.one(), 1: f.one(), 2: f.from_int(2)}) == {
-            "a": f.from_int(3), "b": f.one()}
-        assert s.express({0: f.one(), 2: f.neg(f.one())}) == {}
+        assert s.add({0: 1}, label="a")
+        assert s.add({1: 1}, label="b")
+        assert s.add({2: 1}, label="a")
+        assert s.express({0: 1, 1: 1, 2: 2}) == {"a": f.from_int(3), "b": f.one()}
+        assert s.express(cleared(f, {0: f.one(), 2: f.neg(f.one())})) == {}
 
 
 def test_invert_matrix_adds_each_row_once_and_express_adds_none(monkeypatch):
@@ -110,19 +107,19 @@ def test_invert_matrix_adds_each_row_once_and_express_adds_none(monkeypatch):
     assert invert_matrix(f, mat) is not None
     assert calls == [0, 1, 2]
     s = LinSolver(f)
-    s.add({0: Fraction(1), 1: Fraction(2)}, label="x")
+    s.add({0: 1, 1: 2}, label="x")
     del calls[:]
-    assert s.express({0: Fraction(3), 1: Fraction(6)}) == {"x": 3}
+    assert s.express({0: 3, 1: 6}) == {"x": 3}
     assert calls == []
 
 
 def test_express_detects_outside_span():
     f = make_field("Q")
     s = LinSolver(f)
-    s.add({0: Fraction(1)}, label="a")
-    assert s.express({1: Fraction(1)}) is None
-    assert not s.contains({1: Fraction(1)})
-    assert s.contains({0: Fraction(5)})
+    s.add({0: 1}, label="a")
+    assert s.express({1: 1}) is None
+    assert not s.contains({1: 1})
+    assert s.contains({0: 5})
 
 
 def test_span_rank_over_gf():
@@ -137,6 +134,14 @@ def test_invert_matrix_roundtrip():
     inv = invert_matrix(f, m)
     prod = [[sum(m[i][k] * inv[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
     assert prod == [[1, 0], [0, 1]]
+
+
+def test_invert_matrix_rescales_by_each_row_den():
+    # each row is cleared over its own den, 2 and 3 here, and the inverse's
+    # entries are den times the coefficients of the cleared rows
+    f = make_field("Q")
+    m = [[Fraction(1, 2), Fraction(1, 2)], [Fraction(0), Fraction(1, 3)]]
+    assert invert_matrix(f, m) == [[2, -3], [0, 3]]
 
 
 def test_invert_matrix_singular():
@@ -171,7 +176,7 @@ def combine(field, pairs):
 @settings(max_examples=200, deadline=None)
 def test_solver_agrees_with_labelled_oracle(data):
     field = data.draw(st.sampled_from(FIELDS))
-    vecs = data.draw(st.lists(sparse_vectors(field), max_size=10))
+    vecs = [cleared(field, vec) for vec in data.draw(st.lists(sparse_vectors(field), max_size=10))]
     solver, oracle = LinSolver(field), LabelledLinSolver(field)
     unlabelled_growth = False
     for vec in vecs:
@@ -185,7 +190,7 @@ def test_solver_agrees_with_labelled_oracle(data):
     queries = data.draw(st.lists(sparse_vectors(field), max_size=3))
     coeffs = data.draw(st.lists(scalars(field), min_size=len(vecs), max_size=len(vecs)))
     queries.append(combine(field, zip(coeffs, vecs)))
-    for query in queries:
+    for query in map(partial(cleared, field), queries):
         assert solver.contains(dict(query)) == oracle.contains(dict(query))
         assert solver.residual(dict(query)) == oracle.residual(dict(query))
         combo, expected = solver.express(dict(query)), oracle.express(dict(query))
@@ -204,9 +209,10 @@ def test_span_test_follows_the_span_as_rows_are_added(data):
     # call, and must answer what a fresh contains answers; the last vector
     # is at times a combination of the others, so both answers occur
     field = data.draw(st.sampled_from(FIELDS))
-    vecs = data.draw(st.lists(sparse_vectors(field), max_size=8))
+    vecs = [cleared(field, vec) for vec in data.draw(st.lists(sparse_vectors(field), max_size=8))]
     coeffs = data.draw(st.lists(scalars(field), min_size=len(vecs), max_size=len(vecs)))
-    target = data.draw(st.one_of(sparse_vectors(field), st.just(combine(field, zip(coeffs, vecs)))))
+    target = cleared(field, data.draw(st.one_of(sparse_vectors(field),
+                                                st.just(combine(field, zip(coeffs, vecs))))))
     solver = LinSolver(field)
     in_span = solver.span_test(dict(target))
     assert in_span() == solver.contains(dict(target))
@@ -222,7 +228,7 @@ def test_express_agrees_with_marker_oracle(data):
     # and the labelled oracle's when no unlabelled input enlarged the
     # span, with repeated labels summed and unlabelled rows refused
     field = data.draw(st.sampled_from(FIELDS))
-    vecs = data.draw(st.lists(sparse_vectors(field), max_size=10))
+    vecs = [cleared(field, vec) for vec in data.draw(st.lists(sparse_vectors(field), max_size=10))]
     solver, oracle = LinSolver(field), LabelledLinSolver(field)
     inputs, all_inputs = [], []
     for vec in vecs:
@@ -237,10 +243,10 @@ def test_express_agrees_with_marker_oracle(data):
     def combination(vectors):
         coeffs = data.draw(st.lists(scalars(field), min_size=len(vectors),
                                     max_size=len(vectors)))
-        return combine(field, zip(coeffs, vectors))
+        return cleared(field, combine(field, zip(coeffs, vectors)))
 
     labelled = combination([vec for _, vec in inputs])
-    queries = data.draw(st.lists(sparse_vectors(field), max_size=2))
+    queries = [cleared(field, vec) for vec in data.draw(st.lists(sparse_vectors(field), max_size=2))]
     queries += [labelled, combination(all_inputs)]
     for query in queries:
         combo = solver.express(dict(query))
@@ -272,32 +278,38 @@ def test_invert_matrix_against_dense_rank(data):
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_vectors_taken_as_given_match_cleared_ones(spec, data):
-    # int vectors over Q and reduced residues over GF(p) skip the clearing
-    # and must land exactly where equal vectors that need it do: Fractions
-    # over Q, residues shifted by multiples of p over GF(p); zeros are
-    # dropped and the inputs are left as given
+    # kernel int vectors must land exactly where equal field-scalar vectors
+    # do once Field.scaled clears them: over Q the ints over a positive m,
+    # cleared to a positive multiple den / m of them, over GF(p) residues
+    # shifted by multiples of p, cleared to the residues; Field.scaled
+    # drops the zeros, and the solver leaves its inputs as given
     f = make_field(spec)
-    if f.is_rationals:
-        plain, cleared = st.integers(-6, 6), lambda c, shift: Fraction(c)
-    else:
-        plain, cleared = st.integers(0, f.p - 1), lambda c, shift: c + shift * f.p
-    vectors = st.dictionaries(st.integers(0, 7), plain, max_size=5)
-    shifts = st.lists(st.integers(-2, 2), min_size=8, max_size=8)
-    vecs = data.draw(st.lists(st.tuples(vectors, shifts), max_size=10))
-    queries = data.draw(st.lists(st.tuples(vectors, shifts), max_size=4))
+    top = 6 if f.is_rationals else f.p - 1
+    vectors = st.dictionaries(st.integers(0, 7), st.integers(-top if f.is_rationals else 0, top),
+                              max_size=5)
+    draws = st.tuples(vectors, st.integers(1, 4), st.lists(st.integers(-2, 2), min_size=8, max_size=8))
+    vecs = data.draw(st.lists(draws, max_size=10))
+    queries = data.draw(st.lists(draws, max_size=4))
+
+    def scalars(vec, m, shift):
+        return {k: Fraction(c, m) if f.is_rationals else c + shift[k] * f.p for k, c in vec.items()}
+
+    def as_given(vec):
+        return {k: c for k, c in vec.items() if c}
+
     taken, cleared_solver = LinSolver(f), LinSolver(f)
-    for vec, shift in vecs:
-        given_vec = dict(vec)
-        assert (taken.add(given_vec)
-                == cleared_solver.add({k: cleared(c, shift[k]) for k, c in vec.items()}))
-        assert given_vec == vec
+    for vec, m, shift in vecs:
+        given_vec = as_given(vec)
+        assert taken.add(given_vec) == cleared_solver.add(cleared(f, scalars(vec, m, shift)))
+        assert given_vec == as_given(vec)
     assert taken.rows == cleared_solver.rows
     assert all(type(c) is int for row in taken.rows.values() for c in row.values())
-    for query, shift in queries:
-        other = {k: cleared(c, shift[k]) for k, c in query.items()}
-        assert taken.contains(dict(query)) == cleared_solver.contains(dict(other))
-        residual = taken.residual(dict(query))
-        assert residual == cleared_solver.residual(other)
+    for query, m, shift in queries:
+        den, items = f.scaled(list(scalars(query, m, shift).items()))
+        assert taken.contains(as_given(query)) == cleared_solver.contains(dict(items))
+        residual = taken.residual(as_given(query))
+        factor = Fraction(den, m) if f.is_rationals else 1
+        assert cleared_solver.residual(dict(items)) == {k: f.mul(factor, c) for k, c in residual.items()}
         assert all(c for c in residual.values())
         if f.is_rationals:
             assert all(type(c) is Fraction for c in residual.values())

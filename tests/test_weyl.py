@@ -396,6 +396,15 @@ def test_homology_checks_the_closing_map(monkeypatch):
         bounded_exactness(1, 2, Q)
 
 
+def test_homology_checks_d_squared_on_the_generators(monkeypatch):
+    # with every drop sign +1 the ranks still add up to zero homology and
+    # a matching cokernel, but d^2 is not zero: the first generator at
+    # position 2 must show it
+    monkeypatch.setattr(weyl, "_remove_sign", lambda wedge, position: 1)
+    with pytest.raises(CheckFailed, match=r"^d\^2 is not zero at position 2 on wedge \(0, 1\)$"):
+        bounded_exactness(1, 4, Q)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_basis_codes_list_the_dict_keys_in_order(n):
     # each position's codes decode to the dict-keyed listing and strictly
