@@ -304,11 +304,12 @@ def _read_matrices(path, n, field):
 
 
 def cmd_weyl(args) -> int:
+    digits = args.field.isascii() and args.field.isdigit()  # no sign, space, _ or other script
     try:
-        spec = "Q" if args.field == "Q" else int(args.field)
+        spec = "Q" if args.field == "Q" else int(args.field) if digits else None
         field = fields.make_field(spec)
     except (ValueError, SkewginError) as exc:
-        past = isinstance(exc, SkewginError) and spec > fields.MAX_MODULUS
+        past = digits and isinstance(exc, SkewginError) and spec > fields.MAX_MODULUS
         raise SkewginError(str(exc) if past else f"expected Q or a prime, got {args.field!r}",
                            location="/field") from exc
     if args.n < 1:
@@ -332,7 +333,7 @@ def cmd_weyl(args) -> int:
         "check": "augmentation cokernel matches the filtered algebra dimension",
         "ok": resolution["augmentation_cokernel"] == resolution["expected_cokernel"],
     })
-    dual = weyl.dual_top_concentration(args.n, field, resolution)
+    dual = weyl.dual_top_concentration(args.n, resolution)
     report["dual"] = dual
     report["checks"].append({
         "check": "dual complex homology concentrates at the top position",

@@ -219,10 +219,10 @@ class Field:
 
 
 def make_field(spec) -> Field:
-    """Build a field from "Q" or a prime modulus."""
+    """Build a field from "Q" or a prime modulus, an int that is not a bool."""
     if spec == "Q":
         return Field(None)
-    if isinstance(spec, int):
+    if isinstance(spec, int) and not isinstance(spec, bool):
         return Field(spec)
     raise SkewginError(f"unrecognised field spec {spec!r}")
 

@@ -9,17 +9,17 @@ potential through the corner together with dimension comparisons.
 
 Conventions: orbit representatives are the least vertex name per orbit;
 kappa[v] is the least group element moving v onto its representative.  The
-arrow bimodule for representatives (i, j) is spanned, over diagonal-orbit
-representatives (i', j') of the vertex-pair orbits, by the products
+arrow bimodule for representatives (i, j) is spanned, over the least pairs
+(i, j') of the diagonal orbits on orbit(i) x orbit(j), by the products
 
-    g1 . kappa[i'] . (arrows i' -> j') . kappa[j']^-1 . g2
+    g1 . (arrows i -> j') . kappa[j']^-1 . g2
 
-with g1 in the stabilizer of i and g2 in the stabilizer of j.  The twist
-placement is forced: kappa[i'] carries i' onto i so the left stabilizer
-idempotent acts as the unit, and kappa[j']^-1 (not kappa[j']) keeps right
-multiplication by the stabilizer algebra of j inside the space.  Our
-least-pair representatives always have i' = i, making the left twist the
-identity.
+with g1 in the stabilizer of i and g2 in the stabilizer of j.  Every
+diagonal orbit meets {i} x orbit(j), as i is the least vertex of its orbit,
+so its least pair is (i, j') with j' the least h(y) over h fixing i, and
+no left twist is needed.  The right twist is forced: kappa[j']^-1 (not
+kappa[j']) keeps right multiplication by the stabilizer algebra of j
+inside the space.
 """
 
 from __future__ import annotations
@@ -34,9 +34,8 @@ from .errors import CheckFailed, SkewginError, ValidationError
 from .ginzburg import derivative_relations, jacobian_truncation, relation_ideal
 from .groups import GroupAlgebra, IdempotentSet, abelian_idempotents, validate_idempotent_set
 from .linalg import LinSolver
-from .potential import Potential, _rotations, canonicalize, cycle_length_of
-from .quiver import (AlgElement, Arrow, GradedQuiver, Path, path_sort_key,
-                     paths_by_length)
+from .potential import Potential, canonicalize, cycle_length_of, least_rotation
+from .quiver import AlgElement, Arrow, GradedQuiver, Path, paths_by_length
 
 
 def orbit_data(action: QuiverAction):
@@ -65,46 +64,30 @@ def orbit_data(action: QuiverAction):
     return reps, kappa, stabilizers
 
 
-def _diagonal_orbit_reps(action, orbit_a, orbit_b):
-    """Least-pair representatives of the diagonal orbits on orbit_a x orbit_b."""
-    G = action.group
-    pairs = {(x, y) for x in orbit_a for y in orbit_b}
-    reps = []
-    while pairs:
-        seed = min(pairs)
-        orbit = {(action.act_vertex(g, seed[0]), action.act_vertex(g, seed[1]))
-                 for g in G.elements()}
-        reps.append(min(orbit))
-        pairs -= orbit
-    return sorted(reps)
-
-
 def build_bimodule(action: QuiverAction, reps, kappa, stabilizers):
     """Deterministic basis of the arrow bimodule inside the crossed product.
 
     Returns {(i, j, degree): [CrossedElement]} in representative and
     degree order, keyed by the representative pair and the common arrow
-    degree of the terms.  Each generator g1.kappa[i'].a.kappa[j']^-1.g2 is
-    the one term (g1 kappa[i'] acting on a), read off its cleared image,
-    tensored with g1 kappa[i'] kappa[j']^-1 g2, and each slot is the first
-    linearly independent subset of its generators.
+    degree of the terms.  Each generator g1.a.kappa[j']^-1.g2 is the one
+    term (g1 acting on a), read off its cleared image, tensored with
+    g1 kappa[j']^-1 g2, and each slot is the first linearly independent
+    subset of its generators.
     """
     G, quiver = action.group, action.quiver
     rep_of = {v: action.act_vertex(kappa[v], v) for v in quiver.vertices}
     index1 = basis_index(action, 1)
     slots = {}
     for i in reps:
-        orbit_i = sorted(v for v in quiver.vertices if rep_of[v] == i)
         for j in reps:
-            orbit_j = sorted(v for v in quiver.vertices if rep_of[v] == j)
             slot_candidates = {}  # degree -> list of CrossedElement
-            for (i2, j2) in _diagonal_orbit_reps(action, orbit_i, orbit_j):
-                arrows = quiver.arrows_between(i2, j2)
+            for j2 in sorted({min(action.act_vertex(h, y) for h in stabilizers[i])
+                              for y in quiver.vertices if rep_of[y] == j}):
+                arrows = quiver.arrows_between(i, j2)
                 for g1 in stabilizers[i]:
-                    left = G.mul(g1, kappa[i2])
-                    twist = G.mul(left, G.inv(kappa[j2]))
+                    twist = G.mul(g1, G.inv(kappa[j2]))
                     for name in arrows:
-                        den, image = action.cleared_image(left, quiver.path([name]))
+                        den, image = action.cleared_image(g1, quiver.path([name]))
                         deg = quiver.arrow(name).deg
                         for g2 in stabilizers[j]:
                             g = G.mul(twist, g2)
@@ -431,11 +414,10 @@ def transport_potential(w: Potential, md: MoritaData):
     splits = []
     for cycle, coeff in combo.items():
         raw_terms.append((coeff, cycle))
-        rotations, _ = _rotations(qprime, cycle)
-        best = min(range(len(rotations)), key=lambda j: path_sort_key(rotations[j][0]))
+        best = least_rotation(cycle)
         if best != 0:
             head = Path(cycle.source, cycle.arrows[:best])
-            tail = rotations[best][0]._replace(arrows=cycle.arrows[best:])
+            tail = Path(qprime.path_target(head), cycle.arrows[best:])
             splits.append((coeff, head, tail))
     embedded = embed_paths(md, [p for _, head, tail in splits for p in (head, tail)])
     # every entry on ints over one denominator, merged as it is made and

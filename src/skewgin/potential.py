@@ -35,6 +35,14 @@ def _rotations(quiver, cycle: Path):
     return out, exp
 
 
+def least_rotation(cycle: Path) -> int:
+    """The basepoint j of a cycle's canonical rotation, the first whose word
+    arrows[j:] + arrows[:j] is least: rotations share their length, and
+    equal words their source, so it is the first least by ``path_sort_key``."""
+    arrows = cycle.arrows
+    return min(range(len(arrows)), key=lambda j: arrows[j:] + arrows[:j])
+
+
 class Potential:
     """Canonical form of a linear combination of cycles up to rotation."""
 
@@ -87,7 +95,7 @@ def canonicalize(quiver, field, raw_terms) -> Potential:
             seen[word] = exp
         if dead and field.characteristic() != 2:
             continue
-        best, best_exp = min(rots, key=lambda we: path_sort_key(we[0]))
+        best, best_exp = rots[least_rotation(cycle)]
         signed = coeff if best_exp == 0 else field.neg(coeff)
         pairs.append((best, signed))
     return Potential(quiver, field, field.accumulate({}, pairs))

@@ -11,16 +11,17 @@ it, so each filtration piece is a finite complex with exact ranks.
 
 Inside, a chain key w (x) s (x) t is one int code over numbered wedges
 and monomials, and the closed-form products of the V basis vectors with
-monomials and the moves of each wedge are tabulated once per algebra
+monomials and the drops of each wedge are tabulated once per algebra
 (``_Chains``).  One image routine builds a code's image as an int vector
 keyed by minus the code of each target: the homology feeds it to
-``LinSolver``, and ``koszul_differential`` and ``dual_differential``
-decode it to keys.  Only the resolution is eliminated, by
-``bounded_exactness``: the dual is read off it through the self-duality
-that makes A_n Calabi-Yau, checked on generators.  No rule names n: each
-cost (the piece's dimension, the wedge tables, and the wedge action of a
-matrix through ``wedge_action_terms``) is counted in closed form against
-one cap by ``check_costs`` before any table is built.
+``LinSolver``, and ``koszul_differential`` decodes it to keys.  Only the
+resolution is eliminated, by ``bounded_exactness``: the dual is read off
+it through the self-duality that makes A_n Calabi-Yau, checked on
+generators straight from the drop rule, whose transpose is the dual's
+differential.  No rule names n: each cost (the piece's dimension, the
+wedge drops and their transposes, and the wedge action of a matrix
+through ``wedge_action_terms``) is counted in closed form against one cap
+by ``check_costs`` before any table is built.
 
 The checks run on plain ints (the scaled-integer convention of
 ``fields.py``): monomial products are unreduced ints, the resolution and
@@ -196,15 +197,10 @@ class _Chains:
     left[k](s) and right[k](s) list the products v_k s and s v_k of the
     k-th V basis vector as (monomial id, int) pairs, each formed in closed
     form when first read; they are read for monomials s below filt only,
-    so every product is numbered.  A move of a wedge is (target wedge id,
-    sign, s table, sign, t table), with the signs of its two terms:
-    drops[w] are the moves of the resolution, by v s (x) t - s (x) t v for
-    each letter v dropped from w.  The dual's moves inserts[w] are their
-    transpose, read off in the same loop: the drop of v from W with sign e
-    gives W minus v the insert of v back to W, by e (s v (x) t - s (x) v t),
-    the same sign with the two sides swapped.  Wedges are listed by size,
-    then lexicographically, so each inserts[w] lists its letters in
-    increasing order.
+    so every product is numbered.  drops[w] lists the moves of the
+    resolution, v s (x) t - s (x) t v for each letter v dropped from w, as
+    (target wedge id, sign, s table, sign, t table).  The dual keeps no
+    table: ``dual_top_concentration`` transposes the drop rule itself.
     """
 
     def __init__(self, algebra: WeylAlgebra, filt: int):
@@ -233,12 +229,11 @@ class _Chains:
 
         left = [table(k, on_left=True) for k in range(n2)]
         right = [table(k, on_left=False) for k in range(n2)]
-        self.drops, self.inserts = [[] for _ in self.wedges], [[] for _ in self.wedges]
+        self.drops = [[] for _ in self.wedges]
         for i, w in enumerate(self.wedges):
             for pos, k in enumerate(w):
                 sign, rest = _remove_sign(w, pos), wid[w[:pos] + w[pos + 1:]]
                 self.drops[i].append((rest, sign, left[k], -sign, right[k]))
-                self.inserts[rest].append((i, sign, right[k], -sign, left[k]))
         self.wedge_at = [-w * size * size for w in range(len(self.wedges))]
         self.pair_at = [-s * size for s in range(size)]
 
@@ -267,10 +262,10 @@ class _Chains:
         return [(w * size + s) * size + t for w in range(first, first + comb(n2, d))
                 for s in range(_count(env, n2)) for t in range(_count(env - self.degree[s], n2))]
 
-    def image(self, code: int, moves) -> dict:
-        """The image of one code under the differential of moves (drops or
-        inserts), an int vector keyed by minus the code of each target
-        (reduced mod p over GF(p)).
+    def image(self, code: int) -> dict:
+        """The image of one code under the resolution differential, an int
+        vector keyed by minus the code of each target (reduced mod p over
+        GF(p)).
 
         The s-terms put a monomial of filtration |s| +- 1 in the s slot and
         the t-terms keep s there, and each move reaches its own wedge, so
@@ -279,7 +274,7 @@ class _Chains:
         wedge_at, pair_at = self.wedge_at, self.pair_at
         w, s, t = self.split(code)
         vec = {}
-        for target, s_sign, s_side, t_sign, t_side in moves[w]:
+        for target, s_sign, s_side, t_sign, t_side in self.drops[w]:
             at = wedge_at[target] - t
             for m, c in s_side(s):
                 vec[at + pair_at[m]] = s_sign * c
@@ -299,35 +294,23 @@ def _chains(algebra: WeylAlgebra, filt: int) -> _Chains:
     return chains
 
 
-def _differential(algebra: WeylAlgebra, element: dict, dual: bool) -> dict:
-    """The linear extension of ``_Chains.image`` to a dict-keyed element:
-    each key is encoded, its image built keyed by minus the code, and the
-    sum decoded.  The tables are those one filtration above the element's,
-    so every image is numbered."""
-    filt = max((WeylAlgebra.monomial_filtration(m) for _, pair in element for m in pair),
-               default=-1)
-    chains = _chains(algebra, filt + 1)
-    moves = chains.inserts if dual else chains.drops
-    out = {}
-    for key, c in element.items():
-        image = chains.image(chains.code(key), moves)
-        algebra.field.accumulate(out, ((-at, c * v) for at, v in image.items()))
-    return {chains.key(code): c for code, c in out.items()}
-
-
 def koszul_differential(algebra: WeylAlgebra, element: dict) -> dict:
     """One step of the resolution differential.
 
     (v_1 ^ ... ^ v_m) (x) s (x) t goes to the alternating sum over i of
-    (v_1 ^ ... v_i-hat ... ^ v_m) (x) (v_i s (x) t - s (x) t v_i).
+    (v_1 ^ ... v_i-hat ... ^ v_m) (x) (v_i s (x) t - s (x) t v_i): the linear
+    extension of ``_Chains.image``, each key encoded and the sum decoded.
+    The tables are those one filtration above the element's, so every image
+    is numbered.
     """
-    return _differential(algebra, element, dual=False)
-
-
-def dual_differential(algebra: WeylAlgebra, element: dict) -> dict:
-    """One step of the dual complex: s (x) t (x) w goes to the sum over j
-    of (s e_j (x) t - s (x) e_j t) (x) (w ^ e_j*), with the sort sign."""
-    return _differential(algebra, element, dual=True)
+    filt = max((WeylAlgebra.monomial_filtration(m) for _, pair in element for m in pair),
+               default=-1)
+    chains = _chains(algebra, filt + 1)
+    out = {}
+    for key, c in element.items():
+        image = chains.image(chains.code(key))
+        algebra.field.accumulate(out, ((-at, c * v) for at, v in image.items()))
+    return {chains.key(code): c for code, c in out.items()}
 
 
 def wedge_action(algebra: WeylAlgebra, matrix, wedge):
@@ -438,13 +421,14 @@ MAX_CAP = 10 ** 12
 def check_costs(n: int, filt: int, cap: int, matrices=()):
     """Refuse, before any table is built, a run whose counted costs pass
     the cap, in this order: the piece's dimension, C(2n, d) wedges times
-    C(filt - d + 4n, 4n) monomial pairs at position d; the 2n moves of
-    each of the 4^n wedges that ``_Chains`` tabulates and the generator
-    checks walk; and each matrix's ``wedge_action_terms``, at
-    /matrices/k.  A cap past MAX_CAP is refused at /cap.  An n past the
-    cap's bit length, or a filt past the cap, puts the wedge or the piece
-    count past it, and is refused before any count is formed, so every
-    count formed is short enough to print."""
+    C(filt - d + 4n, 4n) monomial pairs at position d; the 2n 4^n wedge
+    moves: the n 4^n drops that ``_Chains`` tabulates plus the n 4^n
+    transposed (wedge, letter) pairs that the phi check of
+    ``dual_top_concentration`` walks; and each matrix's
+    ``wedge_action_terms``, at /matrices/k.  A cap past MAX_CAP is refused
+    at /cap.  An n past the cap's bit length, or a filt past the cap, puts
+    the wedge or the piece count past it, and is refused before any count
+    is formed, so every count formed is short enough to print."""
     if cap > MAX_CAP:
         raise SkewginError(f"expected a cap of at most {MAX_CAP}", location="/cap")
     if filt > cap or n > cap.bit_length():
@@ -490,15 +474,15 @@ def bounded_exactness(n: int, filt: int, field: Field, cap: int = DEFAULT_CAP):
 
     for d in range(2, min(filt, n2) + 1):
         for code in chains.position(d, 0):  # the generators w (x) 1 (x) 1
-            image = chains.image(code, chains.drops)
+            image = chains.image(code)
             if field.accumulate({}, ((at, c * v) for top, c in image.items()
-                                     for at, v in chains.image(-top, chains.drops).items())):
+                                     for at, v in chains.image(-top).items())):
                 raise CheckFailed(f"d^2 is not zero at position {d} on wedge {chains.key(code)[0]}")
     ranks, dimensions = [0] * (n2 + 2), [len(chains.position(0, filt))]
     for d in range(1, n2 + 1):
         solver, codes = LinSolver(field), chains.position(d, filt - d)
         for k, code in enumerate(codes):
-            vec = chains.image(code, chains.drops)
+            vec = chains.image(code)
             if d == 1 and k < 200 and field.accumulate({}, (
                     (m, c * cm) for at, c in vec.items() for m, cm in augmentation(at).items())):
                 raise CheckFailed("the augmentation does not annihilate the image")
@@ -516,7 +500,7 @@ def bounded_exactness(n: int, filt: int, field: Field, cap: int = DEFAULT_CAP):
     }
 
 
-def dual_top_concentration(n: int, field: Field, resolution: dict):
+def dual_top_concentration(n: int, resolution: dict):
     """Homology of the filtered dual complex, expected concentrated at the
     top position, read off the report of ``bounded_exactness`` through
     phi(w (x) s (x) t) = sign(w, c) c (x) t (x) s, c the complement of w and
@@ -524,24 +508,28 @@ def dual_top_concentration(n: int, field: Field, resolution: dict):
     bijectively onto resolution position 2n - d under the same filtration
     bound, and both are free on the w (x) 1 (x) 1 (swapping s and t turns
     outer linearity into inner), so phi d^v = (-1)^d d phi is checked on
-    those generators only; a mismatch raises CheckFailed.  The dual's
-    moves are the transpose of the resolution's (``_Chains``), so the check
-    shows that the resolution itself is self-dual."""
-    algebra, n2 = WeylAlgebra(n, field), 2 * n
-    one = ((0,) * n, (0,) * n)
+    those generators only, on ints; a mismatch raises CheckFailed.  The
+    dual's differential is the transpose of the resolution's, so both sides
+    come from the drop rule: dropping k from W = w + k with sign e gives
+    d^v(w (x) 1 (x) 1) the terms e (W (x) v_k (x) 1 - W (x) 1 (x) v_k), and
+    d(c (x) 1 (x) 1) has the same one-letter form, keyed here by (wedge,
+    left letter, right letter), None for 1."""
+    n2 = 2 * n
 
-    def phi(element):
-        out = {}  # no two keys share an image
-        for (w, (s, t)), v in element.items():
-            c = tuple(j for j in range(n2) if j not in w)
-            sign = -1 if sum(a > b for a in w for b in c) % 2 else 1
-            out[c, (t, s)] = field.mul(sign, v)
-        return out
+    def phi_sign(w, c):
+        return -1 if sum(a > b for a in w for b in c) % 2 else 1
 
     for d in range(n2):
         for w in _wedges(n2, d):
-            lhs = phi(dual_differential(algebra, {(w, (one, one)): 1}))
-            if lhs != koszul_differential(algebra, phi({(w, (one, one)): (-1) ** d})):
+            c = tuple(j for j in range(n2) if j not in w)
+            sign, lhs, rhs = (-1) ** d * phi_sign(w, c), {}, {}
+            for pos, k in enumerate(c):
+                rest, big = c[:pos] + c[pos + 1:], tuple(sorted(w + (k,)))
+                e = _remove_sign(big, big.index(k)) * phi_sign(big, rest)
+                lhs[rest, None, k], lhs[rest, k, None] = e, -e  # phi swaps the sides
+                e = sign * _remove_sign(c, pos)
+                rhs[rest, k, None], rhs[rest, None, k] = e, -e
+            if lhs != rhs:
                 raise CheckFailed(f"phi is not a chain map at dual position {d} on wedge {w}")
     homology = {0: resolution["augmentation_cokernel"], **resolution["homology"]}
     return {

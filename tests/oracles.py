@@ -13,9 +13,10 @@ checks the free generators only),
 the dual differential on field scalars, the two differentials built per
 term and position from the one-sided differences (v (x) 1 - 1 (x) v) that
 a single accumulate replaced, and that single accumulate itself, the
-dict-keyed ``dict_koszul_differential`` and ``dict_dual_differential``
-that the int codes and product tables of ``skewgin.weyl._Chains``
-replaced, with the dict-keyed listing ``position_keys``,
+dict-keyed ``dict_koszul_differential`` that the int codes and product
+tables of ``skewgin.weyl._Chains`` replaced, and ``dict_dual_differential``,
+the dual's differential, which the library no longer builds, with the
+dict-keyed listing ``position_keys``,
 the crossed product on field scalars that the scaled-integer kernel of
 ``CrossedElement.__mul__`` replaced, the entry-by-entry certificate
 re-expansion that ``skewgin.crossed.expand_certificate`` replaced, the
@@ -27,7 +28,8 @@ replaced, the corner e.b.e as two products that
 p.r.q that the recurrence of ``skewgin.ginzburg.relation_ideal`` replaced,
 the characters by generator search that the coset extension of
 ``skewgin.groups.characters`` replaced, the bimodule generators as
-five-fold products that ``skewgin.morita.build_bimodule`` replaced, the
+five-fold products that ``skewgin.morita.build_bimodule`` replaced, over
+the diagonal orbits found by search (``diagonal_orbit_reps``), the
 commutators as products of two one-term elements that the int commutators
 on cached cleared images of ``skewgin.crossed.commutator_basis`` replaced,
 the differential of a path as products prefix * d(arrow) * suffix that the
@@ -41,8 +43,10 @@ expresses the target once, which the feed that stops at the target
 replaced.  Also here: the trial division and the search through every
 residue that Miller-Rabin and the powers of
 ``skewgin.fields.primitive_root_of_unity`` replaced, the dual's moves by
-their own sign rule (``greater_sign_inserts``) that the transposed drops
-of ``skewgin.weyl._Chains`` replaced, and the contragredient image with
+their own sign rule (``greater_sign_inserts``), with ``moves_image``, the
+image under any such moves, which the drop rule transposed on generators
+by ``skewgin.weyl.dual_top_concentration`` replaced, together with the
+chain map ``phi_element`` that it checks, and the contragredient image with
 its block inverted once per arrow that the one inverse per block of
 ``skewgin.action.extend_to_ginzburg`` replaced.  Four more run on
 skewgin's ``LinSolver``: the marker-column solve ``marker_express`` that
@@ -96,7 +100,7 @@ from skewgin.errors import CheckFailed, SkewginError
 from skewgin.fields import primitive_root_of_unity
 from skewgin.ginzburg import derivative_relations, jacobian_truncation, relation_ideal
 from skewgin.linalg import LinSolver, invert_matrix
-from skewgin.morita import _diagonal_orbit_reps, corner, embed_paths
+from skewgin.morita import corner, embed_paths
 from skewgin.potential import Potential, _rotations, cycle_length_of, cyclic_derivative
 from skewgin.quiver import AlgElement, Path, basis_up_to, paths_by_length
 
@@ -477,7 +481,8 @@ def greater_sign_inserts(chains):
     rule: for each letter j not in w, the insert to w + j with the sign
     (-1)^(letters of w greater than j), on the product tables that the
     resolution's moves hold (drops of the full wedge, one per letter).
-    The loop that the transpose of the drops replaced."""
+    The loop that the transpose of the drops replaced, and the dual's only
+    table now that the library transposes the drop rule on generators."""
     n2, wid = chains.n2, chains.wedge_index
     tables = [(left, right) for _, _, left, _, right in chains.drops[wid[tuple(range(n2))]]]
     out = []
@@ -724,16 +729,48 @@ def dict_keyed_homology(field, positions, differential, closing, first_listed=Fa
     return ranks[:-1], homology
 
 
+def moves_image(chains, code, moves):
+    """The image of one code of a ``skewgin.weyl._Chains`` under the
+    differential of any moves listed per wedge as (target wedge id, sign,
+    s table, sign, t table): chains.drops or ``greater_sign_inserts``.  The
+    ``_Chains.image`` that read its moves from an argument, which the one
+    read of chains.drops replaced; keyed by minus the code of each target,
+    reduced mod p over GF(p)."""
+    w, s, t = chains.split(code)
+    vec = {}
+    for target, s_sign, s_side, t_sign, t_side in moves[w]:
+        for m, c in s_side(s):
+            vec[chains.wedge_at[target] + chains.pair_at[m] - t] = s_sign * c
+        for m, c in t_side(t):
+            vec[chains.wedge_at[target] + chains.pair_at[s] - m] = t_sign * c
+    p = chains.field.p
+    return vec if p is None else {k: r for k, v in vec.items() if (r := v % p)}
+
+
+def phi_element(field, n, element):
+    """The chain isomorphism phi(w (x) s (x) t) = sign(w, c) c (x) t (x) s,
+    c the complement of w and sign(w, c) the sign of listing w, then c, on
+    a dict-keyed element: the map that
+    ``skewgin.weyl.dual_top_concentration`` checks on generators only."""
+    out = {}
+    for (w, (s, t)), v in element.items():
+        c = tuple(j for j in range(2 * n) if j not in w)
+        sign = -1 if sum(a > b for a in w for b in c) % 2 else 1
+        out[c, (t, s)] = sign * v
+    return field.accumulate({}, out.items())
+
+
 def coded_homology(chains, layout, moves, closing):
     """Dimensions, ranks and homology of a bounded complex on int codes,
     counted from its closing end: the general form that
     ``skewgin.weyl.bounded_exactness`` folded in for the resolution alone.
 
     layout[i] is the (wedge length, enveloping filtration bound) of the
-    position at distance i from the closing end, and moves (drops or
-    inserts) map position i into position i - 1, each image keyed by minus
-    the codes of its targets.  closing(s, t) maps the monomial pair s (x) t
-    off position 0 into the algebra; on the first 200 images of position 1
+    position at distance i from the closing end, and moves (chains.drops
+    or ``greater_sign_inserts``) map position i into position i - 1 through
+    ``moves_image``, each image keyed by minus the codes of its targets.
+    closing(s, t) maps the monomial pair s (x) t off position 0 into the
+    algebra; on the first 200 images of position 1
     it must vanish.  Returns (dimensions, ranks, homology): ranks[i] is the
     rank of the map out of position i (0 at i = 0), and homology[0] is the
     cokernel of the map into position 0.
@@ -744,7 +781,7 @@ def coded_homology(chains, layout, moves, closing):
     for i in range(1, len(positions)):
         solver = LinSolver(field)
         for k, code in enumerate(positions[i]):
-            vec = chains.image(code, moves)
+            vec = moves_image(chains, code, moves)
             if i == 1 and k < 200 and field.accumulate({}, (
                     (m, c * cm) for at, c in vec.items()
                     for m, cm in closing(*chains.key(-at)[1]).items())):
@@ -761,11 +798,12 @@ def eliminated_dual_report(n, filt, field):
     """The dual report by its own elimination, which the chain isomorphism
     of ``skewgin.weyl.dual_top_concentration`` replaced: the int-coded
     homology of the dual complex listed from the top down, by the
-    insertion moves, closed off the top by s (x) t -> s t."""
+    insertion moves of ``greater_sign_inserts``, closed off the top by
+    s (x) t -> s t."""
     algebra = weyl.WeylAlgebra(n, field)
     chains, top = weyl._chains(algebra, filt), 2 * n
     dimensions, _, homology = coded_homology(
-        chains, [(top - i, filt - i) for i in range(top + 1)], chains.inserts,
+        chains, [(top - i, filt - i) for i in range(top + 1)], greater_sign_inserts(chains),
         algebra._mul_monomials)
     return {
         "dimensions": dimensions[::-1],
@@ -996,6 +1034,23 @@ def naive_characters(group, field):
     return sorted(found)
 
 
+def diagonal_orbit_reps(action, orbit_a, orbit_b):
+    """Least-pair representatives of the diagonal orbits on orbit_a x
+    orbit_b, by search over the pairs: the search that the least h(y) over
+    the stabilizer of the representative in ``skewgin.morita.build_bimodule``
+    replaced."""
+    G = action.group
+    pairs = {(x, y) for x in orbit_a for y in orbit_b}
+    reps = []
+    while pairs:
+        seed = min(pairs)
+        orbit = {(action.act_vertex(g, seed[0]), action.act_vertex(g, seed[1]))
+                 for g in G.elements()}
+        reps.append(min(orbit))
+        pairs -= orbit
+    return sorted(reps)
+
+
 def naive_build_bimodule(action, reps, kappa, stabilizers):
     """The arrow bimodule basis {(i, j, degree): [element]}, each generator
     the left-to-right product g1 . kappa[i'] . a . kappa[j']^-1 . g2 of
@@ -1015,7 +1070,7 @@ def naive_build_bimodule(action, reps, kappa, stabilizers):
         for j in reps:
             orbit_j = sorted(v for v in quiver.vertices if orbit_rep[v] == j)
             candidates = {}
-            for (i2, j2) in _diagonal_orbit_reps(action, orbit_i, orbit_j):
+            for (i2, j2) in diagonal_orbit_reps(action, orbit_i, orbit_j):
                 left_twist, right_twist = unit(kappa[i2]), unit(G.inv(kappa[j2]))
                 arrows = sorted(a.name for a in quiver.arrows
                                 if a.src == i2 and a.tgt == j2)

@@ -391,6 +391,22 @@ def test_a_modulus_past_the_bound_is_refused_at_field_by_both_readers(capsys, tm
     assert json.loads(capsys.readouterr().out)["errors"] == refusal
 
 
+@pytest.mark.parametrize("value", ["1_000_003", "\u0667", " 7 ", "+7"],
+                         ids=["underscores", "arabic-indic-seven", "spaces", "plus-sign"])
+def test_weyl_field_takes_ascii_decimal_digits_only(capsys, value):
+    # int() reads each of these as a prime; the field is Q or ASCII digits
+    assert main(["weyl", "--n", "1", "--filtration", "0", "--field", value]) == 2
+    assert json.loads(capsys.readouterr().out)["errors"] == [
+        {"location": "/field", "message": f"expected Q or a prime, got {value!r}"}]
+
+
+@pytest.mark.parametrize("spec", [True, {"p": True}], ids=["bare", "p"])
+def test_a_bool_field_is_refused_as_unrecognised(capsys, tmp_path, spec):
+    code, report = run_cli(capsys, tmp_path, doc(MINIMAL, field=spec), "validate")
+    assert code == 2
+    assert report["errors"] == [{"location": "/field", "message": "unrecognised field spec True"}]
+
+
 def test_mckay_over_a_ten_digit_prime_reduces(capsys, tmp_path):
     # the characters need a primitive cube root of unity mod p, found by
     # powers rather than a search through every residue

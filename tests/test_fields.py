@@ -51,6 +51,14 @@ def test_make_field_rejects_composite():
             make_field(odd)
 
 
+@pytest.mark.parametrize("spec", [True, False])
+def test_make_field_refuses_a_bool_as_unrecognised(spec):
+    # a bool is an int to isinstance, but no modulus: refused as the
+    # document reader refuses it for every other integer
+    with pytest.raises(SkewginError, match=f"^unrecognised field spec {spec}$"):
+        make_field(spec)
+
+
 def test_primality_agrees_with_trial_division_below_100000():
     assert [n for n in range(10 ** 5) if fields._is_prime(n)] == [
         n for n in range(10 ** 5) if trial_division_is_prime(n)]

@@ -4,8 +4,9 @@ import pytest
 
 from skewgin.errors import SkewginError
 from skewgin.fields import make_field
-from skewgin.potential import canonicalize, cyclic_derivative, cycle_length_of, degree_of
-from skewgin.quiver import AlgElement, GradedQuiver
+from skewgin.potential import (canonicalize, cyclic_derivative, cycle_length_of, degree_of,
+                               least_rotation)
+from skewgin.quiver import AlgElement, GradedQuiver, path_sort_key
 
 from oracles import rotations_of, scale_path_element
 
@@ -69,6 +70,27 @@ def test_rotation_invariance_random():
             sign = Q.one() if exp == 0 else Q.parse("-1")
             again = canonicalize(q, Q, [(sign, rotated)])
             assert again == base
+
+
+def test_least_rotation_is_the_first_least_by_path_sort_key():
+    # on three loops and on a two-vertex cycle, where the rotations start at
+    # different vertices; periodic words have several least rotations, and
+    # the first is the one canonicalize keeps and transport splits at
+    loops = three_loop_quiver()
+    square = GradedQuiver(["1", "2"], [("a", "1", "2", 0), ("c", "1", "2", 0),
+                                       ("b", "2", "1", 0), ("d", "2", "1", 0)])
+    rng = random.Random(5)
+    words = [(loops, ["x", "y", "x", "y"]), (square, ["b", "a", "b", "a"])]
+    for _ in range(100):
+        words.append((loops, [rng.choice("xyz") for _ in range(rng.randint(1, 6))]))
+        words.append((square, [rng.choice(pair) for _ in range(rng.randint(1, 3))
+                               for pair in ("ac", "bd")]))
+    for q, word in words:
+        cycle = q.path(word)
+        rotations = [path for path, _ in rotations_of(q, cycle)]
+        best = min(range(len(rotations)), key=lambda j: path_sort_key(rotations[j]))
+        assert least_rotation(cycle) == best, word
+        assert canonicalize(q, Q, [(Q.one(), cycle)]).terms == {rotations[best]: Q.one()}
 
 
 def test_cyclic_derivative_commutator_potential():

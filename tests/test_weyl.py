@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (coded_homology, dict_dual_differential, dict_keyed_homology,
                      dict_koszul_differential, eliminated_dual_report, envelope_one,
-                     greater_sign_inserts,
+                     greater_sign_inserts, moves_image, phi_element,
                      naive_dual_differential, naive_is_symplectic, naive_koszul_differential,
                      naive_mul_monomials, naive_sp_equivariance, per_position_dual_differential,
                      per_position_koszul_differential, position_keys, weyl_commutator, weyl_d,
@@ -20,8 +20,8 @@ from skewgin.errors import CheckFailed, SkewginError
 from skewgin.fields import make_field
 from skewgin.linalg import LinSolver
 from skewgin.weyl import (WeylAlgebra, _Chains, bounded_exactness, check_sp_equivariance,
-                          dual_differential, dual_top_concentration, is_symplectic,
-                          koszul_differential, wedge_action_terms)
+                          dual_top_concentration, is_symplectic, koszul_differential,
+                          wedge_action_terms)
 
 Q = make_field("Q")
 
@@ -101,12 +101,14 @@ def test_koszul_d_squared_zero_exhaustive():
 
 
 def test_dual_d_squared_zero_exhaustive():
+    # the dual differential the phi check transposes from the drop rule,
+    # here the oracle's, is a differential
     for n, filt in ((1, 2), (2, 1)):
         A = WeylAlgebra(n, Q)
         for d in range(0, 2 * n - 1):
             for w, pair in position_keys(A, d, filt):
                 elem = {(w, pair): fr(1)}
-                twice = dual_differential(A, dual_differential(A, elem))
+                twice = dict_dual_differential(A, dict_dual_differential(A, elem))
                 assert twice == {}
 
 
@@ -131,8 +133,8 @@ DIFFERENTIAL_FIELDS = ["Q", 2, 3, 7]
 @pytest.mark.parametrize("spec", DIFFERENTIAL_FIELDS)
 @pytest.mark.parametrize("n, filt", [(1, 3), (2, 2)])
 def test_differentials_match_oracles_on_every_basis_key(n, filt, spec):
-    # the differentials as the homology and equivariance checks call them,
-    # on one basis key with coefficient 1
+    # the differential as the equivariance check calls it, on one basis key
+    # with coefficient 1, and the oracles' two dual differentials
     field = make_field(spec)
     algebra = WeylAlgebra(n, field)
     for d in range(2 * n + 1):
@@ -140,7 +142,7 @@ def test_differentials_match_oracles_on_every_basis_key(n, filt, spec):
             element = {key: 1}
             assert koszul_differential(algebra, element) == naive_koszul_differential(
                 field, n, element), key
-            assert dual_differential(algebra, element) == naive_dual_differential(
+            assert dict_dual_differential(algebra, element) == naive_dual_differential(
                 field, n, element), key
 
 
@@ -163,13 +165,13 @@ def test_koszul_differential_matches_oracles(n, spec, data):
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
 def test_dual_differential_matches_oracles(n, spec, data):
+    # the library builds no dual differential: its three oracles agree
     field = make_field(spec)
     algebra = WeylAlgebra(n, field)
     element = data.draw(chain_elements(field, n))
-    image = dual_differential(algebra, element)
+    image = dict_dual_differential(algebra, element)
     assert image == naive_dual_differential(field, n, element)
-    assert image == per_position_dual_differential(algebra, element)
-    assert image == dict_dual_differential(WeylAlgebra(n, field), element)
+    assert image == per_position_dual_differential(WeylAlgebra(n, field), element)
 
 
 def test_bounded_exactness_n1():
@@ -238,7 +240,7 @@ def test_size_guard_refuses_a_cap_past_the_largest_at_cap(monkeypatch):
 
 
 def dual_report(n, filt, field):
-    return dual_top_concentration(n, field, bounded_exactness(n, filt, field))
+    return dual_top_concentration(n, bounded_exactness(n, filt, field))
 
 
 def test_dual_concentrated_at_top():
@@ -267,18 +269,19 @@ def test_dual_concentrated_at_top_gf7():
 
 
 def test_size_guard_counts_the_bases_in_closed_form():
-    # each count, taken before any table is built, is what the resolution
-    # then enumerates: the piece's basis codes, and the moves of all 4^n
-    # wedges, drops and inserts; each refuses one below its value (at
-    # filtration 0 the piece is the one code 1 (x) 1, and cap 0 is refused
-    # uncounted)
+    # each count, taken before any table is built, is what the checks then
+    # enumerate: the piece's basis codes, and the moves of all 4^n wedges,
+    # the drops the tables hold and the (wedge, letter) pairs the phi check
+    # transposes them to; each refuses one below its value (at filtration 0
+    # the piece is the one code 1 (x) 1, and cap 0 is refused uncounted)
     for n in (1, 2, 3):
         A = WeylAlgebra(n, Q)
         moves = 2 * n * 4 ** n
         for filt in range(5):
             chains = _Chains(A, filt)
             total = sum(len(chains.position(d, filt - d)) for d in range(2 * n + 1))
-            assert sum(map(len, chains.drops + chains.inserts)) == moves
+            pairs = sum(2 * n - len(w) for w in chains.wedges)
+            assert sum(map(len, chains.drops)) == pairs == moves // 2
             assert sum(bounded_exactness(n, filt, Q, cap=max(total, moves))["dimensions"]) == total
             if filt:
                 with pytest.raises(SkewginError, match=f"^truncated complex has dimension {total} "
@@ -334,32 +337,61 @@ def test_phi_derived_dual_matches_the_eliminated_dual_n3(field):
 
 
 def test_dual_runs_no_elimination(monkeypatch):
+    # the dual is read off the resolution, and phi is checked on the drop
+    # rule alone: no solver, algebra, tables or differential
     resolution, expected = bounded_exactness(2, 3, Q), eliminated_dual_report(2, 3, Q)
 
-    def no_solver(*args):
+    def not_reached(*args):
         raise AssertionError("the dual is read off the resolution")
 
-    monkeypatch.setattr(weyl, "LinSolver", no_solver)
-    assert dual_top_concentration(2, Q, resolution) == expected
+    for name in ("LinSolver", "WeylAlgebra", "_Chains", "_chains", "koszul_differential"):
+        monkeypatch.setattr(weyl, name, not_reached)
+    assert dual_top_concentration(2, resolution) == expected
 
 
 def test_phi_mismatch_names_the_position_and_wedge(monkeypatch):
-    # with the dual differential lost, phi fails to be a chain map on the
-    # first generator checked, 1 (x) 1 (x) 1 at dual position 0
-    monkeypatch.setattr(weyl, "dual_differential", lambda algebra, element: {})
+    # with every drop sign +1, phi fails to be a chain map on the first
+    # generator checked, 1 (x) 1 (x) 1 at dual position 0
+    resolution = bounded_exactness(1, 0, Q)
+    monkeypatch.setattr(weyl, "_remove_sign", lambda wedge, position: 1)
     with pytest.raises(CheckFailed,
                        match=r"^phi is not a chain map at dual position 0 on wedge \(\)$"):
-        dual_report(1, 0, Q)
+        dual_top_concentration(1, resolution)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_dual_moves_are_the_transpose_of_the_resolutions(n):
-    # the inserts read off the drops are the moves of the dual's own sign
-    # rule, element by element, in the same order, on the same table objects
+    # the drop of k from W with sign e, transposed to the insert of k back
+    # to W with the same sign and the two sides swapped, gives the moves of
+    # the dual's own sign rule, element by element, in the same order, on
+    # the same table objects; and the oracle's image under the drops is the
+    # library's
     A = WeylAlgebra(n, Q)
     for filt in range(3):
         chains = _Chains(A, filt)
-        assert chains.inserts == greater_sign_inserts(chains)
+        transposed = [[] for _ in chains.wedges]
+        for i, drops in enumerate(chains.drops):
+            for rest, sign, left, minus, right in drops:
+                assert minus == -sign
+                transposed[rest].append((i, sign, right, -sign, left))
+        assert transposed == greater_sign_inserts(chains)
+        for d in range(2 * n + 1):
+            for code in chains.position(d, filt - 1):  # images numbered below filt
+                assert moves_image(chains, code, chains.drops) == chains.image(code)
+
+
+@pytest.mark.parametrize("field", [Q, make_field(7)], ids=["Q", "GF7"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_phi_is_a_chain_map_on_every_key(n, field):
+    # the library checks phi d^v = (-1)^d d phi on the generators
+    # w (x) 1 (x) 1 only, from the drop rule; it holds on every key of every
+    # dual position up to filtration 3, with the oracle's dual differential
+    A = WeylAlgebra(n, field)
+    for d in range(2 * n + 1):
+        for key in position_keys(A, d, 3):
+            lhs = phi_element(field, n, dict_dual_differential(A, {key: 1}))
+            rhs = koszul_differential(A, phi_element(field, n, {key: (-1) ** d}))
+            assert lhs == rhs, key
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -474,8 +506,8 @@ def test_last_listed_pivots_give_the_listing_order_ranks(n, field):
                                            lambda s, t: A._mul_monomials(t, s), first_listed))
         chains = _Chains(A, filt)
         layout = [(top - i, filt - i) for i in range(top + 1)]
-        dimensions, ranks, homology = coded_homology(chains, layout, chains.inserts,
-                                                     A._mul_monomials)
+        dimensions, ranks, homology = coded_homology(
+            chains, layout, greater_sign_inserts(chains), A._mul_monomials)
         positions = [position_keys(A, d, env) for d, env in layout]
         assert dimensions == [len(keys) for keys in positions]
         for first_listed in (False, True):
