@@ -63,6 +63,19 @@ def _finish(report) -> int:
     return 0 if report["ok"] else 1
 
 
+def _flag_int(text, location, refusal, least=0):
+    """The int that a flag's ASCII decimal digits name.  A sign, a space,
+    an underscore, another script's digits, text past int()'s digit limit
+    and a value below least are refused at location."""
+    try:
+        value = int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:  # past the int-to-str digit limit
+        value = None
+    if value is None or value < least:
+        raise SkewginError(refusal, location=location)
+    return value
+
+
 def _need(doc, what, attr):
     if getattr(doc, attr) is None:
         raise SkewginError(f"the command needs a {what}", location=f"/{attr}")
@@ -88,7 +101,8 @@ def cmd_validate(args) -> int:
 
 def cmd_ginzburg(args) -> int:
     doc = _read_document(args)
-    d, issues = (args.d if args.d is not None else doc.d), []
+    d = doc.d if args.d is None else _flag_int(args.d, "/d", "expected an integer >= 3")
+    issues = []
     document.check_d(d, doc.potential, issues)
     if issues:
         raise ValidationError(issues)
@@ -197,12 +211,9 @@ def cmd_transport(args) -> int:
 
 def _verify_bound(args, doc):
     """The length bound of verify, checked before any product is formed."""
-    if args.max_len is not None:
-        bound, where = args.max_len, "/max_len"
-    else:
-        bound, where = doc.max_len, "/options/max_len"
-    if bound < 0:
-        raise SkewginError("expected a nonnegative integer", location=where)
+    where = "/options/max_len" if args.max_len is None else "/max_len"
+    bound = (doc.max_len if args.max_len is None else
+             _flag_int(args.max_len, where, "expected a nonnegative integer"))
     paths = quiver.count_paths_up_to(doc.quiver, bound, MAX_CROSSED_KEYS // doc.group.size)
     keys = paths * doc.group.size
     if keys > MAX_CROSSED_KEYS:
@@ -304,25 +315,23 @@ def _read_matrices(path, n, field):
 
 
 def cmd_weyl(args) -> int:
-    digits = args.field.isascii() and args.field.isdigit()  # no sign, space, _ or other script
+    refusal = f"expected Q or a prime, got {args.field!r}"
+    spec = "Q" if args.field == "Q" else _flag_int(args.field, "/field", refusal)
     try:
-        spec = "Q" if args.field == "Q" else int(args.field) if digits else None
         field = fields.make_field(spec)
-    except (ValueError, SkewginError) as exc:
-        past = digits and isinstance(exc, SkewginError) and spec > fields.MAX_MODULUS
-        raise SkewginError(str(exc) if past else f"expected Q or a prime, got {args.field!r}",
+    except SkewginError as exc:  # a modulus past the bound: the document reader's refusal
+        raise SkewginError(str(exc) if spec > fields.MAX_MODULUS else refusal,
                            location="/field") from exc
-    if args.n < 1:
-        raise SkewginError("the number of variables must be positive", location="/n")
-    if args.filtration < 0:
-        raise SkewginError("the filtration bound must be non-negative", location="/filtration")
-    matrices = _read_matrices(args.matrices, args.n, field) if args.matrices else None
-    cap = weyl.DEFAULT_CAP if args.cap is None else args.cap
-    weyl.check_costs(args.n, args.filtration, cap, matrices or ())
+    n = _flag_int(args.n, "/n", "the number of variables must be positive", least=1)
+    filt = _flag_int(args.filtration, "/filtration", "the filtration bound must be non-negative")
+    cap = (weyl.DEFAULT_CAP if args.cap is None else
+           _flag_int(args.cap, "/cap", f"expected a cap of at most {weyl.MAX_CAP}"))
+    matrices = _read_matrices(args.matrices, n, field) if args.matrices else None
+    weyl.check_costs(n, filt, cap, matrices or ())
     report = _base_report("weyl")
-    report["n"] = args.n
-    report["filtration"] = args.filtration
-    resolution = weyl.bounded_exactness(args.n, args.filtration, field, cap=cap)
+    report["n"] = n
+    report["filtration"] = filt
+    resolution = weyl.bounded_exactness(n, filt, field, cap=cap)
     report["resolution"] = resolution
     report["checks"].append({
         "check": "resolution homology vanishes away from the augmentation",
@@ -333,15 +342,15 @@ def cmd_weyl(args) -> int:
         "check": "augmentation cokernel matches the filtered algebra dimension",
         "ok": resolution["augmentation_cokernel"] == resolution["expected_cokernel"],
     })
-    dual = weyl.dual_top_concentration(args.n, resolution)
+    dual = weyl.dual_top_concentration(n, resolution)
     report["dual"] = dual
     report["checks"].append({
         "check": "dual complex homology concentrates at the top position",
-        "ok": (all(v == 0 for k, v in dual["homology"].items() if k != 2 * args.n)
+        "ok": (all(v == 0 for k, v in dual["homology"].items() if k != 2 * n)
                and dual["top_homology"] == dual["expected_top"]),
     })
     if matrices is not None:
-        failures = weyl.check_sp_equivariance(args.n, matrices, field)
+        failures = weyl.check_sp_equivariance(n, matrices, field)
         report["checks"].append({
             "check": "matrices are symplectic and the differential is equivariant",
             "ok": not failures, "failures": failures,
@@ -357,44 +366,29 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_doc(p):
+    def add_doc(name, func, summary):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("document", help="input JSON document path, or - for stdin")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("validate", help="parse and validate a document")
-    add_doc(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("ginzburg", help="emit the dg presentation of the quiver with potential")
-    add_doc(p)
-    p.add_argument("--d", type=int, default=None, help="CY dimension (default from document)")
+    add_doc("validate", cmd_validate, "parse and validate a document")
+    p = add_doc("ginzburg", cmd_ginzburg, "emit the dg presentation of the quiver with potential")
+    p.add_argument("--d", help="CY dimension (default from document)")
     p.add_argument("--check", action="store_true", help="verify the differential squares to zero")
-    p.set_defaults(func=cmd_ginzburg)
-
-    p = sub.add_parser("invariance", help="check the potential is fixed by the action")
-    add_doc(p)
-    p.set_defaults(func=cmd_invariance)
-
-    p = sub.add_parser("reduce", help="emit the reduced quiver and its embedding")
-    add_doc(p)
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("transport", help="move the potential onto the reduced quiver")
-    add_doc(p)
-    p.set_defaults(func=cmd_transport)
-
-    p = sub.add_parser("verify", help="run the embedding, class, and dimension checks")
-    add_doc(p)
-    p.add_argument("--max-len", type=int, default=None, help="length bound for the checks")
-    p.set_defaults(func=cmd_verify)
+    add_doc("invariance", cmd_invariance, "check the potential is fixed by the action")
+    add_doc("reduce", cmd_reduce, "emit the reduced quiver and its embedding")
+    add_doc("transport", cmd_transport, "move the potential onto the reduced quiver")
+    p = add_doc("verify", cmd_verify, "run the embedding, class, and dimension checks")
+    p.add_argument("--max-len", help="length bound for the checks")
 
     p = sub.add_parser("weyl", help="filtered resolution and symplectic equivariance checks")
-    p.add_argument("--n", type=int, required=True, help="number of variables")
-    p.add_argument("--filtration", type=int, default=2, help="total degree bound")
-    p.add_argument("--matrices", default=None, help="JSON file with matrices to check")
+    p.add_argument("--n", required=True, help="number of variables")
+    p.add_argument("--filtration", default="2", help="total degree bound")
+    p.add_argument("--matrices", help="JSON file with matrices to check")
     p.add_argument("--field", default="Q", help='"Q" or a prime modulus')
-    p.add_argument("--cap", type=int, default=None,
-                   help="cap on each counted cost: complex dimension, wedge-table moves "
-                        "and wedge-action terms")
+    p.add_argument("--cap", help="cap on each counted cost: complex dimension, wedge-table "
+                                 "moves and wedge-action terms")
     p.set_defaults(func=cmd_weyl)
     return parser
 

@@ -140,7 +140,8 @@ def build_morita(action: QuiverAction, idempotents=None) -> MoritaData:
     idempotents optionally is a pair (vectors, dims): scalar coefficient
     rows over the group's elements with declared irreducible dimensions,
     used at every orbit representative whose stabilizer is the whole
-    group.  Every other stabilizer must be abelian.
+    group, and refused at /group/idempotents if it fails validation.
+    Every other stabilizer must be abelian.
     """
     problems = validate_action(action)
     if problems:
@@ -156,7 +157,8 @@ def build_morita(action: QuiverAction, idempotents=None) -> MoritaData:
     vertex_names = []
     for rep in reps:
         sub, ambient = group.subgroup(stabilizers[rep])
-        if idempotents is not None and sub.size == group.size:
+        supplied = idempotents is not None and sub.size == group.size
+        if supplied:
             vectors, dims = idempotents
             algebra = GroupAlgebra(sub, field)
             elements = []
@@ -176,7 +178,8 @@ def build_morita(action: QuiverAction, idempotents=None) -> MoritaData:
         failures = validate_idempotent_set(idem_set)
         if failures:
             raise SkewginError(
-                f"idempotent set for {rep} failed validation: " + "; ".join(failures))
+                f"idempotent set for {rep} failed validation: " + "; ".join(failures),
+                location="/group/idempotents" if supplied else "/")
         idem_sets[rep] = idem_set
         for j, coeffs in enumerate(idem_set.elements):
             name = f"{rep}:{j}"

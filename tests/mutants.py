@@ -343,6 +343,10 @@ MUTANTS = [
            "    except (ValueError, RecursionError) as exc:\n",
            "    except json.JSONDecodeError as exc:\n",
            ("tests/test_cli.py::test_unreadable_json_is_refused_at_the_root",)),
+    Mutant("flag-reader-takes-any-script-digits", "cli.py",
+           "        value = int(text) if text.isascii() and text.isdigit() else None\n",
+           "        value = int(text) if text.isdigit() else None\n",
+           ("tests/test_cli.py::test_flag_numbers_take_ascii_decimal_digits_only",)),
     # -- primality and roots of unity --
     Mutant("miller-rabin-skips-a-base", "fields.py",
            "               for b in _BASES)\n", "               for b in _BASES[:-1])\n",

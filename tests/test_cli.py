@@ -357,7 +357,16 @@ def test_reduce_names_each_failed_idempotent_rule(capsys, tmp_path):
         group["idempotents"]["vectors"] = changed
         code, report = run_cli(capsys, tmp_path, doc(SIGNED_S3, group=group), "reduce")
         assert code == 2
-        assert report["errors"] == [{"location": "/", "message": prefix + message}]
+        assert report["errors"] == [{"location": "/group/idempotents",
+                                     "message": prefix + message}]
+    group = dict(MCKAY["group"], idempotents={"vectors": [["1", "0", "0"]], "dims": [1]})
+    for command in ("reduce", "verify"):
+        code, report = run_cli(capsys, tmp_path, doc(MCKAY, group=group), command)
+        assert code == 2
+        assert report["errors"] == [{
+            "location": "/group/idempotents",
+            "message": prefix + "sum of squared dimensions 1 != |G| = 3; "
+                       "element 0 spans a module of dimension 3, declared 1"}]
 
 
 def test_ginzburg_check_without_a_potential(capsys, tmp_path):
@@ -391,13 +400,41 @@ def test_a_modulus_past_the_bound_is_refused_at_field_by_both_readers(capsys, tm
     assert json.loads(capsys.readouterr().out)["errors"] == refusal
 
 
-@pytest.mark.parametrize("value", ["1_000_003", "\u0667", " 7 ", "+7"],
-                         ids=["underscores", "arabic-indic-seven", "spaces", "plus-sign"])
-def test_weyl_field_takes_ascii_decimal_digits_only(capsys, value):
-    # int() reads each of these as a prime; the field is Q or ASCII digits
-    assert main(["weyl", "--n", "1", "--filtration", "0", "--field", value]) == 2
-    assert json.loads(capsys.readouterr().out)["errors"] == [
-        {"location": "/field", "message": f"expected Q or a prime, got {value!r}"}]
+# each number flag: the command line before its value, its location, its
+# refusal (None: the field's, which names the value) and a digit it takes
+NUMBER_FLAGS = {
+    "n": (["weyl", "--filtration", "0", "--n"], "/n",
+          "the number of variables must be positive", 1),
+    "filtration": (["weyl", "--n", "1", "--filtration"], "/filtration",
+                   "the filtration bound must be non-negative", 1),
+    "cap": (["weyl", "--n", "1", "--filtration", "0", "--cap"], "/cap",
+            "expected a cap of at most 1000000000000", 9),
+    "max_len": (["verify", "DOC", "--max-len"], "/max_len", "expected a nonnegative integer", 1),
+    "d": (["ginzburg", "DOC", "--d"], "/d", "expected an integer >= 3", 3),
+    "field": (["weyl", "--n", "1", "--filtration", "0", "--field"], "/field", None, 7),
+}
+# int() reads all but the last three as the digit v, or as 1v, which each
+# flag takes (17 is prime); str.isdigit() takes the Arabic-Indic digit
+NOT_ASCII_DIGITS = {"arabic-indic": lambda v: chr(0x0660 + v), "plus-sign": "+{}".format,
+                    "spaces": " {} ".format, "underscore": "1_{}".format,
+                    "word": lambda v: "x", "minus-sign": "-{}".format,
+                    "5000-digits": lambda v: "1" * 5000}
+
+
+@pytest.mark.parametrize("flag, case", [(f, c) for f in NUMBER_FLAGS for c in NOT_ASCII_DIGITS],
+                         ids=[f"{f}-{c}" for f in NUMBER_FLAGS for c in NOT_ASCII_DIGITS])
+def test_flag_numbers_take_ascii_decimal_digits_only(capsys, tmp_path, flag, case):
+    # each is refused in one report at the flag's own place, nothing on stderr
+    path = tmp_path / "doc.json"
+    path.write_text(doc(MCKAY), encoding="utf-8")
+    head, location, refusal, digit = NUMBER_FLAGS[flag]
+    value = NOT_ASCII_DIGITS[case](digit)
+    argv = [str(path) if arg == "DOC" else arg for arg in head]
+    assert main([*argv, value]) == 2
+    out, err = capsys.readouterr()
+    message = f"expected Q or a prime, got {value!r}" if refusal is None else refusal
+    assert json.loads(out)["errors"] == [{"location": location, "message": message}]
+    assert err == ""
 
 
 @pytest.mark.parametrize("spec", [True, {"p": True}], ids=["bare", "p"])
@@ -815,7 +852,8 @@ def test_weyl_input_errors_exit_2(capsys, tmp_path):
     assert report["errors"] == [{"location": "/field",
                                  "message": "expected Q or a prime, got '4'"}]
     assert main(["weyl", "--n", "0"]) == 2
-    capsys.readouterr()
+    assert json.loads(capsys.readouterr().out)["errors"] == [
+        {"location": "/n", "message": "the number of variables must be positive"}]
     bad = tmp_path / "bad.json"
     bad.write_text("{nope", encoding="utf-8")
     assert main(["weyl", "--n", "1", "--matrices", str(bad)]) == 2
