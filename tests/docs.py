@@ -135,6 +135,33 @@ SIGNED_S3_SHEARED = dict(SIGNED_S3, action={
 })
 
 
+# Z/2 swapping the vertices 1 and 2 of a two-cycle with a loop at each end.
+# The arrow names sort against their sources (a and y start at 2, b and x
+# at 1), so ordering paths by arrows and then source differs from ordering
+# them by source and then arrows, which no one-vertex document shows.
+VERTEX_SWAP = {
+    "field": "Q",
+    "quiver": {"vertices": ["1", "2"], "arrows": [
+        {"name": "a", "src": "2", "tgt": "1", "deg": 0},
+        {"name": "b", "src": "1", "tgt": "2", "deg": 0},
+        {"name": "x", "src": "1", "tgt": "1", "deg": 0},
+        {"name": "y", "src": "2", "tgt": "2", "deg": 0},
+    ]},
+    "potential": [
+        {"coeff": "1", "cycle": ["b", "a", "x"]},
+        {"coeff": "1", "cycle": ["a", "b", "y"]},
+    ],
+    "d": 3,
+    "group": {"elements": ["e", "s"], "table": [[0, 1], [1, 0]]},
+    "action": {
+        "s": {"vertex_perm": {"1": "2", "2": "1"},
+              "arrow_matrices": {"(1,2)": [["1"]], "(2,1)": [["1"]],
+                                 "(1,1)": [["1"]], "(2,2)": [["1"]]}},
+    },
+    "options": {"max_len": 3},
+}
+
+
 def doc(base, **changes):
     out = copy.deepcopy(base)
     out.update(changes)

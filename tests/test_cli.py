@@ -18,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 from skewgin.cli import main
 
 from docs import (MCKAY, MCKAY_NON_MONOMIAL, MINIMAL, NEGATION_NONINVARIANT, SIGNED_S3,
-                  SIGNED_S3_SHEARED, THREE_LOOPS_COMMUTATOR, TRIVIAL_GROUP_PIPELINE, doc)
+                  SIGNED_S3_SHEARED, THREE_LOOPS_COMMUTATOR, TRIVIAL_GROUP_PIPELINE,
+                  VERTEX_SWAP, doc)
 
 
 def run_cli(capsys, tmp_path, document_text, *argv_tail, name="doc.json"):
@@ -608,6 +609,22 @@ def test_verify_length_4_report_bytes_are_pinned(capsys, tmp_path, document, dig
     assert hashlib.sha256(out).hexdigest() == digest
 
 
+# sha256 of the reports on the one document with two vertices, whose
+# arrow names sort against their sources, as the (path, group element)
+# keyed crossed product wrote them
+@pytest.mark.parametrize("argv, digest", [
+    (["reduce"], "69bd238cb02496adced968e5c6fdebc13568c18a214abf6b60a35254ecea5886"),
+    (["transport"], "1d1d7a19ac92676c0ee884210e4cd7f647b86a62757f23b2351f76fcbf1026ac"),
+    (["verify", "--max-len", "4"],
+     "a4d119908c0711e245ae5a5de30b68098646a870b20103b7a0c3f14b33a7b4d4"),
+], ids=["reduce", "transport", "verify-4"])
+def test_vertex_swap_report_bytes_are_pinned(capsys, tmp_path, argv, digest):
+    path = tmp_path / "swap.json"
+    path.write_text(doc(VERTEX_SWAP), encoding="utf-8")
+    assert main([argv[0], str(path), *argv[1:]]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == digest
+
 def test_the_commands_hand_the_solver_kernel_ints_only(capsys, tmp_path, monkeypatch):
     # every caller clears its field scalars once (Field.scaled), so each
     # vector the solver is handed holds nonzero ints over Q and residues
@@ -1187,6 +1204,21 @@ def test_a_closed_stdout_exits_2_without_a_traceback(tmp_path, argv, matrices):
         os.close(write)
     assert (child.returncode, child.stderr) == (2, b"")
 
+
+@pytest.mark.parametrize("document", [VERTEX_SWAP, SIGNED_S3], ids=["vertex-swap", "signed-s3"])
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path, document):
+    # every set and dict a report passes through is read in an order that
+    # string hashing does not decide, so two child interpreters with
+    # different hash seeds write the same bytes
+    path = tmp_path / "doc.json"
+    path.write_text(doc(document), encoding="utf-8")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    for argv in (["reduce"], ["transport"], ["verify", "--max-len", "3"]):
+        outs = {subprocess.run([sys.executable, "-m", "skewgin.cli", argv[0], str(path), *argv[1:]],
+                               capture_output=True, timeout=120, check=True,
+                               env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)).stdout
+                for seed in ("0", "1")}
+        assert len(outs) == 1, argv
 
 def test_missing_file_exit_2(capsys):
     code = main(["validate", "/nonexistent/file.json"])
