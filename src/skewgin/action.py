@@ -71,20 +71,22 @@ class QuiverAction:
             cache[(g, Path(source, arrows[:k + 1]))] = out
         return out
 
-    def cleared_image(self, g: int, path: Path):
-        """``Field.scaled`` of act_path(g, path), cleared once and cached.
+    def cleared_image(self, g: int, code: int):
+        """``Field.scaled`` of act_path(g, path) for the path of the given
+        code (``quiver.codes``), cleared once and cached.
 
-        Returns (den, [(r, int)]): every path r of the image starts at the
-        vertex g(source), so one look at the first r tells whether a path
-        composes with the image.  The list is shared by every caller and is
-        never rescaled in place; a caller that needs another denominator
-        scales its own sums or factors instead.
+        Returns (den, [(code of r, int)]): every path r of the image starts
+        at the vertex g(source), so one look at the first r tells whether a
+        path composes with the image.  The list is shared by every caller
+        and is never rescaled in place; a caller that needs another
+        denominator scales its own sums or factors instead.
         """
-        key = (g, path)
+        key = (g, code)
         cleared = self._cleared_cache.get(key)
         if cleared is None:
-            cleared = self._cleared_cache[key] = self.field.scaled(
-                self.act_path(g, path).terms.items())
+            codes = self.quiver.codes
+            den, items = self.field.scaled(self.act_path(g, codes.decode(code)).terms.items())
+            cleared = self._cleared_cache[key] = den, [(codes.encode(r), c) for r, c in items]
         return cleared
 
     def act(self, g: int, x: AlgElement) -> AlgElement:

@@ -7,23 +7,29 @@ twisting what they pass.  A term's length is the length of its path part.
 All class computations happen inside a single length component, which
 commutators and length-zero idempotents preserve.
 
+The key of a pair (p, g) is one int, code * |G| + g, with code the path's
+code (``quiver.codes``).  Keys sort like the basis (``crossed_basis``):
+by path in ``path_sort_key`` order, then by group element.  They go
+straight into ``LinSolver``, and paths are decoded only by
+``CrossedElement.field_terms`` and ``sorted_terms``.
+
 Elements hold their scalars as one positive int den and int terms (the
 scaled-integer form of ``skewgin.fields``), and are built that way only:
 a caller holding field scalars clears them with ``Field.scaled`` first.
 Products, sums, commutators and certificate re-expansion run on ints;
 field scalars are made only by ``CrossedElement.field_terms`` and
 ``sorted_terms``, which reports read.  Every image g acting on q is
-cleared to (den, int terms) once per action
+cleared to (den, int terms on path codes) once per action
 (``QuiverAction.cleared_image``).  A product of two elements is regrouped
-by the paths q of its right operand, so each p.r is built once (see
+by the paths q of its right operand, so each p.r is concatenated once (see
 ``CrossedElement.__mul__``); elements are immutable, so the right operand
-caches that regrouping.  The basis-pair products
-(p, g)(q, h) of commutators and certificates are read straight off the
-cleared image.  ``express_modulo_commutators`` takes a target and (label,
-element) pairs and returns their combination with a ``Certificate`` for
-the commutator part; its feed forms a commutator only when it reaches it,
-finding the ones that touch the target's residual through an index of the
-cleared images, and stops as soon as the target is in the span.  A
+caches that regrouping.  The basis-pair products (p, g)(q, h) of
+commutators and certificates are read straight off the cleared image.
+``express_modulo_commutators`` takes a target and (label, element) pairs
+and returns their combination with a ``Certificate`` for the commutator
+part; its feed forms a commutator only when it reaches it, finding the
+ones that touch the target's residual through an index of the cleared
+images, and stops as soon as the target is in the span.  A
 ``Certificate`` is one den and int entries, and is read only on ints.
 """
 
@@ -37,7 +43,8 @@ from .quiver import AlgElement, Path, path_sort_key, paths_by_length
 
 
 class CrossedElement:
-    """Finite scalar combination of (path, group element) pairs.
+    """Finite scalar combination of (path, group element) pairs, each keyed
+    code * |G| + g (module docstring).
 
     The scalars are kept in the scaled-integer form of ``skewgin.fields``:
     one positive int ``den`` and int ``terms``, the scalar of a key being
@@ -60,7 +67,7 @@ class CrossedElement:
 
     @classmethod
     def from_pair(cls, action, path, g: int):
-        return cls(action, 1, {(path, g): 1})
+        return cls(action, 1, {action.quiver.codes.encode(path) * action.group.size + g: 1})
 
     @classmethod
     def from_alg(cls, action, x: AlgElement, g: int | None = None):
@@ -70,8 +77,9 @@ class CrossedElement:
         if x.field != action.field:
             raise SkewginError("element lives over a different field")
         g = action.group.identity if g is None else g
+        encode, n = action.quiver.codes.encode, action.group.size
         den, items = action.field.scaled(x.terms.items())
-        return cls(action, den, {(p, g): c for p, c in items})
+        return cls(action, den, {encode(p) * n + g: c for p, c in items})
 
     # -- structure --
 
@@ -119,39 +127,43 @@ class CrossedElement:
         action = self.action
         if other.action is not action:
             self._check(other)
-        arrow = action.quiver.arrow_by_name
+        n, codes = action.group.size, action.quiver.codes
+        target, concat = codes.target, codes.concat
         tables = other._tables
         if tables is None:
             tables = other._tables = {}
         sums = {}  # image den -> {key: int sum}
-        for (p, g), cp in self.terms.items():
+        for key, cp in self.terms.items():
+            p, g = divmod(key, n)
             by_source = tables.get(g)
             if by_source is None:
                 by_source = tables[g] = other._table(g)
-            head = p.arrows
-            for den, image, twists in by_source.get(arrow[head[-1]].tgt if head else p.source, ()):
+            for den, image, twists in by_source.get(target(p), ()):
                 acc = sums.setdefault(den, {})
                 get = acc.get
                 for r, cr in image:
-                    pr = Path(p.source, head + r.arrows) if head else r
+                    pr = concat(p, r) * n
                     c = cp * cr
                     for gh, cq in twists:
-                        key = (pr, gh)
+                        key = pr + gh
                         acc[key] = get(key, 0) + c * cq
         return CrossedElement.from_sums(action, sums, self.den * other.den)
 
     def _table(self, g):
         """{source vertex: [(den, image, twists)]}: g's cleared image of each
         path q under its paths' source, with the twists (gh, c) of c * (q, h)."""
-        cleared_image, gmul = self.action.cleared_image, self.action.group.mul
+        action = self.action
+        cleared_image, gmul = action.cleared_image, action.group.mul
+        n, source = action.group.size, action.quiver.codes.source
         by_source, twists_of = {}, {}
-        for (q, h), cq in self.terms.items():
+        for key, cq in self.terms.items():
+            q, h = divmod(key, n)
             twists = twists_of.get(q)
             if twists is None:
                 twists = twists_of[q] = []
                 den, image = cleared_image(g, q)
                 if image:
-                    by_source.setdefault(image[0][0].source, []).append((den, image, twists))
+                    by_source.setdefault(source(image[0][0]), []).append((den, image, twists))
             twists.append((gmul(g, h), cq))
         return by_source
 
@@ -171,15 +183,18 @@ class CrossedElement:
         return cls(action, *action.field.normalized(acc, outer * den))
 
     def pure_length(self):
-        ls = {len(p.arrows) for (p, _) in self.terms}
+        length, n = self.action.quiver.codes.length, self.action.group.size
+        ls = {length(key // n) for key in self.terms}
         if len(ls) != 1:
             raise SkewginError(f"element mixes path lengths {sorted(ls)}")
         return ls.pop()
 
     def field_terms(self) -> dict:
-        """The sparse dict {key: field scalar}: one ``Field.ratio`` per term."""
+        """The sparse dict {(path, g): field scalar}, each key decoded and
+        each scalar one ``Field.ratio``."""
         ratio, den = self.action.field.ratio, self.den
-        return {k: ratio(c, den) for k, c in self.terms.items()}
+        decode, n = self.action.quiver.codes.decode, self.action.group.size
+        return {(decode(key // n), key % n): ratio(c, den) for key, c in self.terms.items()}
 
     def sorted_terms(self):
         return sorted(self.field_terms().items(),
@@ -187,17 +202,10 @@ class CrossedElement:
 
 
 def crossed_basis(action, length: int):
-    """Ordered (path, group element) pairs of one length component."""
+    """The keys of one length component, in order."""
+    encode, n = action.quiver.codes.encode, action.group.size
     paths = paths_by_length(action.quiver, length).get(length, [])
-    return [(p, g) for p in paths for g in action.group.elements()]
-
-
-def basis_index(action, length: int):
-    return {key: i for i, key in enumerate(crossed_basis(action, length))}
-
-
-def vectorize(x: CrossedElement, index: dict) -> dict:
-    return {index[key]: c for key, c in x.terms.items()}
+    return [encode(p) * n + g for p in paths for g in action.group.elements()]
 
 
 class CommutatorTerm:
@@ -216,13 +224,13 @@ def _pair_product(action, u, v):
     the terms c * r of the cleared image den, [(r, c)] of g acting on q
     become c * p.r.gh, and the list is empty when p does not compose with
     the image.  The keys are distinct, and the cached image is only read."""
-    (p, g), (q, h) = u, v
+    n, codes = action.group.size, action.quiver.codes
+    (p, g), (q, h) = divmod(u, n), divmod(v, n)
     den, image = action.cleared_image(g, q)
-    if not image or action.quiver.path_target(p) != image[0][0].source:
+    if not image or codes.target(p) != codes.source(image[0][0]):
         return den, []
-    gh, head = action.group.mul(g, h), p.arrows
-    return den, [((Path(p.source, head + r.arrows) if head else r, gh), c)
-                 for r, c in image]
+    gh, concat = action.group.mul(g, h), codes.concat
+    return den, [(concat(p, r) * n + gh, c) for r, c in image]
 
 
 def _commutator_ints(action, u, v):
@@ -292,40 +300,40 @@ def _touching_candidates(action, length: int, keys):
     one of keys: a product (a, g)(q, h) has a raw term on (s, k) only when
     a is a prefix of s, gh = k and the rest of s is a path of g's image of
     q, so each split of s is looked up in an index of the cleared images."""
-    group, quiver = action.group, action.quiver
+    group, quiver, n = action.group, action.quiver, action.group.size
+    encode = quiver.codes.encode
     sources = {}  # (g, r) -> the paths q whose image under g has the path r
-    for layer in paths_by_length(quiver, length).values():
+    for paths in paths_by_length(quiver, length).values():
+        layer = [encode(q) for q in paths]
         for g in group.elements():
             for q in layer:
                 for r, _ in action.cleared_image(g, q)[1]:
                     sources.setdefault((g, r), []).append(q)
     pairs = set()
-    for s, k in keys:
+    for key in keys:
+        s, k = quiver.codes.decode(key // n), key % n
         for i in range(length + 1):
             a = Path(s.source, s.arrows[:i])
-            rest = Path(quiver.path_target(a), s.arrows[i:])
+            head, rest = encode(a) * n, encode(Path(quiver.path_target(a), s.arrows[i:]))
             for g in group.elements():
-                u, h = (a, g), group.mul(group.inv(g), k)
+                u, h = head + g, group.mul(group.inv(g), k)
                 pairs.update(pair for q in sources.get((g, rest), ())
-                             for pair in ((u, (q, h)), ((q, h), u)))
+                             for pair in ((u, q * n + h), (q * n + h, u)))
     return [pair for pair in _basis_pairs(action, length) if pair in pairs]
 
 
-def _feed(action, length: int, index: dict, support):
-    """(commutator, vector) in feed order: those whose vector meets the
-    support first, then the rest, each part in basis order.  Only the
-    touching candidates are formed up front, the rest when reached."""
+def _feed(action, length: int, support):
+    """The commutators in feed order: those with a term on the support
+    first, then the rest, each part in basis order.  Only the touching
+    candidates are formed up front, the rest when reached."""
     touching = set()
-    keys = [key for key, i in index.items() if i in support]
-    for term in commutator_basis(action, length, _touching_candidates(action, length, keys)):
-        vector = vectorize(term.element, index)
-        if not support.isdisjoint(vector):
+    for term in commutator_basis(action, length, _touching_candidates(action, length, support)):
+        if not support.isdisjoint(term.element.terms):
             touching.add((term.u, term.v))
-            yield term, vector
+            yield term
     for pair in _basis_pairs(action, length):
         if pair not in touching:
-            for term in commutator_basis(action, length, (pair,)):
-                yield term, vectorize(term.element, index)
+            yield from commutator_basis(action, length, (pair,))
 
 
 def express_modulo_commutators(target: CrossedElement, labelled=()):
@@ -353,21 +361,19 @@ def express_modulo_commutators(target: CrossedElement, labelled=()):
     if target.is_zero():
         return {}, Certificate(1, {})
     length = target.pure_length()
-    index = basis_index(action, length)
     solver = LinSolver(field)
     dens = {}
     for label, element in labelled:
-        solver.add(vectorize(element, index), label=label)
+        solver.add(element.terms, label=label)
         dens[label] = element.den
-    vector = vectorize(target, index)
-    combo = solver.express(vector)
+    combo = solver.express(target.terms)
     if combo is None:
-        residual = solver.residual(vector)
+        residual = solver.residual(target.terms)
         in_span = solver.span_test(dict(field.scaled(residual.items())[1]))
-        for term, vec in _feed(action, length, index, set(residual)):
-            if solver.add(vec, label=term) and in_span():
+        for term in _feed(action, length, set(residual)):
+            if solver.add(term.element.terms, label=term) and in_span():
                 break
-        combo = solver.express(vector)
+        combo = solver.express(target.terms)
         if combo is None:
             return None
     den = target.den

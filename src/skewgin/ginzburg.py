@@ -147,40 +147,37 @@ def relation_ideal(relations, by_len, bound: int, rel_len: int):
 
     relations are nonzero elements of one length rel_len, and by_len groups
     the paths by length in basis order (``paths_by_length``).  The solver of
-    length ell is keyed by position in by_len[ell].  It spans
+    length ell is keyed by path code (``quiver.codes``).  It spans
 
         I_ell = A_1 . I_(ell-1) + A_0 . R . A_(ell-rel_len),
 
     since p.r.q with |p| >= 1 is an arrow times an element of I_(ell-1).
     Each length takes e_v.r.q for every vertex v and path q of length
     ell - rel_len, and then the vectors that enlarged the previous length,
-    each prefixed by every arrow into its source.  Both only relabel paths
-    of the relations, each cleared once (``Field.scaled``), so no product is
-    formed and no scalar is touched.  (This order eliminated about twice as
-    fast as the reverse one on the McKay documents at length 7.)
+    each prefixed by every arrow into its source.  Both only concatenate
+    codes of the relations' paths, each relation cleared once
+    (``Field.scaled``), so no product is formed and no scalar is touched.
+    (This order eliminated about twice as fast as the reverse one on the
+    McKay documents at length 7.)
     """
     quiver, field = relations[0].quiver, relations[0].field
+    encode, concat = quiver.codes.encode, quiver.codes.concat
     pieces = {}  # (i, v, w) -> the part e_v.r.e_w of relation i
     for i, rel in enumerate(relations):
         for p, c in field.scaled(rel.terms.items())[1]:
-            pieces.setdefault((i, p.source, quiver.path_target(p)), {})[p] = c
+            pieces.setdefault((i, p.source, quiver.path_target(p)), {})[encode(p)] = c
+    arrow_code = {a.name: encode(Path(a.src, (a.name,))) for a in quiver.arrows}
     grown = []  # (source vertex, vector) that enlarged the previous length
-    layer = []
     for ell in range(bound + 1):
-        previous, layer = layer, by_len.get(ell, [])
         solver = LinSolver(field)
         if ell >= rel_len:
-            position = {p: i for i, p in enumerate(layer)}
-            shift = {a.name: {i: position[Path(a.src, (a.name,) + p.arrows)]
-                              for i, p in enumerate(previous) if p.source == a.tgt}
-                     for a in quiver.arrows}
             starting = {}
             for q in by_len.get(ell - rel_len, []):
-                starting.setdefault(q.source, []).append(q.arrows)
+                starting.setdefault(q.source, []).append(encode(q))
             vectors = chain(
-                ((v, {position[Path(v, p.arrows + q)]: c for p, c in piece.items()})
+                ((v, {concat(p, q): c for p, c in piece.items()})
                  for (_, v, w), piece in pieces.items() for q in starting.get(w, [])),
-                ((a.src, {shift[a.name][i]: c for i, c in vec.items()})
+                ((a.src, {concat(arrow_code[a.name], k): c for k, c in vec.items()})
                  for v, vec in grown for a in quiver.arrows_to[v]))
             grown = []
             for v, vec in vectors:

@@ -28,8 +28,8 @@ from collections import defaultdict
 from itertools import chain
 
 from .action import QuiverAction, is_potential_invariant, validate_action
-from .crossed import (Certificate, CrossedElement, basis_index, crossed_basis,
-                      expand_certificate, express_modulo_commutators, vectorize)
+from .crossed import (Certificate, CrossedElement, crossed_basis, expand_certificate,
+                      express_modulo_commutators)
 from .errors import CheckFailed, SkewginError, ValidationError
 from .ginzburg import derivative_relations, jacobian_truncation, relation_ideal
 from .groups import GroupAlgebra, IdempotentSet, abelian_idempotents, validate_idempotent_set
@@ -75,8 +75,8 @@ def build_bimodule(action: QuiverAction, reps, kappa, stabilizers):
     subset of its generators.
     """
     G, quiver = action.group, action.quiver
+    n, encode = G.size, quiver.codes.encode
     rep_of = {v: action.act_vertex(kappa[v], v) for v in quiver.vertices}
-    index1 = basis_index(action, 1)
     slots = {}
     for i in reps:
         for j in reps:
@@ -87,16 +87,15 @@ def build_bimodule(action: QuiverAction, reps, kappa, stabilizers):
                 for g1 in stabilizers[i]:
                     twist = G.mul(g1, G.inv(kappa[j2]))
                     for name in arrows:
-                        den, image = action.cleared_image(g1, quiver.path([name]))
+                        den, image = action.cleared_image(g1, encode(quiver.path([name])))
                         deg = quiver.arrow(name).deg
                         for g2 in stabilizers[j]:
                             g = G.mul(twist, g2)
                             slot_candidates.setdefault(deg, []).append(CrossedElement(
-                                action, den, {(r, g): c for r, c in image}))
+                                action, den, {r * n + g: c for r, c in image}))
             for deg in sorted(slot_candidates):
                 solver = LinSolver(action.field)
-                slots[(i, j, deg)] = [z for z in slot_candidates[deg]
-                                      if solver.add(vectorize(z, index1))]
+                slots[(i, j, deg)] = [z for z in slot_candidates[deg] if solver.add(z.terms)]
     return slots
 
 
@@ -181,18 +180,17 @@ def build_morita(action: QuiverAction, idempotents=None) -> MoritaData:
                 f"idempotent set for {rep} failed validation: " + "; ".join(failures),
                 location="/group/idempotents" if supplied else "/")
         idem_sets[rep] = idem_set
+        trivial = action.quiver.codes.encode(action.quiver.trivial_path(rep)) * group.size
         for j, coeffs in enumerate(idem_set.elements):
             name = f"{rep}:{j}"
             vertex_names.append(name)
             vertex_info[name] = (rep, j)
-            den, items = field.scaled([((action.quiver.trivial_path(rep), ambient[k]), c)
-                                       for k, c in coeffs.items()])
+            den, items = field.scaled([(trivial + ambient[k], c) for k, c in coeffs.items()])
             vertex_idems[name] = CrossedElement(action, den, dict(items))
 
     # reduced quiver arrows: a deterministic basis of each corner slot of
     # the bimodule
     bimodule = build_bimodule(action, reps, kappa, stabilizers)
-    index1 = basis_index(action, 1)
     arrows = []
     arrow_embed, fold_factors = {}, {}
     counter = 0
@@ -211,7 +209,7 @@ def build_morita(action: QuiverAction, idempotents=None) -> MoritaData:
                     cornered = e1 * right
                     if cornered.is_zero():
                         continue
-                    if solver.add(vectorize(cornered, index1)):
+                    if solver.add(cornered.terms):
                         name = f"m{counter}"
                         counter += 1
                         arrows.append(Arrow(name, v1, v2, deg))
@@ -269,22 +267,23 @@ def pivot_elements(md: MoritaData) -> dict:
         for g in action.group.elements():
             solver.add((CrossedElement.from_pair(
                 action, trivial_path(act_vertex(g, rep)), g) * e).terms)
-        pivots[j] = {g for _, g in solver.rows}
+        pivots[j] = {key % action.group.size for key in solver.rows}
     return pivots
 
 
-def block_rank(md: MoritaData, paths, embedded, index, pivots) -> int:
+def block_rank(md: MoritaData, paths, embedded, pivots) -> int:
     """Rank of the embedded paths, one solver per Peirce block: a path i -> j
     lies in e_i (A#G) e_j, independent of the other blocks when the vertex
     idempotents are orthogonal.  It also lies in (A#G).e_j, so only its keys
-    (p, g) with g in ``pivots[j]`` (``pivot_elements``) are vectorized, which
+    (p, g) with g in ``pivots[j]`` (``pivot_elements``) are ranked, which
     changes no rank."""
     solvers = defaultdict(lambda: LinSolver(md.field))
+    n = md.action.group.size
     for p in paths:
         j = md.qprime.path_target(p)
         kept = pivots[j]
-        solvers[p.source, j].add({index[key]: c for key, c in embedded[p].terms.items()
-                                  if key[1] in kept})
+        solvers[p.source, j].add({key: c for key, c in embedded[p].terms.items()
+                                  if key % n in kept})
     return sum(solver.rank for solver in solvers.values())
 
 
@@ -305,12 +304,11 @@ def check_embedding(md: MoritaData, bound: int):
     report = []
     qprime = md.qprime
     by_len = paths_by_length(qprime, bound)
-    paths_by_length(md.action.quiver, bound)  # every basis_index below reads these layers
     embedded = embed_paths(md, [p for layer in by_len.values() for p in layer])
     pivots = pivot_elements(md)
     for ell in range(bound + 1):
         layer = by_len.get(ell, [])
-        rank = block_rank(md, layer, embedded, basis_index(md.action, ell), pivots)
+        rank = block_rank(md, layer, embedded, pivots)
         if rank != len(layer):
             report.append(
                 f"length {ell}: embedded rank {rank} < {len(layer)} paths; "
@@ -337,20 +335,19 @@ def _fullness_gap(md: MoritaData, e: CrossedElement, ell: int):
     """The report line for length ell when the span of the products u.e.v
     of that length misses part of the component, else None."""
     action = md.action
-    index = basis_index(action, ell)
-    dim = len(index)
+    dim = len(crossed_basis(action, ell))
     if dim == 0:
         return None
     solver = LinSolver(md.field)
     for s in range(ell + 1):
         for u in crossed_basis(action, s):
-            eu = CrossedElement.from_pair(action, *u) * e
+            eu = CrossedElement(action, 1, {u: 1}) * e
             if eu.is_zero():
                 continue
             for v in crossed_basis(action, ell - s):
-                w = eu * CrossedElement.from_pair(action, *v)
+                w = eu * CrossedElement(action, 1, {v: 1})
                 if not w.is_zero():
-                    solver.add(vectorize(w, index))
+                    solver.add(w.terms)
                     if solver.rank == dim:
                         return None
     return (f"length {ell}: idempotent span has rank {solver.rank} < {dim}; "
@@ -486,19 +483,24 @@ def corner(e: CrossedElement, key) -> CrossedElement:
     c * (e_v, h) and c' * (e_w, k) of e keep c * c' * h(p).hgk exactly when
     h(src p) = v and h(tgt p) = hg(w), as every path of h(p) runs from
     h(src p) to h(tgt p); summed per image den (``CrossedElement.from_sums``)."""
-    (p, g), action = key, e.action
-    src, tgt = p.source, action.quiver.path_target(p)
+    action = e.action
+    n, codes = action.group.size, action.quiver.codes
+    p, g = divmod(key, n)
+    src, tgt = codes.source(p), codes.target(p)
     perms, gmul = action.vertex_perms, action.group.mul
     sums = {}
-    for (v, h), c in e.terms.items():
-        if perms[h][src] == v.source:
+    for left, c in e.terms.items():
+        v, h = divmod(left, n)
+        if perms[h][src] == codes.source(v):
             den, image = action.cleared_image(h, p)
             acc, hg = sums.setdefault(den, {}), gmul(h, g)
-            for (w, k), c_right in e.terms.items():
-                if perms[hg][w.source] == perms[h][tgt]:
+            for right, c_right in e.terms.items():
+                w, k = divmod(right, n)
+                if perms[hg][codes.source(w)] == perms[h][tgt]:
                     hgk = gmul(hg, k)
                     for r, cr in image:
-                        acc[r, hgk] = acc.get((r, hgk), 0) + c * c_right * cr
+                        rk = r * n + hgk
+                        acc[rk] = acc.get(rk, 0) + c * c_right * cr
     return CrossedElement.from_sums(action, sums, e.den * e.den)
 
 
@@ -531,18 +533,16 @@ def morita_dimension_check(md: MoritaData, w: Potential, reduced_w: Potential, b
     rows = []
     right = jacobian_truncation(md.qprime, reduced_w, bound)
     for ell, ideal in zip(range(bound + 1), ideals):
-        # crossed_basis lists the group elements of each path together, so
-        # (path i, g) has index i * n + g and I#G is one copy of the echelon
-        # rows of I per g, on disjoint keys with the pivots kept
-        index = basis_index(action, ell)
+        # I is keyed by path code, so I#G is one copy of the echelon rows of
+        # I per g, keyed code * n + g: on disjoint keys, with the pivots kept
         solver = LinSolver(field)
         for g in action.group.elements():
             solver.rows.update((k * n + g, {kk * n + g: c for kk, c in row.items()})
                                for k, row in ideal.rows.items())
         rank_relations = solver.rank
-        for key, i in index.items():
-            if i // n not in ideal.rows and (cornered := corner(e, key)).terms:
-                solver.add(vectorize(cornered, index))
+        for key in crossed_basis(action, ell):
+            if key // n not in ideal.rows and (cornered := corner(e, key)).terms:
+                solver.add(cornered.terms)
         left_dim = solver.rank - rank_relations
         rows.append((ell, left_dim, right[ell]))
     ok = all(l == r for _, l, r in rows)

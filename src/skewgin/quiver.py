@@ -8,6 +8,13 @@ length components, so every enumeration takes an explicit length bound.
 A linear combination is one call, ``AlgElement(quiver, field, pairs)``
 over (path, scalar) pairs, summed by ``Field.accumulate``.  The cached
 path layers of ``paths_by_length`` are tuples, shared by every caller.
+
+Every quiver numbers its paths (``quiver.codes``, a ``PathCode``): a
+code is a sentinel bit, one fixed-width digit per arrow (its rank among
+the sorted arrow names, first arrow highest), then the source's rank
+among the sorted vertices in the low bits, so trivial paths stay
+distinct.  Codes sort like ``path_sort_key``, and concatenation is int
+arithmetic.  Only this module knows the layout.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ class GradedQuiver:
             self.arrows_from[a.src].append(a)
             self.arrows_to[a.tgt].append(a)
         self._path_layers = []  # paths by length, see paths_by_length
+        self.codes = PathCode(self)
 
     def __eq__(self, other):
         return (isinstance(other, GradedQuiver)
@@ -115,6 +123,55 @@ class GradedQuiver:
         if not p.arrows:
             return q
         return Path(p.source, p.arrows + q.arrows)
+
+
+class PathCode:
+    """The path codes of one quiver (module docstring)."""
+
+    __slots__ = ("vertices", "rank", "digit", "arrows", "width", "dmask", "vbits", "vmask")
+
+    def __init__(self, quiver: GradedQuiver):
+        self.vertices = sorted(quiver.vertices)
+        self.rank = {v: i for i, v in enumerate(self.vertices)}
+        names = sorted(quiver.arrow_by_name)
+        self.digit = {name: i for i, name in enumerate(names)}
+        # digit -> (arrow name, rank of its target)
+        self.arrows = [(name, self.rank[quiver.arrow_by_name[name].tgt]) for name in names]
+        self.width = max(1, (len(names) - 1).bit_length())
+        self.dmask = (1 << self.width) - 1
+        self.vbits = (len(self.vertices) - 1).bit_length()
+        self.vmask = (1 << self.vbits) - 1
+
+    def encode(self, p: Path) -> int:
+        word = 1
+        for name in p.arrows:
+            word = (word << self.width) | self.digit[name]
+        return (word << self.vbits) | self.rank[p.source]
+
+    def decode(self, code: int) -> Path:
+        word, names = code >> self.vbits, []
+        while word > 1:
+            names.append(self.arrows[word & self.dmask][0])
+            word >>= self.width
+        return Path(self.vertices[code & self.vmask], tuple(reversed(names)))
+
+    def length(self, code: int) -> int:
+        return ((code >> self.vbits).bit_length() - 1) // self.width
+
+    def source(self, code: int) -> str:
+        return self.vertices[code & self.vmask]
+
+    def target(self, code: int) -> str:
+        word = code >> self.vbits
+        return self.vertices[self.arrows[word & self.dmask][1] if word > 1 else code & self.vmask]
+
+    def concat(self, code: int, right: int) -> int:
+        """The code of p then r, r starting where p ends: p's word shifted
+        past r's digits plus r's word, whose sentinel makes up the 1 taken
+        off p's word, over p's source."""
+        word = right >> self.vbits
+        joined = (((code >> self.vbits) - 1) << (word.bit_length() - 1)) + word
+        return (joined << self.vbits) | (code & self.vmask)
 
 
 def path_sort_key(p: Path):

@@ -45,6 +45,7 @@ class Mutant(NamedTuple):
 
 
 ORACLE_PRODUCT = "tests/test_crossed.py::test_product_matches_field_scalar_oracle"
+PATH_CODES = "tests/test_quiver.py::test_path_codes_decode_sort_and_concatenate_like_paths"
 CORNER_ORACLE = "tests/test_morita.py::test_corner_matches_two_product_oracle"
 DIFFERENTIAL_ORACLE = "tests/test_weyl.py::test_differentials_match_oracles_on_every_basis_key"
 BOUNDED_EXACTNESS = "tests/test_weyl.py::test_bounded_exactness_n1"
@@ -79,12 +80,6 @@ MUTANTS = [
            "            own[label] = coeff\n",
            ("tests/test_morita.py::test_rescaled_combination_matches_labelled_oracle"
             "_on_fraction_vectors",)),
-    Mutant("kernel-always-builds-new-path", "crossed.py",
-           "                    pr = Path(p.source, head + r.arrows) if head else r\n",
-           "                    pr = Path(p.source, head + r.arrows)\n",
-           (ORACLE_PRODUCT,), survives=True,
-           why="equivalent: r starts at the source of a trivial p, so the new "
-               "Path equals r"),
     Mutant("kernel-swaps-group-product", "crossed.py",
            "            twists.append((gmul(g, h), cq))\n",
            "            twists.append((gmul(h, g), cq))\n",
@@ -94,6 +89,16 @@ MUTANTS = [
            "            by_source = tables.get(g)\n",
            "            by_source = next(iter(tables.values()), None)\n",
            ("tests/test_crossed.py::test_reused_right_factor_matches_oracle",)),
+    # -- the path code --
+    Mutant("trivial-path-code-loses-its-vertex", "quiver.py",
+           "        return (word << self.vbits) | self.rank[p.source]\n",
+           "        return (word << self.vbits) | (self.rank[p.source] if p.arrows else 0)\n",
+           (PATH_CODES,)),
+    Mutant("concat-shifts-by-the-left-length", "quiver.py",
+           "        joined = (((code >> self.vbits) - 1) << (word.bit_length() - 1)) + word\n",
+           "        joined = (((code >> self.vbits) - 1) << ((code >> self.vbits).bit_length() - 1))"
+           " + word\n",
+           (PATH_CODES,)),
     # -- commutators and the feed --
     Mutant("commutator-keeps-sign-of-vu", "crossed.py",
            "    a, b = den // den_uv, -(den // den_vu)\n",
@@ -101,8 +106,8 @@ MUTANTS = [
            ("tests/test_crossed.py::test_commutator_basis_two_loops",
             "tests/test_morita.py::test_commutator_basis_matches_product_oracle")),
     Mutant("feed-only-first-commutator", "crossed.py",
-           "        for term, vec in _feed(action, length, index, set(residual)):\n",
-           "        for term, vec in [next(_feed(action, length, index, set(residual)))]:\n",
+           "        for term in _feed(action, length, set(residual)):\n",
+           "        for term in [next(_feed(action, length, set(residual)))]:\n",
            ("tests/test_morita.py::test_one_commutator_feed_matches_retrying_oracle"
             "_on_transport",)),
     Mutant("candidates-try-only-split-zero", "crossed.py",
@@ -110,12 +115,12 @@ MUTANTS = [
            "        for i in range(1):\n            a = Path(s.source, s.arrows[:i])\n",
            (FEED_COUNT,)),
     Mutant("feed-stop-never-reduces-residual", "crossed.py",
-           "            if solver.add(vec, label=term) and in_span():\n",
-           "            if solver.add(vec, label=term) and not residual:\n",
+           "            if solver.add(term.element.terms, label=term) and in_span():\n",
+           "            if solver.add(term.element.terms, label=term) and not residual:\n",
            (FEED_COUNT,)),
     Mutant("labelled-inserted-without-label", "crossed.py",
-           "        solver.add(vectorize(element, index), label=label)\n",
-           "        solver.add(vectorize(element, index))\n",
+           "        solver.add(element.terms, label=label)\n",
+           "        solver.add(element.terms)\n",
            ("tests/test_morita.py::test_one_commutator_feed_matches_retrying_oracle"
             "_on_transport",)),
     Mutant("labelled-den-taken-as-1", "crossed.py",
@@ -167,18 +172,18 @@ MUTANTS = [
            "            if ep * embedded[q] != ep * embedded[q]:\n",
            ("tests/test_morita.py::test_check_embedding_catches_an_uncornered_arrow",)),
     Mutant("dimension-check-corners-pivots-not-normal-words", "morita.py",
-           "            if i // n not in ideal.rows and (cornered := corner(e, key)).terms:\n",
-           "            if i // n in ideal.rows and (cornered := corner(e, key)).terms:\n",
+           "            if key // n not in ideal.rows and (cornered := corner(e, key)).terms:\n",
+           "            if key // n in ideal.rows and (cornered := corner(e, key)).terms:\n",
            (DIMENSION_ORACLE, CORNER_COUNT)),
     Mutant("dimension-check-reads-group-part-as-path", "morita.py",
-           "            if i // n not in ideal.rows and (cornered := corner(e, key)).terms:\n",
-           "            if i % n not in ideal.rows and (cornered := corner(e, key)).terms:\n",
+           "            if key // n not in ideal.rows and (cornered := corner(e, key)).terms:\n",
+           "            if key % n not in ideal.rows and (cornered := corner(e, key)).terms:\n",
            (DIMENSION_ORACLE, CORNER_COUNT)),
     Mutant("corner-drops-source-vertex-condition", "morita.py",
-           "        if perms[h][src] == v.source:\n", "        if True:\n",
+           "        if perms[h][src] == codes.source(v):\n", "        if True:\n",
            (CORNER_ORACLE,)),
     Mutant("corner-drops-target-vertex-condition", "morita.py",
-           "                if perms[hg][w.source] == perms[h][tgt]:\n",
+           "                if perms[hg][codes.source(w)] == perms[h][tgt]:\n",
            "                if True:\n",
            (CORNER_ORACLE,)),
     # -- fields, linalg, groups and weyl --

@@ -71,8 +71,9 @@ of ``skewgin.morita.check_embedding`` replaced, runs on skewgin's crossed
 product and ``embed_paths``.
 
 The last section holds helpers that no command uses, kept for the tests:
-``one``, ``scale`` and ``scalar_element``, the element of field scalars
-(``CrossedElement`` is built from den and int terms only),
+``one``, ``scale`` and ``scalar_element``, the element of field scalars on
+(path, group element) pairs (``CrossedElement`` is built from den and int
+terms on int keys only), ``key_element``, the one-term element of a key,
 ``certificate_entries``, the field-scalar entries of a ``Certificate``,
 ``entries``, which lists the ``Certificate`` that
 ``express_modulo_commutators`` returns so it compares with the two feeds
@@ -94,8 +95,8 @@ from math import comb, factorial
 
 from skewgin import weyl
 from skewgin.crossed import (Certificate, CommutatorTerm, CrossedElement, _basis_pairs,
-                             basis_index, commutator_basis, crossed_basis, expand_certificate,
-                             express_modulo_commutators, vectorize)
+                             commutator_basis, crossed_basis, expand_certificate,
+                             express_modulo_commutators)
 from skewgin.errors import CheckFailed, SkewginError
 from skewgin.fields import primitive_root_of_unity
 from skewgin.ginzburg import derivative_relations, jacobian_truncation, relation_ideal
@@ -855,8 +856,7 @@ def naive_expand_certificate(action, certificate):
     subtraction."""
     total = CrossedElement.zero(action)
     for (u, v), coeff in certificate:
-        eu = CrossedElement.from_pair(action, *u)
-        ev = CrossedElement.from_pair(action, *v)
+        eu, ev = key_element(action, u), key_element(action, v)
         total = total + scale(eu * ev - ev * eu, coeff)
     return total
 
@@ -877,13 +877,11 @@ def whole_layer_ranks(md, bound):
     ``skewgin.morita.block_rank`` replaced.  Each path is embedded as its
     own fold of full arrow embeddings, e_src * a1 * ... * ak."""
     solvers = [LinSolver(md.field) for _ in range(bound + 1)]
-    indices = [basis_index(md.action, ell) for ell in range(bound + 1)]
     for p in basis_up_to(md.qprime, bound):
         acc = md.vertex_idems[p.source]
         for name in p.arrows:
             acc = acc * md.arrow_embed[name]
-        ell = len(p.arrows)
-        solvers[ell].add(vectorize(acc, indices[ell]))
+        solvers[len(p.arrows)].add(acc.terms)
     return [solver.rank for solver in solvers]
 
 
@@ -926,7 +924,6 @@ def all_pairs_dimension_check(md, w, reduced_w, bound):
     right = jacobian_truncation(md.qprime, reduced_w, bound)
     rows = []
     for ell, ideal in zip(range(bound + 1), ideals):
-        index = basis_index(action, ell)
         solver = LinSolver(field)
         for g in action.group.elements():
             solver.rows.update((k * n + g, {kk * n + g: c for kk, c in row.items()})
@@ -934,14 +931,14 @@ def all_pairs_dimension_check(md, w, reduced_w, bound):
         rank_relations = solver.rank
         for key in crossed_basis(action, ell):
             if (cornered := corner(e, key)).terms:
-                solver.add(vectorize(cornered, index))
+                solver.add(cornered.terms)
         rows.append((ell, solver.rank - rank_relations, right[ell]))
     return rows, all(l == r for _, l, r in rows)
 
 
 def naive_corner(e, key):
     """The corner e.(p, g).e as two general products."""
-    return e * CrossedElement.from_pair(e.action, *key) * e
+    return e * key_element(e.action, key) * e
 
 
 def relation_ideal_span(relations, by_len, ell: int, rel_len: int):
@@ -1063,7 +1060,6 @@ def naive_build_bimodule(action, reps, kappa, stabilizers):
 
     orbit_rep = {v: min(action.act_vertex(g, v) for g in G.elements())
                  for v in quiver.vertices}
-    index1 = basis_index(action, 1)
     slots = {}
     for i in reps:
         orbit_i = sorted(v for v in quiver.vertices if orbit_rep[v] == i)
@@ -1085,7 +1081,7 @@ def naive_build_bimodule(action, reps, kappa, stabilizers):
             for deg in sorted(candidates):
                 solver = LinSolver(field)
                 for z in candidates[deg]:
-                    if solver.add(vectorize(z, index1)):
+                    if solver.add(z.terms):
                         slots.setdefault((i, j, deg), []).append(z)
     return slots
 
@@ -1101,8 +1097,7 @@ def naive_commutator_basis(action, length):
         for i, u in enumerate(left):
             start = i + 1 if s == t else 0
             for v in right[start:]:
-                eu = CrossedElement.from_pair(action, *u)
-                ev = CrossedElement.from_pair(action, *v)
+                eu, ev = key_element(action, u), key_element(action, v)
                 elem = eu * ev - ev * eu
                 if not elem.is_zero():
                     out.append(CommutatorTerm(u, v, elem))
@@ -1110,16 +1105,14 @@ def naive_commutator_basis(action, length):
 
 
 def _feed_solver(target, labelled):
-    """(solver, target vector, length, index, dens): a fresh ``LinSolver``
-    holding the labelled elements' int terms in the order given, as
+    """(solver, length, dens): a fresh ``LinSolver`` holding the labelled
+    elements' int terms in the order given, as
     ``express_modulo_commutators`` fills its own."""
-    length = target.pure_length()
-    index = basis_index(target.action, length)
     solver, dens = LinSolver(target.action.field), {}
     for label, element in labelled:
-        solver.add(vectorize(element, index), label=label)
+        solver.add(element.terms, label=label)
         dens[label] = element.den
-    return solver, vectorize(target, index), length, index, dens
+    return solver, target.pure_length(), dens
 
 
 def _split_combination(combo, target, dens):
@@ -1145,12 +1138,13 @@ def feed_all_express_modulo_commutators(element, labelled=()):
     combination."""
     if element.is_zero():
         return {}, []
-    solver, target, length, index, dens = _feed_solver(element, labelled)
+    solver, length, dens = _feed_solver(element, labelled)
+    target = element.terms
     combo = solver.express(target)
     if combo is None:
         support = set(solver.residual(target))
         terms = naive_commutator_basis(element.action, length)
-        vectors = [vectorize(term.element, index) for term in terms]
+        vectors = [term.element.terms for term in terms]
         order = sorted(range(len(terms)), key=lambda k: support.isdisjoint(vectors[k]))
         for k in order:
             solver.add(vectors[k], label=terms[k])
@@ -1165,12 +1159,13 @@ def retrying_express_modulo_commutators(element, labelled=()):
     residual's support first and retries the target after every 24
     insertions that enlarge the span, stopping at the first success.
     Returns (combination, certificate entries)."""
-    solver, target, length, index, dens = _feed_solver(element, labelled)
+    solver, length, dens = _feed_solver(element, labelled)
+    target = element.terms
     combo = solver.express(target)
     if combo is None:
         support = set(solver.residual(target))
         terms = commutator_basis(element.action, length, _basis_pairs(element.action, length))
-        vectors = [vectorize(term.element, index) for term in terms]
+        vectors = [term.element.terms for term in terms]
         order = sorted(range(len(terms)), key=lambda k: support.isdisjoint(vectors[k]))
         since_check = 0
         for k in order:
@@ -1205,13 +1200,19 @@ def scale(x, coeff):
 
 
 def scalar_element(action, terms):
-    """The crossed element of (key, field scalar) pairs or a dict, summed
-    and cleared by ``Field.scaled`` to the den and int terms that
-    ``CrossedElement`` takes."""
-    field = action.field
+    """The crossed element of ((path, g), field scalar) pairs or a dict,
+    summed and cleared by ``Field.scaled`` to the den and int terms on keys
+    code * |G| + g that ``CrossedElement`` takes; the inverse of
+    ``CrossedElement.field_terms``."""
+    field, encode, n = action.field, action.quiver.codes.encode, action.group.size
     acc = field.accumulate({}, terms.items() if isinstance(terms, dict) else terms)
     den, items = field.scaled(acc.items())
-    return CrossedElement(action, den, dict(items))
+    return CrossedElement(action, den, {encode(p) * n + g: c for (p, g), c in items})
+
+
+def key_element(action, key):
+    """The one-term element 1 * (p, g) of an int key code * |G| + g."""
+    return CrossedElement(action, 1, {key: 1})
 
 
 def certificate_entries(field, certificate):
@@ -1316,10 +1317,9 @@ class CyclicClass:
         self.length = representative.pure_length() if not representative.is_zero() else 0
         self.action = representative.action
         self._solver = LinSolver(self.action.field)
-        self._index = basis_index(self.action, self.length)
         for term in commutator_basis(self.action, self.length,
                                      _basis_pairs(self.action, self.length)):
-            self._solver.add(vectorize(term.element, self._index))
+            self._solver.add(term.element.terms)
 
     def __eq__(self, other):
         if not isinstance(other, CyclicClass):
@@ -1329,7 +1329,7 @@ class CyclicClass:
             return True
         if diff.pure_length() != self.length:
             return False
-        return self._solver.contains(vectorize(diff, self._index))
+        return self._solver.contains(diff.terms)
 
 
 def hc0_reduce(x: CrossedElement, e: CrossedElement):
@@ -1347,7 +1347,7 @@ def hc0_reduce(x: CrossedElement, e: CrossedElement):
     # corner span first so representatives prefer pure corner solutions
     corners = {}
     for key in crossed_basis(action, x.pure_length()):
-        cornered = e * CrossedElement.from_pair(action, *key) * e
+        cornered = e * key_element(action, key) * e
         if not cornered.is_zero():
             corners[key] = cornered
     found = express_modulo_commutators(x, corners.items())

@@ -20,8 +20,8 @@ from skewgin.potential import canonicalize
 from skewgin.quiver import AlgElement, GradedQuiver, basis_up_to
 
 from docs import MCKAY, NEGATION_NONINVARIANT, THREE_LOOPS_COMMUTATOR, doc
-from oracles import (brute_jacobian_dims, certificate_entries, path_unit, scalar_element,
-                     scale)
+from oracles import (brute_jacobian_dims, certificate_entries, key_element, path_unit,
+                     scalar_element, scale)
 from test_ginzburg import JACOBIAN_CASES
 
 Q = make_field("Q")
@@ -155,8 +155,7 @@ def test_criterion_3_mckay_pipeline():
     diff = embed(md, reduced.as_element()) - x
     recombined = CrossedElement.zero(action)
     for (u, v), coeff in certificate_entries(action.field, certificate):
-        eu = CrossedElement.from_pair(action, *u)
-        ev = CrossedElement.from_pair(action, *v)
+        eu, ev = key_element(action, u), key_element(action, v)
         recombined = recombined + scale(eu * ev - ev * eu, coeff)
     ok = ok and recombined == diff
 

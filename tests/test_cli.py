@@ -488,7 +488,8 @@ def test_verify_mckay(capsys, tmp_path):
 def test_verify_enumerates_the_paths_of_each_quiver_once(capsys, tmp_path, monkeypatch):
     # every stage reads the path layers cached on the original and the
     # reduced quiver, so each is enumerated once up to the bound; only the
-    # arrow bimodule, built before the bound is known, asks for length 1
+    # fullness check, which stops at length 0 when the total idempotent is
+    # full, asks the original quiver for less
     import skewgin.quiver as quiver_module
     calls = []
     enumerate_paths = quiver_module.basis_up_to
@@ -496,9 +497,9 @@ def test_verify_enumerates_the_paths_of_each_quiver_once(capsys, tmp_path, monke
                         lambda q, bound: calls.append((q, bound)) or enumerate_paths(q, bound))
     code, _ = run_cli(capsys, tmp_path, doc(MCKAY), "verify", "--max-len", "6")
     assert code == 0
-    (original, one), (reduced, six), (again, six_again) = calls
+    (reduced, six), (original, zero), (again, six_again) = calls
     assert again is original and reduced is not original
-    assert (one, six, six_again) == (1, 6, 6)
+    assert (six, zero, six_again) == (6, 0, 6)
 
 
 def test_verify_perturbed_reduced_potential_exit_1(capsys, tmp_path):

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewgin.crossed import CrossedElement, _basis_pairs, commutator_basis, expand_certificate
+from skewgin.crossed import (CrossedElement, _basis_pairs, commutator_basis, crossed_basis,
+                             expand_certificate)
 from skewgin.errors import CheckFailed, SkewginError
 from skewgin.fields import make_field
 from skewgin.groups import cyclic_group
@@ -140,14 +141,12 @@ def test_commutator_basis_one_loop():
 def test_commutator_basis_two_loops():
     action = trivial_two_loop_action()
     from skewgin.linalg import LinSolver
-    from skewgin.crossed import basis_index, vectorize
-    index = basis_index(action, 2)
     solver = LinSolver(Q)
     for term in commutator_basis(action, 2, _basis_pairs(action, 2)):
-        solver.add(vectorize(term.element, index))
+        solver.add(term.element.terms)
     # span contains exactly xy - yx: quotient of the 4-dim component is 3
     assert solver.rank == 1
-    assert len(index) - solver.rank == 3
+    assert len(crossed_basis(action, 2)) - solver.rank == 3
 
 
 def test_commutators_vanish_for_length_zero_trivial_action():
@@ -388,7 +387,7 @@ def test_expand_certificate_matches_entrywise_oracle(name, data):
     # random certificates, with repeated pairs and zero coefficients over Q,
     # re-expand to the sum the old entry-by-entry loop builds
     action = KERNEL_ACTIONS[name]()
-    keys = [(p, g) for p in basis_up_to(action.quiver, 2) for g in action.group.elements()]
+    keys = [key for ell in range(3) for key in crossed_basis(action, ell)]
     field = action.field
     coeffs = scalars(field) if field.is_rationals else st.integers(0, 3 * field.p)
     pairs = st.tuples(st.sampled_from(keys), st.sampled_from(keys))
@@ -415,11 +414,11 @@ def test_cleared_image_cache_is_never_rescaled(name, data):
         for x, y in pairs:
             assert_matches_oracle(x, y)
             assert_matches_oracle(y, x)
-    field = action.field
+    field, encode = action.field, action.quiver.codes.encode
     for g in action.group.elements():
         for q in basis_up_to(action.quiver, 2):
-            assert action.cleared_image(g, q) == field.scaled(
-                action.act_path(g, q).terms.items())
+            den, items = field.scaled(action.act_path(g, q).terms.items())
+            assert action.cleared_image(g, encode(q)) == (den, [(encode(r), c) for r, c in items])
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_ACTIONS))

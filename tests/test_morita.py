@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from skewgin import crossed, morita
 from skewgin.action import QuiverAction, validate_action
-from skewgin.crossed import (CommutatorTerm, CrossedElement, basis_index,
-                             commutator_basis, expand_certificate, express_modulo_commutators,
-                             vectorize)
+from skewgin.crossed import (CommutatorTerm, CrossedElement, commutator_basis,
+                             expand_certificate, express_modulo_commutators)
 from skewgin.document import parse
 from skewgin.errors import CheckFailed, SkewginError
 from skewgin.fields import make_field
@@ -30,8 +29,8 @@ from oracles import (LabelledLinSolver, all_pairs_dimension_check, all_pairs_mul
                      feed_all_express_modulo_commutators, naive_build_bimodule,
                      naive_commutator_basis, naive_corner, naive_embed_path,
                      naive_expand_certificate,
-                     group_sub, retrying_express_modulo_commutators, scalar_element, scale,
-                     whole_layer_ranks)
+                     group_sub, key_element, retrying_express_modulo_commutators,
+                     scalar_element, scale, whole_layer_ranks)
 from test_crossed import KERNEL_ACTIONS, scalars
 
 Q = make_field("Q")
@@ -132,7 +131,8 @@ def test_trivial_group_potential_transport_identity():
     reduced, cert = transport_potential(w, md)
     assert len(cert) == 0
     # map the reduced potential back through the arrow bijection
-    back = {name: next(iter(el.terms))[0].arrows[0] for name, el in md.arrow_embed.items()}
+    back = {name: next(iter(el.field_terms()))[0].arrows[0]
+            for name, el in md.arrow_embed.items()}
     mapped = canonicalize(q, Q, [(c, q.path([back[n] for n in p.arrows]))
                                  for p, c in reduced.terms.items()])
     assert mapped == w
@@ -202,7 +202,7 @@ def test_bimodule_entries_live_in_their_slots():
                 action, AlgElement.from_path(q, f, q.trivial_path(tgt_rep)))
             for element in slot:
                 assert left * element * right == element
-                degs = {q.arrow(p.arrows[0]).deg for (p, _) in element.terms}
+                degs = {q.arrow(p.arrows[0]).deg for (p, _) in element.field_terms()}
                 assert degs == {degree}
 
 
@@ -389,8 +389,7 @@ def test_mckay_transport_and_dimensions(mckay):
     diff = embed(md, reduced.as_element()) - CrossedElement.from_alg(action, w.as_element())
     recombined = CrossedElement.zero(action)
     for (u, v), coeff in certificate_entries(md.field, cert):
-        eu = CrossedElement.from_pair(action, *u)
-        ev = CrossedElement.from_pair(action, *v)
+        eu, ev = key_element(action, u), key_element(action, v)
         recombined = recombined + scale(eu * ev - ev * eu, coeff)
     assert recombined == diff
     rows, ok = morita_dimension_check(md, w, reduced, 4)
@@ -455,8 +454,7 @@ def test_hc0_reduce_into_mckay_corner(mckay):
     # and the certificate recovers the difference exactly
     recombined = CrossedElement.zero(action)
     for (u, v), coeff in cert:
-        eu = CrossedElement.from_pair(action, *u)
-        ev = CrossedElement.from_pair(action, *v)
+        eu, ev = key_element(action, u), key_element(action, v)
         recombined = recombined + scale(eu * ev - ev * eu, coeff)
     assert recombined == x - corner_rep
 
@@ -539,9 +537,10 @@ def test_dimension_check_corners_each_normal_word_once_per_group_element(
         monkeypatch, name, bound, total):
     md, w, reduced, _ = dimension_input(name)
     formed = Counter()
-    real_corner = morita.corner
+    real_corner, n = morita.corner, md.action.group.size
+    length = md.action.quiver.codes.length
     monkeypatch.setattr(morita, "corner",
-                        lambda e, key: formed.update([len(key[0].arrows)]) or real_corner(e, key))
+                        lambda e, key: formed.update([length(key // n)]) or real_corner(e, key))
     morita_dimension_check(md, w, reduced, bound)
     by_len = paths_by_length(md.action.quiver, bound)
     ideals = relation_ideal(derivative_relations(w), by_len, bound, cycle_length_of(w) - 1)
@@ -573,9 +572,11 @@ def test_embed_paths_matches_per_path_fold(document):
 
 def assert_corners_match_oracle(e, max_len):
     action = e.action
+    encode, n = action.quiver.codes.encode, action.group.size
     for p in basis_up_to(action.quiver, max_len):
         for g in action.group.elements():
-            got, want = corner(e, (p, g)), naive_corner(e, (p, g))
+            key = encode(p) * n + g
+            got, want = corner(e, key), naive_corner(e, key)
             assert (got.den, got.terms) == (want.den, want.terms)
 
 
@@ -752,8 +753,7 @@ def test_block_ranks_match_whole_layer_oracle(name):
     by_len = paths_by_length(md.qprime, 4)
     embedded = embed_paths(md, by_len[4])
     pivots = pivot_elements(md)
-    ranks = [block_rank(md, by_len[ell], embedded, basis_index(md.action, ell), pivots)
-             for ell in range(5)]
+    ranks = [block_rank(md, by_len[ell], embedded, pivots) for ell in range(5)]
     assert ranks == whole_layer_ranks(md, 4) == [len(by_len[ell]) for ell in range(5)]
     blocks = {(p.source, md.qprime.path_target(p)) for p in by_len[4]}
     assert len(blocks) > 1 or len(md.qprime.vertices) == 1
@@ -959,8 +959,9 @@ def test_lazy_feed_matches_feed_all_oracle_on_random_inputs(name, data):
     # residual's support
     action = KERNEL_ACTIONS[name]()
     length = data.draw(st.integers(2, 3), label="length")
-    index = basis_index(action, length)
-    elements = st.lists(st.tuples(st.sampled_from(list(index)), scalars(action.field)),
+    basis = [(p, g) for p in paths_by_length(action.quiver, length)[length]
+             for g in action.group.elements()]
+    elements = st.lists(st.tuples(st.sampled_from(basis), scalars(action.field)),
                         min_size=1, max_size=4).map(lambda terms: scalar_element(action, terms))
     inputs = data.draw(st.lists(elements, max_size=3), label="inputs")
     # the inputs and commutators, each times a scalar, and at times a
@@ -972,7 +973,7 @@ def test_lazy_feed_matches_feed_all_oracle_on_random_inputs(name, data):
     target = noise
     for x, c in terms:
         if isinstance(x, tuple):
-            u, v = (CrossedElement.from_pair(action, *key) for key in x)
+            u, v = (key_element(action, key) for key in x)
             x = u * v - v * u
         if x is not None:
             target = target + scale(x, c)
@@ -983,13 +984,12 @@ def test_lazy_feed_matches_feed_all_oracle_on_random_inputs(name, data):
     assert got is not None or not noise.is_zero()
     solver = LinSolver(action.field)
     for label, x in labelled:
-        solver.add(vectorize(x, index), label=label)
-    support = set(solver.residual(vectorize(target, index)))
-    keys = [key for key, i in index.items() if i in support]
-    candidates = crossed._touching_candidates(action, length, keys)
+        solver.add(x.terms, label=label)
+    support = set(solver.residual(target.terms))
+    candidates = crossed._touching_candidates(action, length, support)
     touching = [(t.u, t.v)
                 for t in commutator_basis(action, length, crossed._basis_pairs(action, length))
-                if not support.isdisjoint(vectorize(t.element, index))]
+                if not support.isdisjoint(t.element.terms)]
     assert set(touching) <= set(candidates)
 
 
@@ -1009,10 +1009,6 @@ def test_signed_s3_certificate_is_one_den_and_ints():
     again = certificate_of(md.field, listed)
     assert certificate_entries(md.field, again) == listed
     assert expand_certificate(md.action, again) == want
-
-
-def field_vector(element, index):
-    return {index[key]: c for key, c in element.field_terms().items()}
 
 
 @pytest.mark.parametrize("name, stage", [(name, stage) for name in sorted(FEED_PROBLEMS)
@@ -1037,12 +1033,12 @@ def test_rescaled_combination_matches_labelled_oracle_on_fraction_vectors(name, 
     own, certificate = express_modulo_commutators(target, labelled)
     # McKay's reduced cycles express its potential alone (see above)
     assert bool(certificate) == ((name, stage) != ("mckay", "transport"))
-    embedded, index = dict(labelled), basis_index(md.action, target.pure_length())
+    embedded = dict(labelled)
     oracle = LabelledLinSolver(md.field)
     for label in enlarged:
         element = label.element if isinstance(label, CommutatorTerm) else embedded[label]
-        assert oracle.add(field_vector(element, index), label=label)
-    combo = oracle.express(field_vector(target, index))
+        assert oracle.add(element.field_terms(), label=label)
+    combo = oracle.express(target.field_terms())
     assert own == {p: c for p, c in combo.items() if not isinstance(p, CommutatorTerm)}
     listed = dict(certificate_entries(md.field, certificate))
     assert listed == {(t.u, t.v): c for t, c in combo.items() if isinstance(t, CommutatorTerm)}
@@ -1095,8 +1091,8 @@ def test_transport_without_a_reduced_representative_raises_no_solution(mckay, mo
 def break_re_expansion(monkeypatch):
     """Make every certificate re-expand one basis pair off its sum."""
     def expand(action, certificate):
-        return expand_certificate(action, certificate) + CrossedElement.from_pair(
-            action, *crossed.crossed_basis(action, 0)[0])
+        return expand_certificate(action, certificate) + key_element(
+            action, crossed.crossed_basis(action, 0)[0])
 
     monkeypatch.setattr(morita, "expand_certificate", expand)
 

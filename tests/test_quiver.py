@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewgin import quiver as quiver_module
 from skewgin.document import parse
@@ -8,7 +9,7 @@ from skewgin.errors import SkewginError
 from skewgin.fields import make_field
 from skewgin.morita import build_morita
 from skewgin.quiver import (AlgElement, GradedQuiver, basis_up_to, count_paths_up_to,
-                            paths_by_length)
+                            path_sort_key, paths_by_length)
 
 from docs import MCKAY, doc
 from oracles import naive_paths_by_length, path_unit
@@ -257,3 +258,36 @@ def test_degree_of_an_inhomogeneous_element_is_none():
     x, y = AlgElement.from_arrow(q, Q, "x"), AlgElement.from_arrow(q, Q, "y")
     assert x.degree() == 0 and (x * y).degree() == -1
     assert (x + y).degree() is None and AlgElement(q, Q).degree() is None
+
+
+@st.composite
+def coded_quivers(draw):
+    """Quivers on 1-3 vertices with 0-9 arrows, so the digit width and the
+    arrow count vary, named against their sources: the arrow with the
+    greatest source gets the least name."""
+    vertices = draw(st.permutations(["1", "2", "3"]))[:draw(st.integers(1, 3))]
+    ends = draw(st.lists(st.tuples(st.sampled_from(vertices), st.sampled_from(vertices)),
+                         max_size=9))
+    ends.sort(key=lambda end: end[0], reverse=True)
+    return GradedQuiver(vertices, [("abcdefghi"[k], src, tgt, 0)
+                                   for k, (src, tgt) in enumerate(ends)])
+
+
+@given(quiver=coded_quivers())
+@settings(max_examples=40, deadline=None)
+def test_path_codes_decode_sort_and_concatenate_like_paths(quiver):
+    codes, bound = quiver.codes, 4
+    paths = basis_up_to(quiver, bound)
+    code_of = {p: codes.encode(p) for p in paths}
+    assert sorted(paths, key=code_of.get) == sorted(paths, key=path_sort_key) == paths
+    assert len(set(code_of.values())) == len(paths)
+    layers = paths_by_length(quiver, bound)
+    for p, code in code_of.items():
+        assert codes.decode(code) == p
+        assert (codes.source(code), codes.target(code), codes.length(code)) == (
+            p.source, quiver.path_target(p), len(p.arrows))
+        for ell in range(bound - len(p.arrows) + 1):
+            for r in layers.get(ell, ()):
+                pr = quiver.compose(p, r)
+                if pr is not None:
+                    assert codes.concat(code, code_of[r]) == code_of[pr]
