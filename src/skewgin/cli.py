@@ -3,10 +3,10 @@ exit-code contract (0 all checks pass, 1 a check failed, 2 bad input)."""
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+import types
 
 from . import (__version__, action, document, fields, ginzburg, morita, potential,
                quiver, weyl)
@@ -57,6 +57,10 @@ def _base_report(command):
     return {"version": __version__, "command": command, "checks": []}
 
 
+def _check(report, check, ok, **detail):
+    report["checks"].append({"check": check, "ok": ok, **detail})
+
+
 def _finish(report) -> int:
     report["ok"] = all(c.get("ok", True) for c in report["checks"])
     _emit(report)
@@ -94,8 +98,7 @@ def cmd_validate(args) -> int:
     }
     if doc.action is not None:
         failures = action.validate_action(doc.action)
-        report["checks"].append({"check": "action is a valid group action",
-                                 "ok": not failures, "failures": failures})
+        _check(report, "action is a valid group action", not failures, failures=failures)
     return _finish(report)
 
 
@@ -121,22 +124,14 @@ def cmd_ginzburg(args) -> int:
     ]
     if args.check:
         square = ginzburg.check_d_squared(presentation)
-        report["checks"].append({
-            "check": "differential squares to zero on every generator",
-            "rule": "d(a) = 0, d(a*) = dW/da, d(c_i) = sum out a a* - sum in a* a, "
+        _check(report, "differential squares to zero on every generator", not square,
+               rule="d(a) = 0, d(a*) = dW/da, d(c_i) = sum out a a* - sum in a* a, "
                     "extended as a degree +1 derivation",
-            "ok": not square,
-            "violations": [{"generator": gen,
-                            "value": _element_json(doc.field, val)}
-                           for gen, val in square],
-        })
+               violations=[{"generator": gen, "value": _element_json(doc.field, val)}
+                           for gen, val in square])
         degrees = ginzburg.degree_report(presentation)
-        report["checks"].append({
-            "check": "differential raises degree by one",
-            "ok": not degrees,
-            "violations": [{"generator": g, "expected": e, "got": got}
-                           for g, e, got in degrees],
-        })
+        _check(report, "differential raises degree by one", not degrees,
+               violations=[{"generator": g, "expected": e, "got": got} for g, e, got in degrees])
     return _finish(report)
 
 
@@ -146,21 +141,14 @@ def cmd_invariance(args) -> int:
     _need(doc, "potential", "potential")
     report = _base_report("invariance")
     failures = action.validate_action(doc.action)
-    report["checks"].append({"check": "action is a valid group action",
-                             "ok": not failures, "failures": failures})
+    _check(report, "action is a valid group action", not failures, failures=failures)
     if not failures:
-        per_element = []
-        names = doc.action.group.names
-        for g in doc.action.group.elements():
-            moved = doc.action.act_potential(g, doc.potential)
-            per_element.append({"g": names[g], "invariant": moved == doc.potential})
-        report["checks"].append({
-            "check": "potential is fixed by every group element",
-            "rule": "the class of the potential, up to rotation with signs, "
-                    "must be preserved",
-            "ok": all(e["invariant"] for e in per_element),
-            "elements": per_element,
-        })
+        names, w = doc.action.group.names, doc.potential
+        per_element = [{"g": names[g], "invariant": doc.action.act_potential(g, w) == w}
+                       for g in doc.action.group.elements()]
+        _check(report, "potential is fixed by every group element",
+               all(e["invariant"] for e in per_element), elements=per_element,
+               rule="the class of the potential, up to rotation with signs, must be preserved")
     return _finish(report)
 
 
@@ -201,11 +189,8 @@ def cmd_transport(args) -> int:
     report["choices"] = md.choices()
     reduced, certificate = morita.transport_potential(doc.potential, md)
     report["reduced_potential"] = _potential_json(md.field, reduced)
-    report["checks"].append({
-        "check": "certificate re-expands to the class difference",
-        "ok": True,
-        "commutators_used": len(certificate),
-    })
+    _check(report, "certificate re-expands to the class difference", True,
+           commutators_used=len(certificate))
     return _finish(report)
 
 
@@ -215,8 +200,7 @@ def _verify_bound(args, doc):
     bound = (doc.max_len if args.max_len is None else
              _flag_int(args.max_len, where, "expected a nonnegative integer"))
     paths = quiver.count_paths_up_to(doc.quiver, bound, MAX_CROSSED_KEYS // doc.group.size)
-    keys = paths * doc.group.size
-    if keys > MAX_CROSSED_KEYS:
+    if paths * doc.group.size > MAX_CROSSED_KEYS:
         raise SkewginError(f"length bound {bound} gives more than {MAX_CROSSED_KEYS} "
                            "(path, group element) pairs", location=where)
     return bound
@@ -233,22 +217,15 @@ def cmd_verify(args) -> int:
 
     pres = ginzburg.ginzburg(doc.quiver, doc.potential, doc.d)
     _, equivariance = action.extend_to_ginzburg(doc.action, pres)
-    report["checks"].append({
-        "check": "extended action commutes with the differential",
-        "ok": not equivariance,
-        "failures": [{"generator": gen, "g": g} for gen, g, _ in equivariance],
-    })
+    _check(report, "extended action commutes with the differential", not equivariance,
+           failures=[{"generator": gen, "g": g} for gen, g, _ in equivariance])
 
     embedding = morita.check_embedding(md, bound)
-    report["checks"].append({
-        "check": f"reduced path algebra embeds injectively up to length {bound}",
-        "ok": not embedding, "failures": embedding,
-    })
+    _check(report, f"reduced path algebra embeds injectively up to length {bound}",
+           not embedding, failures=embedding)
     fullness = morita.check_fullness(md, min(bound, 3))
-    report["checks"].append({
-        "check": "total idempotent is full at every checked length",
-        "ok": not fullness, "failures": fullness,
-    })
+    _check(report, "total idempotent is full at every checked length", not fullness,
+           failures=fullness)
 
     if doc.reduced_potential is not None:
         issues = []
@@ -261,34 +238,24 @@ def cmd_verify(args) -> int:
     else:
         reduced, certificate = morita.transport_potential(doc.potential, md)
         source = "transport"
-    report["reduced_potential"] = {
-        "source": source,
-        "terms": _potential_json(md.field, reduced),
-    }
+    report["reduced_potential"] = {"source": source,
+                                   "terms": _potential_json(md.field, reduced)}
     try:
         if certificate is None:
             certificate = morita.certify_reduction(md, doc.potential, reduced)
-        report["checks"].append({
-            "check": "reduced potential represents the original class",
-            "ok": True, "commutators_used": len(certificate),
-        })
+        _check(report, "reduced potential represents the original class", True,
+               commutators_used=len(certificate))
     except SkewginError as exc:
-        report["checks"].append({
-            "check": "reduced potential represents the original class",
-            "rule": "embedded reduced potential must differ from the original "
-                    "by an exact combination of commutators",
-            "ok": False, "failure": str(exc),
-        })
+        _check(report, "reduced potential represents the original class", False,
+               rule="embedded reduced potential must differ from the original "
+                    "by an exact combination of commutators", failure=str(exc))
         return _finish(report)
 
     rows, ok = morita.morita_dimension_check(md, doc.potential, reduced, bound)
-    report["checks"].append({
-        "check": "corner dimensions match reduced Jacobian dimensions",
-        "rule": "dim of the idempotent corner of the quotient crossed product "
+    _check(report, "corner dimensions match reduced Jacobian dimensions", ok,
+           rule="dim of the idempotent corner of the quotient crossed product "
                 "equals the reduced quotient dimension, length by length",
-        "ok": ok,
-        "table": [{"length": l, "corner": a, "reduced": b} for l, a, b in rows],
-    })
+           table=[{"length": l, "corner": a, "reduced": b} for l, a, b in rows])
     return _finish(report)
 
 
@@ -333,87 +300,117 @@ def cmd_weyl(args) -> int:
     report["filtration"] = filt
     resolution = weyl.bounded_exactness(n, filt, field, cap=cap)
     report["resolution"] = resolution
-    report["checks"].append({
-        "check": "resolution homology vanishes away from the augmentation",
-        "ok": all(v == 0 for v in resolution["homology"].values()),
-        "homology": {str(k): v for k, v in resolution["homology"].items()},
-    })
-    report["checks"].append({
-        "check": "augmentation cokernel matches the filtered algebra dimension",
-        "ok": resolution["augmentation_cokernel"] == resolution["expected_cokernel"],
-    })
+    homology = resolution["homology"]
+    _check(report, "resolution homology vanishes away from the augmentation",
+           all(v == 0 for v in homology.values()),
+           homology={str(k): v for k, v in homology.items()})
+    _check(report, "augmentation cokernel matches the filtered algebra dimension",
+           resolution["augmentation_cokernel"] == resolution["expected_cokernel"])
     dual = weyl.dual_top_concentration(n, resolution)
     report["dual"] = dual
-    report["checks"].append({
-        "check": "dual complex homology concentrates at the top position",
-        "ok": (all(v == 0 for k, v in dual["homology"].items() if k != 2 * n)
-               and dual["top_homology"] == dual["expected_top"]),
-    })
+    _check(report, "dual complex homology concentrates at the top position",
+           all(v == 0 for k, v in dual["homology"].items() if k != 2 * n)
+           and dual["top_homology"] == dual["expected_top"])
     if matrices is not None:
         failures = weyl.check_sp_equivariance(n, matrices, field)
-        report["checks"].append({
-            "check": "matrices are symplectic and the differential is equivariant",
-            "ok": not failures, "failures": failures,
-        })
+        _check(report, "matrices are symplectic and the differential is equivariant",
+               not failures, failures=failures)
     return _finish(report)
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="skewgin",
-        description="exact checks for quivers with potentials, their dg algebras, "
-                    "and skew group algebra reductions")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_doc(name, func, summary):
-        p = sub.add_parser(name, help=summary)
-        p.add_argument("document", help="input JSON document path, or - for stdin")
-        p.set_defaults(func=func)
-        return p
-
-    add_doc("validate", cmd_validate, "parse and validate a document")
-    p = add_doc("ginzburg", cmd_ginzburg, "emit the dg presentation of the quiver with potential")
-    p.add_argument("--d", help="CY dimension (default from document)")
-    p.add_argument("--check", action="store_true", help="verify the differential squares to zero")
-    add_doc("invariance", cmd_invariance, "check the potential is fixed by the action")
-    add_doc("reduce", cmd_reduce, "emit the reduced quiver and its embedding")
-    add_doc("transport", cmd_transport, "move the potential onto the reduced quiver")
-    p = add_doc("verify", cmd_verify, "run the embedding, class, and dimension checks")
-    p.add_argument("--max-len", help="length bound for the checks")
-
-    p = sub.add_parser("weyl", help="filtered resolution and symplectic equivariance checks")
-    p.add_argument("--n", required=True, help="number of variables")
-    p.add_argument("--filtration", default="2", help="total degree bound")
-    p.add_argument("--matrices", help="JSON file with matrices to check")
-    p.add_argument("--field", default="Q", help='"Q" or a prime modulus')
-    p.add_argument("--cap", help="cap on each counted cost: complex dimension, wedge-table "
-                                 "moves and wedge-action terms")
-    p.set_defaults(func=cmd_weyl)
-    return parser
+# command: (handler, help line, what it needs, {flag: default}); a flag
+# whose default is False is a switch, and every other flag takes a value
+COMMANDS = {
+    "validate": (cmd_validate, "parse and validate a document", "document", {}),
+    "ginzburg": (cmd_ginzburg, "emit the dg presentation of the quiver with potential",
+                 "document", {"--d": None, "--check": False}),
+    "invariance": (cmd_invariance, "check the potential is fixed by the action", "document", {}),
+    "reduce": (cmd_reduce, "emit the reduced quiver and its embedding", "document", {}),
+    "transport": (cmd_transport, "move the potential onto the reduced quiver", "document", {}),
+    "verify": (cmd_verify, "run the embedding, class, and dimension checks", "document",
+               {"--max-len": None}),
+    "weyl": (cmd_weyl, "filtered resolution and symplectic equivariance checks", "--n",
+             {"--n": None, "--filtration": "2", "--matrices": None, "--field": "Q",
+              "--cap": None}),
+}
 
 
-def _run(args) -> int:
-    """The command's exit code.  A CheckFailed ends in a report naming the
-    failure (exit 1), any other SkewginError in one listing its issues
-    (exit 2)."""
+def _attr(flag):
+    return flag.lstrip("-").replace("-", "_")
+
+
+def _usage():
+    """Each command's usage and help line, read off the table."""
+    lines = ["usage: skewgin [--version] COMMAND ... (- reads the document from stdin)"]
+    for command, (_, summary, need, flags) in COMMANDS.items():
+        words = [flag if default is False else f"{flag} {default or _attr(flag).upper()}"
+                 for flag, default in flags.items()]
+        words = [word if word.split()[0] == need else f"[{word}]" for word in words]
+        lines.append(" ".join(["  skewgin", command, *[need] * (need == "document"), *words]))
+        lines.append(f"      {summary}")
+    return "\n".join(lines)
+
+
+def _parse(argv):
+    """The namespace a handler reads, or None once help or the version is
+    printed.  Flags go before or after the document, as --flag value or
+    --flag=value; a malformed command line is refused at a location."""
+    head = argv[0] if argv else None
+    if head == "--version" or {"-h", "--help"} & set(argv):
+        print(__version__ if head == "--version" else _usage(), flush=True)
+        return None
+    if head not in COMMANDS:
+        got = "" if head is None else f", got {head!r}"
+        raise SkewginError(f"expected a command: {', '.join(COMMANDS)}{got}", location="/command")
+    func, _, need, flags = COMMANDS[head]
+    args = types.SimpleNamespace(command=head, func=func, document=None,
+                                 **{_attr(flag): default for flag, default in flags.items()})
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "-" or not token.startswith("-"):
+            if need != "document" or args.document is not None:
+                raise SkewginError(f"unexpected argument {token!r}", location="/")
+            args.document = token
+            continue
+        flag, eq, value = token.partition("=")
+        where = "/" + _attr(flag)
+        if flag not in flags:
+            raise SkewginError(f"unknown flag {flag}", location=where)
+        if flags[flag] is False:  # a switch
+            if eq:
+                raise SkewginError(f"{flag} takes no value", location=where)
+            value = True
+        elif not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise SkewginError(f"expected a value after {flag}", location=where)
+        setattr(args, _attr(flag), value)
+    if getattr(args, _attr(need)) is None:
+        raise SkewginError(f"missing {need}", location="/" + _attr(need))
+    return args
+
+
+def _run(argv) -> int:
+    """The exit code of the command line argv.  A CheckFailed ends in a
+    report naming the failure (exit 1), any other SkewginError in one
+    listing its issues (exit 2)."""
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        return args.func(args)
+        args = _parse(argv)
+        return 0 if args is None else args.func(args)
     except CheckFailed as exc:
-        _emit({"version": __version__, "command": args.command, "ok": False,
+        _emit({"version": __version__, "command": command, "ok": False,
                "failure": str(exc), "matrix_index": exc.matrix_index})
         return 1
     except SkewginError as exc:
-        _emit({"version": __version__, "command": args.command, "ok": False,
+        _emit({"version": __version__, "command": command, "ok": False,
                "errors": [{"location": ptr, "message": msg} for ptr, msg in exc.issues]})
         return 2
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return _run(args)
+        return _run(sys.argv[1:] if argv is None else list(argv))
     except BrokenPipeError:
         # stdout's reader has gone, so no report can reach it; stdout points
         # at the null device from here, so the flush at exit stays quiet

@@ -194,6 +194,7 @@ def build_morita(action: QuiverAction, idempotents=None) -> MoritaData:
     arrows = []
     arrow_embed, fold_factors = {}, {}
     counter = 0
+    rights = {}  # (v2, i, deg) -> each element * e2 of slot (i, j, deg), the same for every v1
     for v1 in vertex_names:
         rep1 = vertex_info[v1][0]
         e1 = vertex_idems[v1]
@@ -203,9 +204,10 @@ def build_morita(action: QuiverAction, idempotents=None) -> MoritaData:
             for (i, j, deg), slot in bimodule.items():
                 if (i, j) != (rep1, rep2):
                     continue
+                if (v2, i, deg) not in rights:
+                    rights[v2, i, deg] = [element * e2 for element in slot]
                 solver = LinSolver(field)
-                for element in slot:
-                    right = element * e2
+                for element, right in zip(slot, rights[v2, i, deg]):
                     cornered = e1 * right
                     if cornered.is_zero():
                         continue

@@ -352,6 +352,23 @@ MUTANTS = [
            "        value = int(text) if text.isascii() and text.isdigit() else None\n",
            "        value = int(text) if text.isdigit() else None\n",
            ("tests/test_cli.py::test_flag_numbers_take_ascii_decimal_digits_only",)),
+    # -- the command-line table --
+    Mutant("switch-swallows-the-next-token", "cli.py",
+           "        if flags[flag] is False:  # a switch\n",
+           "        if flags[flag] is True:  # a switch\n",
+           ("tests/test_cli.py::test_flags_go_before_or_after_the_document",)),
+    Mutant("flag-value-after-equals-ignored", "cli.py",
+           '        flag, eq, value = token.partition("=")\n',
+           '        flag, eq, value = token, "", ""\n',
+           ("tests/test_cli.py::test_flags_go_before_or_after_the_document",)),
+    Mutant("stdin-dash-read-as-a-flag", "cli.py",
+           '        if token == "-" or not token.startswith("-"):\n',
+           '        if not token.startswith("-"):\n',
+           ("tests/test_cli.py::test_a_document_on_stdin_is_read_as_utf8_bytes",)),
+    Mutant("flag-without-a-value-keeps-its-default", "cli.py",
+           "            if value is None:\n                raise SkewginError(f\"expected a value",
+           "            if False:\n                raise SkewginError(f\"expected a value",
+           ("tests/test_cli.py::test_a_malformed_command_line_ends_in_one_report",)),
     # -- primality and roots of unity --
     Mutant("miller-rabin-skips-a-base", "fields.py",
            "               for b in _BASES)\n", "               for b in _BASES[:-1])\n",

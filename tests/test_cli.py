@@ -1221,6 +1221,78 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path, document):
                 for seed in ("0", "1")}
         assert len(outs) == 1, argv
 
+
+def child_cli(*argv):
+    """(exit code, stdout, stderr) of skewgin run on argv in a new interpreter."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    child = subprocess.run([sys.executable, "-m", "skewgin.cli", *argv], capture_output=True,
+                           env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    return child.returncode, child.stdout, child.stderr
+
+
+# each malformed command line: the command its report names and the location
+MALFORMED = {
+    "no-command": ([], None, "/command"),
+    "unknown-command": (["bogus", "DOC"], None, "/command"),
+    "unknown-flag": (["verify", "DOC", "--bogus", "1"], "verify", "/bogus"),
+    "no-document": (["verify"], "verify", "/document"),
+    "no-value": (["verify", "DOC", "--max-len"], "verify", "/max_len"),
+    "no-n": (["weyl", "--filtration", "2"], "weyl", "/n"),
+    "abbreviated-flag": (["verify", "DOC", "--max", "3"], "verify", "/max"),
+    "switch-given-a-value": (["ginzburg", "DOC", "--check=1"], "ginzburg", "/check"),
+    "second-document": (["validate", "DOC", "DOC"], "validate", "/"),
+    "weyl-given-a-document": (["weyl", "--n", "1", "DOC"], "weyl", "/"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_a_malformed_command_line_ends_in_one_report(capsys, tmp_path, case):
+    # no usage text: exit 2 with one JSON report at the place of the fault
+    # and nothing on stderr, the same bytes in process and in a new one
+    path = tmp_path / "doc.json"
+    path.write_text(doc(MCKAY), encoding="utf-8")
+    argv, command, location = MALFORMED[case]
+    argv = [str(path) if arg == "DOC" else arg for arg in argv]
+    code, out, err = child_cli(*argv)
+    assert (code, err) == (2, b"")
+    report = json.loads(out)
+    assert (report["command"], report["ok"]) == (command, False)
+    assert [e["location"] for e in report["errors"]] == [location]
+    assert main(argv) == 2
+    assert capsys.readouterr() == (out.decode(), "")
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["-h"], ["--help"], ["verify", "--help"],
+                                  ["weyl", "--n", "1", "-h"]],
+                         ids=["version", "h", "help", "verify-help", "weyl-h"])
+def test_version_and_help_exit_0(capsys, argv):
+    code, out, err = child_cli(*argv)
+    assert (code, err) == (0, b"")
+    assert main(argv) == 0
+    assert capsys.readouterr() == (out.decode(), "")
+    if argv == ["--version"]:
+        assert out == b"0.1.0\n"
+    else:  # one usage text, a line for each command
+        assert [line.split()[1] for line in out.decode().splitlines()[1::2]] == [
+            "validate", "ginzburg", "invariance", "reduce", "transport", "verify", "weyl"]
+
+
+def test_flags_go_before_or_after_the_document(capsys, tmp_path):
+    # a flag's value follows it or its "=", and a switch takes no value
+    path = tmp_path / "doc.json"
+    path.write_text(doc(MCKAY), encoding="utf-8")
+    p = str(path)
+    for lines in ([["verify", p, "--max-len", "2"], ["verify", "--max-len", "2", p],
+                   ["verify", "--max-len=2", p], ["verify", p, "--max-len=2"]],
+                  [["ginzburg", p, "--check", "--d", "3"], ["ginzburg", "--check", p, "--d=3"],
+                   ["ginzburg", "--d", "3", "--check", p]]):
+        outs = set()
+        for argv in lines:
+            assert main(argv) == 0, argv
+            outs.add(capsys.readouterr().out)
+        assert len(outs) == 1
+
+
 def test_missing_file_exit_2(capsys):
     code = main(["validate", "/nonexistent/file.json"])
     report = json.loads(capsys.readouterr().out)

@@ -67,18 +67,17 @@ def test_cli_runs_as_a_module_without_warnings():
         == skewgin.__version__ + "\n"
 
 
-# Runs one CLI command, then lists the submodules whose code has run: a
-# registered module that nothing has read yet is not a plain module object.
+# Runs one CLI command, then lists the submodules whose code has run (a
+# registered module that nothing has read yet is not a plain module object)
+# and, on a second line, the command-line parser modules it loaded.
 COMMAND_PROBE = """import contextlib, io, sys, types
 from skewgin import cli
 with contextlib.redirect_stdout(io.StringIO()):
-    try:
-        code = cli.main(sys.argv[1:])
-    except SystemExit as exc:
-        code = exc.code
+    code = cli.main(sys.argv[1:])
 print(code, *sorted(name[len('skewgin.'):] for name, module in sys.modules.items()
                     if name.startswith('skewgin.') and name != 'skewgin.cli'
                     and type(module) is types.ModuleType))
+print(*[name for name in ('argparse', 'gettext', 'locale') if name in sys.modules])
 """
 
 REDUCTION_AND_WEYL = {"crossed", "morita", "weyl"}
@@ -100,12 +99,15 @@ COMMAND_MODULES = [
                          ids=[argv[0] for argv, _, _ in COMMAND_MODULES])
 def test_each_command_executes_only_the_modules_it_uses(tmp_path, argv, exactly, never):
     # a fresh process compiles only the modules its command runs, so the
-    # McKay session's launches skip the Morita and Weyl layers they never use
+    # McKay session's launches skip the Morita and Weyl layers they never use;
+    # the command line is read without argparse and the gettext and locale
+    # modules it imports
     path = tmp_path / "mckay.json"
     path.write_text(doc(MCKAY), encoding="utf-8")
-    code, *executed = fresh_interpreter(
-        COMMAND_PROBE, *(str(path) if a == "DOC" else a for a in argv)).split()
-    assert code == "0"
+    ran, parsers = fresh_interpreter(
+        COMMAND_PROBE, *(str(path) if a == "DOC" else a for a in argv)).splitlines()
+    code, *executed = ran.split()
+    assert (code, parsers) == ("0", "")
     if exactly is not None:
         assert set(executed) == exactly
     else:
